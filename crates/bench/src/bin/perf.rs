@@ -1,10 +1,9 @@
 //! Rewrite-engine performance tracking: times `Optimizer::optimize` under
 //! both profiles and both engines over the full model zoo, plus the
-//! end-to-end obfuscate → optimize → deobfuscate pipeline and the
-//! per-phase breakdown of a served request (generation / semantic /
-//! optimization / wire), and writes `BENCH_opt.json` (mean/p50/p95
-//! wall-times per measurement) so the perf trajectory is tracked from
-//! PR 2 onward.
+//! end-to-end obfuscate → optimize → deobfuscate pipeline, and writes
+//! `BENCH_opt.json` (mean/p50/p95 wall-times per measurement). Served-
+//! request latency and its per-layer split are measured by the real-path
+//! `e2e` benchmark (`crates/bench/src/bin/e2e/`).
 //!
 //! Every run also *asserts* engine parity (worklist output bit-identical to
 //! the retained naive fixpoint on every zoo model) and the fig4 geomean
@@ -14,8 +13,7 @@
 //!
 //! Usage: `cargo run --release -p proteus-bench --bin perf [-- --smoke] [-- --out PATH]`
 
-use proteus::serve::ServeRuntime;
-use proteus::{PartitionSpec, PhaseBreakdown, Proteus, ProteusConfig, SealedBucket, ServeConfig};
+use proteus::{PartitionSpec, Proteus, ProteusConfig};
 use proteus_bench::{latency_triple, print_header, print_row};
 use proteus_graph::{Graph, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
@@ -378,64 +376,6 @@ fn main() {
         series.push(recovery);
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    // Per-phase breakdown of a served request with the inventory warmed
-    // and the optimized cache on: generation/semantic measured by the
-    // owner session, optimization/wire by the pool handle. Recorded as
-    // four series so the trajectory of each phase is tracked separately.
-    let warmed = proteus.warm_inventory();
-    let runtime = ServeRuntime::new(
-        Optimizer::new(Profile::OrtLike),
-        ServeConfig {
-            workers: 2,
-            window: 2,
-            ..Default::default()
-        },
-    )
-    .expect("runtime");
-    let mut phase_samples: Vec<PhaseBreakdown> = Vec::new();
-    for i in 0..e2e_iters as u64 {
-        let rid = 90 + i;
-        let mut session = proteus
-            .obfuscate_session(&g, &params, rid)
-            .expect("session");
-        let handle = runtime.handle(rid);
-        let n = session.num_buckets();
-        let mut got = 0;
-        while let Some(frame) = session.next_frame() {
-            handle
-                .submit_bytes(frame.to_mux_bytes(rid))
-                .expect("submit");
-            while handle.try_recv().is_some() {
-                got += 1;
-            }
-        }
-        while got < n {
-            let bytes = handle.recv_bytes().expect("recv");
-            std::hint::black_box(SealedBucket::from_mux_bytes(bytes).expect("decode"));
-            got += 1;
-        }
-        phase_samples.push(session.phases().merged(handle.phases()));
-    }
-    let phase_series = |label: &str, pick: fn(&PhaseBreakdown) -> u64| Series {
-        label: format!("phases/serve-request/{label}"),
-        samples: phase_samples.iter().map(|p| pick(p) as f64 / 1e3).collect(),
-    };
-    let phases = [
-        phase_series("generation", |p| p.generation_ns),
-        phase_series("semantic", |p| p.semantic_ns),
-        phase_series("optimization", |p| p.optimization_ns),
-        phase_series("wire", |p| p.wire_ns),
-    ];
-    println!(
-        "\nServed-request phases (inventory warmed: {warmed} sentinels): \
-         generation {:.0} us, semantic {:.0} us, optimization {:.0} us, wire {:.0} us",
-        phases[0].mean(),
-        phases[1].mean(),
-        phases[2].mean(),
-        phases[3].mean(),
-    );
-    series.extend(phases);
 
     // fig4 regression band: bit-identical engines must leave the paper
     // reproduction untouched. latency_triple is deterministic, so this is

@@ -60,7 +60,7 @@ use crate::semantic::BigramModel;
 use crate::sentinel::SentinelFactory;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
-    decode_frame, decode_graph, encode_frame, encode_graph, fnv1a64, WireError,
+    bounded_capacity, decode_frame, decode_graph, encode_frame, encode_graph, fnv1a64, WireError,
 };
 use proteus_graph::Graph;
 use proteus_graphgen::{GraphRnn, GraphRnnConfig, UGraph};
@@ -275,16 +275,6 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> AResult<()> {
     } else {
         Ok(())
     }
-}
-
-/// Caps an untrusted element count for pre-allocation: never reserve more
-/// elements than the remaining bytes could possibly encode (at `min_bytes`
-/// encoded bytes per element). The decode loop still reads the full
-/// declared count, so a lying header hits a typed truncation error —
-/// after the plausibility bounds but *before* any allocation sized by
-/// attacker-controlled bytes.
-fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize {
-    count.min(buf.remaining() / min_bytes.max(1))
 }
 
 /// Longest string the artifact codec will write or read (1 MiB) —

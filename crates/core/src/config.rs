@@ -169,8 +169,7 @@ pub struct FaultPlan {
     /// in-place containment path.
     pub abort_worker: bool,
     /// Seeded rate: stall roughly one in `stall_one_in` pool tasks for
-    /// [`FaultPlan::stall_ms`] before executing. Doubles as the bench's
-    /// modeled backend service time (`stall_one_in: 1`).
+    /// [`FaultPlan::stall_ms`] before executing.
     pub stall_one_in: u32,
     /// Stall duration in milliseconds.
     pub stall_ms: u32,
@@ -248,7 +247,7 @@ pub struct ServeConfig {
     /// from scratch, the pre-cache behavior.
     pub cache_capacity: usize,
     /// Deterministic fault-injection plan. The default plan is inert;
-    /// chaos tests and the fleet bench arm it per replica.
+    /// chaos tests arm it per replica.
     pub faults: FaultPlan,
     /// Identity of the replica this runtime backs, reported in
     /// [`ProteusError::ReplicaUnavailable`] so fleet errors name the

@@ -19,7 +19,9 @@ use crate::bucket::{BucketMember, ObfuscationSecrets};
 use crate::error::ProteusError;
 use crate::session::DeobfuscationSession;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use proteus_graph::wire::{decode_graph, decode_params, encode_graph, encode_params};
+use proteus_graph::wire::{
+    bounded_capacity, decode_graph, decode_params, encode_graph, encode_params,
+};
 use proteus_graph::{NodeId, WireError};
 use proteus_partition::{BoundaryRef, PartitionPlan, Piece};
 
@@ -39,10 +41,6 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> CResult<()> {
     } else {
         Ok(())
     }
-}
-
-fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize {
-    count.min(buf.remaining() / min_bytes.max(1))
 }
 
 fn put_str(buf: &mut BytesMut, s: &str) {

@@ -344,6 +344,28 @@ mod tests {
         }
     }
 
+    /// Pins the WIRE.md `PRTM` layout byte for byte.
+    #[test]
+    fn marker_layout_matches_golden_bytes() {
+        let m = Marker {
+            committed_len: 1234,
+            chain: 0xDEAD_BEEF,
+            records: 7,
+        };
+        let hex: String = encode_marker(&m)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let fields = concat!(
+            "5052544d",
+            "0100",
+            "d204000000000000",
+            "efbeadde00000000",
+            "0700000000000000"
+        );
+        assert_eq!(hex, format!("{fields}43e8b8c46001aee5"));
+    }
+
     #[test]
     fn replay_roundtrip() {
         let g = genesis_body();

@@ -155,8 +155,9 @@ pub fn fnv1a64_continue(mut h: u64, data: &[u8]) -> u64 {
 /// elements than the remaining bytes could possibly encode (at `min_bytes`
 /// encoded bytes per element). The decode loop still reads the full
 /// declared count — a lying header hits a typed [`WireError::Truncated`]
-/// instead of demanding a multi-GiB allocation first.
-fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize {
+/// instead of demanding a multi-GiB allocation first. Shared by every
+/// codec that decodes untrusted counts (wire, artifact, store).
+pub fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize {
     count.min(buf.remaining() / min_bytes.max(1))
 }
 
@@ -1402,6 +1403,41 @@ mod tests {
                 "cut at {cut} not rejected as truncated"
             );
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Pins the WIRE.md layouts of `PRTB` v1/v2 and `PRTE` byte for byte:
+    /// one literal per header field, checksum included.
+    #[test]
+    fn frame_layouts_match_golden_bytes() {
+        let v1 = concat!("50525442", "0100", "03000000", "03000000");
+        assert_eq!(
+            hex(&encode_frame(3, b"abc")),
+            format!("{v1}dcc3b2b26c9c5af8616263")
+        );
+        let v2 = concat!(
+            "50525442",
+            "0200",
+            "0807060504030201",
+            "03000000",
+            "03000000"
+        );
+        assert_eq!(
+            hex(&encode_frame_v2(0x0102_0304_0506_0708, 3, b"abc")),
+            format!("{v2}59d0abd51b0cef9c616263")
+        );
+        let prte = concat!("50525445", "0200", "0700000000000000", "0d00", "02000000");
+        assert_eq!(
+            hex(&encode_error_frame(&ErrorFrame::new(
+                7,
+                ErrorCode::BadAuth,
+                "no"
+            ))),
+            format!("{prte}545cc4e2c589ba496e6f")
+        );
     }
 
     /// Hand-builds an error frame with arbitrary raw fields and a correct

@@ -279,6 +279,22 @@ mod tests {
         assert!(buf.is_empty());
     }
 
+    /// Pins the WIRE.md `PRTH`/`PRTS` layout byte for byte: magic,
+    /// versions, fingerprint, blob length, checksum, blob.
+    #[test]
+    fn hello_layouts_match_golden_bytes() {
+        let hex = |b: Bytes| b.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let fields = concat!("0100", "0200", "0807060504030201", "03000000");
+        assert_eq!(
+            hex(ClientHello::new(0x0102_0304_0506_0708, "tok").encode()),
+            format!("50525448{fields}5d11e1077439cac6746f6b")
+        );
+        assert_eq!(
+            hex(ServerHello::new(0x0102_0304_0506_0708, "srv").encode()),
+            format!("50525453{fields}5230782074092bf2737276")
+        );
+    }
+
     #[test]
     fn hello_detects_single_byte_corruption_everywhere() {
         let bytes = ClientHello::new(7, "secret").encode();

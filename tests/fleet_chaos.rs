@@ -395,6 +395,57 @@ fn drain_completes_in_flight_requests_then_respawn_rejoins() {
     assert!(got2.graph.validate().is_ok());
 }
 
+/// Concurrent chaos wave: eight requests in flight at once on four
+/// replicas, two of them crash-prone (their first task and then one in
+/// four). Re-dispatch must land every request on a healthy replica with
+/// results bit-identical to the serial path.
+#[test]
+fn concurrent_chaos_wave_serves_every_request_bit_identically() {
+    quiet_fault_panics();
+    let proteus = shared_proteus();
+    let optimizer = Optimizer::new(Profile::OrtLike);
+    let crashy = FaultPlan {
+        seed: 0xC4A05,
+        panic_at: 1,
+        panic_one_in: 4,
+        ..Default::default()
+    };
+    let fleet = chaos_fleet(4, &[crashy, crashy], 0, 4, 0);
+    // two requests primary-routed to each replica
+    let rids: Vec<u64> = (0..8u64)
+        .map(|i| rid_routed_to(&fleet, (i % 4) as usize, 9_000 + 10_000 * i))
+        .collect();
+    let served: Vec<_> = std::thread::scope(|scope| {
+        let joins: Vec<_> = rids
+            .iter()
+            .map(|&rid| {
+                let fleet = &fleet;
+                scope.spawn(move || {
+                    let (graph, params) = request_model(rid);
+                    (
+                        rid,
+                        fleet.serve_request_traced(proteus, &graph, &params, rid),
+                    )
+                })
+            })
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| j.join().expect("client thread"))
+            .collect()
+    });
+    for (rid, got) in served {
+        let got = got.unwrap_or_else(|e| panic!("rid {rid}: {e}"));
+        let (graph, params) = request_model(rid);
+        let (want_g, want_p) = serial_reference(proteus, &optimizer, rid, &graph, &params);
+        assert_eq!(got.graph, want_g, "rid {rid}");
+        assert_eq!(got.params, want_p, "rid {rid}");
+    }
+    let stats = fleet.stats();
+    assert_eq!(stats.served, rids.len());
+    assert!(stats.redispatches > 0, "crash-prone replicas never crashed");
+}
+
 /// No fault may leak a partial frame: every frame a faulted runtime
 /// delivers carries all `k + 1` members, and fully-delivered requests
 /// reassemble bit-identically to the serial path.
@@ -476,7 +527,14 @@ fn no_fault_leaks_a_partial_frame() {
     );
     assert!(completed > 0, "every request crashed; parity never checked");
     let stats = runtime.stats();
-    assert_eq!(stats.tasks_crashed, crashed, "one lane failure per crash");
+    // two tasks of one request can both pass the lane's failed check on
+    // different workers and both crash; the counter is bumped before the
+    // lane fails, so it bounds the crashed lanes from above
+    assert!(
+        stats.tasks_crashed >= crashed,
+        "{} crashed tasks cannot explain {crashed} crashed lanes",
+        stats.tasks_crashed
+    );
     assert!(
         runtime.is_healthy(),
         "contained crashes never down the pool"

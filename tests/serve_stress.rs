@@ -6,7 +6,7 @@
 //!
 //! CI runs this suite in release mode (the `serve-stress` job).
 
-use proteus::serve::ServeRuntime;
+use proteus::serve::{SentinelPool, ServeRuntime};
 use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
 };
@@ -177,6 +177,85 @@ fn concurrent_clients_are_bit_identical_to_serial_path() {
         assert_eq!(graph, want_graph, "request {rid:#x}: graphs diverge");
         assert_eq!(params, want_params, "request {rid:#x}: tensors diverge");
     }
+}
+
+#[test]
+fn warm_cached_concurrent_requests_match_serial_frame_bytes() {
+    // The deployed hot path under concurrency: a warm sentinel inventory,
+    // the optimized-member cache on, and v2 multiplexed bytes from several
+    // requests at once. Every optimized frame must be byte-identical to
+    // its input re-optimized serially (no pool, cache or inventory), on
+    // the cold wave that fills the cache and on the replay that hits it.
+    let proteus = Proteus::builder()
+        .config(quick_config(2, 3))
+        .corpus_model(build(ModelKind::ResNet))
+        .train_shared()
+        .expect("train");
+    assert!(SentinelPool::spawn(Arc::clone(&proteus)).join() > 0);
+    let runtime = ServeRuntime::new(
+        Optimizer::new(Profile::OrtLike),
+        ServeConfig {
+            workers: 4,
+            window: 2,
+            ..Default::default()
+        },
+    )
+    .expect("runtime");
+    let optimizer = Optimizer::new(Profile::OrtLike);
+
+    let wave = || -> Vec<(Vec<SealedBucket>, Vec<SealedBucket>)> {
+        std::thread::scope(|scope| {
+            let joins: Vec<_> = (0..6u64)
+                .map(|rid| {
+                    let (proteus, runtime) = (&proteus, &runtime);
+                    scope.spawn(move || {
+                        let (g, p) = request_model(rid);
+                        let inputs: Vec<SealedBucket> = proteus
+                            .obfuscate_session(&g, &p, rid)
+                            .expect("session")
+                            .collect();
+                        let handle = runtime.handle(rid);
+                        for frame in &inputs {
+                            handle
+                                .submit_bytes(frame.to_mux_bytes(rid))
+                                .expect("submit");
+                        }
+                        let mut got: Vec<SealedBucket> = inputs
+                            .iter()
+                            .map(|_| {
+                                let bytes = handle.recv_bytes().expect("recv");
+                                SealedBucket::from_mux_bytes(bytes).expect("decode").1
+                            })
+                            .collect();
+                        got.sort_by_key(|f| f.bucket_index);
+                        (inputs, got)
+                    })
+                })
+                .collect();
+            joins
+                .into_iter()
+                .map(|j| j.join().expect("client thread"))
+                .collect()
+        })
+    };
+    let cold = wave();
+    let replay = wave();
+    for (rid, ((inputs, got), (_, replayed))) in cold.iter().zip(&replay).enumerate() {
+        assert_eq!(got.len(), inputs.len(), "request {rid}: frame count");
+        for ((input, got), replayed) in inputs.iter().zip(got).zip(replayed) {
+            let want = input.optimize(&optimizer, Some(1)).to_bytes();
+            assert_eq!(got.to_bytes(), want, "request {rid}: cold frame diverged");
+            assert_eq!(
+                replayed.to_bytes(),
+                want,
+                "request {rid}: cached frame diverged"
+            );
+        }
+    }
+    assert!(
+        runtime.stats().cache_hits > 0,
+        "the replay never hit the cache"
+    );
 }
 
 #[test]
