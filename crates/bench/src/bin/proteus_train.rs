@@ -133,8 +133,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let train_ms = t.elapsed().as_secs_f64() * 1e3;
     // warm the full sentinel inventory so the artifact ships pre-built
-    // sentinels: serving processes skip both training *and* first-draw
-    // generation (and `verify` reproduces the sweep deterministically)
+    // sentinels and the keys proven infeasible: serving processes skip
+    // training, first-draw generation and the failed searches alike (and
+    // `verify` reproduces the sweep deterministically)
     let t = Instant::now();
     let warmed = proteus.warm_inventory();
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -142,8 +143,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let bytes = artifact.to_bytes();
     std::fs::write(&out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
-        "trained in {train_ms:.0} ms, warmed {warmed} sentinels in {warm_ms:.0} ms, \
-         wrote {} bytes to {out} (config fingerprint {:#018x})",
+        "trained in {train_ms:.0} ms, warmed {warmed} sentinels + {} infeasible keys in \
+         {warm_ms:.0} ms, wrote {} bytes to {out} (config fingerprint {:#018x})",
+        proteus.factory().key_space().len() - warmed,
         bytes.len(),
         proteus.config_fingerprint()
     );
@@ -172,8 +174,11 @@ fn cmd_inspect(path: &str) -> Result<(), String> {
     );
     println!("bigram vocabulary   {} opcodes", summary.bigram_vocab);
     println!(
-        "sentinel inventory  {} persisted sentinels",
-        summary.sentinel_entries
+        "sentinel inventory  {} sentinels + {} infeasible keys = {}/{}",
+        summary.sentinel_entries,
+        summary.infeasible_entries,
+        summary.sentinel_entries + summary.infeasible_entries,
+        summary.key_space
     );
     let cfg = artifact.config();
     println!(
@@ -223,7 +228,7 @@ fn cmd_verify(path: &str, args: &[String]) -> Result<(), String> {
         println!("retrained in {train_ms:.0} ms (warm start was {load_ms:.1} ms)");
         // artifacts written by `train` carry a fully warmed inventory;
         // reproduce the deterministic sweep before comparing bytes
-        if summary.sentinel_entries > 0 {
+        if summary.sentinel_entries + summary.infeasible_entries > 0 {
             fresh.warm_inventory();
         }
         // compare against the original file bytes: the retrained state,

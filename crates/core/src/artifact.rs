@@ -34,7 +34,9 @@
 //! Version 2 (current) adds the sentinel-inventory section — the warm
 //! sentinels built by the serving runtime persist across restarts, so a
 //! cold-started process begins with whatever inventory the saving process
-//! had accumulated. Version 1 artifacts (five sections, no
+//! had accumulated. Keys whose population failed persist too (as empty
+//! slots), so a fully warmed artifact covers the whole key space and a
+//! restart re-proves nothing. Version 1 artifacts (five sections, no
 //! `sentinel_variants` config field) still load; their inventory starts
 //! empty and is rebuilt on demand, with identical wire output either way
 //! (the inventory is pure memoization). See `docs/WIRE.md` for the
@@ -607,29 +609,39 @@ fn decode_bigram(buf: &mut Bytes) -> AResult<BigramModel> {
 
 /// Entries are encoded in strictly ascending key order (the inventory's
 /// canonical snapshot order), each graph as its wire encoding behind a
-/// length prefix.
-fn encode_sentinels(entries: &[(SentinelKey, Graph)]) -> Bytes {
+/// length prefix. A memoized population failure encodes as
+/// `graph_len = 0`: a wire-encoded graph is never empty (its name prefix
+/// and node and output counts alone take 12 bytes), so the empty slot is
+/// unambiguous.
+fn encode_sentinels(entries: &[(SentinelKey, Option<Graph>)]) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_u32_le(entries.len() as u32);
     for (key, graph) in entries {
         buf.put_u32_le(key.topo);
         buf.put_u8(key.regime as u8);
         buf.put_u32_le(key.variant);
-        let g = encode_graph(graph);
-        buf.put_u32_le(g.len() as u32);
-        buf.put_slice(&g);
+        match graph {
+            Some(graph) => {
+                let g = encode_graph(graph);
+                buf.put_u32_le(g.len() as u32);
+                buf.put_slice(&g);
+            }
+            None => buf.put_u32_le(0),
+        }
     }
     buf.freeze()
 }
 
 /// `pool_len` and `variants` bound the key space: a key naming a topology
 /// or variant the loaded factory cannot build is rejected rather than
-/// silently memoizing a sentinel no inline path could produce.
+/// silently memoizing a sentinel no inline path could produce. Both
+/// checks and the ordering check run before the slot is read, so they
+/// hold for memoized failures (`graph_len = 0`, decoded as `None`) too.
 fn decode_sentinels(
     buf: &mut Bytes,
     pool_len: usize,
     variants: usize,
-) -> AResult<Vec<(SentinelKey, Graph)>> {
+) -> AResult<Vec<(SentinelKey, Option<Graph>)>> {
     need(buf, 4, "sentinel entry count")?;
     let count = buf.get_u32_le() as usize;
     let key_space = pool_len.saturating_mul(2).saturating_mul(variants);
@@ -639,8 +651,9 @@ fn decode_sentinels(
              ({pool_len} topologies x 2 regimes x {variants} variants)"
         )));
     }
-    // an entry encodes to at least 17 bytes (key header + graph length)
-    let mut out: Vec<(SentinelKey, Graph)> = Vec::with_capacity(bounded_capacity(count, buf, 17));
+    // an entry encodes to at least 13 bytes (key header + graph length)
+    let mut out: Vec<(SentinelKey, Option<Graph>)> =
+        Vec::with_capacity(bounded_capacity(count, buf, 13));
     for i in 0..count {
         need(buf, 4 + 1 + 4 + 4, "sentinel entry header")?;
         let topo = buf.get_u32_le();
@@ -673,6 +686,10 @@ fn decode_sentinels(
             }
         }
         let len = buf.get_u32_le() as usize;
+        if len == 0 {
+            out.push((key, None));
+            continue;
+        }
         need(buf, len, "sentinel graph bytes")?;
         let mut graph_buf = buf.split_to(len);
         let graph = decode_graph(&mut graph_buf).map_err(|e| {
@@ -684,7 +701,7 @@ fn decode_sentinels(
                 graph_buf.len()
             )));
         }
-        out.push((key, graph));
+        out.push((key, Some(graph)));
     }
     Ok(out)
 }
@@ -703,7 +720,7 @@ pub struct TrainedArtifact {
     rnn_weights: Vec<(String, Matrix)>,
     pool: Vec<UGraph>,
     bigram: BigramModel,
-    sentinels: Vec<(SentinelKey, Graph)>,
+    sentinels: Vec<(SentinelKey, Option<Graph>)>,
 }
 
 /// A human-oriented summary of an artifact (the `proteus-train inspect`
@@ -725,9 +742,17 @@ pub struct ArtifactSummary {
     pub rnn_scalars: usize,
     /// Bigram vocabulary size (`OpCode::COUNT` at save time).
     pub bigram_vocab: usize,
-    /// Warm sentinel inventory entries persisted in the artifact (always
-    /// 0 for version-1 files, which predate the section).
+    /// Persisted sentinels: inventory entries whose key built a graph
+    /// (always 0 for version-1 files, which predate the section).
     pub sentinel_entries: usize,
+    /// Persisted infeasible keys: memoized population failures
+    /// (`graph_len = 0` entries). Artifacts written before failures were
+    /// persisted carry none; a load re-proves those keys on warm.
+    pub infeasible_entries: usize,
+    /// The key space the factory spans (`pool_len x 2 regimes x
+    /// sentinel_variants`): a fully warmed artifact's
+    /// `sentinel_entries + infeasible_entries` equals it.
+    pub key_space: usize,
     /// `(section name, payload bytes)` per section, in file order.
     pub section_bytes: Vec<(&'static str, usize)>,
 }
@@ -761,8 +786,9 @@ impl TrainedArtifact {
         }
     }
 
-    /// The warm sentinel inventory entries the artifact carries.
-    pub fn sentinels(&self) -> &[(SentinelKey, Graph)] {
+    /// The warm sentinel inventory entries the artifact carries, in
+    /// ascending key order; `None` is a memoized population failure.
+    pub fn sentinels(&self) -> &[(SentinelKey, Option<Graph>)] {
         &self.sentinels
     }
 
@@ -995,7 +1021,12 @@ impl TrainedArtifact {
             rnn_params: rnn_weights.len(),
             rnn_scalars: rnn_weights.iter().map(|(_, m)| m.data().len()).sum(),
             bigram_vocab: bigram.counts().len(),
-            sentinel_entries: sentinels.len(),
+            sentinel_entries: sentinels.iter().filter(|(_, g)| g.is_some()).count(),
+            infeasible_entries: sentinels.iter().filter(|(_, g)| g.is_none()).count(),
+            key_space: pool
+                .len()
+                .saturating_mul(2)
+                .saturating_mul(config.sentinel_variants),
             section_bytes,
         };
         Ok((
@@ -1035,7 +1066,8 @@ impl TrainedArtifact {
             self.config.sentinel_variants,
         );
         let proteus = Proteus::from_trained_parts(self.config, factory);
-        // warm entries persisted at save time skip their first inline build
+        // entries persisted at save time — sentinels and infeasible keys
+        // alike — skip their first inline build (or failed population)
         proteus.inventory().prefill(self.sentinels);
         Ok(proteus)
     }
@@ -1168,6 +1200,7 @@ impl Proteus {
 mod tests {
     use super::*;
     use crate::config::PartitionSpec;
+    use crate::operators::Regime;
     use proteus_graph::TensorMap;
     use proteus_graphgen::GraphRnnConfig;
     use proteus_models::{build, ModelKind};
@@ -1189,6 +1222,18 @@ mod tests {
             };
             Proteus::train(cfg, &[build(ModelKind::ResNet)])
         })
+    }
+
+    // the shared instance with its full key space warmed exactly once:
+    // concurrent tests sweeping it themselves would race to build the
+    // same (slow, in debug) infeasible keys
+    fn warmed_quick_proteus() -> &'static Proteus {
+        static WARM: std::sync::Once = std::sync::Once::new();
+        let proteus = quick_proteus();
+        WARM.call_once(|| {
+            proteus.warm_inventory();
+        });
+        proteus
     }
 
     #[test]
@@ -1336,7 +1381,10 @@ mod tests {
         let v1 = v1_bytes_of(fresh);
         let (artifact, summary) = TrainedArtifact::from_bytes_with_summary(&v1).unwrap();
         assert_eq!(summary.version, 1);
-        assert_eq!(summary.sentinel_entries, 0);
+        assert_eq!(
+            (summary.sentinel_entries, summary.infeasible_entries),
+            (0, 0)
+        );
         // the variants field predates v1; it loads under the default
         assert_eq!(
             artifact.config().sentinel_variants,
@@ -1369,36 +1417,160 @@ mod tests {
 
     #[test]
     fn persisted_inventory_round_trips_and_prefills() {
-        let fresh = quick_proteus();
-        // warm the shared inventory (idempotent across test ordering)
+        let fresh = warmed_quick_proteus();
+        // a repeat sweep is all lookups and reports the same count
         let built = fresh.warm_inventory();
         assert!(built > 0, "nothing warmed");
         let bytes = fresh.to_artifact_bytes();
         let (artifact, summary) = TrainedArtifact::from_bytes_with_summary(&bytes).unwrap();
         assert_eq!(summary.version, ARTIFACT_VERSION);
-        assert_eq!(summary.sentinel_entries, artifact.sentinels().len());
-        assert!(summary.sentinel_entries > 0, "warm entries not persisted");
+        assert_eq!(summary.sentinel_entries, built);
+        assert!(
+            summary.infeasible_entries > 0,
+            "no infeasible key persisted"
+        );
+        assert_eq!(
+            summary.sentinel_entries + summary.infeasible_entries,
+            summary.key_space
+        );
+        assert_eq!(summary.key_space, fresh.factory().key_space().len());
         let loaded = artifact.into_proteus().unwrap();
-        assert_eq!(loaded.inventory().len(), summary.sentinel_entries);
-        // prefilled entries match what the loaded factory would build
-        for (key, graph) in loaded.inventory().snapshot().iter().take(6) {
-            let rebuilt = loaded
-                .factory()
-                .build_sentinel(*key)
-                .expect("persisted key builds");
+        assert_eq!(loaded.inventory().len(), summary.key_space);
+        // prefilled entries, a failure included, match what the loaded
+        // factory would build
+        let snapshot = loaded.inventory().snapshot();
+        let negative = snapshot.iter().find(|(_, g)| g.is_none());
+        for (key, graph) in snapshot.iter().take(6).chain(negative) {
+            let rebuilt = loaded.factory().build_sentinel(*key);
             assert_eq!(
-                encode_graph(graph).to_vec(),
-                encode_graph(&rebuilt).to_vec(),
+                graph.as_ref().map(encode_graph),
+                rebuilt.as_ref().map(encode_graph),
                 "persisted entry for {key:?} diverges from the pure build"
+            );
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    // one key header of the sentinels section: topo u32 | regime u8 |
+    // variant u32, followed by an empty (memoized-failure) slot
+    fn negative_entry(topo: u32, regime: u8, variant: u32) -> Vec<u8> {
+        let mut e = topo.to_le_bytes().to_vec();
+        e.push(regime);
+        e.extend_from_slice(&variant.to_le_bytes());
+        e.extend_from_slice(&0u32.to_le_bytes());
+        e
+    }
+
+    fn sentinels_payload(entries: &[Vec<u8>]) -> Bytes {
+        let mut p = (entries.len() as u32).to_le_bytes().to_vec();
+        for e in entries {
+            p.extend_from_slice(e);
+        }
+        Bytes::from(p)
+    }
+
+    #[test]
+    fn sentinel_section_layout_matches_golden_bytes() {
+        // graph "s" holding one Input node "x" of shape [2], output 0
+        let mut g = Graph::new("s");
+        let x = g.add_named(proteus_graph::Op::Input { shape: [2].into() }, [], "x");
+        g.set_outputs([x]);
+        let entries = vec![
+            (SentinelKey::new(0, Regime::Cnn, 1), Some(g)),
+            (SentinelKey::new(1, Regime::Transformer, 0), None),
+        ];
+        let graph = concat!(
+            "01000000",
+            "73",       // name "s"
+            "01000000", // node_count
+            "01000000",
+            "78", // node name "x"
+            "00",
+            "01000000",
+            "0200000000000000", // Input, rank 1, dim 2
+            "00000000",         // input_count
+            "01000000",
+            "00000000", // output_count, output id 0
+        );
+        // entry_count 2, then key (0, Cnn, 1) with a 39-byte graph
+        let head = concat!("02000000", "00000000", "00", "01000000", "27000000");
+        // key (1, Transformer, 0) with an empty slot: a memoized failure
+        let tail = concat!("01000000", "01", "00000000", "00000000");
+        let golden = format!("{head}{graph}{tail}");
+        let encoded = encode_sentinels(&entries);
+        assert_eq!(hex(&encoded), golden);
+        let mut buf = encoded.clone();
+        assert_eq!(decode_sentinels(&mut buf, 2, 2).unwrap(), entries);
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn negative_entries_are_checked_like_sentinels() {
+        let ok = sentinels_payload(&[negative_entry(0, 0, 1), negative_entry(1, 1, 0)]);
+        let decoded = decode_sentinels(&mut ok.clone(), 2, 2).unwrap();
+        assert!(decoded.iter().all(|(_, g)| g.is_none()));
+        let rejected = [
+            // topology outside the pool
+            sentinels_payload(&[negative_entry(2, 0, 0)]),
+            // variant outside the configured range
+            sentinels_payload(&[negative_entry(0, 0, 2)]),
+            // unknown regime tag
+            sentinels_payload(&[negative_entry(0, 2, 0)]),
+            // descending keys
+            sentinels_payload(&[negative_entry(1, 0, 0), negative_entry(0, 1, 1)]),
+            // a key repeated
+            sentinels_payload(&[negative_entry(0, 0, 1), negative_entry(0, 0, 1)]),
+        ];
+        for payload in rejected {
+            let err = decode_sentinels(&mut payload.clone(), 2, 2).unwrap_err();
+            assert!(
+                matches!(err, ArtifactError::Malformed { .. }),
+                "{} accepted or wrongly typed: {err:?}",
+                hex(&payload)
+            );
+        }
+        // a flipped bit in the final empty slot claims bytes that are not there
+        for bit in 0..32 {
+            let mut raw = ok.to_vec();
+            let at = raw.len() - 4 + bit / 8;
+            raw[at] ^= 1 << (bit % 8);
+            assert!(decode_sentinels(&mut Bytes::from(raw), 2, 2).is_err());
+        }
+    }
+
+    #[test]
+    fn any_bit_flip_in_a_persisted_negative_entry_is_rejected() {
+        let bytes = warmed_quick_proteus().to_artifact_bytes().to_vec();
+        // walk to the sentinels section (the last frame) and find the
+        // first negative entry inside its payload
+        let mut buf = Bytes::copy_from_slice(&bytes[10..]);
+        for _ in 0..5 {
+            decode_frame(&mut buf).expect("section frame");
+        }
+        let mut at = bytes.len() - buf.len() + 22 + 4;
+        let negative = loop {
+            let len = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().unwrap()) as usize;
+            if len == 0 {
+                break at;
+            }
+            at += 13 + len;
+        };
+        for bit in 0..13 * 8 {
+            let mut raw = bytes.clone();
+            raw[negative + bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                TrainedArtifact::from_bytes(&raw).is_err(),
+                "bit {bit} of the negative entry at byte {negative} flipped unnoticed"
             );
         }
     }
 
     #[test]
     fn corrupted_sentinel_section_is_rejected() {
-        let fresh = quick_proteus();
-        fresh.warm_inventory();
-        let bytes = fresh.to_artifact_bytes().to_vec();
+        let bytes = warmed_quick_proteus().to_artifact_bytes().to_vec();
         // flip a byte inside the final (sentinels) section payload
         let mut corrupt = bytes.clone();
         let at = corrupt.len() - 8;

@@ -19,8 +19,8 @@
 //! The inventory is bounded (capacity defaults to the full key space,
 //! `topology_pool x 2 regimes x sentinel_variants`), can be disabled at
 //! runtime (every draw then falls back to inline generation), and its
-//! entries persist across restarts via the `PRTA` artifact's sentinel
-//! section ([`crate::artifact`]).
+//! entries — memoized failures included — persist across restarts via
+//! the `PRTA` artifact's sentinel section ([`crate::artifact`]).
 
 use crate::operators::Regime;
 use proteus_graph::Graph;
@@ -194,24 +194,30 @@ impl SentinelInventory {
         true
     }
 
-    /// Every successfully built entry, sorted by key — the canonical
-    /// order the artifact's sentinel section is encoded in.
-    pub fn snapshot(&self) -> Vec<(SentinelKey, Graph)> {
+    /// Every memoized entry, sorted by key — the canonical order the
+    /// artifact's sentinel section is encoded in. Failures are kept
+    /// (`None`: the key admits no valid operator assignment), so an
+    /// artifact written from a fully warmed inventory covers the whole
+    /// key space and a restarted process re-proves nothing.
+    pub fn snapshot(&self) -> Vec<(SentinelKey, Option<Graph>)> {
         let entries = self.entries.read().expect("inventory poisoned");
-        let mut out: Vec<(SentinelKey, Graph)> = entries
-            .iter()
-            .filter_map(|(k, v)| v.as_ref().map(|g| (*k, g.clone())))
-            .collect();
+        let mut out: Vec<(SentinelKey, Option<Graph>)> =
+            entries.iter().map(|(k, v)| (*k, v.clone())).collect();
         out.sort_by_key(|(k, _)| *k);
         out
     }
 
     /// Seeds the inventory from persisted entries (the artifact's
-    /// sentinel section), respecting capacity.
-    pub fn prefill(&self, entries: impl IntoIterator<Item = (SentinelKey, Graph)>) -> usize {
+    /// sentinel section, in [`SentinelInventory::snapshot`]'s shape:
+    /// `None` is a memoized population failure), respecting capacity.
+    /// Returns how many entries were stored.
+    pub fn prefill(
+        &self,
+        entries: impl IntoIterator<Item = (SentinelKey, Option<Graph>)>,
+    ) -> usize {
         let mut stored = 0;
         for (key, graph) in entries {
-            if self.store(key, Some(graph)) {
+            if self.store(key, graph) {
                 stored += 1;
             }
         }
@@ -262,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_skips_failures() {
+    fn snapshot_is_sorted_and_keeps_failures() {
         let inv = SentinelInventory::new(8);
         inv.store(
             SentinelKey::new(2, Regime::Transformer, 1),
@@ -271,17 +277,30 @@ mod tests {
         inv.store(SentinelKey::new(0, Regime::Cnn, 3), Some(tiny_graph(2)));
         inv.store(SentinelKey::new(1, Regime::Cnn, 0), None);
         let snap = inv.snapshot();
-        let keys: Vec<SentinelKey> = snap.iter().map(|(k, _)| *k).collect();
+        let shape: Vec<(SentinelKey, bool)> = snap.iter().map(|(k, g)| (*k, g.is_some())).collect();
         assert_eq!(
-            keys,
+            shape,
             vec![
-                SentinelKey::new(0, Regime::Cnn, 3),
-                SentinelKey::new(2, Regime::Transformer, 1),
+                (SentinelKey::new(0, Regime::Cnn, 3), true),
+                (SentinelKey::new(1, Regime::Cnn, 0), false),
+                (SentinelKey::new(2, Regime::Transformer, 1), true),
             ]
         );
-        // prefill round-trips the snapshot
+        // prefill round-trips the snapshot, failures included: the
+        // memoized failure answers its key without a miss
         let other = SentinelInventory::new(8);
-        assert_eq!(other.prefill(snap), 2);
-        assert_eq!(other.len(), 2);
+        assert_eq!(other.prefill(snap), 3);
+        assert_eq!(other.len(), 3);
+        assert_eq!(
+            other.lookup(&SentinelKey::new(1, Regime::Cnn, 0)),
+            Some(None)
+        );
+        assert_eq!(other.stats().misses, 0);
+        let again: Vec<(SentinelKey, bool)> = other
+            .snapshot()
+            .iter()
+            .map(|(k, g)| (*k, g.is_some()))
+            .collect();
+        assert_eq!(again, shape);
     }
 }

@@ -18,6 +18,7 @@ use crate::sentinel::SentinelFactory;
 use crate::session::{DeobfuscationSession, ObfuscationSession, LEGACY_REQUEST_ID};
 use proteus_graph::{Graph, TensorMap};
 use proteus_opt::Optimizer;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The model-owner side of the protocol.
@@ -187,12 +188,25 @@ impl Proteus {
 
     /// Synchronously builds every sentinel in the factory's key space
     /// into the inventory (the blocking warm path; the serving runtime's
-    /// [`crate::serve::SentinelPool`] does the same in the background).
-    /// Returns the number of keys that produced a sentinel. Idempotent —
-    /// already-memoized keys are skipped at lookup cost.
+    /// [`crate::serve::SentinelPool`] runs the same sweep in the
+    /// background). Returns the number of keys that produced a sentinel.
+    /// Idempotent — already-memoized keys, failures included, are skipped
+    /// at lookup cost. An instance loaded from an artifact written after a
+    /// full warm covers the whole key space, so this is then a lookup
+    /// sweep that builds nothing.
     pub fn warm_inventory(&self) -> usize {
+        self.warm_inventory_until(&AtomicBool::new(false))
+    }
+
+    /// The key sweep behind [`Proteus::warm_inventory`] and
+    /// [`crate::serve::SentinelPool`]: walks the key space in canonical
+    /// order and stops at the next key boundary once `stop` is set.
+    pub(crate) fn warm_inventory_until(&self, stop: &AtomicBool) -> usize {
         let mut built = 0;
         for key in self.factory.key_space() {
+            if stop.load(Ordering::Relaxed) {
+                break;
+            }
             if self.factory.sentinel(key, Some(&self.inventory)).is_some() {
                 built += 1;
             }

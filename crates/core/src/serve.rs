@@ -442,12 +442,12 @@ impl OptimizedCache {
 ///
 /// Sentinels are pure functions of the trained state and a
 /// [`crate::SentinelKey`] ([`crate::SentinelFactory::build_sentinel`]),
-/// so they can be built before any request arrives: the warmer walks the
-/// factory's full key space on its own thread, memoizing each result into
-/// the shared [`crate::SentinelInventory`]. Sessions that run while the
-/// warmer is still going simply build-and-store the keys it has not
-/// reached yet — the inventory is idempotent, so the two producers never
-/// disagree.
+/// so they can be built before any request arrives: the warmer runs
+/// [`Proteus::warm_inventory`]'s key sweep on its own thread, memoizing
+/// each result into the shared [`crate::SentinelInventory`]. Sessions
+/// that run while the warmer is still going simply build-and-store the
+/// keys it has not reached yet — the inventory is idempotent, so the two
+/// producers never disagree.
 ///
 /// Dropping the pool stops the warmer at the next key boundary and joins
 /// the thread; [`SentinelPool::join`] waits for a full sweep and reports
@@ -467,20 +467,7 @@ impl SentinelPool {
         let flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("proteus-sentinel-warmer".into())
-            .spawn(move || {
-                let factory = proteus.factory();
-                let inventory = proteus.inventory();
-                let mut built = 0usize;
-                for key in factory.key_space() {
-                    if flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if factory.sentinel(key, Some(inventory)).is_some() {
-                        built += 1;
-                    }
-                }
-                built
-            })
+            .spawn(move || proteus.warm_inventory_until(&flag))
             .ok();
         SentinelPool { stop, handle }
     }

@@ -6,15 +6,18 @@
 //!
 //! CI runs this suite in release mode (the `serve-stress` job).
 
+use bytes::Bytes;
 use proptest::prelude::*;
+use proteus::store::Store;
 use proteus::{
-    PartitionSpec, Proteus, ProteusConfig, SentinelInventory, SentinelPool, TrainedArtifact,
+    PartitionSpec, Proteus, ProteusConfig, SentinelInventory, SentinelKey, SentinelPool,
+    TrainedArtifact,
 };
-use proteus_graph::wire::encode_graph;
+use proteus_graph::wire::{decode_frame, encode_frame, encode_graph};
 use proteus_graph::TensorMap;
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn tiny_config(seed: u64) -> ProteusConfig {
     ProteusConfig {
@@ -127,10 +130,10 @@ proptest! {
 
         // the sentinel section is the last of the six section frames;
         // find where it starts by walking the preceding five
-        let mut buf = bytes::Bytes::copy_from_slice(&bytes[10..]);
+        let mut buf = Bytes::copy_from_slice(&bytes[10..]);
         let total = buf.len();
         for _ in 0..5 {
-            proteus_graph::wire::decode_frame(&mut buf).expect("section frame");
+            decode_frame(&mut buf).expect("section frame");
         }
         let tail_start = 10 + (total - buf.len());
         prop_assert!(tail_start < bytes.len());
@@ -145,34 +148,145 @@ proptest! {
     }
 }
 
+/// One trained instance with its whole key space warmed, shared by the
+/// warm-start tests below (the sweep's infeasible keys dominate its cost).
+/// Seed 9's pool holds topologies with no valid operator assignment, so
+/// the tests see both kinds of persisted entry.
+fn warmed() -> &'static Proteus {
+    static WARMED: OnceLock<Proteus> = OnceLock::new();
+    WARMED.get_or_init(|| {
+        let proteus = train(9);
+        proteus.warm_inventory();
+        assert!(
+            !infeasible_keys(&proteus).is_empty(),
+            "training produced no infeasible key"
+        );
+        proteus
+    })
+}
+
+/// Keys the inventory memoized as infeasible (no valid operator
+/// assignment), in canonical order.
+fn infeasible_keys(proteus: &Proteus) -> Vec<SentinelKey> {
+    proteus
+        .inventory()
+        .snapshot()
+        .into_iter()
+        .filter_map(|(key, graph)| graph.is_none().then_some(key))
+        .collect()
+}
+
 /// A warm-started process must serve the persisted inventory's sentinels
 /// byte-identically to the instance that built them — and actually *use*
-/// it (no rebuild on first draw).
+/// it: infeasible keys persist too, so the loaded inventory covers the
+/// whole key space and warming it again builds nothing.
 #[test]
 fn persisted_inventory_round_trips_through_serving() {
-    let proteus = train(11);
+    let proteus = warmed();
     let warmed = proteus.warm_inventory();
     assert!(warmed > 0);
     let bytes = proteus.to_artifact_bytes();
     let loaded = Proteus::from_artifact_bytes(&bytes).expect("artifact loads");
     assert_eq!(
         loaded.inventory().len(),
-        warmed,
-        "prefilled inventory carries every persisted sentinel"
+        loaded.factory().key_space().len(),
+        "prefilled inventory covers the whole key space"
     );
 
     for rid in [0u64, 5, 0xFEED] {
         assert_eq!(
-            frames(&proteus, rid),
+            frames(proteus, rid),
             frames(&loaded, rid),
             "request {rid:#x}: warm-started frames diverge"
         );
     }
-    // the prefilled entries must actually serve draws; only negative keys
-    // (builds that fail, which the artifact does not persist) may miss
-    let stats = loaded.inventory().stats();
     assert!(
-        stats.hits > 0,
+        loaded.inventory().stats().hits > 0,
         "loaded instance never drew from the inventory"
     );
+    // the restart re-proves nothing: every key, infeasible ones included,
+    // is answered from the persisted section
+    assert_eq!(loaded.warm_inventory(), warmed);
+    assert_eq!(loaded.inventory().stats().misses, 0);
+}
+
+/// Rewrites an artifact's `sentinels` section (the last frame) into the
+/// earlier layout that persisted only positive entries: every empty
+/// (`graph_len = 0`) slot is dropped and the entry count lowered to match.
+fn without_negatives(artifact: &[u8]) -> Vec<u8> {
+    let mut rest = Bytes::copy_from_slice(&artifact[10..]);
+    for _ in 0..5 {
+        decode_frame(&mut rest).expect("section frame");
+    }
+    let mut out = artifact[..artifact.len() - rest.len()].to_vec();
+    let sentinels = decode_frame(&mut rest).expect("sentinels section");
+    let payload = sentinels.payload;
+    let count = u32::from_le_bytes(payload[..4].try_into().unwrap());
+    let (mut at, mut kept, mut entries) = (4usize, 0u32, Vec::new());
+    for _ in 0..count {
+        let len = u32::from_le_bytes(payload[at + 9..at + 13].try_into().unwrap()) as usize;
+        if len > 0 {
+            entries.extend_from_slice(&payload[at..at + 13 + len]);
+            kept += 1;
+        }
+        at += 13 + len;
+    }
+    assert_eq!(at, payload.len(), "walked the whole section");
+    let mut rewritten = kept.to_le_bytes().to_vec();
+    rewritten.extend_from_slice(&entries);
+    out.extend_from_slice(&encode_frame(sentinels.bucket_index, &rewritten));
+    out
+}
+
+/// Artifacts written before infeasible keys were persisted still load:
+/// the first warm re-proves exactly the missing keys, the frames stay
+/// bit-identical to the training instance's, and a re-save then matches
+/// a current-layout artifact byte for byte.
+#[test]
+fn positive_only_artifacts_still_load_and_reprove_their_negatives() {
+    let proteus = warmed();
+    let negatives = infeasible_keys(proteus);
+    let current = proteus.to_artifact_bytes();
+    let legacy = without_negatives(&current);
+    assert!(legacy.len() < current.len());
+
+    let (artifact, summary) = TrainedArtifact::from_bytes_with_summary(&legacy).expect("loads");
+    assert_eq!(summary.infeasible_entries, 0);
+    assert_eq!(
+        summary.sentinel_entries + negatives.len(),
+        summary.key_space
+    );
+    let loaded = artifact.into_proteus().expect("restores");
+    assert_eq!(loaded.inventory().len(), summary.sentinel_entries);
+
+    loaded.warm_inventory();
+    assert_eq!(loaded.inventory().stats().misses, negatives.len());
+    assert_eq!(infeasible_keys(&loaded), negatives);
+    for rid in [1u64, 9, 0xBEEF] {
+        assert_eq!(
+            frames(proteus, rid),
+            frames(&loaded, rid),
+            "request {rid:#x}: frames from a positive-only artifact diverge"
+        );
+    }
+    assert_eq!(loaded.to_artifact_bytes(), current);
+}
+
+/// The daemon's `--store-dir` path re-saves the loaded inventory into a
+/// durable store; the negatives must survive that round trip too.
+#[test]
+fn store_held_artifacts_keep_their_negatives() {
+    let proteus = warmed();
+    let dir = std::env::temp_dir().join(format!("proteus-sentinel-pool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = Store::open_or_create(&dir).expect("store creates");
+    proteus
+        .save_artifact_store(&store)
+        .expect("artifact stored");
+    let loaded = Proteus::load_artifact_store(&store).expect("artifact loads from the store");
+    assert_eq!(infeasible_keys(&loaded), infeasible_keys(proteus));
+    assert_eq!(loaded.inventory().len(), loaded.factory().key_space().len());
+    assert_eq!(loaded.to_artifact_bytes(), proteus.to_artifact_bytes());
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
 }
