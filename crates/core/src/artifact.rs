@@ -1550,7 +1550,7 @@ mod tests {
         for _ in 0..5 {
             decode_frame(&mut buf).expect("section frame");
         }
-        let mut at = bytes.len() - buf.len() + 22 + 4;
+        let mut at = bytes.len() - buf.len() + proteus_graph::wire::FRAME.min_len() + 4;
         let negative = loop {
             let len = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().unwrap()) as usize;
             if len == 0 {

@@ -18,8 +18,8 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
-    decode_frame, decode_graph, decode_params, encode_frame, encode_graph, encode_params, fnv1a64,
-    WireError,
+    bounded_capacity, decode_frame, decode_graph, decode_params, encode_frame, encode_graph,
+    encode_params, fnv1a64, WireError, FRAME,
 };
 use proteus_graph::{Graph, TensorMap};
 use proteus_partition::PartitionPlan;
@@ -277,9 +277,9 @@ impl ObfuscatedModel {
                 "implausible bucket count {nb}"
             )));
         }
-        // a sealed frame is at least its 22-byte v1 header; clamp the
+        // a sealed frame is at least a frame header; clamp the
         // pre-allocation so a corrupt count cannot demand gigabytes
-        let mut buckets = Vec::with_capacity(nb.min(data.remaining() / 22));
+        let mut buckets = Vec::with_capacity(bounded_capacity(nb, &data, FRAME.min_len()));
         for i in 0..nb {
             let sealed = SealedBucket::decode_from(&mut data)?;
             if sealed.bucket_index as usize != i || sealed.num_buckets as usize != nb {

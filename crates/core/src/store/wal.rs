@@ -3,7 +3,7 @@
 //! marker that defines the committed horizon.
 //!
 //! A record is an ordinary [`proteus_graph::wire`] v1 frame — the same
-//! 22-byte header + checksum every bucket crossing the trust boundary
+//! envelope and checksum every bucket crossing the trust boundary
 //! uses — with the frame's `bucket_index` field carrying the record
 //! *tag* and the payload opening with the chain digest of the previous
 //! record and the record's sequence number:
@@ -24,8 +24,8 @@
 //! verification. Nothing past a bad byte is ever silently resynced.
 //!
 //! Commit is atomic via rename: after a record is appended and flushed,
-//! the 38-byte marker file (`store.commit`) is rewritten to a temp file
-//! and `rename(2)`d into place. The marker names the committed byte
+//! the [`MARKER_LEN`]-byte marker file (`store.commit`) is rewritten to a
+//! temp file and `rename(2)`d into place. The marker names the committed byte
 //! length, the chain digest, and the record count; bytes beyond the
 //! committed length are an uncommitted tail (a crash between append and
 //! rename) and are truncated on recovery — the append was never
@@ -33,7 +33,9 @@
 
 use super::StoreError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use proteus_graph::wire::{decode_frame, encode_frame, fnv1a64, fnv1a64_continue, WIRE_VERSION_V1};
+use proteus_graph::wire::{
+    decode_frame, encode_frame, fnv1a64_continue, Envelope, Versions, WIRE_VERSION_V1,
+};
 
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "store.wal";
@@ -42,12 +44,19 @@ pub const MARKER_FILE: &str = "store.commit";
 /// Temp file the marker is staged in before the atomic rename.
 pub const MARKER_TMP_FILE: &str = "store.commit.tmp";
 
-/// Magic bytes opening the commit marker.
-pub const MARKER_MAGIC: [u8; 4] = *b"PRTM";
 /// Commit-marker format version.
 pub const MARKER_VERSION: u16 = 1;
+/// The `PRTM` envelope row: `committed_len u64 | chain u64 | records u64`
+/// and no body.
+pub const MARKER: Envelope = Envelope {
+    name: "marker",
+    magic: *b"PRTM",
+    versions: Versions::Only(&[(MARKER_VERSION, 24)]),
+    has_len: false,
+    max_body: 0,
+};
 /// Exact encoded size of the commit marker.
-pub const MARKER_LEN: usize = 4 + 2 + 8 + 8 + 8 + 8;
+pub const MARKER_LEN: usize = MARKER.header_len(24);
 
 /// Store format version recorded in the genesis record's body.
 pub const STORE_FORMAT_VERSION: u32 = 1;
@@ -136,15 +145,12 @@ pub struct Marker {
 
 /// Serializes a marker (fixed [`MARKER_LEN`] bytes, self-checksummed).
 pub fn encode_marker(m: &Marker) -> Bytes {
-    let mut buf = BytesMut::with_capacity(MARKER_LEN);
-    buf.put_slice(&MARKER_MAGIC);
-    buf.put_u16_le(MARKER_VERSION);
-    buf.put_u64_le(m.committed_len);
-    buf.put_u64_le(m.chain);
-    buf.put_u64_le(m.records);
-    let checksum = fnv1a64(&buf[4..]);
-    buf.put_u64_le(checksum);
-    buf.freeze()
+    let fields = |f: &mut BytesMut| {
+        f.put_u64_le(m.committed_len);
+        f.put_u64_le(m.chain);
+        f.put_u64_le(m.records);
+    };
+    MARKER.seal(MARKER_VERSION, fields, &[])
 }
 
 /// Decodes and validates a marker. Every malformation — wrong size, bad
@@ -158,31 +164,13 @@ pub fn decode_marker(data: &[u8]) -> Result<Marker, StoreError> {
             data.len()
         )));
     }
-    let magic = &data[..4];
-    if magic != MARKER_MAGIC {
-        return Err(StoreError::marker(format!("bad marker magic {magic:02x?}")));
-    }
-    let mut buf = Bytes::copy_from_slice(&data[4..]);
-    let version = buf.get_u16_le();
-    if version != MARKER_VERSION {
-        return Err(StoreError::marker(format!(
-            "unknown marker version {version} (this library speaks {MARKER_VERSION})"
-        )));
-    }
-    let committed_len = buf.get_u64_le();
-    let chain = buf.get_u64_le();
-    let records = buf.get_u64_le();
-    let claimed = buf.get_u64_le();
-    let actual = fnv1a64(&data[4..MARKER_LEN - 8]);
-    if claimed != actual {
-        return Err(StoreError::marker(format!(
-            "marker checksum mismatch (marker says {claimed:#018x}, fields hash to {actual:#018x})"
-        )));
-    }
+    let (_, mut fields, _) = MARKER
+        .open(&mut Bytes::copy_from_slice(data))
+        .map_err(|e| StoreError::marker(format!("commit marker rejected: {e}")))?;
     Ok(Marker {
-        committed_len,
-        chain,
-        records,
+        committed_len: fields.get_u64_le(),
+        chain: fields.get_u64_le(),
+        records: fields.get_u64_le(),
     })
 }
 

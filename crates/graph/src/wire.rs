@@ -139,10 +139,10 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     fnv1a64_continue(FNV_OFFSET_BASIS, data)
 }
 
-/// Feeds more bytes into a running FNV-1a state — the framing code hashes
-/// header fields and payload incrementally instead of copying them into
-/// one buffer, and the durable store chains record digests by seeding
-/// each record's hash with the previous record's digest.
+/// Feeds more bytes into a running FNV-1a state — the envelope code hashes
+/// header fields and body without copying them into one buffer, and the
+/// durable store chains record digests by seeding each record's hash with
+/// the previous record's digest.
 pub fn fnv1a64_continue(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
@@ -161,6 +161,240 @@ pub fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize
     count.min(buf.remaining() / min_bytes.max(1))
 }
 
+/// Offset of an envelope's fixed fields, after `magic[4] | version u16`.
+pub const ENVELOPE_FIELDS_AT: usize = 6;
+
+/// The versions an [`Envelope`] accepts, each with its fixed-field width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Versions {
+    /// Exactly these `(version, fixed-field bytes)` pairs; any other
+    /// version is [`WireError::UnknownVersion`].
+    Only(&'static [(u16, usize)]),
+    /// Every version, with one width: the format judges the version after
+    /// decoding (the handshake answers a skewed `net_protocol` typed).
+    Any(usize),
+}
+
+/// One row of the envelope table. Every checksummed format — `PRTB`
+/// frames, `PRTE` error frames, `PRTH`/`PRTS` hellos, the `PRTM` commit
+/// marker — is one layout:
+///
+/// ```text
+/// magic[4] | version u16 | fixed fields | [body_len u32] | checksum u64 | body
+/// ```
+///
+/// The checksum is FNV-1a over every byte between the magic and the
+/// checksum field, then the body, so corruption anywhere after the magic
+/// is caught. A row names what differs per format; sealing, opening and
+/// measuring envelopes is this one piece of code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// Names the format in [`WireError::Truncated`] contexts.
+    pub name: &'static str,
+    /// The four bytes opening the envelope.
+    pub magic: [u8; 4],
+    /// Accepted versions and their fixed-field widths.
+    pub versions: Versions,
+    /// Whether a `u32` body length precedes the checksum; without one
+    /// the envelope has no body.
+    pub has_len: bool,
+    /// Largest body accepted: a longer length field is
+    /// [`WireError::Malformed`] before any body byte is awaited.
+    pub max_body: usize,
+}
+
+/// The little-endian integer in `data[at..at + n]`, `n <= 8`.
+fn le(data: &[u8], at: usize, n: usize) -> u64 {
+    data[at..at + n]
+        .iter()
+        .rev()
+        .fold(0, |v, &b| v << 8 | u64::from(b))
+}
+
+impl Envelope {
+    /// Header length (magic through checksum) around `fields` bytes of
+    /// fixed fields.
+    pub const fn header_len(&self, fields: usize) -> usize {
+        ENVELOPE_FIELDS_AT + fields + if self.has_len { 4 } else { 0 } + 8
+    }
+
+    /// The shortest envelope of this row: its smallest header, no body.
+    pub fn min_len(&self) -> usize {
+        match self.versions {
+            Versions::Any(fields) => self.header_len(fields),
+            Versions::Only(rows) => rows.iter().map(|r| self.header_len(r.1)).min().unwrap_or(0),
+        }
+    }
+
+    /// Whether the row accepts `version`.
+    pub fn accepts(&self, version: u16) -> bool {
+        self.fields_len(version).is_some()
+    }
+
+    fn fields_len(&self, version: u16) -> Option<usize> {
+        match self.versions {
+            Versions::Any(fields) => Some(fields),
+            Versions::Only(rows) => rows.iter().find(|r| r.0 == version).map(|r| r.1),
+        }
+    }
+
+    /// Checks the magic, then the version, opening `data`: `Ok(None)`
+    /// while too few bytes are present to decide, else the version and
+    /// its fixed-field width.
+    fn head(&self, data: &[u8]) -> WResult<Option<(u16, usize)>> {
+        if data.len() < 4 {
+            return Ok(None);
+        }
+        if data[..4] != self.magic {
+            let mut got = [0u8; 4];
+            got.copy_from_slice(&data[..4]);
+            return Err(WireError::BadMagic { got });
+        }
+        if data.len() < ENVELOPE_FIELDS_AT {
+            return Ok(None);
+        }
+        let version = u16::from_le_bytes([data[4], data[5]]);
+        let supported = match self.versions {
+            Versions::Only(rows) => rows.iter().map(|r| r.0).max().unwrap_or(0),
+            Versions::Any(_) => u16::MAX,
+        };
+        match self.fields_len(version) {
+            Some(fields) => Ok(Some((version, fields))),
+            None => Err(WireError::UnknownVersion {
+                got: version,
+                supported,
+            }),
+        }
+    }
+
+    /// The body length in the length field at `at`, held to the row's
+    /// cap and to `cap`.
+    fn body_len(&self, data: &[u8], at: usize, cap: usize) -> WResult<usize> {
+        let len = if self.has_len {
+            le(data, at, 4) as usize
+        } else {
+            0
+        };
+        let cap = cap.min(self.max_body);
+        if len > cap {
+            return Err(WireError::malformed(format!(
+                "{} body length {len} exceeds the cap of {cap} bytes",
+                self.name
+            )));
+        }
+        Ok(len)
+    }
+
+    /// Writes `magic | version | fields | [body_len] | checksum | body`,
+    /// the `fields` closure writing the format's fixed fields.
+    ///
+    /// # Panics
+    /// If `body` exceeds `u32::MAX` bytes — the length field could not
+    /// represent it; formats bound their bodies far below this.
+    pub fn seal(&self, version: u16, fields: impl FnOnce(&mut BytesMut), body: &[u8]) -> Bytes {
+        assert!(
+            u32::try_from(body.len()).is_ok(),
+            "{} body of {} bytes exceeds the u32 length field",
+            self.name,
+            body.len()
+        );
+        let header = self.header_len(self.fields_len(version).unwrap_or(0));
+        let mut buf = BytesMut::with_capacity(header + body.len());
+        buf.put_slice(&self.magic);
+        buf.put_u16_le(version);
+        fields(&mut buf);
+        if self.has_len {
+            buf.put_u32_le(body.len() as u32);
+        }
+        let h = fnv1a64(&buf[4..]);
+        buf.put_u64_le(fnv1a64_continue(h, body));
+        buf.put_slice(body);
+        buf.freeze()
+    }
+
+    /// Opens the envelope at the front of `buf`, leaving trailing bytes,
+    /// and returns `(version, fixed fields, body)`. Every format is checked
+    /// in one order: magic, version, header present, body cap, body
+    /// present, checksum. `buf` is untouched on error.
+    ///
+    /// # Errors
+    /// [`WireError::BadMagic`], [`WireError::UnknownVersion`],
+    /// [`WireError::Truncated`], [`WireError::Malformed`] for a body
+    /// length over the cap, [`WireError::ChecksumMismatch`].
+    pub fn open(&self, buf: &mut Bytes) -> WResult<(u16, Bytes, Bytes)> {
+        let truncated = |part: &str| WireError::truncated(format!("{} {part}", self.name));
+        let Some((version, fields)) = self.head(buf)? else {
+            return Err(truncated(if buf.len() < 4 { "magic" } else { "version" }));
+        };
+        let at = ENVELOPE_FIELDS_AT + fields;
+        let header = self.header_len(fields);
+        if buf.len() < header {
+            return Err(truncated("header"));
+        }
+        let body = self.body_len(buf, at, usize::MAX)?;
+        if buf.len() < header + body {
+            return Err(truncated("body"));
+        }
+        let expected = le(buf, header - 8, 8);
+        let got = fnv1a64_continue(fnv1a64(&buf[4..header - 8]), &buf[header..header + body]);
+        if got != expected {
+            return Err(WireError::ChecksumMismatch { expected, got });
+        }
+        let raw = buf.split_to(header + body);
+        Ok((
+            version,
+            raw.slice(ENVELOPE_FIELDS_AT..at),
+            raw.slice(header..raw.len()),
+        ))
+    }
+}
+
+/// How long the envelope at the front of a stream buffer is — the length
+/// its row's [`Envelope::open`] consumes — for a reader that waits for
+/// whole envelopes: `Ok(None)` until its magic, version, fixed fields and
+/// length field are buffered. Bodies longer than `cap` (or the row's own
+/// cap) are refused before they are awaited.
+///
+/// # Errors
+/// [`WireError::BadMagic`] when no row in `rows` (which must not be
+/// empty) opens `data`, and the row's version and body-cap rejections.
+pub fn envelope_len(rows: &[&Envelope], data: &[u8], cap: usize) -> WResult<Option<usize>> {
+    // a magic no row carries is reported by the first row's check
+    let row = rows
+        .iter()
+        .find(|r| data.starts_with(&r.magic))
+        .unwrap_or(&rows[0]);
+    let Some((_, fields)) = row.head(data)? else {
+        return Ok(None);
+    };
+    let at = ENVELOPE_FIELDS_AT + fields;
+    if data.len() < at + if row.has_len { 4 } else { 0 } {
+        return Ok(None);
+    }
+    Ok(Some(row.header_len(fields) + row.body_len(data, at, cap)?))
+}
+
+/// The `PRTB` data-frame row: v1 carries `bucket_index u32`, v2
+/// `request_id u64 | bucket_index u32`. Bodies are not capped here; a
+/// stream reader applies its own limit.
+pub const FRAME: Envelope = Envelope {
+    name: "frame",
+    magic: FRAME_MAGIC,
+    versions: Versions::Only(&[(WIRE_VERSION_V1, 4), (WIRE_VERSION_V2, 12)]),
+    has_len: true,
+    max_body: usize::MAX,
+};
+
+/// The `PRTE` error-frame row: `request_id u64 | code u16`, version 2,
+/// detail at most [`MAX_ERROR_DETAIL`] bytes.
+pub const ERROR_FRAME: Envelope = Envelope {
+    name: "error frame",
+    magic: ERROR_FRAME_MAGIC,
+    versions: Versions::Only(&[(WIRE_VERSION_V2, 10)]),
+    has_len: true,
+    max_body: MAX_ERROR_DETAIL,
+};
+
 /// One decoded wire frame: header fields plus the raw payload (the payload
 /// codec is the caller's concern — for Proteus it is a sealed bucket).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,45 +411,25 @@ pub struct Frame {
     pub payload: Bytes,
 }
 
-/// Wraps `payload` in a version-1 frame:
+/// Wraps `payload` in a version-1 [`FRAME`] envelope:
 ///
 /// ```text
 /// magic[4] | version u16 | bucket_index u32 | payload_len u32 |
 /// checksum u64 | payload
 /// ```
 ///
-/// The checksum is FNV-1a over the header fields after the magic
-/// (version, bucket index, payload length) followed by the payload, so
-/// single-byte corruption anywhere outside the checksum field itself is
-/// detected (and corruption *of* the checksum field trivially mismatches).
-///
 /// This remains the encoding of every single-request artifact, so those
 /// byte formats are stable across the v2 protocol addition; multiplexed
 /// streams use [`encode_frame_v2`].
 ///
 /// # Panics
-/// If `payload` exceeds `u32::MAX` bytes — the length field could not
-/// represent it and the frame would be undecodable. Buckets are bounded
-/// far below this by partitioning; hitting it is a caller bug, not a
-/// wire condition.
+/// As [`Envelope::seal`], if `payload` exceeds `u32::MAX` bytes; buckets
+/// are bounded far below this by partitioning.
 pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
-    assert!(
-        u32::try_from(payload.len()).is_ok(),
-        "frame payload of {} bytes exceeds the u32 length field",
-        payload.len()
-    );
-    let mut buf = BytesMut::with_capacity(22 + payload.len());
-    buf.put_slice(&FRAME_MAGIC);
-    buf.put_u16_le(WIRE_VERSION_V1);
-    buf.put_u32_le(bucket_index);
-    buf.put_u32_le(payload.len() as u32);
-    let h = fnv1a64_continue(FNV_OFFSET_BASIS, &buf[4..14]);
-    buf.put_u64_le(fnv1a64_continue(h, payload));
-    buf.put_slice(payload);
-    buf.freeze()
+    FRAME.seal(WIRE_VERSION_V1, |f| f.put_u32_le(bucket_index), payload)
 }
 
-/// Wraps `payload` in a version-2 *multiplexed* frame:
+/// Wraps `payload` in a version-2 *multiplexed* [`FRAME`] envelope:
 ///
 /// ```text
 /// magic[4] | version u16 | request_id u64 | bucket_index u32 |
@@ -230,21 +444,11 @@ pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
 /// # Panics
 /// As [`encode_frame`], if `payload` exceeds `u32::MAX` bytes.
 pub fn encode_frame_v2(request_id: u64, bucket_index: u32, payload: &[u8]) -> Bytes {
-    assert!(
-        u32::try_from(payload.len()).is_ok(),
-        "frame payload of {} bytes exceeds the u32 length field",
-        payload.len()
-    );
-    let mut buf = BytesMut::with_capacity(30 + payload.len());
-    buf.put_slice(&FRAME_MAGIC);
-    buf.put_u16_le(WIRE_VERSION_V2);
-    buf.put_u64_le(request_id);
-    buf.put_u32_le(bucket_index);
-    buf.put_u32_le(payload.len() as u32);
-    let h = fnv1a64_continue(FNV_OFFSET_BASIS, &buf[4..22]);
-    buf.put_u64_le(fnv1a64_continue(h, payload));
-    buf.put_slice(payload);
-    buf.freeze()
+    let fields = |f: &mut BytesMut| {
+        f.put_u64_le(request_id);
+        f.put_u32_le(bucket_index);
+    };
+    FRAME.seal(WIRE_VERSION_V2, fields, payload)
 }
 
 /// Reads the request id out of a frame header without decoding — or
@@ -256,28 +460,13 @@ pub fn encode_frame_v2(request_id: u64, bucket_index: u32, payload: &[u8]) -> By
 /// [`WireError::BadMagic`] / [`WireError::UnknownVersion`] /
 /// [`WireError::Truncated`] for headers too malformed to route.
 pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
-    if data.len() < 6 {
-        return Err(WireError::truncated("frame header peek"));
-    }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&data[0..4]);
-    if magic != FRAME_MAGIC {
-        return Err(WireError::BadMagic { got: magic });
-    }
-    match u16::from_le_bytes([data[4], data[5]]) {
-        WIRE_VERSION_V1 => Ok(0),
-        WIRE_VERSION_V2 => {
-            if data.len() < 14 {
-                return Err(WireError::truncated("frame request id"));
-            }
-            let mut id = [0u8; 8];
-            id.copy_from_slice(&data[6..14]);
-            Ok(u64::from_le_bytes(id))
-        }
-        got => Err(WireError::UnknownVersion {
-            got,
-            supported: WIRE_VERSION,
-        }),
+    match FRAME.head(data)? {
+        None => Err(WireError::truncated("frame header peek")),
+        Some((WIRE_VERSION_V1, _)) => Ok(0),
+        Some(_) => data
+            .get(ENVELOPE_FIELDS_AT..ENVELOPE_FIELDS_AT + 8)
+            .map(|id| le(id, 0, 8))
+            .ok_or_else(|| WireError::truncated("frame request id")),
     }
 }
 
@@ -287,53 +476,21 @@ pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
 /// stays backward compatible with v1 senders.
 ///
 /// # Errors
-/// [`WireError::BadMagic`] / [`WireError::UnknownVersion`] /
-/// [`WireError::ChecksumMismatch`] for the respective header violations,
-/// [`WireError::Truncated`] when the buffer ends early.
+/// As [`Envelope::open`]: [`WireError::BadMagic`] /
+/// [`WireError::UnknownVersion`] / [`WireError::ChecksumMismatch`] for
+/// the respective header violations, [`WireError::Truncated`] when the
+/// buffer ends early.
 pub fn decode_frame(buf: &mut Bytes) -> WResult<Frame> {
-    need(buf, 4, "frame magic")?;
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&buf.split_to(4));
-    if magic != FRAME_MAGIC {
-        return Err(WireError::BadMagic { got: magic });
-    }
-    need(buf, 2, "frame version")?;
-    let version = buf.get_u16_le();
-    if version != WIRE_VERSION_V1 && version != WIRE_VERSION_V2 {
-        return Err(WireError::UnknownVersion {
-            got: version,
-            supported: WIRE_VERSION,
-        });
-    }
+    let (version, mut fields, payload) = FRAME.open(buf)?;
     let request_id = if version == WIRE_VERSION_V2 {
-        need(buf, 8, "frame request id")?;
-        buf.get_u64_le()
+        fields.get_u64_le()
     } else {
         0
     };
-    need(buf, 4 + 4 + 8, "frame header")?;
-    let bucket_index = buf.get_u32_le();
-    let payload_len = buf.get_u32_le() as usize;
-    let checksum = buf.get_u64_le();
-    need(buf, payload_len, "frame payload")?;
-    let payload = buf.split_to(payload_len);
-    let mut h = fnv1a64_continue(FNV_OFFSET_BASIS, &version.to_le_bytes());
-    if version == WIRE_VERSION_V2 {
-        h = fnv1a64_continue(h, &request_id.to_le_bytes());
-    }
-    h = fnv1a64_continue(h, &bucket_index.to_le_bytes());
-    h = fnv1a64_continue(h, &(payload_len as u32).to_le_bytes());
-    let got = fnv1a64_continue(h, &payload);
-    if got != checksum {
-        return Err(WireError::ChecksumMismatch {
-            expected: checksum,
-            got,
-        });
-    }
     Ok(Frame {
         version,
         request_id,
-        bucket_index,
+        bucket_index: fields.get_u32_le(),
         payload,
     })
 }
@@ -500,32 +657,23 @@ impl fmt::Display for ErrorFrame {
     }
 }
 
-/// Encodes an [`ErrorFrame`]:
+/// Encodes an [`ErrorFrame`] as an [`ERROR_FRAME`] envelope:
 ///
 /// ```text
 /// magic[4]="PRTE" | version u16 | request_id u64 | code u16 |
 /// detail_len u32 | checksum u64 | detail bytes
 /// ```
 ///
-/// The checksum is FNV-1a over the header fields after the magic
-/// (version, request id, code, detail length) followed by the detail
-/// bytes, mirroring the data-frame checksum so single-byte corruption
-/// anywhere is detected. Details longer than [`MAX_ERROR_DETAIL`] are
-/// truncated on encode — an error report must never itself become
-/// undecodable.
+/// Details longer than [`MAX_ERROR_DETAIL`] are truncated on encode — an
+/// error report must never itself become undecodable.
 pub fn encode_error_frame(frame: &ErrorFrame) -> Bytes {
     let detail = frame.detail.as_bytes();
     let detail = &detail[..floor_char_boundary(&frame.detail, detail.len().min(MAX_ERROR_DETAIL))];
-    let mut buf = BytesMut::with_capacity(28 + detail.len());
-    buf.put_slice(&ERROR_FRAME_MAGIC);
-    buf.put_u16_le(WIRE_VERSION_V2);
-    buf.put_u64_le(frame.request_id);
-    buf.put_u16_le(frame.code.as_u16());
-    buf.put_u32_le(detail.len() as u32);
-    let h = fnv1a64_continue(FNV_OFFSET_BASIS, &buf[4..20]);
-    buf.put_u64_le(fnv1a64_continue(h, detail));
-    buf.put_slice(detail);
-    buf.freeze()
+    let fields = |f: &mut BytesMut| {
+        f.put_u64_le(frame.request_id);
+        f.put_u16_le(frame.code.as_u16());
+    };
+    ERROR_FRAME.seal(WIRE_VERSION_V2, fields, detail)
 }
 
 /// Largest UTF-8 boundary at or below `at` (stable substitute for the
@@ -548,45 +696,10 @@ fn floor_char_boundary(s: &str, mut at: usize) -> usize {
 /// [`WireError::ChecksumMismatch`] for corrupted bytes, and
 /// [`WireError::Truncated`] when the buffer ends early.
 pub fn decode_error_frame(buf: &mut Bytes) -> WResult<ErrorFrame> {
-    need(buf, 4, "error frame magic")?;
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&buf.split_to(4));
-    if magic != ERROR_FRAME_MAGIC {
-        return Err(WireError::BadMagic { got: magic });
-    }
-    need(buf, 2, "error frame version")?;
-    let version = buf.get_u16_le();
-    if version != WIRE_VERSION_V2 {
-        return Err(WireError::UnknownVersion {
-            got: version,
-            supported: WIRE_VERSION,
-        });
-    }
-    need(buf, 8 + 2 + 4 + 8, "error frame header")?;
-    let request_id = buf.get_u64_le();
-    let code_raw = buf.get_u16_le();
-    let detail_len = buf.get_u32_le() as usize;
-    let checksum = buf.get_u64_le();
-    if detail_len > MAX_ERROR_DETAIL {
-        return Err(WireError::malformed(format!(
-            "implausible error detail length {detail_len}"
-        )));
-    }
-    need(buf, detail_len, "error frame detail")?;
-    let detail_bytes = buf.split_to(detail_len);
-    let mut h = fnv1a64_continue(FNV_OFFSET_BASIS, &version.to_le_bytes());
-    h = fnv1a64_continue(h, &request_id.to_le_bytes());
-    h = fnv1a64_continue(h, &code_raw.to_le_bytes());
-    h = fnv1a64_continue(h, &(detail_len as u32).to_le_bytes());
-    let got = fnv1a64_continue(h, &detail_bytes);
-    if got != checksum {
-        return Err(WireError::ChecksumMismatch {
-            expected: checksum,
-            got,
-        });
-    }
-    let code = ErrorCode::from_u16(code_raw)?;
-    let detail = String::from_utf8(detail_bytes.to_vec())
+    let (_, mut fields, detail) = ERROR_FRAME.open(buf)?;
+    let request_id = fields.get_u64_le();
+    let code = ErrorCode::from_u16(fields.get_u16_le())?;
+    let detail = String::from_utf8(detail.to_vec())
         .map_err(|_| WireError::malformed("error detail is not valid utf8"))?;
     Ok(ErrorFrame {
         request_id,
@@ -1444,16 +1557,15 @@ mod tests {
     /// checksum, so tests can exercise decoder rejections that
     /// `encode_error_frame` refuses to produce.
     fn raw_error_frame(version: u16, request_id: u64, code: u16, detail: &[u8]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(28 + detail.len());
-        buf.put_slice(&ERROR_FRAME_MAGIC);
-        buf.put_u16_le(version);
-        buf.put_u64_le(request_id);
-        buf.put_u16_le(code);
-        buf.put_u32_le(detail.len() as u32);
-        let h = fnv1a64_continue(FNV_OFFSET_BASIS, &buf[4..20]);
-        buf.put_u64_le(fnv1a64_continue(h, detail));
-        buf.put_slice(detail);
-        buf.freeze()
+        let fields = |f: &mut BytesMut| {
+            f.put_u64_le(request_id);
+            f.put_u16_le(code);
+        };
+        let row = Envelope {
+            versions: Versions::Any(10),
+            ..ERROR_FRAME
+        };
+        row.seal(version, fields, detail)
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use proteus::store::Store;
 use proteus::{Fleet, FleetConfig, Proteus, ServeConfig};
-use proteus_net::{NetBackend, NetServer, NetServerConfig, TenantAuth};
+use proteus_net::{NetServer, NetServerConfig, TenantAuth};
 use proteus_opt::{Optimizer, Profile};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -47,7 +47,7 @@ fn usage() -> ExitCode {
          \x20                without it, the daemon warm-starts from the store\n\
          --addr           bind address (default 127.0.0.1:7070; port 0 picks a free port)\n\
          --token          tenant credential, repeatable (default demo:demo)\n\
-         --replicas       fleet replicas; 1 = single shared runtime (default 1)\n\
+         --replicas       replicas in the serving fleet, at least 1 (default 1)\n\
          --quota          max concurrent requests per tenant; 0 = unlimited\n\
          --max-connections max open connections; 0 = unlimited\n\
          --oneshot        exit after the first connection completes\n\
@@ -148,24 +148,15 @@ fn run(args: &[String]) -> Result<(), String> {
         t.elapsed().as_secs_f64() * 1e3
     );
 
-    let optimizer = Optimizer::new(profile);
-    let backend = if replicas <= 1 {
-        NetBackend::Runtime(
-            proteus::ServeRuntime::new(optimizer, serve_config).map_err(|e| e.to_string())?,
-        )
-    } else {
-        NetBackend::Fleet(
-            Fleet::new(
-                optimizer,
-                FleetConfig {
-                    replicas,
-                    serve: serve_config,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| e.to_string())?,
-        )
-    };
+    let fleet = Fleet::new(
+        Optimizer::new(profile),
+        FleetConfig {
+            replicas,
+            serve: serve_config,
+            ..Default::default()
+        },
+    )
+    .map_err(|e| e.to_string())?;
 
     // before taking traffic: finish every lane the previous incarnation
     // was killed in the middle of. Re-optimizing is deterministic
@@ -174,7 +165,7 @@ fn run(args: &[String]) -> Result<(), String> {
     if let Some(store) = &store {
         for (rid, frames) in store.pending_lanes() {
             let replay = || -> Result<usize, proteus::ProteusError> {
-                let handle = backend.lane(rid)?;
+                let handle = fleet.lane(rid)?;
                 for frame in &frames {
                     handle.submit_bytes(frame.clone())?;
                 }
@@ -198,7 +189,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
     let tenants = auth.len();
     let server = NetServer::bind(
-        backend,
+        fleet,
         fingerprint,
         NetServerConfig {
             addr,

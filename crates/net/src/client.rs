@@ -10,7 +10,9 @@
 
 use crate::codec::{FrameReader, FrameWriter, NetFrame};
 use crate::error::NetError;
-use crate::handshake::{read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION};
+use crate::handshake::{
+    check_hello_blob, read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION,
+};
 use bytes::Bytes;
 use proteus_graph::wire::{decode_error_frame, WIRE_VERSION};
 use proteus_graph::wire::{peek_frame_request_id, ErrorFrame, ERROR_FRAME_MAGIC};
@@ -62,12 +64,13 @@ impl NetClient {
     /// - [`NetError::VersionMismatch`] — the server speaks a different
     ///   network protocol version;
     /// - [`NetError::Wire`] / [`NetError::Handshake`] — a malformed
-    ///   reply.
+    ///   reply, or (before dialing) a token too long for a hello.
     pub fn connect(
         addr: impl ToSocketAddrs,
         token: &str,
         expected_fingerprint: u64,
     ) -> Result<NetClient, NetError> {
+        check_hello_blob("auth token", token)?;
         let mut stream =
             TcpStream::connect(addr).map_err(|e| NetError::io("connecting to server", e))?;
         stream

@@ -22,8 +22,8 @@
 use crate::error::NetError;
 use bytes::{Bytes, BytesMut};
 use proteus_graph::wire::{
-    decode_error_frame, ErrorFrame, WireError, ERROR_FRAME_MAGIC, FRAME_MAGIC, WIRE_VERSION,
-    WIRE_VERSION_V1, WIRE_VERSION_V2,
+    decode_error_frame, envelope_len, Envelope, ErrorFrame, WireError, ERROR_FRAME,
+    ERROR_FRAME_MAGIC, FRAME,
 };
 use std::io::Write;
 
@@ -34,14 +34,8 @@ use std::io::Write;
 /// server memory.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
 
-/// v1 data-frame header length: magic(4) + version(2) + bucket(4) +
-/// len(4) + checksum(8).
-const V1_HEADER: usize = 22;
-/// v2 data-frame header length: v1 plus the request id(8).
-const V2_HEADER: usize = 30;
-/// Error-frame header length: magic(4) + version(2) + request id(8) +
-/// code(2) + len(4) + checksum(8).
-const ERR_HEADER: usize = 28;
+/// The envelope rows a frame stream carries.
+const STREAM: [&Envelope; 2] = [&FRAME, &ERROR_FRAME];
 
 /// One frame reassembled from the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,25 +79,16 @@ impl FrameReader {
         self.buf.len()
     }
 
-    /// Copies `len` bytes starting at offset `at` out of the buffer
-    /// without consuming them; `None` when fewer bytes are buffered.
-    /// Used by the handshake layer, which shares the connection's
-    /// reader so bytes a peer pipelines after its hello stay queued for
-    /// frame reassembly.
-    pub fn peek_bytes(&self, at: usize, len: usize) -> Option<Vec<u8>> {
-        if self.buf.len() < at + len {
-            return None;
+    /// Splits the next complete envelope of one of `rows` off the
+    /// buffer, `Ok(None)` while more bytes are needed. The envelope table
+    /// decides the length; anything after the envelope stays buffered.
+    /// The handshake layer shares this with [`FrameReader::try_next`], so
+    /// bytes a peer pipelines after its hello stay queued for frames.
+    pub(crate) fn next_envelope(&mut self, rows: &[&Envelope]) -> Result<Option<Bytes>, NetError> {
+        match envelope_len(rows, &self.buf, MAX_FRAME_PAYLOAD)? {
+            Some(len) if self.buf.len() >= len => Ok(Some(self.buf.split_to(len).freeze())),
+            _ => Ok(None),
         }
-        Some(self.buf[at..at + len].to_vec())
-    }
-
-    /// Consumes and returns the first `len` buffered bytes, which must
-    /// be present (the handshake layer checks via
-    /// [`FrameReader::buffered`] first). Anything after them stays
-    /// buffered.
-    pub fn split_bytes(&mut self, len: usize) -> Bytes {
-        let len = len.min(self.buf.len());
-        self.buf.split_to(len).freeze()
     }
 
     /// Yields the next complete frame, `Ok(None)` if more bytes are
@@ -124,83 +109,16 @@ impl FrameReader {
                 detail: "frame stream already failed; the connection must close".to_string(),
             }));
         }
-        let result = self.try_next_unpoisoned();
-        if result.is_err() {
-            self.poisoned = true;
-        }
-        result
-    }
-
-    fn try_next_unpoisoned(&mut self) -> Result<Option<NetFrame>, NetError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&self.buf[0..4]);
-        if magic == FRAME_MAGIC {
-            self.try_next_data()
-        } else if magic == ERROR_FRAME_MAGIC {
-            self.try_next_error()
-        } else {
-            Err(NetError::Wire(WireError::BadMagic { got: magic }))
-        }
-    }
-
-    fn try_next_data(&mut self) -> Result<Option<NetFrame>, NetError> {
-        if self.buf.len() < 6 {
-            return Ok(None);
-        }
-        let version = u16::from_le_bytes([self.buf[4], self.buf[5]]);
-        let (header, len_at) = match version {
-            WIRE_VERSION_V1 => (V1_HEADER, 10),
-            WIRE_VERSION_V2 => (V2_HEADER, 18),
-            got => {
-                return Err(NetError::Wire(WireError::UnknownVersion {
-                    got,
-                    supported: WIRE_VERSION,
-                }))
+        let frame = match self.next_envelope(&STREAM) {
+            Ok(Some(mut raw)) if raw.starts_with(&ERROR_FRAME_MAGIC) => {
+                decode_error_frame(&mut raw)
+                    .map(|e| Some(NetFrame::Error(e)))
+                    .map_err(NetError::Wire)
             }
+            raw => raw.map(|raw| raw.map(NetFrame::Data)),
         };
-        if self.buf.len() < len_at + 4 {
-            return Ok(None);
-        }
-        let payload_len = u32::from_le_bytes([
-            self.buf[len_at],
-            self.buf[len_at + 1],
-            self.buf[len_at + 2],
-            self.buf[len_at + 3],
-        ]) as usize;
-        if payload_len > MAX_FRAME_PAYLOAD {
-            return Err(NetError::Wire(WireError::Malformed {
-                detail: format!("frame payload length {payload_len} exceeds the 1 GiB cap"),
-            }));
-        }
-        let total = header + payload_len;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let raw = self.buf.split_to(total).freeze();
-        Ok(Some(NetFrame::Data(raw)))
-    }
-
-    fn try_next_error(&mut self) -> Result<Option<NetFrame>, NetError> {
-        if self.buf.len() < ERR_HEADER {
-            return Ok(None);
-        }
-        let detail_len =
-            u32::from_le_bytes([self.buf[16], self.buf[17], self.buf[18], self.buf[19]]) as usize;
-        if detail_len > proteus_graph::wire::MAX_ERROR_DETAIL {
-            return Err(NetError::Wire(WireError::Malformed {
-                detail: format!("error frame detail length {detail_len} is implausible"),
-            }));
-        }
-        let total = ERR_HEADER + detail_len;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let mut raw = self.buf.split_to(total).freeze();
-        let frame = decode_error_frame(&mut raw)?;
-        Ok(Some(NetFrame::Error(frame)))
+        self.poisoned = frame.is_err();
+        frame
     }
 }
 

@@ -3,8 +3,9 @@
 //! Before any frame flows, the client sends a [`ClientHello`] and the
 //! server answers with either a [`ServerHello`] (accepted) or a `PRTE`
 //! error frame (rejected, typed) followed by a close. Both hellos are
-//! checksummed with the same FNV-1a scheme as data frames, so a
-//! corrupted handshake is caught byte-for-byte instead of misparsing.
+//! rows of the envelope table in `proteus_graph::wire`, sealed and
+//! checked by the same code as data frames, so a corrupted handshake is
+//! caught byte-for-byte instead of misparsing.
 //!
 //! What the handshake pins down:
 //!
@@ -21,26 +22,48 @@
 
 use crate::codec::FrameReader;
 use crate::error::NetError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use proteus_graph::wire::{fnv1a64, WireError, WIRE_VERSION};
+use bytes::{Buf, BufMut, Bytes};
+use proteus_graph::wire::{Envelope, Versions, WireError, ERROR_FRAME, WIRE_VERSION};
 use std::io::Read;
 
 /// The handshake + framing layout version this library speaks. Bumped
 /// whenever the hello byte layout or the frame family set changes.
 pub const NET_PROTOCOL_VERSION: u16 = 1;
 
-/// Magic bytes opening a [`ClientHello`].
-pub const CLIENT_HELLO_MAGIC: [u8; 4] = *b"PRTH";
-
-/// Magic bytes opening a [`ServerHello`].
-pub const SERVER_HELLO_MAGIC: [u8; 4] = *b"PRTS";
-
 /// Largest auth token / banner a hello may carry.
 pub const MAX_HELLO_BLOB: usize = 4096;
 
-/// Fixed-size prefix of both hellos: magic(4) + net proto(2) + wire
-/// version(2) + fingerprint(8) + blob len(4) + checksum(8).
-const HELLO_PREFIX: usize = 28;
+/// The `PRTH` envelope row: `wire_version u16 | fingerprint u64` after a
+/// `net_protocol` version the handshake judges itself, then the token.
+pub const CLIENT_HELLO: Envelope = Envelope {
+    name: "hello",
+    magic: *b"PRTH",
+    versions: Versions::Any(10),
+    has_len: true,
+    max_body: MAX_HELLO_BLOB,
+};
+
+/// The `PRTS` envelope row: [`CLIENT_HELLO`]'s layout carrying the banner.
+pub const SERVER_HELLO: Envelope = Envelope {
+    magic: *b"PRTS",
+    ..CLIENT_HELLO
+};
+
+/// What can open a connection or answer a hello: either hello, or the
+/// `PRTE` frame a rejecting server answers with.
+const HELLO_REPLIES: [&Envelope; 3] = [&CLIENT_HELLO, &SERVER_HELLO, &ERROR_FRAME];
+
+/// Refuses a token or banner too long for a hello before anything is
+/// sent: the peer's reader would drop the connection without a reply.
+pub(crate) fn check_hello_blob(what: &str, blob: &str) -> Result<(), NetError> {
+    if blob.len() > MAX_HELLO_BLOB {
+        return Err(NetError::Wire(WireError::malformed(format!(
+            "{what} is {} bytes; a hello carries at most {MAX_HELLO_BLOB}",
+            blob.len()
+        ))));
+    }
+    Ok(())
+}
 
 /// The client's opening message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,76 +92,20 @@ pub struct ServerHello {
     pub banner: String,
 }
 
-fn encode_hello(magic: [u8; 4], proto: u16, wire: u16, fingerprint: u64, blob: &str) -> Bytes {
-    let blob = blob.as_bytes();
-    let mut buf = BytesMut::with_capacity(HELLO_PREFIX + blob.len());
-    buf.put_slice(&magic);
-    buf.put_u16_le(proto);
-    buf.put_u16_le(wire);
-    buf.put_u64_le(fingerprint);
-    buf.put_u32_le(blob.len() as u32);
-    let mut hashed = buf[4..20].to_vec();
-    hashed.extend_from_slice(blob);
-    buf.put_u64_le(fnv1a64(&hashed));
-    buf.put_slice(blob);
-    buf.freeze()
+fn encode_hello(row: &Envelope, proto: u16, wire: u16, fingerprint: u64, blob: &str) -> Bytes {
+    let fields = |f: &mut bytes::BytesMut| {
+        f.put_u16_le(wire);
+        f.put_u64_le(fingerprint);
+    };
+    row.seal(proto, fields, blob.as_bytes())
 }
 
-/// Decoded fields shared by both hello directions.
-struct RawHello {
-    proto: u16,
-    wire: u16,
-    fingerprint: u64,
-    blob: String,
-}
-
-fn decode_hello(expect_magic: [u8; 4], buf: &mut Bytes) -> Result<RawHello, NetError> {
-    if buf.len() < 4 {
-        return Err(NetError::Wire(WireError::truncated("hello magic")));
-    }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&buf.split_to(4));
-    if magic != expect_magic {
-        return Err(NetError::Wire(WireError::BadMagic { got: magic }));
-    }
-    if buf.len() < HELLO_PREFIX - 4 {
-        return Err(NetError::Wire(WireError::truncated("hello header")));
-    }
-    let proto = buf.get_u16_le();
-    let wire = buf.get_u16_le();
-    let fingerprint = buf.get_u64_le();
-    let blob_len = buf.get_u32_le() as usize;
-    let checksum = buf.get_u64_le();
-    if blob_len > MAX_HELLO_BLOB {
-        return Err(NetError::Wire(WireError::malformed(format!(
-            "hello blob length {blob_len} is implausible"
-        ))));
-    }
-    if buf.len() < blob_len {
-        return Err(NetError::Wire(WireError::truncated("hello blob")));
-    }
-    let blob_bytes = buf.split_to(blob_len);
-    let mut hashed = Vec::with_capacity(16 + blob_len);
-    hashed.extend_from_slice(&proto.to_le_bytes());
-    hashed.extend_from_slice(&wire.to_le_bytes());
-    hashed.extend_from_slice(&fingerprint.to_le_bytes());
-    hashed.extend_from_slice(&(blob_len as u32).to_le_bytes());
-    hashed.extend_from_slice(&blob_bytes);
-    let got = fnv1a64(&hashed);
-    if got != checksum {
-        return Err(NetError::Wire(WireError::ChecksumMismatch {
-            expected: checksum,
-            got,
-        }));
-    }
-    let blob = String::from_utf8(blob_bytes.to_vec())
+/// Decodes a hello as `(net_protocol, wire_version, fingerprint, blob)`.
+fn decode_hello(row: &Envelope, buf: &mut Bytes) -> Result<(u16, u16, u64, String), NetError> {
+    let (proto, mut fields, blob) = row.open(buf)?;
+    let blob = String::from_utf8(blob.to_vec())
         .map_err(|_| NetError::Wire(WireError::malformed("hello blob is not valid utf8")))?;
-    Ok(RawHello {
-        proto,
-        wire,
-        fingerprint,
-        blob,
-    })
+    Ok((proto, fields.get_u16_le(), fields.get_u64_le(), blob))
 }
 
 impl ClientHello {
@@ -155,7 +122,7 @@ impl ClientHello {
     /// Encodes to wire bytes.
     pub fn encode(&self) -> Bytes {
         encode_hello(
-            CLIENT_HELLO_MAGIC,
+            &CLIENT_HELLO,
             self.net_protocol,
             self.wire_version,
             self.fingerprint,
@@ -169,12 +136,12 @@ impl ClientHello {
     /// [`NetError::Wire`] for bad magic, truncation, corruption,
     /// implausible token length, or invalid UTF-8.
     pub fn decode(buf: &mut Bytes) -> Result<ClientHello, NetError> {
-        let raw = decode_hello(CLIENT_HELLO_MAGIC, buf)?;
+        let (net_protocol, wire_version, fingerprint, token) = decode_hello(&CLIENT_HELLO, buf)?;
         Ok(ClientHello {
-            net_protocol: raw.proto,
-            wire_version: raw.wire,
-            fingerprint: raw.fingerprint,
-            token: raw.blob,
+            net_protocol,
+            wire_version,
+            fingerprint,
+            token,
         })
     }
 }
@@ -193,7 +160,7 @@ impl ServerHello {
     /// Encodes to wire bytes.
     pub fn encode(&self) -> Bytes {
         encode_hello(
-            SERVER_HELLO_MAGIC,
+            &SERVER_HELLO,
             self.net_protocol,
             self.wire_version,
             self.fingerprint,
@@ -206,44 +173,34 @@ impl ServerHello {
     /// # Errors
     /// As [`ClientHello::decode`].
     pub fn decode(buf: &mut Bytes) -> Result<ServerHello, NetError> {
-        let raw = decode_hello(SERVER_HELLO_MAGIC, buf)?;
+        let (net_protocol, wire_version, fingerprint, banner) = decode_hello(&SERVER_HELLO, buf)?;
         Ok(ServerHello {
-            net_protocol: raw.proto,
-            wire_version: raw.wire,
-            fingerprint: raw.fingerprint,
-            banner: raw.blob,
+            net_protocol,
+            wire_version,
+            fingerprint,
+            banner,
         })
     }
 }
 
 /// Reads one hello's worth of bytes from a stream into `reader`,
-/// tolerating arbitrary chunking: first the fixed prefix, then exactly
-/// the blob length it announces. Returns the complete hello bytes;
-/// anything the peer pipelined after its hello stays buffered in
-/// `reader` for frame reassembly.
+/// tolerating arbitrary chunking: the envelope table says how long the
+/// buffered hello (or `PRTE` rejection) is, and the loop reads until it
+/// has landed. Returns the complete envelope bytes; anything the peer
+/// pipelined after it stays buffered in `reader` for frame reassembly.
 ///
 /// # Errors
 /// [`NetError::Io`] on read failure, [`NetError::Handshake`] on EOF
-/// mid-hello, [`NetError::Wire`] for an implausible blob length.
+/// mid-hello, [`NetError::Wire`] for a bad magic or an implausible blob
+/// length.
 pub fn read_hello_bytes(
     stream: &mut impl Read,
     reader: &mut FrameReader,
 ) -> Result<Bytes, NetError> {
     let mut chunk = [0u8; 512];
     loop {
-        if let Some(len_field) = reader.peek_bytes(16, 4) {
-            // blob length field sits at bytes 16..20 of either hello
-            let blob_len =
-                u32::from_le_bytes([len_field[0], len_field[1], len_field[2], len_field[3]])
-                    as usize;
-            if blob_len > MAX_HELLO_BLOB {
-                return Err(NetError::Wire(WireError::malformed(format!(
-                    "hello blob length {blob_len} is implausible"
-                ))));
-            }
-            if reader.buffered() >= HELLO_PREFIX + blob_len {
-                return Ok(reader.split_bytes(HELLO_PREFIX + blob_len));
-            }
+        if let Some(hello) = reader.next_envelope(&HELLO_REPLIES)? {
+            return Ok(hello);
         }
         let n = stream
             .read(&mut chunk)

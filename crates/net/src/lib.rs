@@ -16,8 +16,8 @@
 //!   disconnect.
 //! - [`server`] / [`client`] — [`NetServer`] accepts N connections,
 //!   demultiplexes interleaved frames per connection by peeking the
-//!   request id, and streams each request through a
-//!   [`proteus::ServeRuntime`] or [`proteus::Fleet`] lane;
+//!   request id, and streams each request through a lane of a
+//!   [`proteus::Fleet`] of one or more replicas;
 //!   [`NetClient`] streams an obfuscation session's sealed buckets out
 //!   and reassembles the optimized results. Loopback round trips are
 //!   bit-identical to the in-process session path — the e2e suite
@@ -41,4 +41,4 @@ pub use client::{NetClient, NetRequest, NetResponse};
 pub use codec::{FrameReader, FrameWriter, NetFrame, MAX_FRAME_PAYLOAD};
 pub use error::{error_code_for, NetError};
 pub use handshake::{ClientHello, ServerHello, NET_PROTOCOL_VERSION};
-pub use server::{NetBackend, NetServer, NetServerConfig, NetServerStats, TenantAuth};
+pub use server::{NetServer, NetServerConfig, NetServerStats, TenantAuth};

@@ -1,7 +1,7 @@
 //! The serving daemon: accepts authenticated connections, demultiplexes
 //! interleaved frames per connection by peeking the request id, and
-//! streams each request through a [`proteus::ServeRuntime`] or
-//! [`proteus::Fleet`] lane.
+//! streams each request through a lane of a [`proteus::Fleet`] of one or
+//! more replicas.
 //!
 //! ## Threading and failure domains
 //!
@@ -32,19 +32,20 @@
 //! [`NetServer::shutdown`] stops accepting, flags draining (new request
 //! ids are rejected with [`ErrorCode::Shutdown`]), waits for in-flight
 //! requests to finish within the grace period, then force-closes
-//! stragglers. A fleet backend is drained replica by replica —
-//! reusing [`proteus::Fleet::drain`] — before the call returns.
+//! stragglers. The fleet is drained replica by replica — reusing
+//! [`proteus::Fleet::drain`] — before the call returns.
 
 use crate::codec::{FrameReader, FrameWriter, NetFrame};
 use crate::error::{error_frame_for, NetError};
-use crate::handshake::{read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION};
+use crate::handshake::{
+    check_hello_blob, read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION,
+};
 use bytes::Bytes;
 use proteus::serve::RequestHandle;
 use proteus::store::Store;
-use proteus::{Fleet, ProteusError, ServeRuntime};
+use proteus::Fleet;
 use proteus_graph::wire::{
-    encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, WIRE_VERSION,
-    WIRE_VERSION_V1, WIRE_VERSION_V2,
+    encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, FRAME, WIRE_VERSION,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Read;
@@ -117,40 +118,6 @@ impl Default for NetServerConfig {
     }
 }
 
-/// The optimization engine behind the socket: a single shared runtime,
-/// or a replicated fleet (requests route by consistent hash and the
-/// server reuses fleet drain on shutdown).
-pub enum NetBackend {
-    /// One shared [`ServeRuntime`].
-    Runtime(ServeRuntime),
-    /// A replicated [`Fleet`].
-    Fleet(Fleet),
-}
-
-impl std::fmt::Debug for NetBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetBackend::Runtime(_) => f.write_str("NetBackend::Runtime"),
-            NetBackend::Fleet(fleet) => {
-                write!(f, "NetBackend::Fleet({} replicas)", fleet.replicas())
-            }
-        }
-    }
-}
-
-impl NetBackend {
-    /// Opens a lane (a [`RequestHandle`]) for one request id, routing to
-    /// the shared runtime or the fleet's replica for that id. The server
-    /// uses this per admitted request; `proteus-serve` also uses it to
-    /// replay journaled lanes during store recovery.
-    pub fn lane(&self, request_id: u64) -> Result<RequestHandle, ProteusError> {
-        match self {
-            NetBackend::Runtime(rt) => Ok(rt.handle(request_id)),
-            NetBackend::Fleet(fleet) => fleet.lane(request_id),
-        }
-    }
-}
-
 /// Point-in-time server counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetServerStats {
@@ -190,7 +157,7 @@ struct Counters {
 }
 
 struct ServerShared {
-    backend: NetBackend,
+    fleet: Fleet,
     config: NetServerConfig,
     /// token → tenant.
     tokens: HashMap<String, String>,
@@ -287,15 +254,17 @@ impl std::fmt::Debug for ServerShared {
 }
 
 impl NetServer {
-    /// Binds and starts serving in background threads.
+    /// Binds and starts serving `fleet`'s lanes in background threads.
     ///
     /// # Errors
+    /// [`NetError::Wire`] when the banner is too long for a hello,
     /// [`NetError::Io`] when the address cannot be bound.
     pub fn bind(
-        backend: NetBackend,
+        fleet: Fleet,
         fingerprint: u64,
         config: NetServerConfig,
     ) -> Result<NetServer, NetError> {
+        check_hello_blob("server banner", &config.banner)?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| NetError::io(format!("binding {}", config.addr), e))?;
         let local_addr = listener
@@ -310,7 +279,7 @@ impl NetServer {
             .map(|a| (a.token.clone(), a.tenant.clone()))
             .collect();
         let shared = Arc::new(ServerShared {
-            backend,
+            fleet,
             config,
             tokens,
             fingerprint,
@@ -364,7 +333,7 @@ impl NetServer {
     /// Graceful drain: stop accepting, reject new request ids with
     /// [`ErrorCode::Shutdown`], let in-flight requests finish within
     /// `grace`, force-close whatever remains, join every thread, and
-    /// drain the backend (fleet replicas via [`proteus::Fleet::drain`]).
+    /// drain every fleet replica ([`proteus::Fleet::drain`]).
     ///
     /// Returns the final counters.
     pub fn shutdown(mut self, grace: Duration) -> NetServerStats {
@@ -395,10 +364,8 @@ impl NetServer {
         for h in handlers {
             let _ = h.join();
         }
-        if let NetBackend::Fleet(fleet) = &self.shared.backend {
-            for index in 0..fleet.replicas() {
-                let _ = fleet.drain(index);
-            }
+        for index in 0..self.shared.fleet.replicas() {
+            let _ = self.shared.fleet.drain(index);
         }
         self.stats()
     }
@@ -527,7 +494,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
             }
         },
         Err(_) => {
-            // peer vanished before completing a hello; nothing to answer
+            // peer vanished, or sent bytes that cannot open a hello (bad
+            // magic, oversize blob): nothing it could read as an answer
             shared
                 .counters
                 .handshakes_rejected
@@ -544,7 +512,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
                 hello.net_protocol, NET_PROTOCOL_VERSION
             ),
         ))
-    } else if hello.wire_version != WIRE_VERSION_V1 && hello.wire_version != WIRE_VERSION_V2 {
+    } else if !FRAME.accepts(hello.wire_version) {
         Some((
             ErrorCode::VersionMismatch,
             format!(
@@ -760,7 +728,7 @@ fn dispatch_frame(
                     .entry(tenant.to_string())
                     .or_insert(0) += 1;
             }
-            match shared.backend.lane(request_id) {
+            match shared.fleet.lane(request_id) {
                 Ok(handle) => {
                     let mut st = relock(state);
                     st.lanes.insert(

@@ -10,7 +10,8 @@
 //! - mid-stream client disconnect: the server lane fails closed (no
 //!   partial frame escapes, the server stays healthy);
 //! - bad auth / fingerprint mismatch / version skew: typed handshake
-//!   rejections;
+//!   rejections; a token or banner too long for a hello is refused
+//!   locally, typed, before anything is sent;
 //! - per-tenant quotas and connection limits: typed admission
 //!   rejections;
 //! - graceful drain: in-flight requests complete through shutdown, new
@@ -18,17 +19,17 @@
 //!
 //! CI runs this suite in release mode (the `net-e2e` job).
 
-use proteus::serve::ServeRuntime;
 use proteus::{
-    DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
+    DeobfuscationSession, Fleet, FleetConfig, PartitionSpec, Proteus, ProteusConfig, SealedBucket,
+    ServeConfig,
 };
-use proteus_graph::wire::ErrorCode;
+use proteus_graph::wire::{ErrorCode, WireError};
 use proteus_graph::TensorMap;
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
-use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello};
+use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello, MAX_HELLO_BLOB};
 use proteus_net::{
-    FrameReader, FrameWriter, NetBackend, NetClient, NetRequest, NetServer, NetServerConfig,
+    FrameReader, FrameWriter, NetClient, NetError, NetRequest, NetServer, NetServerConfig,
     TenantAuth,
 };
 use proteus_opt::{Optimizer, Profile};
@@ -68,19 +69,27 @@ fn two_tenant_auth() -> Vec<TenantAuth> {
     ]
 }
 
-/// Spawns a loopback server backed by a fresh single runtime over the
-/// shared trained state.
-fn spawn_server(config: NetServerConfig) -> NetServer {
-    let runtime = ServeRuntime::new(
+/// A fresh one-replica fleet, the daemon's default backend.
+fn one_replica_fleet() -> Fleet {
+    Fleet::new(
         Optimizer::new(Profile::OrtLike),
-        ServeConfig {
-            workers: 2,
+        FleetConfig {
+            replicas: 1,
+            serve: ServeConfig {
+                workers: 2,
+                ..Default::default()
+            },
             ..Default::default()
         },
     )
-    .expect("runtime spawns");
+    .expect("fleet spawns")
+}
+
+/// Spawns a loopback server backed by a fresh one-replica fleet over the
+/// shared trained state.
+fn spawn_server(config: NetServerConfig) -> NetServer {
     NetServer::bind(
-        NetBackend::Runtime(runtime),
+        one_replica_fleet(),
         shared_proteus().config_fingerprint(),
         config,
     )
@@ -266,6 +275,47 @@ fn net_protocol_version_skew_is_rejected_typed() {
     drop(stream);
     let stats = server.shutdown(Duration::from_secs(5));
     assert_eq!(stats.handshakes_rejected, 1);
+}
+
+#[test]
+fn oversize_token_is_refused_before_dialing() {
+    let server = default_server();
+    let fingerprint = shared_proteus().config_fingerprint();
+    let token = "t".repeat(MAX_HELLO_BLOB + 1);
+    let err = NetClient::connect(server.local_addr(), &token, fingerprint)
+        .expect_err("a token the server cannot read must not be sent");
+    assert!(
+        matches!(err, NetError::Wire(WireError::Malformed { .. })),
+        "{err}"
+    );
+    // the longest legal token still reaches the server (and is rejected
+    // there, typed, as unknown)
+    let err = NetClient::connect(server.local_addr(), &token[1..], fingerprint)
+        .expect_err("unknown token");
+    assert_eq!(err.remote_code(), Some(ErrorCode::BadAuth), "{err}");
+    let stats = server.shutdown(Duration::from_secs(5));
+    assert_eq!(
+        stats.connections_accepted, 1,
+        "the oversize token never dialed"
+    );
+}
+
+#[test]
+fn oversize_banner_is_refused_at_bind() {
+    let err = NetServer::bind(
+        one_replica_fleet(),
+        shared_proteus().config_fingerprint(),
+        NetServerConfig {
+            auth: two_tenant_auth(),
+            banner: "b".repeat(MAX_HELLO_BLOB + 1),
+            ..Default::default()
+        },
+    )
+    .expect_err("a banner no client can read must not be served");
+    assert!(
+        matches!(err, NetError::Wire(WireError::Malformed { .. })),
+        "{err}"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ use proteus::store::{SessionCheckpoint, Store, StoreError};
 use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, ProteusError, SealedBucket,
 };
-use proteus_graph::wire::{encode_graph, encode_params};
+use proteus_graph::wire::{encode_graph, encode_params, envelope_len, FRAME};
 use proteus_graph::TensorMap;
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
@@ -90,15 +90,16 @@ fn journaled_store(tag: &str, lanes: &[u64], frames_per_lane: usize) -> (Vec<u8>
     (wal, marker)
 }
 
-/// Byte offsets where each committed WAL record starts (wire v1 frame:
-/// 22-byte header with the payload length at offset 10).
+/// Byte offsets where each committed WAL record starts (wire v1 frames,
+/// measured by the envelope table).
 fn record_offsets(wal: &[u8]) -> Vec<usize> {
     let mut offsets = Vec::new();
     let mut at = 0usize;
     while at < wal.len() {
         offsets.push(at);
-        let len = u32::from_le_bytes(wal[at + 10..at + 14].try_into().expect("len field"));
-        at += 22 + len as usize;
+        at += envelope_len(&[&FRAME], &wal[at..], usize::MAX)
+            .expect("record header")
+            .expect("whole record header");
     }
     assert_eq!(at, wal.len(), "wal parses into whole records");
     offsets

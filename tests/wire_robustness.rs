@@ -596,6 +596,84 @@ mod split {
     }
 }
 
+/// The stream readers measure every envelope-table row exactly as its
+/// decoder does (`PRTB` v1/v2 and `PRTE` through `FrameReader`; `PRTH`,
+/// `PRTS` and a `PRTE` rejection through the handshake's hello reader).
+/// A two-envelope stream is cut at every byte: the reader yields nothing
+/// until the first envelope is whole, then exactly the bytes its decoder
+/// consumes, and leaves the pipelined second envelope buffered.
+mod envelope_lengths {
+    use bytes::Bytes;
+    use proteus_graph::wire::{
+        decode_error_frame, decode_frame, encode_error_frame, encode_frame, encode_frame_v2,
+        ErrorCode, ErrorFrame,
+    };
+    use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello};
+    use proteus_net::{FrameReader, NetError, NetFrame};
+    use std::io::Cursor;
+
+    type Decoder = fn(&mut Bytes) -> bool;
+
+    /// Runs a peer's reader over a stream `prefix`: the length of the
+    /// first envelope it yields and the bytes it leaves buffered, or
+    /// `None` while it still waits for more.
+    fn read_prefix(hello: bool, prefix: &[u8]) -> Option<(usize, usize)> {
+        let mut reader = FrameReader::new();
+        if hello {
+            return match read_hello_bytes(&mut Cursor::new(prefix.to_vec()), &mut reader) {
+                Ok(bytes) => Some((bytes.len(), reader.buffered())),
+                Err(NetError::Handshake { .. }) => None, // EOF before a whole hello
+                Err(e) => panic!("hello reader failed on a clean prefix: {e}"),
+            };
+        }
+        reader.push(prefix);
+        if let NetFrame::Data(raw) = reader.try_next().expect("clean prefix")? {
+            assert_eq!(&raw[..], &prefix[..raw.len()], "data frames pass verbatim");
+        }
+        Some((prefix.len() - reader.buffered(), reader.buffered()))
+    }
+
+    #[test]
+    fn readers_and_decoders_agree_on_every_envelope_row() {
+        let error = encode_error_frame(&ErrorFrame::new(9, ErrorCode::Deadline, "late"));
+        let frame: Decoder = |b| decode_frame(b).is_ok();
+        let prte: Decoder = |b| decode_error_frame(b).is_ok();
+        let rows: [(&str, Bytes, Decoder, bool); 6] = [
+            ("PRTB v1", encode_frame(3, b"v1 body"), frame, false),
+            ("PRTB v2", encode_frame_v2(9, 1, b"v2 body"), frame, false),
+            ("PRTE", error.clone(), prte, false),
+            ("PRTE reply", error, prte, true),
+            (
+                "PRTH",
+                ClientHello::new(5, "token").encode(),
+                |b| ClientHello::decode(b).is_ok(),
+                true,
+            ),
+            (
+                "PRTS",
+                ServerHello::new(5, "banner").encode(),
+                |b| ServerHello::decode(b).is_ok(),
+                true,
+            ),
+        ];
+        for (name, envelope, decode, hello) in rows {
+            let stream = [&envelope[..], &envelope[..]].concat();
+            let mut buf = Bytes::from(stream.clone());
+            assert!(decode(&mut buf), "{name} decodes");
+            let consumed = stream.len() - buf.len();
+            assert_eq!(consumed, envelope.len(), "{name}: decoder length");
+            for cut in 0..=stream.len() {
+                let want = (cut >= consumed).then(|| (consumed, cut - consumed));
+                assert_eq!(
+                    read_prefix(hello, &stream[..cut]),
+                    want,
+                    "{name}: cut at {cut}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn bad_magic_is_a_typed_error() {
     let sealed = SealedBucket {
