@@ -6,8 +6,8 @@
 //! the protected model. This module persists everything `train` produces
 //! as one checksummed, versioned binary blob — the **`PRTA` artifact** —
 //! so a serving process can cold-start from disk in milliseconds
-//! ([`Proteus::load_artifact`]) instead of retraining, and a fleet can
-//! share one vetted generator.
+//! ([`Proteus::load_artifact`]) instead of retraining, and every serving
+//! process can share one vetted generator.
 //!
 //! # Format
 //!

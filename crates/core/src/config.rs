@@ -177,11 +177,6 @@ pub struct FaultPlan {
     /// (1-based; `0` = off): a panic is raised *while the cache lock is
     /// held*, exercising the cache's poison self-heal path.
     pub poison_cache_at: u32,
-    /// Kill the whole runtime on the k-th pool task (1-based; `0` = off):
-    /// shutdown is forced mid-request and every open lane fails with
-    /// [`ProteusError::ReplicaUnavailable`] — the replica-loss fault the
-    /// fleet's re-dispatch path recovers from.
-    pub kill_at_task: u32,
 }
 
 impl FaultPlan {
@@ -192,7 +187,6 @@ impl FaultPlan {
             || self.panic_one_in != 0
             || self.stall_one_in != 0
             || self.poison_cache_at != 0
-            || self.kill_at_task != 0
     }
 
     /// Seeded rate draw: does a `one_in` fault fire at `ordinal`?
@@ -213,11 +207,6 @@ impl FaultPlan {
     /// Should the task at `ordinal` (1-based) stall first?
     pub fn stall_fires(&self, ordinal: u64) -> bool {
         self.fires(self.stall_one_in, ordinal, 0x5354_414C) // "STAL"
-    }
-
-    /// Should the runtime die at task `ordinal` (1-based)?
-    pub fn kill_fires(&self, ordinal: u64) -> bool {
-        self.kill_at_task != 0 && ordinal >= u64::from(self.kill_at_task)
     }
 
     /// Should the cache lock be poisoned on insert `ordinal` (1-based)?
@@ -247,12 +236,8 @@ pub struct ServeConfig {
     /// from scratch, the pre-cache behavior.
     pub cache_capacity: usize,
     /// Deterministic fault-injection plan. The default plan is inert;
-    /// chaos tests arm it per replica.
+    /// chaos tests arm it per runtime.
     pub faults: FaultPlan,
-    /// Identity of the replica this runtime backs, reported in
-    /// [`ProteusError::ReplicaUnavailable`] so fleet errors name the
-    /// failing replica. `0` for standalone runtimes.
-    pub replica_label: usize,
 }
 
 impl Default for ServeConfig {
@@ -262,7 +247,6 @@ impl Default for ServeConfig {
             window: 4,
             cache_capacity: 4096,
             faults: FaultPlan::default(),
-            replica_label: 0,
         }
     }
 }
@@ -315,7 +299,6 @@ mod tests {
         for ordinal in 1..200 {
             assert!(!inert.panic_fires(ordinal));
             assert!(!inert.stall_fires(ordinal));
-            assert!(!inert.kill_fires(ordinal));
             assert!(!inert.poison_cache_fires(ordinal));
         }
 
@@ -347,12 +330,10 @@ mod tests {
         // ordinal-pinned faults fire exactly where aimed
         let pinned = FaultPlan {
             panic_at: 7,
-            kill_at_task: 9,
             poison_cache_at: 2,
             ..FaultPlan::default()
         };
         assert!(pinned.panic_fires(7) && !pinned.panic_fires(6) && !pinned.panic_fires(8));
-        assert!(!pinned.kill_fires(8) && pinned.kill_fires(9) && pinned.kill_fires(10));
         assert!(pinned.poison_cache_fires(2) && !pinned.poison_cache_fires(3));
     }
 

@@ -60,11 +60,6 @@ pub struct PhaseBreakdown {
     pub optimization_ns: u64,
     /// Wire encode/decode time on the request's byte-stream entry points.
     pub wire_ns: u64,
-    /// Time spent backing off between fleet re-dispatch attempts
-    /// ([`crate::fleet::Fleet::serve_request`]). Zero for requests served
-    /// on the first attempt — a nonzero value is the latency cost of the
-    /// chaos the request survived.
-    pub backoff_ns: u64,
 }
 
 impl PhaseBreakdown {
@@ -76,7 +71,6 @@ impl PhaseBreakdown {
             semantic_ns: self.semantic_ns.saturating_add(other.semantic_ns),
             optimization_ns: self.optimization_ns.saturating_add(other.optimization_ns),
             wire_ns: self.wire_ns.saturating_add(other.wire_ns),
-            backoff_ns: self.backoff_ns.saturating_add(other.backoff_ns),
         }
     }
 
@@ -86,7 +80,6 @@ impl PhaseBreakdown {
             .saturating_add(self.semantic_ns)
             .saturating_add(self.optimization_ns)
             .saturating_add(self.wire_ns)
-            .saturating_add(self.backoff_ns)
     }
 
     /// A phase value in milliseconds (for reporting).
@@ -121,20 +114,17 @@ mod tests {
             semantic_ns: 20,
             optimization_ns: 0,
             wire_ns: 1,
-            backoff_ns: 0,
         };
         let b = PhaseBreakdown {
             optimization_ns: 5,
             wire_ns: 4,
-            backoff_ns: 3,
             ..Default::default()
         };
         let m = a.merged(b);
         assert_eq!(m.generation_ns, 10);
         assert_eq!(m.optimization_ns, 5);
         assert_eq!(m.wire_ns, 5);
-        assert_eq!(m.backoff_ns, 3);
-        assert_eq!(m.total_ns(), 43);
+        assert_eq!(m.total_ns(), 40);
         assert!((PhaseBreakdown::ms(2_000_000) - 2.0).abs() < 1e-9);
     }
 }

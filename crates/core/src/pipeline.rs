@@ -18,7 +18,6 @@ use crate::sentinel::SentinelFactory;
 use crate::session::{DeobfuscationSession, ObfuscationSession, LEGACY_REQUEST_ID};
 use proteus_graph::{Graph, TensorMap};
 use proteus_opt::Optimizer;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The model-owner side of the protocol.
@@ -187,31 +186,18 @@ impl Proteus {
     }
 
     /// Synchronously builds every sentinel in the factory's key space
-    /// into the inventory (the blocking warm path; the serving runtime's
-    /// [`crate::serve::SentinelPool`] runs the same sweep in the
-    /// background). Returns the number of keys that produced a sentinel.
+    /// into the inventory, walking it in canonical order. Returns the
+    /// number of keys that produced a sentinel.
     /// Idempotent — already-memoized keys, failures included, are skipped
     /// at lookup cost. An instance loaded from an artifact written after a
     /// full warm covers the whole key space, so this is then a lookup
     /// sweep that builds nothing.
     pub fn warm_inventory(&self) -> usize {
-        self.warm_inventory_until(&AtomicBool::new(false))
-    }
-
-    /// The key sweep behind [`Proteus::warm_inventory`] and
-    /// [`crate::serve::SentinelPool`]: walks the key space in canonical
-    /// order and stops at the next key boundary once `stop` is set.
-    pub(crate) fn warm_inventory_until(&self, stop: &AtomicBool) -> usize {
-        let mut built = 0;
-        for key in self.factory.key_space() {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            if self.factory.sentinel(key, Some(&self.inventory)).is_some() {
-                built += 1;
-            }
-        }
-        built
+        self.factory
+            .key_space()
+            .into_iter()
+            .filter(|&key| self.factory.sentinel(key, Some(&self.inventory)).is_some())
+            .count()
     }
 
     /// Opens a streaming obfuscation session for one request: partitions
@@ -405,11 +391,11 @@ fn optimize_members(
     for i in 0..members.len() {
         queues.push(i);
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..num_threads {
             let queues = &queues;
             let slots = &slots;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // every task is queued before the workers start, so an
                 // empty scan (own deque + all steals) means the batch is
                 // drained
@@ -423,8 +409,7 @@ fn optimize_members(
                 }
             });
         }
-    })
-    .expect("thread scope");
+    });
 
     slots
         .into_iter()

@@ -532,9 +532,10 @@ pub enum ErrorCode {
     WorkerCrashed = 8,
     /// The request missed its latency deadline.
     Deadline = 9,
-    /// No healthy replica was available to take the request.
+    /// The serving runtime could not be brought up (a worker thread
+    /// failed to spawn).
     ReplicaUnavailable = 10,
-    /// The request was retried to exhaustion across replicas.
+    /// Reserved: no longer produced. Kept so the value is never reused.
     RetriesExhausted = 11,
     /// Handshake rejected: peer speaks an unsupported protocol version.
     VersionMismatch = 12,

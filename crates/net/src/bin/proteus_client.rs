@@ -26,12 +26,13 @@ use std::time::Instant;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: proteus-client --artifact PATH --addr HOST:PORT [--token SECRET]\n\
-         \x20      [--models a,b,..] [--request-id N] [--profile ort|hidet] [--no-verify]\n\
+         \x20      [--models a,b,..] [--request-id N] [--profile ort|hidet|tvm] [--no-verify]\n\
          \n\
          --artifact    PRTA artifact (must match the server's fingerprint)\n\
          --token       tenant auth secret (default demo)\n\
          --models      zoo models to optimize remotely (default resnet)\n\
          --request-id  base request id; model i uses base+i (default 1)\n\
+         --profile     optimizer profile for the parity check (default ort)\n\
          --no-verify   skip the in-process byte-parity check\n\
          \n\
          model names: {}",
@@ -44,6 +45,38 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Flags that take a value, and the one that does not.
+const VALUE_FLAGS: [&str; 6] = [
+    "--artifact",
+    "--addr",
+    "--token",
+    "--models",
+    "--request-id",
+    "--profile",
+];
+const SWITCHES: [&str; 1] = ["--no-verify"];
+
+/// Rejects an argument that is not a known flag, and a value flag given
+/// without a value (last argument, or followed by another flag), naming
+/// it: a mistyped or retired flag, or a missing value, fails startup
+/// instead of silently falling back to a default.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            match rest.next() {
+                Some(value) if !value.starts_with("--") => {}
+                _ => return Err(format!("{arg} expects a value")),
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}` (see --help)"));
+        }
+    }
+    Ok(())
+}
+
+/// The value after `flag`, or `None` when the flag is absent
+/// ([`check_args`] has already rejected a flag without a value).
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -66,6 +99,7 @@ fn parse_kinds(list: &str) -> Result<Vec<ModelKind>, String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    check_args(args)?;
     let artifact = flag_value(args, "--artifact").ok_or("missing --artifact PATH")?;
     let addr = flag_value(args, "--addr").ok_or("missing --addr HOST:PORT")?;
     let token = flag_value(args, "--token").unwrap_or_else(|| "demo".to_string());
@@ -203,5 +237,34 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn a_value_flag_without_a_value_is_an_error_naming_it() {
+        // without the check these would dial the default token / model
+        for (argv, flag) in [
+            (
+                &["--artifact", "a.prta", "--addr", "127.0.0.1:1", "--token"][..],
+                "--token",
+            ),
+            (
+                &["--models", "--artifact", "a.prta", "--addr", "127.0.0.1:1"][..],
+                "--models",
+            ),
+        ] {
+            let err = run(&args(argv)).expect_err("missing value must not default");
+            assert!(err.contains(flag), "{err}");
+        }
+        let err = run(&args(&["--artifact", "a.prta", "--verify"])).expect_err("unknown");
+        assert!(err.contains("--verify"), "{err}");
     }
 }

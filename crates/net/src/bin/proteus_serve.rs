@@ -10,7 +10,7 @@
 //! ```text
 //! proteus-serve --artifact zoo.prta --addr 127.0.0.1:7070 \
 //!     --token team-a:sesame --token team-b:mellon \
-//!     --replicas 2 --quota 8 --max-connections 64
+//!     --workers 8 --quota 8 --max-connections 64
 //! ```
 //!
 //! `--oneshot` serves until the first accepted connection has come and
@@ -25,7 +25,7 @@
 //! request-id-keyed determinism), and only then takes new traffic.
 
 use proteus::store::Store;
-use proteus::{Fleet, FleetConfig, Proteus, ServeConfig};
+use proteus::{Proteus, ServeConfig, ServeRuntime};
 use proteus_net::{NetServer, NetServerConfig, TenantAuth};
 use proteus_opt::{Optimizer, Profile};
 use std::process::ExitCode;
@@ -33,11 +33,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
+    let defaults = ServeConfig::default();
     eprintln!(
         "usage: proteus-serve [--artifact PATH] [--store-dir DIR] [--addr HOST:PORT]\n\
          \x20      [--token TENANT:SECRET ...]\n\
-         \x20      [--replicas N] [--workers N] [--window N] [--cache N]\n\
-         \x20      [--max-connections N] [--quota N] [--profile ort|hidet]\n\
+         \x20      [--workers N] [--window N] [--cache N]\n\
+         \x20      [--max-connections N] [--quota N] [--profile ort|hidet|tvm]\n\
          \x20      [--oneshot] [--grace-secs N]\n\
          \n\
          --artifact       PRTA artifact to warm-start from (see proteus-train)\n\
@@ -47,15 +48,56 @@ fn usage() -> ExitCode {
          \x20                without it, the daemon warm-starts from the store\n\
          --addr           bind address (default 127.0.0.1:7070; port 0 picks a free port)\n\
          --token          tenant credential, repeatable (default demo:demo)\n\
-         --replicas       replicas in the serving fleet, at least 1 (default 1)\n\
+         --workers        optimizer worker threads; 0 = all cores (default {})\n\
+         --window         frames one request may have in flight (default {})\n\
+         --cache          optimized-member cache entries; 0 = off (default {})\n\
+         --profile        optimizer profile, ort|hidet|tvm (default ort)\n\
          --quota          max concurrent requests per tenant; 0 = unlimited\n\
          --max-connections max open connections; 0 = unlimited\n\
          --oneshot        exit after the first connection completes\n\
-         --grace-secs     shutdown drain budget (default 30)"
+         --grace-secs     shutdown drain budget (default 30)",
+        defaults.workers, defaults.window, defaults.cache_capacity
     );
     ExitCode::FAILURE
 }
 
+/// Flags that take a value, and the one that does not.
+const VALUE_FLAGS: [&str; 11] = [
+    "--artifact",
+    "--store-dir",
+    "--addr",
+    "--token",
+    "--workers",
+    "--window",
+    "--cache",
+    "--max-connections",
+    "--quota",
+    "--profile",
+    "--grace-secs",
+];
+const SWITCHES: [&str; 1] = ["--oneshot"];
+
+/// Rejects an argument that is not a known flag, and a value flag given
+/// without a value (last argument, or followed by another flag), naming
+/// it: a mistyped or retired flag, or a missing value, fails startup
+/// instead of silently falling back to a default.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            match rest.next() {
+                Some(value) if !value.starts_with("--") => {}
+                _ => return Err(format!("{arg} expects a value")),
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}` (see --help)"));
+        }
+    }
+    Ok(())
+}
+
+/// The value after `flag`, or `None` when the flag is absent
+/// ([`check_args`] has already rejected a flag without a value).
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -95,6 +137,7 @@ fn parse_tokens(args: &[String]) -> Result<Vec<TenantAuth>, String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    check_args(args)?;
     let artifact = flag_value(args, "--artifact");
     let store_dir = flag_value(args, "--store-dir");
     if artifact.is_none() && store_dir.is_none() {
@@ -102,7 +145,6 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7070".to_string());
     let auth = parse_tokens(args)?;
-    let replicas = parse_usize(args, "--replicas", 1)?;
     let oneshot = args.iter().any(|a| a == "--oneshot");
     let grace = Duration::from_secs(parse_usize(args, "--grace-secs", 30)? as u64);
     let profile = match flag_value(args, "--profile").as_deref() {
@@ -111,12 +153,15 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("tvm") => Profile::TvmLike,
         Some(other) => return Err(format!("unknown profile `{other}` (ort|hidet|tvm)")),
     };
+    let defaults = ServeConfig::default();
     let serve_config = ServeConfig {
-        workers: parse_usize(args, "--workers", 0)?,
-        window: parse_usize(args, "--window", 4)?,
-        cache_capacity: parse_usize(args, "--cache", 4096)?,
-        ..Default::default()
+        workers: parse_usize(args, "--workers", defaults.workers)?,
+        window: parse_usize(args, "--window", defaults.window)?,
+        cache_capacity: parse_usize(args, "--cache", defaults.cache_capacity)?,
+        ..defaults
     };
+    let max_connections = parse_usize(args, "--max-connections", 0)?;
+    let tenant_quota = parse_usize(args, "--quota", 0)?;
 
     // a corrupt or tampered store is a hard startup error (typed, never
     // a silent partial recovery) — the operator must intervene
@@ -148,15 +193,8 @@ fn run(args: &[String]) -> Result<(), String> {
         t.elapsed().as_secs_f64() * 1e3
     );
 
-    let fleet = Fleet::new(
-        Optimizer::new(profile),
-        FleetConfig {
-            replicas,
-            serve: serve_config,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let runtime =
+        ServeRuntime::new(Optimizer::new(profile), serve_config).map_err(|e| e.to_string())?;
 
     // before taking traffic: finish every lane the previous incarnation
     // was killed in the middle of. Re-optimizing is deterministic
@@ -164,20 +202,11 @@ fn run(args: &[String]) -> Result<(), String> {
     // bit-identical frames — now served from the warmed cache.
     if let Some(store) = &store {
         for (rid, frames) in store.pending_lanes() {
-            let replay = || -> Result<usize, proteus::ProteusError> {
-                let handle = fleet.lane(rid)?;
-                for frame in &frames {
-                    handle.submit_bytes(frame.clone())?;
-                }
-                let mut delivered = 0;
-                for _ in &frames {
-                    handle.recv_bytes()?;
-                    delivered += 1;
-                }
-                Ok(delivered)
-            };
-            match replay() {
-                Ok(n) => eprintln!("recovered lane {rid:#x}: re-optimized {n} frame(s)"),
+            match runtime.resume_lane(rid, &frames) {
+                Ok(out) => eprintln!(
+                    "recovered lane {rid:#x}: re-optimized {} frame(s)",
+                    out.len()
+                ),
                 // a lane that fails on replay failed identically before
                 // the kill (duplicates, corrupt frames); it fails closed
                 // here exactly like the live path
@@ -189,13 +218,13 @@ fn run(args: &[String]) -> Result<(), String> {
 
     let tenants = auth.len();
     let server = NetServer::bind(
-        fleet,
+        runtime,
         fingerprint,
         NetServerConfig {
             addr,
             auth,
-            max_connections: parse_usize(args, "--max-connections", 0)?,
-            tenant_quota: parse_usize(args, "--quota", 0)?,
+            max_connections,
+            tenant_quota,
             banner: format!("proteus-serve/{}", env!("CARGO_PKG_VERSION")),
             store: store.clone(),
         },
@@ -243,5 +272,35 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn a_value_flag_without_a_value_is_an_error_naming_it() {
+        for argv in [
+            &["--artifact", "a.prta", "--store-dir"][..],
+            &["--store-dir", "--artifact", "a.prta"][..],
+        ] {
+            let err = run(&args(argv)).expect_err("missing value must not default");
+            assert!(err.contains("--store-dir"), "{err}");
+        }
+        let err = check_args(&args(&["--workers"])).expect_err("no value");
+        assert!(err.contains("--workers"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error_naming_it() {
+        let err = run(&args(&["--artifact", "a.prta", "--shards", "2"])).expect_err("unknown");
+        assert!(err.contains("--shards"), "{err}");
+        let known = args(&["--artifact", "a.prta", "--workers", "2", "--oneshot"]);
+        assert_eq!(check_args(&known), Ok(()));
     }
 }

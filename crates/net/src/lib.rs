@@ -16,8 +16,8 @@
 //!   disconnect.
 //! - [`server`] / [`client`] — [`NetServer`] accepts N connections,
 //!   demultiplexes interleaved frames per connection by peeking the
-//!   request id, and streams each request through a lane of a
-//!   [`proteus::Fleet`] of one or more replicas;
+//!   request id, and streams each request through its own lane of one
+//!   shared [`proteus::ServeRuntime`];
 //!   [`NetClient`] streams an obfuscation session's sealed buckets out
 //!   and reassembles the optimized results. Loopback round trips are
 //!   bit-identical to the in-process session path — the e2e suite

@@ -1,7 +1,7 @@
 //! The serving daemon: accepts authenticated connections, demultiplexes
 //! interleaved frames per connection by peeking the request id, and
-//! streams each request through a lane of a [`proteus::Fleet`] of one or
-//! more replicas.
+//! streams each request through its own lane ([`RequestHandle`]) of one
+//! shared [`ServeRuntime`].
 //!
 //! ## Threading and failure domains
 //!
@@ -32,8 +32,8 @@
 //! [`NetServer::shutdown`] stops accepting, flags draining (new request
 //! ids are rejected with [`ErrorCode::Shutdown`]), waits for in-flight
 //! requests to finish within the grace period, then force-closes
-//! stragglers. The fleet is drained replica by replica — reusing
-//! [`proteus::Fleet::drain`] — before the call returns.
+//! stragglers. The runtime's queues are then drained and its workers
+//! joined ([`ServeRuntime::shutdown`]) before the call returns.
 
 use crate::codec::{FrameReader, FrameWriter, NetFrame};
 use crate::error::{error_frame_for, NetError};
@@ -41,9 +41,8 @@ use crate::handshake::{
     check_hello_blob, read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION,
 };
 use bytes::Bytes;
-use proteus::serve::RequestHandle;
+use proteus::serve::{RequestHandle, ServeRuntime};
 use proteus::store::Store;
-use proteus::Fleet;
 use proteus_graph::wire::{
     encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, FRAME, WIRE_VERSION,
 };
@@ -157,7 +156,7 @@ struct Counters {
 }
 
 struct ServerShared {
-    fleet: Fleet,
+    runtime: ServeRuntime,
     config: NetServerConfig,
     /// token → tenant.
     tokens: HashMap<String, String>,
@@ -254,13 +253,13 @@ impl std::fmt::Debug for ServerShared {
 }
 
 impl NetServer {
-    /// Binds and starts serving `fleet`'s lanes in background threads.
+    /// Binds and starts serving `runtime`'s lanes in background threads.
     ///
     /// # Errors
     /// [`NetError::Wire`] when the banner is too long for a hello,
     /// [`NetError::Io`] when the address cannot be bound.
     pub fn bind(
-        fleet: Fleet,
+        runtime: ServeRuntime,
         fingerprint: u64,
         config: NetServerConfig,
     ) -> Result<NetServer, NetError> {
@@ -279,7 +278,7 @@ impl NetServer {
             .map(|a| (a.token.clone(), a.tenant.clone()))
             .collect();
         let shared = Arc::new(ServerShared {
-            fleet,
+            runtime,
             config,
             tokens,
             fingerprint,
@@ -333,7 +332,7 @@ impl NetServer {
     /// Graceful drain: stop accepting, reject new request ids with
     /// [`ErrorCode::Shutdown`], let in-flight requests finish within
     /// `grace`, force-close whatever remains, join every thread, and
-    /// drain every fleet replica ([`proteus::Fleet::drain`]).
+    /// drain the runtime ([`ServeRuntime::shutdown`]).
     ///
     /// Returns the final counters.
     pub fn shutdown(mut self, grace: Duration) -> NetServerStats {
@@ -364,9 +363,7 @@ impl NetServer {
         for h in handlers {
             let _ = h.join();
         }
-        for index in 0..self.shared.fleet.replicas() {
-            let _ = self.shared.fleet.drain(index);
-        }
+        self.shared.runtime.shutdown();
         self.stats()
     }
 }
@@ -728,32 +725,26 @@ fn dispatch_frame(
                     .entry(tenant.to_string())
                     .or_insert(0) += 1;
             }
-            match shared.fleet.lane(request_id) {
-                Ok(handle) => {
-                    let mut st = relock(state);
-                    st.lanes.insert(
-                        request_id,
-                        Lane {
-                            handle: handle.clone(),
-                            tenant: tenant.to_string(),
-                            submitted: 1,
-                            delivered: 0,
-                            expected: None,
-                            failed: false,
-                        },
-                    );
-                    shared
-                        .counters
-                        .requests_active
-                        .fetch_add(1, Ordering::SeqCst);
-                    handle
-                }
-                Err(e) => {
-                    shared.release_tenant(tenant);
-                    reject(crate::error::error_code_for(&e), e.to_string());
-                    return true;
-                }
-            }
+            let handle = shared.runtime.handle(request_id);
+            // the gauge goes up under the connection lock, so the writer
+            // cannot release this lane before it is counted
+            let mut st = relock(state);
+            st.lanes.insert(
+                request_id,
+                Lane {
+                    handle: handle.clone(),
+                    tenant: tenant.to_string(),
+                    submitted: 1,
+                    delivered: 0,
+                    expected: None,
+                    failed: false,
+                },
+            );
+            shared
+                .counters
+                .requests_active
+                .fetch_add(1, Ordering::SeqCst);
+            handle
         }
     };
     // journal *before* submitting: once the frame can influence an

@@ -10,7 +10,7 @@
 //!    number of lookups issued).
 //!
 //! Runs on the workspace proptest shim: deterministic seeds, no
-//! shrinking. CI exercises this suite in release in the `fleet-chaos`
+//! shrinking. CI exercises this suite in release in the `serve-chaos`
 //! job alongside the chaos battery.
 
 use proptest::{proptest, ProptestConfig};

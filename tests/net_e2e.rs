@@ -20,8 +20,8 @@
 //! CI runs this suite in release mode (the `net-e2e` job).
 
 use proteus::{
-    DeobfuscationSession, Fleet, FleetConfig, PartitionSpec, Proteus, ProteusConfig, SealedBucket,
-    ServeConfig,
+    DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
+    ServeRuntime,
 };
 use proteus_graph::wire::{ErrorCode, WireError};
 use proteus_graph::TensorMap;
@@ -69,27 +69,23 @@ fn two_tenant_auth() -> Vec<TenantAuth> {
     ]
 }
 
-/// A fresh one-replica fleet, the daemon's default backend.
-fn one_replica_fleet() -> Fleet {
-    Fleet::new(
+/// A fresh serving runtime, the daemon's backend.
+fn serve_runtime() -> ServeRuntime {
+    ServeRuntime::new(
         Optimizer::new(Profile::OrtLike),
-        FleetConfig {
-            replicas: 1,
-            serve: ServeConfig {
-                workers: 2,
-                ..Default::default()
-            },
+        ServeConfig {
+            workers: 2,
             ..Default::default()
         },
     )
-    .expect("fleet spawns")
+    .expect("runtime spawns")
 }
 
-/// Spawns a loopback server backed by a fresh one-replica fleet over the
+/// Spawns a loopback server backed by a fresh serving runtime over the
 /// shared trained state.
 fn spawn_server(config: NetServerConfig) -> NetServer {
     NetServer::bind(
-        one_replica_fleet(),
+        serve_runtime(),
         shared_proteus().config_fingerprint(),
         config,
     )
@@ -303,7 +299,7 @@ fn oversize_token_is_refused_before_dialing() {
 #[test]
 fn oversize_banner_is_refused_at_bind() {
     let err = NetServer::bind(
-        one_replica_fleet(),
+        serve_runtime(),
         shared_proteus().config_fingerprint(),
         NetServerConfig {
             auth: two_tenant_auth(),

@@ -10,8 +10,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use proteus::store::Store;
 use proteus::{
-    PartitionSpec, Proteus, ProteusConfig, SentinelInventory, SentinelKey, SentinelPool,
-    TrainedArtifact,
+    PartitionSpec, Proteus, ProteusConfig, SentinelInventory, SentinelKey, TrainedArtifact,
 };
 use proteus_graph::wire::{decode_frame, encode_frame, encode_graph};
 use proteus_graph::TensorMap;
@@ -51,11 +50,11 @@ fn frames(proteus: &Proteus, rid: u64) -> Vec<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    // Sessions racing the background warmer — some draws hit entries the
+    // Sessions racing a warmer thread — some draws hit entries the
     // warmer just built, some build inline and store first — must emit
     // the same bytes as an identically trained instance that never uses
-    // an inventory at all. The join with no timeout doubles as the
-    // no-deadlock check.
+    // an inventory at all. The scope's joins with no timeout double as
+    // the no-deadlock check.
     #[test]
     fn concurrent_draws_race_the_warmer_without_divergence(
         seed in 0u64..1_000,
@@ -65,17 +64,19 @@ proptest! {
         let reference = train(seed);
         reference.inventory().set_enabled(false);
 
-        let warmer = SentinelPool::spawn(Arc::clone(&warm));
+        let mut built = 0;
         let raced: Vec<(u64, Vec<Vec<u8>>)> = std::thread::scope(|scope| {
+            let warmer = scope.spawn(|| warm.warm_inventory());
             let joins: Vec<_> = (0..clients as u64)
                 .map(|rid| {
                     let warm = Arc::clone(&warm);
                     scope.spawn(move || (rid, frames(&warm, rid)))
                 })
                 .collect();
-            joins.into_iter().map(|j| j.join().expect("client")).collect()
+            let raced = joins.into_iter().map(|j| j.join().expect("client")).collect();
+            built = warmer.join().expect("warmer");
+            raced
         });
-        let built = warmer.join();
         prop_assert!(built > 0, "warmer built nothing");
         prop_assert_eq!(warm.inventory().len(), warm.factory().key_space().len());
 

@@ -11,7 +11,7 @@
 //!
 //! CI runs this suite in release mode (the `serve-stress` job).
 
-use proteus::serve::{SentinelPool, ServeRuntime};
+use proteus::serve::ServeRuntime;
 use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
 };
@@ -99,9 +99,9 @@ fn serve_one(
 #[test]
 fn warm_inventory_frames_match_inline_generation_across_the_zoo() {
     let proteus = trained();
-    // full background warm first, so the warm path below is entirely
-    // inventory draws
-    let built = SentinelPool::spawn(Arc::clone(proteus)).join();
+    // full warm first, so the warm path below is entirely inventory
+    // draws
+    let built = proteus.warm_inventory();
     assert!(built > 0, "warmer built nothing");
 
     for (i, kind) in ModelKind::ALL.into_iter().enumerate() {

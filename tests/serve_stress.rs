@@ -6,7 +6,7 @@
 //!
 //! CI runs this suite in release mode (the `serve-stress` job).
 
-use proteus::serve::{SentinelPool, ServeRuntime};
+use proteus::serve::ServeRuntime;
 use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
 };
@@ -191,7 +191,7 @@ fn warm_cached_concurrent_requests_match_serial_frame_bytes() {
         .corpus_model(build(ModelKind::ResNet))
         .train_shared()
         .expect("train");
-    assert!(SentinelPool::spawn(Arc::clone(&proteus)).join() > 0);
+    assert!(proteus.warm_inventory() > 0);
     let runtime = ServeRuntime::new(
         Optimizer::new(Profile::OrtLike),
         ServeConfig {
