@@ -18,8 +18,8 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
-    bounded_capacity, decode_frame, decode_graph, decode_params, encode_frame, encode_graph,
-    encode_params, fnv1a64, WireError, FRAME,
+    bounded_capacity, decode_frame, decode_graph, decode_params, encode_graph, fnv1a64, seal_frame,
+    MemberEncoder, WireError, FRAME, WIRE_VERSION_V1, WIRE_VERSION_V2,
 };
 use proteus_graph::{Graph, TensorMap};
 use proteus_partition::PartitionPlan;
@@ -58,111 +58,187 @@ pub struct SealedBucket {
     pub bucket: Bucket,
 }
 
-fn encode_member(buf: &mut BytesMut, member: &BucketMember) {
-    let g = encode_graph(&member.graph);
-    let p = encode_params(&member.graph, &member.params);
-    buf.put_u32_le(g.len() as u32);
-    buf.put_slice(&g);
-    buf.put_u32_le(p.len() as u32);
-    buf.put_slice(&p);
-}
-
-fn decode_member(data: &mut Bytes) -> Result<BucketMember, WireError> {
-    let need = |data: &Bytes, n: usize, what: &str| -> Result<(), WireError> {
-        if data.remaining() < n {
-            Err(WireError::truncated(what))
-        } else {
-            Ok(())
+/// Seals a borrowed bucket into one frame of `version` (`request_id` is
+/// dropped by v1) — the one encoder behind [`SealedBucket::to_bytes`],
+/// [`SealedBucket::to_mux_bytes`] and [`ObfuscatedModel::to_bytes`], none
+/// of which clones the bucket. Each member's graph is compacted once, the
+/// payload length is known before the first byte is written, and the
+/// header, the member graphs and their params land in one buffer:
+///
+/// ```text
+/// num_buckets u32 | member_count u32 |
+/// { graph_len u32 | graph | params_len u32 | params } per member
+/// ```
+fn seal_bucket(
+    version: u16,
+    request_id: u64,
+    bucket_index: u32,
+    num_buckets: u32,
+    bucket: &Bucket,
+) -> Bytes {
+    let members: Vec<MemberEncoder<'_>> = bucket
+        .members
+        .iter()
+        .map(|m| MemberEncoder::new(&m.graph, &m.params))
+        .collect();
+    let payload_len = 8 + members
+        .iter()
+        .map(|m| 8 + m.graph_len() + m.params_len())
+        .sum::<usize>();
+    seal_frame(version, request_id, bucket_index, payload_len, |buf| {
+        buf.put_u32_le(num_buckets);
+        buf.put_u32_le(members.len() as u32);
+        for m in &members {
+            buf.put_u32_le(m.graph_len() as u32);
+            m.put_graph(buf);
+            buf.put_u32_le(m.params_len() as u32);
+            m.put_params(buf);
         }
-    };
-    need(data, 4, "member graph length")?;
-    let glen = data.get_u32_le() as usize;
-    need(data, glen, "member graph body")?;
-    let mut gbytes = data.split_to(glen);
-    let graph = decode_graph(&mut gbytes)?;
-    need(data, 4, "member params length")?;
-    let plen = data.get_u32_le() as usize;
-    need(data, plen, "member params body")?;
-    let mut pbytes = data.split_to(plen);
-    let params = decode_params(&mut pbytes)?;
-    Ok(BucketMember { graph, params })
-}
-
-/// Builds the frame payload of one sealed bucket (bucket count, member
-/// count, members) — shared by the v1 and v2 frame encoders.
-fn encode_sealed_payload(num_buckets: u32, bucket: &Bucket) -> Bytes {
-    let mut payload = BytesMut::new();
-    payload.put_u32_le(num_buckets);
-    payload.put_u32_le(bucket.members.len() as u32);
-    for member in &bucket.members {
-        encode_member(&mut payload, member);
-    }
-    payload.freeze()
-}
-
-/// Seals a borrowed bucket into v1 frame bytes — the shared encoder behind
-/// [`SealedBucket::to_bytes`] and [`ObfuscatedModel::to_bytes`] (which
-/// must stay byte-compatible, and neither should clone the bucket to
-/// serialize it).
-fn encode_sealed(bucket_index: u32, num_buckets: u32, bucket: &Bucket) -> Bytes {
-    encode_frame(bucket_index, &encode_sealed_payload(num_buckets, bucket))
-}
-
-/// Parses a sealed bucket out of a decoded [`proteus_graph::wire::Frame`]
-/// payload — the shared decoder behind the single-request and multiplexed
-/// entry points.
-fn decode_sealed_payload(bucket_index: u32, mut payload: Bytes) -> Result<SealedBucket, WireError> {
-    if payload.remaining() < 8 {
-        return Err(WireError::truncated("sealed bucket header"));
-    }
-    let num_buckets = payload.get_u32_le();
-    let nm = payload.get_u32_le() as usize;
-    if nm > 1_000_000 {
-        return Err(WireError::malformed(format!(
-            "implausible member count {nm}"
-        )));
-    }
-    if bucket_index >= num_buckets {
-        return Err(WireError::malformed(format!(
-            "bucket index {bucket_index} out of range for {num_buckets}-bucket model"
-        )));
-    }
-    // clamp the pre-allocation by what the payload could possibly hold (a
-    // member encodes to at least its two length prefixes) — the loop still
-    // reads all `nm` members, so a lying count is a typed truncation, not
-    // a huge allocation
-    let mut members = Vec::with_capacity(nm.min(payload.remaining() / 8));
-    for _ in 0..nm {
-        members.push(decode_member(&mut payload)?);
-    }
-    if !payload.is_empty() {
-        return Err(WireError::malformed(format!(
-            "{} trailing bytes in sealed bucket payload",
-            payload.remaining()
-        )));
-    }
-    Ok(SealedBucket {
-        bucket_index,
-        num_buckets,
-        bucket: Bucket { members },
     })
+}
+
+/// One member still in wire form: its graph and params encodings, split
+/// out of the payload by their length prefixes but not decoded.
+#[derive(Debug)]
+struct RawMember {
+    graph: Bytes,
+    params: Bytes,
+}
+
+impl RawMember {
+    /// Splits the next member off `data`, reading only its two length
+    /// prefixes.
+    fn split(data: &mut Bytes) -> Result<RawMember, WireError> {
+        let mut part = |len: &str, body: &str| {
+            if data.remaining() < 4 {
+                return Err(WireError::truncated(len));
+            }
+            let n = data.get_u32_le() as usize;
+            if data.remaining() < n {
+                return Err(WireError::truncated(body));
+            }
+            Ok(data.split_to(n))
+        };
+        let graph = part("member graph length", "member graph body")?;
+        let params = part("member params length", "member params body")?;
+        Ok(RawMember { graph, params })
+    }
+
+    fn decode(mut self) -> Result<BucketMember, WireError> {
+        Ok(BucketMember {
+            graph: decode_graph(&mut self.graph)?,
+            params: decode_params(&mut self.params)?,
+        })
+    }
+}
+
+/// A checksum-verified sealed-bucket frame whose members are split out
+/// but not decoded: every length prefix has been walked (so a lying
+/// prefix or trailing bytes are already typed errors), and a caller
+/// decodes only the members it needs — the owner keeps one per bucket.
+#[derive(Debug)]
+pub(crate) struct RawSealed {
+    pub(crate) request_id: u64,
+    pub(crate) bucket_index: u32,
+    pub(crate) num_buckets: u32,
+    members: Vec<RawMember>,
+}
+
+impl RawSealed {
+    /// Opens the frame at the front of `data`, leaving trailing bytes.
+    fn open_from(data: &mut Bytes) -> Result<RawSealed, WireError> {
+        let frame = decode_frame(data)?;
+        let mut payload = frame.payload;
+        if payload.remaining() < 8 {
+            return Err(WireError::truncated("sealed bucket header"));
+        }
+        let num_buckets = payload.get_u32_le();
+        let nm = payload.get_u32_le() as usize;
+        if nm > 1_000_000 {
+            return Err(WireError::malformed(format!(
+                "implausible member count {nm}"
+            )));
+        }
+        if frame.bucket_index >= num_buckets {
+            return Err(WireError::malformed(format!(
+                "bucket index {} out of range for {num_buckets}-bucket model",
+                frame.bucket_index
+            )));
+        }
+        // clamp the pre-allocation by what the payload could possibly
+        // hold (a member encodes to at least its two length prefixes) —
+        // the loop still walks all `nm` members, so a lying count is a
+        // typed truncation, not a huge allocation
+        let mut members = Vec::with_capacity(bounded_capacity(nm, &payload, 8));
+        for _ in 0..nm {
+            members.push(RawMember::split(&mut payload)?);
+        }
+        if !payload.is_empty() {
+            return Err(WireError::malformed(format!(
+                "{} trailing bytes in sealed bucket payload",
+                payload.remaining()
+            )));
+        }
+        Ok(RawSealed {
+            request_id: frame.request_id,
+            bucket_index: frame.bucket_index,
+            num_buckets,
+            members,
+        })
+    }
+
+    /// Opens exactly one frame: trailing bytes after it are rejected.
+    pub(crate) fn open(mut data: Bytes) -> Result<RawSealed, WireError> {
+        let raw = RawSealed::open_from(&mut data)?;
+        if !data.is_empty() {
+            return Err(WireError::malformed(format!(
+                "{} trailing bytes after sealed bucket frame",
+                data.remaining()
+            )));
+        }
+        Ok(raw)
+    }
+
+    /// How many members the frame carries.
+    pub(crate) fn member_count(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Decodes member `pos` alone; `None` when the frame has no such
+    /// member.
+    pub(crate) fn decode_member(self, pos: usize) -> Option<Result<BucketMember, WireError>> {
+        self.members.into_iter().nth(pos).map(RawMember::decode)
+    }
+
+    /// Decodes every member.
+    fn decode(self) -> Result<(u64, SealedBucket), WireError> {
+        let members = self
+            .members
+            .into_iter()
+            .map(RawMember::decode)
+            .collect::<Result<Vec<_>, _>>()?;
+        let sealed = SealedBucket {
+            bucket_index: self.bucket_index,
+            num_buckets: self.num_buckets,
+            bucket: Bucket { members },
+        };
+        Ok((self.request_id, sealed))
+    }
 }
 
 impl SealedBucket {
     /// Serializes to one single-request (v1) wire frame.
     pub fn to_bytes(&self) -> Bytes {
-        encode_sealed(self.bucket_index, self.num_buckets, &self.bucket)
+        let (index, total) = (self.bucket_index, self.num_buckets);
+        seal_bucket(WIRE_VERSION_V1, 0, index, total, &self.bucket)
     }
 
     /// Serializes to one multiplexed (v2) wire frame tagged with
     /// `request_id`, so the frame can share a byte stream with frames of
     /// other concurrent requests.
     pub fn to_mux_bytes(&self, request_id: u64) -> Bytes {
-        proteus_graph::wire::encode_frame_v2(
-            request_id,
-            self.bucket_index,
-            &encode_sealed_payload(self.num_buckets, &self.bucket),
-        )
+        let (index, total) = (self.bucket_index, self.num_buckets);
+        seal_bucket(WIRE_VERSION_V2, request_id, index, total, &self.bucket)
     }
 
     /// Decodes one sealed bucket from the front of `data`, leaving any
@@ -186,9 +262,7 @@ impl SealedBucket {
     /// # Errors
     /// As [`SealedBucket::decode_from`].
     pub fn decode_mux_from(data: &mut Bytes) -> Result<(u64, SealedBucket), WireError> {
-        let frame = decode_frame(data)?;
-        let sealed = decode_sealed_payload(frame.bucket_index, frame.payload)?;
-        Ok((frame.request_id, sealed))
+        RawSealed::open_from(data)?.decode()
     }
 
     /// Decodes a sealed bucket plus request id from exactly one frame.
@@ -196,15 +270,8 @@ impl SealedBucket {
     /// # Errors
     /// As [`SealedBucket::decode_mux_from`], plus trailing garbage after
     /// the frame is rejected.
-    pub fn from_mux_bytes(mut data: Bytes) -> Result<(u64, SealedBucket), WireError> {
-        let (request_id, sealed) = SealedBucket::decode_mux_from(&mut data)?;
-        if !data.is_empty() {
-            return Err(WireError::malformed(format!(
-                "{} trailing bytes after sealed bucket frame",
-                data.remaining()
-            )));
-        }
-        Ok((request_id, sealed))
+    pub fn from_mux_bytes(data: Bytes) -> Result<(u64, SealedBucket), WireError> {
+        RawSealed::open(data)?.decode()
     }
 
     /// Decodes a sealed bucket from exactly one frame.
@@ -212,15 +279,8 @@ impl SealedBucket {
     /// # Errors
     /// As [`SealedBucket::decode_from`], plus trailing garbage after the
     /// frame is rejected.
-    pub fn from_bytes(mut data: Bytes) -> Result<SealedBucket, WireError> {
-        let sealed = SealedBucket::decode_from(&mut data)?;
-        if !data.is_empty() {
-            return Err(WireError::malformed(format!(
-                "{} trailing bytes after sealed bucket frame",
-                data.remaining()
-            )));
-        }
-        Ok(sealed)
+    pub fn from_bytes(data: Bytes) -> Result<SealedBucket, WireError> {
+        SealedBucket::from_mux_bytes(data).map(|(_, sealed)| sealed)
     }
 
     /// Unwraps the transported bucket.
@@ -257,7 +317,7 @@ impl ObfuscatedModel {
         let mut buf = BytesMut::new();
         buf.put_u32_le(nb);
         for (i, bucket) in self.buckets.iter().enumerate() {
-            buf.put_slice(&encode_sealed(i as u32, nb, bucket));
+            buf.put_slice(&seal_bucket(WIRE_VERSION_V1, 0, i as u32, nb, bucket));
         }
         buf.freeze()
     }
@@ -513,6 +573,144 @@ mod tests {
         }
         assert!(matches!(
             ObfuscatedModel::from_bytes(buf.freeze()),
+            Err(WireError::Malformed { .. })
+        ));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A member whose one weight tensor holds -0.0, a NaN with a payload,
+    /// a subnormal and 1.5, bit for bit.
+    fn special_member() -> BucketMember {
+        let mut g = Graph::new("s");
+        let x = g.input([1, 4]);
+        let c = g.add(
+            Op::Constant {
+                shape: [1, 4].into(),
+            },
+            [],
+        );
+        let y = g.add(Op::Add, [x, c]);
+        g.set_outputs([y]);
+        let mut params = TensorMap::new();
+        let values = vec![-0.0, f32::from_bits(0x7fc0_1234), f32::from_bits(1), 1.5];
+        params.insert(c, vec![proteus_graph::Tensor::new([1, 4], values)]);
+        BucketMember { graph: g, params }
+    }
+
+    /// Pins one v2 frame carrying a weighted member (and a graph-only one)
+    /// byte for byte: frame header, payload header, then each member's
+    /// length-prefixed graph and params.
+    #[test]
+    fn weighted_v2_frame_matches_golden_bytes() {
+        let mut bare = special_member();
+        bare.params = TensorMap::new();
+        let sealed = SealedBucket {
+            bucket_index: 1,
+            num_buckets: 2,
+            bucket: Bucket {
+                members: vec![special_member(), bare],
+            },
+        };
+        let wire = sealed.to_mux_bytes(0x0102_0304_0506_0708);
+        // the one graph both members share: name, three nodes, outputs
+        let graph = concat!(
+            "01000000",
+            "73",
+            "03000000",
+            "07000000",
+            "696e7075745f30",
+            "00",
+            "02000000",
+            "0100000000000000",
+            "0400000000000000",
+            "00000000",
+            "07000000",
+            "636f6e73745f31",
+            "01",
+            "02000000",
+            "0100000000000000",
+            "0400000000000000",
+            "00000000",
+            "05000000",
+            "6164645f32",
+            "0b",
+            "02000000",
+            "00000000",
+            "01000000",
+            "01000000",
+            "02000000",
+        );
+        // node 1's one [1, 4] tensor: -0.0, NaN(0x1234), 1 ulp, 1.5
+        let params = concat!(
+            "01000000",
+            "01000000",
+            "01000000",
+            "02000000",
+            "0100000000000000",
+            "0400000000000000",
+            "00000080",
+            "3412c07f",
+            "01000000",
+            "0000c03f",
+        );
+        let golden = [
+            concat!(
+                "50525442",
+                "0200",
+                "0807060504030201",
+                "01000000",
+                "2a010000"
+            ),
+            "b2c3434b6d5372b7",
+            concat!("02000000", "02000000"),
+            "6f000000",
+            graph,
+            "30000000",
+            params,
+            "6f000000",
+            graph,
+            concat!("04000000", "00000000"),
+        ]
+        .concat();
+        assert_eq!(hex(&wire), golden);
+        let (rid, back) = SealedBucket::from_mux_bytes(wire).unwrap();
+        assert_eq!(rid, 0x0102_0304_0506_0708);
+        let tensors = back.bucket.members[0]
+            .params
+            .get(proteus_graph::NodeId::from_index(1))
+            .unwrap();
+        let bits: Vec<u32> = tensors[0].data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, vec![0x8000_0000, 0x7fc0_1234, 1, 0x3fc0_0000]);
+        assert!(back.bucket.members[1].params.is_empty());
+    }
+
+    /// A tensor shape whose element count overflows `usize` is a typed
+    /// `Malformed`, not a multiply-overflow panic or a wrapped zero-length
+    /// tensor.
+    #[test]
+    fn overflowing_tensor_shape_is_malformed() {
+        let g = special_member().graph;
+        let graph = encode_graph(&g);
+        let mut params = BytesMut::new();
+        params.put_u32_le(1); // one entry
+        params.put_u32_le(1); // node 1
+        params.put_u32_le(1); // one tensor
+        params.put_u32_le(2); // rank 2
+        params.put_u64_le(1 << 32);
+        params.put_u64_le(1 << 32);
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(1); // num_buckets
+        payload.put_u32_le(1); // members
+        payload.put_u32_le(graph.len() as u32);
+        payload.put_slice(&graph);
+        payload.put_u32_le(params.len() as u32);
+        payload.put_slice(&params);
+        let wire = proteus_graph::wire::encode_frame_v2(9, 0, &payload);
+        assert!(matches!(
+            SealedBucket::from_mux_bytes(wire),
             Err(WireError::Malformed { .. })
         ));
     }

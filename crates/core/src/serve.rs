@@ -102,8 +102,8 @@ use crate::error::ProteusError;
 use crate::phase::PhaseBreakdown;
 use crate::pipeline::Proteus;
 use crate::session::DeobfuscationSession;
-use bytes::Bytes;
-use proteus_graph::wire::{encode_graph, encode_params, fnv1a64};
+use bytes::{BufMut, Bytes, BytesMut};
+use proteus_graph::wire::{fnv1a64, MemberEncoder};
 use proteus_graph::{Graph, TensorMap};
 use proteus_opt::{Optimizer, Profile};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -244,6 +244,11 @@ struct CacheInner {
 /// protected pieces distinguishable by *skipping* them, and it does not,
 /// because hits and misses produce byte-identical frames.
 ///
+/// Weighted members bypass the cache: the runtime keys only members
+/// with empty params. Sentinel weights are drawn per (request, bucket,
+/// member), so a weighted key effectively never repeats, and keying one
+/// would hash, store and clone megabytes for no hit.
+///
 /// The u64 fingerprint only buckets; every hit compares the full key
 /// bytes, so a collision degrades to a miss, never to a wrong answer.
 /// Eviction is FIFO at [`ServeConfig::cache_capacity`] entries; capacity
@@ -345,20 +350,21 @@ impl OptimizedCache {
 
     /// The cache key of one unoptimized bucket member: a profile tag byte
     /// (outputs differ per optimizer profile) followed by the member's
-    /// canonical wire encoding. [`encode_graph`] compacts before writing,
-    /// so structurally identical graphs key identically regardless of
-    /// their in-memory node numbering.
+    /// canonical wire encoding. The encoding compacts before writing
+    /// ([`MemberEncoder`]), so structurally identical graphs key
+    /// identically regardless of their in-memory node numbering.
     pub fn key_for(profile: Profile, graph: &Graph, params: &TensorMap) -> Bytes {
         let tag: u8 = match profile {
             Profile::OrtLike => 0,
             Profile::HidetLike => 1,
             Profile::TvmLike => 2,
         };
-        let mut buf = Vec::new();
-        buf.push(tag);
-        buf.extend_from_slice(&encode_graph(graph));
-        buf.extend_from_slice(&encode_params(graph, params));
-        Bytes::from(buf)
+        let member = MemberEncoder::new(graph, params);
+        let mut buf = BytesMut::with_capacity(1 + member.graph_len() + member.params_len());
+        buf.put_u8(tag);
+        member.put_graph(&mut buf);
+        member.put_params(&mut buf);
+        buf.freeze()
     }
 
     /// Returns the optimized member cached under `key`, counting a hit or
@@ -1197,15 +1203,15 @@ impl RequestHandle {
         // classify members against the shared optimized-member cache
         // *outside* the request lock: hits are prefilled into their
         // reassembly slots, misses become pool tasks carrying their key so
-        // the worker can publish its result for later requests
+        // the worker can publish its result for later requests. Weighted
+        // members get no key: sentinel weights are drawn per (request,
+        // bucket, member), so their key never repeats, and keying,
+        // looking up and caching megabytes of weights would only cost
         let profile = self.pool.optimizer.profile();
         let mut slots: Vec<Option<BucketMember>> = Vec::with_capacity(bucket.members.len());
         let mut misses: Vec<(usize, Graph, TensorMap, Option<Bytes>)> = Vec::new();
         for (member, m) in bucket.members.into_iter().enumerate() {
-            let key = self
-                .pool
-                .cache
-                .is_enabled()
+            let key = (self.pool.cache.is_enabled() && m.params.is_empty())
                 .then(|| OptimizedCache::key_for(profile, &m.graph, &m.params));
             if let Some(hit) = key.as_ref().and_then(|k| self.pool.cache.lookup(k)) {
                 slots.push(Some(hit));
@@ -1459,6 +1465,7 @@ mod tests {
 
     use super::*;
     use crate::config::{PartitionSpec, ProteusConfig};
+    use proteus_graph::wire::encode_graph;
     use proteus_graphgen::GraphRnnConfig;
     use proteus_models::{build, ModelKind};
     use proteus_opt::Profile;

@@ -26,7 +26,9 @@
 //! [`LEGACY_REQUEST_ID`]; the parity tests prove the wrapper output is
 //! bit-identical to a hand-driven session.
 
-use crate::bucket::{anonymize_content, Bucket, BucketMember, ObfuscationSecrets, SealedBucket};
+use crate::bucket::{
+    anonymize_content, Bucket, BucketMember, ObfuscationSecrets, RawSealed, SealedBucket,
+};
 use crate::error::ProteusError;
 use crate::phase::{self, PhaseBreakdown};
 use crate::pipeline::Proteus;
@@ -360,17 +362,12 @@ impl<'s> DeobfuscationSession<'s> {
     /// already-accepted frame, or no longer holds the recorded real
     /// position.
     pub fn accept(&mut self, sealed: SealedBucket) -> Result<(), ProteusError> {
-        let i = sealed.bucket_index as usize;
-        let pos = self.check_frame(i, sealed.num_buckets)?;
-        let members = sealed.bucket.members.len();
-        let member = sealed.bucket.members.into_iter().nth(pos).ok_or_else(|| {
-            ProteusError::protocol(format!(
-                "real position {pos} out of range in {members}-member bucket {i}"
-            ))
-        })?;
-        self.slots[i] = Some(member);
-        self.received += 1;
-        Ok(())
+        let (index, total) = (sealed.bucket_index, sealed.num_buckets);
+        let members = sealed.bucket.members;
+        let count = members.len();
+        self.keep(index, total, count, |pos| {
+            members.into_iter().nth(pos).map(Ok)
+        })
     }
 
     /// [`DeobfuscationSession::accept`] from a borrowed bucket — clones
@@ -382,15 +379,31 @@ impl<'s> DeobfuscationSession<'s> {
         num_buckets: u32,
         bucket: &Bucket,
     ) -> Result<(), ProteusError> {
+        let count = bucket.members.len();
+        self.keep(bucket_index, num_buckets, count, |pos| {
+            bucket.members.get(pos).cloned().map(Ok)
+        })
+    }
+
+    /// The shared tail of every accept path: validates the frame against
+    /// the session, then stores the real member `take` yields for the
+    /// recorded position (`None` when the frame's `count` members do not
+    /// reach it).
+    fn keep(
+        &mut self,
+        bucket_index: u32,
+        num_buckets: u32,
+        count: usize,
+        take: impl FnOnce(usize) -> Option<Result<BucketMember, ProteusError>>,
+    ) -> Result<(), ProteusError> {
         let i = bucket_index as usize;
         let pos = self.check_frame(i, num_buckets)?;
-        let member = bucket.members.get(pos).ok_or_else(|| {
+        let member = take(pos).ok_or_else(|| {
             ProteusError::protocol(format!(
-                "real position {pos} out of range in {}-member bucket {i}",
-                bucket.members.len()
+                "real position {pos} out of range in {count}-member bucket {i}"
             ))
-        })?;
-        self.slots[i] = Some(member.clone());
+        })??;
+        self.slots[i] = Some(member);
         self.received += 1;
         Ok(())
     }
@@ -429,12 +442,16 @@ impl<'s> DeobfuscationSession<'s> {
     /// to this session by construction. On a shared (multiplexed) stream
     /// use [`DeobfuscationSession::accept_mux_bytes`].
     ///
+    /// Only the real member is decoded. The checksum still covers the
+    /// whole frame and every member's length prefixes are still walked,
+    /// so a corrupted or truncated sentinel is rejected all the same.
+    ///
     /// # Errors
     /// [`ProteusError::Wire`] on decode failure (unknown version,
     /// corrupted checksum, truncation), plus everything
     /// [`DeobfuscationSession::accept`] rejects.
     pub fn accept_bytes(&mut self, wire: Bytes) -> Result<(), ProteusError> {
-        self.accept(SealedBucket::from_bytes(wire)?)
+        self.accept_raw(RawSealed::open(wire)?)
     }
 
     /// Decodes one multiplexed frame and accepts it after checking that
@@ -443,25 +460,29 @@ impl<'s> DeobfuscationSession<'s> {
     /// content is taken, so multiplexed transports cannot leak data
     /// across requests. Legacy v1 frames decode to request id `0`
     /// ([`LEGACY_REQUEST_ID`]) and are accepted exactly when the secrets
-    /// belong to that id.
+    /// belong to that id. As [`DeobfuscationSession::accept_bytes`], only
+    /// the real member is decoded.
     ///
     /// # Errors
     /// [`ProteusError::Protocol`] on a request-id mismatch, plus
     /// everything [`DeobfuscationSession::accept_bytes`] rejects.
-    pub fn accept_mux_bytes(&mut self, mut wire: Bytes) -> Result<(), ProteusError> {
-        let (request_id, sealed) = SealedBucket::decode_mux_from(&mut wire)?;
-        if !wire.is_empty() {
-            return Err(ProteusError::Wire(proteus_graph::WireError::malformed(
-                format!("{} trailing bytes after sealed bucket frame", wire.len()),
-            )));
-        }
-        let expected = self.secrets.request_id;
+    pub fn accept_mux_bytes(&mut self, wire: Bytes) -> Result<(), ProteusError> {
+        let raw = RawSealed::open(wire)?;
+        let (request_id, expected) = (raw.request_id, self.secrets.request_id);
         if request_id != expected {
             return Err(ProteusError::protocol(format!(
                 "frame for request {request_id:#x} injected into the stream of request {expected:#x}"
             )));
         }
-        self.accept(sealed)
+        self.accept_raw(raw)
+    }
+
+    /// Accepts a checksum-verified frame, decoding its real member alone.
+    fn accept_raw(&mut self, raw: RawSealed) -> Result<(), ProteusError> {
+        let (index, total, count) = (raw.bucket_index, raw.num_buckets, raw.member_count());
+        self.keep(index, total, count, |pos| {
+            raw.decode_member(pos).map(|m| m.map_err(Into::into))
+        })
     }
 
     /// Reassembles the protected model from the collected real pieces

@@ -37,6 +37,12 @@ impl Shape {
         self.0.iter().product()
     }
 
+    /// [`Shape::numel`], or `None` when the product overflows `usize` —
+    /// the form for dimensions read from untrusted bytes.
+    pub(crate) fn checked_numel(&self) -> Option<usize> {
+        self.0.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+    }
+
     /// NCHW accessors; return `None` when the rank is not 4.
     pub fn nchw(&self) -> Option<(usize, usize, usize, usize)> {
         match self.0.as_slice() {

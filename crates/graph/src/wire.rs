@@ -292,23 +292,47 @@ impl Envelope {
     /// If `body` exceeds `u32::MAX` bytes — the length field could not
     /// represent it; formats bound their bodies far below this.
     pub fn seal(&self, version: u16, fields: impl FnOnce(&mut BytesMut), body: &[u8]) -> Bytes {
-        assert!(
-            u32::try_from(body.len()).is_ok(),
-            "{} body of {} bytes exceeds the u32 length field",
-            self.name,
-            body.len()
-        );
+        self.seal_with(version, fields, body.len(), |buf| buf.put_slice(body))
+    }
+
+    /// [`Envelope::seal`] with the body written in place by `body` into the
+    /// envelope's own buffer, pre-sized for a `body_len`-byte body. The
+    /// length and checksum fields are patched from the bytes actually
+    /// written, so `body_len` only sizes the allocation.
+    ///
+    /// # Panics
+    /// As [`Envelope::seal`], if the written body exceeds `u32::MAX` bytes.
+    fn seal_with(
+        &self,
+        version: u16,
+        fields: impl FnOnce(&mut BytesMut),
+        body_len: usize,
+        body: impl FnOnce(&mut BytesMut),
+    ) -> Bytes {
         let header = self.header_len(self.fields_len(version).unwrap_or(0));
-        let mut buf = BytesMut::with_capacity(header + body.len());
+        let mut buf = BytesMut::with_capacity(header + body_len);
         buf.put_slice(&self.magic);
         buf.put_u16_le(version);
         fields(&mut buf);
+        let len_at = buf.len();
         if self.has_len {
-            buf.put_u32_le(body.len() as u32);
+            buf.put_u32_le(0);
         }
-        let h = fnv1a64(&buf[4..]);
-        buf.put_u64_le(fnv1a64_continue(h, body));
-        buf.put_slice(body);
+        let sum_at = buf.len();
+        buf.put_u64_le(0);
+        body(&mut buf);
+        let written = buf.len() - sum_at - 8;
+        let Ok(written_u32) = u32::try_from(written) else {
+            panic!(
+                "{} body of {written} bytes exceeds the u32 length field",
+                self.name
+            );
+        };
+        if self.has_len {
+            buf[len_at..sum_at].copy_from_slice(&written_u32.to_le_bytes());
+        }
+        let sum = fnv1a64_continue(fnv1a64(&buf[4..sum_at]), &buf[sum_at + 8..]);
+        buf[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
         buf.freeze()
     }
 
@@ -426,7 +450,9 @@ pub struct Frame {
 /// As [`Envelope::seal`], if `payload` exceeds `u32::MAX` bytes; buckets
 /// are bounded far below this by partitioning.
 pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
-    FRAME.seal(WIRE_VERSION_V1, |f| f.put_u32_le(bucket_index), payload)
+    seal_frame(WIRE_VERSION_V1, 0, bucket_index, payload.len(), |b| {
+        b.put_slice(payload)
+    })
 }
 
 /// Wraps `payload` in a version-2 *multiplexed* [`FRAME`] envelope:
@@ -444,11 +470,38 @@ pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
 /// # Panics
 /// As [`encode_frame`], if `payload` exceeds `u32::MAX` bytes.
 pub fn encode_frame_v2(request_id: u64, bucket_index: u32, payload: &[u8]) -> Bytes {
+    seal_frame(
+        WIRE_VERSION_V2,
+        request_id,
+        bucket_index,
+        payload.len(),
+        |b| b.put_slice(payload),
+    )
+}
+
+/// Seals a [`FRAME`] of `version` whose payload the `payload` closure
+/// writes in place, into the frame's own buffer pre-sized for
+/// `payload_len` bytes: the bytes of [`encode_frame`] (v1, which carries
+/// no `request_id`) or [`encode_frame_v2`] over the same payload, without
+/// building the payload in a buffer of its own first. The length and
+/// checksum fields are patched from the bytes actually written.
+///
+/// # Panics
+/// As [`encode_frame`], if the payload exceeds `u32::MAX` bytes.
+pub fn seal_frame(
+    version: u16,
+    request_id: u64,
+    bucket_index: u32,
+    payload_len: usize,
+    payload: impl FnOnce(&mut BytesMut),
+) -> Bytes {
     let fields = |f: &mut BytesMut| {
-        f.put_u64_le(request_id);
+        if version != WIRE_VERSION_V1 {
+            f.put_u64_le(request_id);
+        }
         f.put_u32_le(bucket_index);
     };
-    FRAME.seal(WIRE_VERSION_V2, fields, payload)
+    FRAME.seal_with(version, fields, payload_len, payload)
 }
 
 /// Reads the request id out of a frame header without decoding — or
@@ -709,7 +762,7 @@ pub fn decode_error_frame(buf: &mut Bytes) -> WResult<ErrorFrame> {
     })
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -722,7 +775,7 @@ fn get_str(buf: &mut Bytes) -> WResult<String> {
     String::from_utf8(raw.to_vec()).map_err(|_| WireError::malformed("invalid utf8"))
 }
 
-fn put_shape(buf: &mut BytesMut, s: &Shape) {
+fn put_shape(buf: &mut impl BufMut, s: &Shape) {
     buf.put_u32_le(s.rank() as u32);
     for &d in s.dims() {
         buf.put_u64_le(d as u64);
@@ -757,7 +810,7 @@ fn act_from(tag: u8) -> WResult<Activation> {
         .ok_or_else(|| WireError::malformed(format!("bad activation tag {tag}")))
 }
 
-fn put_conv(buf: &mut BytesMut, c: &ConvAttrs) {
+fn put_conv(buf: &mut impl BufMut, c: &ConvAttrs) {
     buf.put_u32_le(c.in_channels as u32);
     buf.put_u32_le(c.out_channels as u32);
     buf.put_u16_le(c.kernel as u16);
@@ -813,7 +866,7 @@ fn get_conv(buf: &mut Bytes) -> WResult<ConvAttrs> {
     })
 }
 
-fn put_op(buf: &mut BytesMut, op: &Op) {
+fn put_op(buf: &mut impl BufMut, op: &Op) {
     match op {
         Op::Input { shape } => {
             buf.put_u8(0);
@@ -1064,15 +1117,23 @@ fn get_op(buf: &mut Bytes) -> WResult<Op> {
     })
 }
 
-/// Encodes a graph (compacted: tombstones dropped, ids renumbered).
-pub fn encode_graph(graph: &Graph) -> Bytes {
-    let (g, _) = graph.compact();
-    let mut buf = BytesMut::new();
-    put_str(&mut buf, g.name());
+/// A [`BufMut`] that only counts: sizes an encoding exactly by running
+/// its writer without storing a byte.
+struct Tally(usize);
+
+impl BufMut for Tally {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// Writes an already-compacted graph.
+fn put_graph(buf: &mut impl BufMut, g: &Graph) {
+    put_str(buf, g.name());
     buf.put_u32_le(g.len() as u32);
     for (_, node) in g.iter() {
-        put_str(&mut buf, &node.name);
-        put_op(&mut buf, &node.op);
+        put_str(buf, &node.name);
+        put_op(buf, &node.op);
         buf.put_u32_le(node.inputs.len() as u32);
         for inp in &node.inputs {
             buf.put_u32_le(inp.index() as u32);
@@ -1082,6 +1143,80 @@ pub fn encode_graph(graph: &Graph) -> Bytes {
     for out in g.outputs() {
         buf.put_u32_le(out.index() as u32);
     }
+}
+
+/// One graph and its parameter store made ready for the wire: the graph
+/// is compacted once, and both encodings' exact lengths are known before
+/// a byte is written, so a caller can write many of them into one
+/// pre-sized buffer. [`encode_graph`] and [`encode_params`] produce the
+/// same bytes one buffer each.
+#[derive(Debug)]
+pub struct MemberEncoder<'p> {
+    graph: Graph,
+    graph_len: usize,
+    /// `(compacted node index, tensors)` in the source graph's order.
+    params: Vec<(u32, &'p [Tensor])>,
+}
+
+impl<'p> MemberEncoder<'p> {
+    /// Compacts `graph` and maps `params` onto the compacted numbering.
+    pub fn new(graph: &Graph, params: &'p TensorMap) -> MemberEncoder<'p> {
+        let (compacted, mapping) = graph.compact();
+        let params = graph
+            .iter()
+            .filter_map(|(id, _)| params.get(id).map(|t| (mapping[&id].index() as u32, t)))
+            .collect();
+        let mut tally = Tally(0);
+        put_graph(&mut tally, &compacted);
+        MemberEncoder {
+            graph: compacted,
+            graph_len: tally.0,
+            params,
+        }
+    }
+
+    /// Length of the graph encoding.
+    pub fn graph_len(&self) -> usize {
+        self.graph_len
+    }
+
+    /// Length of the parameter-store encoding.
+    pub fn params_len(&self) -> usize {
+        let tensor = |t: &Tensor| 4 + 8 * t.shape().rank() + 4 * t.data().len();
+        let entry = |ts: &[Tensor]| 8 + ts.iter().map(tensor).sum::<usize>();
+        4 + self.params.iter().map(|(_, ts)| entry(ts)).sum::<usize>()
+    }
+
+    /// Appends the graph encoding ([`encode_graph`]'s bytes).
+    pub fn put_graph(&self, buf: &mut BytesMut) {
+        put_graph(buf, &self.graph);
+    }
+
+    /// Appends the parameter-store encoding ([`encode_params`]'s bytes):
+    /// each tensor's data is one `resize` of the buffer, filled four
+    /// bytes per float.
+    pub fn put_params(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.params.len() as u32);
+        for &(idx, tensors) in &self.params {
+            buf.put_u32_le(idx);
+            buf.put_u32_le(tensors.len() as u32);
+            for t in tensors {
+                put_shape(buf, t.shape());
+                let at = buf.len();
+                buf.resize(at + 4 * t.data().len(), 0);
+                for (dst, v) in buf[at..].chunks_exact_mut(4).zip(t.data()) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+    }
+}
+
+/// Encodes a graph (compacted: tombstones dropped, ids renumbered).
+pub fn encode_graph(graph: &Graph) -> Bytes {
+    let (g, _) = graph.compact();
+    let mut buf = BytesMut::new();
+    put_graph(&mut buf, &g);
     buf.freeze()
 }
 
@@ -1155,27 +1290,18 @@ pub fn decode_graph(buf: &mut Bytes) -> WResult<Graph> {
 
 /// Encodes a parameter store against a graph's (compacted) node numbering.
 pub fn encode_params(graph: &Graph, params: &TensorMap) -> Bytes {
-    let (_, mapping) = graph.compact();
-    let mut buf = BytesMut::new();
-    let entries: Vec<(u32, &[Tensor])> = graph
-        .iter()
-        .filter_map(|(id, _)| params.get(id).map(|t| (mapping[&id].index() as u32, t)))
-        .collect();
-    buf.put_u32_le(entries.len() as u32);
-    for (idx, tensors) in entries {
-        buf.put_u32_le(idx);
-        buf.put_u32_le(tensors.len() as u32);
-        for t in tensors {
-            put_shape(&mut buf, t.shape());
-            for &v in t.data() {
-                buf.put_f32_le(v);
-            }
-        }
-    }
+    let member = MemberEncoder::new(graph, params);
+    let mut buf = BytesMut::with_capacity(member.params_len());
+    member.put_params(&mut buf);
     buf.freeze()
 }
 
 /// Decodes a parameter store from [`encode_params`] bytes.
+///
+/// # Errors
+/// [`WireError::Truncated`] when the bytes end early,
+/// [`WireError::Malformed`] for an implausible tensor count or a shape
+/// whose byte count overflows `usize`.
 pub fn decode_params(buf: &mut Bytes) -> WResult<TensorMap> {
     need(buf, 4, "param entry count")?;
     let count = buf.get_u32_le() as usize;
@@ -1192,12 +1318,18 @@ pub fn decode_params(buf: &mut Bytes) -> WResult<TensorMap> {
         let mut tensors = Vec::with_capacity(n);
         for _ in 0..n {
             let shape = get_shape(buf)?;
-            let numel = shape.numel();
-            need(buf, numel * 4, "tensor data")?;
-            let mut data = Vec::with_capacity(numel);
-            for _ in 0..numel {
-                data.push(buf.get_f32_le());
-            }
+            let len = shape
+                .checked_numel()
+                .and_then(|n| n.checked_mul(4))
+                .ok_or_else(|| {
+                    WireError::malformed(format!("tensor shape {shape} overflows its byte count"))
+                })?;
+            need(buf, len, "tensor data")?;
+            let data = buf
+                .split_to(len)
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
             tensors.push(Tensor::new(shape, data));
         }
         map.insert(NodeId::from_index(idx), tensors);
@@ -1552,6 +1684,58 @@ mod tests {
             ))),
             format!("{prte}545cc4e2c589ba496e6f")
         );
+    }
+
+    /// Pins `encode_params` byte for byte on the float classes a bulk codec
+    /// could mangle — negative zero, a NaN with a payload, a subnormal —
+    /// plus 1.5 and a rank-0 tensor, against a graph whose compaction
+    /// renumbers the parameterized node.
+    #[test]
+    fn params_layout_matches_golden_bytes() {
+        let mut g = Graph::new("w");
+        let x = g.input([2, 2]);
+        let dead = g.add(Op::Identity, [x]);
+        let c = g.add(
+            Op::Constant {
+                shape: Shape::from([2, 2]),
+            },
+            [],
+        );
+        let y = g.add(Op::Add, [x, c]);
+        g.set_outputs([y]);
+        g.remove(dead);
+        let values = [-0.0, f32::from_bits(0x7fc0_1234), f32::from_bits(1), 1.5];
+        let mut params = TensorMap::new();
+        params.insert(
+            c,
+            vec![
+                Tensor::new([2, 2], values.to_vec()),
+                Tensor::new(Shape::new(vec![]), vec![-2.0]),
+            ],
+        );
+        let bytes = encode_params(&g, &params);
+        let golden = concat!(
+            "01000000",
+            "01000000",
+            "02000000",
+            "02000000",
+            "0200000000000000",
+            "0200000000000000",
+            "00000080",
+            "3412c07f",
+            "01000000",
+            "0000c03f",
+            "00000000",
+            "000000c0",
+        );
+        assert_eq!(hex(&bytes), golden);
+        let back = decode_params(&mut bytes.clone()).unwrap();
+        let tensors = back.get(NodeId::from_index(1)).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tensors[0]), values.map(f32::to_bits));
+        assert_eq!(tensors[0].shape(), &Shape::from([2, 2]));
+        assert_eq!(bits(&tensors[1]), vec![(-2.0f32).to_bits()]);
+        assert_eq!(tensors[1].shape().rank(), 0);
     }
 
     /// Hand-builds an error frame with arbitrary raw fields and a correct

@@ -84,10 +84,19 @@ impl FrameReader {
     /// decides the length; anything after the envelope stays buffered.
     /// The handshake layer shares this with [`FrameReader::try_next`], so
     /// bytes a peer pipelines after its hello stay queued for frames.
+    ///
+    /// Once the header tells the envelope's length (already capped at
+    /// [`MAX_FRAME_PAYLOAD`]), the buffer reserves the whole envelope, so
+    /// a large frame lands in one allocation instead of growing by
+    /// doubling across socket reads.
     pub(crate) fn next_envelope(&mut self, rows: &[&Envelope]) -> Result<Option<Bytes>, NetError> {
         match envelope_len(rows, &self.buf, MAX_FRAME_PAYLOAD)? {
             Some(len) if self.buf.len() >= len => Ok(Some(self.buf.split_to(len).freeze())),
-            _ => Ok(None),
+            Some(len) => {
+                self.buf.reserve(len - self.buf.len());
+                Ok(None)
+            }
+            None => Ok(None),
         }
     }
 

@@ -43,6 +43,7 @@ use crate::handshake::{
 use bytes::Bytes;
 use proteus::serve::{RequestHandle, ServeRuntime};
 use proteus::store::Store;
+use proteus::SealedBucket;
 use proteus_graph::wire::{
     encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, FRAME, WIRE_VERSION,
 };
@@ -166,10 +167,11 @@ struct ServerShared {
     counters: Counters,
     /// Concurrently-active requests per tenant.
     tenant_active: Mutex<HashMap<String, usize>>,
-    /// Clones of every open connection, for force-close on shutdown.
-    open_streams: Mutex<Vec<TcpStream>>,
-    /// Handler threads, joined on shutdown.
-    handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// Each live connection's handler thread, with a clone of its socket
+    /// for force-close on shutdown. Finished ones are reaped on the next
+    /// accept, so a long-running daemon holds neither the thread nor the
+    /// socket of a connection that has ended.
+    connections: Mutex<Vec<(Option<TcpStream>, JoinHandle<()>)>>,
 }
 
 /// How a lane ended, for the completed/failed counters.
@@ -294,8 +296,7 @@ impl NetServer {
                 journal_errors: AtomicUsize::new(0),
             },
             tenant_active: Mutex::new(HashMap::new()),
-            open_streams: Mutex::new(Vec::new()),
-            handlers: Mutex::new(Vec::new()),
+            connections: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = thread::Builder::new()
@@ -356,12 +357,12 @@ impl NetServer {
             thread::sleep(Duration::from_millis(1));
         }
         // force-close stragglers; handler threads then exit on I/O error
-        for stream in relock(&self.shared.open_streams).iter() {
+        let connections: Vec<_> = relock(&self.shared.connections).drain(..).collect();
+        for stream in connections.iter().filter_map(|(stream, _)| stream.as_ref()) {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        let handlers: Vec<JoinHandle<()>> = relock(&self.shared.handlers).drain(..).collect();
-        for h in handlers {
-            let _ = h.join();
+        for (_, handler) in connections {
+            let _ = handler.join();
         }
         self.shared.runtime.shutdown();
         self.stats()
@@ -402,9 +403,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     .counters
                     .active_connections
                     .fetch_add(1, Ordering::SeqCst);
-                if let Ok(clone) = stream.try_clone() {
-                    relock(&shared.open_streams).push(clone);
-                }
+                let clone = stream.try_clone().ok();
                 let conn_shared = Arc::clone(&shared);
                 let spawned = thread::Builder::new()
                     .name("proteus-net-conn".to_string())
@@ -416,7 +415,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                             .fetch_sub(1, Ordering::SeqCst);
                     });
                 match spawned {
-                    Ok(handle) => relock(&shared.handlers).push(handle),
+                    Ok(handle) => {
+                        // reap the connections that have ended: join their
+                        // threads and close the registry's socket clones
+                        let ended: Vec<_> = {
+                            let mut connections = relock(&shared.connections);
+                            let (ended, live) = connections
+                                .drain(..)
+                                .partition(|(_, handler)| handler.is_finished());
+                            *connections = live;
+                            connections.push((clone, handle));
+                            ended
+                        };
+                        for (_, handler) in ended {
+                            let _ = handler.join();
+                        }
+                    }
                     Err(_) => {
                         // thread spawn failure: undo the accept accounting
                         shared
@@ -773,11 +787,12 @@ fn dispatch_frame(
 fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<ServerShared>) {
     let mut writer = FrameWriter::new(&stream);
     loop {
-        // collect work under the lock, write outside it
+        // collect work under the lock, encode and write outside it, so
+        // the reader keeps dispatching while a large frame encodes
         let (errors, ready, done) = {
             let mut st = relock(state);
             let errors: Vec<ErrorFrame> = st.errors.drain(..).collect();
-            let mut ready: Vec<(u64, Bytes)> = Vec::new();
+            let mut ready: Vec<(u64, SealedBucket)> = Vec::new();
             let mut failed: Vec<(u64, ErrorFrame)> = Vec::new();
             let mut completed: Vec<u64> = Vec::new();
             let eof = st.eof;
@@ -785,7 +800,7 @@ fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<Se
                 while let Some(bucket) = lane.handle.try_recv() {
                     lane.expected = Some(bucket.num_buckets as usize);
                     lane.delivered += 1;
-                    ready.push((rid, bucket.to_mux_bytes(rid)));
+                    ready.push((rid, bucket));
                 }
                 if let Some(err) = lane.handle.failure() {
                     if !lane.failed {
@@ -837,8 +852,8 @@ fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<Se
             }
         }
         if !write_failed {
-            for (_rid, bytes) in &ready {
-                if writer.write_frame(bytes).is_err() {
+            for (rid, bucket) in &ready {
+                if writer.write_frame(&bucket.to_mux_bytes(*rid)).is_err() {
                     write_failed = true;
                     break;
                 }
@@ -859,5 +874,49 @@ fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<Se
             return;
         }
         thread::sleep(Duration::from_micros(200));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use proteus::ServeConfig;
+    use proteus_opt::{Optimizer, Profile};
+
+    /// A daemon keeps neither the thread nor the socket of a connection
+    /// that has ended: each accept reaps the handlers that have exited,
+    /// so the registry stays at the live connections, not every one ever
+    /// served.
+    #[test]
+    fn ended_connections_are_reaped() {
+        let config = ServeConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let runtime = ServeRuntime::new(Optimizer::new(Profile::OrtLike), config).unwrap();
+        let server = NetServer::bind(runtime, 0, NetServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut dialed = 0;
+        loop {
+            // each connection closes at once; its handler ends on EOF
+            drop(TcpStream::connect(addr).unwrap());
+            dialed += 1;
+            while server.stats().connections_accepted < dialed && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+            let registered = relock(&server.shared.connections).len();
+            if dialed >= 8 && registered <= 2 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{registered} of {dialed} ended connections still registered"
+            );
+            thread::sleep(Duration::from_millis(20));
+        }
+        server.shutdown(Duration::from_secs(5));
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Provides [`Bytes`], [`BytesMut`] and the [`Buf`]/[`BufMut`] traits with
 //! the little-endian accessors used by the wire codecs in this workspace.
-//! [`Bytes`] is a cheaply-cloneable `Arc`-backed view with an advancing
-//! cursor, so `split_to`/`slice` are O(1) and never copy, matching the real
-//! crate's behavior where it matters for the benchmarks.
+//! [`Bytes`] is a cheaply-cloneable view of a shared `Arc<Vec<u8>>` with an
+//! advancing cursor, so `split_to`/`slice` are O(1) and never copy, and
+//! [`BytesMut::freeze`] hands its allocation over without copying —
+//! matching the real crate's behavior where it matters for the benchmarks.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Read side: a buffer of bytes consumed from the front.
@@ -96,7 +97,7 @@ pub trait BufMut {
 /// Immutable, cheaply-cloneable byte view with an advancing read cursor.
 #[derive(Debug, Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -107,11 +108,7 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(src),
-            start: 0,
-            end: src.len(),
-        }
+        Bytes::from(src.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -188,10 +185,11 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `v`'s allocation; no byte is copied.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -237,6 +235,20 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Reserves room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
+
+    /// Grows or shrinks to `new_len` bytes, filling new bytes with `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.data.resize(new_len, value);
+    }
+
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -269,6 +281,12 @@ impl Deref for BytesMut {
 
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -305,6 +323,54 @@ mod tests {
         let mid = b.slice(1..3);
         assert_eq!(mid.to_vec(), vec![3, 4]);
         assert_eq!(b.to_vec(), vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn freeze_keeps_the_allocation() {
+        let mut w = BytesMut::with_capacity(64);
+        w.put_slice(&[9; 40]);
+        let at = w.as_ptr();
+        let frozen = w.freeze();
+        assert_eq!(frozen.as_ptr(), at, "freeze copied the buffer");
+        assert_eq!(frozen.len(), 40);
+        let owned = vec![1u8, 2, 3];
+        let at = owned.as_ptr();
+        assert_eq!(Bytes::from(owned).as_ptr(), at);
+    }
+
+    #[test]
+    fn slices_of_a_frozen_buffer_share_it() {
+        let mut w = BytesMut::new();
+        w.put_slice(b"0123456789");
+        let mut frozen = w.freeze();
+        let base = frozen.as_ptr();
+        assert_eq!(frozen.slice(3..5).as_ptr(), base.wrapping_add(3));
+        assert_eq!(frozen.clone().as_ptr(), base);
+        let head = frozen.split_to(4);
+        assert_eq!(head.as_ptr(), base);
+        assert_eq!(frozen.as_ptr(), base.wrapping_add(4));
+        assert_eq!(&frozen[..], b"456789");
+    }
+
+    #[test]
+    fn resize_reserve_and_deref_mut_match_the_registry_crate() {
+        let mut w = BytesMut::new();
+        w.put_slice(b"ab");
+        w.reserve(100);
+        assert!(w.capacity() >= 102);
+        assert_eq!(&w[..], b"ab", "reserve keeps the contents");
+        w.resize(5, 7);
+        assert_eq!(&w[..], &[b'a', b'b', 7, 7, 7]);
+        w.resize(1, 0);
+        assert_eq!(&w[..], b"a");
+        w.resize(3, 0);
+        w[1..3].copy_from_slice(b"yz");
+        w[0] = b'x';
+        assert_eq!(&w[..], b"xyz");
+        for chunk in w.chunks_exact_mut(1) {
+            chunk[0] += 1;
+        }
+        assert_eq!(w.freeze().to_vec(), b"yz{");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! yield typed errors or bit-correct reassembly — never panics, and never
 //! data crossing from one request into another's output.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use proteus::{Bucket, BucketMember, ObfuscatedModel, SealedBucket};
-use proteus_graph::{Activation, Graph, Op, Shape, TensorMap, WireError, WIRE_VERSION};
+use proteus_graph::wire::{decode_frame, encode_frame, encode_frame_v2, encode_graph};
+use proteus_graph::{Activation, Graph, Op, Shape, Tensor, TensorMap, WireError, WIRE_VERSION};
 
 mod proptests {
     use super::*;
@@ -72,6 +73,71 @@ mod proptests {
                     bucket: Bucket { members },
                 }
             })
+    }
+
+    /// Members carrying weights of arbitrary bit patterns (NaN payloads,
+    /// subnormals, negative zero) on nodes that sit behind a tombstone,
+    /// so compaction renumbers them.
+    fn arb_weighted_member() -> impl Strategy<Value = BucketMember> {
+        let weights = proptest::collection::vec(
+            proptest::collection::vec(proptest::num::u32::ANY, 0..24),
+            0..4,
+        );
+        (arb_member(), weights).prop_map(|(mut m, weights)| {
+            let x = m.graph.node_ids()[0];
+            let dead = m.graph.add(Op::Identity, [x]);
+            for bits in weights {
+                let shape = Shape::from([bits.len()]);
+                let node = m.graph.add(
+                    Op::Constant {
+                        shape: shape.clone(),
+                    },
+                    [],
+                );
+                let data = bits.into_iter().map(f32::from_bits).collect();
+                m.params.insert(node, vec![Tensor::new(shape, data)]);
+            }
+            m.graph.remove(dead);
+            m
+        })
+    }
+
+    /// The sealed payload built the way the encoder built it before it
+    /// sealed in place: each member's graph and params encoded into
+    /// buffers of their own — params one `put_f32_le` per float — then
+    /// copied in behind their length prefixes.
+    fn reference_payload(sealed: &SealedBucket) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        out.put_u32_le(sealed.num_buckets);
+        out.put_u32_le(sealed.bucket.members.len() as u32);
+        for m in &sealed.bucket.members {
+            let (_, mapping) = m.graph.compact();
+            let entries: Vec<_> = m
+                .graph
+                .iter()
+                .filter_map(|(id, _)| m.params.get(id).map(|t| (mapping[&id].index(), t)))
+                .collect();
+            let mut params = BytesMut::new();
+            params.put_u32_le(entries.len() as u32);
+            for (idx, tensors) in entries {
+                params.put_u32_le(idx as u32);
+                params.put_u32_le(tensors.len() as u32);
+                for t in tensors {
+                    params.put_u32_le(t.shape().rank() as u32);
+                    for &d in t.shape().dims() {
+                        params.put_u64_le(d as u64);
+                    }
+                    for &v in t.data() {
+                        params.put_f32_le(v);
+                    }
+                }
+            }
+            for part in [encode_graph(&m.graph).to_vec(), params.to_vec()] {
+                out.put_u32_le(part.len() as u32);
+                out.put_slice(&part);
+            }
+        }
+        out.to_vec()
     }
 
     fn assert_members_equal(a: &Bucket, b: &Bucket) {
@@ -144,6 +210,31 @@ mod proptests {
                 }
                 other => prop_assert!(false, "expected UnknownVersion, got {:?}", other),
             }
+        }
+
+        // The in-place sealer writes exactly the bytes of the old
+        // two-step path, v2 and v1 alike, and the weights decode back
+        // bit for bit.
+        #[test]
+        fn in_place_seal_matches_the_member_by_member_reference(
+            members in proptest::collection::vec(arb_weighted_member(), 1..5),
+            bucket_index in 0u32..4,
+            request_id in proptest::num::u64::ANY,
+        ) {
+            let sealed = SealedBucket {
+                bucket_index,
+                num_buckets: bucket_index + 1,
+                bucket: Bucket { members },
+            };
+            let payload = reference_payload(&sealed);
+            let want = encode_frame_v2(request_id, bucket_index, &payload);
+            let got = sealed.to_mux_bytes(request_id);
+            prop_assert_eq!(got.to_vec(), want.to_vec());
+            let want_v1 = encode_frame(bucket_index, &payload);
+            prop_assert_eq!(sealed.to_bytes().to_vec(), want_v1.to_vec());
+            // decoding keeps every weight's bits: the re-encode is the same
+            let (_, back) = SealedBucket::from_mux_bytes(got).unwrap();
+            prop_assert_eq!(back.to_mux_bytes(request_id).to_vec(), want.to_vec());
         }
 
         #[test]
@@ -244,6 +335,67 @@ mod mux {
                 frames_b,
             }
         })
+    }
+
+    /// Re-seals request A's `frame` with a valid checksum after `edit`
+    /// rewrote its payload, so only the payload walk can catch a lie.
+    /// `edit` also gets each member's `(graph_len, params_len)` offsets.
+    fn reseal(frame: &SealedBucket, edit: impl FnOnce(&mut Vec<u8>, &[(usize, usize)])) -> Bytes {
+        let mut wire = frame.to_mux_bytes(RID_A);
+        let mut payload = decode_frame(&mut wire).expect("frame").payload.to_vec();
+        let len_at = |p: &[u8], at: usize| {
+            u32::from_le_bytes([p[at], p[at + 1], p[at + 2], p[at + 3]]) as usize
+        };
+        let mut spans = Vec::new();
+        let mut at = 8;
+        for _ in 0..frame.bucket.members.len() {
+            let params_at = at + 4 + len_at(&payload, at);
+            spans.push((at, params_at));
+            at = params_at + 4 + len_at(&payload, params_at);
+        }
+        edit(&mut payload, &spans);
+        encode_frame_v2(RID_A, frame.bucket_index, &payload)
+    }
+
+    /// The owner walks every member's length prefixes but decodes only the
+    /// real member: lies and trailing bytes are typed errors, the real
+    /// member's content is fully checked, and a sentinel's content is
+    /// never parsed.
+    #[test]
+    fn reassembly_walks_every_member_and_decodes_only_the_real_one() {
+        let fx = fixture();
+        let frame = &fx.frames_a[0];
+        let real = fx.secrets_a.real_positions[frame.bucket_index as usize];
+        let sentinel = (real + 1) % frame.bucket.members.len();
+        let accept = |wire: Bytes| DeobfuscationSession::new(&fx.secrets_a).accept_mux_bytes(wire);
+        let set =
+            |p: &mut Vec<u8>, at: usize, v: u32| p[at..at + 4].copy_from_slice(&v.to_le_bytes());
+
+        accept(reseal(frame, |_, _| {})).expect("an honest re-seal is accepted");
+        // a params length that runs past the payload
+        let err = accept(reseal(frame, |p, spans| set(p, spans[0].1, u32::MAX))).unwrap_err();
+        assert!(
+            matches!(err, ProteusError::Wire(WireError::Truncated { .. })),
+            "{err:?}"
+        );
+        let err = accept(reseal(frame, |p, _| p.push(0))).unwrap_err();
+        assert!(
+            matches!(err, ProteusError::Wire(WireError::Malformed { .. })),
+            "{err:?}"
+        );
+        // the graph name's length prefix, inside the member's graph body
+        let err = accept(reseal(frame, |p, spans| {
+            set(p, spans[real].0 + 4, u32::MAX)
+        }))
+        .unwrap_err();
+        assert!(
+            matches!(err, ProteusError::Wire(WireError::Truncated { .. })),
+            "{err:?}"
+        );
+        accept(reseal(frame, |p, spans| {
+            set(p, spans[sentinel].0 + 4, u32::MAX)
+        }))
+        .expect("a sentinel's content is not the owner's to parse");
     }
 
     proptest! {
