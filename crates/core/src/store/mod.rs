@@ -6,10 +6,13 @@
 //! record's FNV-1a is seeded with the previous record's digest, and each
 //! record's checksummed payload names its predecessor's digest — see
 //! [`wal`]). Appends commit atomically by renaming a small marker file
-//! over the previous one; recovery replays the committed horizon and
-//! truncates any uncommitted tail a crash left behind. The failure
-//! discipline matches the net codec's: every bad byte is a typed
-//! [`StoreError`], and nothing is ever silently resynced.
+//! over the previous one; one commit covers a batch of 1..N chained
+//! records ([`Store::record_lane_frames`] journals a whole socket read's
+//! frames at once). Recovery replays the committed horizon and truncates
+//! any uncommitted tail a crash left behind — a crash mid-batch leaves
+//! the whole batch as that tail. The failure discipline matches the net
+//! codec's: every bad byte is a typed [`StoreError`], and nothing is
+//! ever silently resynced.
 //!
 //! What the log carries:
 //!
@@ -34,18 +37,18 @@
 //! | killed during            | after recovery                           |
 //! |--------------------------|------------------------------------------|
 //! | store creation           | WAL holds at most a genesis prefix and no marker exists; nothing was committed — recreated fresh |
-//! | WAL record append        | tail truncated; append was never acked   |
+//! | WAL batch append         | tail truncated; no record of the batch was acked |
 //! | marker tmp write         | old marker intact; tail truncated        |
 //! | marker rename            | rename is atomic: old or new, never torn |
 //! | any later read           | nothing to recover                       |
 //!
-//! Every append fsyncs the WAL, the staged marker, *and* the store
-//! directory before acknowledging, so the commit boundary survives
-//! power loss as well as a killed process. A *failed* append rolls the
-//! WAL back to the committed horizon before returning its error, so
-//! orphan bytes of a half-written record can never end up under a
-//! later marker; if even that rollback fails, the store poisons itself
-//! ([`StoreError::Poisoned`]) and refuses further appends until a
+//! Every commit fsyncs the WAL, the staged marker, *and* the store
+//! directory once before acknowledging its batch, so the commit
+//! boundary survives power loss as well as a killed process. A *failed*
+//! append rolls the WAL back to the committed horizon before returning
+//! its error, so orphan bytes of a half-written batch can never end up
+//! under a later marker; if even that rollback fails, the store poisons
+//! itself ([`StoreError::Poisoned`]) and refuses further appends until a
 //! reopen replays the on-disk truth.
 //!
 //! A flipped byte is *not* a crash: inside the committed horizon it
@@ -53,6 +56,8 @@
 //! [`StoreError::Corrupt`]; in the marker it surfaces as
 //! [`StoreError::Marker`]. `proteus-train store verify DIR` runs the
 //! same fsck read-only.
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod codec;
 pub mod wal;
@@ -112,8 +117,9 @@ pub enum StoreError {
         detail: String,
     },
     /// A failed append could not be cleanly undone (the WAL rollback
-    /// or the directory sync after a committed rename failed), so the
-    /// in-memory view can no longer be trusted to match the disk.
+    /// or the directory sync after a committed rename failed), or a
+    /// record that was already durable failed to apply to the indexes,
+    /// so the in-memory view can no longer be trusted to match the disk.
     /// Further appends are refused; reopening the store replays the
     /// on-disk truth and recovers.
     Poisoned {
@@ -270,8 +276,8 @@ struct Inner {
     artifacts: Vec<ArtifactEntry>,
     sessions: BTreeMap<u64, SessionState>,
     lanes: BTreeMap<u64, Vec<Bytes>>,
-    /// Test-only fault injection: the next append writes a partial
-    /// record and then fails, the way ENOSPC mid-`write_all` would.
+    /// Test-only fault injection: the next append writes half of its
+    /// batch and then fails, the way ENOSPC mid-`write_all` would.
     #[cfg(test)]
     fail_next_append: bool,
 }
@@ -296,7 +302,7 @@ impl Inner {
 }
 
 /// Rolls the WAL back to the committed horizon after a failed append,
-/// so the orphan bytes of a half-written record can never sit under a
+/// so the orphan bytes of a half-written batch can never sit under a
 /// marker a *later* successful append commits (replay would then hit
 /// `Corrupt` and the store would be unrecoverable). When even the
 /// rollback fails, the store poisons itself: further appends are
@@ -436,8 +442,8 @@ impl Store {
         };
         {
             let mut inner = store.lock();
-            let body = wal::STORE_FORMAT_VERSION.to_le_bytes();
-            store.append(&mut inner, RecordTag::Genesis, &body)?;
+            let body = Bytes::copy_from_slice(&wal::STORE_FORMAT_VERSION.to_le_bytes());
+            store.append(&mut inner, vec![(RecordTag::Genesis, body)])?;
         }
         Ok((
             store,
@@ -550,7 +556,7 @@ impl Store {
         self.lock().poisoned.is_some()
     }
 
-    /// Makes the next append write a partial record and fail, the way
+    /// Makes the next append write half of its batch and fail, the way
     /// ENOSPC mid-`write_all` would.
     #[cfg(test)]
     fn inject_append_failure(&self) {
@@ -585,7 +591,7 @@ impl Store {
         body.put_u64_le(digest);
         body.put_u32_le(bytes.len() as u32);
         body.put_slice(bytes);
-        self.append(&mut inner, RecordTag::Artifact, &body)?;
+        self.append(&mut inner, vec![(RecordTag::Artifact, body.freeze())])?;
         Ok(digest)
     }
 
@@ -631,7 +637,7 @@ impl Store {
             )));
         }
         let body = encode_secrets(secrets);
-        self.append(&mut inner, RecordTag::SessionOpen, &body)
+        self.append(&mut inner, vec![(RecordTag::SessionOpen, body)])
     }
 
     /// Journals one accepted optimized frame (raw wire bytes, v1 or v2)
@@ -647,10 +653,8 @@ impl Store {
                 "no open session {request_id:#x} to journal a frame for"
             )));
         }
-        let mut body = BytesMut::with_capacity(8 + frame.len());
-        body.put_u64_le(request_id);
-        body.put_slice(frame);
-        self.append(&mut inner, RecordTag::SessionFrame, &body)
+        let body = id_prefixed(request_id, frame);
+        self.append(&mut inner, vec![(RecordTag::SessionFrame, body)])
     }
 
     /// Marks a session finished; its journaled state is garbage from
@@ -666,11 +670,8 @@ impl Store {
                 "no open session {request_id:#x} to finish"
             )));
         }
-        self.append(
-            &mut inner,
-            RecordTag::SessionDone,
-            &request_id.to_le_bytes(),
-        )
+        let body = id_prefixed(request_id, &[]);
+        self.append(&mut inner, vec![(RecordTag::SessionDone, body)])
     }
 
     /// Request ids of every session still open (checkpointed, never
@@ -707,16 +708,29 @@ impl Store {
     // -- serving lanes ------------------------------------------------
 
     /// Journals one input frame (raw wire bytes) submitted to a serving
-    /// lane. The first frame of a request id opens the lane.
+    /// lane. The first frame of a request id opens the lane. The
+    /// one-frame case of [`Store::record_lane_frames`].
     ///
     /// # Errors
     /// [`StoreError::Io`] on append failure.
     pub fn record_lane_frame(&self, request_id: u64, frame: &[u8]) -> Result<(), StoreError> {
-        let mut inner = self.lock();
-        let mut body = BytesMut::with_capacity(8 + frame.len());
-        body.put_u64_le(request_id);
-        body.put_slice(frame);
-        self.append(&mut inner, RecordTag::LaneSubmit, &body)
+        self.record_lane_frames(&[(request_id, frame)])
+    }
+
+    /// Journals a batch of `(request id, raw frame)` lane submissions,
+    /// in order, under one commit: one WAL write and fsync, one marker
+    /// rename and one directory sync for the whole batch. All of the
+    /// batch is durable when this returns `Ok`, or none of it is. An
+    /// empty batch appends nothing.
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] on append failure (the batch is rolled back).
+    pub fn record_lane_frames(&self, frames: &[(u64, &[u8])]) -> Result<(), StoreError> {
+        let batch = frames
+            .iter()
+            .map(|&(request_id, frame)| (RecordTag::LaneSubmit, id_prefixed(request_id, frame)))
+            .collect();
+        self.append(&mut self.lock(), batch)
     }
 
     /// Marks a serving lane fully delivered; it will not be re-run on
@@ -730,7 +744,8 @@ impl Store {
         if !inner.lanes.contains_key(&request_id) {
             return Ok(());
         }
-        self.append(&mut inner, RecordTag::LaneDone, &request_id.to_le_bytes())
+        let body = id_prefixed(request_id, &[]);
+        self.append(&mut inner, vec![(RecordTag::LaneDone, body)])
     }
 
     /// Every pending lane (submitted frames that were never marked
@@ -748,53 +763,70 @@ impl Store {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // the store holds no state that can go inconsistent under a
-        // panicking holder half-way: appends write-then-apply, and apply
-        // is infallible once the record is durable. Healing the poison
-        // keeps the daemon serving.
+        // panicking holder half-way: appends write-then-apply, and a
+        // durable record that fails to apply poisons the store instead
+        // of panicking. Healing the lock poison keeps the daemon serving.
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Appends one record and commits it: write + flush + fsync the WAL,
-    /// atomically rename the refreshed marker into place, fsync the
-    /// store directory (so the rename — and, on the first append, the
-    /// WAL's directory entry — survive power loss, not just process
-    /// death), then apply the record to the in-memory indexes. Only
-    /// returns `Ok` after the directory sync — the all-or-nothing
-    /// acknowledgement boundary.
+    /// Appends a batch of records and commits them together: encode the
+    /// chained records into one buffer, write + flush + fsync the WAL
+    /// once, atomically rename the marker for the batch's final horizon
+    /// into place, fsync the store directory (so the rename — and, on
+    /// the first append, the WAL's directory entry — survive power loss,
+    /// not just process death), then apply each record to the in-memory
+    /// indexes. Only returns `Ok` after the directory sync — the
+    /// all-or-nothing acknowledgement boundary of the whole batch. An
+    /// empty batch commits nothing.
     ///
     /// A failed append never leaves orphan bytes under a later marker:
     /// the WAL is [`rollback`]ed to the committed horizon before the
     /// error returns, and when that cannot be done the store poisons
-    /// itself and refuses further appends ([`StoreError::Poisoned`]).
-    fn append(&self, inner: &mut Inner, tag: RecordTag, body: &[u8]) -> Result<(), StoreError> {
+    /// itself and refuses further appends ([`StoreError::Poisoned`]). A
+    /// committed record that fails to apply (callers validate before
+    /// appending, so this is a broken invariant) poisons the store too.
+    fn append(&self, inner: &mut Inner, batch: Vec<(RecordTag, Bytes)>) -> Result<(), StoreError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
         if let Some(detail) = &inner.poisoned {
             return Err(StoreError::poisoned(detail.clone()));
         }
-        let record = wal::encode_record(tag, inner.records, inner.chain, body);
+        let mut chain = inner.chain;
+        let mut records = Vec::with_capacity(
+            batch
+                .iter()
+                .map(|(_, body)| body.len() + wal::RECORD_OVERHEAD)
+                .sum(),
+        );
+        for (seq, (tag, body)) in (inner.records..).zip(&batch) {
+            let record = wal::encode_record(*tag, seq, chain, body);
+            chain = wal::chain_digest(chain, &record);
+            records.extend_from_slice(&record);
+        }
         #[cfg(test)]
         if inner.fail_next_append {
             inner.fail_next_append = false;
-            let _ = inner.wal.write_all(&record[..record.len() / 2]);
+            let _ = inner.wal.write_all(&records[..records.len() / 2]);
             let _ = inner.wal.sync_data();
             let injected = std::io::Error::other("injected mid-write failure");
-            let cause = StoreError::io("appending WAL record", &injected);
+            let cause = StoreError::io("appending WAL records", &injected);
             return Err(rollback(inner, cause));
         }
         if let Err(e) = inner
             .wal
-            .write_all(&record)
+            .write_all(&records)
             .and_then(|()| inner.wal.flush())
             .and_then(|()| inner.wal.sync_data())
         {
-            return Err(rollback(inner, StoreError::io("appending WAL record", &e)));
+            return Err(rollback(inner, StoreError::io("appending WAL records", &e)));
         }
-        let chain = wal::chain_digest(inner.chain, &record);
         let marker = Marker {
-            committed_len: inner.committed_len + record.len() as u64,
+            committed_len: inner.committed_len + records.len() as u64,
             chain,
-            records: inner.records + 1,
+            records: inner.records + batch.len() as u64,
         };
         let tmp = self.dir.join(wal::MARKER_TMP_FILE);
         let dst = self.dir.join(wal::MARKER_FILE);
@@ -809,30 +841,34 @@ impl Store {
         }
         if let Err(e) = sync_dir(&self.dir) {
             // the new marker is already renamed into place, so the
-            // record must *stay* — truncating now would leave the
+            // batch must *stay* — truncating now would leave the
             // marker claiming bytes the WAL no longer has. Poison
             // instead; a reopen replays the (consistent) on-disk state.
             let err = StoreError::io("syncing store directory", &e);
             inner.poisoned = Some(err.to_string());
             return Err(err);
         }
+        let first = inner.records;
         inner.chain = chain;
         inner.records = marker.records;
         inner.committed_len = marker.committed_len;
-        let applied = apply(
-            inner,
-            &WalRecord {
-                tag,
-                seq: marker.records - 1,
-                body: Bytes::copy_from_slice(body),
-            },
-        );
-        debug_assert!(
-            applied.is_ok(),
-            "append validated before write: {applied:?}"
-        );
+        for (seq, (tag, body)) in (first..).zip(batch) {
+            if let Err(detail) = apply(inner, &WalRecord { tag, seq, body }) {
+                let detail = format!("committed record {seq} failed to apply: {detail}");
+                inner.poisoned = Some(detail.clone());
+                return Err(StoreError::poisoned(detail));
+            }
+        }
         Ok(())
     }
+}
+
+/// A record body that opens with a request id: `request_id u64 | rest`.
+fn id_prefixed(request_id: u64, rest: &[u8]) -> Bytes {
+    let mut body = BytesMut::with_capacity(8 + rest.len());
+    body.put_u64_le(request_id);
+    body.put_slice(rest);
+    body.freeze()
 }
 
 /// Interprets one chain-verified record into the in-memory indexes.
@@ -1086,6 +1122,80 @@ mod tests {
         assert_eq!(report.artifacts, 2);
         assert_eq!(store.latest_artifact().unwrap().0, 0x3);
         assert!(Store::verify(&dir).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_batch_changes_nothing() {
+        let dir = tempdir("emptybatch");
+        let (store, _) = Store::open_or_create(&dir).unwrap();
+        store.record_lane_frame(3, b"frame").unwrap();
+        let records = store.records();
+        let wal_len = std::fs::metadata(Store::wal_path(&dir)).unwrap().len();
+        let marker = std::fs::read(Store::marker_path(&dir)).unwrap();
+        store.record_lane_frames(&[]).unwrap();
+        assert_eq!(store.records(), records);
+        assert_eq!(store.committed_len(), wal_len);
+        let wal_after = std::fs::metadata(Store::wal_path(&dir)).unwrap().len();
+        assert_eq!(wal_after, wal_len, "WAL grew");
+        let marker_after = std::fs::read(Store::marker_path(&dir)).unwrap();
+        assert_eq!(marker_after, marker, "marker rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_batch_rolls_back_whole_and_the_store_stays_usable() {
+        let dir = tempdir("batchrollback");
+        let (store, _) = Store::open_or_create(&dir).unwrap();
+        store.record_lane_frame(1, b"kept").unwrap();
+        let (records, committed) = (store.records(), store.committed_len());
+
+        store.inject_append_failure();
+        let frames: [(u64, &[u8]); 3] = [(1, &[0xA1; 64]), (2, &[0xA2; 64]), (3, &[0xA3; 64])];
+        let err = store.record_lane_frames(&frames).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
+        assert!(!store.is_poisoned(), "rollback succeeded, not poisoned");
+        assert_eq!(store.records(), records, "no record of the batch counted");
+        let wal_len = std::fs::metadata(Store::wal_path(&dir)).unwrap().len();
+        assert_eq!(wal_len, committed, "orphan batch bytes not rolled back");
+        assert_eq!(
+            store.pending_lanes().len(),
+            1,
+            "no lane of the batch indexed"
+        );
+
+        store.record_lane_frames(&frames[1..]).unwrap();
+        drop(store);
+        let (store, report) = Store::open_or_create(&dir).unwrap();
+        assert_eq!(report.records, records + 2);
+        let rids: Vec<u64> = store.pending_lanes().iter().map(|l| l.0).collect();
+        assert_eq!(rids, [1, 2, 3]);
+        assert_eq!(
+            store.pending_lanes()[0].1.len(),
+            1,
+            "failed frame resurfaced"
+        );
+        assert!(Store::verify(&dir).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_committed_record_that_fails_to_apply_poisons_instead_of_panicking() {
+        let dir = tempdir("applyfail");
+        let (store, _) = Store::open_or_create(&dir).unwrap();
+        // skip the caller-side validation: a lane-done mark for a lane
+        // that was never submitted is durable but cannot apply
+        let err = {
+            let mut inner = store.lock();
+            let body = id_prefixed(42, &[]);
+            store
+                .append(&mut inner, vec![(RecordTag::LaneDone, body)])
+                .unwrap_err()
+        };
+        assert!(matches!(err, StoreError::Poisoned { .. }), "{err}");
+        assert!(store.is_poisoned());
+        let err = store.record_lane_frame(1, b"refused").unwrap_err();
+        assert!(matches!(err, StoreError::Poisoned { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -23,18 +23,19 @@
 //! (individually valid) records breaks the `prev_digest`/`seq`
 //! verification. Nothing past a bad byte is ever silently resynced.
 //!
-//! Commit is atomic via rename: after a record is appended and flushed,
-//! the [`MARKER_LEN`]-byte marker file (`store.commit`) is rewritten to a
-//! temp file and `rename(2)`d into place. The marker names the committed byte
-//! length, the chain digest, and the record count; bytes beyond the
+//! Commit is atomic via rename: after a batch of one or more chained
+//! records is appended and flushed, the [`MARKER_LEN`]-byte marker file
+//! (`store.commit`) is rewritten to a temp file and `rename(2)`d into
+//! place. The marker names the committed byte length, the chain digest,
+//! and the record count at the batch's last record; bytes beyond the
 //! committed length are an uncommitted tail (a crash between append and
-//! rename) and are truncated on recovery — the append was never
+//! rename) and are truncated on recovery — the whole batch was never
 //! acknowledged, so nothing acknowledged is lost.
 
 use super::StoreError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
-    decode_frame, encode_frame, fnv1a64_continue, Envelope, Versions, WIRE_VERSION_V1,
+    decode_frame, fnv1a64_continue, seal_frame, Envelope, Versions, FRAME, WIRE_VERSION_V1,
 };
 
 /// WAL file name inside a store directory.
@@ -67,6 +68,10 @@ pub const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Fixed prefix of every record payload: `prev_digest u64 | seq u64`.
 pub const RECORD_PREFIX: usize = 16;
+
+/// Bytes a record adds around its body: the v1 frame header (4 field
+/// bytes: the tag) plus the chain prefix.
+pub(crate) const RECORD_OVERHEAD: usize = FRAME.header_len(4) + RECORD_PREFIX;
 
 /// What a WAL record describes. Encoded in the v1 frame's `bucket_index`
 /// field; unknown tags are rejected as corruption, never skipped.
@@ -118,11 +123,17 @@ pub struct WalRecord {
 /// Encodes one record: a v1 frame whose payload folds in the previous
 /// record's chain digest.
 pub fn encode_record(tag: RecordTag, seq: u64, prev_digest: u64, body: &[u8]) -> Bytes {
-    let mut payload = BytesMut::with_capacity(RECORD_PREFIX + body.len());
-    payload.put_u64_le(prev_digest);
-    payload.put_u64_le(seq);
-    payload.put_slice(body);
-    encode_frame(tag as u32, &payload)
+    seal_frame(
+        WIRE_VERSION_V1,
+        0,
+        tag as u32,
+        RECORD_PREFIX + body.len(),
+        |payload| {
+            payload.put_u64_le(prev_digest);
+            payload.put_u64_le(seq);
+            payload.put_slice(body);
+        },
+    )
 }
 
 /// Advances the chain: digest of a record given its predecessor's digest

@@ -70,8 +70,20 @@ impl FrameReader {
     }
 
     /// Appends freshly-read socket bytes to the reassembly buffer.
+    ///
+    /// Once the buffered header tells the length of the envelope at the
+    /// front (already capped at [`MAX_FRAME_PAYLOAD`]), the buffer
+    /// reserves the whole envelope, so a large frame lands in one
+    /// allocation instead of growing by doubling across socket reads.
+    /// The reservation happens here, where that envelope's bytes arrive,
+    /// not when a drain finds it incomplete: draining every complete
+    /// frame does not allocate the next one while they are still held.
     pub fn push(&mut self, chunk: &[u8]) {
         self.buf.extend_from_slice(chunk);
+        // a framing error is reported by the next poll, not here
+        if let Ok(Some(len)) = envelope_len(&STREAM, &self.buf, MAX_FRAME_PAYLOAD) {
+            self.buf.reserve(len.saturating_sub(self.buf.len()));
+        }
     }
 
     /// Bytes currently buffered and not yet yielded as frames.
@@ -84,19 +96,11 @@ impl FrameReader {
     /// decides the length; anything after the envelope stays buffered.
     /// The handshake layer shares this with [`FrameReader::try_next`], so
     /// bytes a peer pipelines after its hello stay queued for frames.
-    ///
-    /// Once the header tells the envelope's length (already capped at
-    /// [`MAX_FRAME_PAYLOAD`]), the buffer reserves the whole envelope, so
-    /// a large frame lands in one allocation instead of growing by
-    /// doubling across socket reads.
+    /// Never grows the buffer: [`FrameReader::push`] reserves.
     pub(crate) fn next_envelope(&mut self, rows: &[&Envelope]) -> Result<Option<Bytes>, NetError> {
         match envelope_len(rows, &self.buf, MAX_FRAME_PAYLOAD)? {
             Some(len) if self.buf.len() >= len => Ok(Some(self.buf.split_to(len).freeze())),
-            Some(len) => {
-                self.buf.reserve(len - self.buf.len());
-                Ok(None)
-            }
-            None => Ok(None),
+            _ => Ok(None),
         }
     }
 
@@ -265,6 +269,28 @@ mod tests {
         assert_eq!(reader.try_next().unwrap(), None);
         reader.push(&frame[frame.len() - 1..]);
         assert_eq!(reader.try_next().unwrap(), Some(NetFrame::Data(frame)));
+    }
+
+    #[test]
+    fn draining_to_none_does_not_grow_the_buffer() {
+        let big = encode_frame_v2(1, 0, &vec![0xAB; 64 * 1024]);
+        let small = encode_frame_v2(2, 0, b"small");
+        let mut stream = small.to_vec();
+        stream.extend_from_slice(&big[..64]); // the next frame's header only
+        let mut reader = FrameReader::new();
+        reader.push(&stream);
+        assert_eq!(reader.try_next().unwrap(), Some(NetFrame::Data(small)));
+        let held = reader.buf.capacity();
+        assert_eq!(reader.try_next().unwrap(), None);
+        assert_eq!(reader.buf.capacity(), held, "Ok(None) grew the buffer");
+        assert!(held < big.len(), "the next envelope was reserved early");
+        // its bytes arriving is what reserves it, once: no regrowth after
+        reader.push(&big[64..128]);
+        let reserved = reader.buf.capacity();
+        assert!(reserved >= big.len());
+        reader.push(&big[128..]);
+        assert_eq!(reader.buf.capacity(), reserved, "regrew after reserving");
+        assert_eq!(reader.try_next().unwrap(), Some(NetFrame::Data(big)));
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //!
 //! One accept thread polls the listener; each connection gets a
 //! *reader* thread (socket → [`FrameReader`] → lane `submit_bytes`) and
-//! a *writer* thread (lane `try_recv` → socket). The split matters for
-//! backpressure: a reader blocked in `submit_bytes` (lane window full)
-//! stops reading, TCP flow control propagates the stall to the client,
-//! and the writer keeps draining completed frames the whole time — so
-//! the window opens again and the system never deadlocks on a full
-//! socket buffer in either direction.
+//! a *writer* thread (lane `try_recv` → socket). The reader works one
+//! socket read at a time: it drains every complete frame the read
+//! finished, admits each in order, journals the admitted ones as one
+//! durable batch (with a store), and only then submits them. The split
+//! matters for backpressure: a reader blocked in `submit_bytes` (lane
+//! window full) stops reading, TCP flow control propagates the stall to
+//! the client, and the writer keeps draining completed frames the whole
+//! time — so the window opens again and the system never deadlocks on a
+//! full socket buffer in either direction.
 //!
 //! All socket writes after the handshake go through the writer thread;
 //! the reader queues error frames for it instead of writing directly.
@@ -98,10 +101,11 @@ pub struct NetServerConfig {
     /// Free-form banner announced in the server hello.
     pub banner: String,
     /// Durable store to journal in-flight lanes into. Every frame a
-    /// lane accepts is recorded before serving proceeds, and the lane
-    /// is marked done when it completes or fails — so a killed daemon
-    /// restarted with the same store re-runs exactly the lanes whose
-    /// clients never got their answer. `None` = no durability.
+    /// lane accepts is recorded before serving proceeds (one commit per
+    /// socket read), and the lane is marked done after its last frame
+    /// (or its error frame) is written — so a killed daemon restarted
+    /// with the same store re-runs every lane whose client might not
+    /// have its answer. `None` = no durability.
     pub store: Option<Arc<Store>>,
 }
 
@@ -208,14 +212,15 @@ impl ServerShared {
         }
     }
 
-    /// The single owner of every lane-teardown side effect: the
-    /// `requests_active` decrement, the tenant-quota release, the
-    /// completed/failed counter, and the durable lane-done mark. Takes
-    /// the [`Lane`] by value — a lane can only be passed here once
-    /// (removing it from the connection's map is what yields ownership),
-    /// so the gauge can never double-decrement no matter how many
-    /// teardown paths race.
-    fn release_lane(&self, request_id: u64, lane: Lane, outcome: LaneOutcome) {
+    /// The single owner of every lane-teardown counter: the
+    /// `requests_active` decrement, the tenant-quota release and the
+    /// completed/failed counter. Takes the [`Lane`] by value — a lane
+    /// can only be passed here once (removing it from the connection's
+    /// map is what yields ownership), so the gauge can never
+    /// double-decrement no matter how many teardown paths race. Cheap,
+    /// so callers run it under the connection lock; the durable mark is
+    /// [`ServerShared::mark_lanes_done`], after the lock.
+    fn release_lane(&self, lane: Lane, outcome: LaneOutcome) {
         self.release_tenant(&lane.tenant);
         self.counters.requests_active.fetch_sub(1, Ordering::SeqCst);
         match outcome {
@@ -223,13 +228,20 @@ impl ServerShared {
             LaneOutcome::Failed => &self.counters.requests_failed,
         }
         .fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Marks released lanes done in the durable store, once their last
+    /// frames have been written (or the connection is gone): the
+    /// journaled lanes must not be re-run on restart. A crash before the
+    /// mark only makes a restart re-run a lane whose answer was already
+    /// sent, which is harmless. Journal failure must not take down live
+    /// serving, but it must not be silent either — count and log it.
+    fn mark_lanes_done(&self, request_ids: &[u64]) {
         if let Some(store) = &self.config.store {
-            // the client has its answer (or its error frame) either
-            // way: the journaled lane must not be re-run on restart.
-            // Journal failure must not take down live serving, but it
-            // must not be silent either — count and log it.
-            if let Err(e) = store.finish_lane(request_id) {
-                self.note_journal_error(request_id, "lane-done mark", &e);
+            for &request_id in request_ids {
+                if let Err(e) = store.finish_lane(request_id) {
+                    self.note_journal_error(request_id, "lane-done mark", &e);
+                }
             }
         }
     }
@@ -595,13 +607,23 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
     reader_loop(&mut stream, &mut reader, &state, shared, &tenant);
     let _ = writer.join();
     // release anything still held (fatal teardown path)
-    let mut st = relock(&state);
-    for (rid, lane) in st.lanes.drain() {
-        // dropping the last handle clone cancels the lane: queued tasks
-        // detach, nothing is ever written for it — fails closed
-        shared.release_lane(rid, lane, LaneOutcome::Failed);
-    }
+    let released = release_all(&mut relock(&state), shared);
+    shared.mark_lanes_done(&released);
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Releases every lane still open on a connection that is going away,
+/// returning their request ids for the lane-done marks. Dropping the
+/// last handle clone cancels a lane: queued tasks detach and nothing is
+/// ever written for it — it fails closed.
+fn release_all(st: &mut ConnState, shared: &ServerShared) -> Vec<u64> {
+    st.lanes
+        .drain()
+        .map(|(rid, lane)| {
+            shared.release_lane(lane, LaneOutcome::Failed);
+            rid
+        })
+        .collect()
 }
 
 /// Socket → frames → lanes. Runs on the connection's main thread.
@@ -614,37 +636,16 @@ fn reader_loop(
 ) {
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        // drain complete frames before blocking on the socket again
-        loop {
-            match reader.try_next() {
-                Ok(Some(NetFrame::Data(raw))) => {
-                    if !dispatch_frame(raw, state, shared, tenant) {
-                        relock(state).eof = true;
-                        return;
-                    }
-                }
-                Ok(Some(NetFrame::Error(_))) => {
-                    // clients have no business sending error frames;
-                    // treat it as a framing violation and close
-                    let mut st = relock(state);
-                    st.errors.push_back(ErrorFrame::new(
-                        0,
-                        ErrorCode::Protocol,
-                        "client sent an error frame",
-                    ));
-                    st.eof = true;
-                    return;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // unsynchronisable stream: report once, stop reading
-                    let mut st = relock(state);
-                    st.errors
-                        .push_back(ErrorFrame::new(0, ErrorCode::Wire, e.to_string()));
-                    st.eof = true;
-                    return;
-                }
-            }
+        // drain complete frames before blocking on the socket again; a
+        // frame that ends the connection is handled after the frames
+        // before it have been dispatched
+        let (admitted, end) = drain_frames(reader, state, shared, tenant);
+        dispatch(admitted, state, shared);
+        if let Some(frame) = end {
+            let mut st = relock(state);
+            st.errors.push_back(frame);
+            st.eof = true;
+            return;
         }
         if relock(state).fatal {
             return;
@@ -665,34 +666,74 @@ fn reader_loop(
     }
 }
 
-/// Routes one raw data frame to its lane, opening the lane (through
-/// admission control) on the first frame of a new request id. Returns
-/// `false` only for failures that must end the connection.
-fn dispatch_frame(
+/// A data frame admitted to its lane, waiting to be journaled and
+/// submitted.
+struct Admitted {
+    request_id: u64,
+    handle: RequestHandle,
+    raw: Bytes,
+}
+
+/// Drains every complete frame buffered in `reader`, admitting each data
+/// frame in order. Returns the admitted frames and, when the drain ended
+/// on something that must close the connection (a framing error, an
+/// error frame from the client), the error frame to answer it with.
+fn drain_frames(
+    reader: &mut FrameReader,
+    state: &Arc<Mutex<ConnState>>,
+    shared: &Arc<ServerShared>,
+    tenant: &str,
+) -> (Vec<Admitted>, Option<ErrorFrame>) {
+    let mut admitted = Vec::new();
+    loop {
+        match reader.try_next() {
+            Ok(Some(NetFrame::Data(raw))) => match admit_frame(raw, state, shared, tenant) {
+                Ok(Some(frame)) => admitted.push(frame),
+                Ok(None) => {}
+                Err(fatal) => return (admitted, Some(fatal)),
+            },
+            // clients have no business sending error frames; treat it
+            // as a framing violation and close
+            Ok(Some(NetFrame::Error(_))) => {
+                let frame = ErrorFrame::new(0, ErrorCode::Protocol, "client sent an error frame");
+                return (admitted, Some(frame));
+            }
+            Ok(None) => return (admitted, None),
+            // unsynchronisable stream: report once, stop reading
+            Err(e) => {
+                return (
+                    admitted,
+                    Some(ErrorFrame::new(0, ErrorCode::Wire, e.to_string())),
+                )
+            }
+        }
+    }
+}
+
+/// Runs admission for one raw data frame: routes it to its lane,
+/// opening the lane (through admission control) on the first frame of a
+/// new request id. `Ok(None)` drops the frame — its request id was
+/// rejected or its lane failed (any error frame is already queued) — and
+/// `Err` carries the error frame of a failure that must end the
+/// connection.
+fn admit_frame(
     raw: Bytes,
     state: &Arc<Mutex<ConnState>>,
     shared: &Arc<ServerShared>,
     tenant: &str,
-) -> bool {
-    let request_id = match peek_frame_request_id(&raw) {
-        Ok(rid) => rid,
-        Err(e) => {
-            let mut st = relock(state);
-            st.errors
-                .push_back(ErrorFrame::new(0, ErrorCode::Wire, e.to_string()));
-            return false;
-        }
-    };
-    // fast path: existing lane (clone the handle out so submit_bytes —
-    // which can block on the backpressure window — runs without the
+) -> Result<Option<Admitted>, ErrorFrame> {
+    let request_id = peek_frame_request_id(&raw)
+        .map_err(|e| ErrorFrame::new(0, ErrorCode::Wire, e.to_string()))?;
+    // fast path: existing lane (the handle is cloned out so submit_bytes
+    // — which can block on the backpressure window — runs without the
     // connection lock held)
     let existing = {
         let mut st = relock(state);
         if st.rejected.contains(&request_id) {
-            return true; // already rejected; drop silently
+            return Ok(None); // already rejected; drop silently
         }
         match st.lanes.get_mut(&request_id) {
-            Some(lane) if lane.failed => return true,
+            Some(lane) if lane.failed => return Ok(None),
             Some(lane) => {
                 lane.submitted += 1;
                 Some(lane.handle.clone())
@@ -719,7 +760,7 @@ fn dispatch_frame(
                     ErrorCode::Shutdown,
                     "server is draining; request rejected".to_string(),
                 );
-                return true;
+                return Ok(None);
             }
             let quota = shared.config.tenant_quota;
             if quota > 0 {
@@ -731,7 +772,7 @@ fn dispatch_frame(
                         ErrorCode::QuotaExceeded,
                         format!("tenant {tenant} is at its quota of {quota} concurrent requests"),
                     );
-                    return true;
+                    return Ok(None);
                 }
                 *n += 1;
             } else {
@@ -761,25 +802,45 @@ fn dispatch_frame(
             handle
         }
     };
-    // journal *before* submitting: once the frame can influence an
-    // answer the client might act on, it must survive a daemon kill.
-    // A frame the lane then rejects (duplicate, corrupt) is journaled
-    // too — harmless, since resume replays it into a lane that rejects
-    // it identically. Journal failure must not take down live serving
-    // (the store rolls a failed append back, staying consistent), but
-    // it is counted and logged — durability is degraded from here on.
-    if let Some(store) = &shared.config.store {
-        if let Err(e) = store.record_lane_frame(request_id, &raw) {
-            shared.note_journal_error(request_id, "frame journal", &e);
+    Ok(Some(Admitted {
+        request_id,
+        handle,
+        raw,
+    }))
+}
+
+/// Journals a drain's admitted frames as one durable batch, then submits
+/// each to its lane in order. Journal *before* submitting: once a frame
+/// can influence an answer the client might act on, it must survive a
+/// daemon kill. A frame the lane then rejects (duplicate, corrupt) is
+/// journaled too — harmless, since resume replays it into a lane that
+/// rejects it identically. Journal failure must not take down live
+/// serving (the store rolls a failed batch back, staying consistent),
+/// but it is counted and logged — durability is degraded from here on.
+fn dispatch(admitted: Vec<Admitted>, state: &Arc<Mutex<ConnState>>, shared: &Arc<ServerShared>) {
+    if let (Some(store), Some(first)) = (&shared.config.store, admitted.first()) {
+        let frames: Vec<(u64, &[u8])> = admitted
+            .iter()
+            .map(|a| (a.request_id, &a.raw[..]))
+            .collect();
+        if let Err(e) = store.record_lane_frames(&frames) {
+            shared.note_journal_error(first.request_id, "frame journal", &e);
         }
     }
-    if let Err(e) = handle.submit_bytes(raw) {
-        // the lane survives a per-frame rejection (duplicate, corrupt);
-        // the client learns which frame and why
-        let mut st = relock(state);
-        st.errors.push_back(error_frame_for(request_id, &e));
+    for Admitted {
+        request_id,
+        handle,
+        raw,
+    } in admitted
+    {
+        if let Err(e) = handle.submit_bytes(raw) {
+            // the lane survives a per-frame rejection (duplicate,
+            // corrupt); the client learns which frame and why
+            relock(state)
+                .errors
+                .push_back(error_frame_for(request_id, &e));
+        }
     }
-    true
 }
 
 /// Lanes → socket. Runs until the connection is finished: every lane
@@ -789,7 +850,7 @@ fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<Se
     loop {
         // collect work under the lock, encode and write outside it, so
         // the reader keeps dispatching while a large frame encodes
-        let (errors, ready, done) = {
+        let (errors, ready, released, done) = {
             let mut st = relock(state);
             let errors: Vec<ErrorFrame> = st.errors.drain(..).collect();
             let mut ready: Vec<(u64, SealedBucket)> = Vec::new();
@@ -819,10 +880,14 @@ fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<Se
                     completed.push(rid);
                 }
             }
+            // lanes released in this pass; marked done once their
+            // frames below are written
+            let mut released = Vec::with_capacity(failed.len() + completed.len());
             for (rid, frame) in failed {
                 st.errors.push_back(frame);
                 if let Some(lane) = st.lanes.remove(&rid) {
-                    shared.release_lane(rid, lane, LaneOutcome::Failed);
+                    shared.release_lane(lane, LaneOutcome::Failed);
+                    released.push(rid);
                 }
                 st.rejected.insert(rid);
             }
@@ -835,14 +900,15 @@ fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<Se
                         // the client abandoned the request mid-stream
                         LaneOutcome::Failed
                     };
-                    shared.release_lane(rid, lane, outcome);
+                    shared.release_lane(lane, outcome);
+                    released.push(rid);
                 }
             }
             // take failure frames queued just above in the same pass
             let mut all_errors = errors;
             all_errors.extend(st.errors.drain(..));
             let finished = st.fatal || (st.eof && st.lanes.is_empty() && all_errors.is_empty());
-            (all_errors, ready, finished)
+            (all_errors, ready, released, finished)
         };
         let mut write_failed = false;
         for frame in &errors {
@@ -862,13 +928,18 @@ fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<Se
         if write_failed {
             // client is gone: fail closed — drop every lane (cancelling
             // queued work) and let the reader observe `fatal`
-            let mut st = relock(state);
-            st.fatal = true;
-            for (rid, lane) in st.lanes.drain() {
-                shared.release_lane(rid, lane, LaneOutcome::Failed);
-            }
+            let dropped = {
+                let mut st = relock(state);
+                st.fatal = true;
+                release_all(&mut st, shared)
+            };
+            shared.mark_lanes_done(&released);
+            shared.mark_lanes_done(&dropped);
             return;
         }
+        // the released lanes' last frames are on the wire: mark them
+        // done, outside the connection lock
+        shared.mark_lanes_done(&released);
         if done {
             let _ = stream.shutdown(Shutdown::Write);
             return;

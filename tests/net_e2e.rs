@@ -14,11 +14,15 @@
 //!   locally, typed, before anything is sent;
 //! - per-tenant quotas and connection limits: typed admission
 //!   rejections;
+//! - durable journal: a request pipelined in one write is journaled,
+//!   marked done after its answer, and leaves a store that passes the
+//!   fsck;
 //! - graceful drain: in-flight requests complete through shutdown, new
 //!   connections are refused after it.
 //!
 //! CI runs this suite in release mode (the `net-e2e` job).
 
+use proteus::store::Store;
 use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
     ServeRuntime,
@@ -29,8 +33,8 @@ use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
 use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello, MAX_HELLO_BLOB};
 use proteus_net::{
-    FrameReader, FrameWriter, NetClient, NetError, NetRequest, NetServer, NetServerConfig,
-    TenantAuth,
+    FrameReader, FrameWriter, NetClient, NetError, NetFrame, NetRequest, NetServer,
+    NetServerConfig, TenantAuth,
 };
 use proteus_opt::{Optimizer, Profile};
 use std::net::TcpStream;
@@ -512,6 +516,74 @@ fn requests_active_settles_to_zero_after_mixed_outcomes() {
         "clean + duplicate-carrying lanes both complete"
     );
     assert_eq!(stats.requests_failed, 1, "the abandoned lane fails closed");
+}
+
+// ---------------------------------------------------------------------------
+// durable journal
+// ---------------------------------------------------------------------------
+
+/// With a store, the frames one socket read delivers are journaled as
+/// one batch before they are submitted, and the lane is marked done
+/// after its answer is written: a request pipelined in a single write
+/// leaves genesis + one record per frame + one lane-done mark, no
+/// pending lane, and a store that passes the fsck.
+#[test]
+fn durable_server_journals_a_pipelined_request_and_marks_it_done() {
+    use std::io::{Read, Write};
+    let dir = std::env::temp_dir().join(format!("proteus-net-e2e-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = Store::open_or_create(&dir).expect("store creates");
+    let store = Arc::new(store);
+    let server = spawn_server(NetServerConfig {
+        auth: two_tenant_auth(),
+        store: Some(Arc::clone(&store)),
+        ..Default::default()
+    });
+    let fingerprint = shared_proteus().config_fingerprint();
+    let owned = owned_request(ModelKind::ResNet, 81);
+    let n = owned.request.frames.len();
+    assert!(n >= 2, "needs a multi-frame request");
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    FrameWriter::new(&mut stream)
+        .write_frame(&ClientHello::new(fingerprint, "alpha-token").encode())
+        .expect("hello written");
+    let mut reader = FrameReader::new();
+    let mut reply = read_hello_bytes(&mut stream, &mut reader).expect("server hello");
+    ServerHello::decode(&mut reply).expect("accepted");
+    let pipelined: Vec<u8> = owned
+        .request
+        .frames
+        .iter()
+        .flat_map(|f| f.to_vec())
+        .collect();
+    stream.write_all(&pipelined).expect("frames written");
+
+    let mut frames = Vec::with_capacity(n);
+    let mut chunk = [0u8; 16 * 1024];
+    while frames.len() < n {
+        match reader.try_next().expect("well-framed reply") {
+            Some(NetFrame::Data(raw)) => frames.push(raw),
+            Some(NetFrame::Error(e)) => panic!("request failed remotely: {e:?}"),
+            None => {
+                let read = stream.read(&mut chunk).expect("reply read");
+                assert!(read > 0, "server closed after {} frames", frames.len());
+                reader.push(&chunk[..read]);
+            }
+        }
+    }
+    assert_parity(&owned, &frames);
+    drop(stream);
+
+    // shutdown joins the connection, so its lane-done mark has landed
+    let stats = server.shutdown(Duration::from_secs(30));
+    assert_eq!(stats.requests_completed, 1);
+    assert_eq!(stats.journal_errors, 0);
+    assert_eq!(store.records(), 1 + n as u64 + 1, "genesis + frames + done");
+    assert!(store.pending_lanes().is_empty(), "lane left pending");
+    let report = Store::verify(&dir).expect("store passes the fsck");
+    assert_eq!(report.pending_lanes, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

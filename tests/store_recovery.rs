@@ -152,6 +152,88 @@ fn kill_at_every_byte_past_the_horizon_recovers_the_committed_state() {
 }
 
 #[test]
+fn kill_at_every_byte_of_a_multi_record_commit_recovers_all_or_none() {
+    // one committed lane frame, then a three-record batch under one
+    // commit. A kill anywhere before the batch's marker rename leaves
+    // the old marker and some prefix of the batch bytes: none of the
+    // batch survives. After the rename, all of it does.
+    let dir = scratch("batch-build");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = Store::open_or_create(&dir).expect("store creates");
+    store.record_lane_frame(7, &[0xAA; 40]).expect("journal");
+    let committed = store.committed_len() as usize;
+    let old_marker = std::fs::read(Store::marker_path(&dir)).expect("marker snapshot");
+    let batch: [(u64, &[u8]); 3] = [(7, &[0xBB; 40]), (9, &[0xCC; 40]), (11, &[0xDD; 40])];
+    store.record_lane_frames(&batch).expect("batch journal");
+    drop(store);
+    let wal = std::fs::read(Store::wal_path(&dir)).expect("wal snapshot");
+    let new_marker = std::fs::read(Store::marker_path(&dir)).expect("marker snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(record_offsets(&wal[committed..]).len(), 3, "three records");
+
+    let dir = scratch("batch");
+    for cut in committed..=wal.len() {
+        stage(&dir, &wal[..cut], &old_marker);
+        let (reopened, report) =
+            Store::open_or_create(&dir).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        assert_eq!(
+            report.truncated_bytes as usize,
+            cut - committed,
+            "cut {cut}"
+        );
+        let lanes = reopened.pending_lanes();
+        assert_eq!(lanes.len(), 1, "cut {cut}: part of the batch resurfaced");
+        assert_eq!(
+            lanes[0].1.len(),
+            1,
+            "cut {cut}: part of the batch resurfaced"
+        );
+    }
+    stage(&dir, &wal, &new_marker);
+    let (reopened, report) = Store::open_or_create(&dir).expect("committed batch opens");
+    assert_eq!(report.truncated_bytes, 0);
+    let lanes = reopened.pending_lanes();
+    let shape: Vec<(u64, usize)> = lanes.iter().map(|(rid, f)| (*rid, f.len())).collect();
+    assert_eq!(shape, [(7, 2), (9, 1), (11, 1)], "the whole batch survives");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_batched_commit_writes_the_bytes_of_one_commit_per_record() {
+    // the WAL and marker formats do not know about batches: journaling
+    // frames in one commit leaves the same bytes as one commit each
+    let frames: [(u64, &[u8]); 4] = [
+        (3, &[0x31; 24]),
+        (5, &[0x51; 40]),
+        (3, &[0x32; 8]),
+        (8, &[0x81; 56]),
+    ];
+    let snapshot = |tag: &str, batched: bool| {
+        let dir = scratch(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, _) = Store::open_or_create(&dir).expect("store creates");
+        if batched {
+            store.record_lane_frames(&frames).expect("batch journal");
+        } else {
+            for (rid, frame) in frames {
+                store.record_lane_frame(rid, frame).expect("journal");
+            }
+        }
+        store.finish_lane(5).expect("finish");
+        drop(store);
+        let wal = std::fs::read(Store::wal_path(&dir)).expect("wal");
+        let marker = std::fs::read(Store::marker_path(&dir)).expect("marker");
+        let _ = std::fs::remove_dir_all(&dir);
+        (wal, marker)
+    };
+    assert_eq!(
+        snapshot("format-batched", true),
+        snapshot("format-single", false)
+    );
+}
+
+#[test]
 fn kill_during_store_creation_recovers_to_a_fresh_store() {
     // a crash inside `Store::create` — after the WAL file appeared but
     // before the first marker rename — leaves a prefix of the canonical
