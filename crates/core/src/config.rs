@@ -1,9 +1,8 @@
 //! Proteus configuration (paper §4.4, Figure 8's tunable parameters),
-//! plus the serving-runtime and fault-injection knobs.
+//! plus the serving-runtime knobs.
 
 use crate::error::ProteusError;
 use crate::operators::PopulationConfig;
-use crate::session::splitmix64;
 use proteus_graphgen::GraphRnnConfig;
 
 /// How many partitions to create.
@@ -142,79 +141,6 @@ impl ProteusConfig {
     }
 }
 
-/// Deterministic fault-injection plan for the serving runtime, threaded
-/// through [`ServeConfig::faults`]. Every fault decision is a pure
-/// function of `(seed, ordinal)` — the same plan against the same request
-/// stream fires the same faults, so every chaos-battery failure is
-/// replayable from its seed. The default plan (`FaultPlan::default()`)
-/// injects nothing and is what production configs carry.
-///
-/// Rate-based fields (`*_one_in`) fire when
-/// `splitmix64(seed ^ mix(ordinal)) % one_in == 0`; `0` disables the
-/// fault. Ordinal-based fields (`*_at`) are 1-based counters over
-/// pool-executed tasks (or cache inserts for the cache fault); `0`
-/// disables the fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct FaultPlan {
-    /// Seed for the rate-based fault draws.
-    pub seed: u64,
-    /// Panic exactly the k-th pool task (1-based; `0` = off). The panic is
-    /// contained by `catch_unwind` and surfaces as
-    /// [`ProteusError::WorkerCrashed`] on that task's request lane.
-    pub panic_at: u32,
-    /// Seeded rate: panic roughly one in `panic_one_in` pool tasks.
-    pub panic_one_in: u32,
-    /// When a contained panic fires, also retire the worker thread that
-    /// ran it — exercising the supervisor's respawn path instead of the
-    /// in-place containment path.
-    pub abort_worker: bool,
-    /// Seeded rate: stall roughly one in `stall_one_in` pool tasks for
-    /// [`FaultPlan::stall_ms`] before executing.
-    pub stall_one_in: u32,
-    /// Stall duration in milliseconds.
-    pub stall_ms: u32,
-    /// Poison the [`crate::serve::OptimizedCache`] lock on the k-th insert
-    /// (1-based; `0` = off): a panic is raised *while the cache lock is
-    /// held*, exercising the cache's poison self-heal path.
-    pub poison_cache_at: u32,
-}
-
-impl FaultPlan {
-    /// True when any fault is armed. The hot path checks this once per
-    /// task and skips all fault draws for the (default) inert plan.
-    pub fn is_active(&self) -> bool {
-        self.panic_at != 0
-            || self.panic_one_in != 0
-            || self.stall_one_in != 0
-            || self.poison_cache_at != 0
-    }
-
-    /// Seeded rate draw: does a `one_in` fault fire at `ordinal`?
-    /// `salt` decorrelates the draws of different fault kinds at the same
-    /// ordinal.
-    fn fires(&self, one_in: u32, ordinal: u64, salt: u64) -> bool {
-        one_in != 0
-            && splitmix64(self.seed ^ salt ^ ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .is_multiple_of(u64::from(one_in))
-    }
-
-    /// Should the task at `ordinal` (1-based) panic?
-    pub fn panic_fires(&self, ordinal: u64) -> bool {
-        (self.panic_at != 0 && ordinal == u64::from(self.panic_at))
-            || self.fires(self.panic_one_in, ordinal, 0x5041_4E49) // "PANI"
-    }
-
-    /// Should the task at `ordinal` (1-based) stall first?
-    pub fn stall_fires(&self, ordinal: u64) -> bool {
-        self.fires(self.stall_one_in, ordinal, 0x5354_414C) // "STAL"
-    }
-
-    /// Should the cache lock be poisoned on insert `ordinal` (1-based)?
-    pub fn poison_cache_fires(&self, ordinal: u64) -> bool {
-        self.poison_cache_at != 0 && ordinal == u64::from(self.poison_cache_at)
-    }
-}
-
 /// Configuration of the multi-tenant serving runtime
 /// ([`crate::serve::ServeRuntime`]): the shared optimizer worker pool and
 /// the per-request flow-control window.
@@ -235,9 +161,6 @@ pub struct ServeConfig {
     /// pool entirely. `0` disables the cache — every member is optimized
     /// from scratch, the pre-cache behavior.
     pub cache_capacity: usize,
-    /// Deterministic fault-injection plan. The default plan is inert;
-    /// chaos tests arm it per runtime.
-    pub faults: FaultPlan,
 }
 
 impl Default for ServeConfig {
@@ -246,7 +169,6 @@ impl Default for ServeConfig {
             workers: 0,
             window: 4,
             cache_capacity: 4096,
-            faults: FaultPlan::default(),
         }
     }
 }
@@ -290,51 +212,6 @@ mod tests {
         assert_eq!(ServeConfig { workers: 3, ..cfg }.num_workers(), 3);
         let err = ServeConfig { window: 0, ..cfg }.validate().unwrap_err();
         assert!(matches!(err, ProteusError::Config { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn fault_plan_default_is_inert_and_draws_are_deterministic() {
-        let inert = FaultPlan::default();
-        assert!(!inert.is_active());
-        for ordinal in 1..200 {
-            assert!(!inert.panic_fires(ordinal));
-            assert!(!inert.stall_fires(ordinal));
-            assert!(!inert.poison_cache_fires(ordinal));
-        }
-
-        let plan = FaultPlan {
-            seed: 0xC0FFEE,
-            panic_one_in: 5,
-            stall_one_in: 3,
-            ..FaultPlan::default()
-        };
-        assert!(plan.is_active());
-        // same (seed, ordinal) → same decision, always
-        let draws: Vec<(bool, bool)> = (1..100)
-            .map(|o| (plan.panic_fires(o), plan.stall_fires(o)))
-            .collect();
-        let replay: Vec<(bool, bool)> = (1..100)
-            .map(|o| (plan.panic_fires(o), plan.stall_fires(o)))
-            .collect();
-        assert_eq!(draws, replay);
-        // a one-in-5 rate fires a plausible number of times in 99 draws
-        let fired = draws.iter().filter(|(p, _)| *p).count();
-        assert!(fired > 4 && fired < 50, "panic draw rate off: {fired}/99");
-        // different seeds decorrelate
-        let other = FaultPlan {
-            seed: 0xBEEF,
-            ..plan
-        };
-        assert!((1..100).any(|o| plan.panic_fires(o) != other.panic_fires(o)));
-
-        // ordinal-pinned faults fire exactly where aimed
-        let pinned = FaultPlan {
-            panic_at: 7,
-            poison_cache_at: 2,
-            ..FaultPlan::default()
-        };
-        assert!(pinned.panic_fires(7) && !pinned.panic_fires(6) && !pinned.panic_fires(8));
-        assert!(pinned.poison_cache_fires(2) && !pinned.poison_cache_fires(3));
     }
 
     #[test]

@@ -106,7 +106,6 @@ pub mod config;
 pub mod error;
 pub mod inventory;
 pub mod operators;
-pub mod phase;
 pub mod pipeline;
 pub mod semantic;
 pub mod sentinel;
@@ -123,11 +122,10 @@ pub use bucket::{
     anonymize, anonymize_content, Bucket, BucketMember, ObfuscatedModel, ObfuscationSecrets,
     SealedBucket,
 };
-pub use config::{FaultPlan, PartitionSpec, ProteusConfig, SentinelMode, ServeConfig};
+pub use config::{PartitionSpec, ProteusConfig, SentinelMode, ServeConfig};
 pub use error::ProteusError;
 pub use inventory::{InventoryStats, RegimeTag, SentinelInventory, SentinelKey};
 pub use operators::{detect_regime, populate, PopulationConfig, Regime};
-pub use phase::{semantic_ns, PhaseBreakdown};
 pub use pipeline::{
     optimize_bucket, optimize_model, optimize_model_serial, optimize_model_with_threads, Proteus,
     ProteusBuilder,

@@ -381,15 +381,13 @@ pub fn populate(
     if assignments.is_empty() {
         return None;
     }
-    let scored: Vec<(Assignment, f64)> = crate::phase::time_semantic(|| {
-        assignments
-            .into_iter()
-            .map(|a| {
-                let score = bigram.assignment_log_likelihood(dag.edges(), &a.opcodes);
-                (a, score)
-            })
-            .collect()
-    });
+    let scored: Vec<(Assignment, f64)> = assignments
+        .into_iter()
+        .map(|a| {
+            let score = bigram.assignment_log_likelihood(dag.edges(), &a.opcodes);
+            (a, score)
+        })
+        .collect();
     let kept = top_percentile(scored, cfg.top_pct);
     let choice = kept.choose(rng)?;
     let g = build_graph(dag, regime, choice, rng);

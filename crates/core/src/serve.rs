@@ -36,9 +36,8 @@
 //! instance's [`crate::SentinelInventory`] ahead of traffic so sessions
 //! draw pre-built sentinels instead of generating them inline on the
 //! request path. Both are pure memoization: served bytes stay
-//! bit-identical to the cold path, and the per-request
-//! [`RequestHandle::phases`] breakdown measures the win instead of
-//! asserting it.
+//! bit-identical to the cold path, and the e2e benchmark's per-layer
+//! spans measure the win instead of asserting it.
 //!
 //! # Crash containment
 //!
@@ -46,15 +45,15 @@
 //! `catch_unwind`: a panicking optimizer task fails *its own request's*
 //! lane with a typed [`ProteusError::WorkerCrashed`] — in-flight frames
 //! of that request are abandoned (a frame never surfaces with missing
-//! members) while every other lane keeps flowing. A supervisor thread
-//! respawns worker threads that exit for any reason other than shutdown,
-//! so pool capacity survives even aborting faults. Lock poisoning is
+//! members) while every other lane keeps flowing. A panic that ever
+//! escapes that containment restarts the worker's loop in place on the
+//! same thread, so the pool keeps its capacity. Lock poisoning is
 //! recovered structurally where the data cannot be inconsistent (queues,
 //! park/registry locks) and converted to typed lane failures where it can
-//! (a request's reassembly state). All of it is drivable by the
-//! deterministic [`crate::config::FaultPlan`] in [`ServeConfig::faults`]
-//! — the chaos battery (`tests/serve_chaos.rs`) replays exact failure
-//! schedules from a seed.
+//! (a request's reassembly state). The optimizer is reached through the
+//! [`MemberOptimizer`] seam, so the chaos battery (`tests/serve_chaos.rs`)
+//! injects panics and stalls with a test optimizer and replays exact
+//! failure schedules from a seed.
 //!
 //! # Example
 //!
@@ -97,9 +96,8 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::bucket::{Bucket, BucketMember, SealedBucket};
-use crate::config::{FaultPlan, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::ProteusError;
-use crate::phase::PhaseBreakdown;
 use crate::pipeline::Proteus;
 use crate::session::DeobfuscationSession;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -108,18 +106,17 @@ use proteus_graph::{Graph, TensorMap};
 use proteus_opt::{Optimizer, Profile};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Locks a mutex, recovering from poison by taking the guard anyway.
 ///
 /// Only used for locks whose protected data stays structurally valid
 /// across a panic: the steal deques (single push/pop operations), the
-/// park and supervisor rendezvous locks (`()` payloads), the handle
-/// registry (a vector of weak pointers), the worker slot table, and the
-/// supervisor handle. A panic on another thread cannot leave any of these
+/// park rendezvous lock (a `()` payload), the handle registry (a vector
+/// of weak pointers) and the worker join handles. A panic on another thread cannot leave any of these
 /// half-mutated in a way later readers would misinterpret, so propagating
 /// the poison would turn one contained crash into a pool-wide outage for
 /// no safety gain.
@@ -138,6 +135,30 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "panic with non-string payload".to_string()
+    }
+}
+
+/// The optimizer party as the pool sees it: a rewrite profile (it keys
+/// the [`OptimizedCache`]) and a pure rewrite of one bucket member.
+/// Implemented for [`Optimizer`], which is what every deployment serves;
+/// the chaos battery (`tests/serve_chaos.rs`) implements it with a
+/// wrapper that panics and stalls on a seeded schedule.
+pub trait MemberOptimizer: Send + Sync {
+    /// The rewrite profile; optimized outputs differ per profile.
+    fn profile(&self) -> Profile;
+
+    /// Optimizes one bucket member, returning its graph and parameters.
+    fn optimize(&self, graph: &Graph, params: &TensorMap) -> (Graph, TensorMap);
+}
+
+impl MemberOptimizer for Optimizer {
+    fn profile(&self) -> Profile {
+        Optimizer::profile(self)
+    }
+
+    fn optimize(&self, graph: &Graph, params: &TensorMap) -> (Graph, TensorMap) {
+        let (graph, params, _) = Optimizer::optimize(self, graph, params);
+        (graph, params)
     }
 }
 
@@ -267,29 +288,18 @@ pub struct OptimizedCache {
     misses: AtomicUsize,
     /// Times a poisoned lock was healed by dropping all entries.
     heals: AtomicUsize,
-    /// 1-based insert ordinal, driving the cache-poisoning fault.
-    inserts: AtomicU64,
-    faults: FaultPlan,
 }
 
 impl OptimizedCache {
     /// Creates a cache holding at most `capacity` optimized members;
     /// `0` disables caching (lookups miss, inserts drop).
     pub fn new(capacity: usize) -> OptimizedCache {
-        OptimizedCache::with_faults(capacity, FaultPlan::default())
-    }
-
-    /// [`OptimizedCache::new`] with a fault plan armed — used by chaos
-    /// tests to poison the cache lock on a chosen insert.
-    pub fn with_faults(capacity: usize, faults: FaultPlan) -> OptimizedCache {
         OptimizedCache {
             capacity,
             inner: Mutex::new(CacheInner::default()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             heals: AtomicUsize::new(0),
-            inserts: AtomicU64::new(0),
-            faults,
         }
     }
 
@@ -327,8 +337,8 @@ impl OptimizedCache {
     }
 
     /// Times a poisoned cache lock was healed (entries dropped, poison
-    /// cleared). Nonzero only after a worker panicked while holding the
-    /// cache lock — injected or real.
+    /// cleared). Nonzero only after a thread panicked while holding the
+    /// cache lock.
     pub fn poison_heals(&self) -> usize {
         self.heals.load(Ordering::Relaxed)
     }
@@ -400,16 +410,6 @@ impl OptimizedCache {
     pub fn insert(&self, key: Bytes, graph: Graph, params: TensorMap) -> bool {
         if !self.is_enabled() {
             return false;
-        }
-        let ordinal = self.inserts.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.faults.poison_cache_fires(ordinal) {
-            // deliberately panic while holding the cache lock, contained:
-            // the lock is now poisoned exactly as a crashing worker would
-            // leave it, and the insert below must go through the heal path
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                let _held = self.inner.lock();
-                panic!("fault injection: cache lock poisoned at insert {ordinal}");
-            }));
         }
         let fp = fnv1a64(&key);
         let mut inner = self.guard();
@@ -493,10 +493,6 @@ struct RequestState {
     /// pending pool tasks detach (skip the optimizer, drop their result)
     /// instead of filling reassembly state nobody will read.
     cancelled: AtomicBool,
-    /// Worker-pool optimizer nanoseconds spent on this request's members.
-    optimize_ns: AtomicU64,
-    /// Frame encode/decode nanoseconds on the byte-stream entry points.
-    wire_ns: AtomicU64,
 }
 
 impl RequestState {
@@ -571,14 +567,12 @@ pub struct ServeStats {
     /// Tasks dropped without running because their request's handle was
     /// dropped (or lane already failed) — cancelled work, not lost work.
     pub tasks_detached: usize,
-    /// Worker threads the supervisor respawned after an abnormal exit.
-    pub workers_respawned: usize,
     /// Times a poisoned [`OptimizedCache`] lock self-healed.
     pub cache_poison_heals: usize,
 }
 
 struct PoolShared {
-    optimizer: Optimizer,
+    optimizer: Box<dyn MemberOptimizer>,
     cache: OptimizedCache,
     queues: StealQueues<Task>,
     /// Tasks pushed and not yet claimed; the park/wake signal.
@@ -590,21 +584,8 @@ struct PoolShared {
     max_queue_depth: AtomicUsize,
     tasks_crashed: AtomicUsize,
     tasks_detached: AtomicUsize,
-    workers_respawned: AtomicUsize,
-    /// 1-based ordinal of pool task execution, driving fault draws.
-    task_ordinal: AtomicU64,
-    faults: FaultPlan,
     /// Every handle ever created, so shutdown can wake blocked clients.
     requests: Mutex<Vec<Weak<RequestState>>>,
-    /// Worker thread handles by slot, shared with the supervisor so it
-    /// can join and replace a dead worker in place.
-    slots: Mutex<Vec<Option<JoinHandle<()>>>>,
-    /// Indices of workers that have exited, pushed by the worker's own
-    /// exit trailer; the supervisor's work queue.
-    exited: Mutex<Vec<usize>>,
-    /// Supervisor rendezvous: notified on worker exit and on shutdown.
-    sup_park: Mutex<()>,
-    sup_cv: Condvar,
 }
 
 impl PoolShared {
@@ -630,27 +611,23 @@ impl PoolShared {
         req.cv.notify_all();
     }
 
-    /// Runs one pool task with crash containment. Returns `false` when
-    /// the worker running it should retire (an aborting fault fired) —
-    /// the supervisor respawns retired workers.
-    fn run_task(&self, task: Task) -> bool {
-        let ordinal = self.task_ordinal.fetch_add(1, Ordering::SeqCst) + 1;
-        let faults = self.faults;
+    /// Runs one pool task with crash containment.
+    fn run_task(&self, task: Task) {
         if task.req.cancelled.load(Ordering::SeqCst) || {
             // skip-before-running: the lane already failed, so this
             // task's output would be dropped anyway
             task.req.lane().failed.is_some()
         } {
             self.tasks_detached.fetch_add(1, Ordering::Relaxed);
-            return true;
+            return;
         }
         let req = Arc::clone(&task.req);
-        // the whole task — fault draws, optimizer, completion bookkeeping
-        // — runs under catch_unwind, so any panic (injected or a real
-        // bug) fails only this request's lane, not the pool. The closure
-        // only touches task-local data and lane locks that heal poison,
-        // so continuing after the unwind is sound (AssertUnwindSafe).
-        let crashed = catch_unwind(AssertUnwindSafe(|| self.execute_task(task, ordinal))).err();
+        // the whole task — optimizer and completion bookkeeping — runs
+        // under catch_unwind, so any panic fails only this request's
+        // lane, not the pool. The closure only touches task-local data
+        // and lane locks that heal poison, so continuing after the
+        // unwind is sound (AssertUnwindSafe).
+        let crashed = catch_unwind(AssertUnwindSafe(|| self.execute_task(task))).err();
         if let Some(payload) = crashed {
             self.tasks_crashed.fetch_add(1, Ordering::Relaxed);
             self.fail_request(
@@ -660,27 +637,14 @@ impl PoolShared {
                     detail: panic_message(payload),
                 },
             );
-            return !faults.abort_worker;
         }
-        true
     }
 
-    /// The fallible body of one task: optimize the member (with stall and
-    /// panic faults applied) and land it in the request's reassembly
-    /// state. Runs inside `run_task`'s catch_unwind.
-    fn execute_task(&self, task: Task, ordinal: u64) {
-        let faults = self.faults;
-        if faults.is_active() && faults.stall_fires(ordinal) {
-            std::thread::sleep(Duration::from_millis(u64::from(faults.stall_ms)));
-        }
-        let started = Instant::now();
-        if faults.is_active() && faults.panic_fires(ordinal) {
-            panic!("fault injection: optimizer task {ordinal} panicked mid-request");
-        }
-        let (graph, params, _) = self.optimizer.optimize(&task.graph, &task.params);
-        task.req
-            .optimize_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// The fallible body of one task: optimize the member and land it in
+    /// the request's reassembly state. Runs inside `run_task`'s
+    /// catch_unwind.
+    fn execute_task(&self, task: Task) {
+        let (graph, params) = self.optimizer.optimize(&task.graph, &task.params);
         if let Some(key) = task.cache_key {
             self.cache.insert(key, graph.clone(), params.clone());
         }
@@ -739,13 +703,18 @@ impl PoolShared {
         }
     }
 
+    /// A worker thread's body. A panic that ever escapes per-task
+    /// containment restarts the loop in place; the loop returns only at
+    /// shutdown.
+    fn run_worker(&self, worker: usize) {
+        while catch_unwind(AssertUnwindSafe(|| self.worker_loop(worker))).is_err() {}
+    }
+
     fn worker_loop(&self, worker: usize) {
         loop {
             if let Some(task) = self.queues.pop(worker) {
                 self.pending.fetch_sub(1, Ordering::SeqCst);
-                if !self.run_task(task) {
-                    return;
-                }
+                self.run_task(task);
                 continue;
             }
             let mut guard = relock(&self.park);
@@ -757,67 +726,6 @@ impl PoolShared {
                 return;
             }
         }
-    }
-}
-
-/// Spawns one pool worker into slot `w`. The worker's exit trailer
-/// reports its index to the supervisor queue no matter *why* it exited —
-/// graceful shutdown, an aborting fault, or a panic escaping the
-/// per-task containment — so a worker death can never go unnoticed.
-fn spawn_worker(shared: &Arc<PoolShared>, w: usize) -> Result<JoinHandle<()>, ProteusError> {
-    let pool = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("proteus-serve-{w}"))
-        .spawn(move || {
-            let _ = catch_unwind(AssertUnwindSafe(|| pool.worker_loop(w)));
-            relock(&pool.exited).push(w);
-            let _guard = relock(&pool.sup_park);
-            pool.sup_cv.notify_all();
-        })
-        .map_err(|e| ProteusError::ReplicaUnavailable {
-            detail: format!("failed to spawn serve worker {w}: {e}"),
-        })
-}
-
-/// The supervisor: joins workers that exited and respawns them in place,
-/// keeping pool capacity constant across worker deaths. Exits (without
-/// respawning) once shutdown is flagged.
-fn supervisor_loop(shared: &Arc<PoolShared>) {
-    loop {
-        let next_exit = {
-            let mut guard = relock(&shared.sup_park);
-            loop {
-                if let Some(w) = relock(&shared.exited).pop() {
-                    break Some(w);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                guard = shared
-                    .sup_cv
-                    .wait(guard)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let Some(w) = next_exit else { return };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // workers exiting because the pool is going down; leave the
-            // handles for Drop to join
-            return;
-        }
-        // join the dead thread (it pushed its index in its final
-        // statements, so this blocks at most momentarily), then refill
-        // the slot
-        let old = relock(&shared.slots)[w].take();
-        if let Some(handle) = old {
-            let _ = handle.join();
-        }
-        if let Ok(handle) = spawn_worker(shared, w) {
-            relock(&shared.slots)[w] = Some(handle);
-            shared.workers_respawned.fetch_add(1, Ordering::SeqCst);
-        }
-        // a failed respawn degrades capacity but keeps the pool alive;
-        // the remaining workers still drain every queue
     }
 }
 
@@ -838,7 +746,8 @@ fn supervisor_loop(shared: &Arc<PoolShared>) {
 pub struct ServeRuntime {
     shared: Arc<PoolShared>,
     config: ServeConfig,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
+    /// Worker threads, joined by [`ServeRuntime::shutdown`].
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for PoolShared {
@@ -851,71 +760,47 @@ impl std::fmt::Debug for PoolShared {
 }
 
 impl ServeRuntime {
-    /// Starts the worker pool and its supervisor.
+    /// Starts the worker pool.
     ///
     /// # Errors
     /// [`ProteusError::Config`] when `config` is degenerate
     /// ([`ServeConfig::validate`]); [`ProteusError::ReplicaUnavailable`]
     /// when the OS refuses to spawn the pool's threads.
-    pub fn new(optimizer: Optimizer, config: ServeConfig) -> Result<ServeRuntime, ProteusError> {
+    pub fn new(
+        optimizer: impl MemberOptimizer + 'static,
+        config: ServeConfig,
+    ) -> Result<ServeRuntime, ProteusError> {
         config.validate()?;
         let workers = config.num_workers();
-        let shared = Arc::new(PoolShared {
-            optimizer,
-            cache: OptimizedCache::with_faults(config.cache_capacity, config.faults),
-            queues: StealQueues::new(workers),
-            pending: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            tasks_executed: AtomicUsize::new(0),
-            max_queue_depth: AtomicUsize::new(0),
-            tasks_crashed: AtomicUsize::new(0),
-            tasks_detached: AtomicUsize::new(0),
-            workers_respawned: AtomicUsize::new(0),
-            task_ordinal: AtomicU64::new(0),
-            faults: config.faults,
-            requests: Mutex::new(Vec::new()),
-            slots: Mutex::new((0..workers).map(|_| None).collect()),
-            exited: Mutex::new(Vec::new()),
-            sup_park: Mutex::new(()),
-            sup_cv: Condvar::new(),
-        });
-        for w in 0..workers {
-            match spawn_worker(&shared, w) {
-                Ok(handle) => relock(&shared.slots)[w] = Some(handle),
-                Err(e) => {
-                    // unwind the partial pool before reporting
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    {
-                        let _guard = relock(&shared.park);
-                        shared.cv.notify_all();
-                    }
-                    let spawned: Vec<JoinHandle<()>> = relock(&shared.slots)
-                        .iter_mut()
-                        .filter_map(Option::take)
-                        .collect();
-                    for handle in spawned {
-                        let _ = handle.join();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("proteus-serve-supervisor".into())
-                .spawn(move || supervisor_loop(&shared))
-                .ok()
-            // a pool without a supervisor still serves; it just cannot
-            // respawn workers that abort
-        };
-        Ok(ServeRuntime {
-            shared,
+        let runtime = ServeRuntime {
+            shared: Arc::new(PoolShared {
+                optimizer: Box::new(optimizer),
+                cache: OptimizedCache::new(config.cache_capacity),
+                queues: StealQueues::new(workers),
+                pending: AtomicUsize::new(0),
+                park: Mutex::new(()),
+                cv: Condvar::new(),
+                shutdown: AtomicBool::new(false),
+                tasks_executed: AtomicUsize::new(0),
+                max_queue_depth: AtomicUsize::new(0),
+                tasks_crashed: AtomicUsize::new(0),
+                tasks_detached: AtomicUsize::new(0),
+                requests: Mutex::new(Vec::new()),
+            }),
             config,
-            supervisor: Mutex::new(supervisor),
-        })
+            workers: Mutex::new(Vec::with_capacity(workers)),
+        };
+        for w in 0..workers {
+            let pool = Arc::clone(&runtime.shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("proteus-serve-{w}"))
+                .spawn(move || pool.run_worker(w))
+                .map_err(|e| ProteusError::ReplicaUnavailable {
+                    detail: format!("failed to spawn serve worker {w}: {e}"),
+                })?; // dropping `runtime` joins the workers already spawned
+            relock(&runtime.workers).push(spawned);
+        }
+        Ok(runtime)
     }
 
     /// The configuration the pool was started with.
@@ -934,7 +819,6 @@ impl ServeRuntime {
             cache_entries: self.shared.cache.len(),
             tasks_crashed: self.shared.tasks_crashed.load(Ordering::Relaxed),
             tasks_detached: self.shared.tasks_detached.load(Ordering::Relaxed),
-            workers_respawned: self.shared.workers_respawned.load(Ordering::SeqCst),
             cache_poison_heals: self.shared.cache.poison_heals(),
         }
     }
@@ -944,9 +828,8 @@ impl ServeRuntime {
         !self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Stops the runtime: workers drain every queued task and exit, the
-    /// supervisor stops respawning, and any client still waiting on a
-    /// handle is unblocked with a typed error. Handles opened afterwards
+    /// Stops the runtime: workers drain every queued task and exit, and
+    /// any client still waiting on a handle is unblocked with a typed error. Handles opened afterwards
     /// are born closed. Idempotent; dropping the runtime calls it.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -954,19 +837,7 @@ impl ServeRuntime {
             let _guard = relock(&self.shared.park);
             self.shared.cv.notify_all();
         }
-        {
-            let _guard = relock(&self.shared.sup_park);
-            self.shared.sup_cv.notify_all();
-        }
-        // supervisor first, so no new worker appears while we join slots
-        let supervisor = relock(&self.supervisor).take();
-        if let Some(supervisor) = supervisor {
-            let _ = supervisor.join();
-        }
-        let workers: Vec<JoinHandle<()>> = relock(&self.shared.slots)
-            .iter_mut()
-            .filter_map(Option::take)
-            .collect();
+        let workers = std::mem::take(&mut *relock(&self.workers));
         for worker in workers {
             let _ = worker.join();
         }
@@ -981,12 +852,6 @@ impl ServeRuntime {
                 req.cv.notify_all();
             }
         }
-    }
-
-    /// The shared optimized-member cache (disabled at
-    /// [`ServeConfig::cache_capacity`] `= 0`).
-    pub fn cache(&self) -> &OptimizedCache {
-        &self.shared.cache
     }
 
     /// Opens a handle for one request's frame stream. Handles are cheap;
@@ -1007,8 +872,6 @@ impl ServeRuntime {
             }),
             cv: Condvar::new(),
             cancelled: AtomicBool::new(false),
-            optimize_ns: AtomicU64::new(0),
-            wire_ns: AtomicU64::new(0),
         });
         let mut requests = relock(&self.shared.requests);
         // prune dead entries on every registration so a long-lived
@@ -1324,12 +1187,7 @@ impl RequestHandle {
     /// on a request-id mismatch, plus everything
     /// [`RequestHandle::submit`] rejects.
     pub fn submit_bytes(&self, wire: Bytes) -> Result<(), ProteusError> {
-        let started = Instant::now();
-        let decoded = SealedBucket::from_mux_bytes(wire);
-        self.state
-            .wire_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let (request_id, sealed) = decoded?;
+        let (request_id, sealed) = SealedBucket::from_mux_bytes(wire)?;
         if request_id != self.state.request_id {
             return Err(ProteusError::protocol(format!(
                 "frame for request {request_id:#x} injected into the stream of request {:#x}",
@@ -1433,27 +1291,7 @@ impl RequestHandle {
     /// # Errors
     /// As [`RequestHandle::recv`].
     pub fn recv_bytes(&self) -> Result<Bytes, ProteusError> {
-        let frame = self.recv()?;
-        let started = Instant::now();
-        let bytes = frame.to_mux_bytes(self.state.request_id);
-        self.state
-            .wire_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(bytes)
-    }
-
-    /// The optimizer-side phase breakdown of this request so far:
-    /// worker-pool optimization time spent on its members and wire
-    /// encode/decode time on the byte-stream entry points (blocking —
-    /// backpressure waits and `recv` waits — is deliberately excluded).
-    /// Merge with [`crate::ObfuscationSession::phases`] for the owner's
-    /// full per-request picture.
-    pub fn phases(&self) -> PhaseBreakdown {
-        PhaseBreakdown {
-            optimization_ns: self.state.optimize_ns.load(Ordering::Relaxed),
-            wire_ns: self.state.wire_ns.load(Ordering::Relaxed),
-            ..PhaseBreakdown::default()
-        }
+        Ok(self.recv()?.to_mux_bytes(self.state.request_id))
     }
 }
 
@@ -1506,20 +1344,6 @@ mod tests {
                 workers,
                 window,
                 cache_capacity: 0,
-                ..Default::default()
-            },
-        )
-        .expect("runtime starts")
-    }
-
-    fn runtime_faulted(workers: usize, window: usize, faults: FaultPlan) -> ServeRuntime {
-        ServeRuntime::new(
-            Optimizer::new(Profile::OrtLike),
-            ServeConfig {
-                workers,
-                window,
-                cache_capacity: 0,
-                faults,
             },
         )
         .expect("runtime starts")
@@ -1732,36 +1556,6 @@ mod tests {
     }
 
     #[test]
-    fn handle_phases_record_optimizer_and_wire_time() {
-        let proteus = quick_proteus();
-        let g = build(ModelKind::AlexNet);
-        let rt = runtime_uncached(2, 4);
-        let mut session = proteus
-            .obfuscate_session(&g, &TensorMap::new(), 33)
-            .expect("session");
-        let handle = rt.handle(33);
-        assert_eq!(handle.phases(), PhaseBreakdown::default());
-        let mut submitted = 0;
-        while let Some(frame) = session.next_frame() {
-            handle
-                .submit_bytes(frame.to_mux_bytes(33))
-                .expect("submit bytes");
-            submitted += 1;
-        }
-        for _ in 0..submitted {
-            handle.recv_bytes().expect("optimized frame");
-        }
-        let phases = handle.phases();
-        assert!(phases.optimization_ns > 0, "{phases:?}");
-        assert!(phases.wire_ns > 0, "{phases:?}");
-        assert_eq!(phases.generation_ns, 0, "generation belongs to the session");
-        // the owner's session saw the generation side
-        let owner = session.phases();
-        assert!(owner.generation_ns > 0, "{owner:?}");
-        assert_eq!(owner.optimization_ns, 0);
-    }
-
-    #[test]
     fn sentinel_pool_warms_the_shared_inventory() {
         let proteus = Proteus::train(
             ProteusConfig {
@@ -1802,171 +1596,38 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_fails_only_its_own_lane() {
-        let proteus = quick_proteus();
-        let g = build(ModelKind::AlexNet);
-        // the very first pool task panics (contained); later tasks run
-        let rt = runtime_faulted(
-            1,
-            8,
-            FaultPlan {
-                panic_at: 1,
-                ..FaultPlan::default()
-            },
-        );
-        let err = rt
-            .serve_request(&proteus, &g, &TensorMap::new(), 41)
-            .expect_err("first request must fail typed");
-        assert!(
-            matches!(err, ProteusError::WorkerCrashed { request_id: 41, .. }),
-            "{err:?}"
-        );
-        assert_eq!(rt.stats().tasks_crashed, 1);
-        assert!(rt.is_healthy(), "a contained panic must not down the pool");
-        // the pool keeps serving: a later request is untouched and
-        // bit-identical to its serial path
-        let optimizer = Optimizer::new(Profile::OrtLike);
-        let (served, served_params) = rt
-            .serve_request(&proteus, &g, &TensorMap::new(), 42)
-            .expect("pool recovered");
-        let mut session = proteus
-            .obfuscate_session(&g, &TensorMap::new(), 42)
-            .expect("session");
-        let frames: Vec<SealedBucket> = session
-            .by_ref()
-            .map(|f| f.optimize(&optimizer, Some(1)))
-            .collect();
-        let secrets = session.finish().expect("secrets");
-        let mut reassembly = DeobfuscationSession::new(&secrets);
-        for f in frames {
-            reassembly.accept(f).expect("accept");
-        }
-        let (serial, serial_params) = reassembly.finish().expect("finish");
-        assert_eq!(served, serial);
-        assert_eq!(served_params, serial_params);
-    }
-
-    #[test]
-    fn aborting_worker_is_respawned_by_the_supervisor() {
-        let proteus = quick_proteus();
-        let g = build(ModelKind::AlexNet);
-        // one worker; the first task's panic also retires the thread
-        let rt = runtime_faulted(
-            1,
-            8,
-            FaultPlan {
-                panic_at: 1,
-                abort_worker: true,
-                ..FaultPlan::default()
-            },
-        );
-        let err = rt
-            .serve_request(&proteus, &g, &TensorMap::new(), 51)
-            .expect_err("crashed lane");
-        assert!(matches!(err, ProteusError::WorkerCrashed { .. }), "{err:?}");
-        // the supervisor notices the dead worker and refills the slot
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while rt.stats().workers_respawned == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(rt.stats().workers_respawned >= 1, "supervisor respawned");
-        // with the sole worker respawned, the pool still serves
-        let (served, _) = rt
-            .serve_request(&proteus, &g, &TensorMap::new(), 52)
-            .expect("respawned worker serves");
-        assert!(served.validate().is_ok());
-    }
-
-    #[test]
-    fn dropping_a_handle_detaches_pending_tasks() {
-        let proteus = quick_proteus();
-        let g = build(ModelKind::AlexNet);
-        // one worker stalling 40ms per task: dropping the handle right
-        // after submit leaves most tasks queued, which must detach
-        let rt = runtime_faulted(
-            1,
-            8,
-            FaultPlan {
-                stall_one_in: 1,
-                stall_ms: 40,
-                ..FaultPlan::default()
-            },
-        );
-        let mut session = proteus
-            .obfuscate_session(&g, &TensorMap::new(), 71)
-            .expect("session");
-        let handle = rt.handle(71);
-        while let Some(frame) = session.next_frame() {
-            handle.submit(frame).expect("submit");
-        }
-        drop(handle); // cancel with tasks in flight
-                      // a fresh request on the same pool is unaffected by the abandoned
-                      // lane (its queued tasks are skipped, not executed)
-        let (served, _) = rt
-            .serve_request(&proteus, &g, &TensorMap::new(), 72)
-            .expect("pool still serves after cancel");
-        assert!(served.validate().is_ok());
-        let stats = rt.stats();
-        assert!(
-            stats.tasks_detached > 0,
-            "queued tasks of the dropped handle must detach: {stats:?}"
-        );
-        // shutdown must not hang on the cancelled request (Drop below
-        // joins the workers; reaching the end of the test is the assert)
-    }
-
-    #[test]
-    fn recv_deadline_times_out_typed() {
-        let proteus = quick_proteus();
-        let g = build(ModelKind::AlexNet);
-        // every task stalls 300ms; a 40ms deadline must fire first
-        let rt = runtime_faulted(
-            1,
-            8,
-            FaultPlan {
-                stall_one_in: 1,
-                stall_ms: 300,
-                ..FaultPlan::default()
-            },
-        );
-        let mut session = proteus
-            .obfuscate_session(&g, &TensorMap::new(), 81)
-            .expect("session");
-        let handle = rt.handle(81);
-        let frame = session.next_frame().expect("frame");
-        handle.submit(frame).expect("submit");
-        let err = handle
-            .recv_deadline(Instant::now() + Duration::from_millis(40))
-            .expect_err("deadline fires");
-        assert!(
-            matches!(err, ProteusError::Deadline { request_id: 81, .. }),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn poisoned_cache_lock_heals_and_keeps_bytes_identical() {
         let proteus = quick_proteus();
         let g = build(ModelKind::AlexNet);
-        // cache ON, with its lock poisoned on the very first insert
-        let rt = ServeRuntime::new(
-            Optimizer::new(Profile::OrtLike),
-            ServeConfig {
-                workers: 2,
-                window: 4,
-                cache_capacity: 4096,
-                faults: FaultPlan {
-                    poison_cache_at: 1,
-                    ..FaultPlan::default()
-                },
-            },
-        )
-        .expect("runtime");
+        let rt = runtime(2, 4);
+        let (first, first_params) = rt
+            .serve_request(&proteus, &g, &TensorMap::new(), 91)
+            .expect("first serve");
+        let entries = rt.stats().cache_entries;
+        assert!(entries > 0, "first serve fills the cache");
+        // poison the cache lock exactly as a thread panicking mid-insert
+        // would leave it
+        let cache = &rt.shared.cache;
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = cache.inner.lock();
+                panic!("cache lock poisoned while held");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.inner.is_poisoned());
         let (poisoned_run, pp) = rt
             .serve_request(&proteus, &g, &TensorMap::new(), 91)
             .expect("request survives the poisoned cache");
-        assert!(rt.cache().poison_heals() >= 1, "heal path exercised");
-        // bytes are unaffected: compare with a clean cached runtime
+        let stats = rt.stats();
+        assert!(stats.cache_poison_heals >= 1, "heal path exercised");
+        // the heal dropped every entry; the pool recomputed and
+        // republished them
+        assert_eq!(stats.cache_entries, entries);
+        // bytes are unaffected: compare with the unpoisoned run and with
+        // a clean cached runtime
+        assert_eq!(poisoned_run, first, "poison heal changed bytes");
+        assert_eq!(pp, first_params);
         let clean = runtime(2, 4);
         let (clean_run, cp) = clean
             .serve_request(&proteus, &g, &TensorMap::new(), 91)

@@ -30,7 +30,6 @@ use crate::bucket::{
     anonymize_content, Bucket, BucketMember, ObfuscationSecrets, RawSealed, SealedBucket,
 };
 use crate::error::ProteusError;
-use crate::phase::{self, PhaseBreakdown};
 use crate::pipeline::Proteus;
 use bytes::Bytes;
 use proteus_graph::{Graph, TensorMap};
@@ -93,7 +92,6 @@ pub struct ObfuscationSession<'p> {
     plan: PartitionPlan,
     real_positions: Vec<usize>,
     emitted: usize,
-    phases: PhaseBreakdown,
 }
 
 impl<'p> ObfuscationSession<'p> {
@@ -120,15 +118,7 @@ impl<'p> ObfuscationSession<'p> {
             plan,
             real_positions: Vec::with_capacity(buckets),
             emitted: 0,
-            phases: PhaseBreakdown::default(),
         })
-    }
-
-    /// The owner-side phase breakdown accumulated so far: generation time
-    /// (net of semantic scoring) and the semantic-scoring share of every
-    /// frame emitted by this session.
-    pub fn phases(&self) -> PhaseBreakdown {
-        self.phases
     }
 
     /// The caller-supplied request id this session is keyed by.
@@ -158,8 +148,6 @@ impl<'p> ObfuscationSession<'p> {
         let i = self.emitted;
         let piece = self.plan.pieces.get(i)?;
         let config = self.proteus.config();
-        let frame_start = std::time::Instant::now();
-        let semantic_before = phase::semantic_ns();
         let sentinels = self.proteus.factory().generate_with(
             &piece.graph,
             config.k,
@@ -207,15 +195,6 @@ impl<'p> ObfuscationSession<'p> {
         }
         self.real_positions.push(real_at);
         self.emitted += 1;
-        // phases are disjoint: the semantic share measured inside populate
-        // is subtracted from the frame's wall time
-        let semantic_delta = phase::semantic_ns().saturating_sub(semantic_before);
-        let frame_ns = frame_start.elapsed().as_nanos() as u64;
-        self.phases.semantic_ns = self.phases.semantic_ns.saturating_add(semantic_delta);
-        self.phases.generation_ns = self
-            .phases
-            .generation_ns
-            .saturating_add(frame_ns.saturating_sub(semantic_delta));
         Some(SealedBucket {
             bucket_index: i as u32,
             num_buckets: self.plan.pieces.len() as u32,

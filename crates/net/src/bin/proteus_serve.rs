@@ -158,7 +158,6 @@ fn run(args: &[String]) -> Result<(), String> {
         workers: parse_usize(args, "--workers", defaults.workers)?,
         window: parse_usize(args, "--window", defaults.window)?,
         cache_capacity: parse_usize(args, "--cache", defaults.cache_capacity)?,
-        ..defaults
     };
     let max_connections = parse_usize(args, "--max-connections", 0)?;
     let tenant_quota = parse_usize(args, "--quota", 0)?;

@@ -5,7 +5,7 @@
 //!
 //! ## Threading and failure domains
 //!
-//! One accept thread polls the listener; each connection gets a
+//! One accept thread blocks on the listener; each connection gets a
 //! *reader* thread (socket → [`FrameReader`] → lane `submit_bytes`) and
 //! a *writer* thread (lane `try_recv` → socket). The reader works one
 //! socket read at a time: it drains every complete frame the read
@@ -32,8 +32,9 @@
 //!
 //! ## Shutdown
 //!
-//! [`NetServer::shutdown`] stops accepting, flags draining (new request
-//! ids are rejected with [`ErrorCode::Shutdown`]), waits for in-flight
+//! [`NetServer::shutdown`] flags draining (new request ids are rejected
+//! with [`ErrorCode::Shutdown`]), wakes the blocked accept with one
+//! loopback dial so the listener closes, waits for in-flight
 //! requests to finish within the grace period, then force-closes
 //! stragglers. The runtime's queues are then drained and its workers
 //! joined ([`ServeRuntime::shutdown`]) before the call returns.
@@ -52,7 +53,7 @@ use proteus_graph::wire::{
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -283,9 +284,6 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| NetError::io("reading bound address", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| NetError::io("setting listener nonblocking", e))?;
         let tokens = config
             .auth
             .iter()
@@ -355,7 +353,13 @@ impl NetServer {
     fn shutdown_inner(&mut self, grace: Duration) -> NetServerStats {
         self.shared.draining.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join(); // exits promptly: the loop polls `draining`
+            // the accept thread blocks in `accept`: one dial wakes it, it
+            // sees `draining` and exits, closing the listener. Should the
+            // dial fail, the thread is left detached rather than joined
+            // forever
+            if wake_dial(self.local_addr).is_ok() {
+                let _ = t.join();
+            }
         }
         let deadline = Instant::now() + grace;
         while self
@@ -389,9 +393,27 @@ impl Drop for NetServer {
     }
 }
 
+/// Dials the listener at `addr` once, so a thread blocked in `accept`
+/// returns. An unspecified bind address (`0.0.0.0`, `::`) is dialed on
+/// loopback at the same port.
+fn wake_dial(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    TcpStream::connect(SocketAddr::new(ip, addr.port()))
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // shutdown's wake dial (or a client racing it) lands here once
+        // `draining` is set: drop it and close the listener
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let limit = shared.config.max_connections;
                 let active = shared.counters.active_connections.load(Ordering::SeqCst);
@@ -452,13 +474,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // a real accept error (EMFILE and the like): back off briefly
+            // instead of spinning on it
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
-    // listener drops here: further connects are refused by the OS
 }
 
 /// Answers a connection that never gets a handler thread (limit, or a
@@ -473,7 +493,9 @@ fn reject_connection(mut stream: TcpStream, code: ErrorCode, detail: String) {
 struct Lane {
     handle: RequestHandle,
     tenant: String,
-    /// Frames submitted into the lane from this connection.
+    /// Frames from this connection that the lane accepted. A frame the
+    /// lane refuses (corrupt, duplicate) is never counted, so at client
+    /// EOF the lane drains once every accepted frame has come back.
     submitted: usize,
     /// Optimized frames written back to the client.
     delivered: usize,
@@ -728,16 +750,13 @@ fn admit_frame(
     // — which can block on the backpressure window — runs without the
     // connection lock held)
     let existing = {
-        let mut st = relock(state);
+        let st = relock(state);
         if st.rejected.contains(&request_id) {
             return Ok(None); // already rejected; drop silently
         }
-        match st.lanes.get_mut(&request_id) {
+        match st.lanes.get(&request_id) {
             Some(lane) if lane.failed => return Ok(None),
-            Some(lane) => {
-                lane.submitted += 1;
-                Some(lane.handle.clone())
-            }
+            Some(lane) => Some(lane.handle.clone()),
             None => None,
         }
     };
@@ -789,7 +808,7 @@ fn admit_frame(
                 Lane {
                     handle: handle.clone(),
                     tenant: tenant.to_string(),
-                    submitted: 1,
+                    submitted: 0,
                     delivered: 0,
                     expected: None,
                     failed: false,
@@ -833,12 +852,17 @@ fn dispatch(admitted: Vec<Admitted>, state: &Arc<Mutex<ConnState>>, shared: &Arc
         raw,
     } in admitted
     {
-        if let Err(e) = handle.submit_bytes(raw) {
+        let accepted = handle.submit_bytes(raw);
+        let mut st = relock(state);
+        match accepted {
+            Ok(()) => {
+                if let Some(lane) = st.lanes.get_mut(&request_id) {
+                    lane.submitted += 1;
+                }
+            }
             // the lane survives a per-frame rejection (duplicate,
             // corrupt); the client learns which frame and why
-            relock(state)
-                .errors
-                .push_back(error_frame_for(request_id, &e));
+            Err(e) => st.errors.push_back(error_frame_for(request_id, &e)),
         }
     }
 }

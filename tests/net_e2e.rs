@@ -9,6 +9,9 @@
 //!   same frames in-process;
 //! - mid-stream client disconnect: the server lane fails closed (no
 //!   partial frame escapes, the server stays healthy);
+//! - a frame its lane refuses (corrupt, duplicate) followed by client
+//!   EOF: the request fails typed, the connection closes and shutdown
+//!   returns;
 //! - bad auth / fingerprint mismatch / version skew: typed handshake
 //!   rejections; a token or banner too long for a hello is refused
 //!   locally, typed, before anything is sent;
@@ -18,7 +21,8 @@
 //!   marked done after its answer, and leaves a store that passes the
 //!   fsck;
 //! - graceful drain: in-flight requests complete through shutdown, new
-//!   connections are refused after it.
+//!   connections are refused after it; an idle server bound on an
+//!   unspecified address shuts down promptly.
 //!
 //! CI runs this suite in release mode (the `net-e2e` job).
 
@@ -34,10 +38,11 @@ use proteus_models::{build, ModelKind};
 use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello, MAX_HELLO_BLOB};
 use proteus_net::{
     FrameReader, FrameWriter, NetClient, NetError, NetFrame, NetRequest, NetServer,
-    NetServerConfig, TenantAuth,
+    NetServerConfig, NetServerStats, TenantAuth,
 };
 use proteus_opt::{Optimizer, Profile};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -390,6 +395,73 @@ fn duplicate_frame_surfaces_typed_midstream() {
     server.shutdown(Duration::from_secs(30));
 }
 
+/// Shuts `server` down on its own thread and waits at most `limit` for
+/// it, so a wedged connection fails the test instead of hanging it.
+fn shutdown_within(server: NetServer, limit: Duration) -> NetServerStats {
+    let (tx, rx) = mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        let _ = tx.send(server.shutdown(Duration::from_secs(5)));
+    });
+    let stats = rx
+        .recv_timeout(limit)
+        .expect("shutdown must return instead of joining a wedged connection");
+    drain.join().expect("shutdown thread clean");
+    stats
+}
+
+/// Sends `frames` as request `rid` and half-closes, on a client thread
+/// bounded by a timeout. A refused frame must fail the request typed and
+/// let the lane drain at client EOF: the server closes the connection,
+/// the client returns, and shutdown finds nothing active.
+fn refused_frame_fails_typed_and_closes(rid: u64, frames: Vec<bytes::Bytes>) -> NetError {
+    let server = default_server();
+    let addr = server.local_addr();
+    let fingerprint = shared_proteus().config_fingerprint();
+    let (tx, rx) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let client = NetClient::connect(addr, "alpha-token", fingerprint).expect("tenant connects");
+        let _ = tx.send(client.run_request(rid, frames));
+    });
+    let result = match rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(result) => {
+            client.join().expect("client thread clean");
+            result
+        }
+        Err(_) => {
+            // the wedged connection would hang the server's drop too:
+            // leak it so the test fails instead of hanging
+            std::mem::forget(server);
+            panic!("rid {rid}: client still waiting 20 s after EOF; the lane never drained");
+        }
+    };
+    let err = result.expect_err("the refused frame must fail the request");
+    let stats = shutdown_within(server, Duration::from_secs(30));
+    assert_eq!(stats.requests_active, 0, "lane left open: {stats:?}");
+    assert_eq!(stats.requests_failed, 1, "{stats:?}");
+    err
+}
+
+#[test]
+fn corrupt_frame_then_eof_fails_typed_and_closes() {
+    let owned = owned_request(ModelKind::AlexNet, 78);
+    let mut frames = owned.request.frames.clone();
+    assert!(frames.len() >= 3, "needs a frame after the corrupt one");
+    let mut corrupt = frames[1].to_vec();
+    *corrupt.last_mut().expect("non-empty frame") ^= 0xFF;
+    frames[1] = corrupt.into();
+    let err = refused_frame_fails_typed_and_closes(78, frames);
+    assert_eq!(err.remote_code(), Some(ErrorCode::Wire), "{err}");
+}
+
+#[test]
+fn duplicate_frame_then_eof_fails_typed_and_closes() {
+    let owned = owned_request(ModelKind::AlexNet, 79);
+    assert_eq!(owned.request.frames.len(), 3, "a 3-bucket request");
+    let first = owned.request.frames[0].clone();
+    let err = refused_frame_fails_typed_and_closes(79, vec![first.clone(), first]);
+    assert_eq!(err.remote_code(), Some(ErrorCode::DuplicateFrame), "{err}");
+}
+
 #[test]
 fn mid_stream_disconnect_fails_closed_and_server_survives() {
     let server = default_server();
@@ -620,5 +692,23 @@ fn graceful_drain_completes_in_flight_requests() {
     assert!(
         NetClient::connect(addr, "alpha-token", fingerprint).is_err(),
         "post-shutdown connect must fail"
+    );
+}
+
+/// The accept thread blocks in `accept`; shutdown wakes it with one
+/// dial. On an unspecified bind address the dial goes to loopback, and
+/// a server that never saw traffic still shuts down promptly.
+#[test]
+fn idle_server_on_unspecified_address_shuts_down_promptly() {
+    let server = spawn_server(NetServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        auth: two_tenant_auth(),
+        ..Default::default()
+    });
+    assert!(server.local_addr().ip().is_unspecified());
+    let stats = shutdown_within(server, Duration::from_secs(10));
+    assert_eq!(
+        stats.connections_accepted, 0,
+        "the wake dial is not a client"
     );
 }

@@ -49,7 +49,6 @@ fn runtime(cache_capacity: usize) -> ServeRuntime {
             workers: 2,
             window: 2,
             cache_capacity,
-            ..Default::default()
         },
     )
     .expect("runtime starts")

@@ -108,7 +108,6 @@ fn concurrent_clients_are_bit_identical_to_serial_path() {
             // (one task per member); cache semantics are pinned by
             // tests/serve_latency.rs
             cache_capacity: 0,
-            ..Default::default()
         },
     )
     .expect("runtime");
