@@ -62,7 +62,8 @@ use crate::semantic::BigramModel;
 use crate::sentinel::SentinelFactory;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
-    bounded_capacity, decode_frame, decode_graph, encode_frame, encode_graph, fnv1a64, WireError,
+    self, bounded_capacity, decode_frame, decode_graph, encode_frame, encode_graph, fnv1a64,
+    put_str, WireError, MAX_STRING_LEN,
 };
 use proteus_graph::Graph;
 use proteus_graphgen::{GraphRnn, GraphRnnConfig, UGraph};
@@ -271,40 +272,22 @@ impl std::error::Error for ArtifactError {
 
 type AResult<T> = std::result::Result<T, ArtifactError>;
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> AResult<()> {
-    if buf.remaining() < n {
-        Err(ArtifactError::truncated(what))
-    } else {
-        Ok(())
+/// A field the shared wire helpers could not read, as the artifact's own
+/// error: they fail only with `Truncated` or `Malformed`.
+fn field_error(e: WireError) -> ArtifactError {
+    match e {
+        WireError::Truncated { context } => ArtifactError::Truncated { context },
+        WireError::Malformed { detail } => ArtifactError::Malformed { detail },
+        other => ArtifactError::malformed(other.to_string()),
     }
 }
 
-/// Longest string the artifact codec will write or read (1 MiB) —
-/// `put_str` and `get_str` enforce the same bound, so everything
-/// [`TrainedArtifact::to_bytes`] produces is loadable by construction.
-const MAX_STRING_LEN: usize = 1 << 20;
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    debug_assert!(
-        s.len() <= MAX_STRING_LEN,
-        "artifact strings are bounded at save time"
-    );
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn need(buf: &impl Buf, n: usize, what: &str) -> AResult<()> {
+    wire::need(buf, n, what).map_err(field_error)
 }
 
 fn get_str(buf: &mut Bytes, what: &str) -> AResult<String> {
-    need(buf, 4, what)?;
-    let len = buf.get_u32_le() as usize;
-    if len > MAX_STRING_LEN {
-        return Err(ArtifactError::malformed(format!(
-            "implausible string length {len} reading {what}"
-        )));
-    }
-    need(buf, len, what)?;
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| ArtifactError::malformed(format!("invalid utf8 reading {what}")))
+    wire::get_str(buf, what).map_err(field_error)
 }
 
 // ---------------------------------------------------------------------------

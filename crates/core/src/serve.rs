@@ -493,9 +493,19 @@ struct RequestState {
     /// pending pool tasks detach (skip the optimizer, drop their result)
     /// instead of filling reassembly state nobody will read.
     cancelled: AtomicBool,
+    /// Called on every [`RequestState::wake`], after the condvar
+    /// ([`ServeRuntime::handle_waking`]).
+    waker: Box<dyn Fn() + Send + Sync>,
 }
 
 impl RequestState {
+    /// Tells whoever waits on this lane that it changed: a frame
+    /// completed, the lane failed, or it was closed or cancelled.
+    fn wake(&self) {
+        self.cv.notify_all();
+        (self.waker)();
+    }
+
     /// Locks the lane, healing a poisoned lock into a typed failure.
     ///
     /// A poisoned lane lock means bookkeeping died mid-update, so the
@@ -519,7 +529,7 @@ impl RequestState {
                 guard.partial.clear();
                 guard.inflight = 0;
                 self.inner.clear_poison();
-                self.cv.notify_all();
+                self.wake();
                 guard
             }
         }
@@ -541,7 +551,7 @@ impl Drop for CancelGuard {
         lane.partial.clear();
         lane.inflight = 0;
         drop(lane);
-        self.state.cv.notify_all();
+        self.state.wake();
     }
 }
 
@@ -608,7 +618,7 @@ impl PoolShared {
         lane.partial.clear();
         lane.inflight = 0;
         drop(lane);
-        req.cv.notify_all();
+        req.wake();
     }
 
     /// Runs one pool task with crash containment.
@@ -699,7 +709,9 @@ impl PoolShared {
                 bucket: Bucket { members },
             });
             lane.inflight = lane.inflight.saturating_sub(1);
-            task.req.cv.notify_all();
+            // wake after unlocking: a woken consumer takes this lock first
+            drop(lane);
+            task.req.wake();
         }
     }
 
@@ -846,10 +858,8 @@ impl ServeRuntime {
         let mut requests = relock(&self.shared.requests);
         for weak in requests.drain(..) {
             if let Some(req) = weak.upgrade() {
-                let mut lane = req.lane();
-                lane.closed = true;
-                drop(lane);
-                req.cv.notify_all();
+                req.lane().closed = true;
+                req.wake();
             }
         }
     }
@@ -857,6 +867,19 @@ impl ServeRuntime {
     /// Opens a handle for one request's frame stream. Handles are cheap;
     /// every concurrent request gets its own, all sharing this pool.
     pub fn handle(&self, request_id: u64) -> RequestHandle {
+        self.handle_waking(request_id, || {})
+    }
+
+    /// [`ServeRuntime::handle`] whose lane also calls `wake` each time it
+    /// changes (a frame completed, or it failed, closed or was cancelled),
+    /// so a consumer of many lanes can sleep until one has news. `wake`
+    /// runs on the changing thread, so it must be quick and must not call
+    /// into the handle.
+    pub fn handle_waking(
+        &self,
+        request_id: u64,
+        wake: impl Fn() + Send + Sync + 'static,
+    ) -> RequestHandle {
         // a handle opened on a shut-down runtime is born closed so its
         // first recv reports the typed condition immediately
         let state = Arc::new(RequestState {
@@ -872,6 +895,7 @@ impl ServeRuntime {
             }),
             cv: Condvar::new(),
             cancelled: AtomicBool::new(false),
+            waker: Box::new(wake),
         });
         let mut requests = relock(&self.shared.requests);
         // prune dead entries on every registration so a long-lived
@@ -1151,7 +1175,8 @@ impl RequestHandle {
                     num_buckets,
                     bucket: Bucket { members },
                 });
-                self.state.cv.notify_all();
+                drop(inner);
+                self.state.wake();
                 return Ok(());
             }
             inner.inflight += 1;

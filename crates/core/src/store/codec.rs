@@ -20,7 +20,8 @@ use crate::error::ProteusError;
 use crate::session::DeobfuscationSession;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
-    bounded_capacity, decode_graph, decode_params, encode_graph, encode_params,
+    bounded_capacity, decode_graph, decode_params, encode_graph, encode_params, get_blob, get_str,
+    need, put_blob, put_str,
 };
 use proteus_graph::{NodeId, WireError};
 use proteus_partition::{BoundaryRef, PartitionPlan, Piece};
@@ -31,49 +32,6 @@ type CResult<T> = std::result::Result<T, WireError>;
 const SECRETS_CODEC_VERSION: u8 = 1;
 /// Version byte opening every encoded session checkpoint.
 const CHECKPOINT_CODEC_VERSION: u8 = 1;
-/// Longest string the checkpoint codec will read (1 MiB), matching the
-/// artifact codec's bound.
-const MAX_STRING_LEN: usize = 1 << 20;
-
-fn need(buf: &impl Buf, n: usize, what: &str) -> CResult<()> {
-    if buf.remaining() < n {
-        Err(WireError::truncated(what))
-    } else {
-        Ok(())
-    }
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes, what: &str) -> CResult<String> {
-    need(buf, 4, what)?;
-    let len = buf.get_u32_le() as usize;
-    if len > MAX_STRING_LEN {
-        return Err(WireError::malformed(format!(
-            "implausible string length {len} reading {what}"
-        )));
-    }
-    need(buf, len, what)?;
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| WireError::malformed(format!("invalid utf8 reading {what}")))
-}
-
-fn put_blob(buf: &mut BytesMut, blob: &[u8]) {
-    buf.put_u32_le(blob.len() as u32);
-    buf.put_slice(blob);
-}
-
-fn get_blob(buf: &mut Bytes, what: &str) -> CResult<Bytes> {
-    need(buf, 4, what)?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len, what)?;
-    Ok(buf.split_to(len))
-}
-
 fn put_member(buf: &mut BytesMut, member: &BucketMember) {
     put_blob(buf, &encode_graph(&member.graph));
     put_blob(buf, &encode_params(&member.graph, &member.params));

@@ -122,7 +122,9 @@ impl std::error::Error for WireError {}
 
 type WResult<T> = std::result::Result<T, WireError>;
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> WResult<()> {
+/// Checks that `buf` still holds the `n` bytes of field `what`
+/// ([`WireError::Truncated`] naming it otherwise).
+pub fn need(buf: &impl Buf, n: usize, what: &str) -> WResult<()> {
     if buf.remaining() < n {
         Err(WireError::truncated(what))
     } else {
@@ -762,17 +764,42 @@ pub fn decode_error_frame(buf: &mut Bytes) -> WResult<ErrorFrame> {
     })
 }
 
-fn put_str(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// Longest string [`get_str`] accepts (1 MiB). Its length prefix is
+/// checked against the input first, so a lying prefix is `Truncated`.
+pub const MAX_STRING_LEN: usize = 1 << 20;
+
+/// Writes a `u32` length-prefixed UTF-8 string.
+pub fn put_str(buf: &mut impl BufMut, s: &str) {
+    put_blob(buf, s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> WResult<String> {
-    need(buf, 4, "string length")?;
+/// Reads a [`put_str`] string: `Truncated` naming `what` when the input
+/// ends early, `Malformed` past [`MAX_STRING_LEN`] or on invalid UTF-8.
+pub fn get_str(buf: &mut Bytes, what: &str) -> WResult<String> {
+    let raw = get_blob(buf, what)?;
+    if raw.len() > MAX_STRING_LEN {
+        return Err(WireError::malformed(format!(
+            "implausible string length {} reading {what}",
+            raw.len()
+        )));
+    }
+    String::from_utf8(raw.to_vec())
+        .map_err(|_| WireError::malformed(format!("invalid utf8 reading {what}")))
+}
+
+/// Writes a `u32` length-prefixed byte blob.
+pub fn put_blob(buf: &mut impl BufMut, blob: &[u8]) {
+    buf.put_u32_le(blob.len() as u32);
+    buf.put_slice(blob);
+}
+
+/// Reads a [`put_blob`] blob without copying it (`Truncated` naming
+/// `what` when the input ends early).
+pub fn get_blob(buf: &mut Bytes, what: &str) -> WResult<Bytes> {
+    need(buf, 4, what)?;
     let len = buf.get_u32_le() as usize;
-    need(buf, len, "string body")?;
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::malformed("invalid utf8"))
+    need(buf, len, what)?;
+    Ok(buf.split_to(len))
 }
 
 fn put_shape(buf: &mut impl BufMut, s: &Shape) {
@@ -1222,7 +1249,7 @@ pub fn encode_graph(graph: &Graph) -> Bytes {
 
 /// Decodes a graph from [`encode_graph`] bytes.
 pub fn decode_graph(buf: &mut Bytes) -> WResult<Graph> {
-    let name = get_str(buf)?;
+    let name = get_str(buf, "graph name")?;
     let mut g = Graph::new(name);
     need(buf, 4, "node count")?;
     let count = buf.get_u32_le() as usize;
@@ -1238,7 +1265,7 @@ pub fn decode_graph(buf: &mut Bytes) -> WResult<Graph> {
     let mut ids: Vec<NodeId> = Vec::with_capacity(cap);
     let mut pending: Vec<Node> = Vec::with_capacity(cap);
     for _ in 0..count {
-        let node_name = get_str(buf)?;
+        let node_name = get_str(buf, "node name")?;
         let op = get_op(buf)?;
         need(buf, 4, "input count")?;
         let n_in = buf.get_u32_le() as usize;

@@ -7,21 +7,34 @@
 //!
 //! One accept thread blocks on the listener; each connection gets a
 //! *reader* thread (socket → [`FrameReader`] → lane `submit_bytes`) and
-//! a *writer* thread (lane `try_recv` → socket). The reader works one
-//! socket read at a time: it drains every complete frame the read
-//! finished, admits each in order, journals the admitted ones as one
-//! durable batch (with a store), and only then submits them. The split
-//! matters for backpressure: a reader blocked in `submit_bytes` (lane
-//! window full) stops reading, TCP flow control propagates the stall to
-//! the client, and the writer keeps draining completed frames the whole
-//! time — so the window opens again and the system never deadlocks on a
-//! full socket buffer in either direction.
+//! a *writer* thread (lanes → socket). The reader works one socket read
+//! at a time: it drains every complete frame the read finished, admits
+//! each in order, journals the admitted ones as one durable batch (with
+//! a store), and only then submits them.
 //!
-//! All socket writes after the handshake go through the writer thread;
-//! the reader queues error frames for it instead of writing directly.
+//! The writer alone owns the connection's lanes, and it sleeps until
+//! told. The reader sends it events on one channel: a lane opened, a
+//! frame submitted, a frame refused, the read ended. Each lane's runtime
+//! wake-up ([`ServeRuntime::handle_waking`]) sends "lane has news" on the
+//! same channel when a frame completes or the lane fails or closes. A
+//! lane is Streaming, then Draining once the reader has stopped, and
+//! ends exactly once — Completed, Failed or Cancelled — in one
+//! transition that releases its quota and gauge, counts it, and marks it
+//! done in the store after its last frame is written. The writer tells
+//! the reader of each end before that frame goes out, so a late frame
+//! for an answered request id is refused instead of reopening it.
+//!
+//! The split matters for backpressure: a reader blocked in
+//! `submit_bytes` (lane window full) stops reading, TCP flow control
+//! propagates the stall to the client, and the writer keeps draining
+//! completed frames the whole time, since it never waits on the reader.
+//! So the window opens again and the system never deadlocks on a full
+//! socket buffer in either direction.
+//!
+//! All socket writes after the handshake go through the writer thread.
 //! Frames are written whole or not at all, so a live server never emits
 //! a torn frame — a client sees either a complete frame or a closed
-//! connection.
+//! connection. A failed write cancels every lane of the connection.
 //!
 //! ## Admission control
 //!
@@ -34,8 +47,8 @@
 //!
 //! [`NetServer::shutdown`] flags draining (new request ids are rejected
 //! with [`ErrorCode::Shutdown`]), wakes the blocked accept with one
-//! loopback dial so the listener closes, waits for in-flight
-//! requests to finish within the grace period, then force-closes
+//! loopback dial so the listener closes, sleeps until the last
+//! connection closes or the grace period runs out, then force-closes
 //! stragglers. The runtime's queues are then drained and its workers
 //! joined ([`ServeRuntime::shutdown`]) before the call returns.
 
@@ -47,17 +60,17 @@ use crate::handshake::{
 use bytes::Bytes;
 use proteus::serve::{RequestHandle, ServeRuntime};
 use proteus::store::Store;
-use proteus::SealedBucket;
 use proteus_graph::wire::{
     encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, FRAME, WIRE_VERSION,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Lock, recovering the guard from a poisoned mutex: the shared state
 /// is counters and registries, valid at every instant, so a panicking
@@ -157,7 +170,6 @@ struct Counters {
     requests_completed: AtomicUsize,
     requests_failed: AtomicUsize,
     requests_active: AtomicUsize,
-    active_connections: AtomicUsize,
     journal_errors: AtomicUsize,
 }
 
@@ -172,18 +184,15 @@ struct ServerShared {
     counters: Counters,
     /// Concurrently-active requests per tenant.
     tenant_active: Mutex<HashMap<String, usize>>,
+    /// Connections currently open; `live_cv` signals each close, so a
+    /// draining shutdown sleeps until the count reaches zero.
+    live: Mutex<usize>,
+    live_cv: Condvar,
     /// Each live connection's handler thread, with a clone of its socket
     /// for force-close on shutdown. Finished ones are reaped on the next
     /// accept, so a long-running daemon holds neither the thread nor the
     /// socket of a connection that has ended.
     connections: Mutex<Vec<(Option<TcpStream>, JoinHandle<()>)>>,
-}
-
-/// How a lane ended, for the completed/failed counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneOutcome {
-    Completed,
-    Failed,
 }
 
 impl ServerShared {
@@ -203,46 +212,17 @@ impl ServerShared {
         }
     }
 
+    fn connection_closed(&self) {
+        *relock(&self.live) -= 1;
+        self.live_cv.notify_all();
+    }
+
     fn release_tenant(&self, tenant: &str) {
         let mut map = relock(&self.tenant_active);
         if let Some(n) = map.get_mut(tenant) {
             *n = n.saturating_sub(1);
             if *n == 0 {
                 map.remove(tenant);
-            }
-        }
-    }
-
-    /// The single owner of every lane-teardown counter: the
-    /// `requests_active` decrement, the tenant-quota release and the
-    /// completed/failed counter. Takes the [`Lane`] by value — a lane
-    /// can only be passed here once (removing it from the connection's
-    /// map is what yields ownership), so the gauge can never
-    /// double-decrement no matter how many teardown paths race. Cheap,
-    /// so callers run it under the connection lock; the durable mark is
-    /// [`ServerShared::mark_lanes_done`], after the lock.
-    fn release_lane(&self, lane: Lane, outcome: LaneOutcome) {
-        self.release_tenant(&lane.tenant);
-        self.counters.requests_active.fetch_sub(1, Ordering::SeqCst);
-        match outcome {
-            LaneOutcome::Completed => &self.counters.requests_completed,
-            LaneOutcome::Failed => &self.counters.requests_failed,
-        }
-        .fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Marks released lanes done in the durable store, once their last
-    /// frames have been written (or the connection is gone): the
-    /// journaled lanes must not be re-run on restart. A crash before the
-    /// mark only makes a restart re-run a lane whose answer was already
-    /// sent, which is harmless. Journal failure must not take down live
-    /// serving, but it must not be silent either — count and log it.
-    fn mark_lanes_done(&self, request_ids: &[u64]) {
-        if let Some(store) = &self.config.store {
-            for &request_id in request_ids {
-                if let Err(e) = store.finish_lane(request_id) {
-                    self.note_journal_error(request_id, "lane-done mark", &e);
-                }
             }
         }
     }
@@ -302,10 +282,11 @@ impl NetServer {
                 requests_completed: AtomicUsize::new(0),
                 requests_failed: AtomicUsize::new(0),
                 requests_active: AtomicUsize::new(0),
-                active_connections: AtomicUsize::new(0),
                 journal_errors: AtomicUsize::new(0),
             },
             tenant_active: Mutex::new(HashMap::new()),
+            live: Mutex::new(0),
+            live_cv: Condvar::new(),
             connections: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
@@ -335,7 +316,7 @@ impl NetServer {
             requests_completed: c.requests_completed.load(Ordering::SeqCst),
             requests_failed: c.requests_failed.load(Ordering::SeqCst),
             requests_active: c.requests_active.load(Ordering::SeqCst),
-            active_connections: c.active_connections.load(Ordering::SeqCst),
+            active_connections: *relock(&self.shared.live),
             journal_errors: c.journal_errors.load(Ordering::SeqCst),
         }
     }
@@ -361,17 +342,11 @@ impl NetServer {
                 let _ = t.join();
             }
         }
-        let deadline = Instant::now() + grace;
-        while self
+        let live = relock(&self.shared.live);
+        let _ = self
             .shared
-            .counters
-            .active_connections
-            .load(Ordering::SeqCst)
-            > 0
-            && Instant::now() < deadline
-        {
-            thread::sleep(Duration::from_millis(1));
-        }
+            .live_cv
+            .wait_timeout_while(live, grace, |live| *live > 0);
         // force-close stragglers; handler threads then exit on I/O error
         let connections: Vec<_> = relock(&self.shared.connections).drain(..).collect();
         for stream in connections.iter().filter_map(|(stream, _)| stream.as_ref()) {
@@ -416,8 +391,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         match accepted {
             Ok((stream, _peer)) => {
                 let limit = shared.config.max_connections;
-                let active = shared.counters.active_connections.load(Ordering::SeqCst);
-                if limit > 0 && active >= limit {
+                let mut live = relock(&shared.live);
+                if limit > 0 && *live >= limit {
+                    drop(live);
                     shared
                         .counters
                         .connections_rejected
@@ -429,13 +405,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     );
                     continue;
                 }
+                *live += 1;
+                drop(live);
                 shared
                     .counters
                     .connections_accepted
-                    .fetch_add(1, Ordering::SeqCst);
-                shared
-                    .counters
-                    .active_connections
                     .fetch_add(1, Ordering::SeqCst);
                 let clone = stream.try_clone().ok();
                 let conn_shared = Arc::clone(&shared);
@@ -443,10 +417,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     .name("proteus-net-conn".to_string())
                     .spawn(move || {
                         handle_connection(stream, &conn_shared);
-                        conn_shared
-                            .counters
-                            .active_connections
-                            .fetch_sub(1, Ordering::SeqCst);
+                        conn_shared.connection_closed();
                     });
                 match spawned {
                     Ok(handle) => {
@@ -465,13 +436,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                             let _ = handler.join();
                         }
                     }
-                    Err(_) => {
-                        // thread spawn failure: undo the accept accounting
-                        shared
-                            .counters
-                            .active_connections
-                            .fetch_sub(1, Ordering::SeqCst);
-                    }
+                    // thread spawn failure: undo the accept accounting
+                    Err(_) => shared.connection_closed(),
                 }
             }
             // a real accept error (EMFILE and the like): back off briefly
@@ -489,36 +455,47 @@ fn reject_connection(mut stream: TcpStream, code: ErrorCode, detail: String) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// One request's lane and its per-connection bookkeeping.
+/// What a connection's reader, and each of its lanes, tell the
+/// connection's writer — the only way anything reaches the lanes, which
+/// the writer alone owns.
+enum Event {
+    /// The reader admitted a new request id and opened its lane.
+    Opened(u64, RequestHandle),
+    /// The lane accepted one more of the client's frames.
+    Submitted(u64),
+    /// An error frame to send: a frame the reader or its lane refused.
+    Refused(ErrorFrame),
+    /// The lane changed: a frame completed, or it failed or closed.
+    News(u64),
+    /// The reader stopped: at client EOF, after a frame that ends the
+    /// connection, or (`broken`) because the socket failed.
+    ReadEnded { broken: bool },
+}
+
+/// Where a lane is in its life. It streams while the client may still
+/// send its frames and drains once the reader has stopped; it then ends
+/// exactly once — completed, failed or cancelled — in [`Writer::end`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneState {
+    Streaming,
+    Draining,
+    Completed,
+    Failed,
+    Cancelled,
+}
+
+/// One request's lane, owned by the connection's writer.
 struct Lane {
     handle: RequestHandle,
-    tenant: String,
-    /// Frames from this connection that the lane accepted. A frame the
-    /// lane refuses (corrupt, duplicate) is never counted, so at client
-    /// EOF the lane drains once every accepted frame has come back.
+    /// `Streaming` or `Draining`: a lane that ends leaves the map.
+    state: LaneState,
+    /// Frames the lane accepted (a refused frame is never counted), so a
+    /// draining lane ends once every accepted frame has come back.
     submitted: usize,
     /// Optimized frames written back to the client.
     delivered: usize,
-    /// Total frames the request will produce, learned from the first
-    /// completed bucket (every sealed bucket carries `num_buckets`).
+    /// Frames the answer has: every sealed bucket carries `num_buckets`.
     expected: Option<usize>,
-    /// An error frame for this lane has been written; it is dead.
-    failed: bool,
-}
-
-/// State shared between a connection's reader and writer threads.
-struct ConnState {
-    lanes: HashMap<u64, Lane>,
-    /// Request ids rejected at admission — later frames for them are
-    /// dropped without another error frame.
-    rejected: HashSet<u64>,
-    /// Error frames queued by the reader for the writer to send.
-    errors: VecDeque<ErrorFrame>,
-    /// The client half-closed (or the read side failed): no more
-    /// submissions; drain and close.
-    eof: bool,
-    /// The connection is unusable (write failed): drop everything now.
-    fatal: bool,
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
@@ -605,87 +582,60 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
     }
 
     // --- frame exchange ---
-    let state = Arc::new(Mutex::new(ConnState {
+    let (events, inbox) = mpsc::channel();
+    let (ended_tx, ended) = mpsc::channel();
+    let Ok(writer_stream) = stream.try_clone() else {
+        return;
+    };
+    let writer = Writer {
+        out: Out {
+            stream: writer_stream,
+            broken: false,
+        },
+        shared: Arc::clone(shared),
+        tenant: tenant.clone(),
         lanes: HashMap::new(),
-        rejected: HashSet::new(),
-        errors: VecDeque::new(),
-        eof: false,
-        fatal: false,
-    }));
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+        ended: ended_tx,
     };
-    let writer_state = Arc::clone(&state);
-    let writer_shared = Arc::clone(shared);
-    let writer = match thread::Builder::new()
+    let Ok(writer) = thread::Builder::new()
         .name("proteus-net-write".to_string())
-        .spawn(move || writer_loop(writer_stream, &writer_state, &writer_shared))
-    {
-        Ok(handle) => handle,
-        Err(_) => return,
+        .spawn(move || writer.run(&inbox))
+    else {
+        return;
     };
-
-    reader_loop(&mut stream, &mut reader, &state, shared, &tenant);
+    Reader {
+        shared,
+        tenant: &tenant,
+        known: HashMap::new(),
+        events,
+        ended,
+    }
+    .run(&mut stream, &mut reader);
     let _ = writer.join();
-    // release anything still held (fatal teardown path)
-    let released = release_all(&mut relock(&state), shared);
-    shared.mark_lanes_done(&released);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Releases every lane still open on a connection that is going away,
-/// returning their request ids for the lane-done marks. Dropping the
-/// last handle clone cancels a lane: queued tasks detach and nothing is
-/// ever written for it — it fails closed.
-fn release_all(st: &mut ConnState, shared: &ServerShared) -> Vec<u64> {
-    st.lanes
-        .drain()
-        .map(|(rid, lane)| {
-            shared.release_lane(lane, LaneOutcome::Failed);
-            rid
-        })
-        .collect()
+/// What the reader knows of a request id it has seen on this connection.
+enum Known {
+    /// Admitted: the id's frames go to this lane.
+    Open(RequestHandle),
+    /// Answered in full: a later frame for the id is refused.
+    Answered,
+    /// Rejected at admission, or its lane failed: the client has its
+    /// error frame, and later frames are dropped without another.
+    Dropped,
 }
 
-/// Socket → frames → lanes. Runs on the connection's main thread.
-fn reader_loop(
-    stream: &mut TcpStream,
-    reader: &mut FrameReader,
-    state: &Arc<Mutex<ConnState>>,
-    shared: &Arc<ServerShared>,
-    tenant: &str,
-) {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        // drain complete frames before blocking on the socket again; a
-        // frame that ends the connection is handled after the frames
-        // before it have been dispatched
-        let (admitted, end) = drain_frames(reader, state, shared, tenant);
-        dispatch(admitted, state, shared);
-        if let Some(frame) = end {
-            let mut st = relock(state);
-            st.errors.push_back(frame);
-            st.eof = true;
-            return;
-        }
-        if relock(state).fatal {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                relock(state).eof = true;
-                return;
-            }
-            Ok(n) => reader.push(&chunk[..n]),
-            Err(_) => {
-                let mut st = relock(state);
-                st.eof = true;
-                st.fatal = true;
-                return;
-            }
-        }
-    }
+/// Socket → frames → lanes. Runs on the connection's own thread.
+struct Reader<'a> {
+    shared: &'a ServerShared,
+    tenant: &'a str,
+    known: HashMap<u64, Known>,
+    /// Send results are ignored: the writer outlives the reader.
+    events: Sender<Event>,
+    /// Lanes the writer has ended, each sent before its last frame is
+    /// written, so a client holding the answer can only meet the refusal.
+    ended: Receiver<(u64, Known)>,
 }
 
 /// A data frame admitted to its lane, waiting to be journaled and
@@ -696,279 +646,333 @@ struct Admitted {
     raw: Bytes,
 }
 
-/// Drains every complete frame buffered in `reader`, admitting each data
-/// frame in order. Returns the admitted frames and, when the drain ended
-/// on something that must close the connection (a framing error, an
-/// error frame from the client), the error frame to answer it with.
-fn drain_frames(
-    reader: &mut FrameReader,
-    state: &Arc<Mutex<ConnState>>,
-    shared: &Arc<ServerShared>,
-    tenant: &str,
-) -> (Vec<Admitted>, Option<ErrorFrame>) {
-    let mut admitted = Vec::new();
-    loop {
-        match reader.try_next() {
-            Ok(Some(NetFrame::Data(raw))) => match admit_frame(raw, state, shared, tenant) {
-                Ok(Some(frame)) => admitted.push(frame),
-                Ok(None) => {}
-                Err(fatal) => return (admitted, Some(fatal)),
-            },
-            // clients have no business sending error frames; treat it
-            // as a framing violation and close
-            Ok(Some(NetFrame::Error(_))) => {
-                let frame = ErrorFrame::new(0, ErrorCode::Protocol, "client sent an error frame");
-                return (admitted, Some(frame));
+impl Reader<'_> {
+    fn run(mut self, stream: &mut TcpStream, reader: &mut FrameReader) {
+        let mut chunk = [0u8; 16 * 1024];
+        let broken = loop {
+            while let Ok((request_id, known)) = self.ended.try_recv() {
+                self.known.insert(request_id, known);
             }
-            Ok(None) => return (admitted, None),
-            // unsynchronisable stream: report once, stop reading
-            Err(e) => {
-                return (
-                    admitted,
-                    Some(ErrorFrame::new(0, ErrorCode::Wire, e.to_string())),
-                )
+            // drain complete frames before blocking on the socket again; a
+            // frame that ends the connection is answered after the frames
+            // before it have been dispatched
+            let (admitted, end) = self.drain_frames(reader);
+            self.dispatch(admitted);
+            if let Some(frame) = end {
+                let _ = self.events.send(Event::Refused(frame));
+                break false;
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => break false,
+                Ok(n) => reader.push(&chunk[..n]),
+                Err(_) => break true,
+            }
+        };
+        let _ = self.events.send(Event::ReadEnded { broken });
+    }
+
+    /// Drains every complete frame buffered in `reader`, admitting each
+    /// data frame in order. Returns the admitted frames and, when the
+    /// drain ended on something that must close the connection (a framing
+    /// error, an error frame from the client), the error frame to answer
+    /// it with.
+    fn drain_frames(&mut self, reader: &mut FrameReader) -> (Vec<Admitted>, Option<ErrorFrame>) {
+        let mut admitted = Vec::new();
+        loop {
+            match reader.try_next() {
+                Ok(Some(NetFrame::Data(raw))) => match self.admit(raw) {
+                    Ok(Some(frame)) => admitted.push(frame),
+                    Ok(None) => {}
+                    Err(fatal) => return (admitted, Some(fatal)),
+                },
+                // clients have no business sending error frames; treat it
+                // as a framing violation and close
+                Ok(Some(NetFrame::Error(_))) => {
+                    let frame =
+                        ErrorFrame::new(0, ErrorCode::Protocol, "client sent an error frame");
+                    return (admitted, Some(frame));
+                }
+                Ok(None) => return (admitted, None),
+                // unsynchronisable stream: report once, stop reading
+                Err(e) => {
+                    return (
+                        admitted,
+                        Some(ErrorFrame::new(0, ErrorCode::Wire, e.to_string())),
+                    )
+                }
             }
         }
     }
-}
 
-/// Runs admission for one raw data frame: routes it to its lane,
-/// opening the lane (through admission control) on the first frame of a
-/// new request id. `Ok(None)` drops the frame — its request id was
-/// rejected or its lane failed (any error frame is already queued) — and
-/// `Err` carries the error frame of a failure that must end the
-/// connection.
-fn admit_frame(
-    raw: Bytes,
-    state: &Arc<Mutex<ConnState>>,
-    shared: &Arc<ServerShared>,
-    tenant: &str,
-) -> Result<Option<Admitted>, ErrorFrame> {
-    let request_id = peek_frame_request_id(&raw)
-        .map_err(|e| ErrorFrame::new(0, ErrorCode::Wire, e.to_string()))?;
-    // fast path: existing lane (the handle is cloned out so submit_bytes
-    // — which can block on the backpressure window — runs without the
-    // connection lock held)
-    let existing = {
-        let st = relock(state);
-        if st.rejected.contains(&request_id) {
-            return Ok(None); // already rejected; drop silently
-        }
-        match st.lanes.get(&request_id) {
-            Some(lane) if lane.failed => return Ok(None),
-            Some(lane) => Some(lane.handle.clone()),
-            None => None,
-        }
-    };
-    let handle = match existing {
-        Some(h) => h,
-        None => {
-            // admission for a new request id
-            let reject = |code: ErrorCode, detail: String| {
-                let mut st = relock(state);
-                st.rejected.insert(request_id);
-                st.errors
-                    .push_back(ErrorFrame::new(request_id, code, detail));
-                shared
-                    .counters
-                    .requests_failed
-                    .fetch_add(1, Ordering::SeqCst);
-            };
-            if shared.draining.load(Ordering::SeqCst) {
-                reject(
-                    ErrorCode::Shutdown,
-                    "server is draining; request rejected".to_string(),
-                );
+    /// Runs admission for one raw data frame: routes it to its lane,
+    /// opening the lane (through admission control) on the first frame of
+    /// a new request id. `Ok(None)` drops the frame — its request id was
+    /// rejected, failed or answered (any error frame is already sent to
+    /// the writer) — and `Err` carries the error frame of a failure that
+    /// must end the connection.
+    fn admit(&mut self, raw: Bytes) -> Result<Option<Admitted>, ErrorFrame> {
+        let request_id = peek_frame_request_id(&raw)
+            .map_err(|e| ErrorFrame::new(0, ErrorCode::Wire, e.to_string()))?;
+        let handle = match self.known.get(&request_id) {
+            Some(Known::Open(handle)) => handle.clone(),
+            Some(Known::Dropped) => return Ok(None),
+            Some(Known::Answered) => {
+                let _ = self.events.send(Event::Refused(ErrorFrame::new(
+                    request_id,
+                    ErrorCode::Protocol,
+                    format!("request {request_id:#x} was already answered on this connection"),
+                )));
                 return Ok(None);
             }
-            let quota = shared.config.tenant_quota;
-            if quota > 0 {
-                let mut map = relock(&shared.tenant_active);
-                let n = map.entry(tenant.to_string()).or_insert(0);
-                if *n >= quota {
-                    drop(map);
-                    reject(
-                        ErrorCode::QuotaExceeded,
-                        format!("tenant {tenant} is at its quota of {quota} concurrent requests"),
-                    );
-                    return Ok(None);
-                }
-                *n += 1;
+            None => match self.open(request_id) {
+                Some(handle) => handle,
+                None => return Ok(None),
+            },
+        };
+        Ok(Some(Admitted {
+            request_id,
+            handle,
+            raw,
+        }))
+    }
+
+    /// Admission for a new request id: the drain and quota gates, then a
+    /// lane whose every change wakes the writer. `None` when the id is
+    /// rejected (its error frame is sent to the writer).
+    fn open(&mut self, request_id: u64) -> Option<RequestHandle> {
+        let shared = self.shared;
+        let quota = shared.config.tenant_quota;
+        let rejection = if shared.draining.load(Ordering::SeqCst) {
+            Some((
+                ErrorCode::Shutdown,
+                "server is draining; request rejected".to_string(),
+            ))
+        } else {
+            let mut map = relock(&shared.tenant_active);
+            let n = map.entry(self.tenant.to_string()).or_insert(0);
+            if quota > 0 && *n >= quota {
+                Some((
+                    ErrorCode::QuotaExceeded,
+                    format!(
+                        "tenant {} is at its quota of {quota} concurrent requests",
+                        self.tenant
+                    ),
+                ))
             } else {
-                *relock(&shared.tenant_active)
-                    .entry(tenant.to_string())
-                    .or_insert(0) += 1;
+                *n += 1;
+                None
             }
-            let handle = shared.runtime.handle(request_id);
-            // the gauge goes up under the connection lock, so the writer
-            // cannot release this lane before it is counted
-            let mut st = relock(state);
-            st.lanes.insert(
-                request_id,
-                Lane {
-                    handle: handle.clone(),
-                    tenant: tenant.to_string(),
-                    submitted: 0,
-                    delivered: 0,
-                    expected: None,
-                    failed: false,
-                },
-            );
+        };
+        if let Some((code, detail)) = rejection {
+            self.known.insert(request_id, Known::Dropped);
             shared
                 .counters
-                .requests_active
+                .requests_failed
                 .fetch_add(1, Ordering::SeqCst);
-            handle
+            let _ = self
+                .events
+                .send(Event::Refused(ErrorFrame::new(request_id, code, detail)));
+            return None;
         }
-    };
-    Ok(Some(Admitted {
-        request_id,
-        handle,
-        raw,
-    }))
-}
-
-/// Journals a drain's admitted frames as one durable batch, then submits
-/// each to its lane in order. Journal *before* submitting: once a frame
-/// can influence an answer the client might act on, it must survive a
-/// daemon kill. A frame the lane then rejects (duplicate, corrupt) is
-/// journaled too — harmless, since resume replays it into a lane that
-/// rejects it identically. Journal failure must not take down live
-/// serving (the store rolls a failed batch back, staying consistent),
-/// but it is counted and logged — durability is degraded from here on.
-fn dispatch(admitted: Vec<Admitted>, state: &Arc<Mutex<ConnState>>, shared: &Arc<ServerShared>) {
-    if let (Some(store), Some(first)) = (&shared.config.store, admitted.first()) {
-        let frames: Vec<(u64, &[u8])> = admitted
-            .iter()
-            .map(|a| (a.request_id, &a.raw[..]))
-            .collect();
-        if let Err(e) = store.record_lane_frames(&frames) {
-            shared.note_journal_error(first.request_id, "frame journal", &e);
-        }
+        let events = self.events.clone();
+        let handle = shared.runtime.handle_waking(request_id, move || {
+            let _ = events.send(Event::News(request_id));
+        });
+        // counted before the writer can see the lane, so the writer's
+        // release can never run first
+        shared
+            .counters
+            .requests_active
+            .fetch_add(1, Ordering::SeqCst);
+        let _ = self.events.send(Event::Opened(request_id, handle.clone()));
+        self.known.insert(request_id, Known::Open(handle.clone()));
+        Some(handle)
     }
-    for Admitted {
-        request_id,
-        handle,
-        raw,
-    } in admitted
-    {
-        let accepted = handle.submit_bytes(raw);
-        let mut st = relock(state);
-        match accepted {
-            Ok(()) => {
-                if let Some(lane) = st.lanes.get_mut(&request_id) {
-                    lane.submitted += 1;
-                }
+
+    /// Journals a drain's admitted frames as one durable batch, then
+    /// submits each to its lane in order. Journal *before* submitting:
+    /// once a frame can influence an answer the client might act on, it
+    /// must survive a daemon kill. A frame the lane then rejects
+    /// (duplicate, corrupt) is journaled too — harmless, since resume
+    /// replays it into a lane that rejects it identically. Journal failure
+    /// must not take down live serving (the store rolls a failed batch
+    /// back, staying consistent), but it is counted and logged —
+    /// durability is degraded from here on.
+    fn dispatch(&self, admitted: Vec<Admitted>) {
+        let shared = self.shared;
+        if let (Some(store), Some(first)) = (&shared.config.store, admitted.first()) {
+            let frames: Vec<(u64, &[u8])> = admitted
+                .iter()
+                .map(|a| (a.request_id, &a.raw[..]))
+                .collect();
+            if let Err(e) = store.record_lane_frames(&frames) {
+                shared.note_journal_error(first.request_id, "frame journal", &e);
             }
+        }
+        for Admitted {
+            request_id,
+            handle,
+            raw,
+        } in admitted
+        {
             // the lane survives a per-frame rejection (duplicate,
             // corrupt); the client learns which frame and why
-            Err(e) => st.errors.push_back(error_frame_for(request_id, &e)),
+            let _ = self.events.send(match handle.submit_bytes(raw) {
+                Ok(()) => Event::Submitted(request_id),
+                Err(e) => Event::Refused(error_frame_for(request_id, &e)),
+            });
         }
     }
 }
 
-/// Lanes → socket. Runs until the connection is finished: every lane
-/// complete or failed, the reader at EOF, and the error queue flushed.
-fn writer_loop(stream: TcpStream, state: &Arc<Mutex<ConnState>>, shared: &Arc<ServerShared>) {
-    let mut writer = FrameWriter::new(&stream);
-    loop {
-        // collect work under the lock, encode and write outside it, so
-        // the reader keeps dispatching while a large frame encodes
-        let (errors, ready, released, done) = {
-            let mut st = relock(state);
-            let errors: Vec<ErrorFrame> = st.errors.drain(..).collect();
-            let mut ready: Vec<(u64, SealedBucket)> = Vec::new();
-            let mut failed: Vec<(u64, ErrorFrame)> = Vec::new();
-            let mut completed: Vec<u64> = Vec::new();
-            let eof = st.eof;
-            for (&rid, lane) in st.lanes.iter_mut() {
-                while let Some(bucket) = lane.handle.try_recv() {
-                    lane.expected = Some(bucket.num_buckets as usize);
-                    lane.delivered += 1;
-                    ready.push((rid, bucket));
-                }
-                if let Some(err) = lane.handle.failure() {
-                    if !lane.failed {
-                        lane.failed = true;
-                        failed.push((rid, error_frame_for(rid, &err)));
-                    }
-                    continue;
-                }
-                let complete = lane.expected.is_some_and(|e| lane.delivered == e);
-                // at client EOF a lane that will never see its missing
-                // frames (client bailed early) finishes once everything
-                // actually submitted has come back
-                let drained_at_eof =
-                    eof && lane.delivered == lane.submitted && lane.handle.in_flight() == 0;
-                if complete || drained_at_eof {
-                    completed.push(rid);
-                }
-            }
-            // lanes released in this pass; marked done once their
-            // frames below are written
-            let mut released = Vec::with_capacity(failed.len() + completed.len());
-            for (rid, frame) in failed {
-                st.errors.push_back(frame);
-                if let Some(lane) = st.lanes.remove(&rid) {
-                    shared.release_lane(lane, LaneOutcome::Failed);
-                    released.push(rid);
-                }
-                st.rejected.insert(rid);
-            }
-            for rid in completed {
-                if let Some(lane) = st.lanes.remove(&rid) {
-                    let outcome = if lane.expected.is_some_and(|e| lane.delivered == e) {
-                        LaneOutcome::Completed
-                    } else {
-                        // drained at EOF short of the full bucket count:
-                        // the client abandoned the request mid-stream
-                        LaneOutcome::Failed
+/// Lanes → socket. The connection's lanes live here and nowhere else;
+/// the writer sleeps on its event channel until someone has news for it.
+struct Writer {
+    out: Out,
+    shared: Arc<ServerShared>,
+    tenant: String,
+    lanes: HashMap<u64, Lane>,
+    ended: Sender<(u64, Known)>,
+}
+
+/// The socket's write half. A failed write breaks it: the client is
+/// gone, nothing more is written, and the writer cancels every lane.
+struct Out {
+    stream: TcpStream,
+    broken: bool,
+}
+
+impl Out {
+    /// Writes one frame whole, unless the socket already failed. A failed
+    /// write shuts the socket, which also wakes a reader blocked on it.
+    fn write(&mut self, frame: &[u8]) {
+        if !self.broken && FrameWriter::new(&self.stream).write_frame(frame).is_err() {
+            self.broken = true;
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+impl Writer {
+    /// Runs until the reader has stopped and every lane has ended. After
+    /// a failed write it keeps consuming events until the reader stops,
+    /// so a lane opened meanwhile is still cancelled and released.
+    fn run(mut self, inbox: &Receiver<Event>) {
+        let mut reading = true;
+        while reading || !self.lanes.is_empty() {
+            // every live lane's waker holds a sender, so the channel
+            // closes only once nothing can reach this writer again
+            let Ok(event) = inbox.recv() else { break };
+            match event {
+                Event::Opened(request_id, handle) => {
+                    let lane = Lane {
+                        handle,
+                        state: LaneState::Streaming,
+                        submitted: 0,
+                        delivered: 0,
+                        expected: None,
                     };
-                    shared.release_lane(lane, outcome);
-                    released.push(rid);
+                    self.lanes.insert(request_id, lane);
+                }
+                Event::Submitted(request_id) => {
+                    if let Some(lane) = self.lanes.get_mut(&request_id) {
+                        lane.submitted += 1;
+                    }
+                }
+                Event::Refused(frame) => self.out.write(&encode_error_frame(&frame)),
+                Event::News(request_id) => self.advance(request_id),
+                Event::ReadEnded { broken } => {
+                    reading = false;
+                    self.out.broken |= broken;
+                    for lane in self.lanes.values_mut() {
+                        lane.state = LaneState::Draining;
+                    }
+                    let open: Vec<u64> = self.lanes.keys().copied().collect();
+                    for request_id in open {
+                        self.advance(request_id);
+                    }
                 }
             }
-            // take failure frames queued just above in the same pass
-            let mut all_errors = errors;
-            all_errors.extend(st.errors.drain(..));
-            let finished = st.fatal || (st.eof && st.lanes.is_empty() && all_errors.is_empty());
-            (all_errors, ready, released, finished)
+            if self.out.broken {
+                let open: Vec<u64> = self.lanes.keys().copied().collect();
+                for request_id in open {
+                    self.end(request_id, LaneState::Cancelled, Vec::new());
+                }
+            }
+        }
+        let _ = self.out.stream.shutdown(Shutdown::Write);
+    }
+
+    /// Moves a lane on after news: writes the frames it completed, and ends
+    /// it once it is answered, has failed, or is draining with every
+    /// accepted frame back (the client stopped short, nothing more comes).
+    fn advance(&mut self, request_id: u64) {
+        // news for a lane that has already ended is stale
+        let Some(lane) = self.lanes.get_mut(&request_id) else {
+            return;
         };
-        let mut write_failed = false;
-        for frame in &errors {
-            if writer.write_frame(&encode_error_frame(frame)).is_err() {
-                write_failed = true;
-                break;
+        // the frame that completes the answer goes out in `end`, once the
+        // reader has been told
+        let mut last = Vec::new();
+        while let Some(bucket) = lane.handle.try_recv() {
+            lane.expected = Some(bucket.num_buckets as usize);
+            lane.delivered += 1;
+            let frame = bucket.to_mux_bytes(request_id);
+            if lane.expected == Some(lane.delivered) {
+                last.push(frame);
+            } else {
+                self.out.write(&frame);
             }
         }
-        if !write_failed {
-            for (rid, bucket) in &ready {
-                if writer.write_frame(&bucket.to_mux_bytes(*rid)).is_err() {
-                    write_failed = true;
-                    break;
-                }
+        let end = if let Some(err) = lane.handle.failure() {
+            last.push(encode_error_frame(&error_frame_for(request_id, &err)));
+            Some(LaneState::Failed)
+        } else if lane.expected == Some(lane.delivered) {
+            Some(LaneState::Completed)
+        } else if lane.state == LaneState::Draining && lane.delivered == lane.submitted {
+            Some(LaneState::Failed)
+        } else {
+            None
+        };
+        match end {
+            Some(state) => self.end(request_id, state, last),
+            None => last.iter().for_each(|frame| self.out.write(frame)),
+        }
+    }
+
+    /// Ends a lane in `state` (`Completed`, `Failed` or `Cancelled`) and
+    /// writes its `last` frames: the one place a lane leaves, so its
+    /// gauge, quota and outcome counter move exactly once. The reader is
+    /// told and the quota freed before those frames go out; the durable
+    /// lane-done mark follows them (a crash in between only re-runs a lane
+    /// whose answer was sent, which is harmless).
+    fn end(&mut self, request_id: u64, state: LaneState, last: Vec<Bytes>) {
+        if self.lanes.remove(&request_id).is_none() {
+            return;
+        }
+        // on a broken connection nothing more reaches the client
+        let answered = state == LaneState::Completed && !self.out.broken;
+        let counters = &self.shared.counters;
+        let (known, outcome) = if answered {
+            (Known::Answered, &counters.requests_completed)
+        } else {
+            (Known::Dropped, &counters.requests_failed)
+        };
+        let _ = self.ended.send((request_id, known));
+        self.shared.release_tenant(&self.tenant);
+        counters.requests_active.fetch_sub(1, Ordering::SeqCst);
+        outcome.fetch_add(1, Ordering::SeqCst);
+        for frame in &last {
+            self.out.write(frame);
+        }
+        // journal failure must not take down live serving, but it must not
+        // be silent either
+        let shared = &self.shared;
+        if let Some(store) = &shared.config.store {
+            if let Err(e) = store.finish_lane(request_id) {
+                shared.note_journal_error(request_id, "lane-done mark", &e);
             }
         }
-        if write_failed {
-            // client is gone: fail closed — drop every lane (cancelling
-            // queued work) and let the reader observe `fatal`
-            let dropped = {
-                let mut st = relock(state);
-                st.fatal = true;
-                release_all(&mut st, shared)
-            };
-            shared.mark_lanes_done(&released);
-            shared.mark_lanes_done(&dropped);
-            return;
-        }
-        // the released lanes' last frames are on the wire: mark them
-        // done, outside the connection lock
-        shared.mark_lanes_done(&released);
-        if done {
-            let _ = stream.shutdown(Shutdown::Write);
-            return;
-        }
-        thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -979,6 +983,7 @@ mod tests {
     use super::*;
     use proteus::ServeConfig;
     use proteus_opt::{Optimizer, Profile};
+    use std::time::Instant;
 
     /// A daemon keeps neither the thread nor the socket of a connection
     /// that has ended: each accept reaps the handlers that have exited,

@@ -15,24 +15,27 @@
 //! - bad auth / fingerprint mismatch / version skew: typed handshake
 //!   rejections; a token or banner too long for a hello is refused
 //!   locally, typed, before anything is sent;
+//! - a worker crash: only the request whose member crashed fails, typed;
 //! - per-tenant quotas and connection limits: typed admission
 //!   rejections;
 //! - durable journal: a request pipelined in one write is journaled,
 //!   marked done after its answer, and leaves a store that passes the
-//!   fsck;
+//!   fsck; a late frame for an answered request is refused typed and
+//!   never journaled;
 //! - graceful drain: in-flight requests complete through shutdown, new
 //!   connections are refused after it; an idle server bound on an
 //!   unspecified address shuts down promptly.
 //!
 //! CI runs this suite in release mode (the `net-e2e` job).
 
+use proteus::serve::MemberOptimizer;
 use proteus::store::Store;
 use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
     ServeRuntime,
 };
 use proteus_graph::wire::{ErrorCode, WireError};
-use proteus_graph::TensorMap;
+use proteus_graph::{Graph, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
 use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello, MAX_HELLO_BLOB};
@@ -41,7 +44,8 @@ use proteus_net::{
     NetServerConfig, NetServerStats, TenantAuth,
 };
 use proteus_opt::{Optimizer, Profile};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -174,6 +178,56 @@ fn assert_parity(owned: &OwnedRequest, frames: &[bytes::Bytes]) {
     }
     let (graph, _params) = reassembly.finish().expect("reassembly completes");
     graph.validate().expect("optimized graph validates");
+}
+
+/// Opens a connection and does the hello exchange by hand as tenant
+/// `alpha`, so a test can write arbitrary frames after it.
+fn raw_connect(addr: SocketAddr, fingerprint: u64) -> (TcpStream, FrameReader) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    FrameWriter::new(&mut stream)
+        .write_frame(&ClientHello::new(fingerprint, "alpha-token").encode())
+        .expect("hello written");
+    let mut reader = FrameReader::new();
+    let mut reply = read_hello_bytes(&mut stream, &mut reader).expect("server hello");
+    ServerHello::decode(&mut reply).expect("accepted");
+    (stream, reader)
+}
+
+/// The next frame on a raw connection, or `None` once the server has
+/// closed it.
+fn next_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> Option<NetFrame> {
+    use std::io::Read;
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        if let Some(frame) = reader.try_next().expect("well-framed reply") {
+            return Some(frame);
+        }
+        let read = stream.read(&mut chunk).expect("reply read");
+        if read == 0 {
+            return None;
+        }
+        reader.push(&chunk[..read]);
+    }
+}
+
+/// One line naming a frame, without its payload bytes.
+fn describe(frame: &NetFrame) -> String {
+    match frame {
+        NetFrame::Data(raw) => format!("a {} B data frame", raw.len()),
+        NetFrame::Error(e) => format!("{e:?}"),
+    }
+}
+
+/// Reads the `n` data frames of one request's answer off a raw
+/// connection.
+fn read_answer(stream: &mut TcpStream, reader: &mut FrameReader, n: usize) -> Vec<bytes::Bytes> {
+    (0..n)
+        .map(|i| match next_frame(stream, reader) {
+            Some(NetFrame::Data(raw)) => raw,
+            Some(other) => panic!("answer frame {i} of {n}: got {}", describe(&other)),
+            None => panic!("server closed after {i} of {n} answer frames"),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -476,13 +530,7 @@ fn mid_stream_disconnect_fails_closed_and_server_survives() {
     // raw socket: handshake, submit ONE frame of the multi-frame
     // request, then vanish mid-stream
     {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        FrameWriter::new(&mut stream)
-            .write_frame(&ClientHello::new(fingerprint, "alpha-token").encode())
-            .expect("hello written");
-        let mut reader = FrameReader::new();
-        let mut reply = read_hello_bytes(&mut stream, &mut reader).expect("server hello");
-        ServerHello::decode(&mut reply).expect("accepted");
+        let (mut stream, _) = raw_connect(addr, fingerprint);
         FrameWriter::new(&mut stream)
             .write_frame(&owned.request.frames[0])
             .expect("first frame written");
@@ -548,13 +596,7 @@ fn requests_active_settles_to_zero_after_mixed_outcomes() {
     // by the post-join drain, not the writer loop)
     {
         let abandoned = owned_request(ModelKind::ResNet, 73);
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        FrameWriter::new(&mut stream)
-            .write_frame(&ClientHello::new(fingerprint, "alpha-token").encode())
-            .expect("hello written");
-        let mut reader = FrameReader::new();
-        let mut reply = read_hello_bytes(&mut stream, &mut reader).expect("server hello");
-        ServerHello::decode(&mut reply).expect("accepted");
+        let (mut stream, _) = raw_connect(addr, fingerprint);
         FrameWriter::new(&mut stream)
             .write_frame(&abandoned.request.frames[0])
             .expect("first frame written");
@@ -590,6 +632,78 @@ fn requests_active_settles_to_zero_after_mixed_outcomes() {
     assert_eq!(stats.requests_failed, 1, "the abandoned lane fails closed");
 }
 
+/// An optimizer whose first call panics; every later call optimizes.
+struct CrashesOnce {
+    optimizer: Optimizer,
+    crashed: AtomicBool,
+}
+
+impl MemberOptimizer for CrashesOnce {
+    fn profile(&self) -> Profile {
+        self.optimizer.profile()
+    }
+
+    fn optimize(&self, graph: &Graph, params: &TensorMap) -> (Graph, TensorMap) {
+        if !self.crashed.swap(true, Ordering::SeqCst) {
+            panic!("injected optimizer crash");
+        }
+        MemberOptimizer::optimize(&self.optimizer, graph, params)
+    }
+}
+
+/// A worker crash over TCP fails only the request whose member crashed:
+/// that request gets one typed `WorkerCrashed`, the other request on the
+/// same connection still comes back bit-identical, and the counters
+/// settle.
+#[test]
+fn worker_crash_fails_only_its_request_over_tcp() {
+    let runtime = ServeRuntime::new(
+        CrashesOnce {
+            optimizer: Optimizer::new(Profile::OrtLike),
+            crashed: AtomicBool::new(false),
+        },
+        ServeConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .expect("runtime spawns");
+    let fingerprint = shared_proteus().config_fingerprint();
+    let server = NetServer::bind(
+        runtime,
+        fingerprint,
+        NetServerConfig {
+            auth: two_tenant_auth(),
+            ..Default::default()
+        },
+    )
+    .expect("server binds");
+    let owned = [
+        owned_request(ModelKind::AlexNet, 61),
+        owned_request(ModelKind::MobileNet, 62),
+    ];
+    let client = NetClient::connect(server.local_addr(), "alpha-token", fingerprint)
+        .expect("tenant connects");
+    let responses = client
+        .run_requests(owned.iter().map(|o| o.request.clone()).collect())
+        .expect("wave completes");
+    let mut crashed = 0;
+    for (owned, response) in owned.iter().zip(&responses) {
+        match &response.result {
+            Ok(frames) => assert_parity(owned, frames),
+            Err(e) => {
+                assert_eq!(e.code, ErrorCode::WorkerCrashed, "{e:?}");
+                crashed += 1;
+            }
+        }
+    }
+    assert_eq!(crashed, 1, "exactly the request whose member crashed fails");
+    let stats = server.shutdown(Duration::from_secs(30));
+    assert_eq!(stats.requests_completed, 1, "{stats:?}");
+    assert_eq!(stats.requests_failed, 1, "{stats:?}");
+    assert_eq!(stats.requests_active, 0, "{stats:?}");
+}
+
 // ---------------------------------------------------------------------------
 // durable journal
 // ---------------------------------------------------------------------------
@@ -601,7 +715,7 @@ fn requests_active_settles_to_zero_after_mixed_outcomes() {
 /// pending lane, and a store that passes the fsck.
 #[test]
 fn durable_server_journals_a_pipelined_request_and_marks_it_done() {
-    use std::io::{Read, Write};
+    use std::io::Write;
     let dir = std::env::temp_dir().join(format!("proteus-net-e2e-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (store, _) = Store::open_or_create(&dir).expect("store creates");
@@ -616,13 +730,7 @@ fn durable_server_journals_a_pipelined_request_and_marks_it_done() {
     let n = owned.request.frames.len();
     assert!(n >= 2, "needs a multi-frame request");
 
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    FrameWriter::new(&mut stream)
-        .write_frame(&ClientHello::new(fingerprint, "alpha-token").encode())
-        .expect("hello written");
-    let mut reader = FrameReader::new();
-    let mut reply = read_hello_bytes(&mut stream, &mut reader).expect("server hello");
-    ServerHello::decode(&mut reply).expect("accepted");
+    let (mut stream, mut reader) = raw_connect(server.local_addr(), fingerprint);
     let pipelined: Vec<u8> = owned
         .request
         .frames
@@ -631,19 +739,7 @@ fn durable_server_journals_a_pipelined_request_and_marks_it_done() {
         .collect();
     stream.write_all(&pipelined).expect("frames written");
 
-    let mut frames = Vec::with_capacity(n);
-    let mut chunk = [0u8; 16 * 1024];
-    while frames.len() < n {
-        match reader.try_next().expect("well-framed reply") {
-            Some(NetFrame::Data(raw)) => frames.push(raw),
-            Some(NetFrame::Error(e)) => panic!("request failed remotely: {e:?}"),
-            None => {
-                let read = stream.read(&mut chunk).expect("reply read");
-                assert!(read > 0, "server closed after {} frames", frames.len());
-                reader.push(&chunk[..read]);
-            }
-        }
-    }
+    let frames = read_answer(&mut stream, &mut reader, n);
     assert_parity(&owned, &frames);
     drop(stream);
 
@@ -655,6 +751,62 @@ fn durable_server_journals_a_pipelined_request_and_marks_it_done() {
     assert!(store.pending_lanes().is_empty(), "lane left pending");
     let report = Store::verify(&dir).expect("store passes the fsck");
     assert_eq!(report.pending_lanes, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame for a request the connection has already answered is refused
+/// with one typed `Protocol` error frame: it opens no second lane, is not
+/// journaled, and moves no counter.
+#[test]
+fn late_frame_for_an_answered_request_is_refused_typed() {
+    use std::io::Write;
+    let dir = std::env::temp_dir().join(format!("proteus-net-e2e-late-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = Store::open_or_create(&dir).expect("store creates");
+    let store = Arc::new(store);
+    let server = spawn_server(NetServerConfig {
+        auth: two_tenant_auth(),
+        store: Some(Arc::clone(&store)),
+        ..Default::default()
+    });
+    let fingerprint = shared_proteus().config_fingerprint();
+    let owned = owned_request(ModelKind::AlexNet, 83);
+    let n = owned.request.frames.len();
+
+    let (mut stream, mut reader) = raw_connect(server.local_addr(), fingerprint);
+    for frame in &owned.request.frames {
+        stream.write_all(frame).expect("frame written");
+    }
+    let frames = read_answer(&mut stream, &mut reader, n);
+    assert_parity(&owned, &frames);
+    // the request is answered: send its first frame again, then EOF
+    stream
+        .write_all(&owned.request.frames[0])
+        .expect("late frame written");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let rest: Vec<NetFrame> = std::iter::from_fn(|| next_frame(&mut stream, &mut reader)).collect();
+    match rest.as_slice() {
+        [NetFrame::Error(e)] => {
+            assert_eq!(e.code, ErrorCode::Protocol, "{e:?}");
+            assert_eq!(e.request_id, 83);
+        }
+        other => panic!(
+            "want one Protocol error frame after the answer, got {:?}",
+            other.iter().map(describe).collect::<Vec<_>>()
+        ),
+    }
+    drop(stream);
+
+    let stats = server.shutdown(Duration::from_secs(30));
+    assert_eq!(stats.requests_completed, 1, "{stats:?}");
+    assert_eq!(stats.requests_failed, 0, "{stats:?}");
+    assert_eq!(stats.requests_active, 0, "{stats:?}");
+    assert_eq!(
+        store.records(),
+        1 + n as u64 + 1,
+        "the late frame was journaled"
+    );
+    assert!(store.pending_lanes().is_empty(), "lane left pending");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
