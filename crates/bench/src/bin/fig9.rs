@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p proteus-bench --bin fig9 [-- --quick]`
 
-use proteus::{optimize_model_serial, PartitionSpec, Proteus, ProteusConfig};
+use proteus::{PartitionSpec, Proteus, ProteusConfig, SealedBucket};
 use proteus_adversary::analytic_log10_candidates;
 use proteus_bench::{print_header, print_row};
 use proteus_graph::TensorMap;
@@ -77,9 +77,14 @@ fn main() {
         let _ = optimizer.optimize(&g, &TensorMap::new());
         let direct = t0.elapsed().as_secs_f64() * 1e3;
 
-        let (bucket, _) = proteus.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
+        let frames: Vec<SealedBucket> = proteus
+            .obfuscate_session(&g, &TensorMap::new(), 0)
+            .expect("obfuscate")
+            .collect();
         let t1 = Instant::now();
-        let _ = optimize_model_serial(&bucket, &optimizer);
+        for frame in &frames {
+            let _ = frame.optimize(&optimizer, Some(1));
+        }
         let bucketed = t1.elapsed().as_secs_f64() * 1e3;
         print_row(
             &[

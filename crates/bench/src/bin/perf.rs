@@ -1,6 +1,7 @@
 //! Rewrite-engine performance tracking: times `Optimizer::optimize` under
-//! both profiles and both engines over the full model zoo, plus the
-//! end-to-end obfuscate → optimize → deobfuscate pipeline, and writes
+//! both profiles and both engines over the full model zoo, plus one
+//! in-process request end to end (`ServeRuntime::serve_request`, and the
+//! same request streamed through a session by hand), and writes
 //! `BENCH_opt.json` (mean/p50/p95 wall-times per measurement). Served-
 //! request latency and its per-layer split are measured by the real-path
 //! `e2e` benchmark (`crates/bench/src/bin/e2e/`).
@@ -13,7 +14,7 @@
 //!
 //! Usage: `cargo run --release -p proteus-bench --bin perf [-- --smoke] [-- --out PATH]`
 
-use proteus::{PartitionSpec, Proteus, ProteusConfig};
+use proteus::{PartitionSpec, Proteus, ProteusConfig, ServeConfig, ServeRuntime};
 use proteus_bench::{latency_triple, print_header, print_row};
 use proteus_graph::{Graph, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
@@ -171,8 +172,9 @@ fn main() {
     let zoo_speedup = geomean(&speedups);
     println!("\nGeomean worklist speedup over naive fixpoint: {zoo_speedup:.2}x");
 
-    // End-to-end pipeline: obfuscate -> optimize every bucket member with
-    // the dynamic work queue -> deobfuscate.
+    // End-to-end request: the session's frames stream through the serving
+    // runtime's worker pool and are reassembled. The cache is off, so
+    // every sample optimizes every member.
     let (g, params) = small_protected_model();
     let cfg = ProteusConfig {
         k: 8,
@@ -187,49 +189,53 @@ fn main() {
     };
     let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
     let e2e_iters = if smoke { 1 } else { 5 };
+    const REQUEST_ID: u64 = 0;
+    let runtime = ServeRuntime::new(
+        Optimizer::new(Profile::OrtLike),
+        ServeConfig {
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("runtime starts");
+    let serve = || {
+        runtime
+            .serve_request(&proteus, &g, &params, REQUEST_ID)
+            .expect("serve request")
+    };
+    let served_back = serve();
     let samples: Vec<f64> = (0..e2e_iters)
         .map(|_| {
             let t = Instant::now();
-            let (model, secrets) = proteus.obfuscate(&g, &params).expect("obfuscate");
-            let optimized = proteus.optimize_obfuscated(&model, &Optimizer::new(Profile::OrtLike));
-            let back = proteus
-                .deobfuscate(&secrets, &optimized)
-                .expect("deobfuscate");
+            let back = serve();
             let us = t.elapsed().as_secs_f64() * 1e6;
             std::hint::black_box(back);
             us
         })
         .collect();
     let e2e = Series {
-        label: "pipeline/obfuscate-optimize-deobfuscate".to_string(),
+        label: "pipeline/serve-request".to_string(),
         samples,
     };
     println!(
-        "\nEnd-to-end pipeline (k=8, n=3, {} members): mean {:.0} us",
+        "\nEnd-to-end request through ServeRuntime (k=8, n=3, {} members): mean {:.0} us",
         (8 + 1) * 3,
         e2e.mean()
     );
-    let batch_mean = e2e.mean();
+    let served_mean = e2e.mean();
     series.push(e2e);
 
-    // Streamed end-to-end: the session API pipelines the two parties —
-    // the optimizer works on frame i while the owner generates frame
-    // i + 1. Uses LEGACY_REQUEST_ID so the result must be bit-identical
-    // to the batch wrapper above (asserted: this is the session/legacy
-    // parity gate in its end-to-end form).
+    // Streamed end-to-end by hand: the optimizer works on frame i while
+    // the owner generates frame i + 1, each frame optimized by
+    // `SealedBucket::optimize`. Under the same request id the result must
+    // be bit-identical to the runtime above (asserted: this is the
+    // runtime/reference parity gate in its end-to-end form).
     let optimizer = Optimizer::new(Profile::OrtLike);
-    let (batch_model, batch_secrets) = proteus.obfuscate(&g, &params).expect("obfuscate");
-    let batch_back = proteus
-        .deobfuscate(
-            &batch_secrets,
-            &proteus.optimize_obfuscated(&batch_model, &optimizer),
-        )
-        .expect("deobfuscate");
     let samples: Vec<f64> = (0..e2e_iters)
         .map(|_| {
             let t = Instant::now();
             let session = proteus
-                .obfuscate_session(&g, &params, proteus::LEGACY_REQUEST_ID)
+                .obfuscate_session(&g, &params, REQUEST_ID)
                 .expect("session");
             let (tx, rx) = std::sync::mpsc::channel();
             let back = std::thread::scope(|scope| {
@@ -255,8 +261,8 @@ fn main() {
             });
             let us = t.elapsed().as_secs_f64() * 1e6;
             assert_eq!(
-                back.0, batch_back.0,
-                "streamed pipeline diverged from the batch wrapper"
+                back.0, served_back.0,
+                "streamed pipeline diverged from ServeRuntime::serve_request"
             );
             std::hint::black_box(back);
             us
@@ -267,9 +273,9 @@ fn main() {
         samples,
     };
     println!(
-        "Streamed pipeline (same work, obfuscation/optimization overlapped): mean {:.0} us ({:.2}x vs batch)",
+        "Streamed session by hand (same work, obfuscation/optimization overlapped): mean {:.0} us ({:.2}x vs serve-request)",
         streamed.mean(),
-        batch_mean / streamed.mean(),
+        served_mean / streamed.mean(),
     );
     series.push(streamed);
 
@@ -315,17 +321,18 @@ fn main() {
         artifact_bytes.len(),
     );
     let warm_proteus = Proteus::from_artifact_bytes(&artifact_bytes).expect("artifact loads");
+    let wire_of = |proteus: &Proteus, model: &Graph| -> Vec<Vec<u8>> {
+        proteus
+            .obfuscate_session(model, &TensorMap::new(), REQUEST_ID)
+            .expect("session")
+            .map(|frame| frame.to_mux_bytes(REQUEST_ID).to_vec())
+            .collect()
+    };
     for entry in zoo::all() {
         let zoo_model = (entry.build)();
-        let (a, _) = proteus
-            .obfuscate(&zoo_model, &TensorMap::new())
-            .expect("obfuscate");
-        let (b, _) = warm_proteus
-            .obfuscate(&zoo_model, &TensorMap::new())
-            .expect("obfuscate");
         assert_eq!(
-            a.to_bytes(),
-            b.to_bytes(),
+            wire_of(&proteus, &zoo_model),
+            wire_of(&warm_proteus, &zoo_model),
             "{}: warm-started instance diverged from the trained one on the wire",
             entry.name
         );

@@ -29,8 +29,8 @@
 //! ```
 
 use proteus::store::Store;
-use proteus::{PartitionSpec, Proteus, ProteusConfig, TrainedArtifact};
-use proteus_graph::TensorMap;
+use proteus::{DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, TrainedArtifact};
+use proteus_graph::{Graph, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
 use std::process::ExitCode;
@@ -241,13 +241,9 @@ fn cmd_verify(path: &str, args: &[String]) -> Result<(), String> {
         println!("state check: retrained artifact bytes are identical to the file");
         for &probe in &probes {
             let g = build(probe);
-            let (a, _) = fresh
-                .obfuscate(&g, &TensorMap::new())
-                .map_err(|e| e.to_string())?;
-            let (b, _) = loaded
-                .obfuscate(&g, &TensorMap::new())
-                .map_err(|e| e.to_string())?;
-            if a.to_bytes() != b.to_bytes() {
+            let a = wire_frames(&fresh, &g)?;
+            let b = wire_frames(&loaded, &g)?;
+            if a != b {
                 return Err(format!(
                     "obfuscation wire bytes diverge on probe `{}`",
                     probe.name()
@@ -256,7 +252,7 @@ fn cmd_verify(path: &str, args: &[String]) -> Result<(), String> {
             println!(
                 "probe {:<12} fresh-vs-loaded wire bytes identical ({} buckets)",
                 probe.name(),
-                a.num_buckets()
+                a.len()
             );
         }
     }
@@ -264,16 +260,33 @@ fn cmd_verify(path: &str, args: &[String]) -> Result<(), String> {
     // loaded instance must also round-trip an obfuscation on its own
     for &probe in &probes {
         let g = build(probe);
-        let (model, secrets) = loaded
-            .obfuscate(&g, &TensorMap::new())
+        let mut session = loaded
+            .obfuscate_session(&g, &TensorMap::new(), VERIFY_REQUEST_ID)
             .map_err(|e| e.to_string())?;
-        let (back, _) = loaded
-            .deobfuscate(&secrets, &model)
-            .map_err(|e| e.to_string())?;
+        let frames: Vec<_> = session.by_ref().collect();
+        let secrets = session.finish().map_err(|e| e.to_string())?;
+        let mut reassembly = DeobfuscationSession::new(&secrets);
+        for frame in frames {
+            reassembly.accept(frame).map_err(|e| e.to_string())?;
+        }
+        let (back, _) = reassembly.finish().map_err(|e| e.to_string())?;
         back.validate().map_err(|e| e.to_string())?;
     }
     println!("verify OK");
     Ok(())
+}
+
+/// The request id `verify` obfuscates its probes under.
+const VERIFY_REQUEST_ID: u64 = 0;
+
+/// One probe request's wire frames, drained from a fresh session.
+fn wire_frames(proteus: &Proteus, g: &Graph) -> Result<Vec<Vec<u8>>, String> {
+    let session = proteus
+        .obfuscate_session(g, &TensorMap::new(), VERIFY_REQUEST_ID)
+        .map_err(|e| e.to_string())?;
+    Ok(session
+        .map(|frame| frame.to_mux_bytes(VERIFY_REQUEST_ID).to_vec())
+        .collect())
 }
 
 fn cmd_store_verify(dir: &str) -> Result<(), String> {

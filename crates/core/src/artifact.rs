@@ -29,18 +29,16 @@
 //! | 2 | [`SECTION_RNN`]       | GraphRNN weights, sorted by name |
 //! | 3 | [`SECTION_POOL`]      | sentinel topology pool, adjacency-exact |
 //! | 4 | [`SECTION_BIGRAM`]    | bigram counts/totals/alpha, bit-exact |
-//! | 5 | [`SECTION_SENTINELS`] | warm sentinel inventory, key-sorted (v2) |
+//! | 5 | [`SECTION_SENTINELS`] | warm sentinel inventory, key-sorted |
 //!
-//! Version 2 (current) adds the sentinel-inventory section — the warm
-//! sentinels built by the serving runtime persist across restarts, so a
-//! cold-started process begins with whatever inventory the saving process
-//! had accumulated. Keys whose population failed persist too (as empty
-//! slots), so a fully warmed artifact covers the whole key space and a
-//! restart re-proves nothing. Version 1 artifacts (five sections, no
-//! `sentinel_variants` config field) still load; their inventory starts
-//! empty and is rebuilt on demand, with identical wire output either way
-//! (the inventory is pure memoization). See `docs/WIRE.md` for the
-//! byte-by-byte layout.
+//! The sentinel-inventory section persists the warm sentinels built by
+//! the serving runtime across restarts, so a cold-started process begins
+//! with whatever inventory the saving process had accumulated. Keys whose
+//! population failed persist too (as empty slots), so a fully warmed
+//! artifact covers the whole key space and a restart re-proves nothing.
+//! Only the current [`ARTIFACT_VERSION`] (3) is read: an artifact from an
+//! older version is rejected, and re-running `proteus-train train`
+//! replaces it. See `docs/WIRE.md` for the byte-by-byte layout.
 //!
 //! # Determinism contract
 //!
@@ -74,13 +72,10 @@ use std::path::Path;
 /// Magic bytes opening every trained-state artifact.
 pub const ARTIFACT_MAGIC: [u8; 4] = *b"PRTA";
 
-/// The newest artifact format version this library writes. Version 1
-/// files (no sentinel section) are still read; unknown versions are
-/// rejected with [`ArtifactError::UnknownVersion`] — never misparsed.
-pub const ARTIFACT_VERSION: u16 = 2;
-
-/// The oldest artifact format version this library reads.
-pub const ARTIFACT_VERSION_MIN: u16 = 1;
+/// The artifact format version this library writes and reads. Every
+/// other version, older ones included, is rejected with
+/// [`ArtifactError::UnknownVersion`] — never misparsed.
+pub const ARTIFACT_VERSION: u16 = 3;
 
 /// Section tag: config fingerprint + provenance.
 pub const SECTION_META: u32 = 0;
@@ -92,7 +87,7 @@ pub const SECTION_RNN: u32 = 2;
 pub const SECTION_POOL: u32 = 3;
 /// Section tag: the fitted bigram model.
 pub const SECTION_BIGRAM: u32 = 4;
-/// Section tag: the warm sentinel inventory (artifact version ≥ 2).
+/// Section tag: the warm sentinel inventory.
 pub const SECTION_SENTINELS: u32 = 5;
 
 const SECTION_TAGS: [u32; 6] = [
@@ -298,13 +293,6 @@ fn get_str(buf: &mut Bytes, what: &str) -> AResult<String> {
 /// by bit pattern: two configs have equal encodings iff they are
 /// observably identical to the pipeline.
 fn encode_config(config: &ProteusConfig) -> Bytes {
-    encode_config_versioned(config, ARTIFACT_VERSION)
-}
-
-/// [`encode_config`] targeting an explicit artifact version: version 1
-/// stops at the seed (the historical layout), version 2 appends
-/// `sentinel_variants`.
-fn encode_config_versioned(config: &ProteusConfig, version: u16) -> Bytes {
     let mut buf = BytesMut::new();
     match config.partitions {
         PartitionSpec::Count(n) => {
@@ -333,21 +321,12 @@ fn encode_config_versioned(config: &ProteusConfig, version: u16) -> Bytes {
     buf.put_u64_le(config.topology_pool as u64);
     buf.put_u64_le(config.population.max_solutions as u64);
     buf.put_u64_le(config.population.top_pct.to_bits());
-    match config.optimizer_threads {
-        None => buf.put_u8(0),
-        Some(t) => {
-            buf.put_u8(1);
-            buf.put_u64_le(t as u64);
-        }
-    }
     buf.put_u64_le(config.seed);
-    if version >= 2 {
-        buf.put_u64_le(config.sentinel_variants as u64);
-    }
+    buf.put_u64_le(config.sentinel_variants as u64);
     buf.freeze()
 }
 
-fn decode_config(buf: &mut Bytes, version: u16) -> AResult<ProteusConfig> {
+fn decode_config(buf: &mut Bytes) -> AResult<ProteusConfig> {
     need(buf, 9, "partition spec")?;
     let partitions = match buf.get_u8() {
         0 => PartitionSpec::Count(buf.get_u64_le() as usize),
@@ -380,33 +359,15 @@ fn decode_config(buf: &mut Bytes, version: u16) -> AResult<ProteusConfig> {
         lr: f32::from_bits(buf.get_u32_le()),
         max_nodes: buf.get_u64_le() as usize,
     };
-    need(buf, 8 + 8 + 8 + 1, "population config")?;
+    need(buf, 8 + 8 + 8, "population config")?;
     let topology_pool = buf.get_u64_le() as usize;
     let population = PopulationConfig {
         max_solutions: buf.get_u64_le() as usize,
         top_pct: f64::from_bits(buf.get_u64_le()),
     };
-    let optimizer_threads = match buf.get_u8() {
-        0 => None,
-        1 => {
-            need(buf, 8, "optimizer threads")?;
-            Some(buf.get_u64_le() as usize)
-        }
-        other => {
-            return Err(ArtifactError::malformed(format!(
-                "unknown optimizer-threads tag {other}"
-            )))
-        }
-    };
-    need(buf, 8, "seed")?;
+    need(buf, 8 + 8, "seed and sentinel variants")?;
     let seed = buf.get_u64_le();
-    // v1 artifacts predate the variants field; they load under the default
-    let sentinel_variants = if version >= 2 {
-        need(buf, 8, "sentinel variants")?;
-        buf.get_u64_le() as usize
-    } else {
-        ProteusConfig::default().sentinel_variants
-    };
+    let sentinel_variants = buf.get_u64_le() as usize;
     Ok(ProteusConfig {
         partitions,
         k,
@@ -416,7 +377,6 @@ fn decode_config(buf: &mut Bytes, version: u16) -> AResult<ProteusConfig> {
         graphrnn,
         topology_pool,
         population,
-        optimizer_threads,
         sentinel_variants,
         seed,
     })
@@ -725,8 +685,7 @@ pub struct ArtifactSummary {
     pub rnn_scalars: usize,
     /// Bigram vocabulary size (`OpCode::COUNT` at save time).
     pub bigram_vocab: usize,
-    /// Persisted sentinels: inventory entries whose key built a graph
-    /// (always 0 for version-1 files, which predate the section).
+    /// Persisted sentinels: inventory entries whose key built a graph.
     pub sentinel_entries: usize,
     /// Persisted infeasible keys: memoized population failures
     /// (`graph_len = 0` entries). Artifacts written before failures were
@@ -841,7 +800,7 @@ impl TrainedArtifact {
             return Err(ArtifactError::truncated("artifact version"));
         }
         let version = u16::from_le_bytes([data[4], data[5]]);
-        if !(ARTIFACT_VERSION_MIN..=ARTIFACT_VERSION).contains(&version) {
+        if version != ARTIFACT_VERSION {
             return Err(ArtifactError::UnknownVersion {
                 got: version,
                 supported: ARTIFACT_VERSION,
@@ -875,14 +834,6 @@ impl TrainedArtifact {
                 )));
             }
             let tag = frame.bucket_index;
-            // the sentinel section exists only in version ≥ 2 files; a v1
-            // file carrying it was not written by any released encoder
-            if version < 2 && tag == SECTION_SENTINELS {
-                return Err(ArtifactError::malformed(format!(
-                    "section `sentinels` (tag {SECTION_SENTINELS}) requires artifact version 2, \
-                     file is version {version}"
-                )));
-            }
             let slot = SECTION_TAGS
                 .iter()
                 .position(|&t| t == tag)
@@ -923,12 +874,8 @@ impl TrainedArtifact {
         let mut rnn = take(SECTION_RNN)?;
         let mut pool = take(SECTION_POOL)?;
         let mut bigram = take(SECTION_BIGRAM)?;
-        // required in v2 (possibly empty), absent by definition in v1
-        let sentinels_payload = if version >= 2 {
-            Some(take(SECTION_SENTINELS)?)
-        } else {
-            None
-        };
+        // required, possibly empty
+        let mut sentinels_payload = take(SECTION_SENTINELS)?;
 
         need(&meta, 8, "config fingerprint")?;
         let recorded = meta.get_u64_le();
@@ -948,7 +895,7 @@ impl TrainedArtifact {
         }
 
         let mut config_buf = config_payload.clone();
-        let config = decode_config(&mut config_buf, version)?;
+        let config = decode_config(&mut config_buf)?;
         if !config_buf.is_empty() {
             return Err(ArtifactError::malformed(format!(
                 "{} trailing bytes in config section",
@@ -982,19 +929,14 @@ impl TrainedArtifact {
             }
             decoded
         };
-        let sentinels = match sentinels_payload {
-            Some(mut payload) => {
-                let decoded = decode_sentinels(&mut payload, pool.len(), config.sentinel_variants)?;
-                if !payload.is_empty() {
-                    return Err(ArtifactError::malformed(format!(
-                        "{} trailing bytes in sentinels section",
-                        payload.len()
-                    )));
-                }
-                decoded
-            }
-            None => Vec::new(),
-        };
+        let sentinels =
+            decode_sentinels(&mut sentinels_payload, pool.len(), config.sentinel_variants)?;
+        if !sentinels_payload.is_empty() {
+            return Err(ArtifactError::malformed(format!(
+                "{} trailing bytes in sentinels section",
+                sentinels_payload.len()
+            )));
+        }
 
         let summary = ArtifactSummary {
             version,
@@ -1219,6 +1161,12 @@ mod tests {
         proteus
     }
 
+    /// One request's wire frames, drained from a fresh session.
+    fn frames_of(proteus: &Proteus, g: &proteus_graph::Graph) -> Vec<Bytes> {
+        let session = proteus.obfuscate_session(g, &TensorMap::new(), 0).unwrap();
+        session.map(|f| f.to_mux_bytes(0)).collect()
+    }
+
     #[test]
     fn artifact_roundtrips_bit_identically() {
         let fresh = quick_proteus();
@@ -1229,9 +1177,7 @@ mod tests {
         assert_eq!(bytes.to_vec(), loaded.to_artifact_bytes().to_vec());
         // and the loaded instance obfuscates bit-identically
         let g = build(ModelKind::AlexNet);
-        let (a, _) = fresh.obfuscate(&g, &TensorMap::new()).unwrap();
-        let (b, _) = loaded.obfuscate(&g, &TensorMap::new()).unwrap();
-        assert_eq!(a.to_bytes().to_vec(), b.to_bytes().to_vec());
+        assert_eq!(frames_of(fresh, &g), frames_of(&loaded, &g));
     }
 
     #[test]
@@ -1327,71 +1273,6 @@ mod tests {
             rebuilt.extend_from_slice(&encode_frame(frame.bucket_index, &frame.payload));
         }
         let err = TrainedArtifact::from_bytes(&rebuilt).unwrap_err();
-        assert!(
-            matches!(err, ArtifactError::Malformed { .. }),
-            "wrong variant: {err:?}"
-        );
-    }
-
-    // a version-1 file for the same trained state, built with the v1
-    // config layout and without the sentinel section
-    fn v1_bytes_of(proteus: &Proteus) -> Vec<u8> {
-        let artifact = TrainedArtifact::from_proteus(proteus, "v1");
-        let config_payload = encode_config_versioned(&artifact.config, 1);
-        let mut meta = BytesMut::new();
-        meta.put_u64_le(fnv1a64(&config_payload));
-        put_str(&mut meta, &artifact.provenance);
-        let sections: [(u32, Bytes); 5] = [
-            (SECTION_META, meta.freeze()),
-            (SECTION_CONFIG, config_payload),
-            (SECTION_RNN, encode_rnn_weights(&artifact.rnn_weights)),
-            (SECTION_POOL, encode_pool(artifact.pool.iter())),
-            (SECTION_BIGRAM, encode_bigram(&artifact.bigram)),
-        ];
-        let mut buf = BytesMut::new();
-        buf.put_slice(&ARTIFACT_MAGIC);
-        buf.put_u16_le(1);
-        buf.put_u32_le(sections.len() as u32);
-        for (tag, payload) in &sections {
-            buf.put_slice(&encode_frame(*tag, payload));
-        }
-        buf.to_vec()
-    }
-
-    #[test]
-    fn v1_artifacts_still_load() {
-        let fresh = quick_proteus();
-        let v1 = v1_bytes_of(fresh);
-        let (artifact, summary) = TrainedArtifact::from_bytes_with_summary(&v1).unwrap();
-        assert_eq!(summary.version, 1);
-        assert_eq!(
-            (summary.sentinel_entries, summary.infeasible_entries),
-            (0, 0)
-        );
-        // the variants field predates v1; it loads under the default
-        assert_eq!(
-            artifact.config().sentinel_variants,
-            ProteusConfig::default().sentinel_variants
-        );
-        let loaded = artifact.into_proteus().unwrap();
-        assert_eq!(loaded.inventory().len(), 0);
-        // wire parity: the v1-loaded instance obfuscates identically
-        let g = build(ModelKind::AlexNet);
-        let (a, _) = fresh.obfuscate(&g, &TensorMap::new()).unwrap();
-        let (b, _) = loaded.obfuscate(&g, &TensorMap::new()).unwrap();
-        assert_eq!(a.to_bytes().to_vec(), b.to_bytes().to_vec());
-    }
-
-    #[test]
-    fn v1_files_cannot_carry_a_sentinel_section() {
-        let fresh = quick_proteus();
-        let v1 = v1_bytes_of(fresh);
-        // append an (empty) sentinel section frame and bump the count
-        let mut forged = v1.clone();
-        let empty = encode_sentinels(&[]);
-        forged.extend_from_slice(&encode_frame(SECTION_SENTINELS, &empty));
-        forged[6] += 1; // section_count low byte: 5 -> 6
-        let err = TrainedArtifact::from_bytes(&forged).unwrap_err();
         assert!(
             matches!(err, ArtifactError::Malformed { .. }),
             "wrong variant: {err:?}"
@@ -1606,10 +1487,6 @@ mod tests {
             },
             ProteusConfig {
                 partitions: PartitionSpec::Count(8),
-                ..base.clone()
-            },
-            ProteusConfig {
-                optimizer_threads: Some(4),
                 ..base.clone()
             },
             ProteusConfig {

@@ -60,10 +60,6 @@ pub struct ProteusConfig {
     /// buckets diverse — each draw picks a variant at random from the
     /// session's per-request stream.
     pub sentinel_variants: usize,
-    /// Worker threads for the optimizer party's bucket fan-out
-    /// ([`crate::optimize_model_with_threads`]). `None` uses all available
-    /// parallelism.
-    pub optimizer_threads: Option<usize>,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
 }
@@ -80,7 +76,6 @@ impl Default for ProteusConfig {
             topology_pool: 200,
             population: PopulationConfig::default(),
             sentinel_variants: 4,
-            optimizer_threads: None,
             seed: 0xB0B,
         }
     }
@@ -147,8 +142,7 @@ impl ProteusConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads in the shared optimizer pool. `0` means "all
-    /// available parallelism" (the serving analogue of
-    /// [`ProteusConfig::optimizer_threads`]`: None`).
+    /// available parallelism".
     pub workers: usize,
     /// Per-request backpressure window: the maximum number of frames a
     /// request may have in flight (submitted but not yet optimized).

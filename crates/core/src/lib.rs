@@ -7,23 +7,22 @@
 //!
 //! The protocol (paper Figure 1):
 //!
-//! 1. **Obfuscation** ([`Proteus::obfuscate`]) — the protected graph is
+//! 1. **Obfuscation** ([`Proteus::obfuscate_session`]) — the protected graph is
 //!    partitioned into `n` balanced subgraphs (randomized edge contraction,
 //!    `proteus-partition`), and each subgraph is hidden among `k` *sentinel*
 //!    subgraphs produced by a GraphRNN topology generator + importance
 //!    sampler (`proteus-graphgen`) and an SMT-style operator population step
 //!    (`proteus-smt`, [`operators`]) filtered for semantic consistency
-//!    ([`semantic`]). The result is an anonymized, shuffled
-//!    [`ObfuscatedModel`] of `n` buckets with `k + 1` members each — a
-//!    search space of `O((k+1)^n)` architectures.
-//! 2. **Optimization** ([`optimize_model`], or [`SealedBucket::optimize`]
-//!    per streamed frame) — the optimizer party applies its graph rewrites
-//!    to every bucket member independently (`proteus-opt` stands in for
+//!    ([`semantic`]). The result is `n` anonymized, shuffled
+//!    [`SealedBucket`] frames with `k + 1` members each — a search space
+//!    of `O((k+1)^n)` architectures.
+//! 2. **Optimization** ([`ServeRuntime`], or [`SealedBucket::optimize`]
+//!    per frame) — the optimizer party applies its graph rewrites to
+//!    every bucket member independently (`proteus-opt` stands in for
 //!    ONNXRuntime/Hidet).
-//! 3. **De-obfuscation** ([`DeobfuscationSession`] /
-//!    [`Proteus::deobfuscate`]) — the owner extracts the optimized real
-//!    pieces using its [`ObfuscationSecrets`] and reassembles the
-//!    optimized model.
+//! 3. **De-obfuscation** ([`DeobfuscationSession`]) — the owner extracts
+//!    the optimized real pieces using its [`ObfuscationSecrets`] and
+//!    reassembles the optimized model.
 //!
 //! # Quickstart: the session API
 //!
@@ -66,7 +65,7 @@
 //! let mut session = proteus.obfuscate_session(&g, &TensorMap::new(), 7)?;
 //! let mut optimized_frames = Vec::new();
 //! while let Some(frame) = session.next_frame() {
-//!     // `frame.to_bytes()` is what would cross the trust boundary; the
+//!     // `frame.to_mux_bytes(7)` is what would cross the trust boundary; the
 //!     // optimizer party can work on this frame while the owner
 //!     // generates the next one
 //!     optimized_frames.push(frame.optimize(&optimizer, None));
@@ -81,12 +80,9 @@
 //! # Ok::<(), ProteusError>(())
 //! ```
 //!
-//! ## Migrating from the one-shot functions
-//!
-//! [`Proteus::obfuscate`] / [`optimize_model`] / [`Proteus::deobfuscate`]
-//! remain available and now return [`ProteusError`]; they are wrappers
-//! over the sessions with [`LEGACY_REQUEST_ID`], bit-identical to driving
-//! a session by hand.
+//! A serving process hands whole requests to a [`ServeRuntime`] instead:
+//! [`ServeRuntime::serve_request`] runs this loop through a shared worker
+//! pool, bit-identical to the per-frame path above.
 //!
 //! ## Warm starts
 //!
@@ -118,23 +114,16 @@ pub use artifact::{
     ARTIFACT_VERSION,
 };
 pub use baseline::{random_opcode_graph, random_opcode_sentinels};
-pub use bucket::{
-    anonymize, anonymize_content, Bucket, BucketMember, ObfuscatedModel, ObfuscationSecrets,
-    SealedBucket,
-};
+pub use bucket::{anonymize_content, Bucket, BucketMember, ObfuscationSecrets, SealedBucket};
 pub use config::{PartitionSpec, ProteusConfig, SentinelMode, ServeConfig};
 pub use error::ProteusError;
 pub use inventory::{InventoryStats, RegimeTag, SentinelInventory, SentinelKey};
 pub use operators::{detect_regime, populate, PopulationConfig, Regime};
-pub use pipeline::{
-    optimize_bucket, optimize_model, optimize_model_serial, optimize_model_with_threads, Proteus,
-    ProteusBuilder,
-};
+pub use pipeline::{Proteus, ProteusBuilder};
 pub use semantic::{top_percentile, BigramModel};
 pub use sentinel::SentinelFactory;
 pub use serve::{OptimizedCache, RequestHandle, ServeRuntime, ServeStats, StealQueues};
 pub use session::{
     derive_member_seed, derive_request_seed, splitmix64, DeobfuscationSession, ObfuscationSession,
-    LEGACY_REQUEST_ID,
 };
 pub use store::{RecoveryReport, SessionCheckpoint, Store, StoreError, VerifyReport};

@@ -1,21 +1,20 @@
 //! The Proteus pipeline: obfuscate → (optimizer party) → de-obfuscate
 //! (paper Figure 1 and §4).
 //!
-//! The primary surface is session-based ([`Proteus::obfuscate_session`],
+//! The protocol surface is session-based ([`Proteus::obfuscate_session`],
 //! [`DeobfuscationSession`]): a trained [`Proteus`] is immutable and
 //! shareable across requests, each request streams [`SealedBucket`] frames
 //! across the trust boundary, and every failure is a typed
-//! [`ProteusError`]. The one-shot [`Proteus::obfuscate`] /
-//! [`Proteus::deobfuscate`] functions are kept as thin, bit-identical
-//! wrappers over the sessions for callers that want the whole model at
-//! once.
+//! [`ProteusError`]. The optimizer party serves requests with
+//! [`crate::ServeRuntime`]; [`SealedBucket::optimize`] is the per-frame
+//! reference its output is compared against.
 
-use crate::bucket::{Bucket, BucketMember, ObfuscatedModel, ObfuscationSecrets, SealedBucket};
+use crate::bucket::{Bucket, BucketMember, ObfuscationSecrets, SealedBucket};
 use crate::config::ProteusConfig;
 use crate::error::ProteusError;
 use crate::inventory::SentinelInventory;
 use crate::sentinel::SentinelFactory;
-use crate::session::{DeobfuscationSession, ObfuscationSession, LEGACY_REQUEST_ID};
+use crate::session::{DeobfuscationSession, ObfuscationSession};
 use proteus_graph::{Graph, TensorMap};
 use proteus_opt::Optimizer;
 use std::sync::Arc;
@@ -230,75 +229,6 @@ impl Proteus {
     ) -> DeobfuscationSession<'s> {
         DeobfuscationSession::new(secrets)
     }
-
-    /// Obfuscates a protected model: partitions it, hides every piece
-    /// among `k` sentinels, anonymizes and shuffles each bucket.
-    ///
-    /// Returns the artifact for the optimizer party and the owner's
-    /// secrets.
-    ///
-    /// This is the one-shot compatibility wrapper over
-    /// [`Proteus::obfuscate_session`] with [`LEGACY_REQUEST_ID`]; its
-    /// output is bit-identical to draining that session.
-    ///
-    /// # Errors
-    /// As [`Proteus::obfuscate_session`].
-    pub fn obfuscate(
-        &self,
-        graph: &Graph,
-        params: &TensorMap,
-    ) -> Result<(ObfuscatedModel, ObfuscationSecrets), ProteusError> {
-        let mut session = self.obfuscate_session(graph, params, LEGACY_REQUEST_ID)?;
-        let mut buckets = Vec::with_capacity(session.num_buckets());
-        for sealed in session.by_ref() {
-            buckets.push(sealed.into_bucket());
-        }
-        let secrets = session.finish()?;
-        Ok((ObfuscatedModel { buckets }, secrets))
-    }
-
-    /// Runs the optimizer party's bucket fan-out with this instance's
-    /// configured thread budget ([`ProteusConfig::optimizer_threads`]) — a
-    /// single-process convenience for harnesses that play both protocol
-    /// parties, as the examples and figure binaries do.
-    pub fn optimize_obfuscated(
-        &self,
-        model: &ObfuscatedModel,
-        optimizer: &Optimizer,
-    ) -> ObfuscatedModel {
-        optimize_model_with_threads(model, optimizer, self.config.optimizer_threads)
-    }
-
-    /// De-obfuscates: extracts the optimized real pieces from the bucket and
-    /// reassembles the optimized protected model (paper §4.3).
-    ///
-    /// This is the batch compatibility wrapper over
-    /// [`DeobfuscationSession`]: every bucket is accepted as one frame,
-    /// then reassembled.
-    ///
-    /// # Errors
-    /// [`ProteusError::Protocol`] when the optimized buckets no longer
-    /// match the plan (wrong bucket count, real position out of range),
-    /// [`ProteusError::Graph`] when piece interfaces broke.
-    pub fn deobfuscate(
-        &self,
-        secrets: &ObfuscationSecrets,
-        optimized: &ObfuscatedModel,
-    ) -> Result<(Graph, TensorMap), ProteusError> {
-        let nb = secrets.plan.pieces.len();
-        if optimized.buckets.len() != nb {
-            return Err(ProteusError::protocol(format!(
-                "expected {nb} buckets, got {}",
-                optimized.buckets.len()
-            )));
-        }
-        let mut session = self.deobfuscate_session(secrets);
-        for (i, bucket) in optimized.buckets.iter().enumerate() {
-            // by-ref accept: clones only each bucket's real member
-            session.accept_ref(i as u32, nb as u32, bucket)?;
-        }
-        session.finish()
-    }
 }
 
 impl SealedBucket {
@@ -306,141 +236,64 @@ impl SealedBucket {
     /// on one streamed bucket), preserving the frame header. Reuse one
     /// [`Optimizer`] handle across frames — its rule catalog is built
     /// once at construction.
+    ///
+    /// Members run on `threads` scoped workers (`None` = all available
+    /// parallelism) over the work-stealing scheduler the serving runtime
+    /// uses ([`crate::serve::StealQueues`]): bucket members vary wildly in
+    /// size, so static chunks would leave threads idle behind one loaded
+    /// with the big graphs. The output does not depend on `threads`. This
+    /// is the per-frame reference that [`crate::ServeRuntime`]'s served
+    /// frames are compared against.
     pub fn optimize(&self, optimizer: &Optimizer, threads: Option<usize>) -> SealedBucket {
+        use crate::serve::StealQueues;
+        use std::sync::Mutex;
+
+        let members = &self.bucket.members;
+        let num_threads = threads
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+            })
+            .clamp(1, members.len().max(1));
+        // Results land directly in their slot. The per-slot mutexes are
+        // uncontended (each is locked exactly once).
+        let slots: Vec<Mutex<Option<BucketMember>>> =
+            (0..members.len()).map(|_| Mutex::new(None)).collect();
+        let queues: StealQueues<usize> = StealQueues::new(num_threads);
+        for i in 0..members.len() {
+            queues.push(i);
+        }
+        let (queues, slots_ref) = (&queues, &slots);
+        let work = move |w: usize| {
+            // every task is queued before the workers start, so an empty
+            // scan (own deque + all steals) means the frame is drained
+            while let Some(i) = queues.pop(w) {
+                let m = &members[i];
+                let (graph, params, _) = optimizer.optimize(&m.graph, &m.params);
+                *slots_ref[i].lock().expect("slot poisoned") = Some(BucketMember { graph, params });
+            }
+        };
+        // the calling thread is worker 0, so one thread spawns nothing
+        std::thread::scope(|scope| {
+            for w in 1..num_threads {
+                scope.spawn(move || work(w));
+            }
+            work(0);
+        });
+        let members = slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("slot poisoned")
+                    .expect("worker filled slot")
+            })
+            .collect();
         SealedBucket {
             bucket_index: self.bucket_index,
             num_buckets: self.num_buckets,
-            bucket: optimize_bucket(&self.bucket, optimizer, threads),
+            bucket: Bucket { members },
         }
-    }
-}
-
-/// The optimizer party: optimizes every member of every bucket,
-/// independently and in parallel (the paper's step 3). The optimizer never
-/// learns which member is real. Uses all available parallelism; see
-/// [`optimize_model_with_threads`] to bound it (e.g. from
-/// [`ProteusConfig::optimizer_threads`]).
-pub fn optimize_model(model: &ObfuscatedModel, optimizer: &Optimizer) -> ObfuscatedModel {
-    optimize_model_with_threads(model, optimizer, None)
-}
-
-/// Optimizes the members of one bucket with the dynamic work queue — the
-/// per-frame unit of the streaming protocol.
-pub fn optimize_bucket(bucket: &Bucket, optimizer: &Optimizer, threads: Option<usize>) -> Bucket {
-    let members: Vec<&BucketMember> = bucket.members.iter().collect();
-    Bucket {
-        members: optimize_members(&members, optimizer, threads),
-    }
-}
-
-/// [`optimize_model`] with an explicit worker-thread count (`None` = all
-/// available parallelism).
-pub fn optimize_model_with_threads(
-    model: &ObfuscatedModel,
-    optimizer: &Optimizer,
-    threads: Option<usize>,
-) -> ObfuscatedModel {
-    let flat: Vec<&BucketMember> = model.buckets.iter().flat_map(|b| &b.members).collect();
-    let mut optimized = optimize_members(&flat, optimizer, threads).into_iter();
-    ObfuscatedModel {
-        buckets: model
-            .buckets
-            .iter()
-            .map(|b| Bucket {
-                members: b
-                    .members
-                    .iter()
-                    .map(|_| optimized.next().expect("one result per member"))
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// Shared fan-out core: optimizes a flat member list.
-///
-/// Scheduling is the same work-stealing scheduler the serving runtime
-/// uses ([`crate::serve::StealQueues`]): every member becomes one task on
-/// a per-worker deque, and a worker whose deque runs dry steals from the
-/// others. Bucket members vary wildly in size after partitioning (the
-/// real pieces are balanced, but sentinels are sampled around them), so
-/// static chunks routinely left threads idle behind one loaded with the
-/// big graphs — and a single shared queue serializes every pop on one
-/// lock.
-fn optimize_members(
-    members: &[&BucketMember],
-    optimizer: &Optimizer,
-    threads: Option<usize>,
-) -> Vec<BucketMember> {
-    use crate::serve::StealQueues;
-    use std::sync::Mutex;
-
-    let num_threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .clamp(1, members.len().max(1));
-    // Results land directly in their slot — no placeholder members, no
-    // post-hoc reshuffling. The per-slot mutexes are uncontended (each is
-    // locked exactly once).
-    let slots: Vec<Mutex<Option<BucketMember>>> =
-        (0..members.len()).map(|_| Mutex::new(None)).collect();
-    let queues: StealQueues<usize> = StealQueues::new(num_threads);
-    for i in 0..members.len() {
-        queues.push(i);
-    }
-    std::thread::scope(|scope| {
-        for w in 0..num_threads {
-            let queues = &queues;
-            let slots = &slots;
-            scope.spawn(move || {
-                // every task is queued before the workers start, so an
-                // empty scan (own deque + all steals) means the batch is
-                // drained
-                while let Some(i) = queues.pop(w) {
-                    let m = members[i];
-                    let (g, p, _) = optimizer.optimize(&m.graph, &m.params);
-                    *slots[i].lock().expect("slot poisoned") = Some(BucketMember {
-                        graph: g,
-                        params: p,
-                    });
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot poisoned")
-                .expect("worker filled slot")
-        })
-        .collect()
-}
-
-/// Serial variant of [`optimize_model`] (for measurement baselines).
-pub fn optimize_model_serial(model: &ObfuscatedModel, optimizer: &Optimizer) -> ObfuscatedModel {
-    ObfuscatedModel {
-        buckets: model
-            .buckets
-            .iter()
-            .map(|b| Bucket {
-                members: b
-                    .members
-                    .iter()
-                    .map(|m| {
-                        let (g, p, _) = optimizer.optimize(&m.graph, &m.params);
-                        BucketMember {
-                            graph: g,
-                            params: p,
-                        }
-                    })
-                    .collect(),
-            })
-            .collect(),
     }
 }
 
@@ -483,6 +336,36 @@ mod tests {
         (g, params)
     }
 
+    /// Drains one request's session: its frames and the owner's secrets.
+    fn drain(
+        proteus: &Proteus,
+        g: &Graph,
+        params: &TensorMap,
+    ) -> (Vec<SealedBucket>, ObfuscationSecrets) {
+        let mut session = proteus.obfuscate_session(g, params, 0).unwrap();
+        let frames: Vec<SealedBucket> = session.by_ref().collect();
+        (frames, session.finish().unwrap())
+    }
+
+    fn reassemble(
+        secrets: &ObfuscationSecrets,
+        frames: impl IntoIterator<Item = SealedBucket>,
+    ) -> Result<(Graph, TensorMap), ProteusError> {
+        let mut session = DeobfuscationSession::new(secrets);
+        for frame in frames {
+            session.accept(frame)?;
+        }
+        session.finish()
+    }
+
+    fn two_bucket_frames() -> Vec<SealedBucket> {
+        let (g, params) = small_model();
+        let mut cfg = quick_config(2);
+        cfg.partitions = PartitionSpec::Count(2);
+        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
+        drain(&proteus, &g, &params).0
+    }
+
     #[test]
     fn end_to_end_identity_roundtrip() {
         // obfuscate + deobfuscate without optimization returns an
@@ -491,10 +374,11 @@ mod tests {
         let mut cfg = quick_config(3);
         cfg.partitions = PartitionSpec::Count(3);
         let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
-        let (model, secrets) = proteus.obfuscate(&g, &params).unwrap();
-        assert_eq!(model.num_buckets(), 3);
-        assert_eq!(model.total_subgraphs(), 3 * 4);
-        let (back, back_params) = proteus.deobfuscate(&secrets, &model).unwrap();
+        let (frames, secrets) = drain(&proteus, &g, &params);
+        assert_eq!(frames.len(), 3);
+        let members: usize = frames.iter().map(|f| f.bucket.members.len()).sum();
+        assert_eq!(members, 3 * 4);
+        let (back, back_params) = reassemble(&secrets, frames).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let x = Tensor::random([1, 3, 8, 8], 1.0, &mut rng);
         let a = Executor::new(&g, &params)
@@ -514,10 +398,11 @@ mod tests {
         let mut cfg = quick_config(2);
         cfg.partitions = PartitionSpec::Count(2);
         let proteus = Proteus::train(cfg, &[build(ModelKind::MobileNet)]);
-        let (model, secrets) = proteus.obfuscate(&g, &params).unwrap();
+        let (frames, secrets) = drain(&proteus, &g, &params);
         for profile in Profile::ALL {
-            let optimized = optimize_model(&model, &Optimizer::new(profile));
-            let (back, back_params) = proteus.deobfuscate(&secrets, &optimized).unwrap();
+            let opt = Optimizer::new(profile);
+            let optimized = frames.iter().map(|f| f.optimize(&opt, None));
+            let (back, back_params) = reassemble(&secrets, optimized).unwrap();
             let mut rng = StdRng::seed_from_u64(2);
             let x = Tensor::random([1, 3, 8, 8], 1.0, &mut rng);
             let a = Executor::new(&g, &params)
@@ -534,13 +419,8 @@ mod tests {
 
     #[test]
     fn bucket_hides_real_subgraph_names() {
-        let (g, params) = small_model();
-        let mut cfg = quick_config(2);
-        cfg.partitions = PartitionSpec::Count(2);
-        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
-        let (model, _) = proteus.obfuscate(&g, &params).unwrap();
-        for bucket in &model.buckets {
-            for m in &bucket.members {
+        for frame in two_bucket_frames() {
+            for m in &frame.bucket.members {
                 assert!(m.graph.name().starts_with("subgraph_"));
                 for (_, node) in m.graph.iter() {
                     assert!(!node.name.contains("small"), "leak: {}", node.name);
@@ -557,7 +437,7 @@ mod tests {
         // of several (bucket, member) slots and require distinct tensors.
         use crate::session::{derive_member_seed, derive_request_seed};
         let (probe, _) = small_model();
-        let request_seed = derive_request_seed(ProteusConfig::default().seed, LEGACY_REQUEST_ID);
+        let request_seed = derive_request_seed(ProteusConfig::default().seed, 0);
         let mut streams: Vec<Vec<f32>> = Vec::new();
         for bucket in 0..4 {
             for member in 1..=4 {
@@ -600,73 +480,74 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_optimization_agree() {
-        let (g, params) = small_model();
-        let mut cfg = quick_config(2);
-        cfg.partitions = PartitionSpec::Count(2);
-        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
-        let (model, _) = proteus.obfuscate(&g, &params).unwrap();
+        // the fan-out returns, slot for slot, what the optimizer gives
+        // each member on its own
         let opt = Optimizer::new(Profile::OrtLike);
-        let par = optimize_model(&model, &opt);
-        let ser = optimize_model_serial(&model, &opt);
-        for (a, b) in par.buckets.iter().zip(&ser.buckets) {
-            for (ma, mb) in a.members.iter().zip(&b.members) {
-                assert_eq!(ma.graph.len(), mb.graph.len());
+        for frame in two_bucket_frames() {
+            let par = frame.optimize(&opt, None);
+            assert_eq!(
+                (par.bucket_index, par.num_buckets),
+                (frame.bucket_index, frame.num_buckets)
+            );
+            assert_eq!(par.bucket.members.len(), frame.bucket.members.len());
+            for (m, got) in frame.bucket.members.iter().zip(&par.bucket.members) {
+                let (graph, params, _) = opt.optimize(&m.graph, &m.params);
+                assert_eq!(got.graph, graph);
+                assert_eq!(got.params.len(), params.len());
             }
         }
     }
 
     #[test]
     fn per_bucket_and_whole_model_optimization_agree() {
-        let (g, params) = small_model();
-        let mut cfg = quick_config(2);
-        cfg.partitions = PartitionSpec::Count(2);
-        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
-        let (model, _) = proteus.obfuscate(&g, &params).unwrap();
+        // the serving runtime, fed a whole request, answers every frame
+        // with the bytes of the per-frame reference
+        use crate::config::ServeConfig;
+        use crate::serve::ServeRuntime;
         let opt = Optimizer::new(Profile::OrtLike);
-        let whole = optimize_model(&model, &opt);
-        for (i, bucket) in model.buckets.iter().enumerate() {
-            let frame = SealedBucket {
-                bucket_index: i as u32,
-                num_buckets: model.buckets.len() as u32,
-                bucket: bucket.clone(),
-            };
-            let optimized = frame.optimize(&opt, Some(2));
-            assert_eq!(optimized.bucket_index, i as u32);
-            for (ma, mb) in optimized
-                .bucket
-                .members
-                .iter()
-                .zip(&whole.buckets[i].members)
-            {
-                assert_eq!(ma.graph, mb.graph, "bucket {i}");
-            }
+        let frames = two_bucket_frames();
+        let runtime = ServeRuntime::new(
+            Optimizer::new(Profile::OrtLike),
+            ServeConfig {
+                workers: 2,
+                window: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let served = runtime.resume_lane(
+            5,
+            &frames.iter().map(|f| f.to_mux_bytes(5)).collect::<Vec<_>>(),
+        );
+        let mut served: Vec<(u64, SealedBucket)> = served
+            .unwrap()
+            .into_iter()
+            .map(|wire| SealedBucket::from_mux_bytes(wire).unwrap())
+            .collect();
+        served.sort_by_key(|(_, f)| f.bucket_index);
+        assert_eq!(served.len(), frames.len());
+        for (frame, (rid, got)) in frames.iter().zip(&served) {
+            assert_eq!(*rid, 5);
+            assert_eq!(
+                got.to_mux_bytes(5),
+                frame.optimize(&opt, Some(2)).to_mux_bytes(5),
+                "bucket {}",
+                frame.bucket_index
+            );
         }
     }
 
     #[test]
     fn thread_counts_do_not_change_results() {
-        let (g, params) = small_model();
-        let mut cfg = quick_config(2);
-        cfg.partitions = PartitionSpec::Count(2);
-        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
-        let (model, _) = proteus.obfuscate(&g, &params).unwrap();
         let opt = Optimizer::new(Profile::OrtLike);
-        let reference = optimize_model_serial(&model, &opt);
-        // the config-driven entry point takes the same path
-        let via_config = proteus.optimize_obfuscated(&model, &opt);
-        assert_eq!(
-            via_config.buckets.len(),
-            reference.buckets.len(),
-            "config-driven fan-out optimizes every bucket"
-        );
-        for threads in [Some(1), Some(3), Some(64), None] {
-            let par = optimize_model_with_threads(&model, &opt, threads);
-            assert_eq!(par.buckets.len(), reference.buckets.len());
-            for (a, b) in par.buckets.iter().zip(&reference.buckets) {
-                assert_eq!(a.members.len(), b.members.len());
-                for (ma, mb) in a.members.iter().zip(&b.members) {
-                    assert_eq!(ma.graph, mb.graph, "threads={threads:?}");
-                }
+        for frame in two_bucket_frames() {
+            let reference = frame.optimize(&opt, Some(1)).to_mux_bytes(0);
+            for threads in [Some(3), Some(64), None] {
+                assert_eq!(
+                    frame.optimize(&opt, threads).to_mux_bytes(0),
+                    reference,
+                    "threads={threads:?}"
+                );
             }
         }
     }
@@ -677,10 +558,17 @@ mod tests {
         let mut cfg = quick_config(2);
         cfg.partitions = PartitionSpec::Count(2);
         let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
-        let (model, secrets) = proteus.obfuscate(&g, &params).unwrap();
-        let mut broken = model.clone();
-        broken.buckets.pop();
-        let err = proteus.deobfuscate(&secrets, &broken).unwrap_err();
+        let (mut frames, secrets) = drain(&proteus, &g, &params);
+        // a missing frame
+        frames.pop();
+        let err = reassemble(&secrets, frames.clone()).unwrap_err();
+        assert!(
+            matches!(err, ProteusError::Protocol { .. }),
+            "wrong variant: {err:?}"
+        );
+        // a frame claiming a different bucket count
+        frames[0].num_buckets = 3;
+        let err = reassemble(&secrets, frames).unwrap_err();
         assert!(
             matches!(err, ProteusError::Protocol { .. }),
             "wrong variant: {err:?}"
@@ -712,7 +600,6 @@ mod tests {
         // requests
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Proteus>();
-        assert_send_sync::<ObfuscatedModel>();
         assert_send_sync::<SealedBucket>();
 
         let (g, params) = small_model();

@@ -1,10 +1,10 @@
 //! Multi-tenant serving runtime: many concurrent obfuscation requests
 //! multiplexed over one shared optimizer worker pool.
 //!
-//! PR 3's sessions made a single request streamable; at service scale the
-//! optimizer party faces *many* owners at once, and spawning a thread
-//! fan-out per call (the old [`crate::optimize_model`] behavior) lets any
-//! one request grab every core while others queue behind it. The
+//! This is the one place a request is optimized. Sessions make a single
+//! request streamable; at service scale the optimizer party faces *many*
+//! owners at once, and a thread fan-out per call would let any one
+//! request grab every core while others queue behind it. The
 //! [`ServeRuntime`] inverts that: a fixed pool of workers is created once,
 //! every request's [`SealedBucket`] frames are split into per-member tasks
 //! on a work-stealing scheduler ([`StealQueues`]), and workers interleave
@@ -22,10 +22,10 @@
 //!
 //! On the wire, concurrent requests share one byte stream via the v2
 //! multiplexed frame ([`proteus_graph::wire::encode_frame_v2`]): the
-//! header carries a `request_id`, [`RequestHandle::submit_bytes`] rejects
-//! frames whose id does not match the handle (cross-request injection),
-//! and v1 single-request frames are still decoded for backward
-//! compatibility.
+//! header carries a `request_id`, and [`RequestHandle::submit_bytes`]
+//! rejects frames whose id does not match the handle (cross-request
+//! injection). A v1 frame carries no request id and is refused as
+//! [`proteus_graph::WireError::UnknownVersion`].
 //!
 //! Two serving-only accelerations ride on top. The shared
 //! [`OptimizedCache`] replays optimizer outputs for bucket members whose
@@ -167,11 +167,10 @@ impl MemberOptimizer for Optimizer {
 /// worker's own deque runs dry.
 ///
 /// Used by the [`ServeRuntime`] pool (persistent workers) and by the
-/// batch fan-out in [`crate::optimize_model_with_threads`] (scoped
-/// workers) — both face the same imbalance: bucket members vary wildly in
-/// size, so fixed chunking leaves workers idle behind one loaded with the
-/// big graphs, and a single shared queue serializes every pop on one
-/// lock.
+/// per-frame reference [`SealedBucket::optimize`] (scoped workers) —
+/// both face the same imbalance: bucket members vary wildly in size, so
+/// fixed chunking leaves workers idle behind one loaded with the big
+/// graphs, and a single shared queue serializes every pop on one lock.
 ///
 /// ```
 /// use proteus::serve::StealQueues;
@@ -914,7 +913,7 @@ impl ServeRuntime {
     }
 
     /// Re-runs one interrupted serving lane from its journaled input
-    /// frames (raw v1/v2 wire bytes, as a durable
+    /// frames (raw v2 wire bytes, as a durable
     /// [`Store`](crate::store::Store) replays them) and returns the
     /// optimized response frames in completion order. Request-id-keyed
     /// determinism makes the replayed responses byte-identical to what
@@ -948,8 +947,10 @@ impl ServeRuntime {
     /// with optimization), collects optimized frames as they complete, and
     /// reassembles the optimized protected model.
     ///
-    /// The result is bit-identical to the serial single-session path —
-    /// the concurrency stress suite asserts exactly that.
+    /// The result is bit-identical to driving the session by hand with
+    /// [`SealedBucket::optimize`] per frame under the same `request_id` —
+    /// the concurrency stress suite asserts exactly that. This is the
+    /// in-process round trip for callers that play both parties.
     ///
     /// # Errors
     /// Everything [`Proteus::obfuscate_session`], [`RequestHandle`], and

@@ -21,10 +21,11 @@
 //! across runs, while distinct requests — and distinct sentinels within a
 //! bucket — share no seed.
 //!
-//! The legacy one-shot [`Proteus::obfuscate`] / [`Proteus::deobfuscate`]
-//! functions are thin wrappers over these sessions using
-//! [`LEGACY_REQUEST_ID`]; the parity tests prove the wrapper output is
-//! bit-identical to a hand-driven session.
+//! These sessions are the only way into and out of the protocol. An
+//! in-process round trip drains an [`ObfuscationSession`] (it is an
+//! [`Iterator`] over [`SealedBucket`]) through an optimizer and feeds the
+//! results to a [`DeobfuscationSession`], or hands the whole request to
+//! [`crate::ServeRuntime::serve_request`].
 
 use crate::bucket::{
     anonymize_content, Bucket, BucketMember, ObfuscationSecrets, RawSealed, SealedBucket,
@@ -37,12 +38,6 @@ use proteus_partition::{partition_balanced, PartitionPlan};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// The `request_id` the legacy one-shot [`Proteus::obfuscate`] /
-/// [`Proteus::deobfuscate`] wrappers use. Calling
-/// [`Proteus::obfuscate_session`] with this id reproduces the wrapper
-/// output bit for bit.
-pub const LEGACY_REQUEST_ID: u64 = 0;
 
 /// The splitmix64 finalizer: a bijective avalanche over `u64`. Every seed
 /// in the session API derives through this, so neighboring inputs
@@ -277,15 +272,16 @@ impl<'s> DeobfuscationSession<'s> {
     /// uninterrupted session.
     ///
     /// # Errors
-    /// Everything [`DeobfuscationSession::accept_bytes`] rejects —
-    /// decode failures, duplicates, out-of-range frames.
+    /// Everything [`DeobfuscationSession::accept_mux_bytes`] rejects —
+    /// decode failures, frames of another request, duplicates,
+    /// out-of-range frames.
     pub fn resume(
         secrets: &'s ObfuscationSecrets,
         frames: &[Bytes],
     ) -> Result<DeobfuscationSession<'s>, ProteusError> {
         let mut session = DeobfuscationSession::new(secrets);
         for frame in frames {
-            session.accept_bytes(frame.clone())?;
+            session.accept_mux_bytes(frame.clone())?;
         }
         Ok(session)
     }
@@ -349,21 +345,6 @@ impl<'s> DeobfuscationSession<'s> {
         })
     }
 
-    /// [`DeobfuscationSession::accept`] from a borrowed bucket — clones
-    /// only the real member instead of taking the whole bucket. Backs the
-    /// batch [`Proteus::deobfuscate`] wrapper.
-    pub(crate) fn accept_ref(
-        &mut self,
-        bucket_index: u32,
-        num_buckets: u32,
-        bucket: &Bucket,
-    ) -> Result<(), ProteusError> {
-        let count = bucket.members.len();
-        self.keep(bucket_index, num_buckets, count, |pos| {
-            bucket.members.get(pos).cloned().map(Ok)
-        })
-    }
-
     /// The shared tail of every accept path: validates the frame against
     /// the session, then stores the real member `take` yields for the
     /// recorded position (`None` when the frame's `count` members do not
@@ -414,12 +395,12 @@ impl<'s> DeobfuscationSession<'s> {
         })
     }
 
-    /// Decodes one frame from its wire bytes and accepts it.
-    ///
-    /// Accepts v1 and v2 frames alike but performs no request-id check —
-    /// the single-stream path, where every frame on the connection belongs
-    /// to this session by construction. On a shared (multiplexed) stream
-    /// use [`DeobfuscationSession::accept_mux_bytes`].
+    /// Decodes one multiplexed (v2) frame and accepts it after checking
+    /// that its request id matches this session's secrets — frames
+    /// injected from another request's stream are rejected before any of
+    /// their content is taken, so multiplexed transports cannot leak data
+    /// across requests. A v1 frame carries no request id and is refused
+    /// as [`proteus_graph::WireError::UnknownVersion`].
     ///
     /// Only the real member is decoded. The checksum still covers the
     /// whole frame and every member's length prefixes are still walked,
@@ -427,24 +408,9 @@ impl<'s> DeobfuscationSession<'s> {
     ///
     /// # Errors
     /// [`ProteusError::Wire`] on decode failure (unknown version,
-    /// corrupted checksum, truncation), plus everything
+    /// corrupted checksum, truncation), [`ProteusError::Protocol`] on a
+    /// request-id mismatch, plus everything
     /// [`DeobfuscationSession::accept`] rejects.
-    pub fn accept_bytes(&mut self, wire: Bytes) -> Result<(), ProteusError> {
-        self.accept_raw(RawSealed::open(wire)?)
-    }
-
-    /// Decodes one multiplexed frame and accepts it after checking that
-    /// its request id matches this session's secrets — frames injected
-    /// from another request's stream are rejected before any of their
-    /// content is taken, so multiplexed transports cannot leak data
-    /// across requests. Legacy v1 frames decode to request id `0`
-    /// ([`LEGACY_REQUEST_ID`]) and are accepted exactly when the secrets
-    /// belong to that id. As [`DeobfuscationSession::accept_bytes`], only
-    /// the real member is decoded.
-    ///
-    /// # Errors
-    /// [`ProteusError::Protocol`] on a request-id mismatch, plus
-    /// everything [`DeobfuscationSession::accept_bytes`] rejects.
     pub fn accept_mux_bytes(&mut self, wire: Bytes) -> Result<(), ProteusError> {
         let raw = RawSealed::open(wire)?;
         let (request_id, expected) = (raw.request_id, self.secrets.request_id);
@@ -453,11 +419,6 @@ impl<'s> DeobfuscationSession<'s> {
                 "frame for request {request_id:#x} injected into the stream of request {expected:#x}"
             )));
         }
-        self.accept_raw(raw)
-    }
-
-    /// Accepts a checksum-verified frame, decoding its real member alone.
-    fn accept_raw(&mut self, raw: RawSealed) -> Result<(), ProteusError> {
         let (index, total, count) = (raw.bucket_index, raw.num_buckets, raw.member_count());
         self.keep(index, total, count, |pos| {
             raw.decode_member(pos).map(|m| m.map_err(Into::into))

@@ -640,8 +640,8 @@ impl Store {
         self.append(&mut inner, vec![(RecordTag::SessionOpen, body)])
     }
 
-    /// Journals one accepted optimized frame (raw wire bytes, v1 or v2)
-    /// for an open session.
+    /// Journals one accepted optimized frame (raw v2 wire bytes) for an
+    /// open session.
     ///
     /// # Errors
     /// [`StoreError::Invalid`] when no such session is open;

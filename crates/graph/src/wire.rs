@@ -25,21 +25,21 @@ use std::fmt;
 /// Magic bytes opening every [`Frame`].
 pub const FRAME_MAGIC: [u8; 4] = *b"PRTB";
 
-/// The original single-request frame version: no request id, one
-/// obfuscation request per byte stream. Still encoded by
-/// [`encode_frame`] and still accepted by [`decode_frame`] — existing
-/// single-request byte formats are stable across the v2 protocol bump.
+/// The record frame version: no request id. Encoded by [`encode_frame`]
+/// and read by [`decode_frame`] as the envelope of WAL records and
+/// artifact sections; a request decoder ([`decode_request_frame`])
+/// refuses it.
 pub const WIRE_VERSION_V1: u16 = 1;
 
-/// The multiplexed frame version: the header carries a `request_id`, so
-/// one byte stream can interleave frames of many concurrent requests
+/// The request frame version: the header carries a `request_id`, so one
+/// byte stream can interleave frames of many concurrent requests
 /// (encoded by [`encode_frame_v2`]).
 pub const WIRE_VERSION_V2: u16 = 2;
 
-/// The newest wire-protocol version this library speaks. Decoders accept
-/// [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V2`] and reject every other
-/// version with [`WireError::UnknownVersion`] — version negotiation is
-/// explicit, never a silent misparse.
+/// The newest wire-protocol version this library speaks. [`decode_frame`]
+/// accepts [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V2`] and rejects every
+/// other version with [`WireError::UnknownVersion`] — version
+/// negotiation is explicit, never a silent misparse.
 pub const WIRE_VERSION: u16 = WIRE_VERSION_V2;
 
 /// Decoding error. Every malformed input maps to a typed variant — decode
@@ -444,9 +444,8 @@ pub struct Frame {
 /// checksum u64 | payload
 /// ```
 ///
-/// This remains the encoding of every single-request artifact, so those
-/// byte formats are stable across the v2 protocol addition; multiplexed
-/// streams use [`encode_frame_v2`].
+/// This is the envelope of WAL records and artifact sections. Request
+/// frames use [`encode_frame_v2`].
 ///
 /// # Panics
 /// As [`Envelope::seal`], if `payload` exceeds `u32::MAX` bytes; buckets
@@ -506,18 +505,30 @@ pub fn seal_frame(
     FRAME.seal_with(version, fields, payload_len, payload)
 }
 
+/// The error for a v1 frame where a request frame is due: v1 carries no
+/// request id, so it cannot name the lane it belongs to. v1 survives only
+/// as the envelope of WAL records and `PRTA` sections, which
+/// [`decode_frame`] still reads.
+fn v1_request_frame() -> WireError {
+    WireError::UnknownVersion {
+        got: WIRE_VERSION_V1,
+        supported: WIRE_VERSION_V2,
+    }
+}
+
 /// Reads the request id out of a frame header without decoding — or
 /// checksum-verifying — the payload: the cheap peek a demultiplexing
 /// router needs to pick the owning lane before handing the untouched
-/// bytes on for full validation. v1 frames carry no id and peek as `0`.
+/// bytes on for full validation.
 ///
 /// # Errors
 /// [`WireError::BadMagic`] / [`WireError::UnknownVersion`] /
-/// [`WireError::Truncated`] for headers too malformed to route.
+/// [`WireError::Truncated`] for headers too malformed to route; a v1
+/// frame, which carries no request id, is [`WireError::UnknownVersion`].
 pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
     match FRAME.head(data)? {
         None => Err(WireError::truncated("frame header peek")),
-        Some((WIRE_VERSION_V1, _)) => Ok(0),
+        Some((WIRE_VERSION_V1, _)) => Err(v1_request_frame()),
         Some(_) => data
             .get(ENVELOPE_FIELDS_AT..ENVELOPE_FIELDS_AT + 8)
             .map(|id| le(id, 0, 8))
@@ -527,8 +538,9 @@ pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
 
 /// Decodes one frame from the front of `buf`, leaving any trailing bytes
 /// (a stream of frames decodes by repeated calls). Accepts both
-/// [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V2`] frames — a v2 receiver
-/// stays backward compatible with v1 senders.
+/// [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V2`] frames: v1 is the envelope
+/// of WAL records and `PRTA` sections. Request frames go through
+/// [`decode_request_frame`], which refuses v1.
 ///
 /// # Errors
 /// As [`Envelope::open`]: [`WireError::BadMagic`] /
@@ -548,6 +560,18 @@ pub fn decode_frame(buf: &mut Bytes) -> WResult<Frame> {
         bucket_index: fields.get_u32_le(),
         payload,
     })
+}
+
+/// [`decode_frame`] for a request frame: only [`WIRE_VERSION_V2`], whose
+/// header names the request, is accepted.
+///
+/// # Errors
+/// As [`decode_frame`]; a v1 frame is [`WireError::UnknownVersion`].
+pub fn decode_request_frame(buf: &mut Bytes) -> WResult<Frame> {
+    if FRAME.head(buf)?.is_some_and(|(v, _)| v == WIRE_VERSION_V1) {
+        return Err(v1_request_frame());
+    }
+    decode_frame(buf)
 }
 
 /// Magic bytes opening every [`ErrorFrame`] on the wire. Distinct from
@@ -1530,8 +1554,8 @@ mod tests {
 
     #[test]
     fn mixed_version_stream_decodes_sequentially() {
-        // a v2 receiver must demultiplex a stream that interleaves v1
-        // (legacy single-request) and v2 (multiplexed) frames
+        // the envelope decoder reads a stream that interleaves v1
+        // (record) and v2 (request) frames
         let mut stream = BytesMut::new();
         stream.put_slice(&encode_frame(0, b"legacy"));
         stream.put_slice(&encode_frame_v2(42, 1, b"mux a"));
@@ -1560,8 +1584,24 @@ mod tests {
     fn peek_reads_request_id_without_decoding() {
         let v2 = encode_frame_v2(0xFEED_F00D, 9, b"payload");
         assert_eq!(peek_frame_request_id(&v2).unwrap(), 0xFEED_F00D);
+        // a v1 frame names no request, so it cannot be routed
         let v1 = encode_frame(9, b"payload");
-        assert_eq!(peek_frame_request_id(&v1).unwrap(), 0);
+        assert!(matches!(
+            peek_frame_request_id(&v1),
+            Err(WireError::UnknownVersion {
+                got: 1,
+                supported: 2
+            })
+        ));
+        let mut buf = v1.clone();
+        assert!(matches!(
+            decode_request_frame(&mut buf),
+            Err(WireError::UnknownVersion {
+                got: 1,
+                supported: 2
+            })
+        ));
+        assert_eq!(decode_frame(&mut buf).unwrap().request_id, 0);
         // malformed headers are typed errors, not panics
         assert!(matches!(
             peek_frame_request_id(b"JUNKxx"),

@@ -8,7 +8,9 @@
 //! - [`codec`] — an incremental [`FrameReader`]/[`FrameWriter`] pair that
 //!   reassembles wire v1/v2 data frames and `PRTE` error frames from
 //!   arbitrary TCP read-chunk boundaries (the in-process codec in
-//!   `proteus_graph::wire` assumes whole buffers).
+//!   `proteus_graph::wire` assumes whole buffers). Framing is all it
+//!   judges: the server refuses a v1 data frame, which names no request,
+//!   at admission.
 //! - [`handshake`] — a versioned length-prefixed hello exchange carrying
 //!   the network protocol version, the wire version, the tenant auth
 //!   token, and the expected trained-artifact fingerprint; every

@@ -1,10 +1,10 @@
-//! Quickstart: protect a small CNN, have an "optimizer party" optimize the
+//! Quickstart: protect a small CNN, have an "optimizer party" optimize every
 //! obfuscated bucket, de-obfuscate, and verify the optimized model computes
 //! exactly the same function.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use proteus::{optimize_model, PartitionSpec, Proteus, ProteusConfig};
+use proteus::{PartitionSpec, Proteus, ProteusConfig, SealedBucket};
 use proteus_graph::{Activation, ConvAttrs, Executor, Graph, Op, Tensor, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
@@ -45,22 +45,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let corpus = vec![build(ModelKind::ResNet), build(ModelKind::MobileNet)];
     let proteus = Proteus::train(config, &corpus);
 
-    // 3. Obfuscate: the optimizer party sees n buckets of k+1 candidates.
-    let (bucket, secrets) = proteus.obfuscate(&secret, &weights)?;
+    // 3. Obfuscate: the optimizer party sees n buckets of k+1 candidates,
+    //    one sealed frame per bucket.
+    let request_id = 1;
+    let mut session = proteus.obfuscate_session(&secret, &weights, request_id)?;
+    let frames: Vec<SealedBucket> = session.by_ref().collect();
+    let secrets = session.finish()?;
+    let wire_bytes: usize = frames
+        .iter()
+        .map(|f| f.to_mux_bytes(request_id).len())
+        .sum();
     println!(
-        "obfuscated: {} buckets x {} members = {} subgraphs ({} bytes on the wire)",
-        bucket.num_buckets(),
-        bucket.buckets[0].members.len(),
-        bucket.total_subgraphs(),
-        bucket.to_bytes().len(),
+        "obfuscated: {} buckets x {} members = {} subgraphs ({wire_bytes} bytes on the wire)",
+        frames.len(),
+        frames[0].bucket.members.len(),
+        frames.iter().map(|f| f.bucket.members.len()).sum::<usize>(),
     );
 
     // 4. The optimizer party optimizes every member (it cannot tell which
-    //    is real) and returns the bucket.
-    let optimized = optimize_model(&bucket, &Optimizer::new(Profile::OrtLike));
+    //    is real) and returns each frame; the owner keeps the real ones.
+    let optimizer = Optimizer::new(Profile::OrtLike);
+    let mut reassembly = proteus.deobfuscate_session(&secrets);
+    for frame in &frames {
+        reassembly.accept(frame.optimize(&optimizer, None))?;
+    }
 
     // 5. De-obfuscate and verify: identical function, faster graph.
-    let (model, params) = proteus.deobfuscate(&secrets, &optimized)?;
+    let (model, params) = reassembly.finish()?;
     let mut rng = StdRng::seed_from_u64(7);
     let probe = Tensor::random([1, 3, 32, 32], 1.0, &mut rng);
     let before = Executor::new(&secret, &weights).run(std::slice::from_ref(&probe))?;
@@ -74,7 +85,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("max |output difference| = {diff:.2e}");
     assert!(diff < 1e-3, "optimization must preserve semantics");
 
-    let optimizer = Optimizer::new(Profile::OrtLike);
     let t_before = optimizer.estimate_us(&secret)?;
     let t_after = optimizer.estimate_us(&model)?;
     println!(

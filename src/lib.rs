@@ -63,8 +63,8 @@
 //! let mut returned = Vec::new();
 //! while let Some(frame) = session.next_frame() {
 //!     assert_eq!(frame.bucket.members.len(), 3); // k + 1
-//!     let wire = frame.to_bytes(); // <- what actually crosses the boundary
-//!     let received = SealedBucket::from_bytes(wire)?;
+//!     let wire = frame.to_mux_bytes(1); // <- what actually crosses the boundary
+//!     let (_request_id, received) = SealedBucket::from_mux_bytes(wire)?;
 //!     returned.push(received.optimize(&optimizer, None));
 //! }
 //! let secrets = session.finish()?;
@@ -84,11 +84,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Migrating from the one-shot API: [`proteus::Proteus::obfuscate`],
-//! [`proteus::optimize_model`], and [`proteus::Proteus::deobfuscate`]
-//! remain available as compatibility wrappers (now returning the typed
-//! [`proteus::ProteusError`]); they are bit-identical to driving a
-//! session with [`proteus::LEGACY_REQUEST_ID`].
+//! A process that plays both parties can hand the whole request to
+//! [`proteus::ServeRuntime::serve_request`] instead: the same frames run
+//! through a shared worker pool, bit-identical to the loop above.
 //!
 //! # Artifacts & warm start
 //!
@@ -127,9 +125,11 @@
 //! // configuration is rejected with a typed fingerprint mismatch.
 //! let serving = Proteus::load_artifact_expecting(&path, &config)?;
 //! let model = build(ModelKind::AlexNet);
-//! let (a, _) = trained.obfuscate(&model, &TensorMap::new())?;
-//! let (b, _) = serving.obfuscate(&model, &TensorMap::new())?;
-//! assert_eq!(a.to_bytes(), b.to_bytes()); // bit-identical on the wire
+//! let wire = |p: &Proteus| -> Result<Vec<_>, proteus::ProteusError> {
+//!     let session = p.obfuscate_session(&model, &TensorMap::new(), 3)?;
+//!     Ok(session.map(|frame| frame.to_mux_bytes(3)).collect())
+//! };
+//! assert_eq!(wire(&trained)?, wire(&serving)?); // bit-identical on the wire
 //! # std::fs::remove_file(&path).ok();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -14,10 +14,10 @@
 //! `proteus-train verify`.
 
 use proteus::{
-    ArtifactError, PartitionSpec, Proteus, ProteusConfig, ProteusError, ServeConfig, ServeRuntime,
-    TrainedArtifact, ARTIFACT_VERSION,
+    ArtifactError, ObfuscationSecrets, PartitionSpec, Proteus, ProteusConfig, ProteusError,
+    ServeConfig, ServeRuntime, TrainedArtifact, ARTIFACT_VERSION,
 };
-use proteus_graph::wire::{decode_frame, decode_graph, encode_frame, WireError};
+use proteus_graph::wire::{decode_frame, decode_graph, encode_frame, encode_frame_v2, WireError};
 use proteus_graph::TensorMap;
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, zoo, ModelKind};
@@ -55,6 +55,18 @@ fn trained() -> &'static (Proteus, Vec<u8>) {
 // ---------------------------------------------------------------------------
 // determinism: save → load → obfuscate parity
 
+/// One structure-only request's wire frames and its secrets.
+fn obfuscate(proteus: &Proteus, g: &proteus_graph::Graph) -> (Vec<Vec<u8>>, ObfuscationSecrets) {
+    let mut session = proteus
+        .obfuscate_session(g, &TensorMap::new(), 0)
+        .expect("obfuscate");
+    let frames = session
+        .by_ref()
+        .map(|f| f.to_mux_bytes(0).to_vec())
+        .collect();
+    (frames, session.finish().expect("secrets"))
+}
+
 #[test]
 fn loaded_artifact_obfuscates_bit_identically_across_the_zoo() {
     // registry-count pin: determinism must hold for the whole registry
@@ -65,11 +77,10 @@ fn loaded_artifact_obfuscates_bit_identically_across_the_zoo() {
     for entry in zoo::all() {
         let kind = entry.name;
         let g = (entry.build)();
-        let (a, sa) = fresh.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
-        let (b, sb) = loaded.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
+        let (a, sa) = obfuscate(fresh, &g);
+        let (b, sb) = obfuscate(&loaded, &g);
         assert_eq!(
-            a.to_bytes().to_vec(),
-            b.to_bytes().to_vec(),
+            a, b,
             "{kind}: wire bytes diverge between trained and loaded instances"
         );
         assert_eq!(
@@ -89,12 +100,12 @@ fn parity_holds_for_distinct_request_ids_and_params() {
         let frames_fresh: Vec<Vec<u8>> = fresh
             .obfuscate_session(&g, &params, request_id)
             .expect("session")
-            .map(|f| f.to_bytes().to_vec())
+            .map(|f| f.to_mux_bytes(request_id).to_vec())
             .collect();
         let frames_loaded: Vec<Vec<u8>> = loaded
             .obfuscate_session(&g, &params, request_id)
             .expect("session")
-            .map(|f| f.to_bytes().to_vec())
+            .map(|f| f.to_mux_bytes(request_id).to_vec())
             .collect();
         assert_eq!(
             frames_fresh, frames_loaded,
@@ -107,40 +118,34 @@ fn parity_holds_for_distinct_request_ids_and_params() {
 fn save_load_serve_roundtrip_matches_fresh_pipeline() {
     // the full deployment path: load from bytes, serve a request through
     // the multi-tenant runtime, reassemble — bit-identical to the freshly
-    // trained serial path.
+    // trained instance's frames optimized one by one.
     let (fresh, bytes) = trained();
     let loaded = Proteus::from_artifact_bytes(bytes).expect("artifact loads");
     let optimizer = Optimizer::new(Profile::OrtLike);
 
     for kind in [ModelKind::AlexNet, ModelKind::Bert] {
         let g = build(kind);
-        // fresh instance, serial session path
-        let (model, secrets) = fresh.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
-        let reference = proteus::optimize_model(&model, &optimizer);
-        let (ref_back, _) = fresh
-            .deobfuscate(&secrets, &reference)
-            .expect("deobfuscate");
+        // fresh instance, per-frame reference path
+        let mut session = fresh
+            .obfuscate_session(&g, &TensorMap::new(), 42)
+            .expect("session");
+        let reference: Vec<_> = session
+            .by_ref()
+            .map(|frame| frame.optimize(&optimizer, Some(1)))
+            .collect();
+        let secrets = session.finish().expect("secrets");
+        let mut reassembly = fresh.deobfuscate_session(&secrets);
+        for frame in reference {
+            reassembly.accept(frame).expect("accept");
+        }
+        let (ref_back, _) = reassembly.finish().expect("deobfuscate");
 
         // loaded instance, serving runtime path
         let runtime =
             ServeRuntime::new(optimizer.clone(), ServeConfig::default()).expect("runtime");
-        let handle = runtime.handle(42);
-        let mut session = loaded
-            .obfuscate_session(&g, &TensorMap::new(), proteus::LEGACY_REQUEST_ID)
-            .expect("session");
-        let mut submitted = 0usize;
-        for frame in session.by_ref() {
-            handle.submit(frame).expect("submit");
-            submitted += 1;
-        }
-        let secrets = session.finish().expect("secrets");
-        let mut reassembly = loaded.deobfuscate_session(&secrets);
-        for _ in 0..submitted {
-            reassembly
-                .accept(handle.recv().expect("recv"))
-                .expect("accept");
-        }
-        let (served_back, _) = reassembly.finish().expect("reassemble");
+        let (served_back, _) = runtime
+            .serve_request(&loaded, &g, &TensorMap::new(), 42)
+            .expect("serve request");
         assert_eq!(
             ref_back, served_back,
             "{kind}: warm-started serve path diverged from the fresh serial path"
@@ -154,7 +159,7 @@ fn save_load_serve_roundtrip_matches_fresh_pipeline() {
 #[test]
 fn version_skew_is_rejected_for_every_other_version() {
     let (_, bytes) = trained();
-    for version in [0u16, 3, 255, u16::MAX] {
+    for version in [0u16, 1, 2, ARTIFACT_VERSION + 1, 255, u16::MAX] {
         let mut raw = bytes.clone();
         raw[4..6].copy_from_slice(&version.to_le_bytes());
         match TrainedArtifact::from_bytes(&raw) {
@@ -165,14 +170,6 @@ fn version_skew_is_rejected_for_every_other_version() {
             other => panic!("version {version}: expected UnknownVersion, got {other:?}"),
         }
     }
-    // relabeling a v2 file as v1 must not silently misparse: the v2-only
-    // config tail and sentinel section are both illegal under v1 rules
-    let mut raw = bytes.clone();
-    raw[4..6].copy_from_slice(&1u16.to_le_bytes());
-    assert!(
-        TrainedArtifact::from_bytes(&raw).is_err(),
-        "v2 bytes relabeled as v1 were accepted"
-    );
 }
 
 #[test]
@@ -257,8 +254,8 @@ fn sealed_bucket_claiming_a_million_members_fails_typed() {
     let mut payload = 1u32.to_le_bytes().to_vec();
     payload.extend_from_slice(&1_000_000u32.to_le_bytes());
     payload.extend_from_slice(&[0u8; 4]);
-    let mut framed = bytes::Bytes::copy_from_slice(&encode_frame(0, &payload));
-    match SealedBucket::decode_from(&mut framed) {
+    let framed = encode_frame_v2(0, 0, &payload);
+    match SealedBucket::from_mux_bytes(framed) {
         Err(WireError::Truncated { .. }) => {}
         other => panic!("lying member count: expected Truncated, got {other:?}"),
     }

@@ -1,9 +1,9 @@
 //! Integration tests of the confidentiality properties: what the optimizer
 //! party (or an interceptor) can and cannot see in the bucket.
 
-use proteus::{PartitionSpec, Proteus, ProteusConfig};
+use proteus::{Bucket, ObfuscationSecrets, PartitionSpec, Proteus, ProteusConfig};
 use proteus_adversary::{attack_buckets, LabelledBucket, SageClassifier, SageConfig};
-use proteus_graph::{GraphStats, TensorMap};
+use proteus_graph::{Graph, GraphStats, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, zoo, ModelKind};
 
@@ -21,6 +21,16 @@ fn quick_config(k: usize) -> ProteusConfig {
     }
 }
 
+/// What the optimizer party receives for one structure-only request —
+/// every frame's bucket, in bucket order — and the owner's secrets.
+fn obfuscate(proteus: &Proteus, g: &Graph) -> (Vec<Bucket>, ObfuscationSecrets) {
+    let mut session = proteus
+        .obfuscate_session(g, &TensorMap::new(), 1)
+        .expect("obfuscate");
+    let buckets: Vec<Bucket> = session.by_ref().map(|frame| frame.bucket).collect();
+    (buckets, session.finish().expect("secrets"))
+}
+
 #[test]
 fn bucket_never_contains_the_whole_model() {
     // The paper's first design requirement: the model architecture in its
@@ -28,8 +38,8 @@ fn bucket_never_contains_the_whole_model() {
     // smaller than the protected model.
     let g = build(ModelKind::ResNet);
     let proteus = Proteus::train(quick_config(2), &[build(ModelKind::MobileNet)]);
-    let (bucket, _) = proteus.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
-    for b in &bucket.buckets {
+    let (buckets, _) = obfuscate(&proteus, &g);
+    for b in &buckets {
         for m in &b.members {
             assert!(
                 m.graph.len() < g.len() / 2,
@@ -66,13 +76,13 @@ fn no_bucket_member_exposes_the_whole_model_across_the_registry() {
     let proteus = Proteus::train(cfg, &[build(ModelKind::MobileNet)]);
     for entry in zoo::all() {
         let g = (entry.build)();
-        let (bucket, _) = proteus.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
+        let (buckets, _) = obfuscate(&proteus, &g);
         assert!(
-            bucket.buckets.len() > 1,
+            buckets.len() > 1,
             "{}: the whole model landed in a single bucket",
             entry.name
         );
-        for b in &bucket.buckets {
+        for b in &buckets {
             for m in &b.members {
                 assert!(
                     m.graph.len() < g.len(),
@@ -91,7 +101,7 @@ fn real_positions_are_not_constant() {
     // shuffling must actually move the real member around
     let g = build(ModelKind::GoogleNet);
     let proteus = Proteus::train(quick_config(3), &[build(ModelKind::ResNet)]);
-    let (_, secrets) = proteus.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
+    let (_, secrets) = obfuscate(&proteus, &g);
     let distinct: std::collections::HashSet<_> = secrets.real_positions.iter().collect();
     assert!(
         distinct.len() > 1,
@@ -110,9 +120,9 @@ fn sentinel_statistics_band_protected_graph() {
         quick_config(6),
         &[build(ModelKind::MobileNet), build(ModelKind::ResNet)],
     );
-    let (bucket, secrets) = proteus.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
+    let (buckets, secrets) = obfuscate(&proteus, &g);
     let mut inside = 0usize;
-    for (b, &pos) in bucket.buckets.iter().zip(&secrets.real_positions) {
+    for (b, &pos) in buckets.iter().zip(&secrets.real_positions) {
         let real_nodes = GraphStats::of(&b.members[pos].graph).num_nodes;
         let sentinel_sizes: Vec<f64> = b
             .members
@@ -128,10 +138,10 @@ fn sentinel_statistics_band_protected_graph() {
         }
     }
     assert!(
-        inside * 3 >= bucket.buckets.len() * 2,
+        inside * 3 >= buckets.len() * 2,
         "real piece is a size outlier in {}/{} buckets",
-        bucket.buckets.len() - inside,
-        bucket.buckets.len()
+        buckets.len() - inside,
+        buckets.len()
     );
 }
 
@@ -141,9 +151,8 @@ fn untrained_adversary_faces_full_search_space() {
     // (k+1)^n
     let g = build(ModelKind::ResNet);
     let proteus = Proteus::train(quick_config(4), &[build(ModelKind::MobileNet)]);
-    let (bucket, secrets) = proteus.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
-    let labelled: Vec<LabelledBucket> = bucket
-        .buckets
+    let (buckets, secrets) = obfuscate(&proteus, &g);
+    let labelled: Vec<LabelledBucket> = buckets
         .iter()
         .zip(&secrets.real_positions)
         .map(|(b, &pos)| LabelledBucket {

@@ -2,7 +2,10 @@
 //! de-obfuscate protocol on executable models, checked for functional
 //! equivalence with the reference interpreter.
 
-use proteus::{optimize_model, PartitionSpec, Proteus, ProteusConfig, SentinelMode};
+use proteus::{
+    DeobfuscationSession, ObfuscationSecrets, PartitionSpec, Proteus, ProteusConfig, SealedBucket,
+    SentinelMode, ServeConfig, ServeRuntime,
+};
 use proteus_graph::{
     Activation, BatchNormAttrs, ConvAttrs, Executor, GemmAttrs, Graph, Op, PoolAttrs, Tensor,
     TensorMap,
@@ -25,6 +28,29 @@ fn quick_config(k: usize, n: usize) -> ProteusConfig {
         topology_pool: 30,
         ..Default::default()
     }
+}
+
+/// Drains one request's session: its frames and the owner's secrets.
+fn drain(
+    proteus: &Proteus,
+    g: &Graph,
+    params: &TensorMap,
+) -> (Vec<SealedBucket>, ObfuscationSecrets) {
+    let mut session = proteus.obfuscate_session(g, params, 1).expect("obfuscate");
+    let frames: Vec<SealedBucket> = session.by_ref().collect();
+    (frames, session.finish().expect("secrets"))
+}
+
+/// Reassembles a request from its returned frames.
+fn reassemble(
+    secrets: &ObfuscationSecrets,
+    frames: impl IntoIterator<Item = SealedBucket>,
+) -> (Graph, TensorMap) {
+    let mut session = DeobfuscationSession::new(secrets);
+    for frame in frames {
+        session.accept(frame).expect("accept");
+    }
+    session.finish().expect("deobfuscate")
 }
 
 /// An executable CNN with residual, BN, pooling, and a classifier head —
@@ -58,9 +84,10 @@ fn executable_cnn() -> (Graph, TensorMap) {
 fn protocol_preserves_semantics_for_both_optimizers() {
     let (g, params) = executable_cnn();
     let proteus = Proteus::train(quick_config(3, 4), &[build(ModelKind::ResNet)]);
-    let (bucket, secrets) = proteus.obfuscate(&g, &params).expect("obfuscate");
-    assert_eq!(bucket.num_buckets(), 4);
-    assert_eq!(bucket.total_subgraphs(), 4 * 4);
+    let (frames, secrets) = drain(&proteus, &g, &params);
+    assert_eq!(frames.len(), 4);
+    let members: usize = frames.iter().map(|f| f.bucket.members.len()).sum();
+    assert_eq!(members, 4 * 4);
 
     let mut rng = StdRng::seed_from_u64(1);
     let probe = Tensor::random([1, 3, 12, 12], 1.0, &mut rng);
@@ -69,10 +96,9 @@ fn protocol_preserves_semantics_for_both_optimizers() {
         .expect("run");
 
     for profile in [Profile::OrtLike, Profile::HidetLike] {
-        let optimized = optimize_model(&bucket, &Optimizer::new(profile));
-        let (model, mparams) = proteus
-            .deobfuscate(&secrets, &optimized)
-            .expect("deobfuscate");
+        let optimizer = Optimizer::new(profile);
+        let optimized = frames.iter().map(|f| f.optimize(&optimizer, None));
+        let (model, mparams) = reassemble(&secrets, optimized);
         model.validate().expect("valid");
         let got = Executor::new(&model, &mparams)
             .run(std::slice::from_ref(&probe))
@@ -89,17 +115,18 @@ fn protocol_preserves_semantics_for_both_optimizers() {
 fn wire_roundtrip_through_the_whole_protocol() {
     let (g, params) = executable_cnn();
     let proteus = Proteus::train(quick_config(2, 3), &[build(ModelKind::MobileNet)]);
-    let (bucket, secrets) = proteus.obfuscate(&g, &params).expect("obfuscate");
+    let (frames, secrets) = drain(&proteus, &g, &params);
 
-    // owner -> bytes -> service -> bytes -> owner
-    let wire = bucket.to_bytes();
-    let received = proteus::ObfuscatedModel::from_bytes(wire).expect("decode");
-    let optimized = optimize_model(&received, &Optimizer::new(Profile::OrtLike));
-    let wire_back = optimized.to_bytes();
-    let returned = proteus::ObfuscatedModel::from_bytes(wire_back).expect("decode");
-    let (model, mparams) = proteus
-        .deobfuscate(&secrets, &returned)
-        .expect("deobfuscate");
+    // owner -> bytes -> service -> bytes -> owner, one frame at a time
+    let optimizer = Optimizer::new(Profile::OrtLike);
+    let mut reassembly = DeobfuscationSession::new(&secrets);
+    for frame in &frames {
+        let wire = frame.to_mux_bytes(secrets.request_id);
+        let (rid, received) = SealedBucket::from_mux_bytes(wire).expect("decode");
+        let wire_back = received.optimize(&optimizer, None).to_mux_bytes(rid);
+        reassembly.accept_mux_bytes(wire_back).expect("accept");
+    }
+    let (model, mparams) = reassembly.finish().expect("deobfuscate");
 
     let mut rng = StdRng::seed_from_u64(2);
     let probe = Tensor::random([1, 3, 12, 12], 1.0, &mut rng);
@@ -116,11 +143,11 @@ fn perturb_mode_protocol_roundtrip() {
     let mut config = quick_config(3, 3);
     config.mode = SentinelMode::Perturb;
     let proteus = Proteus::train(config, &[build(ModelKind::ResNet)]);
-    let (bucket, secrets) = proteus.obfuscate(&g, &params).expect("obfuscate");
-    let optimized = optimize_model(&bucket, &Optimizer::new(Profile::OrtLike));
-    let (model, mparams) = proteus
-        .deobfuscate(&secrets, &optimized)
-        .expect("deobfuscate");
+    let runtime = ServeRuntime::new(Optimizer::new(Profile::OrtLike), ServeConfig::default())
+        .expect("runtime");
+    let (model, mparams) = runtime
+        .serve_request(&proteus, &g, &params, 3)
+        .expect("serve request");
     let mut rng = StdRng::seed_from_u64(3);
     let probe = Tensor::random([1, 3, 12, 12], 1.0, &mut rng);
     let expected = Executor::new(&g, &params)
@@ -141,13 +168,10 @@ fn zoo_models_structural_protocol() {
         ModelKind::MnasNet,
     ] {
         let g = build(kind);
-        let (bucket, secrets) = proteus.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
-        let (back, _) = proteus
-            .deobfuscate(&secrets, &bucket)
-            .expect("identity deobfuscate");
+        let (frames, secrets) = drain(&proteus, &g, &TensorMap::new());
+        let (back, _) = reassemble(&secrets, frames);
         assert_eq!(back.len(), g.len(), "{kind}");
         proteus_graph::infer_shapes(&back).unwrap_or_else(|e| panic!("{kind}: {e}"));
-        let _ = bucket;
     }
 }
 
@@ -155,8 +179,9 @@ fn zoo_models_structural_protocol() {
 fn sentinels_in_buckets_are_valid_graphs() {
     let (g, params) = executable_cnn();
     let proteus = Proteus::train(quick_config(4, 3), &[build(ModelKind::GoogleNet)]);
-    let (bucket, secrets) = proteus.obfuscate(&g, &params).expect("obfuscate");
-    for (bi, b) in bucket.buckets.iter().enumerate() {
+    let (frames, secrets) = drain(&proteus, &g, &params);
+    for (bi, frame) in frames.iter().enumerate() {
+        let b = &frame.bucket;
         for (mi, m) in b.members.iter().enumerate() {
             m.graph
                 .validate()

@@ -88,14 +88,14 @@ fn bucket_member_parity_over_graphrnn_sentinels() {
         ..Default::default()
     };
     let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
-    let (model, _) = proteus.obfuscate(&g, &params).unwrap();
+    let frames: Vec<_> = proteus.obfuscate_session(&g, &params, 0).unwrap().collect();
+    let members: usize = frames.iter().map(|f| f.bucket.members.len()).sum();
     assert!(
-        model.total_subgraphs() >= 50,
-        "need >= 50 members for coverage, got {}",
-        model.total_subgraphs()
+        members >= 50,
+        "need >= 50 members for coverage, got {members}"
     );
-    for (bi, bucket) in model.buckets.iter().enumerate() {
-        for (mi, member) in bucket.members.iter().enumerate() {
+    for (bi, frame) in frames.iter().enumerate() {
+        for (mi, member) in frame.bucket.members.iter().enumerate() {
             for profile in Profile::ALL {
                 assert_parity(
                     &member.graph,

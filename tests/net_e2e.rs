@@ -20,8 +20,8 @@
 //!   rejections;
 //! - durable journal: a request pipelined in one write is journaled,
 //!   marked done after its answer, and leaves a store that passes the
-//!   fsck; a late frame for an answered request is refused typed and
-//!   never journaled;
+//!   fsck; a late frame for an answered request, or a v1 frame that
+//!   names no request, is refused typed and never journaled;
 //! - graceful drain: in-flight requests complete through shutdown, new
 //!   connections are refused after it; an idle server bound on an
 //!   unspecified address shuts down promptly.
@@ -34,7 +34,7 @@ use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
     ServeRuntime,
 };
-use proteus_graph::wire::{ErrorCode, WireError};
+use proteus_graph::wire::{decode_frame, encode_frame, ErrorCode, WireError};
 use proteus_graph::{Graph, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
@@ -806,6 +806,58 @@ fn late_frame_for_an_answered_request_is_refused_typed() {
         1 + n as u64 + 1,
         "the late frame was journaled"
     );
+    assert!(store.pending_lanes().is_empty(), "lane left pending");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A v1 frame names no request, so it cannot be routed to a lane: the
+/// server answers it with one typed `Wire` error frame, and it opens no
+/// lane, is not journaled, and moves no request counter.
+#[test]
+fn v1_frame_is_refused_typed_and_opens_no_lane() {
+    use std::io::Write;
+    let dir = std::env::temp_dir().join(format!("proteus-net-e2e-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = Store::open_or_create(&dir).expect("store creates");
+    let store = Arc::new(store);
+    let server = spawn_server(NetServerConfig {
+        auth: two_tenant_auth(),
+        store: Some(Arc::clone(&store)),
+        ..Default::default()
+    });
+    let fingerprint = shared_proteus().config_fingerprint();
+    let owned = owned_request(ModelKind::AlexNet, 84);
+    // the first frame's payload behind a v1 header, which has no request id
+    let payload = decode_frame(&mut owned.request.frames[0].clone())
+        .expect("frame")
+        .payload;
+
+    let (mut stream, mut reader) = raw_connect(server.local_addr(), fingerprint);
+    stream
+        .write_all(&encode_frame(0, &payload))
+        .expect("v1 frame written");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let rest: Vec<NetFrame> = std::iter::from_fn(|| next_frame(&mut stream, &mut reader)).collect();
+    match rest.as_slice() {
+        [NetFrame::Error(e)] => assert_eq!(e.code, ErrorCode::Wire, "{e:?}"),
+        other => panic!(
+            "want one Wire error frame, got {:?}",
+            other.iter().map(describe).collect::<Vec<_>>()
+        ),
+    }
+    drop(stream);
+
+    let stats = server.shutdown(Duration::from_secs(30));
+    assert_eq!(
+        (
+            stats.requests_completed,
+            stats.requests_failed,
+            stats.requests_active
+        ),
+        (0, 0, 0),
+        "a lane was opened: {stats:?}"
+    );
+    assert_eq!(store.records(), 1, "the v1 frame was journaled");
     assert!(store.pending_lanes().is_empty(), "lane left pending");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -43,7 +43,7 @@ fn frames(proteus: &Proteus, rid: u64) -> Vec<Vec<u8>> {
     proteus
         .obfuscate_session(&build(ModelKind::AlexNet), &TensorMap::new(), rid)
         .expect("session")
-        .map(|f| f.to_bytes().to_vec())
+        .map(|f| f.to_mux_bytes(rid).to_vec())
         .collect()
 }
 

@@ -59,7 +59,7 @@ fn session_frame_bytes(proteus: &Proteus, kind: ModelKind, rid: u64) -> Vec<Vec<
     proteus
         .obfuscate_session(&build(kind), &TensorMap::new(), rid)
         .expect("session")
-        .map(|f| f.to_bytes().to_vec())
+        .map(|f| f.to_mux_bytes(rid).to_vec())
         .collect()
 }
 
@@ -143,7 +143,10 @@ fn cache_hits_and_misses_produce_identical_bytes() {
         let (cold_frames, cold_model) = serve_one(&uncached, proteus, kind, rid);
 
         let bytes = |frames: &[SealedBucket]| -> Vec<Vec<u8>> {
-            frames.iter().map(|f| f.to_bytes().to_vec()).collect()
+            frames
+                .iter()
+                .map(|f| f.to_mux_bytes(rid).to_vec())
+                .collect()
         };
         assert_eq!(
             bytes(&miss_frames),

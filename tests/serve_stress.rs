@@ -242,10 +242,14 @@ fn warm_cached_concurrent_requests_match_serial_frame_bytes() {
     for (rid, ((inputs, got), (_, replayed))) in cold.iter().zip(&replay).enumerate() {
         assert_eq!(got.len(), inputs.len(), "request {rid}: frame count");
         for ((input, got), replayed) in inputs.iter().zip(got).zip(replayed) {
-            let want = input.optimize(&optimizer, Some(1)).to_bytes();
-            assert_eq!(got.to_bytes(), want, "request {rid}: cold frame diverged");
+            let want = input.optimize(&optimizer, Some(1)).to_mux_bytes(0);
             assert_eq!(
-                replayed.to_bytes(),
+                got.to_mux_bytes(0),
+                want,
+                "request {rid}: cold frame diverged"
+            );
+            assert_eq!(
+                replayed.to_mux_bytes(0),
                 want,
                 "request {rid}: cached frame diverged"
             );

@@ -1,22 +1,21 @@
-//! Session/legacy parity: the one-shot `obfuscate`/`deobfuscate` wrappers
-//! must be **bit-identical** to driving the streaming sessions by hand,
-//! across the model zoo — same buckets, same wire bytes, same reassembled
-//! graphs. Plus the determinism contract of the per-request seed
-//! derivation: the same `request_id` yields byte-identical frames across
-//! independent sessions, distinct ids diverge.
+//! Session parity: the serving runtime's whole-request path
+//! (`ServeRuntime::serve_request`) must be **bit-identical** to driving
+//! the streaming sessions by hand with `SealedBucket::optimize` per frame.
+//! Plus the determinism contract of the per-request seed derivation (the
+//! same `request_id` yields byte-identical frames across independent
+//! sessions, distinct ids diverge) and the owner's request-identity check.
 //!
-//! CI runs this suite in release mode (the `session-service` job) so the
-//! compatibility wrappers cannot rot.
+//! CI runs this suite in release mode (the `session-service` job).
 
 use proteus::{
-    optimize_model, DeobfuscationSession, ObfuscatedModel, PartitionSpec, Proteus, ProteusConfig,
-    ProteusError, SealedBucket, LEGACY_REQUEST_ID,
+    PartitionSpec, Proteus, ProteusConfig, ProteusError, SealedBucket, ServeConfig, ServeRuntime,
 };
+use proteus_graph::wire::{decode_frame, encode_frame, WireError};
 use proteus_graph::{
     Activation, BatchNormAttrs, ConvAttrs, GemmAttrs, Graph, Op, PoolAttrs, TensorMap,
 };
 use proteus_graphgen::GraphRnnConfig;
-use proteus_models::{build, zoo, ModelKind};
+use proteus_models::{build, ModelKind};
 use proteus_opt::{Optimizer, Profile};
 
 fn quick_config(k: usize, n: usize) -> ProteusConfig {
@@ -59,86 +58,28 @@ fn executable_cnn() -> (Graph, TensorMap) {
     (g, params)
 }
 
-/// Drains a session into `(model, frame_bytes, secrets)`.
-fn drive_session(
-    proteus: &Proteus,
-    g: &Graph,
-    params: &TensorMap,
-    request_id: u64,
-) -> (ObfuscatedModel, Vec<Vec<u8>>, proteus::ObfuscationSecrets) {
-    let mut session = proteus
+/// Drains a session into its frames' wire bytes.
+fn frame_bytes(proteus: &Proteus, g: &Graph, params: &TensorMap, request_id: u64) -> Vec<Vec<u8>> {
+    proteus
         .obfuscate_session(g, params, request_id)
-        .expect("session opens");
-    let mut buckets = Vec::new();
-    let mut frames = Vec::new();
-    while let Some(frame) = session.next_frame() {
-        frames.push(frame.to_bytes().to_vec());
-        buckets.push(frame.into_bucket());
-    }
-    let secrets = session.finish().expect("all frames emitted");
-    (ObfuscatedModel { buckets }, frames, secrets)
-}
-
-#[test]
-fn wrapper_is_bit_identical_to_session_across_the_zoo() {
-    // registry-count pin: the sweep below must cover the whole registry
-    assert_eq!(zoo::all().len(), zoo::COUNT);
-    let proteus = Proteus::train(quick_config(2, 4), &[build(ModelKind::ResNet)]);
-    for entry in zoo::all() {
-        let kind = entry.name;
-        let g = (entry.build)();
-        let (legacy_model, legacy_secrets) =
-            proteus.obfuscate(&g, &TensorMap::new()).expect("obfuscate");
-        let (session_model, _, session_secrets) =
-            drive_session(&proteus, &g, &TensorMap::new(), LEGACY_REQUEST_ID);
-
-        // identical wire bytes — covers graphs, params, order, framing
-        assert_eq!(
-            legacy_model.to_bytes().to_vec(),
-            session_model.to_bytes().to_vec(),
-            "{kind}: wrapper and session models diverge on the wire"
-        );
-        assert_eq!(
-            legacy_secrets.real_positions, session_secrets.real_positions,
-            "{kind}: real positions diverge"
-        );
-
-        // identical reassembly through both deobfuscation paths
-        let (legacy_back, _) = proteus
-            .deobfuscate(&legacy_secrets, &session_model)
-            .expect("wrapper deobfuscate");
-        let mut reassembly = DeobfuscationSession::new(&session_secrets);
-        let nb = session_model.num_buckets() as u32;
-        for (i, bucket) in session_model.buckets.iter().enumerate() {
-            reassembly
-                .accept(SealedBucket {
-                    bucket_index: i as u32,
-                    num_buckets: nb,
-                    bucket: bucket.clone(),
-                })
-                .expect("accept");
-        }
-        let (session_back, _) = reassembly.finish().expect("session deobfuscate");
-        assert_eq!(
-            legacy_back, session_back,
-            "{kind}: reassembled graphs diverge"
-        );
-    }
+        .expect("session opens")
+        .map(|frame| frame.to_mux_bytes(request_id).to_vec())
+        .collect()
 }
 
 #[test]
 fn same_request_id_yields_byte_identical_frames() {
     let (g, params) = executable_cnn();
     let proteus = Proteus::train(quick_config(3, 3), &[build(ModelKind::MobileNet)]);
-    let (_, frames_a, _) = drive_session(&proteus, &g, &params, 0xFEED);
-    let (_, frames_b, _) = drive_session(&proteus, &g, &params, 0xFEED);
+    let frames_a = frame_bytes(&proteus, &g, &params, 0xFEED);
+    let frames_b = frame_bytes(&proteus, &g, &params, 0xFEED);
     assert_eq!(frames_a.len(), frames_b.len());
     for (i, (a, b)) in frames_a.iter().zip(&frames_b).enumerate() {
         assert_eq!(a, b, "frame {i} differs across runs of one request_id");
     }
 
     // distinct request ids must not replay the same stream
-    let (_, frames_c, _) = drive_session(&proteus, &g, &params, 0xFEED + 1);
+    let frames_c = frame_bytes(&proteus, &g, &params, 0xFEED + 1);
     assert_ne!(
         frames_a, frames_c,
         "distinct request ids produced identical frame streams"
@@ -146,36 +87,36 @@ fn same_request_id_yields_byte_identical_frames() {
 }
 
 #[test]
-fn streamed_optimization_matches_batch_wrapper_bit_for_bit() {
+fn streamed_optimization_matches_serve_request_bit_for_bit() {
     let (g, params) = executable_cnn();
     let proteus = Proteus::train(quick_config(2, 3), &[build(ModelKind::ResNet)]);
     let optimizer = Optimizer::new(Profile::OrtLike);
+    let request_id = 0x5E;
 
-    // batch path: wrappers end to end
-    let (model, secrets) = proteus.obfuscate(&g, &params).expect("obfuscate");
-    let optimized = optimize_model(&model, &optimizer);
-    let (batch_graph, batch_params) = proteus
-        .deobfuscate(&secrets, &optimized)
-        .expect("deobfuscate");
+    // runtime path: the whole request through the shared pool
+    let runtime = ServeRuntime::new(optimizer.clone(), ServeConfig::default()).expect("runtime");
+    let (served_graph, served_params) = runtime
+        .serve_request(&proteus, &g, &params, request_id)
+        .expect("serve request");
 
-    // streaming path: frame-at-a-time, returned out of order
+    // streaming path by hand: frame-at-a-time, returned out of order
     let mut session = proteus
-        .obfuscate_session(&g, &params, LEGACY_REQUEST_ID)
+        .obfuscate_session(&g, &params, request_id)
         .expect("session");
     let mut optimized_frames: Vec<SealedBucket> = session
         .by_ref()
         .map(|frame| frame.optimize(&optimizer, None))
         .collect();
-    let secrets2 = session.finish().expect("secrets");
+    let secrets = session.finish().expect("secrets");
     optimized_frames.reverse(); // any-order acceptance
-    let mut reassembly = proteus.deobfuscate_session(&secrets2);
+    let mut reassembly = proteus.deobfuscate_session(&secrets);
     for frame in optimized_frames {
         reassembly.accept(frame).expect("accept");
     }
     let (stream_graph, stream_params) = reassembly.finish().expect("reassemble");
 
-    assert_eq!(batch_graph, stream_graph, "optimized graphs diverge");
-    assert_eq!(batch_params, stream_params, "optimized params diverge");
+    assert_eq!(served_graph, stream_graph, "optimized graphs diverge");
+    assert_eq!(served_params, stream_params, "optimized params diverge");
 }
 
 #[test]
@@ -268,8 +209,8 @@ fn duplicate_frame_is_rejected_and_never_overwrites() {
 #[test]
 fn mux_acceptance_checks_request_identity() {
     // accept_mux_bytes binds a reassembly session to its request id: the
-    // matching id (v2) and the legacy v1 encoding of the same request are
-    // accepted; a frame from another request's stream is rejected intact.
+    // matching id is accepted; a frame from another request's stream, or
+    // a v1 frame that names no request at all, is rejected intact.
     let (g, params) = executable_cnn();
     let proteus = Proteus::train(quick_config(2, 2), &[build(ModelKind::ResNet)]);
     let mut session = proteus
@@ -285,28 +226,25 @@ fn mux_acceptance_checks_request_identity() {
         .unwrap_err();
     assert!(matches!(err, ProteusError::Protocol { .. }), "{err:?}");
     assert_eq!(reassembly.received(), 0, "injected frame must not land");
+    // the same payload behind a v1 header (no request id): refused
+    let payload = decode_frame(&mut frames[0].to_mux_bytes(0xA11CE))
+        .expect("frame")
+        .payload;
+    let err = reassembly
+        .accept_mux_bytes(encode_frame(0, &payload))
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ProteusError::Wire(WireError::UnknownVersion { got: 1, .. })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(reassembly.received(), 0, "v1 frame must not land");
     for f in &frames {
         reassembly
             .accept_mux_bytes(f.to_mux_bytes(0xA11CE))
             .expect("matching id accepted");
-    }
-    reassembly.finish().expect("reassembles");
-
-    // the legacy wrapper's secrets carry LEGACY_REQUEST_ID, so v1 frames
-    // (request id 0 on the wire) pass the identity check
-    let (model, legacy_secrets) = proteus.obfuscate(&g, &params).expect("obfuscate");
-    assert_eq!(legacy_secrets.request_id, LEGACY_REQUEST_ID);
-    let mut reassembly = proteus.deobfuscate_session(&legacy_secrets);
-    let nb = model.num_buckets() as u32;
-    for (i, bucket) in model.buckets.iter().enumerate() {
-        let sealed = SealedBucket {
-            bucket_index: i as u32,
-            num_buckets: nb,
-            bucket: bucket.clone(),
-        };
-        reassembly
-            .accept_mux_bytes(sealed.to_bytes())
-            .expect("v1 frame accepted by the mux path");
     }
     reassembly.finish().expect("reassembles");
 }
@@ -319,9 +257,17 @@ fn config_validation_front_loads_degenerate_requests() {
     let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
     let err = proteus.obfuscate_session(&g, &params, 1).unwrap_err();
     assert!(matches!(err, ProteusError::Config { .. }), "{err:?}");
-    let err = proteus.obfuscate(&g, &params).unwrap_err();
+    let runtime = ServeRuntime::new(
+        Optimizer::new(Profile::OrtLike),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("runtime");
+    let err = runtime.serve_request(&proteus, &g, &params, 1).unwrap_err();
     assert!(
         matches!(err, ProteusError::Config { .. }),
-        "legacy wrapper must surface the same typed error: {err:?}"
+        "the runtime must surface the same typed error: {err:?}"
     );
 }

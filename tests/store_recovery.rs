@@ -426,8 +426,8 @@ fn interrupted_sessions_resume_bit_identically_across_the_zoo() {
         store.checkpoint_session(&secrets).expect("checkpoint");
         let mut partial = proteus.deobfuscate_session(&secrets);
         for frame in &optimized[..cut] {
-            let bytes = frame.to_bytes();
-            partial.accept_bytes(bytes.clone()).expect("accept");
+            let bytes = frame.to_mux_bytes(rid);
+            partial.accept_mux_bytes(bytes.clone()).expect("accept");
             store.checkpoint_frame(rid, &bytes).expect("journal frame");
         }
         drop(partial);
@@ -477,7 +477,7 @@ fn resuming_a_journal_with_a_duplicate_frame_fails_typed() {
         .next_frame()
         .expect("frame")
         .optimize(&optimizer, None)
-        .to_bytes();
+        .to_mux_bytes(rid);
     for _ in session.by_ref() {}
     let secrets = session.finish().expect("secrets");
     let frames = vec![first.clone(), first];

@@ -10,8 +10,8 @@
 //! data crossing from one request into another's output.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use proteus::{Bucket, BucketMember, ObfuscatedModel, SealedBucket};
-use proteus_graph::wire::{decode_frame, encode_frame, encode_frame_v2, encode_graph};
+use proteus::{Bucket, BucketMember, SealedBucket};
+use proteus_graph::wire::{decode_frame, encode_frame_v2, encode_graph};
 use proteus_graph::{Activation, Graph, Op, Shape, Tensor, TensorMap, WireError, WIRE_VERSION};
 
 mod proptests {
@@ -154,16 +154,18 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn sealed_bucket_roundtrips(sealed in arb_sealed()) {
-            let bytes = sealed.to_bytes();
-            let back = SealedBucket::from_bytes(bytes).unwrap();
+        fn sealed_bucket_roundtrips(
+            sealed in arb_sealed(),
+            request_id in proptest::num::u64::ANY,
+        ) {
+            let bytes = sealed.to_mux_bytes(request_id);
+            let (rid, back) = SealedBucket::from_mux_bytes(bytes.clone()).unwrap();
+            prop_assert_eq!(rid, request_id);
             prop_assert_eq!(back.bucket_index, sealed.bucket_index);
             prop_assert_eq!(back.num_buckets, sealed.num_buckets);
             assert_members_equal(&sealed.bucket, &back.bucket);
             // a re-encode of the decoded frame is byte-stable
-            let bytes_a = sealed.to_bytes();
-            let bytes_b = back.to_bytes();
-            prop_assert_eq!(bytes_a.to_vec(), bytes_b.to_vec());
+            prop_assert_eq!(back.to_mux_bytes(rid).to_vec(), bytes.to_vec());
         }
 
         #[test]
@@ -172,21 +174,21 @@ mod proptests {
             pos_pick in proptest::num::u64::ANY,
             bit in 0u8..8,
         ) {
-            let bytes = sealed.to_bytes().to_vec();
+            let bytes = sealed.to_mux_bytes(0x0BAD_5EED).to_vec();
             let pos = (pos_pick as usize) % bytes.len();
             let mut raw = bytes;
             raw[pos] ^= 1u8 << bit;
             // every single-bit corruption must surface as a typed error —
             // the checksum covers header fields and payload alike
-            let got = SealedBucket::from_bytes(Bytes::copy_from_slice(&raw));
+            let got = SealedBucket::from_mux_bytes(Bytes::copy_from_slice(&raw));
             prop_assert!(got.is_err(), "corruption at byte {} bit {} was accepted", pos, bit);
         }
 
         #[test]
         fn truncated_frames_rejected(sealed in arb_sealed(), cut_pick in proptest::num::u64::ANY) {
-            let bytes = sealed.to_bytes();
+            let bytes = sealed.to_mux_bytes(3);
             let cut = (cut_pick as usize) % bytes.len();
-            let got = SealedBucket::from_bytes(bytes.slice(0..cut));
+            let got = SealedBucket::from_mux_bytes(bytes.slice(0..cut));
             prop_assert!(got.is_err(), "cut at {} was accepted", cut);
         }
 
@@ -195,15 +197,15 @@ mod proptests {
             sealed in arb_sealed(),
             version in proptest::num::u64::ANY,
         ) {
-            // skip past the versions the library actually speaks (v1
-            // single-request, v2 multiplexed)
+            // every version but v2 is refused, v1 included: a v1 frame
+            // carries no request id
             let version = match (version % 0xFFFF) as u16 {
-                v if v <= WIRE_VERSION => WIRE_VERSION + 1 + v,
+                WIRE_VERSION => WIRE_VERSION + 1,
                 v => v,
             };
-            let mut raw = sealed.to_bytes().to_vec();
+            let mut raw = sealed.to_mux_bytes(9).to_vec();
             raw[4..6].copy_from_slice(&version.to_le_bytes());
-            match SealedBucket::from_bytes(Bytes::copy_from_slice(&raw)) {
+            match SealedBucket::from_mux_bytes(Bytes::copy_from_slice(&raw)) {
                 Err(WireError::UnknownVersion { got, supported }) => {
                     prop_assert_eq!(got, version);
                     prop_assert_eq!(supported, WIRE_VERSION);
@@ -213,8 +215,7 @@ mod proptests {
         }
 
         // The in-place sealer writes exactly the bytes of the old
-        // two-step path, v2 and v1 alike, and the weights decode back
-        // bit for bit.
+        // two-step path, and the weights decode back bit for bit.
         #[test]
         fn in_place_seal_matches_the_member_by_member_reference(
             members in proptest::collection::vec(arb_weighted_member(), 1..5),
@@ -230,39 +231,9 @@ mod proptests {
             let want = encode_frame_v2(request_id, bucket_index, &payload);
             let got = sealed.to_mux_bytes(request_id);
             prop_assert_eq!(got.to_vec(), want.to_vec());
-            let want_v1 = encode_frame(bucket_index, &payload);
-            prop_assert_eq!(sealed.to_bytes().to_vec(), want_v1.to_vec());
             // decoding keeps every weight's bits: the re-encode is the same
             let (_, back) = SealedBucket::from_mux_bytes(got).unwrap();
             prop_assert_eq!(back.to_mux_bytes(request_id).to_vec(), want.to_vec());
-        }
-
-        #[test]
-        fn model_blob_roundtrips_and_rejects_corruption(
-            members in proptest::collection::vec(arb_member(), 2..7),
-            pos_pick in proptest::num::u64::ANY,
-        ) {
-            // split members into two buckets
-            let split = members.len() / 2;
-            let model = ObfuscatedModel {
-                buckets: vec![
-                    Bucket { members: members[..split].to_vec() },
-                    Bucket { members: members[split..].to_vec() },
-                ],
-            };
-            let bytes = model.to_bytes();
-            let back = ObfuscatedModel::from_bytes(bytes.clone()).unwrap();
-            prop_assert_eq!(back.num_buckets(), model.num_buckets());
-            prop_assert_eq!(back.total_subgraphs(), model.total_subgraphs());
-
-            // corrupt one byte past the model header: typed error, no panic
-            let mut raw = bytes.to_vec();
-            let pos = 4 + (pos_pick as usize) % (raw.len() - 4);
-            raw[pos] ^= 0x20;
-            prop_assert!(
-                ObfuscatedModel::from_bytes(Bytes::copy_from_slice(&raw)).is_err(),
-                "corruption at byte {} was accepted", pos
-            );
         }
     }
 }
@@ -420,7 +391,7 @@ mod mux {
                 let (got_rid, got) = SealedBucket::decode_mux_from(&mut buf).unwrap();
                 prop_assert_eq!(got_rid, *rid);
                 // byte-stable re-encode proves the payload survived intact
-                prop_assert_eq!(got.to_bytes().to_vec(), sealed.to_bytes().to_vec());
+                prop_assert_eq!(got.to_mux_bytes(*rid).to_vec(), sealed.to_mux_bytes(*rid).to_vec());
             }
             prop_assert!(buf.is_empty());
         }
@@ -529,8 +500,8 @@ mod mux {
                         let (want_rid, want) = order[decoded];
                         prop_assert_eq!(rid, want_rid);
                         prop_assert_eq!(
-                            sealed.to_bytes().to_vec(),
-                            want.to_bytes().to_vec()
+                            sealed.to_mux_bytes(rid).to_vec(),
+                            want.to_mux_bytes(rid).to_vec()
                         );
                         decoded += 1;
                     }
@@ -835,10 +806,10 @@ fn bad_magic_is_a_typed_error() {
             members: Vec::new(),
         },
     };
-    let mut raw = sealed.to_bytes().to_vec();
+    let mut raw = sealed.to_mux_bytes(0).to_vec();
     raw[0..4].copy_from_slice(b"JUNK");
     assert!(matches!(
-        SealedBucket::from_bytes(Bytes::copy_from_slice(&raw)),
+        SealedBucket::from_mux_bytes(Bytes::copy_from_slice(&raw)),
         Err(WireError::BadMagic { .. })
     ));
 }
@@ -852,10 +823,10 @@ fn checksum_mismatch_is_a_typed_error() {
             members: Vec::new(),
         },
     };
-    let mut raw = sealed.to_bytes().to_vec();
+    let mut raw = sealed.to_mux_bytes(0).to_vec();
     let last = raw.len() - 1;
     raw[last] ^= 0xFF; // payload byte (or checksum when payload is tiny)
-    let got = SealedBucket::from_bytes(Bytes::copy_from_slice(&raw));
+    let got = SealedBucket::from_mux_bytes(Bytes::copy_from_slice(&raw));
     assert!(
         matches!(got, Err(WireError::ChecksumMismatch { .. })),
         "{got:?}"

@@ -9,8 +9,7 @@
 //! - [`sentinel_gallery_flow`] <-> `examples/sentinel_gallery.rs`
 
 use proteus::{
-    optimize_model, random_opcode_sentinels, PartitionSpec, Proteus, ProteusConfig, SealedBucket,
-    SentinelMode,
+    random_opcode_sentinels, PartitionSpec, Proteus, ProteusConfig, SealedBucket, SentinelMode,
 };
 use proteus_adversary::{attack_buckets, Example, LabelledBucket, SageClassifier, SageConfig};
 use proteus_graph::{
@@ -68,13 +67,21 @@ fn trained() -> &'static Proteus {
 fn quickstart_flow() {
     let (secret, weights) = secret_cnn();
     let proteus = trained();
-    let (bucket, secrets) = proteus.obfuscate(&secret, &weights).expect("obfuscate");
-    assert_eq!(bucket.buckets[0].members.len(), proteus.config().k + 1);
+    let mut session = proteus
+        .obfuscate_session(&secret, &weights, 1)
+        .expect("obfuscate");
+    let frames: Vec<SealedBucket> = session.by_ref().collect();
+    let secrets = session.finish().expect("secrets");
+    assert_eq!(frames[0].bucket.members.len(), proteus.config().k + 1);
 
-    let optimized = optimize_model(&bucket, &Optimizer::new(Profile::OrtLike));
-    let (model, params) = proteus
-        .deobfuscate(&secrets, &optimized)
-        .expect("deobfuscate");
+    let optimizer = Optimizer::new(Profile::OrtLike);
+    let mut reassembly = proteus.deobfuscate_session(&secrets);
+    for frame in &frames {
+        reassembly
+            .accept(frame.optimize(&optimizer, None))
+            .expect("accept");
+    }
+    let (model, params) = reassembly.finish().expect("deobfuscate");
 
     let mut rng = StdRng::seed_from_u64(7);
     let probe = Tensor::random([1, 3, 32, 32], 1.0, &mut rng);
@@ -87,7 +94,6 @@ fn quickstart_flow() {
     let diff = before[0].max_abs_diff(&after[0]);
     assert!(diff < 1e-3, "optimization changed semantics: diff {diff}");
 
-    let optimizer = Optimizer::new(Profile::OrtLike);
     let t_before = optimizer.estimate_us(&secret).expect("estimate");
     let t_after = optimizer.estimate_us(&model).expect("estimate");
     assert!(
@@ -111,12 +117,12 @@ fn confidential_service_flow() {
     let mut returned_wire = Vec::new();
     while let Some(frame) = session.next_frame() {
         // owner seals the frame...
-        let wire = frame.to_bytes();
+        let wire = frame.to_mux_bytes(0xCAFE);
         assert!(!wire.is_empty());
         // ...the service decodes, optimizes, re-seals...
-        let received = SealedBucket::from_bytes(wire).expect("service decode");
+        let (rid, received) = SealedBucket::from_mux_bytes(wire).expect("service decode");
         assert_eq!(received.bucket.members.len(), proteus.config().k + 1);
-        returned_wire.push(received.optimize(&optimizer, None).to_bytes());
+        returned_wire.push(received.optimize(&optimizer, None).to_mux_bytes(rid));
     }
     let secrets = session.finish().expect("secrets after all frames");
 
@@ -124,7 +130,7 @@ fn confidential_service_flow() {
     let mut reassembly = proteus.deobfuscate_session(&secrets);
     returned_wire.reverse();
     for wire in returned_wire {
-        reassembly.accept_bytes(wire).expect("owner decode");
+        reassembly.accept_mux_bytes(wire).expect("owner decode");
     }
     let (model, params) = reassembly.finish().expect("reassemble");
     model.validate().expect("reassembled model is well-formed");
