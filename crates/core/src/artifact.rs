@@ -825,7 +825,7 @@ impl TrainedArtifact {
                 source,
             })?;
             // docs/WIRE.md: sections are wire *v1* frames. decode_frame
-            // also speaks v2, but accepting it here would make two byte
+            // also speaks v3, but accepting it here would make two byte
             // encodings valid for one artifact — reject for canonicality.
             if frame.version != proteus_graph::wire::WIRE_VERSION_V1 {
                 return Err(ArtifactError::malformed(format!(
@@ -1239,19 +1239,48 @@ mod tests {
     #[test]
     fn v2_section_frames_are_rejected() {
         // sections are wire v1 frames by spec (docs/WIRE.md); the same
-        // payload behind a valid v2 frame must not be a second accepted
-        // encoding of the artifact
-        use proteus_graph::wire::encode_frame_v2;
+        // payload behind a valid request frame must not be a second
+        // accepted encoding of the artifact: a v3 frame is malformed
+        // here, and a retired v2 frame (FNV-1a, as it was sealed) is an
+        // unknown version
+        use proteus_graph::wire::{encode_frame_v3, Checksum, Envelope, Versions, FRAME};
+        let v2_row = Envelope {
+            versions: Versions::Only(&[(2, 12, Checksum::Fnv1a)]),
+            ..FRAME
+        };
         let bytes = quick_proteus().to_artifact_bytes();
-        let mut buf = Bytes::copy_from_slice(&bytes[10..]);
-        let mut rebuilt: Vec<u8> = bytes[..10].to_vec();
-        while !buf.is_empty() {
-            let frame = decode_frame(&mut buf).expect("section decodes");
-            rebuilt.extend_from_slice(&encode_frame_v2(0, frame.bucket_index, &frame.payload));
-        }
-        let err = TrainedArtifact::from_bytes(&rebuilt).unwrap_err();
+        let rebuild = |seal: &dyn Fn(u32, &[u8]) -> Bytes| {
+            let mut buf = Bytes::copy_from_slice(&bytes[10..]);
+            let mut rebuilt: Vec<u8> = bytes[..10].to_vec();
+            while !buf.is_empty() {
+                let frame = decode_frame(&mut buf).expect("section decodes");
+                rebuilt.extend_from_slice(&seal(frame.bucket_index, &frame.payload));
+            }
+            TrainedArtifact::from_bytes(&rebuilt).unwrap_err()
+        };
+        let err = rebuild(&|index, payload| encode_frame_v3(0, index, payload));
         assert!(
             matches!(err, ArtifactError::Malformed { .. }),
+            "wrong variant: {err:?}"
+        );
+        let err = rebuild(&|index, payload| {
+            let fields = |f: &mut bytes::BytesMut| {
+                f.put_u64_le(0);
+                f.put_u32_le(index);
+            };
+            v2_row.seal(2, fields, payload)
+        });
+        assert!(
+            matches!(
+                err,
+                ArtifactError::Section {
+                    index: 0,
+                    source: WireError::UnknownVersion {
+                        got: 2,
+                        supported: 3
+                    }
+                }
+            ),
             "wrong variant: {err:?}"
         );
     }

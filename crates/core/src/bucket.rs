@@ -11,13 +11,18 @@
 //! [`proteus_graph::wire`]), so the two parties stream buckets one at a
 //! time instead of shipping the whole model as a single blob: the
 //! optimizer works on bucket *i* while the owner is still generating
-//! bucket *i + 1*. Sealed buckets are always v2 frames; a v1 frame names
-//! no request and is refused.
+//! bucket *i + 1*. Sealed buckets are always v3 frames; a v1 frame names
+//! no request and a v2 frame uses the retired FNV-1a checksum, so both are
+//! refused.
+
+// Decoding and sealing run on the serving path for every request: no
+// `unwrap`/`expect` outside tests (CI runs clippy with `-D warnings`).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use bytes::{Buf, BufMut, Bytes};
 use proteus_graph::wire::{
     bounded_capacity, decode_graph, decode_params, decode_request_frame, encode_graph, fnv1a64,
-    seal_frame, MemberEncoder, WireError, WIRE_VERSION_V2,
+    seal_frame, MemberEncoder, WireError, WIRE_VERSION_V3,
 };
 use proteus_graph::{Graph, TensorMap};
 use proteus_partition::PartitionPlan;
@@ -104,7 +109,7 @@ pub(crate) struct RawSealed {
 }
 
 impl RawSealed {
-    /// Opens the v2 frame at the front of `data`, leaving trailing bytes.
+    /// Opens the v3 frame at the front of `data`, leaving trailing bytes.
     fn open_from(data: &mut Bytes) -> Result<RawSealed, WireError> {
         let frame = decode_request_frame(data)?;
         let mut payload = frame.payload;
@@ -186,7 +191,7 @@ impl RawSealed {
 }
 
 impl SealedBucket {
-    /// Serializes to one multiplexed (v2) wire frame tagged with
+    /// Serializes to one multiplexed (v3) wire frame tagged with
     /// `request_id`, so the frame can share a byte stream with frames of
     /// other concurrent requests. Each member's graph is compacted once,
     /// the payload length is known before the first byte is written, and
@@ -208,7 +213,7 @@ impl SealedBucket {
             .map(|m| 8 + m.graph_len() + m.params_len())
             .sum::<usize>();
         let (index, total) = (self.bucket_index, self.num_buckets);
-        seal_frame(WIRE_VERSION_V2, request_id, index, payload_len, |buf| {
+        seal_frame(WIRE_VERSION_V3, request_id, index, payload_len, |buf| {
             buf.put_u32_le(total);
             buf.put_u32_le(members.len() as u32);
             for m in &members {
@@ -227,7 +232,7 @@ impl SealedBucket {
     ///
     /// # Errors
     /// Typed [`WireError`]s: unknown wire versions (v1 included: it
-    /// carries no request id), bad magic, checksum mismatches,
+    /// carries no request id; and v2), bad magic, checksum mismatches,
     /// truncation, malformed payload fields.
     pub fn decode_mux_from(data: &mut Bytes) -> Result<(u64, SealedBucket), WireError> {
         RawSealed::open_from(data)?.decode()
@@ -273,12 +278,9 @@ pub fn anonymize_content(graph: &Graph) -> Graph {
     let (mut g, _) = graph.compact();
     let ids = g.node_ids();
     for (i, id) in ids.into_iter().enumerate() {
-        let base = {
-            let node = g.node(id).expect("live");
-            node.op.opcode()
-        };
         if let Some(node) = g.node_mut(id) {
-            node.name = format!("{}_{}", format!("{base:?}").to_lowercase(), i);
+            let base = format!("{:?}", node.op.opcode()).to_lowercase();
+            node.name = format!("{base}_{i}");
         }
     }
     g.set_name("subgraph".to_string());
@@ -289,6 +291,7 @@ pub fn anonymize_content(graph: &Graph) -> Graph {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use bytes::BytesMut;
     use proteus_graph::{Activation, ConvAttrs, Op};
@@ -444,11 +447,12 @@ mod tests {
         BucketMember { graph: g, params }
     }
 
-    /// Pins one v2 frame carrying a weighted member (and a graph-only one)
+    /// Pins one v3 frame carrying a weighted member (and a graph-only one)
     /// byte for byte: frame header, payload header, then each member's
-    /// length-prefixed graph and params.
+    /// length-prefixed graph and params. The bytes after the header are
+    /// the payload the v2 golden pinned, unchanged.
     #[test]
-    fn weighted_v2_frame_matches_golden_bytes() {
+    fn weighted_v3_frame_matches_golden_bytes() {
         let mut bare = special_member();
         bare.params = TensorMap::new();
         let sealed = SealedBucket {
@@ -500,15 +504,8 @@ mod tests {
             "01000000",
             "0000c03f",
         );
-        let golden = [
-            concat!(
-                "50525442",
-                "0200",
-                "0807060504030201",
-                "01000000",
-                "2a010000"
-            ),
-            "b2c3434b6d5372b7",
+        // the payload, byte for byte the one the v2 frame carried
+        let payload = [
             concat!("02000000", "02000000"),
             "6f000000",
             graph,
@@ -519,7 +516,16 @@ mod tests {
             concat!("04000000", "00000000"),
         ]
         .concat();
-        assert_eq!(hex(&wire), golden);
+        let header = concat!(
+            "50525442",
+            "0300",
+            "0807060504030201",
+            "01000000",
+            "2a010000",
+            "f8416ac00f73292c"
+        );
+        assert_eq!(hex(&wire[..30]), header);
+        assert_eq!(hex(&wire[30..]), payload);
         let (rid, back) = SealedBucket::from_mux_bytes(wire).unwrap();
         assert_eq!(rid, 0x0102_0304_0506_0708);
         let tensors = back.bucket.members[0]
@@ -552,7 +558,7 @@ mod tests {
         payload.put_slice(&graph);
         payload.put_u32_le(params.len() as u32);
         payload.put_slice(&params);
-        let wire = proteus_graph::wire::encode_frame_v2(9, 0, &payload);
+        let wire = proteus_graph::wire::encode_frame_v3(9, 0, &payload);
         assert!(matches!(
             SealedBucket::from_mux_bytes(wire),
             Err(WireError::Malformed { .. })

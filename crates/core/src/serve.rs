@@ -20,11 +20,12 @@
 //! order, so nothing downstream cares that bucket 3 finished before
 //! bucket 0.
 //!
-//! On the wire, concurrent requests share one byte stream via the v2
-//! multiplexed frame ([`proteus_graph::wire::encode_frame_v2`]): the
+//! On the wire, concurrent requests share one byte stream via the v3
+//! multiplexed frame ([`proteus_graph::wire::encode_frame_v3`]): the
 //! header carries a `request_id`, and [`RequestHandle::submit_bytes`]
 //! rejects frames whose id does not match the handle (cross-request
-//! injection). A v1 frame carries no request id and is refused as
+//! injection). A v1 frame carries no request id and a v2 frame the
+//! retired FNV-1a checksum; both are refused as
 //! [`proteus_graph::WireError::UnknownVersion`].
 //!
 //! Two serving-only accelerations ride on top. The shared
@@ -101,7 +102,7 @@ use crate::error::ProteusError;
 use crate::pipeline::Proteus;
 use crate::session::DeobfuscationSession;
 use bytes::{BufMut, Bytes, BytesMut};
-use proteus_graph::wire::{fnv1a64, MemberEncoder};
+use proteus_graph::wire::{word_hash64, MemberEncoder};
 use proteus_graph::{Graph, TensorMap};
 use proteus_opt::{Optimizer, Profile};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -269,8 +270,9 @@ struct CacheInner {
 /// member), so a weighted key effectively never repeats, and keying one
 /// would hash, store and clone megabytes for no hit.
 ///
-/// The u64 fingerprint only buckets; every hit compares the full key
-/// bytes, so a collision degrades to a miss, never to a wrong answer.
+/// The u64 fingerprint ([`word_hash64`] of the key, in memory only)
+/// only buckets; every hit compares the full key bytes, so a collision
+/// degrades to a miss, never to a wrong answer.
 /// Eviction is FIFO at [`ServeConfig::cache_capacity`] entries; capacity
 /// `0` disables the cache entirely (every member goes to the pool).
 ///
@@ -382,7 +384,7 @@ impl OptimizedCache {
         if !self.is_enabled() {
             return None;
         }
-        let fp = fnv1a64(key);
+        let fp = word_hash64(0, key);
         let found = {
             let inner = self.guard();
             inner
@@ -410,7 +412,7 @@ impl OptimizedCache {
         if !self.is_enabled() {
             return false;
         }
-        let fp = fnv1a64(&key);
+        let fp = word_hash64(0, &key);
         let mut inner = self.guard();
         if inner
             .buckets
@@ -483,6 +485,17 @@ struct RequestInner {
     failed: Option<ProteusError>,
 }
 
+impl RequestInner {
+    /// Fails the lane with `err` (first failure wins) and abandons its
+    /// in-flight reassembly — a frame must never surface with missing
+    /// members. The caller wakes the lane once the lock is released.
+    fn fail(&mut self, err: ProteusError) {
+        self.failed.get_or_insert(err);
+        self.partial.clear();
+        self.inflight = 0;
+    }
+}
+
 struct RequestState {
     request_id: u64,
     window: usize,
@@ -517,16 +530,12 @@ impl RequestState {
             Ok(guard) => guard,
             Err(poisoned) => {
                 let mut guard = poisoned.into_inner();
-                if guard.failed.is_none() {
-                    guard.failed = Some(ProteusError::WorkerCrashed {
-                        request_id: self.request_id,
-                        detail: "lane bookkeeping interrupted by a panic (lock poisoned); \
-                                 in-flight frames abandoned"
-                            .into(),
-                    });
-                }
-                guard.partial.clear();
-                guard.inflight = 0;
+                guard.fail(ProteusError::WorkerCrashed {
+                    request_id: self.request_id,
+                    detail: "lane bookkeeping interrupted by a panic (lock poisoned); \
+                             in-flight frames abandoned"
+                        .into(),
+                });
                 self.inner.clear_poison();
                 self.wake();
                 guard
@@ -606,17 +615,10 @@ impl PoolShared {
         self.cv.notify_all();
     }
 
-    /// Fails a request's lane with `err` (first failure wins) and
-    /// abandons its in-flight reassembly — a frame must never surface
-    /// with missing members.
+    /// Fails a request's lane with `err` ([`RequestInner::fail`]) and
+    /// wakes it.
     fn fail_request(&self, req: &RequestState, err: ProteusError) {
-        let mut lane = req.lane();
-        if lane.failed.is_none() {
-            lane.failed = Some(err);
-        }
-        lane.partial.clear();
-        lane.inflight = 0;
-        drop(lane);
+        req.lane().fail(err);
         req.wake();
     }
 
@@ -913,7 +915,7 @@ impl ServeRuntime {
     }
 
     /// Re-runs one interrupted serving lane from its journaled input
-    /// frames (raw v2 wire bytes, as a durable
+    /// frames (raw v3 wire bytes, as a durable
     /// [`Store`](crate::store::Store) replays them) and returns the
     /// optimized response frames in completion order. Request-id-keyed
     /// determinism makes the replayed responses byte-identical to what
@@ -1158,19 +1160,20 @@ impl RequestHandle {
                 // every member cached (or the frame was empty): nothing to
                 // optimize, complete immediately so recv() and reassembly
                 // see the frame without a trip through the pool. Every
-                // slot was prefilled by construction (no misses), so an
-                // empty one is memory corruption, not a request error.
-                let mut members = Vec::with_capacity(slots.len());
-                for (i, slot) in slots.into_iter().enumerate() {
-                    match slot {
-                        Some(m) => members.push(m),
-                        None => {
-                            unreachable!(
-                                "bucket {bucket_index} member {i} neither cached nor missed"
-                            )
-                        }
-                    }
-                }
+                // slot was prefilled by construction (no misses); an empty
+                // one is a violated invariant, which fails this lane
+                // closed instead of panicking the producer.
+                let Some(members) = slots.into_iter().collect::<Option<Vec<_>>>() else {
+                    let err = ProteusError::protocol(format!(
+                        "request {:#x}: bucket {bucket_index} has a member neither cached nor \
+                         queued",
+                        self.state.request_id
+                    ));
+                    inner.fail(err.clone());
+                    drop(inner);
+                    self.state.wake();
+                    return Err(err);
+                };
                 inner.done.push_back(SealedBucket {
                     bucket_index,
                     num_buckets,
@@ -1310,7 +1313,7 @@ impl RequestHandle {
         self.state.lane().failed.clone()
     }
 
-    /// [`RequestHandle::recv`], encoded as one v2 multiplexed wire frame
+    /// [`RequestHandle::recv`], encoded as one v3 multiplexed wire frame
     /// tagged with this request's id — ready to share a response byte
     /// stream with other requests.
     ///
@@ -1373,6 +1376,44 @@ mod tests {
             },
         )
         .expect("runtime starts")
+    }
+
+    /// A store written before wire v3 journaled its lane and session
+    /// frames as v2 (FNV-1a). After the upgrade, a pending lane replayed
+    /// from it and an open session resumed from it fail closed, typed.
+    #[test]
+    fn journaled_v2_frames_fail_closed_typed_on_resume() {
+        use proteus_graph::wire::{decode_frame, Checksum, Envelope, Versions, FRAME};
+        let proteus = quick_proteus();
+        let g = build(ModelKind::AlexNet);
+        let mut session = proteus
+            .obfuscate_session(&g, &TensorMap::new(), 17)
+            .expect("session");
+        let frame = decode_frame(&mut session.next_frame().expect("frame").to_mux_bytes(17))
+            .expect("v3 frame");
+        let secrets = {
+            session.by_ref().for_each(drop);
+            session.finish().expect("secrets")
+        };
+        let v2_row = Envelope {
+            versions: Versions::Only(&[(2, 12, Checksum::Fnv1a)]),
+            ..FRAME
+        };
+        let fields = |f: &mut BytesMut| {
+            f.put_u64_le(frame.request_id);
+            f.put_u32_le(frame.bucket_index);
+        };
+        let v2 = v2_row.seal(2, fields, &frame.payload);
+        let retired = proteus_graph::WireError::UnknownVersion {
+            got: 2,
+            supported: 3,
+        };
+        let err = runtime(1, 2)
+            .resume_lane(17, std::slice::from_ref(&v2))
+            .unwrap_err();
+        assert_eq!(err, ProteusError::Wire(retired.clone()));
+        let err = DeobfuscationSession::resume(&secrets, &[v2]).err();
+        assert_eq!(err, Some(ProteusError::Wire(retired)));
     }
 
     #[test]

@@ -27,6 +27,10 @@
 //! results to a [`DeobfuscationSession`], or hands the whole request to
 //! [`crate::ServeRuntime::serve_request`].
 
+// Sessions run on the owner's request path: no `unwrap`/`expect` outside
+// tests (CI runs clippy with `-D warnings`).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::bucket::{
     anonymize_content, Bucket, BucketMember, ObfuscationSecrets, RawSealed, SealedBucket,
 };
@@ -395,12 +399,13 @@ impl<'s> DeobfuscationSession<'s> {
         })
     }
 
-    /// Decodes one multiplexed (v2) frame and accepts it after checking
+    /// Decodes one multiplexed (v3) frame and accepts it after checking
     /// that its request id matches this session's secrets — frames
     /// injected from another request's stream are rejected before any of
     /// their content is taken, so multiplexed transports cannot leak data
-    /// across requests. A v1 frame carries no request id and is refused
-    /// as [`proteus_graph::WireError::UnknownVersion`].
+    /// across requests. A v1 frame carries no request id and a v2 frame
+    /// the retired FNV-1a checksum; both are refused as
+    /// [`proteus_graph::WireError::UnknownVersion`].
     ///
     /// Only the real member is decoded. The checksum still covers the
     /// whole frame and every member's length prefixes are still walked,

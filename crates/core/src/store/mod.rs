@@ -640,7 +640,7 @@ impl Store {
         self.append(&mut inner, vec![(RecordTag::SessionOpen, body)])
     }
 
-    /// Journals one accepted optimized frame (raw v2 wire bytes) for an
+    /// Journals one accepted optimized frame (raw v3 wire bytes) for an
     /// open session.
     ///
     /// # Errors

@@ -35,7 +35,8 @@
 use super::StoreError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
-    decode_frame, fnv1a64_continue, seal_frame, Envelope, Versions, FRAME, WIRE_VERSION_V1,
+    decode_frame, fnv1a64_continue, seal_frame, Checksum, Envelope, Versions, FRAME,
+    WIRE_VERSION_V1,
 };
 
 /// WAL file name inside a store directory.
@@ -52,7 +53,7 @@ pub const MARKER_VERSION: u16 = 1;
 pub const MARKER: Envelope = Envelope {
     name: "marker",
     magic: *b"PRTM",
-    versions: Versions::Only(&[(MARKER_VERSION, 24)]),
+    versions: Versions::Only(&[(MARKER_VERSION, 24, Checksum::Fnv1a)]),
     has_len: false,
     max_body: 0,
 };

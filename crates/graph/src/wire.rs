@@ -33,14 +33,15 @@ pub const WIRE_VERSION_V1: u16 = 1;
 
 /// The request frame version: the header carries a `request_id`, so one
 /// byte stream can interleave frames of many concurrent requests
-/// (encoded by [`encode_frame_v2`]).
-pub const WIRE_VERSION_V2: u16 = 2;
+/// (encoded by [`encode_frame_v3`]), and its checksum is the
+/// [`word_hash64`]. Version 2 (the same layout under FNV-1a) is refused.
+pub const WIRE_VERSION_V3: u16 = 3;
 
 /// The newest wire-protocol version this library speaks. [`decode_frame`]
-/// accepts [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V2`] and rejects every
+/// accepts [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V3`] and rejects every
 /// other version with [`WireError::UnknownVersion`] — version
 /// negotiation is explicit, never a silent misparse.
-pub const WIRE_VERSION: u16 = WIRE_VERSION_V2;
+pub const WIRE_VERSION: u16 = WIRE_VERSION_V3;
 
 /// Decoding error. Every malformed input maps to a typed variant — decode
 /// paths never panic.
@@ -134,9 +135,11 @@ pub fn need(buf: &impl Buf, n: usize, what: &str) -> WResult<()> {
 
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a over `data` — the frame payload checksum. Not cryptographic (the
-/// threat model's adversary is honest-but-curious, §3.1); it exists to
-/// catch transport corruption deterministically.
+/// FNV-1a over `data`: the checksum of every format whose bytes are
+/// stored (WAL records, `PRTA` sections, `PRTM`) or exchanged in a hello,
+/// and the store's content digests. Not cryptographic (the threat model's
+/// adversary is honest-but-curious, §3.1); it exists to catch corruption
+/// deterministically.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     fnv1a64_continue(FNV_OFFSET_BASIS, data)
 }
@@ -153,6 +156,114 @@ pub fn fnv1a64_continue(mut h: u64, data: &[u8]) -> u64 {
     h
 }
 
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// The little-endian word in the first 8 bytes of `b` (`b.len() >= 8`).
+fn word(b: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&b[..8]);
+    u64::from_le_bytes(w)
+}
+
+/// One multiply-rotate step of a lane.
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// The word hash of `data` under `seed`: four 64-bit multiply-rotate
+/// lanes over 32-byte stripes, the length folded in, then 8-byte, 4-byte
+/// and byte tails, and a final avalanche. Bit for bit this is XXH64, so
+/// any XXH64 implementation checks it. It reads eight bytes per step
+/// where FNV-1a reads one, and four independent lanes keep the
+/// multiplier busy, so it runs at memory speed. It is the checksum of
+/// request and error frames ([`Checksum::Word`]); like FNV-1a it catches
+/// corruption, not tampering. A caller hashes two pieces without copying
+/// them together by seeding the second with the first's hash.
+pub fn word_hash64(seed: u64, data: &[u8]) -> u64 {
+    let mut stripes = data.chunks_exact(32);
+    let mut h = if data.len() >= 32 {
+        let mut v = [
+            seed.wrapping_add(P1).wrapping_add(P2),
+            seed.wrapping_add(P2),
+            seed,
+            seed.wrapping_sub(P1),
+        ];
+        for s in &mut stripes {
+            v[0] = round(v[0], word(&s[0..]));
+            v[1] = round(v[1], word(&s[8..]));
+            v[2] = round(v[2], word(&s[16..]));
+            v[3] = round(v[3], word(&s[24..]));
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| {
+            (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+        })
+    } else {
+        seed.wrapping_add(P5)
+    };
+    h = h.wrapping_add(data.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ round(0, word(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u64::from(u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]));
+        h = (h ^ half.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// The hash an envelope row's checksum uses, per version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Checksum {
+    /// [`fnv1a64`], byte at a time: every stored format (WAL records,
+    /// `PRTA` sections, `PRTM`) and the hellos, whose bytes must not move.
+    Fnv1a,
+    /// [`word_hash64`]: request and error frames, which carry the
+    /// megabytes a request moves. No stored format uses them as its
+    /// envelope; a journal holds request frames only as record payload.
+    Word,
+}
+
+impl Checksum {
+    /// The checksum of the covered `header` bytes followed by `body`,
+    /// chained so neither is copied: the body is hashed on from the
+    /// header's state (FNV-1a) or seeded with the header's hash (word).
+    fn of(self, header: &[u8], body: &[u8]) -> u64 {
+        match self {
+            Checksum::Fnv1a => fnv1a64_continue(fnv1a64(header), body),
+            Checksum::Word => word_hash64(word_hash64(0, header), body),
+        }
+    }
+}
+
 /// Caps an untrusted element count for pre-allocation: never reserve more
 /// elements than the remaining bytes could possibly encode (at `min_bytes`
 /// encoded bytes per element). The decode loop still reads the full
@@ -166,15 +277,17 @@ pub fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize
 /// Offset of an envelope's fixed fields, after `magic[4] | version u16`.
 pub const ENVELOPE_FIELDS_AT: usize = 6;
 
-/// The versions an [`Envelope`] accepts, each with its fixed-field width.
+/// The versions an [`Envelope`] accepts, each with its fixed-field width
+/// and its checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Versions {
-    /// Exactly these `(version, fixed-field bytes)` pairs; any other
-    /// version is [`WireError::UnknownVersion`].
-    Only(&'static [(u16, usize)]),
-    /// Every version, with one width: the format judges the version after
-    /// decoding (the handshake answers a skewed `net_protocol` typed).
-    Any(usize),
+    /// Exactly these `(version, fixed-field bytes, checksum)` rows; any
+    /// other version is [`WireError::UnknownVersion`].
+    Only(&'static [(u16, usize, Checksum)]),
+    /// Every version, with one width and one checksum: the format judges
+    /// the version after decoding (the handshake answers a skewed
+    /// `net_protocol` typed).
+    Any(usize, Checksum),
 }
 
 /// One row of the envelope table. Every checksummed format — `PRTB`
@@ -185,17 +298,18 @@ pub enum Versions {
 /// magic[4] | version u16 | fixed fields | [body_len u32] | checksum u64 | body
 /// ```
 ///
-/// The checksum is FNV-1a over every byte between the magic and the
-/// checksum field, then the body, so corruption anywhere after the magic
-/// is caught. A row names what differs per format; sealing, opening and
-/// measuring envelopes is this one piece of code.
+/// The checksum covers every byte between the magic and the checksum
+/// field, then the body, so corruption anywhere after the magic is
+/// caught; which hash computes it is a property of the row's version
+/// ([`Checksum`]). A row names what differs per format; sealing, opening
+/// and measuring envelopes is this one piece of code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Envelope {
     /// Names the format in [`WireError::Truncated`] contexts.
     pub name: &'static str,
     /// The four bytes opening the envelope.
     pub magic: [u8; 4],
-    /// Accepted versions and their fixed-field widths.
+    /// Accepted versions, their fixed-field widths and checksums.
     pub versions: Versions,
     /// Whether a `u32` body length precedes the checksum; without one
     /// the envelope has no body.
@@ -223,27 +337,24 @@ impl Envelope {
     /// The shortest envelope of this row: its smallest header, no body.
     pub fn min_len(&self) -> usize {
         match self.versions {
-            Versions::Any(fields) => self.header_len(fields),
+            Versions::Any(fields, _) => self.header_len(fields),
             Versions::Only(rows) => rows.iter().map(|r| self.header_len(r.1)).min().unwrap_or(0),
         }
     }
 
-    /// Whether the row accepts `version`.
-    pub fn accepts(&self, version: u16) -> bool {
-        self.fields_len(version).is_some()
-    }
-
-    fn fields_len(&self, version: u16) -> Option<usize> {
+    /// The fixed-field width and checksum of `version`, `None` when the
+    /// row does not accept it.
+    fn layout(&self, version: u16) -> Option<(usize, Checksum)> {
         match self.versions {
-            Versions::Any(fields) => Some(fields),
-            Versions::Only(rows) => rows.iter().find(|r| r.0 == version).map(|r| r.1),
+            Versions::Any(fields, sum) => Some((fields, sum)),
+            Versions::Only(rows) => rows.iter().find(|r| r.0 == version).map(|r| (r.1, r.2)),
         }
     }
 
     /// Checks the magic, then the version, opening `data`: `Ok(None)`
-    /// while too few bytes are present to decide, else the version and
-    /// its fixed-field width.
-    fn head(&self, data: &[u8]) -> WResult<Option<(u16, usize)>> {
+    /// while too few bytes are present to decide, else the version, its
+    /// fixed-field width and its checksum.
+    fn head(&self, data: &[u8]) -> WResult<Option<(u16, usize, Checksum)>> {
         if data.len() < 4 {
             return Ok(None);
         }
@@ -258,10 +369,10 @@ impl Envelope {
         let version = u16::from_le_bytes([data[4], data[5]]);
         let supported = match self.versions {
             Versions::Only(rows) => rows.iter().map(|r| r.0).max().unwrap_or(0),
-            Versions::Any(_) => u16::MAX,
+            Versions::Any(..) => u16::MAX,
         };
-        match self.fields_len(version) {
-            Some(fields) => Ok(Some((version, fields))),
+        match self.layout(version) {
+            Some((fields, sum)) => Ok(Some((version, fields, sum))),
             None => Err(WireError::UnknownVersion {
                 got: version,
                 supported,
@@ -311,7 +422,8 @@ impl Envelope {
         body_len: usize,
         body: impl FnOnce(&mut BytesMut),
     ) -> Bytes {
-        let header = self.header_len(self.fields_len(version).unwrap_or(0));
+        let (fields_len, checksum) = self.layout(version).unwrap_or((0, Checksum::Fnv1a));
+        let header = self.header_len(fields_len);
         let mut buf = BytesMut::with_capacity(header + body_len);
         buf.put_slice(&self.magic);
         buf.put_u16_le(version);
@@ -333,7 +445,7 @@ impl Envelope {
         if self.has_len {
             buf[len_at..sum_at].copy_from_slice(&written_u32.to_le_bytes());
         }
-        let sum = fnv1a64_continue(fnv1a64(&buf[4..sum_at]), &buf[sum_at + 8..]);
+        let sum = checksum.of(&buf[4..sum_at], &buf[sum_at + 8..]);
         buf[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
         buf.freeze()
     }
@@ -349,7 +461,7 @@ impl Envelope {
     /// length over the cap, [`WireError::ChecksumMismatch`].
     pub fn open(&self, buf: &mut Bytes) -> WResult<(u16, Bytes, Bytes)> {
         let truncated = |part: &str| WireError::truncated(format!("{} {part}", self.name));
-        let Some((version, fields)) = self.head(buf)? else {
+        let Some((version, fields, checksum)) = self.head(buf)? else {
             return Err(truncated(if buf.len() < 4 { "magic" } else { "version" }));
         };
         let at = ENVELOPE_FIELDS_AT + fields;
@@ -362,7 +474,7 @@ impl Envelope {
             return Err(truncated("body"));
         }
         let expected = le(buf, header - 8, 8);
-        let got = fnv1a64_continue(fnv1a64(&buf[4..header - 8]), &buf[header..header + body]);
+        let got = checksum.of(&buf[4..header - 8], &buf[header..header + body]);
         if got != expected {
             return Err(WireError::ChecksumMismatch { expected, got });
         }
@@ -390,7 +502,7 @@ pub fn envelope_len(rows: &[&Envelope], data: &[u8], cap: usize) -> WResult<Opti
         .iter()
         .find(|r| data.starts_with(&r.magic))
         .unwrap_or(&rows[0]);
-    let Some((_, fields)) = row.head(data)? else {
+    let Some((_, fields, _)) = row.head(data)? else {
         return Ok(None);
     };
     let at = ENVELOPE_FIELDS_AT + fields;
@@ -400,23 +512,27 @@ pub fn envelope_len(rows: &[&Envelope], data: &[u8], cap: usize) -> WResult<Opti
     Ok(Some(row.header_len(fields) + row.body_len(data, at, cap)?))
 }
 
-/// The `PRTB` data-frame row: v1 carries `bucket_index u32`, v2
-/// `request_id u64 | bucket_index u32`. Bodies are not capped here; a
-/// stream reader applies its own limit.
+/// The `PRTB` data-frame row: v1 carries `bucket_index u32` under
+/// FNV-1a (it is stored), v3 `request_id u64 | bucket_index u32` under
+/// the word hash. Bodies are not capped here; a stream reader applies its
+/// own limit.
 pub const FRAME: Envelope = Envelope {
     name: "frame",
     magic: FRAME_MAGIC,
-    versions: Versions::Only(&[(WIRE_VERSION_V1, 4), (WIRE_VERSION_V2, 12)]),
+    versions: Versions::Only(&[
+        (WIRE_VERSION_V1, 4, Checksum::Fnv1a),
+        (WIRE_VERSION_V3, 12, Checksum::Word),
+    ]),
     has_len: true,
     max_body: usize::MAX,
 };
 
-/// The `PRTE` error-frame row: `request_id u64 | code u16`, version 2,
-/// detail at most [`MAX_ERROR_DETAIL`] bytes.
+/// The `PRTE` error-frame row: `request_id u64 | code u16`, version 3
+/// under the word hash, detail at most [`MAX_ERROR_DETAIL`] bytes.
 pub const ERROR_FRAME: Envelope = Envelope {
     name: "error frame",
     magic: ERROR_FRAME_MAGIC,
-    versions: Versions::Only(&[(WIRE_VERSION_V2, 10)]),
+    versions: Versions::Only(&[(WIRE_VERSION_V3, 10, Checksum::Word)]),
     has_len: true,
     max_body: MAX_ERROR_DETAIL,
 };
@@ -426,7 +542,7 @@ pub const ERROR_FRAME: Envelope = Envelope {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Protocol version the frame was encoded with ([`WIRE_VERSION_V1`]
-    /// or [`WIRE_VERSION_V2`] after a successful decode).
+    /// or [`WIRE_VERSION_V3`] after a successful decode).
     pub version: u16,
     /// Which request of a multiplexed stream this frame belongs to.
     /// Version-1 frames carry no request id on the wire and decode to `0`.
@@ -445,7 +561,7 @@ pub struct Frame {
 /// ```
 ///
 /// This is the envelope of WAL records and artifact sections. Request
-/// frames use [`encode_frame_v2`].
+/// frames use [`encode_frame_v3`].
 ///
 /// # Panics
 /// As [`Envelope::seal`], if `payload` exceeds `u32::MAX` bytes; buckets
@@ -456,7 +572,7 @@ pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
     })
 }
 
-/// Wraps `payload` in a version-2 *multiplexed* [`FRAME`] envelope:
+/// Wraps `payload` in a version-3 *multiplexed* [`FRAME`] envelope:
 ///
 /// ```text
 /// magic[4] | version u16 | request_id u64 | bucket_index u32 |
@@ -466,13 +582,13 @@ pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
 /// The request id sits in the checksummed header, so one byte stream can
 /// carry interleaved frames of many concurrent requests and a receiver
 /// can demultiplex them — corruption of the id is caught like any other
-/// header corruption.
+/// header corruption. The checksum is the [`word_hash64`].
 ///
 /// # Panics
 /// As [`encode_frame`], if `payload` exceeds `u32::MAX` bytes.
-pub fn encode_frame_v2(request_id: u64, bucket_index: u32, payload: &[u8]) -> Bytes {
+pub fn encode_frame_v3(request_id: u64, bucket_index: u32, payload: &[u8]) -> Bytes {
     seal_frame(
-        WIRE_VERSION_V2,
+        WIRE_VERSION_V3,
         request_id,
         bucket_index,
         payload.len(),
@@ -483,7 +599,7 @@ pub fn encode_frame_v2(request_id: u64, bucket_index: u32, payload: &[u8]) -> By
 /// Seals a [`FRAME`] of `version` whose payload the `payload` closure
 /// writes in place, into the frame's own buffer pre-sized for
 /// `payload_len` bytes: the bytes of [`encode_frame`] (v1, which carries
-/// no `request_id`) or [`encode_frame_v2`] over the same payload, without
+/// no `request_id`) or [`encode_frame_v3`] over the same payload, without
 /// building the payload in a buffer of its own first. The length and
 /// checksum fields are patched from the bytes actually written.
 ///
@@ -505,16 +621,14 @@ pub fn seal_frame(
     FRAME.seal_with(version, fields, payload_len, payload)
 }
 
-/// The error for a v1 frame where a request frame is due: v1 carries no
-/// request id, so it cannot name the lane it belongs to. v1 survives only
+/// [`FRAME`] where a request frame is due: v3 alone. v1 carries no
+/// request id, so it cannot name the lane it belongs to (it survives only
 /// as the envelope of WAL records and `PRTA` sections, which
-/// [`decode_frame`] still reads.
-fn v1_request_frame() -> WireError {
-    WireError::UnknownVersion {
-        got: WIRE_VERSION_V1,
-        supported: WIRE_VERSION_V2,
-    }
-}
+/// [`decode_frame`] still reads), and v2 is retired.
+const REQUEST_FRAME: Envelope = Envelope {
+    versions: Versions::Only(&[(WIRE_VERSION_V3, 12, Checksum::Word)]),
+    ..FRAME
+};
 
 /// Reads the request id out of a frame header without decoding — or
 /// checksum-verifying — the payload: the cheap peek a demultiplexing
@@ -524,11 +638,11 @@ fn v1_request_frame() -> WireError {
 /// # Errors
 /// [`WireError::BadMagic`] / [`WireError::UnknownVersion`] /
 /// [`WireError::Truncated`] for headers too malformed to route; a v1
-/// frame, which carries no request id, is [`WireError::UnknownVersion`].
+/// frame, which carries no request id, and a v2 frame are
+/// [`WireError::UnknownVersion`].
 pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
-    match FRAME.head(data)? {
+    match REQUEST_FRAME.head(data)? {
         None => Err(WireError::truncated("frame header peek")),
-        Some((WIRE_VERSION_V1, _)) => Err(v1_request_frame()),
         Some(_) => data
             .get(ENVELOPE_FIELDS_AT..ENVELOPE_FIELDS_AT + 8)
             .map(|id| le(id, 0, 8))
@@ -538,7 +652,7 @@ pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
 
 /// Decodes one frame from the front of `buf`, leaving any trailing bytes
 /// (a stream of frames decodes by repeated calls). Accepts both
-/// [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V2`] frames: v1 is the envelope
+/// [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V3`] frames: v1 is the envelope
 /// of WAL records and `PRTA` sections. Request frames go through
 /// [`decode_request_frame`], which refuses v1.
 ///
@@ -549,10 +663,10 @@ pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
 /// buffer ends early.
 pub fn decode_frame(buf: &mut Bytes) -> WResult<Frame> {
     let (version, mut fields, payload) = FRAME.open(buf)?;
-    let request_id = if version == WIRE_VERSION_V2 {
-        fields.get_u64_le()
-    } else {
+    let request_id = if version == WIRE_VERSION_V1 {
         0
+    } else {
+        fields.get_u64_le()
     };
     Ok(Frame {
         version,
@@ -562,16 +676,20 @@ pub fn decode_frame(buf: &mut Bytes) -> WResult<Frame> {
     })
 }
 
-/// [`decode_frame`] for a request frame: only [`WIRE_VERSION_V2`], whose
+/// [`decode_frame`] for a request frame: only [`WIRE_VERSION_V3`], whose
 /// header names the request, is accepted.
 ///
 /// # Errors
-/// As [`decode_frame`]; a v1 frame is [`WireError::UnknownVersion`].
+/// As [`decode_frame`]; a v1 or v2 frame is [`WireError::UnknownVersion`]
+/// `{ supported: 3 }`.
 pub fn decode_request_frame(buf: &mut Bytes) -> WResult<Frame> {
-    if FRAME.head(buf)?.is_some_and(|(v, _)| v == WIRE_VERSION_V1) {
-        return Err(v1_request_frame());
-    }
-    decode_frame(buf)
+    let (version, mut fields, payload) = REQUEST_FRAME.open(buf)?;
+    Ok(Frame {
+        version,
+        request_id: fields.get_u64_le(),
+        bucket_index: fields.get_u32_le(),
+        payload,
+    })
 }
 
 /// Magic bytes opening every [`ErrorFrame`] on the wire. Distinct from
@@ -753,7 +871,7 @@ pub fn encode_error_frame(frame: &ErrorFrame) -> Bytes {
         f.put_u64_le(frame.request_id);
         f.put_u16_le(frame.code.as_u16());
     };
-    ERROR_FRAME.seal(WIRE_VERSION_V2, fields, detail)
+    ERROR_FRAME.seal(WIRE_VERSION_V3, fields, detail)
 }
 
 /// Largest UTF-8 boundary at or below `at` (stable substitute for the
@@ -771,7 +889,7 @@ fn floor_char_boundary(s: &str, mut at: usize) -> usize {
 /// # Errors
 /// [`WireError::BadMagic`] when the buffer does not open with
 /// [`ERROR_FRAME_MAGIC`], [`WireError::UnknownVersion`] for versions other
-/// than [`WIRE_VERSION_V2`], [`WireError::Malformed`] for unknown codes,
+/// than [`WIRE_VERSION_V3`], [`WireError::Malformed`] for unknown codes,
 /// implausible detail lengths, or invalid UTF-8,
 /// [`WireError::ChecksumMismatch`] for corrupted bytes, and
 /// [`WireError::Truncated`] when the buffer ends early.
@@ -1540,12 +1658,12 @@ mod tests {
     }
 
     #[test]
-    fn v2_frame_roundtrip_preserves_request_id() {
+    fn v3_frame_roundtrip_preserves_request_id() {
         let payload = b"multiplexed sealed bucket payload";
-        let bytes = encode_frame_v2(0xDEAD_BEEF_CAFE_F00D, 3, payload);
+        let bytes = encode_frame_v3(0xDEAD_BEEF_CAFE_F00D, 3, payload);
         let mut buf = bytes;
         let frame = decode_frame(&mut buf).unwrap();
-        assert_eq!(frame.version, WIRE_VERSION_V2);
+        assert_eq!(frame.version, WIRE_VERSION_V3);
         assert_eq!(frame.request_id, 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(frame.bucket_index, 3);
         assert_eq!(&frame.payload[..], payload);
@@ -1555,11 +1673,11 @@ mod tests {
     #[test]
     fn mixed_version_stream_decodes_sequentially() {
         // the envelope decoder reads a stream that interleaves v1
-        // (record) and v2 (request) frames
+        // (record) and v3 (request) frames
         let mut stream = BytesMut::new();
         stream.put_slice(&encode_frame(0, b"legacy"));
-        stream.put_slice(&encode_frame_v2(42, 1, b"mux a"));
-        stream.put_slice(&encode_frame_v2(7, 0, b"mux b"));
+        stream.put_slice(&encode_frame_v3(42, 1, b"mux a"));
+        stream.put_slice(&encode_frame_v3(7, 0, b"mux b"));
         stream.put_slice(&encode_frame(1, b"legacy tail"));
         let mut buf = stream.freeze();
         let ids: Vec<(u16, u64, u32)> = (0..4)
@@ -1572,8 +1690,8 @@ mod tests {
             ids,
             vec![
                 (WIRE_VERSION_V1, 0, 0),
-                (WIRE_VERSION_V2, 42, 1),
-                (WIRE_VERSION_V2, 7, 0),
+                (WIRE_VERSION_V3, 42, 1),
+                (WIRE_VERSION_V3, 7, 0),
                 (WIRE_VERSION_V1, 0, 1),
             ]
         );
@@ -1582,15 +1700,15 @@ mod tests {
 
     #[test]
     fn peek_reads_request_id_without_decoding() {
-        let v2 = encode_frame_v2(0xFEED_F00D, 9, b"payload");
-        assert_eq!(peek_frame_request_id(&v2).unwrap(), 0xFEED_F00D);
+        let v3 = encode_frame_v3(0xFEED_F00D, 9, b"payload");
+        assert_eq!(peek_frame_request_id(&v3).unwrap(), 0xFEED_F00D);
         // a v1 frame names no request, so it cannot be routed
         let v1 = encode_frame(9, b"payload");
         assert!(matches!(
             peek_frame_request_id(&v1),
             Err(WireError::UnknownVersion {
                 got: 1,
-                supported: 2
+                supported: 3
             })
         ));
         let mut buf = v1.clone();
@@ -1598,7 +1716,7 @@ mod tests {
             decode_request_frame(&mut buf),
             Err(WireError::UnknownVersion {
                 got: 1,
-                supported: 2
+                supported: 3
             })
         ));
         assert_eq!(decode_frame(&mut buf).unwrap().request_id, 0);
@@ -1608,10 +1726,10 @@ mod tests {
             Err(WireError::BadMagic { .. })
         ));
         assert!(matches!(
-            peek_frame_request_id(&v2[..5]),
+            peek_frame_request_id(&v3[..5]),
             Err(WireError::Truncated { .. })
         ));
-        let mut raw = v2.to_vec();
+        let mut raw = v3.to_vec();
         raw[4] = 9;
         assert!(matches!(
             peek_frame_request_id(&raw),
@@ -1620,14 +1738,14 @@ mod tests {
         // the peek does NOT validate payload integrity — that stays the
         // full decoder's job
         let last = raw.len() - 1;
-        raw[4] = WIRE_VERSION_V2 as u8;
+        raw[4] = WIRE_VERSION_V3 as u8;
         raw[last] ^= 0xFF;
         assert_eq!(peek_frame_request_id(&raw).unwrap(), 0xFEED_F00D);
     }
 
     #[test]
-    fn v2_frame_detects_single_byte_corruption_everywhere() {
-        let bytes = encode_frame_v2(0x1234_5678_9ABC_DEF0, 5, b"checksummed mux payload");
+    fn v3_frame_detects_single_byte_corruption_everywhere() {
+        let bytes = encode_frame_v3(0x1234_5678_9ABC_DEF0, 5, b"checksummed mux payload");
         for pos in 0..bytes.len() {
             let mut raw = bytes.to_vec();
             raw[pos] ^= 0x40;
@@ -1640,8 +1758,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_frame_rejects_truncation_at_every_length() {
-        let bytes = encode_frame_v2(99, 1, b"truncate the mux frame");
+    fn v3_frame_rejects_truncation_at_every_length() {
+        let bytes = encode_frame_v3(99, 1, b"truncate the mux frame");
         for cut in 0..bytes.len() {
             let mut buf = bytes.slice(0..cut);
             assert!(
@@ -1722,8 +1840,9 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Pins the WIRE.md layouts of `PRTB` v1/v2 and `PRTE` byte for byte:
-    /// one literal per header field, checksum included.
+    /// Pins the WIRE.md layouts of `PRTB` v1/v3 and `PRTE` v3 byte for
+    /// byte: one literal per header field, checksum included. The retired
+    /// v2 rows keep their old bytes here, and both are refused.
     #[test]
     fn frame_layouts_match_golden_bytes() {
         let v1 = concat!("50525442", "0100", "03000000", "03000000");
@@ -1731,26 +1850,92 @@ mod tests {
             hex(&encode_frame(3, b"abc")),
             format!("{v1}dcc3b2b26c9c5af8616263")
         );
-        let v2 = concat!(
+        let v3 = concat!(
             "50525442",
-            "0200",
+            "0300",
             "0807060504030201",
             "03000000",
             "03000000"
         );
         assert_eq!(
-            hex(&encode_frame_v2(0x0102_0304_0506_0708, 3, b"abc")),
-            format!("{v2}59d0abd51b0cef9c616263")
+            hex(&encode_frame_v3(0x0102_0304_0506_0708, 3, b"abc")),
+            format!("{v3}c2af2728925e1f65616263")
         );
-        let prte = concat!("50525445", "0200", "0700000000000000", "0d00", "02000000");
+        let prte = concat!("50525445", "0300", "0700000000000000", "0d00", "02000000");
         assert_eq!(
             hex(&encode_error_frame(&ErrorFrame::new(
                 7,
                 ErrorCode::BadAuth,
                 "no"
             ))),
-            format!("{prte}545cc4e2c589ba496e6f")
+            format!("{prte}65e8f95af4d204466e6f")
         );
+        let unhex = |h: &str| {
+            (0..h.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap())
+                .collect::<Vec<u8>>()
+        };
+        let v2 = concat!(
+            "50525442",
+            "0200",
+            "0807060504030201",
+            "03000000",
+            "03000000",
+            "59d0abd51b0cef9c616263"
+        );
+        let prte_v2 = concat!(
+            "50525445",
+            "0200",
+            "0700000000000000",
+            "0d00",
+            "02000000",
+            "545cc4e2c589ba496e6f"
+        );
+        let retired = WireError::UnknownVersion {
+            got: 2,
+            supported: 3,
+        };
+        let mut buf = Bytes::from(unhex(v2));
+        assert_eq!(decode_frame(&mut buf), Err(retired.clone()));
+        let mut buf = Bytes::from(unhex(prte_v2));
+        assert_eq!(decode_error_frame(&mut buf), Err(retired));
+    }
+
+    /// Known answers of the word hash, so it cannot drift: the lengths
+    /// straddle every branch (empty, byte tail, 4-byte tail, one word,
+    /// stripes with and without tails) of a fixed pattern, under seed 0
+    /// and a nonzero seed, plus a 1 MiB buffer. The seed-0 values are
+    /// XXH64's; `""`, `"a"` and `"abc"` are its published test vectors.
+    #[test]
+    fn word_hash_matches_known_answers() {
+        let pattern = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+                .collect()
+        };
+        assert_eq!(word_hash64(0, b""), 0xef46_db37_51d8_e999);
+        assert_eq!(word_hash64(0, b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(word_hash64(0, b"abc"), 0x44bc_2cf5_ad77_0999);
+        let seed = 0x9e37_79b9_7f4a_7c15;
+        let known: [(usize, u64, u64); 9] = [
+            (0, 0xef46_db37_51d8_e999, 0xc434_9fc9_3c01_0000),
+            (1, 0xa96c_7f0c_e858_bbb7, 0x5858_8242_2a61_65e7),
+            (7, 0xafbe_fc3d_6c6f_9a8e, 0x2ce9_adec_2b2c_8104),
+            (8, 0x3da5_c7aa_2696_83e0, 0x7588_48f0_33fa_76a2),
+            (9, 0x4b17_a9ba_9e21_5c09, 0xd457_6cf5_54b7_d929),
+            (31, 0x4a74_f3a1_a39a_d4a1, 0x8137_041f_5af8_8413),
+            (32, 0x8d57_d6a4_671c_c43d, 0x184e_bcf3_745c_d46c),
+            (33, 0x62c9_fd21_ed85_7664, 0x52fa_c3c9_81f3_cc2e),
+            (64, 0x7bba_bbc4_5729_d17e, 0xf7f2_2435_fe1a_b128),
+        ];
+        for (len, unseeded, seeded) in known {
+            let data = pattern(len);
+            assert_eq!(word_hash64(0, &data), unseeded, "{len} bytes, seed 0");
+            assert_eq!(word_hash64(seed, &data), seeded, "{len} bytes, seeded");
+        }
+        let mib: Vec<u8> = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
+        assert_eq!(word_hash64(0, &mib), 0x89ac_0399_c446_4a31);
     }
 
     /// Pins `encode_params` byte for byte on the float classes a bulk codec
@@ -1814,7 +1999,7 @@ mod tests {
             f.put_u16_le(code);
         };
         let row = Envelope {
-            versions: Versions::Any(10),
+            versions: Versions::Any(10, Checksum::Word),
             ..ERROR_FRAME
         };
         row.seal(version, fields, detail)
@@ -1906,7 +2091,7 @@ mod tests {
     fn error_frame_rejects_unknown_code_with_valid_checksum() {
         // a validly-checksummed frame carrying a code from a newer
         // taxonomy must surface as Malformed, never as a silent default
-        let mut buf = raw_error_frame(WIRE_VERSION_V2, 1, 999, b"future code");
+        let mut buf = raw_error_frame(WIRE_VERSION_V3, 1, 999, b"future code");
         assert!(matches!(
             decode_error_frame(&mut buf),
             Err(WireError::Malformed { .. })
@@ -1933,7 +2118,7 @@ mod tests {
         ));
         // a data frame handed to the error decoder is a magic mismatch,
         // not a misparse
-        let mut buf = encode_frame_v2(5, 0, b"data");
+        let mut buf = encode_frame_v3(5, 0, b"data");
         assert!(matches!(
             decode_error_frame(&mut buf),
             Err(WireError::BadMagic { .. })
@@ -1942,7 +2127,7 @@ mod tests {
 
     #[test]
     fn error_frame_rejects_invalid_utf8_detail() {
-        let mut buf = raw_error_frame(WIRE_VERSION_V2, 1, 3, &[0xFF, 0xFE, 0x41]);
+        let mut buf = raw_error_frame(WIRE_VERSION_V3, 1, 3, &[0xFF, 0xFE, 0x41]);
         assert!(matches!(
             decode_error_frame(&mut buf),
             Err(WireError::Malformed { .. })
@@ -1951,7 +2136,7 @@ mod tests {
 
     #[test]
     fn error_frame_rejects_implausible_detail_length() {
-        let mut buf = raw_error_frame(WIRE_VERSION_V2, 1, 3, b"short");
+        let mut buf = raw_error_frame(WIRE_VERSION_V3, 1, 3, b"short");
         // rewrite detail_len to something past MAX_ERROR_DETAIL; the
         // length check must fire before any attempt to read that much
         let mut raw = buf.to_vec();
@@ -1975,13 +2160,13 @@ mod tests {
     #[test]
     fn error_frames_interleave_with_data_frames_on_one_stream() {
         let mut stream = BytesMut::new();
-        stream.put_slice(&encode_frame_v2(10, 0, b"bucket"));
+        stream.put_slice(&encode_frame_v3(10, 0, b"bucket"));
         stream.put_slice(&encode_error_frame(&ErrorFrame::new(
             11,
             ErrorCode::Deadline,
             "late",
         )));
-        stream.put_slice(&encode_frame_v2(10, 1, b"bucket2"));
+        stream.put_slice(&encode_frame_v3(10, 1, b"bucket2"));
         let mut buf = stream.freeze();
         // receiver branches on the 4-byte magic before committing to a
         // header layout

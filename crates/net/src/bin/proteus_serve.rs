@@ -1,5 +1,5 @@
 //! `proteus-serve` — the TCP serving daemon: warm-starts from a `PRTA`
-//! artifact and serves wire-v2 obfuscation traffic on a socket.
+//! artifact and serves wire-v3 obfuscation traffic on a socket.
 //!
 //! The daemon is the optimizer party of the paper's threat model: it
 //! holds trained sentinel-generation state (so obfuscated buckets are

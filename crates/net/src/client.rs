@@ -22,7 +22,7 @@ use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::thread;
 
 /// One request to stream through a connection: its id and its
-/// pre-encoded v2 mux frames (from `SealedBucket::to_mux_bytes`).
+/// pre-encoded v3 mux frames (from `SealedBucket::to_mux_bytes`).
 #[derive(Debug, Clone)]
 pub struct NetRequest {
     /// The request id carried in every frame header.

@@ -10,7 +10,7 @@
 //! reassembly buffer more than once.
 //!
 //! The reader recognises both frame families by their 4-byte magic —
-//! `PRTB` data frames (v1 and v2) and `PRTE` error frames — so one
+//! `PRTB` data frames (v1 and v3) and `PRTE` error frames — so one
 //! stream can interleave results and failures. Data frames are yielded
 //! as their *raw bytes* ([`NetFrame::Data`]): the server forwards them
 //! untouched into `RequestHandle::submit_bytes` (which does the full
@@ -173,7 +173,7 @@ mod tests {
     // is for production paths
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use proteus_graph::wire::{encode_error_frame, encode_frame, encode_frame_v2, ErrorCode};
+    use proteus_graph::wire::{encode_error_frame, encode_frame, encode_frame_v3, ErrorCode};
 
     fn feed_in_chunks(frames: &[Bytes], chunk: usize) -> Vec<NetFrame> {
         let stream: Vec<u8> = frames.iter().flat_map(|f| f.to_vec()).collect();
@@ -192,10 +192,10 @@ mod tests {
     #[test]
     fn one_byte_feeds_reassemble_mixed_stream() {
         let frames = vec![
-            encode_frame_v2(7, 0, b"first bucket"),
+            encode_frame_v3(7, 0, b"first bucket"),
             encode_error_frame(&ErrorFrame::new(8, ErrorCode::Deadline, "late")),
             encode_frame(3, b"legacy v1"),
-            encode_frame_v2(7, 1, b"second bucket"),
+            encode_frame_v3(7, 1, b"second bucket"),
         ];
         for chunk in [1usize, 2, 3, 5, 7, 13, 64, 4096] {
             let out = feed_in_chunks(&frames, chunk);
@@ -209,8 +209,8 @@ mod tests {
 
     #[test]
     fn back_to_back_frames_in_one_push() {
-        let a = encode_frame_v2(1, 0, b"aa");
-        let b = encode_frame_v2(2, 0, b"bb");
+        let a = encode_frame_v3(1, 0, b"aa");
+        let b = encode_frame_v3(2, 0, b"bb");
         let mut reader = FrameReader::new();
         let mut joined = a.to_vec();
         joined.extend_from_slice(&b);
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn unknown_version_is_fatal() {
-        let frame = encode_frame_v2(1, 0, b"x");
+        let frame = encode_frame_v3(1, 0, b"x");
         let mut raw = frame.to_vec();
         raw[4] = 99;
         let mut reader = FrameReader::new();
@@ -245,9 +245,9 @@ mod tests {
 
     #[test]
     fn oversized_length_field_is_fatal_before_buffering() {
-        let frame = encode_frame_v2(1, 0, b"x");
+        let frame = encode_frame_v3(1, 0, b"x");
         let mut raw = frame.to_vec();
-        // payload_len field of a v2 frame sits at bytes 18..22
+        // payload_len field of a v3 frame sits at bytes 18..22
         raw[18..22].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
         let mut reader = FrameReader::new();
         reader.push(&raw[..22]);
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn partial_header_and_partial_payload_wait_for_more() {
-        let frame = encode_frame_v2(5, 2, b"payload bytes here");
+        let frame = encode_frame_v3(5, 2, b"payload bytes here");
         let mut reader = FrameReader::new();
         reader.push(&frame[..3]); // inside the magic
         assert_eq!(reader.try_next().unwrap(), None);
@@ -273,8 +273,8 @@ mod tests {
 
     #[test]
     fn draining_to_none_does_not_grow_the_buffer() {
-        let big = encode_frame_v2(1, 0, &vec![0xAB; 64 * 1024]);
-        let small = encode_frame_v2(2, 0, b"small");
+        let big = encode_frame_v3(1, 0, &vec![0xAB; 64 * 1024]);
+        let small = encode_frame_v3(2, 0, b"small");
         let mut stream = small.to_vec();
         stream.extend_from_slice(&big[..64]); // the next frame's header only
         let mut reader = FrameReader::new();
@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn writer_passes_frames_through_verbatim() {
-        let frame = encode_frame_v2(9, 0, b"verbatim");
+        let frame = encode_frame_v3(9, 0, b"verbatim");
         let mut writer = FrameWriter::new(Vec::new());
         writer.write_frame(&frame).unwrap();
         writer.write_frame(&frame).unwrap();

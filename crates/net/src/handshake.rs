@@ -23,7 +23,7 @@
 use crate::codec::FrameReader;
 use crate::error::NetError;
 use bytes::{Buf, BufMut, Bytes};
-use proteus_graph::wire::{Envelope, Versions, WireError, ERROR_FRAME, WIRE_VERSION};
+use proteus_graph::wire::{Checksum, Envelope, Versions, WireError, ERROR_FRAME, WIRE_VERSION};
 use std::io::Read;
 
 /// The handshake + framing layout version this library speaks. Bumped
@@ -38,7 +38,7 @@ pub const MAX_HELLO_BLOB: usize = 4096;
 pub const CLIENT_HELLO: Envelope = Envelope {
     name: "hello",
     magic: *b"PRTH",
-    versions: Versions::Any(10),
+    versions: Versions::Any(10, Checksum::Fnv1a),
     has_len: true,
     max_body: MAX_HELLO_BLOB,
 };
@@ -237,18 +237,19 @@ mod tests {
     }
 
     /// Pins the WIRE.md `PRTH`/`PRTS` layout byte for byte: magic,
-    /// versions, fingerprint, blob length, checksum, blob.
+    /// versions, fingerprint, blob length, checksum, blob. Hellos keep
+    /// FNV-1a; only the advertised wire version moved (2 → 3).
     #[test]
     fn hello_layouts_match_golden_bytes() {
         let hex = |b: Bytes| b.iter().map(|b| format!("{b:02x}")).collect::<String>();
-        let fields = concat!("0100", "0200", "0807060504030201", "03000000");
+        let fields = concat!("0100", "0300", "0807060504030201", "03000000");
         assert_eq!(
             hex(ClientHello::new(0x0102_0304_0506_0708, "tok").encode()),
-            format!("50525448{fields}5d11e1077439cac6746f6b")
+            format!("50525448{fields}12b5e18b3ef8c239746f6b")
         );
         assert_eq!(
             hex(ServerHello::new(0x0102_0304_0506_0708, "srv").encode()),
-            format!("50525453{fields}5230782074092bf2737276")
+            format!("50525453{fields}4948bbab3e1c7673737276")
         );
     }
 
@@ -319,9 +320,9 @@ mod tests {
 
     #[test]
     fn read_hello_leaves_pipelined_frames_buffered() {
-        use proteus_graph::wire::encode_frame_v2;
+        use proteus_graph::wire::encode_frame_v3;
         let hello = ClientHello::new(9, "token");
-        let frame = encode_frame_v2(5, 0, b"eager payload");
+        let frame = encode_frame_v3(5, 0, b"eager payload");
         let mut stream = hello.encode().to_vec();
         stream.extend_from_slice(&frame);
         let mut reader = FrameReader::new();

@@ -61,7 +61,7 @@ use bytes::Bytes;
 use proteus::serve::{RequestHandle, ServeRuntime};
 use proteus::store::Store;
 use proteus_graph::wire::{
-    encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, FRAME, WIRE_VERSION,
+    encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, WIRE_VERSION,
 };
 use std::collections::HashMap;
 use std::io::Read;
@@ -534,11 +534,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
                 hello.net_protocol, NET_PROTOCOL_VERSION
             ),
         ))
-    } else if !FRAME.accepts(hello.wire_version) {
+    } else if hello.wire_version != WIRE_VERSION {
         Some((
             ErrorCode::VersionMismatch,
             format!(
-                "client sends wire version {}, server accepts up to {}",
+                "client sends wire version {}, server speaks {}",
                 hello.wire_version, WIRE_VERSION
             ),
         ))

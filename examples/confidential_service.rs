@@ -4,7 +4,7 @@
 //! shared [`ServeRuntime`] worker pool optimizes their frames interleaved.
 //!
 //! The trust boundary is two byte streams. Every frame on them is a
-//! versioned, checksummed **v2 multiplexed frame** whose header carries a
+//! versioned, checksummed **v3 multiplexed frame** whose header carries a
 //! `request_id`: the service demultiplexes incoming frames into one
 //! runtime lane per request (frames injected with a foreign id are
 //! rejected, typed), and each owner demultiplexes the shared response

@@ -17,7 +17,7 @@ use proteus::{
     ArtifactError, ObfuscationSecrets, PartitionSpec, Proteus, ProteusConfig, ProteusError,
     ServeConfig, ServeRuntime, TrainedArtifact, ARTIFACT_VERSION,
 };
-use proteus_graph::wire::{decode_frame, decode_graph, encode_frame, encode_frame_v2, WireError};
+use proteus_graph::wire::{decode_frame, decode_graph, encode_frame, encode_frame_v3, WireError};
 use proteus_graph::TensorMap;
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, zoo, ModelKind};
@@ -254,7 +254,7 @@ fn sealed_bucket_claiming_a_million_members_fails_typed() {
     let mut payload = 1u32.to_le_bytes().to_vec();
     payload.extend_from_slice(&1_000_000u32.to_le_bytes());
     payload.extend_from_slice(&[0u8; 4]);
-    let framed = encode_frame_v2(0, 0, &payload);
+    let framed = encode_frame_v3(0, 0, &payload);
     match SealedBucket::from_mux_bytes(framed) {
         Err(WireError::Truncated { .. }) => {}
         other => panic!("lying member count: expected Truncated, got {other:?}"),

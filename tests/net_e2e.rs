@@ -12,7 +12,8 @@
 //! - a frame its lane refuses (corrupt, duplicate) followed by client
 //!   EOF: the request fails typed, the connection closes and shutdown
 //!   returns;
-//! - bad auth / fingerprint mismatch / version skew: typed handshake
+//! - bad auth / fingerprint mismatch / net-protocol and wire-version
+//!   skew: typed handshake
 //!   rejections; a token or banner too long for a hello is refused
 //!   locally, typed, before anything is sent;
 //! - a worker crash: only the request whose member crashed fails, typed;
@@ -20,8 +21,9 @@
 //!   rejections;
 //! - durable journal: a request pipelined in one write is journaled,
 //!   marked done after its answer, and leaves a store that passes the
-//!   fsck; a late frame for an answered request, or a v1 frame that
-//!   names no request, is refused typed and never journaled;
+//!   fsck; a late frame for an answered request, a v1 frame that names
+//!   no request, or a retired v2 frame, is refused typed and never
+//!   journaled;
 //! - graceful drain: in-flight requests complete through shutdown, new
 //!   connections are refused after it; an idle server bound on an
 //!   unspecified address shuts down promptly.
@@ -34,7 +36,10 @@ use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
     ServeRuntime,
 };
-use proteus_graph::wire::{decode_frame, encode_frame, ErrorCode, WireError};
+use proteus_graph::wire::{
+    decode_frame, encode_frame, Checksum, Envelope, ErrorCode, ErrorFrame, Versions, WireError,
+    FRAME,
+};
 use proteus_graph::{Graph, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
@@ -314,26 +319,43 @@ fn fingerprint_mismatch_is_rejected_typed() {
     assert_eq!(stats.handshakes_rejected, 1);
 }
 
-#[test]
-fn net_protocol_version_skew_is_rejected_typed() {
-    let server = default_server();
-    let fingerprint = shared_proteus().config_fingerprint();
-    // speak a future handshake version by hand
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    let mut hello = ClientHello::new(fingerprint, "alpha-token");
-    hello.net_protocol = 99;
+/// Sends a hand-edited hello and returns the server's `PRTE` answer.
+fn hello_rejection(addr: SocketAddr, edit: impl FnOnce(&mut ClientHello)) -> ErrorFrame {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut hello = ClientHello::new(shared_proteus().config_fingerprint(), "alpha-token");
+    edit(&mut hello);
     FrameWriter::new(&mut stream)
         .write_frame(&hello.encode())
         .expect("hello written");
     let mut reader = FrameReader::new();
-    let reply = read_hello_bytes(&mut stream, &mut reader).expect("server answers");
-    let mut buf = reply;
-    let frame = proteus_graph::wire::decode_error_frame(&mut buf).expect("typed error frame");
+    let mut reply = read_hello_bytes(&mut stream, &mut reader).expect("server answers");
+    proteus_graph::wire::decode_error_frame(&mut reply).expect("typed error frame")
+}
+
+#[test]
+fn net_protocol_version_skew_is_rejected_typed() {
+    let server = default_server();
+    // speak a future handshake version by hand
+    let frame = hello_rejection(server.local_addr(), |h| h.net_protocol = 99);
     assert_eq!(frame.code, ErrorCode::VersionMismatch);
     assert_eq!(frame.request_id, 0, "connection-level failure");
-    drop(stream);
     let stats = server.shutdown(Duration::from_secs(5));
     assert_eq!(stats.handshakes_rejected, 1);
+}
+
+/// A client announcing any wire version but 3 is refused at the hello:
+/// 1 names no request, 2 is the retired FNV-1a request frame, 4 is from
+/// the future.
+#[test]
+fn wire_version_skew_is_rejected_typed() {
+    let server = default_server();
+    for version in [1, 2, 4] {
+        let frame = hello_rejection(server.local_addr(), |h| h.wire_version = version);
+        assert_eq!(frame.code, ErrorCode::VersionMismatch, "wire {version}");
+        assert_eq!(frame.request_id, 0, "connection-level failure");
+    }
+    let stats = server.shutdown(Duration::from_secs(5));
+    assert_eq!(stats.handshakes_rejected, 3);
 }
 
 #[test]
@@ -810,13 +832,15 @@ fn late_frame_for_an_answered_request_is_refused_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A v1 frame names no request, so it cannot be routed to a lane: the
-/// server answers it with one typed `Wire` error frame, and it opens no
-/// lane, is not journaled, and moves no request counter.
-#[test]
-fn v1_frame_is_refused_typed_and_opens_no_lane() {
+/// Sends request 84's first frame, resealed as wire `version` by `reseal`
+/// from its `(request_id, bucket_index, payload)`, to a durable server,
+/// and checks that the server answers it with exactly one typed `Wire`
+/// error frame naming that version, opens no lane, journals nothing and
+/// moves no request counter.
+fn refused_frame_opens_no_lane(version: u16, reseal: impl FnOnce(u64, u32, &[u8]) -> Vec<u8>) {
     use std::io::Write;
-    let dir = std::env::temp_dir().join(format!("proteus-net-e2e-v1-{}", std::process::id()));
+    let tag = format!("v{version}");
+    let dir = std::env::temp_dir().join(format!("proteus-net-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (store, _) = Store::open_or_create(&dir).expect("store creates");
     let store = Arc::new(store);
@@ -827,19 +851,24 @@ fn v1_frame_is_refused_typed_and_opens_no_lane() {
     });
     let fingerprint = shared_proteus().config_fingerprint();
     let owned = owned_request(ModelKind::AlexNet, 84);
-    // the first frame's payload behind a v1 header, which has no request id
-    let payload = decode_frame(&mut owned.request.frames[0].clone())
-        .expect("frame")
-        .payload;
+    let frame = decode_frame(&mut owned.request.frames[0].clone()).expect("frame");
 
     let (mut stream, mut reader) = raw_connect(server.local_addr(), fingerprint);
     stream
-        .write_all(&encode_frame(0, &payload))
-        .expect("v1 frame written");
+        .write_all(&reseal(
+            frame.request_id,
+            frame.bucket_index,
+            &frame.payload,
+        ))
+        .expect("frame written");
     stream.shutdown(Shutdown::Write).expect("half-close");
     let rest: Vec<NetFrame> = std::iter::from_fn(|| next_frame(&mut stream, &mut reader)).collect();
     match rest.as_slice() {
-        [NetFrame::Error(e)] => assert_eq!(e.code, ErrorCode::Wire, "{e:?}"),
+        [NetFrame::Error(e)] => {
+            assert_eq!(e.code, ErrorCode::Wire, "{e:?}");
+            let want = format!("unknown wire version {version} ");
+            assert!(e.detail.contains(&want), "{e:?}");
+        }
         other => panic!(
             "want one Wire error frame, got {:?}",
             other.iter().map(describe).collect::<Vec<_>>()
@@ -857,9 +886,34 @@ fn v1_frame_is_refused_typed_and_opens_no_lane() {
         (0, 0, 0),
         "a lane was opened: {stats:?}"
     );
-    assert_eq!(store.records(), 1, "the v1 frame was journaled");
+    assert_eq!(store.records(), 1, "the {tag} frame was journaled");
     assert!(store.pending_lanes().is_empty(), "lane left pending");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A v1 frame names no request, so it cannot be routed to a lane: the
+/// server refuses it at admission.
+#[test]
+fn v1_frame_is_refused_typed_and_opens_no_lane() {
+    refused_frame_opens_no_lane(1, |_, index, payload| encode_frame(index, payload).to_vec());
+}
+
+/// A v2 frame, sealed as a pre-v3 client sealed it (FNV-1a), is an
+/// unknown version: the server's frame reader refuses it before any
+/// lane is looked up.
+#[test]
+fn v2_frame_is_refused_typed_and_opens_no_lane() {
+    let v2 = Envelope {
+        versions: Versions::Only(&[(2, 12, Checksum::Fnv1a)]),
+        ..FRAME
+    };
+    refused_frame_opens_no_lane(2, |request_id, index, payload| {
+        let fields = |f: &mut bytes::BytesMut| {
+            f.extend_from_slice(&request_id.to_le_bytes());
+            f.extend_from_slice(&index.to_le_bytes());
+        };
+        v2.seal(2, fields, payload).to_vec()
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! versions, bad magic — must come back as a typed [`WireError`], never a
 //! panic or a silent misparse.
 //!
-//! The `mux` module fuzzes the v2 *multiplexed* protocol: arbitrary
+//! The `mux` module fuzzes the v3 *multiplexed* protocol: arbitrary
 //! interleavings of several requests on one byte stream, duplicated
 //! frames, cross-request frame injection, and mid-stream corruption must
 //! yield typed errors or bit-correct reassembly — never panics, and never
@@ -11,7 +11,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proteus::{Bucket, BucketMember, SealedBucket};
-use proteus_graph::wire::{decode_frame, encode_frame_v2, encode_graph};
+use proteus_graph::wire::{decode_frame, encode_frame_v3, encode_graph};
 use proteus_graph::{Activation, Graph, Op, Shape, Tensor, TensorMap, WireError, WIRE_VERSION};
 
 mod proptests {
@@ -197,20 +197,22 @@ mod proptests {
             sealed in arb_sealed(),
             version in proptest::num::u64::ANY,
         ) {
-            // every version but v2 is refused, v1 included: a v1 frame
-            // carries no request id
-            let version = match (version % 0xFFFF) as u16 {
+            // every version but v3 is refused: v1 carries no request id,
+            // and v2 is the retired FNV-1a request frame
+            let drawn = match (version % 0xFFFF) as u16 {
                 WIRE_VERSION => WIRE_VERSION + 1,
                 v => v,
             };
-            let mut raw = sealed.to_mux_bytes(9).to_vec();
-            raw[4..6].copy_from_slice(&version.to_le_bytes());
-            match SealedBucket::from_mux_bytes(Bytes::copy_from_slice(&raw)) {
-                Err(WireError::UnknownVersion { got, supported }) => {
-                    prop_assert_eq!(got, version);
-                    prop_assert_eq!(supported, WIRE_VERSION);
+            for version in [1, 2, drawn] {
+                let mut raw = sealed.to_mux_bytes(9).to_vec();
+                raw[4..6].copy_from_slice(&version.to_le_bytes());
+                match SealedBucket::from_mux_bytes(Bytes::copy_from_slice(&raw)) {
+                    Err(WireError::UnknownVersion { got, supported }) => {
+                        prop_assert_eq!(got, version);
+                        prop_assert_eq!(supported, WIRE_VERSION);
+                    }
+                    other => prop_assert!(false, "expected UnknownVersion, got {:?}", other),
                 }
-                other => prop_assert!(false, "expected UnknownVersion, got {:?}", other),
             }
         }
 
@@ -228,7 +230,7 @@ mod proptests {
                 bucket: Bucket { members },
             };
             let payload = reference_payload(&sealed);
-            let want = encode_frame_v2(request_id, bucket_index, &payload);
+            let want = encode_frame_v3(request_id, bucket_index, &payload);
             let got = sealed.to_mux_bytes(request_id);
             prop_assert_eq!(got.to_vec(), want.to_vec());
             // decoding keeps every weight's bits: the re-encode is the same
@@ -325,7 +327,7 @@ mod mux {
             at = params_at + 4 + len_at(&payload, params_at);
         }
         edit(&mut payload, &spans);
-        encode_frame_v2(RID_A, frame.bucket_index, &payload)
+        encode_frame_v3(RID_A, frame.bucket_index, &payload)
     }
 
     /// The owner walks every member's length prefixes but decodes only the
@@ -519,14 +521,14 @@ mod mux {
 
 /// Fuzzes the *incremental* codec (`proteus_net::FrameReader`) that the
 /// TCP boundary uses: a socket hands back arbitrary chunk boundaries, so
-/// every partition of a mixed v1 / v2 / error-frame stream — including
+/// every partition of a mixed v1 / v3 / error-frame stream — including
 /// pathological 1-byte reads — must reassemble the exact same frame
 /// sequence, and corruption must surface as a typed fatal error, never a
 /// panic or a silent resync.
 mod split {
     use proptest::prelude::*;
     use proteus_graph::wire::{
-        encode_error_frame, encode_frame, encode_frame_v2, ErrorCode, ErrorFrame,
+        encode_error_frame, encode_frame, encode_frame_v3, ErrorCode, ErrorFrame,
     };
     use proteus_net::{FrameReader, NetError, NetFrame};
 
@@ -540,7 +542,7 @@ mod split {
 
     fn arb_frame() -> impl Strategy<Value = (Vec<u8>, Expected)> {
         (
-            0u8..3, // kind: v1 data, v2 data, error frame
+            0u8..3, // kind: v1 data, v3 data, error frame
             proptest::num::u64::ANY,
             0u32..8,
             proptest::collection::vec(proptest::num::u8::ANY, 0..48),
@@ -551,7 +553,7 @@ mod split {
                     (wire.clone(), Expected::Data(wire))
                 }
                 1 => {
-                    let wire = encode_frame_v2(rid, bucket, &payload).to_vec();
+                    let wire = encode_frame_v3(rid, bucket, &payload).to_vec();
                     (wire.clone(), Expected::Data(wire))
                 }
                 _ => {
@@ -652,14 +654,14 @@ mod split {
             let mut pos = offset + byte_pick; // inside magic (0..4) or version (4..6)
             let flipped = stream[pos] ^ (1u8 << bit);
             // version corruption must actually leave the supported set:
-            // v1<->v2 flips produce a *valid* header of the other kind
+            // v1<->v3 flips produce a *valid* header of the other kind
             // (with a different length field), which is legitimate parsing
             // territory, not a detectable corruption — corrupt the magic
             // instead in that case
             if byte_pick >= 4 {
                 let mut v = [stream[offset + 4], stream[offset + 5]];
                 v[byte_pick - 4] = flipped;
-                if matches!(u16::from_le_bytes(v), 1 | 2) {
+                if matches!(u16::from_le_bytes(v), 1 | 3) {
                     pos = offset + byte_pick - 4;
                 }
             }
@@ -720,7 +722,7 @@ mod split {
 }
 
 /// The stream readers measure every envelope-table row exactly as its
-/// decoder does (`PRTB` v1/v2 and `PRTE` through `FrameReader`; `PRTH`,
+/// decoder does (`PRTB` v1/v3 and `PRTE` through `FrameReader`; `PRTH`,
 /// `PRTS` and a `PRTE` rejection through the handshake's hello reader).
 /// A two-envelope stream is cut at every byte: the reader yields nothing
 /// until the first envelope is whole, then exactly the bytes its decoder
@@ -728,7 +730,7 @@ mod split {
 mod envelope_lengths {
     use bytes::Bytes;
     use proteus_graph::wire::{
-        decode_error_frame, decode_frame, encode_error_frame, encode_frame, encode_frame_v2,
+        decode_error_frame, decode_frame, encode_error_frame, encode_frame, encode_frame_v3,
         ErrorCode, ErrorFrame,
     };
     use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello};
@@ -763,7 +765,7 @@ mod envelope_lengths {
         let prte: Decoder = |b| decode_error_frame(b).is_ok();
         let rows: [(&str, Bytes, Decoder, bool); 6] = [
             ("PRTB v1", encode_frame(3, b"v1 body"), frame, false),
-            ("PRTB v2", encode_frame_v2(9, 1, b"v2 body"), frame, false),
+            ("PRTB v3", encode_frame_v3(9, 1, b"v3 body"), frame, false),
             ("PRTE", error.clone(), prte, false),
             ("PRTE reply", error, prte, true),
             (
@@ -831,4 +833,51 @@ fn checksum_mismatch_is_a_typed_error() {
         matches!(got, Err(WireError::ChecksumMismatch { .. })),
         "{got:?}"
     );
+}
+
+/// Every single-bit flip of a v3 frame is a typed error: one weighted
+/// sealed bucket of several KB (header, payload header, graphs and
+/// float weights alike) and one `PRTE` error frame. The word hash covers
+/// each bit, and a flipped version or length field fails before it.
+#[test]
+fn every_bit_flip_of_a_v3_frame_is_a_typed_error() {
+    use proteus_graph::wire::{decode_error_frame, encode_error_frame, ErrorCode, ErrorFrame};
+    let mut g = Graph::new("weighted");
+    let x = g.input([1, 16, 8, 8]);
+    let c = g.add(
+        Op::Conv(proteus_graph::ConvAttrs::new(16, 8, 3).padding(1)),
+        [x],
+    );
+    let r = g.add(Op::Activation(Activation::Relu), [c]);
+    g.set_outputs([r]);
+    let params = TensorMap::init_random(&g, 7);
+    let sealed = SealedBucket {
+        bucket_index: 1,
+        num_buckets: 3,
+        bucket: Bucket {
+            members: vec![BucketMember { graph: g, params }],
+        },
+    };
+    let frame = sealed.to_mux_bytes(0x5EED);
+    assert!(frame.len() > 4 * 1024, "{} bytes", frame.len());
+    let error = encode_error_frame(&ErrorFrame::new(7, ErrorCode::Deadline, "missed by 3 ms"));
+    assert!(SealedBucket::from_mux_bytes(frame.clone()).is_ok());
+    for (bit, raw) in flips(&frame) {
+        let got = SealedBucket::from_mux_bytes(raw);
+        assert!(got.is_err(), "PRTB v3: bit {bit} flipped undetected");
+    }
+    assert!(decode_error_frame(&mut error.clone()).is_ok());
+    for (bit, mut raw) in flips(&error) {
+        let got = decode_error_frame(&mut raw);
+        assert!(got.is_err(), "PRTE v3: bit {bit} flipped undetected");
+    }
+}
+
+/// `bytes` with one bit flipped, for every bit, with the bit's index.
+fn flips(bytes: &[u8]) -> impl Iterator<Item = (usize, Bytes)> + '_ {
+    (0..bytes.len() * 8).map(move |bit| {
+        let mut raw = bytes.to_vec();
+        raw[bit / 8] ^= 1 << (bit % 8);
+        (bit, Bytes::from(raw))
+    })
 }
