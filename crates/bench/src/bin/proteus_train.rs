@@ -307,7 +307,6 @@ fn cmd_store_verify(dir: &str) -> Result<(), String> {
             report.tail_bytes
         );
     }
-    println!("artifacts           {}", report.artifacts);
     println!("open sessions       {}", report.open_sessions);
     println!("pending lanes       {}", report.pending_lanes);
     println!(

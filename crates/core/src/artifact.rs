@@ -781,6 +781,20 @@ impl TrainedArtifact {
         Ok(artifact)
     }
 
+    /// Reads and decodes the artifact file at `path`.
+    ///
+    /// # Errors
+    /// [`ArtifactError::Io`] when the file cannot be read, else as
+    /// [`TrainedArtifact::from_bytes`].
+    pub fn read(path: impl AsRef<Path>) -> AResult<TrainedArtifact> {
+        let path = path.as_ref();
+        let data = std::fs::read(path).map_err(|e| ArtifactError::Io {
+            path: path.display().to_string(),
+            detail: e.to_string(),
+        })?;
+        TrainedArtifact::from_bytes(&data)
+    }
+
     /// [`TrainedArtifact::from_bytes`] plus the [`ArtifactSummary`] the
     /// `inspect` subcommand prints (section sizes are only known during
     /// decoding).
@@ -1040,14 +1054,7 @@ impl Proteus {
     /// validation (version, section checksums, fingerprint, state shape)
     /// fails.
     pub fn load_artifact(path: impl AsRef<Path>) -> Result<Proteus, ProteusError> {
-        let path = path.as_ref();
-        let data = std::fs::read(path).map_err(|e| {
-            ProteusError::Artifact(ArtifactError::Io {
-                path: path.display().to_string(),
-                detail: e.to_string(),
-            })
-        })?;
-        Proteus::from_artifact_bytes(&data)
+        Ok(TrainedArtifact::read(path)?.into_proteus()?)
     }
 
     /// [`Proteus::load_artifact`], additionally requiring the artifact's
@@ -1061,14 +1068,7 @@ impl Proteus {
         path: impl AsRef<Path>,
         expected: &ProteusConfig,
     ) -> Result<Proteus, ProteusError> {
-        let path = path.as_ref();
-        let data = std::fs::read(path).map_err(|e| {
-            ProteusError::Artifact(ArtifactError::Io {
-                path: path.display().to_string(),
-                detail: e.to_string(),
-            })
-        })?;
-        let artifact = TrainedArtifact::from_bytes(&data)?;
+        let artifact = TrainedArtifact::read(path)?;
         // fingerprint check before into_proteus: a mismatched artifact is
         // rejected for the decode cost alone, not the RNN/density rebuild
         let want = config_fingerprint(expected);
@@ -1086,38 +1086,6 @@ impl Proteus {
     /// [`config_fingerprint`]).
     pub fn config_fingerprint(&self) -> u64 {
         config_fingerprint(self.config())
-    }
-
-    /// Writes this trained instance's `PRTA` bytes into a durable
-    /// [`Store`](crate::store::Store) — the crash-safe sibling of
-    /// [`Proteus::save_artifact`]. Content-addressed: returns the
-    /// artifact's content digest, and re-saving identical state appends
-    /// nothing.
-    ///
-    /// # Errors
-    /// [`ProteusError::Store`] when the append fails.
-    pub fn save_artifact_store(&self, store: &crate::store::Store) -> Result<u64, ProteusError> {
-        let bytes = self.to_artifact_bytes();
-        Ok(store.put_artifact(&bytes, self.config_fingerprint())?)
-    }
-
-    /// Cold-starts a trained instance from the most recent artifact in a
-    /// durable [`Store`](crate::store::Store) — the crash-safe sibling
-    /// of [`Proteus::load_artifact`]. The store's chained digests have
-    /// already vouched for the bytes; the full `PRTA` section validation
-    /// still runs on top.
-    ///
-    /// # Errors
-    /// [`ProteusError::Store`] ([`StoreError::Missing`](crate::store::StoreError::Missing))
-    /// when the store holds no artifact; [`ProteusError::Artifact`] for
-    /// every decode or validation defect.
-    pub fn load_artifact_store(store: &crate::store::Store) -> Result<Proteus, ProteusError> {
-        let (_, bytes) = store.latest_artifact().ok_or(ProteusError::Store(
-            crate::store::StoreError::Missing {
-                what: "any trained artifact".into(),
-            },
-        ))?;
-        Proteus::from_artifact_bytes(&bytes)
     }
 }
 
@@ -1268,7 +1236,7 @@ mod tests {
                 f.put_u64_le(0);
                 f.put_u32_le(index);
             };
-            v2_row.seal(2, fields, payload)
+            v2_row.seal(2, fields, payload).expect("the row lists v2")
         });
         assert!(
             matches!(

@@ -22,7 +22,7 @@
 use bytes::{Buf, BufMut, Bytes};
 use proteus_graph::wire::{
     bounded_capacity, decode_graph, decode_params, decode_request_frame, encode_graph, fnv1a64,
-    seal_frame, MemberEncoder, WireError, WIRE_VERSION_V3,
+    seal_frame, MemberEncoder, WireError,
 };
 use proteus_graph::{Graph, TensorMap};
 use proteus_partition::PartitionPlan;
@@ -213,7 +213,7 @@ impl SealedBucket {
             .map(|m| 8 + m.graph_len() + m.params_len())
             .sum::<usize>();
         let (index, total) = (self.bucket_index, self.num_buckets);
-        seal_frame(WIRE_VERSION_V3, request_id, index, payload_len, |buf| {
+        seal_frame(Some(request_id), index, payload_len, |buf| {
             buf.put_u32_le(total);
             buf.put_u32_le(members.len() as u32);
             for m in &members {

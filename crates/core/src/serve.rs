@@ -1403,7 +1403,9 @@ mod tests {
             f.put_u64_le(frame.request_id);
             f.put_u32_le(frame.bucket_index);
         };
-        let v2 = v2_row.seal(2, fields, &frame.payload);
+        let v2 = v2_row
+            .seal(2, fields, &frame.payload)
+            .expect("the row lists v2");
         let retired = proteus_graph::WireError::UnknownVersion {
             got: 2,
             supported: 3,

@@ -1,5 +1,5 @@
-//! `proteus::store` — a content-addressed, crash-safe durable store for
-//! trained artifacts and in-flight sessions.
+//! `proteus::store` — a crash-safe durable store for in-flight owner
+//! sessions and serving lanes.
 //!
 //! Everything the store persists goes through a write-ahead log of
 //! wire-v1-framed records whose digests are Merkle-style chained (each
@@ -14,15 +14,9 @@
 //! codec's: every bad byte is a typed [`StoreError`], and nothing is
 //! ever silently resynced.
 //!
-//! What the log carries:
+//! What the log carries (never a trained artifact: the optimizer side
+//! keeps only its config fingerprint):
 //!
-//! - **Artifacts** — `PRTA` bytes, content-addressed by their FNV-1a
-//!   digest and indexed by config fingerprint
-//!   ([`Store::put_artifact`] / [`Store::latest_artifact`]; the
-//!   convenience wrappers are
-//!   [`Proteus::save_artifact_store`](crate::Proteus::save_artifact_store)
-//!   and
-//!   [`Proteus::load_artifact_store`](crate::Proteus::load_artifact_store)).
 //! - **Owner sessions** — checkpointed [`ObfuscationSecrets`] plus the
 //!   raw optimized frames accepted so far, so a killed owner process can
 //!   [`DeobfuscationSession::resume`](crate::DeobfuscationSession::resume)
@@ -67,7 +61,6 @@ pub(crate) use codec::{decode_secrets, encode_secrets};
 
 use crate::bucket::ObfuscationSecrets;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use proteus_graph::wire::fnv1a64;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -103,8 +96,8 @@ pub enum StoreError {
         /// What was wrong.
         detail: String,
     },
-    /// The store does not hold what was asked for (no such artifact, no
-    /// such open session).
+    /// The store does not hold what was asked for (no such open
+    /// session).
     Missing {
         /// What was requested.
         what: String,
@@ -125,6 +118,15 @@ pub enum StoreError {
     Poisoned {
         /// The failure that poisoned the store.
         detail: String,
+    },
+    /// The genesis record names a store format version this library
+    /// does not read (see [`wal::STORE_FORMAT_VERSION`]). There is no
+    /// migration: the store must be recreated.
+    Version {
+        /// The version the store was written with.
+        found: u32,
+        /// The one version this library reads.
+        supported: u32,
     },
 }
 
@@ -181,6 +183,11 @@ impl fmt::Display for StoreError {
             StoreError::Poisoned { detail } => {
                 write!(f, "store poisoned (reopen to recover): {detail}")
             }
+            StoreError::Version { found, supported } => write!(
+                f,
+                "store format version {found} is not supported (this library reads \
+                 version {supported} only; recreate the store)"
+            ),
         }
     }
 }
@@ -197,8 +204,6 @@ pub struct RecoveryReport {
     /// Uncommitted tail bytes truncated (a crash between append and
     /// commit left them; the append was never acknowledged).
     pub truncated_bytes: u64,
-    /// Artifacts resident after replay.
-    pub artifacts: usize,
     /// Owner sessions still open after replay.
     pub open_sessions: usize,
     /// Serving lanes still pending after replay.
@@ -212,8 +217,8 @@ impl fmt::Display for RecoveryReport {
         }
         write!(
             f,
-            "replayed {} record(s) ({} artifact(s), {} open session(s), {} pending lane(s))",
-            self.records, self.artifacts, self.open_sessions, self.pending_lanes
+            "replayed {} record(s) ({} open session(s), {} pending lane(s))",
+            self.records, self.open_sessions, self.pending_lanes
         )?;
         if self.truncated_bytes > 0 {
             write!(
@@ -238,20 +243,10 @@ pub struct VerifyReport {
     /// Uncommitted tail bytes present (would be truncated by a
     /// recovering open; harmless).
     pub tail_bytes: u64,
-    /// Artifacts resident.
-    pub artifacts: usize,
     /// Owner sessions open.
     pub open_sessions: usize,
     /// Serving lanes pending.
     pub pending_lanes: usize,
-}
-
-/// One resident artifact: content digest, config fingerprint, bytes.
-#[derive(Debug, Clone)]
-struct ArtifactEntry {
-    digest: u64,
-    fingerprint: u64,
-    bytes: Bytes,
 }
 
 /// Journaled state of one open owner session.
@@ -273,7 +268,6 @@ struct Inner {
     /// in-memory view may disagree with the WAL bytes, so appends are
     /// refused until the store is reopened (which replays the disk).
     poisoned: Option<String>,
-    artifacts: Vec<ArtifactEntry>,
     sessions: BTreeMap<u64, SessionState>,
     lanes: BTreeMap<u64, Vec<Bytes>>,
     /// Test-only fault injection: the next append writes half of its
@@ -292,7 +286,6 @@ impl Inner {
             records: horizon.records,
             committed_len: horizon.committed_len,
             poisoned: None,
-            artifacts: Vec::new(),
             sessions: BTreeMap::new(),
             lanes: BTreeMap::new(),
             #[cfg(test)]
@@ -488,7 +481,6 @@ impl Store {
             created: false,
             records: marker.records,
             truncated_bytes,
-            artifacts: inner.artifacts.len(),
             open_sessions: inner.sessions.len(),
             pending_lanes: inner.lanes.len(),
         };
@@ -514,8 +506,8 @@ impl Store {
         let wal_bytes = read_file(&Store::wal_path(dir), "reading WAL")?;
         let records = wal::replay(&wal_bytes, &marker)?;
         // interpret the records too: a digest-valid log whose contents
-        // are self-inconsistent (frame for an unopened session, artifact
-        // body hash mismatch) is still corruption
+        // are self-inconsistent (frame for an unopened session, a lane
+        // finished twice) is still corruption
         let mut shadow = Inner::new(
             File::open(Store::wal_path(dir)).map_err(|e| StoreError::io("reopening WAL", &e))?,
             &marker,
@@ -528,7 +520,6 @@ impl Store {
             committed_len: marker.committed_len,
             chain_digest: marker.chain,
             tail_bytes: wal_bytes.len() as u64 - marker.committed_len,
-            artifacts: shadow.artifacts.len(),
             open_sessions: shadow.sessions.len(),
             pending_lanes: shadow.lanes.len(),
         })
@@ -561,63 +552,6 @@ impl Store {
     #[cfg(test)]
     fn inject_append_failure(&self) {
         self.lock().fail_next_append = true;
-    }
-
-    // -- artifacts ----------------------------------------------------
-
-    /// Stores a trained artifact (`PRTA` bytes), content-addressed:
-    /// returns the artifact's FNV-1a content digest, and appends
-    /// nothing when identical bytes are already resident *under the
-    /// same fingerprint*. `fingerprint` is the config fingerprint the
-    /// artifact is indexed under for lookup — the same bytes arriving
-    /// under a new fingerprint append a fresh index record, so
-    /// [`Store::latest_artifact`] always reports the association most
-    /// recently saved.
-    ///
-    /// # Errors
-    /// [`StoreError::Io`] on append failure.
-    pub fn put_artifact(&self, bytes: &[u8], fingerprint: u64) -> Result<u64, StoreError> {
-        let digest = fnv1a64(bytes);
-        let mut inner = self.lock();
-        if inner
-            .artifacts
-            .iter()
-            .any(|a| a.digest == digest && a.fingerprint == fingerprint)
-        {
-            return Ok(digest);
-        }
-        let mut body = BytesMut::with_capacity(8 + 8 + 4 + bytes.len());
-        body.put_u64_le(fingerprint);
-        body.put_u64_le(digest);
-        body.put_u32_le(bytes.len() as u32);
-        body.put_slice(bytes);
-        self.append(&mut inner, vec![(RecordTag::Artifact, body.freeze())])?;
-        Ok(digest)
-    }
-
-    /// The most recently stored artifact, as `(config fingerprint,
-    /// bytes)`.
-    pub fn latest_artifact(&self) -> Option<(u64, Bytes)> {
-        let inner = self.lock();
-        inner
-            .artifacts
-            .last()
-            .map(|a| (a.fingerprint, a.bytes.clone()))
-    }
-
-    /// The artifact with the given content digest, if resident.
-    pub fn artifact(&self, digest: u64) -> Option<Bytes> {
-        let inner = self.lock();
-        inner
-            .artifacts
-            .iter()
-            .find(|a| a.digest == digest)
-            .map(|a| a.bytes.clone())
-    }
-
-    /// Number of distinct artifacts resident.
-    pub fn artifact_count(&self) -> usize {
-        self.lock().artifacts.len()
     }
 
     // -- owner sessions -----------------------------------------------
@@ -828,11 +762,12 @@ impl Store {
             chain,
             records: inner.records + batch.len() as u64,
         };
+        let marker_bytes = wal::encode_marker(&marker).map_err(|e| rollback(inner, e))?;
         let tmp = self.dir.join(wal::MARKER_TMP_FILE);
         let dst = self.dir.join(wal::MARKER_FILE);
         let stage = |tmp: &Path| -> std::io::Result<()> {
             let mut f = File::create(tmp)?;
-            f.write_all(&wal::encode_marker(&marker))?;
+            f.write_all(&marker_bytes)?;
             f.sync_data()?;
             std::fs::rename(tmp, &dst)
         };
@@ -877,45 +812,11 @@ fn id_prefixed(request_id: u64, rest: &[u8]) -> Bytes {
 fn apply(inner: &mut Inner, record: &WalRecord) -> Result<(), String> {
     let mut body = record.body.clone();
     match record.tag {
+        // replay checked the genesis record's version
         RecordTag::Genesis => {
-            if body.remaining() < 4 {
-                return Err("genesis record too short".into());
-            }
-            let version = body.get_u32_le();
-            if version != wal::STORE_FORMAT_VERSION {
-                return Err(format!(
-                    "store format version {version} (this library speaks {})",
-                    wal::STORE_FORMAT_VERSION
-                ));
-            }
             if record.seq != 0 {
                 return Err(format!("genesis record at sequence {}", record.seq));
             }
-        }
-        RecordTag::Artifact => {
-            if body.remaining() < 20 {
-                return Err("artifact record too short".into());
-            }
-            let fingerprint = body.get_u64_le();
-            let digest = body.get_u64_le();
-            let len = body.get_u32_le() as usize;
-            if body.remaining() != len {
-                return Err(format!(
-                    "artifact record claims {len} bytes, carries {}",
-                    body.remaining()
-                ));
-            }
-            let bytes = body;
-            if fnv1a64(&bytes) != digest {
-                return Err(format!(
-                    "artifact content does not hash to its recorded digest {digest:#018x}"
-                ));
-            }
-            inner.artifacts.push(ArtifactEntry {
-                digest,
-                fingerprint,
-                bytes,
-            });
         }
         RecordTag::SessionOpen => {
             let mut peek = body.clone();
@@ -998,26 +899,8 @@ mod tests {
         assert!(!report.created);
         assert_eq!(report.records, 1);
         assert_eq!(report.truncated_bytes, 0);
-        assert_eq!(store.artifact_count(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn artifact_roundtrips_and_dedups() {
-        let dir = tempdir("artifact");
-        let (store, _) = Store::open_or_create(&dir).unwrap();
-        let digest = store.put_artifact(b"pretend-prta", 0xF00D).unwrap();
-        let again = store.put_artifact(b"pretend-prta", 0xF00D).unwrap();
-        assert_eq!(digest, again);
-        assert_eq!(store.artifact_count(), 1, "content-addressed dedup");
-        assert_eq!(store.records(), 2, "second put appended nothing");
-        drop(store);
-        let (store, report) = Store::open_or_create(&dir).unwrap();
-        assert_eq!(report.artifacts, 1);
-        let (fp, bytes) = store.latest_artifact().unwrap();
-        assert_eq!(fp, 0xF00D);
-        assert_eq!(&bytes[..], b"pretend-prta");
-        assert_eq!(store.artifact(digest).unwrap(), bytes);
+        assert!(store.pending_lanes().is_empty());
+        assert!(store.open_sessions().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1060,7 +943,7 @@ mod tests {
         let (store, _) = Store::open_or_create(&dir).unwrap();
         // committed data beyond genesis: losing the marker now means
         // acknowledged state has no horizon — must refuse, not recreate
-        store.put_artifact(b"acked-bytes", 0xA).unwrap();
+        store.record_lane_frame(0xA, b"acked-bytes").unwrap();
         drop(store);
         std::fs::remove_file(Store::marker_path(&dir)).unwrap();
         let err = Store::open_or_create(&dir).unwrap_err();
@@ -1103,11 +986,11 @@ mod tests {
     fn failed_append_rolls_back_and_the_store_stays_usable() {
         let dir = tempdir("rollback");
         let (store, _) = Store::open_or_create(&dir).unwrap();
-        store.put_artifact(b"first", 0x1).unwrap();
+        store.record_lane_frame(0x1, b"first").unwrap();
         let committed = store.committed_len();
 
         store.inject_append_failure();
-        let err = store.put_artifact(b"doomed", 0x2).unwrap_err();
+        let err = store.record_lane_frame(0x2, b"doomed").unwrap_err();
         assert!(matches!(err, StoreError::Io { .. }), "{err}");
         assert!(!store.is_poisoned(), "rollback succeeded, not poisoned");
         // the orphan bytes are gone from the WAL, not just unclaimed
@@ -1116,11 +999,12 @@ mod tests {
 
         // the next append lands after the rollback point and the store
         // reopens clean — the exact scenario that used to brick it
-        store.put_artifact(b"second", 0x3).unwrap();
+        store.record_lane_frame(0x3, b"second").unwrap();
         drop(store);
         let (store, report) = Store::open_or_create(&dir).unwrap();
-        assert_eq!(report.artifacts, 2);
-        assert_eq!(store.latest_artifact().unwrap().0, 0x3);
+        assert_eq!(report.pending_lanes, 2);
+        let rids: Vec<u64> = store.pending_lanes().iter().map(|l| l.0).collect();
+        assert_eq!(rids, [0x1, 0x3]);
         assert!(Store::verify(&dir).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1196,25 +1080,6 @@ mod tests {
         assert!(store.is_poisoned());
         let err = store.record_lane_frame(1, b"refused").unwrap_err();
         assert!(matches!(err, StoreError::Poisoned { .. }), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn same_bytes_under_new_fingerprint_reindex() {
-        let dir = tempdir("refinger");
-        let (store, _) = Store::open_or_create(&dir).unwrap();
-        let d1 = store.put_artifact(b"same-bytes", 0xAAAA).unwrap();
-        let d2 = store.put_artifact(b"same-bytes", 0xBBBB).unwrap();
-        assert_eq!(d1, d2, "content digest is fingerprint-independent");
-        assert_eq!(
-            store.latest_artifact().unwrap().0,
-            0xBBBB,
-            "new fingerprint association dropped"
-        );
-        assert_eq!(store.records(), 3, "re-fingerprint appended a record");
-        drop(store);
-        let (store, _) = Store::open_or_create(&dir).unwrap();
-        assert_eq!(store.latest_artifact().unwrap().0, 0xBBBB, "after replay");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -60,8 +60,11 @@ pub const MARKER: Envelope = Envelope {
 /// Exact encoded size of the commit marker.
 pub const MARKER_LEN: usize = MARKER.header_len(24);
 
-/// Store format version recorded in the genesis record's body.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+/// Store format version recorded in the genesis record's body. Version 1
+/// also carried trained-artifact records (tag 1); version 2 journals
+/// sessions and lanes only. A store of any other version is refused at
+/// open with [`StoreError::Version`]; there is no migration.
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Seed of the digest chain (the FNV-1a offset basis) — the
 /// `prev_digest` the genesis record carries.
@@ -75,13 +78,13 @@ pub const RECORD_PREFIX: usize = 16;
 pub(crate) const RECORD_OVERHEAD: usize = FRAME.header_len(4) + RECORD_PREFIX;
 
 /// What a WAL record describes. Encoded in the v1 frame's `bucket_index`
-/// field; unknown tags are rejected as corruption, never skipped.
+/// field; unknown tags are rejected as corruption, never skipped. Tag 1
+/// held trained artifacts in store format 1; it is retired and never
+/// reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordTag {
     /// First record of every store: the store format version.
     Genesis = 0,
-    /// A content-addressed trained artifact (`PRTA` bytes).
-    Artifact = 1,
     /// A reassembly session opened: the owner's checkpointed secrets.
     SessionOpen = 2,
     /// One optimized frame accepted into an open session (raw wire bytes).
@@ -99,7 +102,6 @@ impl RecordTag {
     pub fn from_u32(v: u32) -> Option<RecordTag> {
         match v {
             0 => Some(RecordTag::Genesis),
-            1 => Some(RecordTag::Artifact),
             2 => Some(RecordTag::SessionOpen),
             3 => Some(RecordTag::SessionFrame),
             4 => Some(RecordTag::SessionDone),
@@ -124,17 +126,11 @@ pub struct WalRecord {
 /// Encodes one record: a v1 frame whose payload folds in the previous
 /// record's chain digest.
 pub fn encode_record(tag: RecordTag, seq: u64, prev_digest: u64, body: &[u8]) -> Bytes {
-    seal_frame(
-        WIRE_VERSION_V1,
-        0,
-        tag as u32,
-        RECORD_PREFIX + body.len(),
-        |payload| {
-            payload.put_u64_le(prev_digest);
-            payload.put_u64_le(seq);
-            payload.put_slice(body);
-        },
-    )
+    seal_frame(None, tag as u32, RECORD_PREFIX + body.len(), |payload| {
+        payload.put_u64_le(prev_digest);
+        payload.put_u64_le(seq);
+        payload.put_slice(body);
+    })
 }
 
 /// Advances the chain: digest of a record given its predecessor's digest
@@ -156,13 +152,17 @@ pub struct Marker {
 }
 
 /// Serializes a marker (fixed [`MARKER_LEN`] bytes, self-checksummed).
-pub fn encode_marker(m: &Marker) -> Bytes {
+///
+/// # Errors
+/// [`StoreError::Marker`] if [`MARKER`] does not list [`MARKER_VERSION`].
+pub fn encode_marker(m: &Marker) -> Result<Bytes, StoreError> {
     let fields = |f: &mut BytesMut| {
         f.put_u64_le(m.committed_len);
         f.put_u64_le(m.chain);
         f.put_u64_le(m.records);
     };
-    MARKER.seal(MARKER_VERSION, fields, &[])
+    let sealed = MARKER.seal(MARKER_VERSION, fields, &[]);
+    sealed.map_err(|e| StoreError::marker(e.to_string()))
 }
 
 /// Decodes and validates a marker. Every malformation — wrong size, bad
@@ -190,7 +190,8 @@ pub fn decode_marker(data: &[u8]) -> Result<Marker, StoreError> {
 /// marker: decodes each frame, verifies the chain digest and sequence
 /// number, and checks the final digest/length/count against the marker's
 /// claim. Any mismatch is a typed [`StoreError::Corrupt`] naming the
-/// byte offset — recovery never resyncs past a bad byte.
+/// byte offset — recovery never resyncs past a bad byte. A genesis
+/// record of another store format version is [`StoreError::Version`].
 pub fn replay(wal: &[u8], marker: &Marker) -> Result<Vec<WalRecord>, StoreError> {
     let committed = usize::try_from(marker.committed_len)
         .map_err(|_| StoreError::marker("committed length exceeds addressable memory"))?;
@@ -257,11 +258,20 @@ pub fn replay(wal: &[u8], marker: &Marker) -> Result<Vec<WalRecord>, StoreError>
                 format!("record carries sequence {seq}, expected {expected_seq}"),
             ));
         }
-        if records.is_empty() && tag != RecordTag::Genesis {
-            return Err(StoreError::corrupt(
-                offset as u64,
-                format!("first record is {tag:?}, expected Genesis"),
-            ));
+        if records.is_empty() {
+            let version = payload.first_chunk::<4>().map(|v| u32::from_le_bytes(*v));
+            let Some(found) = version.filter(|_| tag == RecordTag::Genesis) else {
+                return Err(StoreError::corrupt(
+                    offset as u64,
+                    format!("first record is {tag:?}, expected a Genesis carrying a version"),
+                ));
+            };
+            if found != STORE_FORMAT_VERSION {
+                return Err(StoreError::Version {
+                    found,
+                    supported: STORE_FORMAT_VERSION,
+                });
+            }
         }
         chain = chain_digest(chain, &wal[offset..offset + consumed]);
         records.push(WalRecord {
@@ -331,7 +341,7 @@ mod tests {
             chain: 0xDEAD_BEEF,
             records: 7,
         };
-        let bytes = encode_marker(&m);
+        let bytes = encode_marker(&m).unwrap();
         assert_eq!(bytes.len(), MARKER_LEN);
         assert_eq!(decode_marker(&bytes).unwrap(), m);
         for i in 0..bytes.len() {
@@ -353,6 +363,7 @@ mod tests {
             records: 7,
         };
         let hex: String = encode_marker(&m)
+            .unwrap()
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
@@ -364,6 +375,20 @@ mod tests {
             "0700000000000000"
         );
         assert_eq!(hex, format!("{fields}43e8b8c46001aee5"));
+    }
+
+    /// Pins the genesis record byte for byte: a v1 `PRTB` frame with tag
+    /// 0 whose payload is the chain seed, sequence 0 and the store format
+    /// version word.
+    #[test]
+    fn genesis_record_matches_golden_bytes() {
+        let hex: String = encode_record(RecordTag::Genesis, 0, CHAIN_SEED, &genesis_body())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let fields = concat!("50525442", "0100", "00000000", "14000000");
+        let payload = concat!("25232284e49cf2cb", "0000000000000000", "02000000");
+        assert_eq!(hex, format!("{fields}eb6220378a6b2291{payload}"));
     }
 
     #[test]

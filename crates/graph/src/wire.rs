@@ -342,15 +342,6 @@ impl Envelope {
         }
     }
 
-    /// The fixed-field width and checksum of `version`, `None` when the
-    /// row does not accept it.
-    fn layout(&self, version: u16) -> Option<(usize, Checksum)> {
-        match self.versions {
-            Versions::Any(fields, sum) => Some((fields, sum)),
-            Versions::Only(rows) => rows.iter().find(|r| r.0 == version).map(|r| (r.1, r.2)),
-        }
-    }
-
     /// Checks the magic, then the version, opening `data`: `Ok(None)`
     /// while too few bytes are present to decide, else the version, its
     /// fixed-field width and its checksum.
@@ -367,17 +358,24 @@ impl Envelope {
             return Ok(None);
         }
         let version = u16::from_le_bytes([data[4], data[5]]);
-        let supported = match self.versions {
-            Versions::Only(rows) => rows.iter().map(|r| r.0).max().unwrap_or(0),
-            Versions::Any(..) => u16::MAX,
+        let (fields, sum) = self.listed(version)?;
+        Ok(Some((version, fields, sum)))
+    }
+
+    /// The fixed-field width and checksum of `version`, or
+    /// [`WireError::UnknownVersion`] naming the newest version the row
+    /// lists when it does not accept `version`.
+    fn listed(&self, version: u16) -> WResult<(usize, Checksum)> {
+        let rows = match self.versions {
+            Versions::Any(fields, sum) => return Ok((fields, sum)),
+            Versions::Only(rows) => rows,
         };
-        match self.layout(version) {
-            Some((fields, sum)) => Ok(Some((version, fields, sum))),
-            None => Err(WireError::UnknownVersion {
-                got: version,
-                supported,
-            }),
-        }
+        let unknown = || WireError::UnknownVersion {
+            got: version,
+            supported: rows.iter().map(|r| r.0).max().unwrap_or(0),
+        };
+        let row = rows.iter().find(|r| r.0 == version).ok_or_else(unknown)?;
+        Ok((row.1, row.2))
     }
 
     /// The body length in the length field at `at`, held to the row's
@@ -401,28 +399,45 @@ impl Envelope {
     /// Writes `magic | version | fields | [body_len] | checksum | body`,
     /// the `fields` closure writing the format's fixed fields.
     ///
+    /// # Errors
+    /// [`WireError::UnknownVersion`] when the row does not list
+    /// `version`: no decoder would open the bytes.
+    ///
     /// # Panics
     /// If `body` exceeds `u32::MAX` bytes — the length field could not
     /// represent it; formats bound their bodies far below this.
-    pub fn seal(&self, version: u16, fields: impl FnOnce(&mut BytesMut), body: &[u8]) -> Bytes {
-        self.seal_with(version, fields, body.len(), |buf| buf.put_slice(body))
+    pub fn seal(
+        &self,
+        version: u16,
+        fields: impl FnOnce(&mut BytesMut),
+        body: &[u8],
+    ) -> WResult<Bytes> {
+        let (fields_len, sum) = self.listed(version)?;
+        let body_len = body.len();
+        Ok(
+            self.seal_as((version, fields_len, sum), fields, body_len, |b| {
+                b.put_slice(body)
+            }),
+        )
     }
 
-    /// [`Envelope::seal`] with the body written in place by `body` into the
-    /// envelope's own buffer, pre-sized for a `body_len`-byte body. The
-    /// length and checksum fields are patched from the bytes actually
-    /// written, so `body_len` only sizes the allocation.
+    /// Seals one `(version, fixed-field bytes, checksum)` row entry, the
+    /// body written in place by `body` into the envelope's own buffer,
+    /// pre-sized for a `body_len`-byte body. The length and checksum
+    /// fields are patched from the bytes actually written, so `body_len`
+    /// only sizes the allocation. Private: the encoders in this module
+    /// pass an entry their row lists; everyone else goes through the
+    /// checked [`Envelope::seal`].
     ///
     /// # Panics
     /// As [`Envelope::seal`], if the written body exceeds `u32::MAX` bytes.
-    fn seal_with(
+    fn seal_as(
         &self,
-        version: u16,
+        (version, fields_len, checksum): (u16, usize, Checksum),
         fields: impl FnOnce(&mut BytesMut),
         body_len: usize,
         body: impl FnOnce(&mut BytesMut),
     ) -> Bytes {
-        let (fields_len, checksum) = self.layout(version).unwrap_or((0, Checksum::Fnv1a));
         let header = self.header_len(fields_len);
         let mut buf = BytesMut::with_capacity(header + body_len);
         buf.put_slice(&self.magic);
@@ -519,20 +534,23 @@ pub fn envelope_len(rows: &[&Envelope], data: &[u8], cap: usize) -> WResult<Opti
 pub const FRAME: Envelope = Envelope {
     name: "frame",
     magic: FRAME_MAGIC,
-    versions: Versions::Only(&[
-        (WIRE_VERSION_V1, 4, Checksum::Fnv1a),
-        (WIRE_VERSION_V3, 12, Checksum::Word),
-    ]),
+    versions: Versions::Only(&[FRAME_V1, FRAME_V3]),
     has_len: true,
     max_body: usize::MAX,
 };
+
+/// The `(version, fixed-field bytes, checksum)` entries of [`FRAME`] and
+/// [`ERROR_FRAME`], which this module's encoders seal directly.
+const FRAME_V1: (u16, usize, Checksum) = (WIRE_VERSION_V1, 4, Checksum::Fnv1a);
+const FRAME_V3: (u16, usize, Checksum) = (WIRE_VERSION_V3, 12, Checksum::Word);
+const ERROR_FRAME_V3: (u16, usize, Checksum) = (WIRE_VERSION_V3, 10, Checksum::Word);
 
 /// The `PRTE` error-frame row: `request_id u64 | code u16`, version 3
 /// under the word hash, detail at most [`MAX_ERROR_DETAIL`] bytes.
 pub const ERROR_FRAME: Envelope = Envelope {
     name: "error frame",
     magic: ERROR_FRAME_MAGIC,
-    versions: Versions::Only(&[(WIRE_VERSION_V3, 10, Checksum::Word)]),
+    versions: Versions::Only(&[ERROR_FRAME_V3]),
     has_len: true,
     max_body: MAX_ERROR_DETAIL,
 };
@@ -567,9 +585,7 @@ pub struct Frame {
 /// As [`Envelope::seal`], if `payload` exceeds `u32::MAX` bytes; buckets
 /// are bounded far below this by partitioning.
 pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
-    seal_frame(WIRE_VERSION_V1, 0, bucket_index, payload.len(), |b| {
-        b.put_slice(payload)
-    })
+    seal_frame(None, bucket_index, payload.len(), |b| b.put_slice(payload))
 }
 
 /// Wraps `payload` in a version-3 *multiplexed* [`FRAME`] envelope:
@@ -587,38 +603,36 @@ pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
 /// # Panics
 /// As [`encode_frame`], if `payload` exceeds `u32::MAX` bytes.
 pub fn encode_frame_v3(request_id: u64, bucket_index: u32, payload: &[u8]) -> Bytes {
-    seal_frame(
-        WIRE_VERSION_V3,
-        request_id,
-        bucket_index,
-        payload.len(),
-        |b| b.put_slice(payload),
-    )
+    seal_frame(Some(request_id), bucket_index, payload.len(), |b| {
+        b.put_slice(payload)
+    })
 }
 
-/// Seals a [`FRAME`] of `version` whose payload the `payload` closure
-/// writes in place, into the frame's own buffer pre-sized for
-/// `payload_len` bytes: the bytes of [`encode_frame`] (v1, which carries
-/// no `request_id`) or [`encode_frame_v3`] over the same payload, without
-/// building the payload in a buffer of its own first. The length and
-/// checksum fields are patched from the bytes actually written.
+/// Seals a [`FRAME`] whose payload the `payload` closure writes in
+/// place, into the frame's own buffer pre-sized for `payload_len` bytes:
+/// the bytes of [`encode_frame`] or [`encode_frame_v3`] over the same
+/// payload, without building the payload in a buffer of its own first.
+/// The header picks the version, so no other can be asked for: `None`
+/// seals v1, which carries no `request_id`, and `Some(request_id)` seals
+/// v3. The length and checksum fields are patched from the bytes
+/// actually written.
 ///
 /// # Panics
 /// As [`encode_frame`], if the payload exceeds `u32::MAX` bytes.
 pub fn seal_frame(
-    version: u16,
-    request_id: u64,
+    request_id: Option<u64>,
     bucket_index: u32,
     payload_len: usize,
     payload: impl FnOnce(&mut BytesMut),
 ) -> Bytes {
     let fields = |f: &mut BytesMut| {
-        if version != WIRE_VERSION_V1 {
+        if let Some(request_id) = request_id {
             f.put_u64_le(request_id);
         }
         f.put_u32_le(bucket_index);
     };
-    FRAME.seal_with(version, fields, payload_len, payload)
+    let layout = request_id.map_or(FRAME_V1, |_| FRAME_V3);
+    FRAME.seal_as(layout, fields, payload_len, payload)
 }
 
 /// [`FRAME`] where a request frame is due: v3 alone. v1 carries no
@@ -626,7 +640,7 @@ pub fn seal_frame(
 /// as the envelope of WAL records and `PRTA` sections, which
 /// [`decode_frame`] still reads), and v2 is retired.
 const REQUEST_FRAME: Envelope = Envelope {
-    versions: Versions::Only(&[(WIRE_VERSION_V3, 12, Checksum::Word)]),
+    versions: Versions::Only(&[FRAME_V3]),
     ..FRAME
 };
 
@@ -739,7 +753,7 @@ pub enum ErrorCode {
     /// Handshake rejected: the tenant auth token is not recognised.
     BadAuth = 13,
     /// Handshake rejected: the client expects a different trained
-    /// artifact than the one the server warm-started from.
+    /// artifact than the one the server was given.
     FingerprintMismatch = 14,
     /// Admission rejected: the tenant exceeded its concurrent-request
     /// quota.
@@ -871,7 +885,9 @@ pub fn encode_error_frame(frame: &ErrorFrame) -> Bytes {
         f.put_u64_le(frame.request_id);
         f.put_u16_le(frame.code.as_u16());
     };
-    ERROR_FRAME.seal(WIRE_VERSION_V3, fields, detail)
+    ERROR_FRAME.seal_as(ERROR_FRAME_V3, fields, detail.len(), |b| {
+        b.put_slice(detail)
+    })
 }
 
 /// Largest UTF-8 boundary at or below `at` (stable substitute for the
@@ -1902,6 +1918,32 @@ mod tests {
         assert_eq!(decode_error_frame(&mut buf), Err(retired));
     }
 
+    /// Sealing a version its row does not list is a typed error, never
+    /// bytes that no decoder opens; a listed one seals what the encoders
+    /// produce.
+    #[test]
+    fn sealing_an_unlisted_version_is_a_typed_error() {
+        let fields = |f: &mut BytesMut| {
+            f.put_u64_le(7);
+            f.put_u32_le(0);
+        };
+        for (row, version) in [(FRAME, 2), (FRAME, 0), (ERROR_FRAME, 1), (ERROR_FRAME, 2)] {
+            assert_eq!(
+                row.seal(version, fields, b"abc"),
+                Err(WireError::UnknownVersion {
+                    got: version,
+                    supported: WIRE_VERSION_V3
+                }),
+                "{} v{version}",
+                row.name
+            );
+        }
+        assert_eq!(
+            FRAME.seal(WIRE_VERSION_V3, fields, b"abc"),
+            Ok(encode_frame_v3(7, 0, b"abc"))
+        );
+    }
+
     /// Known answers of the word hash, so it cannot drift: the lengths
     /// straddle every branch (empty, byte tail, 4-byte tail, one word,
     /// stripes with and without tails) of a fixed pattern, under seed 0
@@ -2003,6 +2045,7 @@ mod tests {
             ..ERROR_FRAME
         };
         row.seal(version, fields, detail)
+            .expect("an Any row seals every version")
     }
 
     #[test]

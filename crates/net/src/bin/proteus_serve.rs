@@ -1,11 +1,14 @@
-//! `proteus-serve` — the TCP serving daemon: warm-starts from a `PRTA`
-//! artifact and serves wire-v3 obfuscation traffic on a socket.
+//! `proteus-serve` — the TCP serving daemon: serves wire-v3 obfuscation
+//! traffic on a socket to owners holding a given `PRTA` artifact.
 //!
-//! The daemon is the optimizer party of the paper's threat model: it
-//! holds trained sentinel-generation state (so obfuscated buckets are
-//! indistinguishable) but never sees a whole model — clients stream
-//! sealed buckets at it and reassemble the optimized results with
-//! secrets that never leave their process.
+//! The daemon is the optimizer party of the paper's threat model. It
+//! keeps no owner state: from the artifact it takes only the config
+//! fingerprint that clients must match at the handshake (the file is
+//! fully validated, but no trained state is rebuilt, so the daemon
+//! cannot regenerate the sentinels that hide the real pieces). It never
+//! sees a whole model — clients stream sealed buckets at it and
+//! reassemble the optimized results with secrets that never leave
+//! their process.
 //!
 //! ```text
 //! proteus-serve --artifact zoo.prta --addr 127.0.0.1:7070 \
@@ -17,15 +20,16 @@
 //! gone, then drains and exits — the deterministic mode CI's loopback
 //! round trip uses (no signal choreography needed).
 //!
-//! `--store-dir DIR` makes the daemon crash-safe: the artifact and every
-//! in-flight request are journaled into a durable store
+//! `--store-dir DIR` (with `--artifact`) makes the daemon crash-safe:
+//! every in-flight request is journaled into a durable store
 //! ([`proteus::store`]), so a `kill -9`'d daemon restarted on the same
-//! directory warm-starts from the stored artifact, re-optimizes exactly
-//! the requests whose clients never got their answer (bit-identical, by
-//! request-id-keyed determinism), and only then takes new traffic.
+//! directory re-optimizes exactly the requests whose clients never got
+//! their answer (bit-identical, by request-id-keyed determinism), and
+//! only then takes new traffic. The store holds lanes only, never the
+//! artifact.
 
 use proteus::store::Store;
-use proteus::{Proteus, ServeConfig, ServeRuntime};
+use proteus::{config_fingerprint, ArtifactError, ServeConfig, ServeRuntime, TrainedArtifact};
 use proteus_net::{NetServer, NetServerConfig, TenantAuth};
 use proteus_opt::{Optimizer, Profile};
 use std::process::ExitCode;
@@ -35,17 +39,16 @@ use std::time::{Duration, Instant};
 fn usage() -> ExitCode {
     let defaults = ServeConfig::default();
     eprintln!(
-        "usage: proteus-serve [--artifact PATH] [--store-dir DIR] [--addr HOST:PORT]\n\
+        "usage: proteus-serve --artifact PATH [--store-dir DIR] [--addr HOST:PORT]\n\
          \x20      [--token TENANT:SECRET ...]\n\
          \x20      [--workers N] [--window N] [--cache N]\n\
          \x20      [--max-connections N] [--quota N] [--profile ort|hidet|tvm]\n\
          \x20      [--oneshot] [--grace-secs N]\n\
          \n\
-         --artifact       PRTA artifact to warm-start from (see proteus-train)\n\
-         --store-dir      durable store directory: journals the artifact and every\n\
-         \x20                in-flight request; a killed daemon restarted here recovers\n\
-         \x20                and finishes them. With --artifact, the artifact is stored;\n\
-         \x20                without it, the daemon warm-starts from the store\n\
+         --artifact       PRTA artifact whose config fingerprint clients must match\n\
+         \x20                (see proteus-train); only the fingerprint is kept\n\
+         --store-dir      durable store directory: journals every in-flight request;\n\
+         \x20                a killed daemon restarted here recovers and finishes them\n\
          --addr           bind address (default 127.0.0.1:7070; port 0 picks a free port)\n\
          --token          tenant credential, repeatable (default demo:demo)\n\
          --workers        optimizer worker threads; 0 = all cores (default {})\n\
@@ -136,13 +139,18 @@ fn parse_tokens(args: &[String]) -> Result<Vec<TenantAuth>, String> {
     Ok(auth)
 }
 
+/// The config fingerprint of the `PRTA` artifact at `path`. The whole
+/// file is validated (magic, version, every section checksum, the
+/// meta/config fingerprint cross-check), so a corrupt artifact is a
+/// typed error, but no trained state is rebuilt or kept.
+fn artifact_fingerprint(path: &str) -> Result<u64, ArtifactError> {
+    Ok(config_fingerprint(TrainedArtifact::read(path)?.config()))
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     check_args(args)?;
-    let artifact = flag_value(args, "--artifact");
+    let artifact = flag_value(args, "--artifact").ok_or("missing --artifact PATH")?;
     let store_dir = flag_value(args, "--store-dir");
-    if artifact.is_none() && store_dir.is_none() {
-        return Err("missing --artifact PATH (or --store-dir DIR holding one)".to_string());
-    }
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7070".to_string());
     let auth = parse_tokens(args)?;
     let oneshot = args.iter().any(|a| a == "--oneshot");
@@ -162,6 +170,13 @@ fn run(args: &[String]) -> Result<(), String> {
     let max_connections = parse_usize(args, "--max-connections", 0)?;
     let tenant_quota = parse_usize(args, "--quota", 0)?;
 
+    let t = Instant::now();
+    let fingerprint = artifact_fingerprint(&artifact).map_err(|e| e.to_string())?;
+    eprintln!(
+        "checked {artifact} in {:.1} ms (config fingerprint {fingerprint:#018x})",
+        t.elapsed().as_secs_f64() * 1e3
+    );
+
     // a corrupt or tampered store is a hard startup error (typed, never
     // a silent partial recovery) — the operator must intervene
     let store = match &store_dir {
@@ -172,25 +187,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-
-    let t = Instant::now();
-    let proteus = match (&artifact, &store) {
-        (Some(path), _) => Proteus::load_artifact(path).map_err(|e| e.to_string())?,
-        (None, Some(store)) => Proteus::load_artifact_store(store).map_err(|e| e.to_string())?,
-        (None, None) => unreachable!("rejected above"),
-    };
-    if let (Some(_), Some(store)) = (&artifact, &store) {
-        // make the artifact durable so later restarts need no --artifact
-        proteus
-            .save_artifact_store(store)
-            .map_err(|e| e.to_string())?;
-    }
-    let fingerprint = proteus.config_fingerprint();
-    eprintln!(
-        "warm-started from {} in {:.1} ms (config fingerprint {fingerprint:#018x})",
-        artifact.as_deref().unwrap_or("store"),
-        t.elapsed().as_secs_f64() * 1e3
-    );
 
     let runtime =
         ServeRuntime::new(Optimizer::new(profile), serve_config).map_err(|e| e.to_string())?;
@@ -238,13 +234,7 @@ fn run(args: &[String]) -> Result<(), String> {
     if oneshot {
         // serve until at least one connection has been accepted AND all
         // connections have gone away again, then drain
-        loop {
-            let stats = server.stats();
-            if stats.connections_accepted > 0 && stats.active_connections == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        server.wait_served_and_idle();
         let stats = server.shutdown(grace);
         eprintln!(
             "oneshot complete: {} request(s) completed, {} failed, {} handshake(s) rejected",
@@ -277,6 +267,9 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
+    use proteus_graph::wire::encode_frame;
+    use std::path::Path;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(ToString::to_string).collect()
@@ -293,6 +286,45 @@ mod tests {
         }
         let err = check_args(&args(&["--workers"])).expect_err("no value");
         assert!(err.contains("--workers"), "{err}");
+    }
+
+    #[test]
+    fn a_store_without_an_artifact_fails_before_binding() {
+        let dir = std::env::temp_dir().join(format!("proteus-serve-noart-{}", std::process::id()));
+        let dir = dir.to_string_lossy().into_owned();
+        let err = run(&args(&["--store-dir", &dir, "--addr", "127.0.0.1:0"]))
+            .expect_err("a store alone cannot start the daemon");
+        assert!(err.contains("--artifact"), "{err}");
+        assert!(!Path::new(&dir).exists(), "the store was opened");
+    }
+
+    /// The section frames are checked before any section is parsed, so
+    /// a flipped payload byte fails as that section, typed.
+    #[test]
+    fn a_flipped_artifact_byte_is_the_typed_section_error() {
+        let mut bytes = ARTIFACT_MAGIC.to_vec();
+        bytes.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&6u32.to_le_bytes());
+        for tag in 0..6 {
+            bytes.extend_from_slice(&encode_frame(tag, b"section payload"));
+        }
+        // the second payload byte of section 0, past the file header and
+        // that section's frame header
+        let at = 10 + encode_frame(0, b"").len() + 1;
+        let intact = TrainedArtifact::from_bytes(&bytes).expect_err("not a real artifact");
+        assert!(
+            !matches!(intact, ArtifactError::Section { .. }),
+            "{intact:?}"
+        );
+        bytes[at] ^= 0x01;
+        let want = TrainedArtifact::from_bytes(&bytes).expect_err("flip detected");
+        assert!(matches!(want, ArtifactError::Section { .. }), "{want:?}");
+        let path =
+            std::env::temp_dir().join(format!("proteus-serve-flip-{}.prta", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = run(&args(&["--artifact", &path.to_string_lossy()]));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err, Err(want.to_string()));
     }
 
     #[test]

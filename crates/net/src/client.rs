@@ -77,7 +77,7 @@ impl NetClient {
             .set_nodelay(true)
             .map_err(|e| NetError::io("setting nodelay", e))?;
         let hello = ClientHello::new(expected_fingerprint, token);
-        FrameWriter::new(&mut stream).write_frame(&hello.encode())?;
+        FrameWriter::new(&mut stream).write_frame(&hello.encode()?)?;
 
         let mut reader = FrameReader::new();
         let mut reply = read_hello_bytes(&mut stream, &mut reader)?;

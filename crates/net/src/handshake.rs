@@ -16,8 +16,8 @@
 //! - **tenant auth token** — admission control and per-tenant quotas;
 //! - **artifact fingerprint** — the client states which trained
 //!   artifact it expects to be talking to
-//!   ([`proteus::artifact::config_fingerprint`]); a server warm-started
-//!   from different trained state rejects the connection rather than
+//!   ([`proteus::artifact::config_fingerprint`]); a server given a
+//!   different trained artifact rejects the connection rather than
 //!   serve subtly-different bytes.
 
 use crate::codec::FrameReader;
@@ -73,7 +73,7 @@ pub struct ClientHello {
     /// Data-frame wire version the client will send.
     pub wire_version: u16,
     /// Fingerprint of the trained artifact the client expects the
-    /// server to be warm-started from.
+    /// server to have been given.
     pub fingerprint: u64,
     /// Tenant auth token.
     pub token: String,
@@ -92,12 +92,18 @@ pub struct ServerHello {
     pub banner: String,
 }
 
-fn encode_hello(row: &Envelope, proto: u16, wire: u16, fingerprint: u64, blob: &str) -> Bytes {
+fn encode_hello(
+    row: &Envelope,
+    proto: u16,
+    wire: u16,
+    fingerprint: u64,
+    blob: &str,
+) -> Result<Bytes, NetError> {
     let fields = |f: &mut bytes::BytesMut| {
         f.put_u16_le(wire);
         f.put_u64_le(fingerprint);
     };
-    row.seal(proto, fields, blob.as_bytes())
+    Ok(row.seal(proto, fields, blob.as_bytes())?)
 }
 
 /// Decodes a hello as `(net_protocol, wire_version, fingerprint, blob)`.
@@ -119,8 +125,9 @@ impl ClientHello {
         }
     }
 
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Bytes {
+    /// Encodes to wire bytes. A hello row seals every version, so the
+    /// [`NetError::Wire`] of an unlisted one does not arise.
+    pub fn encode(&self) -> Result<Bytes, NetError> {
         encode_hello(
             &CLIENT_HELLO,
             self.net_protocol,
@@ -157,8 +164,9 @@ impl ServerHello {
         }
     }
 
-    /// Encodes to wire bytes.
-    pub fn encode(&self) -> Bytes {
+    /// Encodes to wire bytes. A hello row seals every version, so the
+    /// [`NetError::Wire`] of an unlisted one does not arise.
+    pub fn encode(&self) -> Result<Bytes, NetError> {
         encode_hello(
             &SERVER_HELLO,
             self.net_protocol,
@@ -223,7 +231,7 @@ mod tests {
     #[test]
     fn client_hello_roundtrip() {
         let hello = ClientHello::new(0xFEED_CAFE_1234_5678, "tenant-token");
-        let mut buf = hello.encode();
+        let mut buf = hello.encode().unwrap();
         assert_eq!(ClientHello::decode(&mut buf).unwrap(), hello);
         assert!(buf.is_empty());
     }
@@ -231,7 +239,7 @@ mod tests {
     #[test]
     fn server_hello_roundtrip() {
         let hello = ServerHello::new(42, "proteus-serve/0.1");
-        let mut buf = hello.encode();
+        let mut buf = hello.encode().unwrap();
         assert_eq!(ServerHello::decode(&mut buf).unwrap(), hello);
         assert!(buf.is_empty());
     }
@@ -244,18 +252,22 @@ mod tests {
         let hex = |b: Bytes| b.iter().map(|b| format!("{b:02x}")).collect::<String>();
         let fields = concat!("0100", "0300", "0807060504030201", "03000000");
         assert_eq!(
-            hex(ClientHello::new(0x0102_0304_0506_0708, "tok").encode()),
+            hex(ClientHello::new(0x0102_0304_0506_0708, "tok")
+                .encode()
+                .unwrap()),
             format!("50525448{fields}12b5e18b3ef8c239746f6b")
         );
         assert_eq!(
-            hex(ServerHello::new(0x0102_0304_0506_0708, "srv").encode()),
+            hex(ServerHello::new(0x0102_0304_0506_0708, "srv")
+                .encode()
+                .unwrap()),
             format!("50525453{fields}4948bbab3e1c7673737276")
         );
     }
 
     #[test]
     fn hello_detects_single_byte_corruption_everywhere() {
-        let bytes = ClientHello::new(7, "secret").encode();
+        let bytes = ClientHello::new(7, "secret").encode().unwrap();
         for pos in 0..bytes.len() {
             let mut raw = bytes.to_vec();
             raw[pos] ^= 0x20;
@@ -269,7 +281,7 @@ mod tests {
 
     #[test]
     fn hello_rejects_truncation_at_every_length() {
-        let bytes = ServerHello::new(7, "banner").encode();
+        let bytes = ServerHello::new(7, "banner").encode().unwrap();
         for cut in 0..bytes.len() {
             let mut buf = bytes.slice(0..cut);
             assert!(
@@ -281,12 +293,12 @@ mod tests {
 
     #[test]
     fn hello_directions_do_not_cross_decode() {
-        let mut c = ClientHello::new(1, "t").encode();
+        let mut c = ClientHello::new(1, "t").encode().unwrap();
         assert!(matches!(
             ServerHello::decode(&mut c),
             Err(NetError::Wire(WireError::BadMagic { .. }))
         ));
-        let mut s = ServerHello::new(1, "b").encode();
+        let mut s = ServerHello::new(1, "b").encode().unwrap();
         assert!(matches!(
             ClientHello::decode(&mut s),
             Err(NetError::Wire(WireError::BadMagic { .. }))
@@ -296,7 +308,7 @@ mod tests {
     #[test]
     fn read_hello_bytes_tolerates_any_chunking() {
         let hello = ClientHello::new(9, "some-longer-token-value");
-        let encoded = hello.encode();
+        let encoded = hello.encode().unwrap();
         // Cursor reads in whatever sizes the loop's buffer allows; also
         // exercise a sink that returns one byte at a time
         struct OneByte<'a>(&'a [u8], usize);
@@ -323,7 +335,7 @@ mod tests {
         use proteus_graph::wire::encode_frame_v3;
         let hello = ClientHello::new(9, "token");
         let frame = encode_frame_v3(5, 0, b"eager payload");
-        let mut stream = hello.encode().to_vec();
+        let mut stream = hello.encode().unwrap().to_vec();
         stream.extend_from_slice(&frame);
         let mut reader = FrameReader::new();
         let mut bytes = read_hello_bytes(&mut Cursor::new(stream), &mut reader).unwrap();
@@ -337,7 +349,7 @@ mod tests {
 
     #[test]
     fn read_hello_bytes_rejects_eof_mid_hello() {
-        let encoded = ClientHello::new(9, "token").encode();
+        let encoded = ClientHello::new(9, "token").encode().unwrap();
         let partial = &encoded[..encoded.len() - 2];
         let mut reader = FrameReader::new();
         assert!(matches!(

@@ -321,6 +321,17 @@ impl NetServer {
         }
     }
 
+    /// Blocks until at least one connection has been accepted and none is
+    /// open — the end of a one-client session. It sleeps on the open
+    /// connection count, which every close signals.
+    pub fn wait_served_and_idle(&self) {
+        let shared = &self.shared;
+        let accepted = || shared.counters.connections_accepted.load(Ordering::SeqCst) > 0;
+        let live = relock(&shared.live);
+        let waiting = |live: &mut usize| *live > 0 || !accepted();
+        drop(shared.live_cv.wait_while(live, waiting));
+    }
+
     /// Graceful drain: stop accepting, reject new request ids with
     /// [`ErrorCode::Shutdown`], let in-flight requests finish within
     /// `grace`, force-close whatever remains, join every thread, and
@@ -574,8 +585,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
         None => return,
     };
     let server_hello = ServerHello::new(shared.fingerprint, shared.config.banner.clone());
+    let Ok(server_hello) = server_hello.encode() else {
+        return;
+    };
     if FrameWriter::new(&mut stream)
-        .write_frame(&server_hello.encode())
+        .write_frame(&server_hello)
         .is_err()
     {
         return;
@@ -1018,5 +1032,40 @@ mod tests {
             thread::sleep(Duration::from_millis(20));
         }
         server.shutdown(Duration::from_secs(5));
+    }
+
+    /// The one-client wait does not return before a connection has come,
+    /// nor while it is open, and returns once it closes.
+    #[test]
+    fn served_and_idle_waits_for_the_only_connection_to_close() {
+        let config = ServeConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let runtime = ServeRuntime::new(Optimizer::new(Profile::OrtLike), config).unwrap();
+        let server = Arc::new(NetServer::bind(runtime, 0, NetServerConfig::default()).unwrap());
+        let (done, returned) = std::sync::mpsc::channel();
+        let waiter = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || {
+                server.wait_served_and_idle();
+                let _ = done.send(());
+            })
+        };
+        let quiet = Duration::from_millis(200);
+        assert!(
+            returned.recv_timeout(quiet).is_err(),
+            "returned with no connection"
+        );
+        let client = TcpStream::connect(server.local_addr()).unwrap();
+        assert!(returned.recv_timeout(quiet).is_err(), "returned while open");
+        drop(client);
+        returned
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the wait returns once the connection closes");
+        waiter.join().unwrap();
+        if let Ok(server) = Arc::try_unwrap(server) {
+            server.shutdown(Duration::from_secs(5));
+        }
     }
 }

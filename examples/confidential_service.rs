@@ -14,14 +14,14 @@
 //! Run with: `cargo run --release --example confidential_service`
 
 use proteus::serve::{RequestHandle, ServeRuntime};
-use proteus::{DeobfuscationSession, Proteus, ProteusConfig, ServeConfig};
+use proteus::{DeobfuscationSession, Proteus, ProteusConfig, SealedBucket, ServeConfig};
 use proteus_graph::{peek_frame_request_id, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
 use proteus_opt::{Optimizer, Profile};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The tenants: each protects a different zoo model under its own
 /// request id.
@@ -98,18 +98,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 )
                 .expect("runtime starts");
                 let mut lanes: HashMap<u64, RequestHandle> = HashMap::new();
-                let forward = |rid: u64, lane: &RequestHandle, out: &mpsc::Sender<bytes::Bytes>| {
-                    while let Some(frame) = lane.try_recv() {
-                        println!(
-                            "  [service] t={:>7.1}ms request {rid:#x} bucket {}/{} optimized",
-                            start.elapsed().as_secs_f64() * 1e3,
-                            frame.bucket_index + 1,
-                            frame.num_buckets,
-                        );
-                        if out.send(frame.to_mux_bytes(rid)).is_err() {
-                            return;
-                        }
-                    }
+                let deliver = |rid: u64, frame: SealedBucket| {
+                    println!(
+                        "  [service] t={:>7.1}ms request {rid:#x} bucket {}/{} optimized",
+                        start.elapsed().as_secs_f64() * 1e3,
+                        frame.bucket_index + 1,
+                        frame.num_buckets,
+                    );
+                    // the owner demultiplexer outlives this thread
+                    let _ = to_owner.send(frame.to_mux_bytes(rid));
                 };
                 for wire in service_inbox {
                     // demultiplex: a header-only peek names the lane; the
@@ -126,23 +123,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         eprintln!("  [service] rejecting frame for {rid:#x}: {e}");
                     }
                     for (&rid, lane) in &lanes {
-                        forward(rid, lane, &to_owner);
+                        while let Some(frame) = lane.try_recv() {
+                            deliver(rid, frame);
+                        }
                     }
                 }
-                // input stream closed: drain every lane
-                loop {
-                    let mut busy = false;
-                    for (&rid, lane) in &lanes {
-                        // read in_flight BEFORE draining: a frame that
-                        // completes between the two calls either drains
-                        // now or was counted busy, so nothing strands
-                        busy |= lane.in_flight() > 0;
-                        forward(rid, lane, &to_owner);
+                // input stream closed: drain each lane, blocking on its
+                // next optimized frame while any is still in flight, then
+                // taking the completed ones that are left
+                for (&rid, lane) in &lanes {
+                    while lane.in_flight() > 0 {
+                        match lane.recv() {
+                            Ok(frame) => deliver(rid, frame),
+                            Err(e) => {
+                                eprintln!("  [service] request {rid:#x} failed: {e}");
+                                break;
+                            }
+                        }
                     }
-                    if !busy {
-                        break;
+                    while let Some(frame) = lane.try_recv() {
+                        deliver(rid, frame);
                     }
-                    std::thread::sleep(Duration::from_millis(1));
                 }
                 let stats = runtime.stats();
                 println!(

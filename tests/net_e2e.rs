@@ -190,7 +190,11 @@ fn assert_parity(owned: &OwnedRequest, frames: &[bytes::Bytes]) {
 fn raw_connect(addr: SocketAddr, fingerprint: u64) -> (TcpStream, FrameReader) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     FrameWriter::new(&mut stream)
-        .write_frame(&ClientHello::new(fingerprint, "alpha-token").encode())
+        .write_frame(
+            &ClientHello::new(fingerprint, "alpha-token")
+                .encode()
+                .unwrap(),
+        )
         .expect("hello written");
     let mut reader = FrameReader::new();
     let mut reply = read_hello_bytes(&mut stream, &mut reader).expect("server hello");
@@ -325,7 +329,7 @@ fn hello_rejection(addr: SocketAddr, edit: impl FnOnce(&mut ClientHello)) -> Err
     let mut hello = ClientHello::new(shared_proteus().config_fingerprint(), "alpha-token");
     edit(&mut hello);
     FrameWriter::new(&mut stream)
-        .write_frame(&hello.encode())
+        .write_frame(&hello.encode().unwrap())
         .expect("hello written");
     let mut reader = FrameReader::new();
     let mut reply = read_hello_bytes(&mut stream, &mut reader).expect("server answers");
@@ -912,7 +916,9 @@ fn v2_frame_is_refused_typed_and_opens_no_lane() {
             f.extend_from_slice(&request_id.to_le_bytes());
             f.extend_from_slice(&index.to_le_bytes());
         };
-        v2.seal(2, fields, payload).to_vec()
+        v2.seal(2, fields, payload)
+            .expect("the row lists v2")
+            .to_vec()
     });
 }
 

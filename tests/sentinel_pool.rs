@@ -8,7 +8,6 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use proteus::store::Store;
 use proteus::{
     PartitionSpec, Proteus, ProteusConfig, SentinelInventory, SentinelKey, TrainedArtifact,
 };
@@ -271,23 +270,4 @@ fn positive_only_artifacts_still_load_and_reprove_their_negatives() {
         );
     }
     assert_eq!(loaded.to_artifact_bytes(), current);
-}
-
-/// The daemon's `--store-dir` path re-saves the loaded inventory into a
-/// durable store; the negatives must survive that round trip too.
-#[test]
-fn store_held_artifacts_keep_their_negatives() {
-    let proteus = warmed();
-    let dir = std::env::temp_dir().join(format!("proteus-sentinel-pool-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (store, _) = Store::open_or_create(&dir).expect("store creates");
-    proteus
-        .save_artifact_store(&store)
-        .expect("artifact stored");
-    let loaded = Proteus::load_artifact_store(&store).expect("artifact loads from the store");
-    assert_eq!(infeasible_keys(&loaded), infeasible_keys(proteus));
-    assert_eq!(loaded.inventory().len(), loaded.factory().key_space().len());
-    assert_eq!(loaded.to_artifact_bytes(), proteus.to_artifact_bytes());
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -233,6 +233,40 @@ fn a_batched_commit_writes_the_bytes_of_one_commit_per_record() {
     );
 }
 
+/// A store written under another format version (1 also carried
+/// artifact records) is refused at open and by the fsck, typed and naming
+/// both versions; nothing is migrated or rewritten.
+#[test]
+fn an_older_store_format_is_refused_typed() {
+    use proteus::store::wal::CHAIN_SEED;
+    use proteus::store::wal::{chain_digest, encode_marker, encode_record, Marker, RecordTag};
+    let genesis = encode_record(RecordTag::Genesis, 0, CHAIN_SEED, &1u32.to_le_bytes());
+    let marker = Marker {
+        committed_len: genesis.len() as u64,
+        chain: chain_digest(CHAIN_SEED, &genesis),
+        records: 1,
+    };
+    let dir = scratch("old-format");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::write(Store::wal_path(&dir), &genesis).expect("stage wal");
+    let marker = encode_marker(&marker).expect("marker seals");
+    std::fs::write(Store::marker_path(&dir), marker).expect("stage marker");
+    let want = StoreError::Version {
+        found: 1,
+        supported: 2,
+    };
+    assert_eq!(Store::open_or_create(&dir).err(), Some(want.clone()));
+    assert_eq!(Store::verify(&dir).err(), Some(want.clone()));
+    let text = want.to_string();
+    assert!(
+        text.contains("version 1") && text.contains("version 2"),
+        "{text}"
+    );
+    let wal = std::fs::read(Store::wal_path(&dir)).expect("wal");
+    assert_eq!(wal, genesis.to_vec(), "the WAL was rewritten");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn kill_during_store_creation_recovers_to_a_fresh_store() {
     // a crash inside `Store::create` — after the WAL file appeared but

@@ -770,13 +770,13 @@ mod envelope_lengths {
             ("PRTE reply", error, prte, true),
             (
                 "PRTH",
-                ClientHello::new(5, "token").encode(),
+                ClientHello::new(5, "token").encode().unwrap(),
                 |b| ClientHello::decode(b).is_ok(),
                 true,
             ),
             (
                 "PRTS",
-                ServerHello::new(5, "banner").encode(),
+                ServerHello::new(5, "banner").encode().unwrap(),
                 |b| ServerHello::decode(b).is_ok(),
                 true,
             ),
