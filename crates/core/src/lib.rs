@@ -126,4 +126,4 @@ pub use serve::{OptimizedCache, RequestHandle, ServeRuntime, ServeStats, StealQu
 pub use session::{
     derive_member_seed, derive_request_seed, splitmix64, DeobfuscationSession, ObfuscationSession,
 };
-pub use store::{RecoveryReport, SessionCheckpoint, Store, StoreError, VerifyReport};
+pub use store::{RecoveryReport, Store, StoreError, VerifyReport};

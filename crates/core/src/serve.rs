@@ -608,9 +608,11 @@ struct PoolShared {
 
 impl PoolShared {
     fn push_task(&self, task: Task) {
-        self.queues.push(task);
+        // count the task before any worker can pop it: counted after the
+        // push, a worker's decrement could run first and wrap `pending`
         let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
         self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+        self.queues.push(task);
         let _guard = relock(&self.park);
         self.cv.notify_all();
     }

@@ -290,28 +290,6 @@ impl<'s> DeobfuscationSession<'s> {
         Ok(session)
     }
 
-    /// Rebuilds a session from already-extracted members (the
-    /// [`crate::store::SessionCheckpoint`] resume path).
-    pub(crate) fn resume_from_slots(
-        secrets: &'s ObfuscationSecrets,
-        slots: Vec<Option<BucketMember>>,
-    ) -> DeobfuscationSession<'s> {
-        let received = slots.iter().filter(|s| s.is_some()).count();
-        DeobfuscationSession {
-            secrets,
-            slots,
-            received,
-        }
-    }
-
-    /// Snapshots this session into a self-contained, serializable
-    /// [`crate::store::SessionCheckpoint`]: the secrets plus every real
-    /// member extracted so far. The session keeps running — checkpoints
-    /// can be taken after every accepted frame.
-    pub fn checkpoint(&self) -> crate::store::SessionCheckpoint {
-        crate::store::SessionCheckpoint::from_parts(self.secrets.clone(), self.slots.clone())
-    }
-
     /// `n` — how many frames this session expects in total.
     pub fn num_buckets(&self) -> usize {
         self.slots.len()

@@ -1,23 +1,21 @@
-//! Canonical binary codecs for checkpointed owner state: the
-//! [`ObfuscationSecrets`] (partition plan, boundary wiring, real
-//! positions) and the [`SessionCheckpoint`] a mid-flight
-//! [`DeobfuscationSession`](crate::DeobfuscationSession) serializes to.
+//! The canonical binary codec for the owner's reassembly secrets
+//! ([`ObfuscationSecrets`]: partition plan, boundary wiring, real
+//! positions), the body of every `SessionOpen` record the store
+//! journals.
 //!
-//! The encodings are explicit tag-length-value layouts over the same
+//! The encoding is an explicit tag-length-value layout over the same
 //! primitives as the wire and artifact codecs ([`encode_graph`] /
 //! [`encode_params`], little-endian integers, length-prefixed strings) —
-//! *not* a generic serializer — so checkpoint bytes are canonical:
-//! piece graphs are built dense by partitioning, which makes the
-//! graph/params round trip bit-exact, and that is what lets the
-//! recovery battery assert byte-identical reassembly after a resume.
+//! *not* a generic serializer — so the bytes are canonical: piece
+//! graphs are built dense by partitioning, which makes the graph/params
+//! round trip bit-exact, and that is what lets the recovery battery
+//! assert byte-identical reassembly after a resume.
 //!
-//! Every decoder is fail-closed: typed [`WireError`]s on truncation or
+//! The decoder is fail-closed: typed [`WireError`]s on truncation or
 //! malformed counts, pre-allocations clamped by the remaining buffer
 //! (the same untrusted-length discipline as the artifact codec).
 
-use crate::bucket::{BucketMember, ObfuscationSecrets};
-use crate::error::ProteusError;
-use crate::session::DeobfuscationSession;
+use crate::bucket::ObfuscationSecrets;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
     bounded_capacity, decode_graph, decode_params, encode_graph, encode_params, get_blob, get_str,
@@ -30,20 +28,6 @@ type CResult<T> = std::result::Result<T, WireError>;
 
 /// Version byte opening every encoded secrets blob.
 const SECRETS_CODEC_VERSION: u8 = 1;
-/// Version byte opening every encoded session checkpoint.
-const CHECKPOINT_CODEC_VERSION: u8 = 1;
-fn put_member(buf: &mut BytesMut, member: &BucketMember) {
-    put_blob(buf, &encode_graph(&member.graph));
-    put_blob(buf, &encode_params(&member.graph, &member.params));
-}
-
-fn get_member(buf: &mut Bytes, what: &str) -> CResult<BucketMember> {
-    let mut gbytes = get_blob(buf, what)?;
-    let graph = decode_graph(&mut gbytes)?;
-    let mut pbytes = get_blob(buf, what)?;
-    let params = decode_params(&mut pbytes)?;
-    Ok(BucketMember { graph, params })
-}
 
 /// Serializes the owner's reassembly secrets to their canonical bytes.
 pub fn encode_secrets(secrets: &ObfuscationSecrets) -> Bytes {
@@ -180,119 +164,6 @@ pub fn decode_secrets(buf: &mut Bytes) -> CResult<ObfuscationSecrets> {
         },
         real_positions,
     })
-}
-
-/// A self-contained snapshot of a mid-flight reassembly: the secrets
-/// plus every real member extracted so far. Produced by
-/// [`DeobfuscationSession::checkpoint`], serializable with
-/// [`SessionCheckpoint::to_bytes`], and resumable with
-/// [`SessionCheckpoint::resume`] — the resumed session accepts the
-/// remaining frames and finishes bit-identically to an uninterrupted
-/// run (request-id-keyed determinism makes that exactly assertable).
-#[derive(Debug, Clone)]
-pub struct SessionCheckpoint {
-    /// The owner's reassembly secrets (owned — the checkpoint outlives
-    /// the session that produced it).
-    pub secrets: ObfuscationSecrets,
-    /// One slot per bucket: the extracted real member, for every frame
-    /// accepted before the checkpoint.
-    pub(crate) slots: Vec<Option<BucketMember>>,
-}
-
-impl SessionCheckpoint {
-    /// Builds a checkpoint from a session's parts (crate-internal; the
-    /// public entry is [`DeobfuscationSession::checkpoint`]).
-    pub(crate) fn from_parts(
-        secrets: ObfuscationSecrets,
-        slots: Vec<Option<BucketMember>>,
-    ) -> SessionCheckpoint {
-        SessionCheckpoint { secrets, slots }
-    }
-
-    /// The request this checkpoint belongs to.
-    pub fn request_id(&self) -> u64 {
-        self.secrets.request_id
-    }
-
-    /// Frames that were already accepted when the checkpoint was taken.
-    pub fn received(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Serializes the checkpoint to its canonical bytes.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u8(CHECKPOINT_CODEC_VERSION);
-        put_blob(&mut buf, &encode_secrets(&self.secrets));
-        buf.put_u32_le(self.slots.len() as u32);
-        for slot in &self.slots {
-            match slot {
-                None => buf.put_u8(0),
-                Some(member) => {
-                    buf.put_u8(1);
-                    put_member(&mut buf, member);
-                }
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Decodes a checkpoint from [`SessionCheckpoint::to_bytes`] bytes.
-    ///
-    /// # Errors
-    /// [`ProteusError::Wire`] on any truncation or malformation;
-    /// [`ProteusError::Protocol`] when the slot count disagrees with the
-    /// decoded plan.
-    pub fn from_bytes(mut data: Bytes) -> Result<SessionCheckpoint, ProteusError> {
-        let buf = &mut data;
-        need(buf, 1, "checkpoint codec version").map_err(ProteusError::Wire)?;
-        let version = buf.get_u8();
-        if version != CHECKPOINT_CODEC_VERSION {
-            return Err(ProteusError::Wire(WireError::malformed(format!(
-                "unknown checkpoint codec version {version}"
-            ))));
-        }
-        let mut sbytes = get_blob(buf, "checkpoint secrets").map_err(ProteusError::Wire)?;
-        let secrets = decode_secrets(&mut sbytes).map_err(ProteusError::Wire)?;
-        need(buf, 4, "checkpoint slot count").map_err(ProteusError::Wire)?;
-        let n_slots = buf.get_u32_le() as usize;
-        if n_slots != secrets.plan.pieces.len() {
-            return Err(ProteusError::protocol(format!(
-                "checkpoint has {n_slots} slots for a {}-piece plan",
-                secrets.plan.pieces.len()
-            )));
-        }
-        let mut slots = Vec::with_capacity(bounded_capacity(n_slots, buf, 1));
-        for i in 0..n_slots {
-            need(buf, 1, "checkpoint slot flag").map_err(ProteusError::Wire)?;
-            match buf.get_u8() {
-                0 => slots.push(None),
-                1 => slots.push(Some(
-                    get_member(buf, "checkpoint member").map_err(ProteusError::Wire)?,
-                )),
-                other => {
-                    return Err(ProteusError::Wire(WireError::malformed(format!(
-                        "checkpoint slot {i}: unknown presence flag {other}"
-                    ))))
-                }
-            }
-        }
-        if !buf.is_empty() {
-            return Err(ProteusError::Wire(WireError::malformed(format!(
-                "{} trailing bytes after checkpoint",
-                buf.remaining()
-            ))));
-        }
-        Ok(SessionCheckpoint { secrets, slots })
-    }
-
-    /// Resumes the reassembly where the checkpoint left it: the returned
-    /// session borrows this checkpoint's secrets, already holds every
-    /// member accepted before the crash, and accepts the remaining
-    /// frames exactly as the original session would have.
-    pub fn resume(&self) -> DeobfuscationSession<'_> {
-        DeobfuscationSession::resume_from_slots(&self.secrets, self.slots.clone())
-    }
 }
 
 #[cfg(test)]

@@ -48,15 +48,15 @@
 //! A flipped byte is *not* a crash: inside the committed horizon it
 //! breaks the frame checksum or the digest chain and surfaces as
 //! [`StoreError::Corrupt`]; in the marker it surfaces as
-//! [`StoreError::Marker`]. `proteus-train store verify DIR` runs the
-//! same fsck read-only.
+//! [`StoreError::Marker`]. A recovering open and the read-only fsck
+//! ([`Store::verify`], surfaced as `proteus-train store verify DIR`) read
+//! a directory through one routine, so they give the same verdict.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod codec;
 pub mod wal;
 
-pub use codec::SessionCheckpoint;
 pub(crate) use codec::{decode_secrets, encode_secrets};
 
 use crate::bucket::ObfuscationSecrets;
@@ -64,7 +64,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use wal::{Marker, RecordTag, WalRecord};
@@ -83,9 +83,11 @@ pub enum StoreError {
     },
     /// A byte inside the committed WAL horizon is wrong: a record failed
     /// its frame checksum, broke the digest chain, carried a bad
-    /// sequence number or tag, or the replay disagrees with the marker.
+    /// sequence number or tag, the replay disagrees with the marker, or
+    /// a chain-valid record contradicts the records before it.
     Corrupt {
-        /// Byte offset of the first bad record.
+        /// Byte offset in the WAL of the first bad record (or of the
+        /// byte where the committed region ends short).
         offset: u64,
         /// What was wrong.
         detail: String,
@@ -96,8 +98,8 @@ pub enum StoreError {
         /// What was wrong.
         detail: String,
     },
-    /// The store does not hold what was asked for (no such open
-    /// session).
+    /// The store does not hold what was asked for: no such open
+    /// session, or (from [`Store::verify`]) no committed state at all.
     Missing {
         /// What was requested.
         what: String,
@@ -250,14 +252,34 @@ pub struct VerifyReport {
 }
 
 /// Journaled state of one open owner session.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct SessionState {
+    /// WAL byte offset of the session's `SessionOpen` record.
+    offset: u64,
     secrets: Bytes,
     frames: Vec<Bytes>,
 }
 
+/// The session and lane indexes: what replay rebuilds from the WAL and
+/// every append extends.
+#[derive(Debug, Default)]
+struct Index {
+    sessions: BTreeMap<u64, SessionState>,
+    lanes: BTreeMap<u64, Vec<Bytes>>,
+}
+
+/// A store directory's committed state, as [`read_committed`] found it.
+#[derive(Debug)]
+struct Committed {
+    marker: Marker,
+    /// WAL length on disk; the bytes past `marker.committed_len` are an
+    /// uncommitted tail.
+    wal_len: u64,
+    index: Index,
+}
+
 /// Mutable state behind the store's lock: the WAL append handle, the
-/// chain position, and the indexes replay rebuilt.
+/// chain position, and the indexes.
 #[derive(Debug)]
 struct Inner {
     wal: File,
@@ -268,8 +290,7 @@ struct Inner {
     /// in-memory view may disagree with the WAL bytes, so appends are
     /// refused until the store is reopened (which replays the disk).
     poisoned: Option<String>,
-    sessions: BTreeMap<u64, SessionState>,
-    lanes: BTreeMap<u64, Vec<Bytes>>,
+    index: Index,
     /// Test-only fault injection: the next append writes half of its
     /// batch and then fails, the way ENOSPC mid-`write_all` would.
     #[cfg(test)]
@@ -277,17 +298,16 @@ struct Inner {
 }
 
 impl Inner {
-    /// Fresh in-memory state positioned at `horizon` with empty
-    /// indexes (replay fills them).
-    fn new(wal: File, horizon: &Marker) -> Inner {
+    /// In-memory state positioned at `horizon` with the indexes replay
+    /// rebuilt up to it.
+    fn new(wal: File, horizon: &Marker, index: Index) -> Inner {
         Inner {
             wal,
             chain: horizon.chain,
             records: horizon.records,
             committed_len: horizon.committed_len,
             poisoned: None,
-            sessions: BTreeMap::new(),
-            lanes: BTreeMap::new(),
+            index,
             #[cfg(test)]
             fail_next_append: false,
         }
@@ -329,12 +349,55 @@ pub struct Store {
     inner: Mutex<Inner>,
 }
 
-fn read_file(path: &Path, context: &str) -> Result<Vec<u8>, StoreError> {
-    let mut buf = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut buf))
-        .map_err(|e| StoreError::io(context, &e))?;
-    Ok(buf)
+/// The bytes of `path`, or `None` when it does not exist.
+fn read_if_present(path: &Path, what: &str) -> Result<Option<Vec<u8>>, StoreError> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(StoreError::io(format!("reading {what}"), &e)),
+    }
+}
+
+/// Reads a store directory without writing to it: the one routine
+/// behind both a recovering [`Store::open_or_create`] and the fsck
+/// [`Store::verify`]. It classifies the directory by which files exist,
+/// reads the marker, replays the WAL against it, and applies every
+/// record to the session and lane indexes. `None` means nothing was
+/// ever committed (an open creates the store fresh).
+fn read_committed(dir: &Path) -> Result<Option<Committed>, StoreError> {
+    let wal_bytes = read_if_present(&Store::wal_path(dir), "WAL")?;
+    let marker_bytes = read_if_present(&Store::marker_path(dir), "commit marker")?;
+    let (wal_bytes, marker_bytes) = match (wal_bytes, marker_bytes) {
+        (None, None) => return Ok(None),
+        (Some(wal_bytes), Some(marker_bytes)) => (wal_bytes, marker_bytes),
+        (Some(wal_bytes), None) => {
+            // a crash inside `create`, before the first marker rename
+            if wal::genesis_record().starts_with(&wal_bytes) {
+                return Ok(None);
+            }
+            return Err(StoreError::marker(
+                "WAL exists but the commit marker is missing — no committed horizon to recover to",
+            ));
+        }
+        (None, Some(_)) => {
+            return Err(StoreError::marker(
+                "commit marker exists but the WAL is missing",
+            ))
+        }
+    };
+    let marker = wal::decode_marker(&marker_bytes)?;
+    // interpret the records too: a digest-valid log whose contents are
+    // self-inconsistent (frame for an unopened session, a lane finished
+    // twice) is still corruption
+    let mut index = Index::default();
+    for record in wal::replay(&wal_bytes, &marker)? {
+        apply(&mut index, &record).map_err(|detail| StoreError::corrupt(record.offset, detail))?;
+    }
+    Ok(Some(Committed {
+        marker,
+        wal_len: wal_bytes.len() as u64,
+        index,
+    }))
 }
 
 impl Store {
@@ -371,37 +434,9 @@ impl Store {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| StoreError::io(format!("creating {}", dir.display()), &e))?;
-        let wal_path = Store::wal_path(&dir);
-        let marker_path = Store::marker_path(&dir);
-        match (wal_path.exists(), marker_path.exists()) {
-            (false, false) => Store::create(dir),
-            (true, true) => Store::recover(dir),
-            (true, false) => {
-                // a crash inside `create` — after the WAL file appeared
-                // but before the first marker rename landed — leaves
-                // exactly a prefix of the canonical genesis record and
-                // no marker. Nothing was ever committed or
-                // acknowledged, so recreating fresh loses nothing. Any
-                // *other* WAL without a marker means acknowledged state
-                // lost its commit horizon: refuse.
-                let wal_bytes = read_file(&wal_path, "reading WAL")?;
-                let genesis = wal::encode_record(
-                    RecordTag::Genesis,
-                    0,
-                    wal::CHAIN_SEED,
-                    &wal::STORE_FORMAT_VERSION.to_le_bytes(),
-                );
-                if genesis.starts_with(&wal_bytes) {
-                    Store::create(dir)
-                } else {
-                    Err(StoreError::marker(
-                        "WAL exists but the commit marker is missing — no committed horizon to recover to",
-                    ))
-                }
-            }
-            (false, true) => Err(StoreError::marker(
-                "commit marker exists but the WAL is missing",
-            )),
+        match read_committed(&dir)? {
+            None => Store::create(dir),
+            Some(committed) => Store::recover(dir, committed),
         }
     }
 
@@ -431,6 +466,7 @@ impl Store {
                     chain: wal::CHAIN_SEED,
                     records: 0,
                 },
+                Index::default(),
             )),
         };
         {
@@ -448,27 +484,21 @@ impl Store {
         ))
     }
 
-    fn recover(dir: PathBuf) -> Result<(Store, RecoveryReport), StoreError> {
+    fn recover(dir: PathBuf, committed: Committed) -> Result<(Store, RecoveryReport), StoreError> {
+        let marker = committed.marker;
         let wal_path = Store::wal_path(&dir);
-        let marker_bytes = read_file(&Store::marker_path(&dir), "reading commit marker")?;
-        let marker = wal::decode_marker(&marker_bytes)?;
-        let wal_bytes = read_file(&wal_path, "reading WAL")?;
-        let records = wal::replay(&wal_bytes, &marker)?;
-
-        let mut inner = Inner::new(
+        let inner = Inner::new(
             OpenOptions::new()
                 .append(true)
                 .open(&wal_path)
                 .map_err(|e| StoreError::io(format!("opening {}", wal_path.display()), &e))?,
             &marker,
+            committed.index,
         );
-        for (i, record) in records.iter().enumerate() {
-            apply(&mut inner, record).map_err(|detail| StoreError::corrupt(i as u64, detail))?;
-        }
 
         // truncate the uncommitted tail (a crash between append and
         // marker rename); those bytes were never acknowledged
-        let truncated_bytes = wal_bytes.len() as u64 - marker.committed_len;
+        let truncated_bytes = committed.wal_len - marker.committed_len;
         if truncated_bytes > 0 {
             inner
                 .wal
@@ -481,8 +511,8 @@ impl Store {
             created: false,
             records: marker.records,
             truncated_bytes,
-            open_sessions: inner.sessions.len(),
-            pending_lanes: inner.lanes.len(),
+            open_sessions: inner.index.sessions.len(),
+            pending_lanes: inner.index.lanes.len(),
         };
         Ok((
             Store {
@@ -493,35 +523,28 @@ impl Store {
         ))
     }
 
-    /// Read-only fsck of the store at `dir`: replays and verifies the
-    /// committed horizon exactly like an open would, without touching
-    /// the files. The tool surface is `proteus-train store verify DIR`.
+    /// Read-only fsck of the store at `dir`: reads the directory through
+    /// the same routine a recovering open uses, and stops before opening
+    /// the WAL for append or truncating anything. The tool surface is
+    /// `proteus-train store verify DIR`.
     ///
     /// # Errors
-    /// Exactly the errors [`Store::open_or_create`] would report.
+    /// Exactly the errors [`Store::open_or_create`] would report, and
+    /// [`StoreError::Missing`] where an open would create a fresh store
+    /// instead (no files, or a WAL holding at most a genesis prefix and
+    /// no marker).
     pub fn verify(dir: impl AsRef<Path>) -> Result<VerifyReport, StoreError> {
         let dir = dir.as_ref();
-        let marker_bytes = read_file(&Store::marker_path(dir), "reading commit marker")?;
-        let marker = wal::decode_marker(&marker_bytes)?;
-        let wal_bytes = read_file(&Store::wal_path(dir), "reading WAL")?;
-        let records = wal::replay(&wal_bytes, &marker)?;
-        // interpret the records too: a digest-valid log whose contents
-        // are self-inconsistent (frame for an unopened session, a lane
-        // finished twice) is still corruption
-        let mut shadow = Inner::new(
-            File::open(Store::wal_path(dir)).map_err(|e| StoreError::io("reopening WAL", &e))?,
-            &marker,
-        );
-        for (i, record) in records.iter().enumerate() {
-            apply(&mut shadow, record).map_err(|detail| StoreError::corrupt(i as u64, detail))?;
-        }
+        let missing = || StoreError::missing(format!("any committed state in {}", dir.display()));
+        let committed = read_committed(dir)?.ok_or_else(missing)?;
+        let marker = committed.marker;
         Ok(VerifyReport {
             records: marker.records,
             committed_len: marker.committed_len,
             chain_digest: marker.chain,
-            tail_bytes: wal_bytes.len() as u64 - marker.committed_len,
-            open_sessions: shadow.sessions.len(),
-            pending_lanes: shadow.lanes.len(),
+            tail_bytes: committed.wal_len - marker.committed_len,
+            open_sessions: committed.index.sessions.len(),
+            pending_lanes: committed.index.lanes.len(),
         })
     }
 
@@ -564,7 +587,7 @@ impl Store {
     /// [`StoreError::Io`] on append failure.
     pub fn checkpoint_session(&self, secrets: &ObfuscationSecrets) -> Result<(), StoreError> {
         let mut inner = self.lock();
-        if inner.sessions.contains_key(&secrets.request_id) {
+        if inner.index.sessions.contains_key(&secrets.request_id) {
             return Err(StoreError::invalid(format!(
                 "session {:#x} is already open",
                 secrets.request_id
@@ -582,7 +605,7 @@ impl Store {
     /// [`StoreError::Io`] on append failure.
     pub fn checkpoint_frame(&self, request_id: u64, frame: &[u8]) -> Result<(), StoreError> {
         let mut inner = self.lock();
-        if !inner.sessions.contains_key(&request_id) {
+        if !inner.index.sessions.contains_key(&request_id) {
             return Err(StoreError::invalid(format!(
                 "no open session {request_id:#x} to journal a frame for"
             )));
@@ -599,7 +622,7 @@ impl Store {
     /// [`StoreError::Io`] on append failure.
     pub fn finish_session(&self, request_id: u64) -> Result<(), StoreError> {
         let mut inner = self.lock();
-        if !inner.sessions.contains_key(&request_id) {
+        if !inner.index.sessions.contains_key(&request_id) {
             return Err(StoreError::invalid(format!(
                 "no open session {request_id:#x} to finish"
             )));
@@ -611,7 +634,7 @@ impl Store {
     /// Request ids of every session still open (checkpointed, never
     /// finished), in ascending order.
     pub fn open_sessions(&self) -> Vec<u64> {
-        self.lock().sessions.keys().copied().collect()
+        self.lock().index.sessions.keys().copied().collect()
     }
 
     /// The journaled state of an open session: its decoded secrets and
@@ -630,12 +653,13 @@ impl Store {
     ) -> Result<(ObfuscationSecrets, Vec<Bytes>), StoreError> {
         let inner = self.lock();
         let state = inner
+            .index
             .sessions
             .get(&request_id)
             .ok_or_else(|| StoreError::missing(format!("an open session {request_id:#x}")))?;
         let mut sbytes = state.secrets.clone();
         let secrets = decode_secrets(&mut sbytes)
-            .map_err(|e| StoreError::corrupt(0, format!("journaled secrets: {e}")))?;
+            .map_err(|e| StoreError::corrupt(state.offset, format!("journaled secrets: {e}")))?;
         Ok((secrets, state.frames.clone()))
     }
 
@@ -675,7 +699,7 @@ impl Store {
     /// [`StoreError::Io`] on append failure.
     pub fn finish_lane(&self, request_id: u64) -> Result<(), StoreError> {
         let mut inner = self.lock();
-        if !inner.lanes.contains_key(&request_id) {
+        if !inner.index.lanes.contains_key(&request_id) {
             return Ok(());
         }
         let body = id_prefixed(request_id, &[]);
@@ -687,6 +711,7 @@ impl Store {
     /// daemon re-optimizes before taking traffic.
     pub fn pending_lanes(&self) -> Vec<(u64, Vec<Bytes>)> {
         self.lock()
+            .index
             .lanes
             .iter()
             .map(|(rid, frames)| (*rid, frames.clone()))
@@ -735,10 +760,18 @@ impl Store {
                 .map(|(_, body)| body.len() + wal::RECORD_OVERHEAD)
                 .sum(),
         );
-        for (seq, (tag, body)) in (inner.records..).zip(&batch) {
-            let record = wal::encode_record(*tag, seq, chain, body);
+        let mut decoded = Vec::with_capacity(batch.len());
+        for (seq, (tag, body)) in (inner.records..).zip(batch) {
+            let record = wal::encode_record(tag, seq, chain, &body);
             chain = wal::chain_digest(chain, &record);
+            let offset = inner.committed_len + records.len() as u64;
             records.extend_from_slice(&record);
+            decoded.push(WalRecord {
+                tag,
+                seq,
+                offset,
+                body,
+            });
         }
         #[cfg(test)]
         if inner.fail_next_append {
@@ -760,7 +793,7 @@ impl Store {
         let marker = Marker {
             committed_len: inner.committed_len + records.len() as u64,
             chain,
-            records: inner.records + batch.len() as u64,
+            records: inner.records + decoded.len() as u64,
         };
         let marker_bytes = wal::encode_marker(&marker).map_err(|e| rollback(inner, e))?;
         let tmp = self.dir.join(wal::MARKER_TMP_FILE);
@@ -783,13 +816,15 @@ impl Store {
             inner.poisoned = Some(err.to_string());
             return Err(err);
         }
-        let first = inner.records;
         inner.chain = chain;
         inner.records = marker.records;
         inner.committed_len = marker.committed_len;
-        for (seq, (tag, body)) in (first..).zip(batch) {
-            if let Err(detail) = apply(inner, &WalRecord { tag, seq, body }) {
-                let detail = format!("committed record {seq} failed to apply: {detail}");
+        for record in &decoded {
+            if let Err(detail) = apply(&mut inner.index, record) {
+                let detail = format!(
+                    "committed record {} at byte {} failed to apply: {detail}",
+                    record.seq, record.offset
+                );
                 inner.poisoned = Some(detail.clone());
                 return Err(StoreError::poisoned(detail));
             }
@@ -806,10 +841,11 @@ fn id_prefixed(request_id: u64, rest: &[u8]) -> Bytes {
     body.freeze()
 }
 
-/// Interprets one chain-verified record into the in-memory indexes.
-/// Returns a description of the inconsistency when the log is
-/// self-contradictory (callers wrap it in [`StoreError::Corrupt`]).
-fn apply(inner: &mut Inner, record: &WalRecord) -> Result<(), String> {
+/// Interprets one chain-verified record into the indexes. Returns a
+/// description of the inconsistency when the log is
+/// self-contradictory (callers wrap it in [`StoreError::Corrupt`]
+/// at the record's byte offset).
+fn apply(index: &mut Index, record: &WalRecord) -> Result<(), String> {
     let mut body = record.body.clone();
     match record.tag {
         // replay checked the genesis record's version
@@ -825,12 +861,13 @@ fn apply(inner: &mut Inner, record: &WalRecord) -> Result<(), String> {
             }
             peek.get_u8(); // codec version; validated on resume
             let request_id = peek.get_u64_le();
-            if inner.sessions.contains_key(&request_id) {
+            if index.sessions.contains_key(&request_id) {
                 return Err(format!("session {request_id:#x} opened twice"));
             }
-            inner.sessions.insert(
+            index.sessions.insert(
                 request_id,
                 SessionState {
+                    offset: record.offset,
                     secrets: body,
                     frames: Vec::new(),
                 },
@@ -841,7 +878,7 @@ fn apply(inner: &mut Inner, record: &WalRecord) -> Result<(), String> {
                 return Err("session-frame record too short".into());
             }
             let request_id = body.get_u64_le();
-            let state = inner
+            let state = index
                 .sessions
                 .get_mut(&request_id)
                 .ok_or_else(|| format!("frame journaled for unopened session {request_id:#x}"))?;
@@ -852,7 +889,7 @@ fn apply(inner: &mut Inner, record: &WalRecord) -> Result<(), String> {
                 return Err("session-done record too short".into());
             }
             let request_id = body.get_u64_le();
-            if inner.sessions.remove(&request_id).is_none() {
+            if index.sessions.remove(&request_id).is_none() {
                 return Err(format!("unopened session {request_id:#x} marked done"));
             }
         }
@@ -861,14 +898,14 @@ fn apply(inner: &mut Inner, record: &WalRecord) -> Result<(), String> {
                 return Err("lane-submit record too short".into());
             }
             let request_id = body.get_u64_le();
-            inner.lanes.entry(request_id).or_default().push(body);
+            index.lanes.entry(request_id).or_default().push(body);
         }
         RecordTag::LaneDone => {
             if body.remaining() < 8 {
                 return Err("lane-done record too short".into());
             }
             let request_id = body.get_u64_le();
-            if inner.lanes.remove(&request_id).is_none() {
+            if index.lanes.remove(&request_id).is_none() {
                 return Err(format!("unsubmitted lane {request_id:#x} marked done"));
             }
         }
@@ -946,8 +983,37 @@ mod tests {
         store.record_lane_frame(0xA, b"acked-bytes").unwrap();
         drop(store);
         std::fs::remove_file(Store::marker_path(&dir)).unwrap();
-        let err = Store::open_or_create(&dir).unwrap_err();
+        let err = Store::verify(&dir).unwrap_err();
         assert!(matches!(err, StoreError::Marker { .. }), "{err}");
+        assert!(!Store::marker_path(&dir).exists(), "verify wrote a marker");
+        assert_eq!(Store::open_or_create(&dir).unwrap_err(), err);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_marker_without_its_wal_is_typed_marker_error() {
+        let dir = tempdir("markeronly");
+        drop(Store::open_or_create(&dir).unwrap());
+        std::fs::remove_file(Store::wal_path(&dir)).unwrap();
+        let err = Store::verify(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::Marker { .. }), "{err}");
+        assert!(!Store::wal_path(&dir).exists(), "verify wrote a WAL");
+        assert_eq!(Store::open_or_create(&dir).unwrap_err(), err);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn verify_finds_no_store_where_open_would_create_one() {
+        // a missing directory, then an empty one: verify creates neither
+        // the directory nor a file in it
+        let dir = tempdir("verifyempty");
+        for _ in 0..2 {
+            let err = Store::verify(&dir).unwrap_err();
+            assert!(matches!(err, StoreError::Missing { .. }), "{err}");
+            assert!(!Store::wal_path(&dir).exists(), "verify wrote a WAL");
+            std::fs::create_dir_all(&dir).unwrap();
+        }
+        assert!(Store::open_or_create(&dir).unwrap().1.created);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -956,17 +1022,21 @@ mod tests {
         // a kill anywhere inside create() leaves a prefix of the
         // canonical genesis record and no marker; every such state must
         // open as a fresh store
-        let genesis = wal::encode_record(
-            RecordTag::Genesis,
-            0,
-            wal::CHAIN_SEED,
-            &wal::STORE_FORMAT_VERSION.to_le_bytes(),
-        );
+        let genesis = wal::genesis_record();
         let dir = tempdir("createcrash");
         for cut in [0, 1, genesis.len() / 2, genesis.len()] {
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(Store::wal_path(&dir), &genesis[..cut]).unwrap();
+            // the fsck reports no store there and writes nothing
+            let err = Store::verify(&dir).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Missing { .. }),
+                "cut {cut}: {err}"
+            );
+            let wal = std::fs::read(Store::wal_path(&dir)).unwrap();
+            assert_eq!(wal, &genesis[..cut], "cut {cut}: verify rewrote the WAL");
+            assert!(!Store::marker_path(&dir).exists(), "cut {cut}");
             let (store, report) = Store::open_or_create(&dir)
                 .unwrap_or_else(|e| panic!("creation crash at byte {cut} not recovered: {e}"));
             assert!(report.created, "cut {cut}");
@@ -977,8 +1047,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(Store::wal_path(&dir), b"not a genesis record").unwrap();
-        let err = Store::open_or_create(&dir).unwrap_err();
+        let err = Store::verify(&dir).unwrap_err();
         assert!(matches!(err, StoreError::Marker { .. }), "{err}");
+        assert_eq!(Store::open_or_create(&dir).unwrap_err(), err);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1080,6 +1151,48 @@ mod tests {
         assert!(store.is_poisoned());
         let err = store.record_lane_frame(1, b"refused").unwrap_err();
         assert!(matches!(err, StoreError::Poisoned { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_that_fails_to_apply_is_reported_at_its_byte_offset() {
+        let dir = tempdir("applyoffset");
+        let (store, _) = Store::open_or_create(&dir).unwrap();
+        store.record_lane_frame(1, b"frame").unwrap();
+        let at = store.committed_len();
+        // durable, chain-valid, and contradicts the log: lane 42 was
+        // never submitted
+        let batch = vec![(RecordTag::LaneDone, id_prefixed(42, &[]))];
+        let _ = store.append(&mut store.lock(), batch);
+        drop(store);
+        let err = Store::open_or_create(&dir).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt { offset, .. } if offset == at),
+            "want Corrupt at byte {at}, got {err}"
+        );
+        assert_eq!(Store::verify(&dir).unwrap_err(), err, "verify disagrees");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_journaled_secrets_are_reported_at_their_record_offset() {
+        let dir = tempdir("secretsoffset");
+        let (store, _) = Store::open_or_create(&dir).unwrap();
+        store.record_lane_frame(1, b"frame").unwrap();
+        let at = store.committed_len();
+        // codec version 1 and request id 7 index the session; the
+        // secrets after them do not decode
+        let body = Bytes::from([&[1][..], &7u64.to_le_bytes(), b"junk"].concat());
+        let batch = vec![(RecordTag::SessionOpen, body)];
+        store.append(&mut store.lock(), batch).unwrap();
+        let err = store.resume_session(7).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt { offset, .. } if offset == at),
+            "want Corrupt at byte {at}, got {err}"
+        );
+        drop(store);
+        let (store, _) = Store::open_or_create(&dir).unwrap();
+        assert_eq!(store.resume_session(7).unwrap_err(), err, "after reopen");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -119,6 +119,8 @@ pub struct WalRecord {
     pub tag: RecordTag,
     /// Position in the log (0-based, dense).
     pub seq: u64,
+    /// Byte offset of the record's first byte in the WAL.
+    pub offset: u64,
     /// The tag-specific body (payload after the 16-byte chain prefix).
     pub body: Bytes,
 }
@@ -131,6 +133,17 @@ pub fn encode_record(tag: RecordTag, seq: u64, prev_digest: u64, body: &[u8]) ->
         payload.put_u64_le(seq);
         payload.put_slice(body);
     })
+}
+
+/// The genesis record every store opens with: tag 0, sequence 0, and
+/// [`STORE_FORMAT_VERSION`] as its body.
+pub fn genesis_record() -> Bytes {
+    encode_record(
+        RecordTag::Genesis,
+        0,
+        CHAIN_SEED,
+        &STORE_FORMAT_VERSION.to_le_bytes(),
+    )
 }
 
 /// Advances the chain: digest of a record given its predecessor's digest
@@ -192,6 +205,8 @@ pub fn decode_marker(data: &[u8]) -> Result<Marker, StoreError> {
 /// claim. Any mismatch is a typed [`StoreError::Corrupt`] naming the
 /// byte offset — recovery never resyncs past a bad byte. A genesis
 /// record of another store format version is [`StoreError::Version`].
+/// Each returned record carries its byte offset, so a caller that finds
+/// a chain-valid record inconsistent can name where it starts too.
 pub fn replay(wal: &[u8], marker: &Marker) -> Result<Vec<WalRecord>, StoreError> {
     let committed = usize::try_from(marker.committed_len)
         .map_err(|_| StoreError::marker("committed length exceeds addressable memory"))?;
@@ -277,6 +292,7 @@ pub fn replay(wal: &[u8], marker: &Marker) -> Result<Vec<WalRecord>, StoreError>
         records.push(WalRecord {
             tag,
             seq,
+            offset: offset as u64,
             body: payload,
         });
         offset += consumed;
@@ -403,6 +419,12 @@ mod tests {
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].tag, RecordTag::Genesis);
         assert_eq!(records[2].seq, 2);
+        assert_eq!(records[0].offset, 0);
+        assert_eq!(
+            records[1].offset,
+            RECORD_OVERHEAD as u64 + 4,
+            "after genesis"
+        );
         assert_eq!(&records[1].body[..], &7u64.to_le_bytes());
     }
 
