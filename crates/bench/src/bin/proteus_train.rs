@@ -36,8 +36,8 @@ use proteus_models::{build, ModelKind};
 use std::process::ExitCode;
 use std::time::Instant;
 
-fn usage() -> ExitCode {
-    eprintln!(
+fn usage() -> String {
+    format!(
         "usage: proteus-train <subcommand>\n\
          \n\
          \x20 train --out PATH [--corpus a,b,..] [--k N] [--epochs N] [--pool N]\n\
@@ -52,8 +52,39 @@ fn usage() -> ExitCode {
             .map(|k| k.name())
             .collect::<Vec<_>>()
             .join(", ")
-    );
-    ExitCode::FAILURE
+    )
+}
+
+/// The flags `train` takes a value for, and its one switch.
+const TRAIN_VALUE_FLAGS: [&str; 7] = [
+    "--out",
+    "--corpus",
+    "--k",
+    "--epochs",
+    "--pool",
+    "--seed",
+    "--target-size",
+];
+const TRAIN_SWITCHES: [&str; 1] = ["--quick"];
+
+/// Rejects an argument that is neither one of `value_flags` nor one of
+/// `switches`, and a value flag given without a value (last argument, or
+/// followed by another flag), naming it: a mistyped flag or a missing
+/// value fails before any work instead of silently falling back to a
+/// default.
+fn check_args(args: &[String], value_flags: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if value_flags.contains(&arg.as_str()) {
+            match rest.next() {
+                Some(value) if !value.starts_with("--") => {}
+                _ => return Err(format!("{arg} expects a value")),
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+    }
+    Ok(())
 }
 
 fn parse_kind(name: &str) -> Result<ModelKind, String> {
@@ -72,6 +103,8 @@ fn parse_kinds(list: &str) -> Result<Vec<ModelKind>, String> {
         .collect()
 }
 
+/// The value after `flag`, or `None` when the flag is absent
+/// ([`check_args`] has already rejected a flag without a value).
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -89,6 +122,7 @@ fn parse_usize(args: &[String], flag: &str, default: usize) -> Result<usize, Str
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
+    check_args(args, &TRAIN_VALUE_FLAGS, &TRAIN_SWITCHES)?;
     let out = flag_value(args, "--out").ok_or("train requires --out PATH")?;
     let quick = args.iter().any(|a| a == "--quick");
     let corpus_names = flag_value(args, "--corpus").unwrap_or_else(|| {
@@ -152,7 +186,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_inspect(path: &str) -> Result<(), String> {
+fn cmd_inspect(path: &str, args: &[String]) -> Result<(), String> {
+    check_args(args, &[], &[])?;
     let data = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let (artifact, summary) =
         TrainedArtifact::from_bytes_with_summary(&data).map_err(|e| e.to_string())?;
@@ -193,6 +228,7 @@ fn cmd_inspect(path: &str) -> Result<(), String> {
 }
 
 fn cmd_verify(path: &str, args: &[String]) -> Result<(), String> {
+    check_args(args, &["--probe"], &[])?;
     let data = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let t = Instant::now();
     let (artifact, summary) =
@@ -289,7 +325,8 @@ fn wire_frames(proteus: &Proteus, g: &Graph) -> Result<Vec<Vec<u8>>, String> {
         .collect())
 }
 
-fn cmd_store_verify(dir: &str) -> Result<(), String> {
+fn cmd_store_verify(dir: &str, args: &[String]) -> Result<(), String> {
+    check_args(args, &[], &[])?;
     let t = Instant::now();
     // typed failure — Corrupt names the first bad byte offset, Marker a
     // commit marker that cannot be trusted — mapped to a nonzero exit
@@ -316,29 +353,74 @@ fn cmd_store_verify(dir: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+fn run(args: &[String]) -> Result<(), String> {
+    match args.first().map(String::as_str) {
         Some("train") => cmd_train(&args[1..]),
         Some("store") => match (args.get(1).map(String::as_str), args.get(2)) {
-            (Some("verify"), Some(dir)) if !dir.starts_with("--") => cmd_store_verify(dir),
+            (Some("verify"), Some(dir)) if !dir.starts_with("--") => {
+                cmd_store_verify(dir, &args[3..])
+            }
             _ => Err("store expects: store verify DIR".to_string()),
         },
         Some("inspect") => match args.get(1) {
-            Some(path) if !path.starts_with("--") => cmd_inspect(path),
+            Some(path) if !path.starts_with("--") => cmd_inspect(path, &args[2..]),
             _ => Err("inspect requires PATH".to_string()),
         },
         Some("verify") => match args.get(1) {
             Some(path) if !path.starts_with("--") => cmd_verify(path, &args[2..]),
             _ => Err("verify requires PATH".to_string()),
         },
-        _ => return usage(),
-    };
-    match result {
+        _ => Err(usage()),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_fail_naming_the_flag() {
+        let out = std::env::temp_dir().join(format!("proteus-train-typo-{}", std::process::id()));
+        let typo = format!("train --out {} --quick --epoch 5", out.display());
+        for (line, want) in [
+            (typo.as_str(), "unknown argument `--epoch`"),
+            ("train --quick --out", "--out expects a value"),
+            ("train --k --quick --out a.prta", "--k expects a value"),
+            (
+                "inspect a.prta --probe alexnet",
+                "unknown argument `--probe`",
+            ),
+            ("verify a.prta --probe", "--probe expects a value"),
+            ("verify a.prta --quick", "unknown argument `--quick`"),
+            ("store verify dir --out x", "unknown argument `--out`"),
+        ] {
+            assert_eq!(run(&words(line)), Err(want.to_string()), "{line}");
+        }
+        assert!(!out.exists(), "trained despite the unknown flag");
+    }
+
+    #[test]
+    fn every_documented_flag_is_accepted() {
+        let train =
+            "--out a --corpus resnet --k 2 --epochs 1 --pool 4 --seed 7 --target-size 8 --quick";
+        assert_eq!(
+            check_args(&words(train), &TRAIN_VALUE_FLAGS, &TRAIN_SWITCHES),
+            Ok(())
+        );
     }
 }

@@ -238,15 +238,14 @@ impl SealedBucket {
     /// once at construction.
     ///
     /// Members run on `threads` scoped workers (`None` = all available
-    /// parallelism) over the work-stealing scheduler the serving runtime
-    /// uses ([`crate::serve::StealQueues`]): bucket members vary wildly in
-    /// size, so static chunks would leave threads idle behind one loaded
-    /// with the big graphs. The output does not depend on `threads`. This
-    /// is the per-frame reference that [`crate::ServeRuntime`]'s served
-    /// frames are compared against.
+    /// parallelism), each claiming the next unclaimed member from one
+    /// shared cursor: bucket members vary wildly in size, so static
+    /// chunks would leave threads idle behind one loaded with the big
+    /// graphs. The output does not depend on `threads`. This is the
+    /// per-frame reference that [`crate::ServeRuntime`]'s served frames
+    /// are compared against.
     pub fn optimize(&self, optimizer: &Optimizer, threads: Option<usize>) -> SealedBucket {
-        use crate::serve::StealQueues;
-        use std::sync::Mutex;
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
         let members = &self.bucket.members;
         let num_threads = threads
@@ -256,39 +255,32 @@ impl SealedBucket {
                     .unwrap_or(4)
             })
             .clamp(1, members.len().max(1));
-        // Results land directly in their slot. The per-slot mutexes are
-        // uncontended (each is locked exactly once).
-        let slots: Vec<Mutex<Option<BucketMember>>> =
-            (0..members.len()).map(|_| Mutex::new(None)).collect();
-        let queues: StealQueues<usize> = StealQueues::new(num_threads);
-        for i in 0..members.len() {
-            queues.push(i);
-        }
-        let (queues, slots_ref) = (&queues, &slots);
-        let work = move |w: usize| {
-            // every task is queued before the workers start, so an empty
-            // scan (own deque + all steals) means the frame is drained
-            while let Some(i) = queues.pop(w) {
-                let m = &members[i];
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut optimized = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(m) = members.get(i) else {
+                    return optimized;
+                };
                 let (graph, params, _) = optimizer.optimize(&m.graph, &m.params);
-                *slots_ref[i].lock().expect("slot poisoned") = Some(BucketMember { graph, params });
+                optimized.push((i, BucketMember { graph, params }));
             }
         };
-        // the calling thread is worker 0, so one thread spawns nothing
-        std::thread::scope(|scope| {
-            for w in 1..num_threads {
-                scope.spawn(move || work(w));
+        // the calling thread works too, so one thread spawns nothing
+        let mut optimized = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..num_threads).map(|_| scope.spawn(work)).collect();
+            let mut optimized = work();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(part) => optimized.extend(part),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             }
-            work(0);
+            optimized
         });
-        let members = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot poisoned")
-                    .expect("worker filled slot")
-            })
-            .collect();
+        optimized.sort_unstable_by_key(|&(i, _)| i);
+        let members = optimized.into_iter().map(|(_, m)| m).collect();
         SealedBucket {
             bucket_index: self.bucket_index,
             num_buckets: self.num_buckets,

@@ -7,9 +7,9 @@
 //! request grab every core while others queue behind it. The
 //! [`ServeRuntime`] inverts that: a fixed pool of workers is created once,
 //! every request's [`SealedBucket`] frames are split into per-member tasks
-//! on a work-stealing scheduler ([`StealQueues`]), and workers interleave
-//! members of *different* requests — so a request with one small bucket is
-//! not stuck behind a tenant streaming a hundred large ones.
+//! on one run queue that every worker pops oldest-first, so workers
+//! interleave members of *different* requests — a request with one small
+//! bucket is not stuck behind a tenant streaming a hundred large ones.
 //!
 //! Flow control is per request: a [`RequestHandle`] admits at most
 //! [`ServeConfig::window`] frames in flight (submitted but not yet
@@ -49,10 +49,10 @@
 //! members) while every other lane keeps flowing. A panic that ever
 //! escapes that containment restarts the worker's loop in place on the
 //! same thread, so the pool keeps its capacity. Lock poisoning is
-//! recovered structurally where the data cannot be inconsistent (queues,
-//! park/registry locks) and converted to typed lane failures where it can
-//! (a request's reassembly state). The optimizer is reached through the
-//! [`MemberOptimizer`] seam, so the chaos battery (`tests/serve_chaos.rs`)
+//! recovered structurally where the data cannot be inconsistent (the run
+//! queue, the handle registry) and converted to typed lane failures where
+//! it can (a request's reassembly state). The optimizer is reached through
+//! the [`MemberOptimizer`] seam, so the chaos battery (`tests/serve_chaos.rs`)
 //! injects panics and stalls with a test optimizer and replays exact
 //! failure schedules from a seed.
 //!
@@ -115,9 +115,9 @@ use std::time::Instant;
 /// Locks a mutex, recovering from poison by taking the guard anyway.
 ///
 /// Only used for locks whose protected data stays structurally valid
-/// across a panic: the steal deques (single push/pop operations), the
-/// park rendezvous lock (a `()` payload), the handle registry (a vector
-/// of weak pointers) and the worker join handles. A panic on another thread cannot leave any of these
+/// across a panic: the run queue (single push/pop operations and a
+/// flag), the handle registry (a vector of weak pointers) and the worker
+/// join handles. A panic on another thread cannot leave any of these
 /// half-mutated in a way later readers would misinterpret, so propagating
 /// the poison would turn one contained crash into a pool-wide outage for
 /// no safety gain.
@@ -160,75 +160,6 @@ impl MemberOptimizer for Optimizer {
     fn optimize(&self, graph: &Graph, params: &TensorMap) -> (Graph, TensorMap) {
         let (graph, params, _) = Optimizer::optimize(self, graph, params);
         (graph, params)
-    }
-}
-
-/// A work-stealing task scheduler over plain std primitives: one deque
-/// per worker, round-robin placement, and steal-from-the-back when a
-/// worker's own deque runs dry.
-///
-/// Used by the [`ServeRuntime`] pool (persistent workers) and by the
-/// per-frame reference [`SealedBucket::optimize`] (scoped workers) —
-/// both face the same imbalance: bucket members vary wildly in size, so
-/// fixed chunking leaves workers idle behind one loaded with the big
-/// graphs, and a single shared queue serializes every pop on one lock.
-///
-/// ```
-/// use proteus::serve::StealQueues;
-///
-/// let q: StealQueues<usize> = StealQueues::new(2);
-/// for task in 0..4 {
-///     q.push(task);
-/// }
-/// // worker 1 drains its own deque, then steals worker 0's
-/// let drained: Vec<usize> = std::iter::from_fn(|| q.pop(1)).collect();
-/// assert_eq!(drained.len(), 4);
-/// ```
-#[derive(Debug)]
-pub struct StealQueues<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
-    next: AtomicUsize,
-}
-
-impl<T> StealQueues<T> {
-    /// Creates one deque per worker (at least one).
-    pub fn new(workers: usize) -> StealQueues<T> {
-        StealQueues {
-            queues: (0..workers.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    /// How many worker deques the scheduler has.
-    pub fn workers(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Places one task, round-robin across worker deques. Poisoned deque
-    /// locks are recovered: a deque is always a valid deque even when the
-    /// poisoning panic happened elsewhere in the critical section.
-    pub fn push(&self, item: T) {
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        relock(&self.queues[w]).push_back(item);
-    }
-
-    /// Pops the next task for `worker`: the front of its own deque, or —
-    /// when that is empty — a steal from the back of another worker's.
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        let n = self.queues.len();
-        let own = worker % n;
-        if let Some(item) = relock(&self.queues[own]).pop_front() {
-            return Some(item);
-        }
-        for off in 1..n {
-            let victim = (own + off) % n;
-            if let Some(item) = relock(&self.queues[victim]).pop_back() {
-                return Some(item);
-            }
-        }
-        None
     }
 }
 
@@ -589,15 +520,22 @@ pub struct ServeStats {
     pub cache_poison_heals: usize,
 }
 
+/// The pool's scheduling state, all under one lock: the queued tasks,
+/// oldest first, and whether the runtime has shut down.
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<Task>,
+    /// Set by [`ServeRuntime::shutdown`]: no task is queued after it,
+    /// and workers exit once `tasks` is empty.
+    closed: bool,
+}
+
 struct PoolShared {
     optimizer: Box<dyn MemberOptimizer>,
     cache: OptimizedCache,
-    queues: StealQueues<Task>,
-    /// Tasks pushed and not yet claimed; the park/wake signal.
-    pending: AtomicUsize,
-    park: Mutex<()>,
-    cv: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<RunQueue>,
+    /// Signalled when `queue` gains tasks or closes.
+    ready: Condvar,
     tasks_executed: AtomicUsize,
     max_queue_depth: AtomicUsize,
     tasks_crashed: AtomicUsize,
@@ -607,14 +545,25 @@ struct PoolShared {
 }
 
 impl PoolShared {
-    fn push_task(&self, task: Task) {
-        // count the task before any worker can pop it: counted after the
-        // push, a worker's decrement could run first and wrap `pending`
-        let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-        self.queues.push(task);
-        let _guard = relock(&self.park);
-        self.cv.notify_all();
+    /// Queues one frame's tasks in one lock hold and wakes the workers.
+    /// Returns `false`, queuing nothing, once the runtime is closed: its
+    /// workers may already have exited, so nothing would run them.
+    fn push_tasks(&self, tasks: impl IntoIterator<Item = Task>) -> bool {
+        let mut queue = relock(&self.queue);
+        if queue.closed {
+            return false;
+        }
+        queue.tasks.extend(tasks);
+        self.max_queue_depth
+            .fetch_max(queue.tasks.len(), Ordering::Relaxed);
+        drop(queue);
+        self.ready.notify_all();
+        true
+    }
+
+    /// Whether [`ServeRuntime::shutdown`] has closed the run queue.
+    fn is_closed(&self) -> bool {
+        relock(&self.queue).closed
     }
 
     /// Fails a request's lane with `err` ([`RequestInner::fail`]) and
@@ -721,26 +670,23 @@ impl PoolShared {
     /// A worker thread's body. A panic that ever escapes per-task
     /// containment restarts the loop in place; the loop returns only at
     /// shutdown.
-    fn run_worker(&self, worker: usize) {
-        while catch_unwind(AssertUnwindSafe(|| self.worker_loop(worker))).is_err() {}
+    fn run_worker(&self) {
+        let work = || {
+            while let Some(task) = self.next_task() {
+                self.run_task(task);
+            }
+        };
+        while catch_unwind(AssertUnwindSafe(work)).is_err() {}
     }
 
-    fn worker_loop(&self, worker: usize) {
-        loop {
-            if let Some(task) = self.queues.pop(worker) {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                self.run_task(task);
-                continue;
-            }
-            let mut guard = relock(&self.park);
-            while self.pending.load(Ordering::SeqCst) == 0 && !self.shutdown.load(Ordering::SeqCst)
-            {
-                guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
-            }
-            if self.pending.load(Ordering::SeqCst) == 0 && self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-        }
+    /// Takes the oldest queued task, sleeping while the queue is empty;
+    /// `None` once the runtime is closed and every task has been taken.
+    fn next_task(&self) -> Option<Task> {
+        self.ready
+            .wait_while(relock(&self.queue), |q| q.tasks.is_empty() && !q.closed)
+            .unwrap_or_else(PoisonError::into_inner)
+            .tasks
+            .pop_front()
     }
 }
 
@@ -768,8 +714,7 @@ pub struct ServeRuntime {
 impl std::fmt::Debug for PoolShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolShared")
-            .field("workers", &self.queues.workers())
-            .field("pending", &self.pending.load(Ordering::Relaxed))
+            .field("queued", &relock(&self.queue).tasks.len())
             .finish_non_exhaustive()
     }
 }
@@ -791,11 +736,8 @@ impl ServeRuntime {
             shared: Arc::new(PoolShared {
                 optimizer: Box::new(optimizer),
                 cache: OptimizedCache::new(config.cache_capacity),
-                queues: StealQueues::new(workers),
-                pending: AtomicUsize::new(0),
-                park: Mutex::new(()),
-                cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
+                queue: Mutex::new(RunQueue::default()),
+                ready: Condvar::new(),
                 tasks_executed: AtomicUsize::new(0),
                 max_queue_depth: AtomicUsize::new(0),
                 tasks_crashed: AtomicUsize::new(0),
@@ -809,7 +751,7 @@ impl ServeRuntime {
             let pool = Arc::clone(&runtime.shared);
             let spawned = std::thread::Builder::new()
                 .name(format!("proteus-serve-{w}"))
-                .spawn(move || pool.run_worker(w))
+                .spawn(move || pool.run_worker())
                 .map_err(|e| ProteusError::ReplicaUnavailable {
                     detail: format!("failed to spawn serve worker {w}: {e}"),
                 })?; // dropping `runtime` joins the workers already spawned
@@ -826,7 +768,7 @@ impl ServeRuntime {
     /// Current pool counters.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
-            workers: self.shared.queues.workers(),
+            workers: self.config.num_workers(),
             tasks_executed: self.shared.tasks_executed.load(Ordering::Relaxed),
             max_queue_depth: self.shared.max_queue_depth.load(Ordering::Relaxed),
             cache_hits: self.shared.cache.hits(),
@@ -840,18 +782,17 @@ impl ServeRuntime {
 
     /// Whether the runtime can still accept work (not shut down).
     pub fn is_healthy(&self) -> bool {
-        !self.shared.shutdown.load(Ordering::SeqCst)
+        !self.shared.is_closed()
     }
 
-    /// Stops the runtime: workers drain every queued task and exit, and
-    /// any client still waiting on a handle is unblocked with a typed error. Handles opened afterwards
-    /// are born closed. Idempotent; dropping the runtime calls it.
+    /// Stops the runtime: closes the run queue (a submit that reaches it
+    /// afterwards fails its lane, typed), lets the workers drain every
+    /// queued task and exit, and unblocks any client still waiting on a
+    /// handle with a typed error. Handles opened afterwards are born
+    /// closed. Idempotent; dropping the runtime calls it.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = relock(&self.shared.park);
-            self.shared.cv.notify_all();
-        }
+        relock(&self.shared.queue).closed = true;
+        self.shared.ready.notify_all();
         let workers = std::mem::take(&mut *relock(&self.workers));
         for worker in workers {
             let _ = worker.join();
@@ -893,7 +834,7 @@ impl ServeRuntime {
                 seen: HashSet::new(),
                 partial: HashMap::new(),
                 done: VecDeque::new(),
-                closed: self.shared.shutdown.load(Ordering::SeqCst),
+                closed: self.shared.is_closed(),
                 failed: None,
             }),
             cv: Condvar::new(),
@@ -1145,10 +1086,7 @@ impl RequestHandle {
                 return Err(err.clone());
             }
             if inner.closed {
-                return Err(ProteusError::protocol(format!(
-                    "request {:#x}: serve runtime shut down while submitting bucket {bucket_index}",
-                    self.state.request_id
-                )));
+                return Err(self.shut_down_error(bucket_index));
             }
             // re-check: a concurrent producer on a cloned handle may have
             // submitted the same bucket while we classified or waited
@@ -1195,8 +1133,9 @@ impl RequestHandle {
                 },
             );
         }
-        for (member, graph, params, cache_key) in misses {
-            self.pool.push_task(Task {
+        let tasks = misses
+            .into_iter()
+            .map(|(member, graph, params, cache_key)| Task {
                 req: Arc::clone(&self.state),
                 bucket_index,
                 member,
@@ -1204,8 +1143,22 @@ impl RequestHandle {
                 params,
                 cache_key,
             });
+        if !self.pool.push_tasks(tasks) {
+            // the runtime shut down after this lane's `closed` check (or
+            // before the handle was registered): nothing will run the
+            // frame, so fail the lane rather than strand it in flight
+            let err = self.shut_down_error(bucket_index);
+            self.pool.fail_request(&self.state, err.clone());
+            return Err(err);
         }
         Ok(())
+    }
+
+    fn shut_down_error(&self, bucket_index: u32) -> ProteusError {
+        ProteusError::protocol(format!(
+            "request {:#x}: serve runtime shut down while submitting bucket {bucket_index}",
+            self.state.request_id
+        ))
     }
 
     /// Decodes one multiplexed wire frame and submits it, rejecting
@@ -1420,16 +1373,83 @@ mod tests {
         assert_eq!(err, Some(ProteusError::Wire(retired)));
     }
 
-    #[test]
-    fn steal_queues_drain_from_any_worker() {
-        let q: StealQueues<u32> = StealQueues::new(3);
-        for i in 0..10 {
-            q.push(i);
+    /// A pass-through optimizer that counts its calls, each of which
+    /// waits while the test holds the gate's write lock.
+    struct GatedOptimizer(Arc<(std::sync::RwLock<()>, AtomicUsize)>);
+
+    impl MemberOptimizer for GatedOptimizer {
+        fn profile(&self) -> Profile {
+            Profile::OrtLike
         }
-        let mut seen: Vec<u32> = std::iter::from_fn(|| q.pop(2)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert!(q.pop(0).is_none());
+
+        fn optimize(&self, graph: &Graph, params: &TensorMap) -> (Graph, TensorMap) {
+            self.0 .1.fetch_add(1, Ordering::SeqCst);
+            drop(self.0 .0.read());
+            (graph.clone(), params.clone())
+        }
+    }
+
+    #[test]
+    fn shutdown_drains_the_run_queue_and_refuses_later_tasks() {
+        let gate = Arc::new((std::sync::RwLock::new(()), AtomicUsize::new(0)));
+        let closed = gate.0.write().unwrap();
+        let config = ServeConfig {
+            workers: 1,
+            window: 8,
+            cache_capacity: 0,
+        };
+        let rt = ServeRuntime::new(GatedOptimizer(Arc::clone(&gate)), config).unwrap();
+        let member = BucketMember {
+            graph: build(ModelKind::AlexNet),
+            params: TensorMap::new(),
+        };
+        let frame = |bucket_index: u32, members: usize| SealedBucket {
+            bucket_index,
+            num_buckets: 4,
+            bucket: Bucket {
+                members: vec![member.clone(); members],
+            },
+        };
+        let handle = rt.handle(7);
+        handle.submit(frame(0, 3)).unwrap();
+        // the one worker holds a task at the gate; every later task queues
+        while gate.1.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        handle.submit(frame(1, 2)).unwrap();
+        handle.submit(frame(2, 4)).unwrap();
+        let (members, queued) = (3 + 2 + 4, 3 + 2 + 4 - 1);
+        assert_eq!(relock(&rt.shared.queue).tasks.len(), queued);
+        assert_eq!(rt.stats().max_queue_depth, queued);
+
+        // shutdown closes the queue with every task still in it, then
+        // waits for the worker to run them all
+        std::thread::scope(|scope| {
+            let stopping = scope.spawn(|| rt.shutdown());
+            while rt.is_healthy() {
+                std::thread::yield_now();
+            }
+            drop(closed);
+            stopping.join().unwrap();
+        });
+        assert_eq!(rt.stats().tasks_executed, members);
+        let mut delivered: Vec<u32> = (0..3)
+            .map(|_| handle.recv().unwrap().bucket_index)
+            .collect();
+        delivered.sort_unstable();
+        assert_eq!(delivered, [0, 1, 2]);
+
+        // a lane that missed the shutdown (registered after shutdown
+        // closed the registered lanes) is refused by the queue, typed
+        handle.state.lane().closed = false;
+        let err = handle.submit(frame(3, 2)).unwrap_err();
+        assert!(
+            matches!(&err, ProteusError::Protocol { detail } if detail.contains("shut down")),
+            "{err:?}"
+        );
+        assert_eq!(handle.in_flight(), 0);
+        assert!(relock(&rt.shared.queue).tasks.is_empty());
+        assert_eq!(rt.stats().tasks_executed, members);
     }
 
     #[test]

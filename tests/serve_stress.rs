@@ -2,7 +2,7 @@
 //! many client threads, each juggling several in-flight requests against
 //! ONE shared [`ServeRuntime`], must end up with per-request deobfuscated
 //! graphs and tensors **bit-identical** to the serial single-session path
-//! — no matter how the work-stealing pool interleaves their frames.
+//! — no matter how the worker pool interleaves their frames.
 //!
 //! CI runs this suite in release mode (the `serve-stress` job).
 
