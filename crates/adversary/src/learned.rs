@@ -13,7 +13,6 @@
 //! what a statistics-aware GNN adversary extracts from a bucket.
 
 use crate::features::{structural_summary, GraphFeatures, NODE_FEATURES, SUMMARY_FEATURES};
-use crate::sage::Example;
 use proteus_graph::Graph;
 use proteus_nn::{Adam, Linear, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
@@ -109,17 +108,6 @@ impl StructuralExample {
             features: GraphFeatures::of(graph),
             summary: structural_summary(graph),
             label: if is_sentinel { 1.0 } else { 0.0 },
-        }
-    }
-
-    /// Upgrades a Sage [`Example`] (refeaturizing the summary is not
-    /// possible from features alone, so this exists only for labelled
-    /// graphs — see [`StructuralExample::new`]).
-    pub fn from_graph_example(graph: &Graph, ex: &Example) -> StructuralExample {
-        StructuralExample {
-            features: ex.features.clone(),
-            summary: structural_summary(graph),
-            label: ex.label,
         }
     }
 }

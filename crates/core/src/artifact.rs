@@ -15,12 +15,11 @@
 //! magic "PRTA" | artifact_version u16 | section_count u32 | sections…
 //! ```
 //!
-//! Every section is one [`proteus_graph::wire`] v1 frame (magic `PRTB`,
-//! wire version, section tag in the frame's index field, payload length,
-//! FNV-1a checksum over header + payload), so section integrity rides on
-//! the exact framing primitives the bucket protocol already proves out:
-//! a single flipped byte anywhere in an artifact is rejected with a typed
-//! error, never misparsed. The sections, in file order:
+//! Every section is one [`proteus_graph::wire::RECORD`] (magic `PRTB`,
+//! record version 1, section tag in the record's tag field, payload
+//! length, FNV-1a checksum over header + payload), the envelope the
+//! store's WAL records use too: a single flipped byte anywhere in an
+//! artifact is rejected with a typed error, never misparsed. The sections, in file order:
 //!
 //! | tag | section | payload |
 //! |-----|---------|---------|
@@ -60,8 +59,8 @@ use crate::semantic::BigramModel;
 use crate::sentinel::SentinelFactory;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
-    self, bounded_capacity, decode_frame, decode_graph, encode_frame, encode_graph, fnv1a64,
-    put_str, WireError, MAX_STRING_LEN,
+    self, bounded_capacity, decode_graph, encode_graph, fnv1a64, open_record, put_str, seal_record,
+    WireError, MAX_STRING_LEN,
 };
 use proteus_graph::Graph;
 use proteus_graphgen::{GraphRnn, GraphRnnConfig, UGraph};
@@ -688,8 +687,8 @@ pub struct ArtifactSummary {
     /// Persisted sentinels: inventory entries whose key built a graph.
     pub sentinel_entries: usize,
     /// Persisted infeasible keys: memoized population failures
-    /// (`graph_len = 0` entries). Artifacts written before failures were
-    /// persisted carry none; a load re-proves those keys on warm.
+    /// (`graph_len = 0` entries). A load keeps them, so a warm does not
+    /// re-prove those keys.
     pub infeasible_entries: usize,
     /// The key space the factory spans (`pool_len x 2 regimes x
     /// sentinel_variants`): a fully warmed artifact's
@@ -764,7 +763,7 @@ impl TrainedArtifact {
         buf.put_u16_le(ARTIFACT_VERSION);
         buf.put_u32_le(sections.len() as u32);
         for (tag, payload) in &sections {
-            buf.put_slice(&encode_frame(*tag, payload));
+            buf.put_slice(&seal_record(*tag, &[payload]));
         }
         buf.freeze()
     }
@@ -834,20 +833,11 @@ impl TrainedArtifact {
         let mut section_bytes: Vec<(&'static str, usize)> = Vec::with_capacity(count);
         let mut prev_slot: Option<usize> = None;
         for index in 0..count {
-            let frame = decode_frame(&mut buf).map_err(|source| ArtifactError::Section {
-                index: index as u32,
-                source,
-            })?;
-            // docs/WIRE.md: sections are wire *v1* frames. decode_frame
-            // also speaks v3, but accepting it here would make two byte
-            // encodings valid for one artifact — reject for canonicality.
-            if frame.version != proteus_graph::wire::WIRE_VERSION_V1 {
-                return Err(ArtifactError::malformed(format!(
-                    "section {index} uses wire frame version {} — artifact sections are v1 frames",
-                    frame.version
-                )));
-            }
-            let tag = frame.bucket_index;
+            let (tag, payload) =
+                open_record(&mut buf).map_err(|source| ArtifactError::Section {
+                    index: index as u32,
+                    source,
+                })?;
             let slot = SECTION_TAGS
                 .iter()
                 .position(|&t| t == tag)
@@ -868,8 +858,8 @@ impl TrainedArtifact {
                 }
             }
             prev_slot = Some(slot);
-            section_bytes.push((section_name(tag), frame.payload.len()));
-            payloads[slot] = Some(frame.payload);
+            section_bytes.push((section_name(tag), payload.len()));
+            payloads[slot] = Some(payload);
         }
         if !buf.is_empty() {
             return Err(ArtifactError::TrailingBytes { count: buf.len() });
@@ -1206,14 +1196,14 @@ mod tests {
 
     #[test]
     fn v2_section_frames_are_rejected() {
-        // sections are wire v1 frames by spec (docs/WIRE.md); the same
-        // payload behind a valid request frame must not be a second
-        // accepted encoding of the artifact: a v3 frame is malformed
-        // here, and a retired v2 frame (FNV-1a, as it was sealed) is an
-        // unknown version
-        use proteus_graph::wire::{encode_frame_v3, Checksum, Envelope, Versions, FRAME};
+        // sections are records by spec (docs/WIRE.md); the same payload
+        // behind a valid request frame must not be a second accepted
+        // encoding of the artifact: a v3 frame and a retired v2 frame
+        // (FNV-1a, as it was sealed) are each an unknown version
+        use proteus_graph::wire::{encode_frame_v3, Checksum, Envelope, FRAME};
         let v2_row = Envelope {
-            versions: Versions::Only(&[(2, 12, Checksum::Fnv1a)]),
+            version: Some(2),
+            checksum: Checksum::Fnv1a,
             ..FRAME
         };
         let bytes = quick_proteus().to_artifact_bytes();
@@ -1221,14 +1211,23 @@ mod tests {
             let mut buf = Bytes::copy_from_slice(&bytes[10..]);
             let mut rebuilt: Vec<u8> = bytes[..10].to_vec();
             while !buf.is_empty() {
-                let frame = decode_frame(&mut buf).expect("section decodes");
-                rebuilt.extend_from_slice(&seal(frame.bucket_index, &frame.payload));
+                let (tag, payload) = open_record(&mut buf).expect("section decodes");
+                rebuilt.extend_from_slice(&seal(tag, &payload));
             }
             TrainedArtifact::from_bytes(&rebuilt).unwrap_err()
         };
         let err = rebuild(&|index, payload| encode_frame_v3(0, index, payload));
         assert!(
-            matches!(err, ArtifactError::Malformed { .. }),
+            matches!(
+                err,
+                ArtifactError::Section {
+                    index: 0,
+                    source: WireError::UnknownVersion {
+                        got: 3,
+                        supported: 1
+                    }
+                }
+            ),
             "wrong variant: {err:?}"
         );
         let err = rebuild(&|index, payload| {
@@ -1245,7 +1244,7 @@ mod tests {
                     index: 0,
                     source: WireError::UnknownVersion {
                         got: 2,
-                        supported: 3
+                        supported: 1
                     }
                 }
             ),
@@ -1261,13 +1260,13 @@ mod tests {
         let mut buf = Bytes::copy_from_slice(&bytes[10..]);
         let mut frames = Vec::with_capacity(6);
         while !buf.is_empty() {
-            frames.push(decode_frame(&mut buf).expect("section decodes"));
+            frames.push(open_record(&mut buf).expect("section decodes"));
         }
         assert_eq!(frames.len(), 6);
         frames.swap(0, 5);
         let mut rebuilt: Vec<u8> = bytes[..10].to_vec();
-        for frame in &frames {
-            rebuilt.extend_from_slice(&encode_frame(frame.bucket_index, &frame.payload));
+        for (tag, payload) in &frames {
+            rebuilt.extend_from_slice(&seal_record(*tag, &[payload]));
         }
         let err = TrainedArtifact::from_bytes(&rebuilt).unwrap_err();
         assert!(
@@ -1409,9 +1408,9 @@ mod tests {
         // first negative entry inside its payload
         let mut buf = Bytes::copy_from_slice(&bytes[10..]);
         for _ in 0..5 {
-            decode_frame(&mut buf).expect("section frame");
+            open_record(&mut buf).expect("section record");
         }
-        let mut at = bytes.len() - buf.len() + proteus_graph::wire::FRAME.min_len() + 4;
+        let mut at = bytes.len() - buf.len() + proteus_graph::wire::RECORD.header_len() + 4;
         let negative = loop {
             let len = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().unwrap()) as usize;
             if len == 0 {

@@ -11,9 +11,9 @@
 //! [`proteus_graph::wire`]), so the two parties stream buckets one at a
 //! time instead of shipping the whole model as a single blob: the
 //! optimizer works on bucket *i* while the owner is still generating
-//! bucket *i + 1*. Sealed buckets are always v3 frames; a v1 frame names
-//! no request and a v2 frame uses the retired FNV-1a checksum, so both are
-//! refused.
+//! bucket *i + 1*. Sealed buckets are always v3 frames; a record (v1)
+//! names no request and a v2 frame uses the retired FNV-1a checksum, so
+//! both are refused.
 
 // Decoding and sealing run on the serving path for every request: no
 // `unwrap`/`expect` outside tests (CI runs clippy with `-D warnings`).
@@ -21,8 +21,8 @@
 
 use bytes::{Buf, BufMut, Bytes};
 use proteus_graph::wire::{
-    bounded_capacity, decode_graph, decode_params, decode_request_frame, encode_graph, fnv1a64,
-    seal_frame, MemberEncoder, WireError,
+    bounded_capacity, decode_frame, decode_graph, decode_params, encode_graph, fnv1a64, seal_frame,
+    MemberEncoder, WireError,
 };
 use proteus_graph::{Graph, TensorMap};
 use proteus_partition::PartitionPlan;
@@ -111,7 +111,7 @@ pub(crate) struct RawSealed {
 impl RawSealed {
     /// Opens the v3 frame at the front of `data`, leaving trailing bytes.
     fn open_from(data: &mut Bytes) -> Result<RawSealed, WireError> {
-        let frame = decode_request_frame(data)?;
+        let frame = decode_frame(data)?;
         let mut payload = frame.payload;
         if payload.remaining() < 8 {
             return Err(WireError::truncated("sealed bucket header"));
@@ -213,7 +213,7 @@ impl SealedBucket {
             .map(|m| 8 + m.graph_len() + m.params_len())
             .sum::<usize>();
         let (index, total) = (self.bucket_index, self.num_buckets);
-        seal_frame(Some(request_id), index, payload_len, |buf| {
+        seal_frame(request_id, index, payload_len, |buf| {
             buf.put_u32_le(total);
             buf.put_u32_le(members.len() as u32);
             for m in &members {
@@ -231,8 +231,8 @@ impl SealedBucket {
     /// requests.
     ///
     /// # Errors
-    /// Typed [`WireError`]s: unknown wire versions (v1 included: it
-    /// carries no request id; and v2), bad magic, checksum mismatches,
+    /// Typed [`WireError`]s: unknown wire versions (a v1 record included:
+    /// it carries no request id; and v2), bad magic, checksum mismatches,
     /// truncation, malformed payload fields.
     pub fn decode_mux_from(data: &mut Bytes) -> Result<(u64, SealedBucket), WireError> {
         RawSealed::open_from(data)?.decode()
@@ -379,13 +379,11 @@ mod tests {
         assert_eq!(back.bucket_index, 0);
         assert_eq!(back.num_buckets, 2);
         assert_eq!(back.bucket.members.len(), 1);
-        // the same payload behind a v1 header names no request: refused
-        let payload = proteus_graph::wire::decode_frame(&mut sealed.to_mux_bytes(0))
-            .unwrap()
-            .payload;
-        let v1 = proteus_graph::wire::encode_frame(0, &payload);
+        // the same payload behind a record header names no request: refused
+        let payload = decode_frame(&mut sealed.to_mux_bytes(0)).unwrap().payload;
+        let record = proteus_graph::wire::seal_record(0, &[&payload]);
         assert!(matches!(
-            SealedBucket::from_mux_bytes(v1),
+            SealedBucket::from_mux_bytes(record),
             Err(WireError::UnknownVersion { got: 1, .. })
         ));
     }

@@ -24,7 +24,7 @@
 //! multiplexed frame ([`proteus_graph::wire::encode_frame_v3`]): the
 //! header carries a `request_id`, and [`RequestHandle::submit_bytes`]
 //! rejects frames whose id does not match the handle (cross-request
-//! injection). A v1 frame carries no request id and a v2 frame the
+//! injection). A record (v1) carries no request id and a v2 frame the
 //! retired FNV-1a checksum; both are refused as
 //! [`proteus_graph::WireError::UnknownVersion`].
 //!
@@ -1338,7 +1338,7 @@ mod tests {
     /// from it and an open session resumed from it fail closed, typed.
     #[test]
     fn journaled_v2_frames_fail_closed_typed_on_resume() {
-        use proteus_graph::wire::{decode_frame, Checksum, Envelope, Versions, FRAME};
+        use proteus_graph::wire::{decode_frame, Checksum, Envelope, FRAME};
         let proteus = quick_proteus();
         let g = build(ModelKind::AlexNet);
         let mut session = proteus
@@ -1351,7 +1351,8 @@ mod tests {
             session.finish().expect("secrets")
         };
         let v2_row = Envelope {
-            versions: Versions::Only(&[(2, 12, Checksum::Fnv1a)]),
+            version: Some(2),
+            checksum: Checksum::Fnv1a,
             ..FRAME
         };
         let fields = |f: &mut BytesMut| {

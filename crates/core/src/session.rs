@@ -381,7 +381,7 @@ impl<'s> DeobfuscationSession<'s> {
     /// that its request id matches this session's secrets — frames
     /// injected from another request's stream are rejected before any of
     /// their content is taken, so multiplexed transports cannot leak data
-    /// across requests. A v1 frame carries no request id and a v2 frame
+    /// across requests. A record (v1) carries no request id and a v2 frame
     /// the retired FNV-1a checksum; both are refused as
     /// [`proteus_graph::WireError::UnknownVersion`].
     ///

@@ -2,7 +2,7 @@
 //! sessions and serving lanes.
 //!
 //! Everything the store persists goes through a write-ahead log of
-//! wire-v1-framed records whose digests are Merkle-style chained (each
+//! `PRTB` records whose digests are Merkle-style chained (each
 //! record's FNV-1a is seeded with the previous record's digest, and each
 //! record's checksummed payload names its predecessor's digest — see
 //! [`wal`]). Appends commit atomically by renaming a small marker file

@@ -1,12 +1,11 @@
-//! The write-ahead-log record layer: wire-v1-framed records whose
-//! digests are Merkle-style chained, plus the atomically renamed commit
-//! marker that defines the committed horizon.
+//! The write-ahead-log record layer: `PRTB` records whose digests are
+//! Merkle-style chained, plus the atomically renamed commit marker that
+//! defines the committed horizon.
 //!
-//! A record is an ordinary [`proteus_graph::wire`] v1 frame — the same
-//! envelope and checksum every bucket crossing the trust boundary
-//! uses — with the frame's `bucket_index` field carrying the record
-//! *tag* and the payload opening with the chain digest of the previous
-//! record and the record's sequence number:
+//! A record is an ordinary [`proteus_graph::wire::RECORD`] envelope —
+//! the one every stored format shares — with its `tag` field carrying
+//! the record *tag* and the payload opening with the chain digest of
+//! the previous record and the record's sequence number:
 //!
 //! ```text
 //! PRTB | version=1 | tag u32 | payload_len u32 | checksum u64 |
@@ -34,10 +33,7 @@
 
 use super::StoreError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use proteus_graph::wire::{
-    decode_frame, fnv1a64_continue, seal_frame, Checksum, Envelope, Versions, FRAME,
-    WIRE_VERSION_V1,
-};
+use proteus_graph::wire::{fnv1a64_continue, open_record, seal_record, Checksum, Envelope, RECORD};
 
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "store.wal";
@@ -53,12 +49,14 @@ pub const MARKER_VERSION: u16 = 1;
 pub const MARKER: Envelope = Envelope {
     name: "marker",
     magic: *b"PRTM",
-    versions: Versions::Only(&[(MARKER_VERSION, 24, Checksum::Fnv1a)]),
+    version: Some(MARKER_VERSION),
+    fields: 24,
+    checksum: Checksum::Fnv1a,
     has_len: false,
     max_body: 0,
 };
 /// Exact encoded size of the commit marker.
-pub const MARKER_LEN: usize = MARKER.header_len(24);
+pub const MARKER_LEN: usize = MARKER.header_len();
 
 /// Store format version recorded in the genesis record's body. Version 1
 /// also carried trained-artifact records (tag 1); version 2 journals
@@ -73,12 +71,12 @@ pub const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// Fixed prefix of every record payload: `prev_digest u64 | seq u64`.
 pub const RECORD_PREFIX: usize = 16;
 
-/// Bytes a record adds around its body: the v1 frame header (4 field
-/// bytes: the tag) plus the chain prefix.
-pub(crate) const RECORD_OVERHEAD: usize = FRAME.header_len(4) + RECORD_PREFIX;
+/// Bytes a record adds around its body: the record header plus the
+/// chain prefix.
+pub(crate) const RECORD_OVERHEAD: usize = RECORD.header_len() + RECORD_PREFIX;
 
-/// What a WAL record describes. Encoded in the v1 frame's `bucket_index`
-/// field; unknown tags are rejected as corruption, never skipped. Tag 1
+/// What a WAL record describes. Encoded in the record's `tag` field;
+/// unknown tags are rejected as corruption, never skipped. Tag 1
 /// held trained artifacts in store format 1; it is retired and never
 /// reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +96,7 @@ pub enum RecordTag {
 }
 
 impl RecordTag {
-    /// Decodes a tag from the frame's `bucket_index` field.
+    /// Decodes a tag from the record's `tag` field.
     pub fn from_u32(v: u32) -> Option<RecordTag> {
         match v {
             0 => Some(RecordTag::Genesis),
@@ -125,14 +123,11 @@ pub struct WalRecord {
     pub body: Bytes,
 }
 
-/// Encodes one record: a v1 frame whose payload folds in the previous
+/// Encodes one record: a [`RECORD`] whose payload folds in the previous
 /// record's chain digest.
 pub fn encode_record(tag: RecordTag, seq: u64, prev_digest: u64, body: &[u8]) -> Bytes {
-    seal_frame(None, tag as u32, RECORD_PREFIX + body.len(), |payload| {
-        payload.put_u64_le(prev_digest);
-        payload.put_u64_le(seq);
-        payload.put_slice(body);
-    })
+    let prefix = [prev_digest.to_le_bytes(), seq.to_le_bytes()];
+    seal_record(tag as u32, &[&prefix[0], &prefix[1], body])
 }
 
 /// The genesis record every store opens with: tag 0, sequence 0, and
@@ -167,7 +162,7 @@ pub struct Marker {
 /// Serializes a marker (fixed [`MARKER_LEN`] bytes, self-checksummed).
 ///
 /// # Errors
-/// [`StoreError::Marker`] if [`MARKER`] does not list [`MARKER_VERSION`].
+/// [`StoreError::Marker`] if [`MARKER`] does not accept [`MARKER_VERSION`].
 pub fn encode_marker(m: &Marker) -> Result<Bytes, StoreError> {
     let fields = |f: &mut BytesMut| {
         f.put_u64_le(m.committed_len);
@@ -227,25 +222,15 @@ pub fn replay(wal: &[u8], marker: &Marker) -> Result<Vec<WalRecord>, StoreError>
     let mut buf = Bytes::copy_from_slice(&wal[..committed]);
     while offset < committed {
         let before = buf.remaining();
-        let frame = decode_frame(&mut buf).map_err(|e| {
+        let (tag, mut payload) = open_record(&mut buf).map_err(|e| {
             // inside the committed region, truncation is corruption too:
             // these bytes were acknowledged as a whole record once
             StoreError::corrupt(offset as u64, format!("record failed to decode: {e}"))
         })?;
         let consumed = before - buf.remaining();
-        if frame.version != WIRE_VERSION_V1 {
-            return Err(StoreError::corrupt(
-                offset as u64,
-                format!("record frame has wire version {}, want 1", frame.version),
-            ));
-        }
-        let tag = RecordTag::from_u32(frame.bucket_index).ok_or_else(|| {
-            StoreError::corrupt(
-                offset as u64,
-                format!("unknown record tag {}", frame.bucket_index),
-            )
+        let tag = RecordTag::from_u32(tag).ok_or_else(|| {
+            StoreError::corrupt(offset as u64, format!("unknown record tag {tag}"))
         })?;
-        let mut payload = frame.payload;
         if payload.remaining() < RECORD_PREFIX {
             return Err(StoreError::corrupt(
                 offset as u64,
@@ -393,8 +378,8 @@ mod tests {
         assert_eq!(hex, format!("{fields}43e8b8c46001aee5"));
     }
 
-    /// Pins the genesis record byte for byte: a v1 `PRTB` frame with tag
-    /// 0 whose payload is the chain seed, sequence 0 and the store format
+    /// Pins the genesis record byte for byte: a `PRTB` record with tag 0
+    /// whose payload is the chain seed, sequence 0 and the store format
     /// version word.
     #[test]
     fn genesis_record_matches_golden_bytes() {
@@ -487,6 +472,27 @@ mod tests {
             replay(&duped, &dup_marker),
             Err(StoreError::Corrupt { .. })
         ));
+    }
+
+    /// A request frame where a record belongs is corruption at that
+    /// record's offset, even with an intact chain prefix in its payload.
+    #[test]
+    fn a_request_frame_in_the_log_is_corrupt_at_its_offset() {
+        let g = genesis_body();
+        let genesis = encode_record(RecordTag::Genesis, 0, CHAIN_SEED, &g);
+        let mut payload = chain_digest(CHAIN_SEED, &genesis).to_le_bytes().to_vec();
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        let frame = proteus_graph::wire::encode_frame_v3(7, RecordTag::LaneDone as u32, &payload);
+        let wal = [&genesis[..], &frame[..]].concat();
+        let marker = Marker {
+            committed_len: wal.len() as u64,
+            chain: chain_digest(chain_digest(CHAIN_SEED, &genesis), &frame),
+            records: 2,
+        };
+        match replay(&wal, &marker) {
+            Err(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, genesis.len() as u64),
+            other => panic!("want Corrupt at the frame, got {other:?}"),
+        }
     }
 
     #[test]

@@ -54,9 +54,9 @@ pub use op::{
 pub use shape::{infer_shapes, Shape};
 pub use stats::GraphStats;
 pub use wire::{
-    decode_error_frame, decode_frame, encode_error_frame, encode_frame, encode_frame_v3,
-    peek_frame_request_id, ErrorCode, ErrorFrame, Frame, WireError, ERROR_FRAME_MAGIC, FRAME_MAGIC,
-    MAX_ERROR_DETAIL, WIRE_VERSION, WIRE_VERSION_V1, WIRE_VERSION_V3,
+    decode_error_frame, decode_frame, encode_error_frame, encode_frame_v3, open_record,
+    peek_frame_request_id, seal_record, ErrorCode, ErrorFrame, Frame, WireError, ERROR_FRAME_MAGIC,
+    FRAME_MAGIC, MAX_ERROR_DETAIL, WIRE_VERSION, WIRE_VERSION_V1, WIRE_VERSION_V3,
 };
 
 use std::fmt;

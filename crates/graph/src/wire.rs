@@ -7,11 +7,12 @@
 //! intercepts, per the paper's threat model §3.1), so it needs a concrete
 //! byte format. Graphs and parameter stores use a compact little-endian
 //! tag-length-value encoding; per-bucket payloads are wrapped in a
-//! [`Frame`] carrying a magic number, a wire-protocol version, the bucket
-//! index, and a payload checksum, so that a peer can stream buckets one at
-//! a time, reject frames from unknown protocol versions explicitly
-//! ([`WireError::UnknownVersion`]), and detect in-flight corruption
-//! ([`WireError::ChecksumMismatch`]) without ever panicking.
+//! [`Frame`] carrying a magic number, a wire-protocol version, the
+//! request id and bucket index, and a payload checksum, so that a peer
+//! can stream buckets one at a time, reject frames from unknown protocol
+//! versions explicitly ([`WireError::UnknownVersion`]), and detect
+//! in-flight corruption ([`WireError::ChecksumMismatch`]) without ever
+//! panicking.
 
 use crate::exec::{Tensor, TensorMap};
 use crate::graph::{Graph, Node, NodeId};
@@ -22,13 +23,13 @@ use crate::shape::Shape;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
-/// Magic bytes opening every [`Frame`].
+/// Magic bytes opening every [`Frame`] and every record.
 pub const FRAME_MAGIC: [u8; 4] = *b"PRTB";
 
-/// The record frame version: no request id. Encoded by [`encode_frame`]
-/// and read by [`decode_frame`] as the envelope of WAL records and
-/// artifact sections; a request decoder ([`decode_request_frame`])
-/// refuses it.
+/// The version of the [`RECORD`] row: a `PRTB` envelope whose one fixed
+/// field is a `u32` tag, under FNV-1a. Sealed by [`seal_record`] and
+/// opened by [`open_record`]; it is the envelope of WAL records and
+/// artifact sections, and a request decoder refuses it.
 pub const WIRE_VERSION_V1: u16 = 1;
 
 /// The request frame version: the header carries a `request_id`, so one
@@ -38,9 +39,9 @@ pub const WIRE_VERSION_V1: u16 = 1;
 pub const WIRE_VERSION_V3: u16 = 3;
 
 /// The newest wire-protocol version this library speaks. [`decode_frame`]
-/// accepts [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V3`] and rejects every
-/// other version with [`WireError::UnknownVersion`] — version
-/// negotiation is explicit, never a silent misparse.
+/// accepts [`WIRE_VERSION_V3`] and rejects every other version with
+/// [`WireError::UnknownVersion`] — version negotiation is explicit,
+/// never a silent misparse.
 pub const WIRE_VERSION: u16 = WIRE_VERSION_V3;
 
 /// Decoding error. Every malformed input maps to a typed variant — decode
@@ -240,7 +241,7 @@ pub fn word_hash64(seed: u64, data: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// The hash an envelope row's checksum uses, per version.
+/// The hash an envelope row's checksum uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Checksum {
     /// [`fnv1a64`], byte at a time: every stored format (WAL records,
@@ -277,22 +278,9 @@ pub fn bounded_capacity(count: usize, buf: &impl Buf, min_bytes: usize) -> usize
 /// Offset of an envelope's fixed fields, after `magic[4] | version u16`.
 pub const ENVELOPE_FIELDS_AT: usize = 6;
 
-/// The versions an [`Envelope`] accepts, each with its fixed-field width
-/// and its checksum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Versions {
-    /// Exactly these `(version, fixed-field bytes, checksum)` rows; any
-    /// other version is [`WireError::UnknownVersion`].
-    Only(&'static [(u16, usize, Checksum)]),
-    /// Every version, with one width and one checksum: the format judges
-    /// the version after decoding (the handshake answers a skewed
-    /// `net_protocol` typed).
-    Any(usize, Checksum),
-}
-
 /// One row of the envelope table. Every checksummed format — `PRTB`
-/// frames, `PRTE` error frames, `PRTH`/`PRTS` hellos, the `PRTM` commit
-/// marker — is one layout:
+/// records and frames, `PRTE` error frames, `PRTH`/`PRTS` hellos, the
+/// `PRTM` commit marker — is one layout:
 ///
 /// ```text
 /// magic[4] | version u16 | fixed fields | [body_len u32] | checksum u64 | body
@@ -300,22 +288,29 @@ pub enum Versions {
 ///
 /// The checksum covers every byte between the magic and the checksum
 /// field, then the body, so corruption anywhere after the magic is
-/// caught; which hash computes it is a property of the row's version
-/// ([`Checksum`]). A row names what differs per format; sealing, opening
-/// and measuring envelopes is this one piece of code.
+/// caught. A row names one layout: its version, its fixed-field width
+/// and its checksum; sealing, opening and measuring envelopes is this
+/// one piece of code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Envelope {
     /// Names the format in [`WireError::Truncated`] contexts.
     pub name: &'static str,
     /// The four bytes opening the envelope.
     pub magic: [u8; 4],
-    /// Accepted versions, their fixed-field widths and checksums.
-    pub versions: Versions,
+    /// The one version the row accepts (any other is
+    /// [`WireError::UnknownVersion`]), or `None` for a format that judges
+    /// the version after decoding (the handshake answers a skewed
+    /// `net_protocol` typed).
+    pub version: Option<u16>,
+    /// Width of the fixed fields, in bytes.
+    pub fields: usize,
+    /// The hash of the checksum field.
+    pub checksum: Checksum,
     /// Whether a `u32` body length precedes the checksum; without one
     /// the envelope has no body.
     pub has_len: bool,
-    /// Largest body accepted: a longer length field is
-    /// [`WireError::Malformed`] before any body byte is awaited.
+    /// Largest body accepted: a longer one is [`WireError::Malformed`],
+    /// on sealing and on opening before any body byte is awaited.
     pub max_body: usize,
 }
 
@@ -328,24 +323,14 @@ fn le(data: &[u8], at: usize, n: usize) -> u64 {
 }
 
 impl Envelope {
-    /// Header length (magic through checksum) around `fields` bytes of
-    /// fixed fields.
-    pub const fn header_len(&self, fields: usize) -> usize {
-        ENVELOPE_FIELDS_AT + fields + if self.has_len { 4 } else { 0 } + 8
-    }
-
-    /// The shortest envelope of this row: its smallest header, no body.
-    pub fn min_len(&self) -> usize {
-        match self.versions {
-            Versions::Any(fields, _) => self.header_len(fields),
-            Versions::Only(rows) => rows.iter().map(|r| self.header_len(r.1)).min().unwrap_or(0),
-        }
+    /// Header length: magic through checksum, with no body.
+    pub const fn header_len(&self) -> usize {
+        ENVELOPE_FIELDS_AT + self.fields + if self.has_len { 4 } else { 0 } + 8
     }
 
     /// Checks the magic, then the version, opening `data`: `Ok(None)`
-    /// while too few bytes are present to decide, else the version, its
-    /// fixed-field width and its checksum.
-    fn head(&self, data: &[u8]) -> WResult<Option<(u16, usize, Checksum)>> {
+    /// while too few bytes are present to decide, else the version.
+    fn head(&self, data: &[u8]) -> WResult<Option<u16>> {
         if data.len() < 4 {
             return Ok(None);
         }
@@ -358,24 +343,19 @@ impl Envelope {
             return Ok(None);
         }
         let version = u16::from_le_bytes([data[4], data[5]]);
-        let (fields, sum) = self.listed(version)?;
-        Ok(Some((version, fields, sum)))
+        self.accepts(version)?;
+        Ok(Some(version))
     }
 
-    /// The fixed-field width and checksum of `version`, or
-    /// [`WireError::UnknownVersion`] naming the newest version the row
-    /// lists when it does not accept `version`.
-    fn listed(&self, version: u16) -> WResult<(usize, Checksum)> {
-        let rows = match self.versions {
-            Versions::Any(fields, sum) => return Ok((fields, sum)),
-            Versions::Only(rows) => rows,
-        };
-        let unknown = || WireError::UnknownVersion {
-            got: version,
-            supported: rows.iter().map(|r| r.0).max().unwrap_or(0),
-        };
-        let row = rows.iter().find(|r| r.0 == version).ok_or_else(unknown)?;
-        Ok((row.1, row.2))
+    /// [`WireError::UnknownVersion`] unless the row accepts `version`.
+    fn accepts(&self, version: u16) -> WResult<()> {
+        match self.version {
+            Some(supported) if supported != version => Err(WireError::UnknownVersion {
+                got: version,
+                supported,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// The body length in the length field at `at`, held to the row's
@@ -386,6 +366,12 @@ impl Envelope {
         } else {
             0
         };
+        self.within_cap(len, cap)
+    }
+
+    /// `len` unless it exceeds the row's cap or `cap`
+    /// ([`WireError::Malformed`]).
+    fn within_cap(&self, len: usize, cap: usize) -> WResult<usize> {
         let cap = cap.min(self.max_body);
         if len > cap {
             return Err(WireError::malformed(format!(
@@ -400,8 +386,9 @@ impl Envelope {
     /// the `fields` closure writing the format's fixed fields.
     ///
     /// # Errors
-    /// [`WireError::UnknownVersion`] when the row does not list
-    /// `version`: no decoder would open the bytes.
+    /// [`WireError::UnknownVersion`] when the row does not accept
+    /// `version`, and [`WireError::Malformed`] for a body over the row's
+    /// cap: no decoder would open the bytes.
     ///
     /// # Panics
     /// If `body` exceeds `u32::MAX` bytes — the length field could not
@@ -412,34 +399,29 @@ impl Envelope {
         fields: impl FnOnce(&mut BytesMut),
         body: &[u8],
     ) -> WResult<Bytes> {
-        let (fields_len, sum) = self.listed(version)?;
-        let body_len = body.len();
-        Ok(
-            self.seal_as((version, fields_len, sum), fields, body_len, |b| {
-                b.put_slice(body)
-            }),
-        )
+        self.accepts(version)?;
+        self.within_cap(body.len(), usize::MAX)?;
+        Ok(self.seal_in(version, fields, body.len(), |b| b.put_slice(body)))
     }
 
-    /// Seals one `(version, fixed-field bytes, checksum)` row entry, the
-    /// body written in place by `body` into the envelope's own buffer,
-    /// pre-sized for a `body_len`-byte body. The length and checksum
-    /// fields are patched from the bytes actually written, so `body_len`
-    /// only sizes the allocation. Private: the encoders in this module
-    /// pass an entry their row lists; everyone else goes through the
-    /// checked [`Envelope::seal`].
+    /// Seals `version` with the body written in place by `body` into the
+    /// envelope's own buffer, pre-sized for a `body_len`-byte body. The
+    /// length and checksum fields are patched from the bytes actually
+    /// written, so `body_len` only sizes the allocation. Private: the
+    /// encoders in this module pass the row's own version and a body
+    /// within its cap; everyone else goes through the checked
+    /// [`Envelope::seal`].
     ///
     /// # Panics
     /// As [`Envelope::seal`], if the written body exceeds `u32::MAX` bytes.
-    fn seal_as(
+    fn seal_in(
         &self,
-        (version, fields_len, checksum): (u16, usize, Checksum),
+        version: u16,
         fields: impl FnOnce(&mut BytesMut),
         body_len: usize,
         body: impl FnOnce(&mut BytesMut),
     ) -> Bytes {
-        let header = self.header_len(fields_len);
-        let mut buf = BytesMut::with_capacity(header + body_len);
+        let mut buf = BytesMut::with_capacity(self.header_len() + body_len);
         buf.put_slice(&self.magic);
         buf.put_u16_le(version);
         fields(&mut buf);
@@ -460,7 +442,7 @@ impl Envelope {
         if self.has_len {
             buf[len_at..sum_at].copy_from_slice(&written_u32.to_le_bytes());
         }
-        let sum = checksum.of(&buf[4..sum_at], &buf[sum_at + 8..]);
+        let sum = self.checksum.of(&buf[4..sum_at], &buf[sum_at + 8..]);
         buf[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
         buf.freeze()
     }
@@ -476,11 +458,11 @@ impl Envelope {
     /// length over the cap, [`WireError::ChecksumMismatch`].
     pub fn open(&self, buf: &mut Bytes) -> WResult<(u16, Bytes, Bytes)> {
         let truncated = |part: &str| WireError::truncated(format!("{} {part}", self.name));
-        let Some((version, fields, checksum)) = self.head(buf)? else {
+        let Some(version) = self.head(buf)? else {
             return Err(truncated(if buf.len() < 4 { "magic" } else { "version" }));
         };
-        let at = ENVELOPE_FIELDS_AT + fields;
-        let header = self.header_len(fields);
+        let at = ENVELOPE_FIELDS_AT + self.fields;
+        let header = self.header_len();
         if buf.len() < header {
             return Err(truncated("header"));
         }
@@ -489,7 +471,9 @@ impl Envelope {
             return Err(truncated("body"));
         }
         let expected = le(buf, header - 8, 8);
-        let got = checksum.of(&buf[4..header - 8], &buf[header..header + body]);
+        let got = self
+            .checksum
+            .of(&buf[4..header - 8], &buf[header..header + body]);
         if got != expected {
             return Err(WireError::ChecksumMismatch { expected, got });
         }
@@ -517,53 +501,94 @@ pub fn envelope_len(rows: &[&Envelope], data: &[u8], cap: usize) -> WResult<Opti
         .iter()
         .find(|r| data.starts_with(&r.magic))
         .unwrap_or(&rows[0]);
-    let Some((_, fields, _)) = row.head(data)? else {
+    if row.head(data)?.is_none() {
         return Ok(None);
-    };
-    let at = ENVELOPE_FIELDS_AT + fields;
+    }
+    let at = ENVELOPE_FIELDS_AT + row.fields;
     if data.len() < at + if row.has_len { 4 } else { 0 } {
         return Ok(None);
     }
-    Ok(Some(row.header_len(fields) + row.body_len(data, at, cap)?))
+    Ok(Some(row.header_len() + row.body_len(data, at, cap)?))
 }
 
-/// The `PRTB` data-frame row: v1 carries `bucket_index u32` under
-/// FNV-1a (it is stored), v3 `request_id u64 | bucket_index u32` under
-/// the word hash. Bodies are not capped here; a stream reader applies its
-/// own limit.
-pub const FRAME: Envelope = Envelope {
-    name: "frame",
+/// The `PRTB` record row: version 1, `tag u32` under FNV-1a. It is the
+/// envelope of everything stored — WAL records and `PRTA` sections —
+/// never of a request. Bodies are not capped here.
+pub const RECORD: Envelope = Envelope {
+    name: "record",
     magic: FRAME_MAGIC,
-    versions: Versions::Only(&[FRAME_V1, FRAME_V3]),
+    version: Some(WIRE_VERSION_V1),
+    fields: 4,
+    checksum: Checksum::Fnv1a,
     has_len: true,
     max_body: usize::MAX,
 };
 
-/// The `(version, fixed-field bytes, checksum)` entries of [`FRAME`] and
-/// [`ERROR_FRAME`], which this module's encoders seal directly.
-const FRAME_V1: (u16, usize, Checksum) = (WIRE_VERSION_V1, 4, Checksum::Fnv1a);
-const FRAME_V3: (u16, usize, Checksum) = (WIRE_VERSION_V3, 12, Checksum::Word);
-const ERROR_FRAME_V3: (u16, usize, Checksum) = (WIRE_VERSION_V3, 10, Checksum::Word);
+/// The `PRTB` request-frame row: version 3, `request_id u64 |
+/// bucket_index u32` under the word hash. Bodies are not capped here; a
+/// stream reader applies its own limit.
+pub const FRAME: Envelope = Envelope {
+    name: "frame",
+    magic: FRAME_MAGIC,
+    version: Some(WIRE_VERSION_V3),
+    fields: 12,
+    checksum: Checksum::Word,
+    has_len: true,
+    max_body: usize::MAX,
+};
 
 /// The `PRTE` error-frame row: `request_id u64 | code u16`, version 3
 /// under the word hash, detail at most [`MAX_ERROR_DETAIL`] bytes.
 pub const ERROR_FRAME: Envelope = Envelope {
     name: "error frame",
     magic: ERROR_FRAME_MAGIC,
-    versions: Versions::Only(&[ERROR_FRAME_V3]),
+    version: Some(WIRE_VERSION_V3),
+    fields: 10,
+    checksum: Checksum::Word,
     has_len: true,
     max_body: MAX_ERROR_DETAIL,
 };
 
-/// One decoded wire frame: header fields plus the raw payload (the payload
-/// codec is the caller's concern — for Proteus it is a sealed bucket).
+/// Wraps the concatenation of `payload` in a [`RECORD`] envelope:
+///
+/// ```text
+/// magic[4] | version=1 u16 | tag u32 | payload_len u32 | checksum u64 |
+/// payload
+/// ```
+///
+/// The pieces are written straight into the record's buffer, so a caller
+/// prefixing a body (the WAL's chain prefix) copies it once.
+///
+/// # Panics
+/// As [`Envelope::seal`], if the payload exceeds `u32::MAX` bytes.
+pub fn seal_record(tag: u32, payload: &[&[u8]]) -> Bytes {
+    let len = payload.iter().map(|p| p.len()).sum();
+    RECORD.seal_in(
+        WIRE_VERSION_V1,
+        |f| f.put_u32_le(tag),
+        len,
+        |b| payload.iter().for_each(|p| b.put_slice(p)),
+    )
+}
+
+/// Opens the [`RECORD`] at the front of `buf`, leaving trailing bytes
+/// (a stream of records opens by repeated calls), and returns
+/// `(tag, payload)`.
+///
+/// # Errors
+/// As [`Envelope::open`]; a request frame is
+/// [`WireError::UnknownVersion`] `{ supported: 1 }`.
+pub fn open_record(buf: &mut Bytes) -> WResult<(u32, Bytes)> {
+    let (_, mut fields, payload) = RECORD.open(buf)?;
+    Ok((fields.get_u32_le(), payload))
+}
+
+/// One decoded request frame: header fields plus the raw payload (the
+/// payload codec is the caller's concern — for Proteus it is a sealed
+/// bucket).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Protocol version the frame was encoded with ([`WIRE_VERSION_V1`]
-    /// or [`WIRE_VERSION_V3`] after a successful decode).
-    pub version: u16,
     /// Which request of a multiplexed stream this frame belongs to.
-    /// Version-1 frames carry no request id on the wire and decode to `0`.
     pub request_id: u64,
     /// Which bucket of the obfuscated model this frame carries.
     pub bucket_index: u32,
@@ -571,27 +596,10 @@ pub struct Frame {
     pub payload: Bytes,
 }
 
-/// Wraps `payload` in a version-1 [`FRAME`] envelope:
+/// Wraps `payload` in a [`FRAME`] envelope:
 ///
 /// ```text
-/// magic[4] | version u16 | bucket_index u32 | payload_len u32 |
-/// checksum u64 | payload
-/// ```
-///
-/// This is the envelope of WAL records and artifact sections. Request
-/// frames use [`encode_frame_v3`].
-///
-/// # Panics
-/// As [`Envelope::seal`], if `payload` exceeds `u32::MAX` bytes; buckets
-/// are bounded far below this by partitioning.
-pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
-    seal_frame(None, bucket_index, payload.len(), |b| b.put_slice(payload))
-}
-
-/// Wraps `payload` in a version-3 *multiplexed* [`FRAME`] envelope:
-///
-/// ```text
-/// magic[4] | version u16 | request_id u64 | bucket_index u32 |
+/// magic[4] | version=3 u16 | request_id u64 | bucket_index u32 |
 /// payload_len u32 | checksum u64 | payload
 /// ```
 ///
@@ -601,48 +609,34 @@ pub fn encode_frame(bucket_index: u32, payload: &[u8]) -> Bytes {
 /// header corruption. The checksum is the [`word_hash64`].
 ///
 /// # Panics
-/// As [`encode_frame`], if `payload` exceeds `u32::MAX` bytes.
+/// As [`Envelope::seal`], if `payload` exceeds `u32::MAX` bytes; buckets
+/// are bounded far below this by partitioning.
 pub fn encode_frame_v3(request_id: u64, bucket_index: u32, payload: &[u8]) -> Bytes {
-    seal_frame(Some(request_id), bucket_index, payload.len(), |b| {
+    seal_frame(request_id, bucket_index, payload.len(), |b| {
         b.put_slice(payload)
     })
 }
 
 /// Seals a [`FRAME`] whose payload the `payload` closure writes in
 /// place, into the frame's own buffer pre-sized for `payload_len` bytes:
-/// the bytes of [`encode_frame`] or [`encode_frame_v3`] over the same
-/// payload, without building the payload in a buffer of its own first.
-/// The header picks the version, so no other can be asked for: `None`
-/// seals v1, which carries no `request_id`, and `Some(request_id)` seals
-/// v3. The length and checksum fields are patched from the bytes
-/// actually written.
+/// the bytes of [`encode_frame_v3`] over the same payload, without
+/// building the payload in a buffer of its own first. The length and
+/// checksum fields are patched from the bytes actually written.
 ///
 /// # Panics
-/// As [`encode_frame`], if the payload exceeds `u32::MAX` bytes.
+/// As [`encode_frame_v3`], if the payload exceeds `u32::MAX` bytes.
 pub fn seal_frame(
-    request_id: Option<u64>,
+    request_id: u64,
     bucket_index: u32,
     payload_len: usize,
     payload: impl FnOnce(&mut BytesMut),
 ) -> Bytes {
     let fields = |f: &mut BytesMut| {
-        if let Some(request_id) = request_id {
-            f.put_u64_le(request_id);
-        }
+        f.put_u64_le(request_id);
         f.put_u32_le(bucket_index);
     };
-    let layout = request_id.map_or(FRAME_V1, |_| FRAME_V3);
-    FRAME.seal_as(layout, fields, payload_len, payload)
+    FRAME.seal_in(WIRE_VERSION_V3, fields, payload_len, payload)
 }
-
-/// [`FRAME`] where a request frame is due: v3 alone. v1 carries no
-/// request id, so it cannot name the lane it belongs to (it survives only
-/// as the envelope of WAL records and `PRTA` sections, which
-/// [`decode_frame`] still reads), and v2 is retired.
-const REQUEST_FRAME: Envelope = Envelope {
-    versions: Versions::Only(&[FRAME_V3]),
-    ..FRAME
-};
 
 /// Reads the request id out of a frame header without decoding — or
 /// checksum-verifying — the payload: the cheap peek a demultiplexing
@@ -651,11 +645,11 @@ const REQUEST_FRAME: Envelope = Envelope {
 ///
 /// # Errors
 /// [`WireError::BadMagic`] / [`WireError::UnknownVersion`] /
-/// [`WireError::Truncated`] for headers too malformed to route; a v1
-/// frame, which carries no request id, and a v2 frame are
+/// [`WireError::Truncated`] for headers too malformed to route; a
+/// record, which carries no request id, and a v2 frame are
 /// [`WireError::UnknownVersion`].
 pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
-    match REQUEST_FRAME.head(data)? {
+    match FRAME.head(data)? {
         None => Err(WireError::truncated("frame header peek")),
         Some(_) => data
             .get(ENVELOPE_FIELDS_AT..ENVELOPE_FIELDS_AT + 8)
@@ -664,42 +658,19 @@ pub fn peek_frame_request_id(data: &[u8]) -> WResult<u64> {
     }
 }
 
-/// Decodes one frame from the front of `buf`, leaving any trailing bytes
-/// (a stream of frames decodes by repeated calls). Accepts both
-/// [`WIRE_VERSION_V1`] and [`WIRE_VERSION_V3`] frames: v1 is the envelope
-/// of WAL records and `PRTA` sections. Request frames go through
-/// [`decode_request_frame`], which refuses v1.
+/// Decodes one request frame from the front of `buf`, leaving any
+/// trailing bytes (a stream of frames decodes by repeated calls). Only
+/// [`WIRE_VERSION_V3`], whose header names the request, is accepted.
 ///
 /// # Errors
 /// As [`Envelope::open`]: [`WireError::BadMagic`] /
 /// [`WireError::UnknownVersion`] / [`WireError::ChecksumMismatch`] for
 /// the respective header violations, [`WireError::Truncated`] when the
-/// buffer ends early.
+/// buffer ends early. A record or a v2 frame is
+/// [`WireError::UnknownVersion`] `{ supported: 3 }`.
 pub fn decode_frame(buf: &mut Bytes) -> WResult<Frame> {
-    let (version, mut fields, payload) = FRAME.open(buf)?;
-    let request_id = if version == WIRE_VERSION_V1 {
-        0
-    } else {
-        fields.get_u64_le()
-    };
+    let (_, mut fields, payload) = FRAME.open(buf)?;
     Ok(Frame {
-        version,
-        request_id,
-        bucket_index: fields.get_u32_le(),
-        payload,
-    })
-}
-
-/// [`decode_frame`] for a request frame: only [`WIRE_VERSION_V3`], whose
-/// header names the request, is accepted.
-///
-/// # Errors
-/// As [`decode_frame`]; a v1 or v2 frame is [`WireError::UnknownVersion`]
-/// `{ supported: 3 }`.
-pub fn decode_request_frame(buf: &mut Bytes) -> WResult<Frame> {
-    let (version, mut fields, payload) = REQUEST_FRAME.open(buf)?;
-    Ok(Frame {
-        version,
         request_id: fields.get_u64_le(),
         bucket_index: fields.get_u32_le(),
         payload,
@@ -885,7 +856,7 @@ pub fn encode_error_frame(frame: &ErrorFrame) -> Bytes {
         f.put_u64_le(frame.request_id);
         f.put_u16_le(frame.code.as_u16());
     };
-    ERROR_FRAME.seal_as(ERROR_FRAME_V3, fields, detail.len(), |b| {
+    ERROR_FRAME.seal_in(WIRE_VERSION_V3, fields, detail.len(), |b| {
         b.put_slice(detail)
     })
 }
@@ -1662,14 +1633,10 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_preserves_header_and_payload() {
-        let payload = b"sealed bucket payload";
-        let bytes = encode_frame(7, payload);
-        let mut buf = bytes;
-        let frame = decode_frame(&mut buf).unwrap();
-        assert_eq!(frame.version, WIRE_VERSION_V1);
-        assert_eq!(frame.request_id, 0, "v1 frames decode to request id 0");
-        assert_eq!(frame.bucket_index, 7);
-        assert_eq!(&frame.payload[..], payload);
+        let payload = b"stored section payload";
+        let mut buf = seal_record(7, &[b"stored ", b"section payload"]);
+        let (tag, back) = open_record(&mut buf).unwrap();
+        assert_eq!((tag, &back[..]), (7, &payload[..]));
         assert!(buf.is_empty(), "no trailing bytes");
     }
 
@@ -1679,38 +1646,42 @@ mod tests {
         let bytes = encode_frame_v3(0xDEAD_BEEF_CAFE_F00D, 3, payload);
         let mut buf = bytes;
         let frame = decode_frame(&mut buf).unwrap();
-        assert_eq!(frame.version, WIRE_VERSION_V3);
         assert_eq!(frame.request_id, 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(frame.bucket_index, 3);
         assert_eq!(&frame.payload[..], payload);
         assert!(buf.is_empty(), "no trailing bytes");
     }
 
+    /// Records and request frames share the `PRTB` magic but not a row:
+    /// each decoder refuses the other's envelope, untouched, and a stream
+    /// mixing both decodes in order when each is opened by its own.
     #[test]
     fn mixed_version_stream_decodes_sequentially() {
-        // the envelope decoder reads a stream that interleaves v1
-        // (record) and v3 (request) frames
         let mut stream = BytesMut::new();
-        stream.put_slice(&encode_frame(0, b"legacy"));
+        stream.put_slice(&seal_record(0, &[b"record"]));
         stream.put_slice(&encode_frame_v3(42, 1, b"mux a"));
         stream.put_slice(&encode_frame_v3(7, 0, b"mux b"));
-        stream.put_slice(&encode_frame(1, b"legacy tail"));
+        stream.put_slice(&seal_record(1, &[b"record tail"]));
         let mut buf = stream.freeze();
-        let ids: Vec<(u16, u64, u32)> = (0..4)
-            .map(|_| {
-                let f = decode_frame(&mut buf).unwrap();
-                (f.version, f.request_id, f.bucket_index)
-            })
-            .collect();
-        assert_eq!(
-            ids,
-            vec![
-                (WIRE_VERSION_V1, 0, 0),
-                (WIRE_VERSION_V3, 42, 1),
-                (WIRE_VERSION_V3, 7, 0),
-                (WIRE_VERSION_V1, 0, 1),
-            ]
-        );
+        let as_frame = WireError::UnknownVersion {
+            got: WIRE_VERSION_V1,
+            supported: WIRE_VERSION_V3,
+        };
+        let as_record = WireError::UnknownVersion {
+            got: WIRE_VERSION_V3,
+            supported: WIRE_VERSION_V1,
+        };
+        let before = buf.clone();
+        assert_eq!(decode_frame(&mut buf), Err(as_frame.clone()));
+        assert_eq!(buf, before, "a refused record is left in place");
+        assert_eq!(open_record(&mut buf).unwrap().0, 0);
+        for (rid, index) in [(42, 1), (7, 0)] {
+            assert_eq!(open_record(&mut buf), Err(as_record.clone()));
+            let f = decode_frame(&mut buf).unwrap();
+            assert_eq!((f.request_id, f.bucket_index), (rid, index));
+        }
+        assert_eq!(decode_frame(&mut buf), Err(as_frame));
+        assert_eq!(open_record(&mut buf).unwrap().0, 1);
         assert!(buf.is_empty());
     }
 
@@ -1718,24 +1689,15 @@ mod tests {
     fn peek_reads_request_id_without_decoding() {
         let v3 = encode_frame_v3(0xFEED_F00D, 9, b"payload");
         assert_eq!(peek_frame_request_id(&v3).unwrap(), 0xFEED_F00D);
-        // a v1 frame names no request, so it cannot be routed
-        let v1 = encode_frame(9, b"payload");
+        // a record names no request, so it cannot be routed
+        let record = seal_record(9, &[b"payload"]);
         assert!(matches!(
-            peek_frame_request_id(&v1),
+            peek_frame_request_id(&record),
             Err(WireError::UnknownVersion {
                 got: 1,
                 supported: 3
             })
         ));
-        let mut buf = v1.clone();
-        assert!(matches!(
-            decode_request_frame(&mut buf),
-            Err(WireError::UnknownVersion {
-                got: 1,
-                supported: 3
-            })
-        ));
-        assert_eq!(decode_frame(&mut buf).unwrap().request_id, 0);
         // malformed headers are typed errors, not panics
         assert!(matches!(
             peek_frame_request_id(b"JUNKxx"),
@@ -1789,64 +1751,63 @@ mod tests {
     fn frame_stream_decodes_sequentially() {
         let mut stream = BytesMut::new();
         for i in 0..3u32 {
-            stream.put_slice(&encode_frame(i, format!("payload {i}").as_bytes()));
+            stream.put_slice(&seal_record(i, &[format!("payload {i}").as_bytes()]));
         }
         let mut buf = stream.freeze();
         for i in 0..3u32 {
-            let frame = decode_frame(&mut buf).unwrap();
-            assert_eq!(frame.bucket_index, i);
+            let (tag, payload) = open_record(&mut buf).unwrap();
+            assert_eq!(tag, i);
+            assert_eq!(&payload[..], format!("payload {i}").as_bytes());
         }
         assert!(buf.is_empty());
     }
 
     #[test]
     fn frame_rejects_unknown_version() {
-        let bytes = encode_frame(0, b"payload");
-        let mut raw = bytes.to_vec();
+        let mut raw = seal_record(0, &[b"payload"]).to_vec();
         raw[4] = 99; // bump the version field
         let mut buf = Bytes::copy_from_slice(&raw);
         assert_eq!(
-            decode_frame(&mut buf),
+            open_record(&mut buf),
             Err(WireError::UnknownVersion {
                 got: 99,
-                supported: WIRE_VERSION
+                supported: WIRE_VERSION_V1
             })
         );
     }
 
     #[test]
     fn frame_rejects_bad_magic() {
-        let bytes = encode_frame(0, b"payload");
-        let mut raw = bytes.to_vec();
+        let mut raw = seal_record(0, &[b"payload"]).to_vec();
         raw[0] = b'X';
         let mut buf = Bytes::copy_from_slice(&raw);
         assert!(matches!(
-            decode_frame(&mut buf),
+            open_record(&mut buf),
             Err(WireError::BadMagic { .. })
         ));
     }
 
     #[test]
     fn frame_detects_single_byte_corruption_everywhere() {
-        let bytes = encode_frame(3, b"some payload that is checksummed");
+        let bytes = seal_record(3, &[b"some payload that is checksummed"]);
         for pos in 0..bytes.len() {
             let mut raw = bytes.to_vec();
             raw[pos] ^= 0x40;
             let mut buf = Bytes::copy_from_slice(&raw);
             assert!(
-                decode_frame(&mut buf).is_err(),
-                "corruption at byte {pos} decoded successfully"
+                open_record(&mut buf).is_err(),
+                "corruption at byte {pos} opened successfully"
             );
         }
     }
 
     #[test]
     fn frame_rejects_truncation_at_every_length() {
-        let bytes = encode_frame(1, b"truncate me");
+        let bytes = seal_record(1, &[b"truncate me"]);
         for cut in 0..bytes.len() {
             let mut buf = bytes.slice(0..cut);
             assert!(
-                matches!(decode_frame(&mut buf), Err(WireError::Truncated { .. })),
+                matches!(open_record(&mut buf), Err(WireError::Truncated { .. })),
                 "cut at {cut} not rejected as truncated"
             );
         }
@@ -1856,14 +1817,15 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Pins the WIRE.md layouts of `PRTB` v1/v3 and `PRTE` v3 byte for
-    /// byte: one literal per header field, checksum included. The retired
-    /// v2 rows keep their old bytes here, and both are refused.
+    /// Pins the WIRE.md layouts of the `PRTB` record (v1), the `PRTB`
+    /// frame (v3) and `PRTE` v3 byte for byte: one literal per header
+    /// field, checksum included. The retired v2 rows keep their old bytes
+    /// here, and both are refused.
     #[test]
     fn frame_layouts_match_golden_bytes() {
         let v1 = concat!("50525442", "0100", "03000000", "03000000");
         assert_eq!(
-            hex(&encode_frame(3, b"abc")),
+            hex(&seal_record(3, &[b"abc"])),
             format!("{v1}dcc3b2b26c9c5af8616263")
         );
         let v3 = concat!(
@@ -1918,21 +1880,28 @@ mod tests {
         assert_eq!(decode_error_frame(&mut buf), Err(retired));
     }
 
-    /// Sealing a version its row does not list is a typed error, never
-    /// bytes that no decoder opens; a listed one seals what the encoders
-    /// produce.
+    /// Sealing a version its row does not accept, or a body over its
+    /// cap, is a typed error, never bytes that no decoder opens; the
+    /// row's own version seals what the encoders produce.
     #[test]
     fn sealing_an_unlisted_version_is_a_typed_error() {
         let fields = |f: &mut BytesMut| {
             f.put_u64_le(7);
             f.put_u32_le(0);
         };
-        for (row, version) in [(FRAME, 2), (FRAME, 0), (ERROR_FRAME, 1), (ERROR_FRAME, 2)] {
+        let rows = [
+            (FRAME, 2, WIRE_VERSION_V3),
+            (FRAME, 1, WIRE_VERSION_V3),
+            (ERROR_FRAME, 1, WIRE_VERSION_V3),
+            (ERROR_FRAME, 2, WIRE_VERSION_V3),
+            (RECORD, 3, WIRE_VERSION_V1),
+        ];
+        for (row, version, supported) in rows {
             assert_eq!(
                 row.seal(version, fields, b"abc"),
                 Err(WireError::UnknownVersion {
                     got: version,
-                    supported: WIRE_VERSION_V3
+                    supported
                 }),
                 "{} v{version}",
                 row.name
@@ -1941,6 +1910,22 @@ mod tests {
         assert_eq!(
             FRAME.seal(WIRE_VERSION_V3, fields, b"abc"),
             Ok(encode_frame_v3(7, 0, b"abc"))
+        );
+        let detail = |f: &mut BytesMut| {
+            f.put_u64_le(7);
+            f.put_u16_le(ErrorCode::Wire.as_u16());
+        };
+        let over = vec![b'x'; MAX_ERROR_DETAIL + 1];
+        assert!(matches!(
+            ERROR_FRAME.seal(WIRE_VERSION_V3, detail, &over),
+            Err(WireError::Malformed { .. })
+        ));
+        let mut at_cap = ERROR_FRAME
+            .seal(WIRE_VERSION_V3, detail, &over[1..])
+            .unwrap();
+        assert_eq!(
+            decode_error_frame(&mut at_cap).unwrap().detail.len(),
+            MAX_ERROR_DETAIL
         );
     }
 
@@ -2041,11 +2026,11 @@ mod tests {
             f.put_u16_le(code);
         };
         let row = Envelope {
-            versions: Versions::Any(10, Checksum::Word),
+            version: None,
             ..ERROR_FRAME
         };
         row.seal(version, fields, detail)
-            .expect("an Any row seals every version")
+            .expect("a row of no fixed version seals every version")
     }
 
     #[test]

@@ -48,15 +48,6 @@ pub use perturb::{perturb, perturb_many, PerturbConfig};
 pub use sample::TopologySampler;
 pub use ugraph::{Dag, UGraph};
 
-use proteus_graph::Graph;
-
-/// Builds an (undirected) topology corpus from computational graphs —
-/// typically the subgraphs of a partitioned model zoo, which is exactly
-/// what the paper trains GraphRNN on.
-pub fn topology_corpus(graphs: &[Graph]) -> Vec<UGraph> {
-    graphs.iter().map(UGraph::from_graph).collect()
-}
-
 #[cfg(test)]
 mod proptests {
     use super::*;

@@ -7,8 +7,7 @@
 //! a single vertex ordering cannot create cycles, so the result is a DAG.
 
 use crate::ugraph::{Dag, UGraph};
-use proteus_graph::stats::{bfs_distances, diameter_endpoints};
-use proteus_graph::NodeId;
+use proteus_graph::stats::diameter_endpoints;
 use std::collections::VecDeque;
 
 /// Orients an undirected topology into a DAG (Algorithm 3).
@@ -62,16 +61,6 @@ pub fn induce_orientation(g: &UGraph) -> Dag {
     }
     edges.sort_unstable();
     Dag::new(g.len(), edges)
-}
-
-/// Distance (in hops) from `src` in the undirected topology; helper shared
-/// with tests.
-pub fn hops_from(g: &UGraph, src: usize) -> Vec<Option<usize>> {
-    let adj = g.stats_adjacency();
-    let dist = bfs_distances(&adj, NodeId::from_index(src));
-    (0..g.len())
-        .map(|i| dist.get(&NodeId::from_index(i)).copied())
-        .collect()
 }
 
 #[cfg(test)]

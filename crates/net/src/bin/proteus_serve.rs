@@ -268,7 +268,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use proteus::{ARTIFACT_MAGIC, ARTIFACT_VERSION};
-    use proteus_graph::wire::encode_frame;
+    use proteus_graph::wire::seal_record;
     use std::path::Path;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -306,11 +306,11 @@ mod tests {
         bytes.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&6u32.to_le_bytes());
         for tag in 0..6 {
-            bytes.extend_from_slice(&encode_frame(tag, b"section payload"));
+            bytes.extend_from_slice(&seal_record(tag, &[b"section payload"]));
         }
         // the second payload byte of section 0, past the file header and
-        // that section's frame header
-        let at = 10 + encode_frame(0, b"").len() + 1;
+        // that section's record header
+        let at = 10 + seal_record(0, &[]).len() + 1;
         let intact = TrainedArtifact::from_bytes(&bytes).expect_err("not a real artifact");
         assert!(
             !matches!(intact, ArtifactError::Section { .. }),

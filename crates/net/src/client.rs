@@ -10,9 +10,7 @@
 
 use crate::codec::{FrameReader, FrameWriter, NetFrame};
 use crate::error::NetError;
-use crate::handshake::{
-    check_hello_blob, read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION,
-};
+use crate::handshake::{read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION};
 use bytes::Bytes;
 use proteus_graph::wire::{decode_error_frame, WIRE_VERSION};
 use proteus_graph::wire::{peek_frame_request_id, ErrorFrame, ERROR_FRAME_MAGIC};
@@ -70,14 +68,13 @@ impl NetClient {
         token: &str,
         expected_fingerprint: u64,
     ) -> Result<NetClient, NetError> {
-        check_hello_blob("auth token", token)?;
+        let hello = ClientHello::new(expected_fingerprint, token).encode()?;
         let mut stream =
             TcpStream::connect(addr).map_err(|e| NetError::io("connecting to server", e))?;
         stream
             .set_nodelay(true)
             .map_err(|e| NetError::io("setting nodelay", e))?;
-        let hello = ClientHello::new(expected_fingerprint, token);
-        FrameWriter::new(&mut stream).write_frame(&hello.encode()?)?;
+        FrameWriter::new(&mut stream).write_frame(&hello)?;
 
         let mut reader = FrameReader::new();
         let mut reply = read_hello_bytes(&mut stream, &mut reader)?;

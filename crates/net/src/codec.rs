@@ -10,12 +10,13 @@
 //! reassembly buffer more than once.
 //!
 //! The reader recognises both frame families by their 4-byte magic —
-//! `PRTB` data frames (v1 and v3) and `PRTE` error frames — so one
-//! stream can interleave results and failures. Data frames are yielded
-//! as their *raw bytes* ([`NetFrame::Data`]): the server forwards them
-//! untouched into `RequestHandle::submit_bytes` (which does the full
-//! checksum validation), and the client hands them to
-//! `DeobfuscationSession::accept_mux_bytes` — the reader never weakens
+//! `PRTB` data frames (v3) and `PRTE` error frames — so one stream can
+//! interleave results and failures. A `PRTB` record (v1), the envelope
+//! of stored bytes, names no request and is refused while framing. Data
+//! frames are yielded as their *raw bytes* ([`NetFrame::Data`]): the
+//! server forwards them untouched into `RequestHandle::submit_bytes`
+//! (which does the full checksum validation), and the client hands them
+//! to `DeobfuscationSession::accept_mux_bytes` — the reader never weakens
 //! the end-to-end integrity check by re-encoding. Error frames are fully
 //! decoded and checksum-verified here ([`NetFrame::Error`]).
 
@@ -173,7 +174,7 @@ mod tests {
     // is for production paths
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use proteus_graph::wire::{encode_error_frame, encode_frame, encode_frame_v3, ErrorCode};
+    use proteus_graph::wire::{encode_error_frame, encode_frame_v3, seal_record, ErrorCode};
 
     fn feed_in_chunks(frames: &[Bytes], chunk: usize) -> Vec<NetFrame> {
         let stream: Vec<u8> = frames.iter().flat_map(|f| f.to_vec()).collect();
@@ -194,17 +195,35 @@ mod tests {
         let frames = vec![
             encode_frame_v3(7, 0, b"first bucket"),
             encode_error_frame(&ErrorFrame::new(8, ErrorCode::Deadline, "late")),
-            encode_frame(3, b"legacy v1"),
             encode_frame_v3(7, 1, b"second bucket"),
         ];
         for chunk in [1usize, 2, 3, 5, 7, 13, 64, 4096] {
             let out = feed_in_chunks(&frames, chunk);
-            assert_eq!(out.len(), 4, "chunk size {chunk}");
+            assert_eq!(out.len(), 3, "chunk size {chunk}");
             assert_eq!(out[0], NetFrame::Data(frames[0].clone()));
             assert!(matches!(&out[1], NetFrame::Error(e) if e.code == ErrorCode::Deadline));
             assert_eq!(out[2], NetFrame::Data(frames[2].clone()));
-            assert_eq!(out[3], NetFrame::Data(frames[3].clone()));
         }
+    }
+
+    /// A record shares the `PRTB` magic but names no request: the reader
+    /// refuses it as soon as its version is buffered, and stays failed.
+    #[test]
+    fn a_record_is_refused_while_framing() {
+        let record = seal_record(3, &[b"stored bytes"]);
+        let mut reader = FrameReader::new();
+        reader.push(&record[..5]);
+        assert_eq!(reader.try_next().unwrap(), None);
+        reader.push(&record[5..]);
+        assert!(matches!(
+            reader.try_next(),
+            Err(NetError::Wire(WireError::UnknownVersion {
+                got: 1,
+                supported: 3
+            }))
+        ));
+        reader.push(&encode_frame_v3(1, 0, b"x"));
+        assert!(matches!(reader.try_next(), Err(NetError::Wire(_))));
     }
 
     #[test]

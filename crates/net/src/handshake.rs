@@ -23,7 +23,7 @@
 use crate::codec::FrameReader;
 use crate::error::NetError;
 use bytes::{Buf, BufMut, Bytes};
-use proteus_graph::wire::{Checksum, Envelope, Versions, WireError, ERROR_FRAME, WIRE_VERSION};
+use proteus_graph::wire::{Checksum, Envelope, WireError, ERROR_FRAME, WIRE_VERSION};
 use std::io::Read;
 
 /// The handshake + framing layout version this library speaks. Bumped
@@ -38,7 +38,9 @@ pub const MAX_HELLO_BLOB: usize = 4096;
 pub const CLIENT_HELLO: Envelope = Envelope {
     name: "hello",
     magic: *b"PRTH",
-    versions: Versions::Any(10, Checksum::Fnv1a),
+    version: None,
+    fields: 10,
+    checksum: Checksum::Fnv1a,
     has_len: true,
     max_body: MAX_HELLO_BLOB,
 };
@@ -52,18 +54,6 @@ pub const SERVER_HELLO: Envelope = Envelope {
 /// What can open a connection or answer a hello: either hello, or the
 /// `PRTE` frame a rejecting server answers with.
 const HELLO_REPLIES: [&Envelope; 3] = [&CLIENT_HELLO, &SERVER_HELLO, &ERROR_FRAME];
-
-/// Refuses a token or banner too long for a hello before anything is
-/// sent: the peer's reader would drop the connection without a reply.
-pub(crate) fn check_hello_blob(what: &str, blob: &str) -> Result<(), NetError> {
-    if blob.len() > MAX_HELLO_BLOB {
-        return Err(NetError::Wire(WireError::malformed(format!(
-            "{what} is {} bytes; a hello carries at most {MAX_HELLO_BLOB}",
-            blob.len()
-        ))));
-    }
-    Ok(())
-}
 
 /// The client's opening message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,8 +115,11 @@ impl ClientHello {
         }
     }
 
-    /// Encodes to wire bytes. A hello row seals every version, so the
-    /// [`NetError::Wire`] of an unlisted one does not arise.
+    /// Encodes to wire bytes.
+    ///
+    /// # Errors
+    /// [`NetError::Wire`] with [`WireError::Malformed`] for a token
+    /// longer than [`MAX_HELLO_BLOB`]: no peer would read the hello.
     pub fn encode(&self) -> Result<Bytes, NetError> {
         encode_hello(
             &CLIENT_HELLO,
@@ -164,8 +157,11 @@ impl ServerHello {
         }
     }
 
-    /// Encodes to wire bytes. A hello row seals every version, so the
-    /// [`NetError::Wire`] of an unlisted one does not arise.
+    /// Encodes to wire bytes.
+    ///
+    /// # Errors
+    /// As [`ClientHello::encode`], for a banner longer than
+    /// [`MAX_HELLO_BLOB`].
     pub fn encode(&self) -> Result<Bytes, NetError> {
         encode_hello(
             &SERVER_HELLO,
@@ -263,6 +259,23 @@ mod tests {
                 .unwrap()),
             format!("50525453{fields}4948bbab3e1c7673737276")
         );
+    }
+
+    /// A hello whose token or banner no reader would accept is refused
+    /// when it is encoded, not sent for the peer to drop.
+    #[test]
+    fn an_over_cap_hello_does_not_encode() {
+        let blob = "t".repeat(MAX_HELLO_BLOB + 1);
+        assert!(matches!(
+            ClientHello::new(1, blob.as_str()).encode(),
+            Err(NetError::Wire(WireError::Malformed { .. }))
+        ));
+        assert!(matches!(
+            ServerHello::new(1, blob.as_str()).encode(),
+            Err(NetError::Wire(WireError::Malformed { .. }))
+        ));
+        let mut at_cap = ClientHello::new(1, &blob[1..]).encode().unwrap();
+        assert_eq!(ClientHello::decode(&mut at_cap).unwrap().token, blob[1..]);
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! Three layers:
 //!
 //! - [`codec`] — an incremental [`FrameReader`]/[`FrameWriter`] pair that
-//!   reassembles wire v1/v3 data frames and `PRTE` error frames from
+//!   reassembles wire v3 data frames and `PRTE` error frames from
 //!   arbitrary TCP read-chunk boundaries (the in-process codec in
 //!   `proteus_graph::wire` assumes whole buffers). Framing is all it
-//!   judges: a v2 data frame is an unknown version, fatal for the
-//!   stream, and the server refuses a v1 data frame, which names no
-//!   request, at admission.
+//!   judges: a `PRTB` record, which names no request, and a v2 data
+//!   frame are each an unknown version, fatal for the stream.
 //! - [`handshake`] — a versioned length-prefixed hello exchange carrying
 //!   the network protocol version, the wire version, the tenant auth
 //!   token, and the expected trained-artifact fingerprint; every

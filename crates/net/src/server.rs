@@ -54,9 +54,7 @@
 
 use crate::codec::{FrameReader, FrameWriter, NetFrame};
 use crate::error::{error_frame_for, NetError};
-use crate::handshake::{
-    check_hello_blob, read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION,
-};
+use crate::handshake::{read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION};
 use bytes::Bytes;
 use proteus::serve::{RequestHandle, ServeRuntime};
 use proteus::store::Store;
@@ -179,6 +177,9 @@ struct ServerShared {
     /// token → tenant.
     tokens: HashMap<String, String>,
     fingerprint: u64,
+    /// The encoded [`ServerHello`] every accepted connection is answered
+    /// with.
+    hello: Bytes,
     /// Set once: stop accepting, reject new request ids, drain.
     draining: AtomicBool,
     counters: Counters,
@@ -258,7 +259,7 @@ impl NetServer {
         fingerprint: u64,
         config: NetServerConfig,
     ) -> Result<NetServer, NetError> {
-        check_hello_blob("server banner", &config.banner)?;
+        let hello = ServerHello::new(fingerprint, config.banner.clone()).encode()?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| NetError::io(format!("binding {}", config.addr), e))?;
         let local_addr = listener
@@ -274,6 +275,7 @@ impl NetServer {
             config,
             tokens,
             fingerprint,
+            hello,
             draining: AtomicBool::new(false),
             counters: Counters {
                 connections_accepted: AtomicUsize::new(0),
@@ -584,12 +586,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
         Some(t) => t.clone(),
         None => return,
     };
-    let server_hello = ServerHello::new(shared.fingerprint, shared.config.banner.clone());
-    let Ok(server_hello) = server_hello.encode() else {
-        return;
-    };
     if FrameWriter::new(&mut stream)
-        .write_frame(&server_hello)
+        .write_frame(&shared.hello)
         .is_err()
     {
         return;

@@ -50,11 +50,6 @@ impl ParamStore {
     pub fn is_empty(&self) -> bool {
         self.params.is_empty()
     }
-
-    /// Total scalar count across all parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.params.values().map(|m| m.rows() * m.cols()).sum()
-    }
 }
 
 /// Gradients keyed like the [`ParamStore`] that produced them.

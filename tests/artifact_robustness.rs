@@ -17,7 +17,7 @@ use proteus::{
     ArtifactError, ObfuscationSecrets, PartitionSpec, Proteus, ProteusConfig, ProteusError,
     ServeConfig, ServeRuntime, TrainedArtifact, ARTIFACT_VERSION,
 };
-use proteus_graph::wire::{decode_frame, decode_graph, encode_frame, encode_frame_v3, WireError};
+use proteus_graph::wire::{decode_graph, encode_frame_v3, open_record, seal_record, WireError};
 use proteus_graph::TensorMap;
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, zoo, ModelKind};
@@ -197,13 +197,13 @@ fn tampered_config_section_is_a_fingerprint_mismatch() {
     let mut buf = bytes::Bytes::copy_from_slice(&bytes[10..]);
     let mut rebuilt: Vec<u8> = bytes[..10].to_vec();
     for _ in 0..6 {
-        let frame = decode_frame(&mut buf).expect("section decodes");
-        let mut payload = frame.payload.to_vec();
-        if frame.bucket_index == 1 {
+        let (tag, payload) = open_record(&mut buf).expect("section decodes");
+        let mut payload = payload.to_vec();
+        if tag == 1 {
             // SECTION_CONFIG: flip the stored k
             payload[9] ^= 0x01;
         }
-        rebuilt.extend_from_slice(&encode_frame(frame.bucket_index, &payload));
+        rebuilt.extend_from_slice(&seal_record(tag, &[&payload]));
     }
     match TrainedArtifact::from_bytes(&rebuilt) {
         Err(ArtifactError::FingerprintMismatch { .. }) => {}
@@ -226,17 +226,16 @@ fn section_claiming_maximal_pool_count_fails_typed() {
     let mut buf = bytes::Bytes::copy_from_slice(&bytes[10..]);
     let mut rebuilt: Vec<u8> = bytes[..10].to_vec();
     for _ in 0..6 {
-        let frame = decode_frame(&mut buf).expect("section decodes");
-        if frame.bucket_index == 3 {
+        let (tag, mut payload) = open_record(&mut buf).expect("section decodes");
+        if tag == 3 {
             // SECTION_POOL: the largest count the plausibility bound
             // admits (2^20 topologies), backed by 8 bytes of payload,
             // behind a *valid* section checksum
-            let mut payload = (1u32 << 20).to_le_bytes().to_vec();
-            payload.extend_from_slice(&[0u8; 8]);
-            rebuilt.extend_from_slice(&encode_frame(frame.bucket_index, &payload));
-        } else {
-            rebuilt.extend_from_slice(&encode_frame(frame.bucket_index, &frame.payload));
+            let mut lying = (1u32 << 20).to_le_bytes().to_vec();
+            lying.extend_from_slice(&[0u8; 8]);
+            payload = lying.into();
         }
+        rebuilt.extend_from_slice(&seal_record(tag, &[&payload]));
     }
     match TrainedArtifact::from_bytes(&rebuilt) {
         Err(ArtifactError::Truncated { .. } | ArtifactError::Malformed { .. }) => {}

@@ -21,7 +21,7 @@
 //!   rejections;
 //! - durable journal: a request pipelined in one write is journaled,
 //!   marked done after its answer, and leaves a store that passes the
-//!   fsck; a late frame for an answered request, a v1 frame that names
+//!   fsck; a late frame for an answered request, a v1 record that names
 //!   no request, or a retired v2 frame, is refused typed and never
 //!   journaled;
 //! - graceful drain: in-flight requests complete through shutdown, new
@@ -37,8 +37,7 @@ use proteus::{
     ServeRuntime,
 };
 use proteus_graph::wire::{
-    decode_frame, encode_frame, Checksum, Envelope, ErrorCode, ErrorFrame, Versions, WireError,
-    FRAME,
+    decode_frame, seal_record, Checksum, Envelope, ErrorCode, ErrorFrame, WireError, FRAME,
 };
 use proteus_graph::{Graph, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
@@ -895,11 +894,13 @@ fn refused_frame_opens_no_lane(version: u16, reseal: impl FnOnce(u64, u32, &[u8]
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A v1 frame names no request, so it cannot be routed to a lane: the
-/// server refuses it at admission.
+/// A v1 record names no request, so it cannot be routed to a lane: the
+/// server's frame reader refuses it before any lane is looked up.
 #[test]
 fn v1_frame_is_refused_typed_and_opens_no_lane() {
-    refused_frame_opens_no_lane(1, |_, index, payload| encode_frame(index, payload).to_vec());
+    refused_frame_opens_no_lane(1, |_, index, payload| {
+        seal_record(index, &[payload]).to_vec()
+    });
 }
 
 /// A v2 frame, sealed as a pre-v3 client sealed it (FNV-1a), is an
@@ -908,7 +909,8 @@ fn v1_frame_is_refused_typed_and_opens_no_lane() {
 #[test]
 fn v2_frame_is_refused_typed_and_opens_no_lane() {
     let v2 = Envelope {
-        versions: Versions::Only(&[(2, 12, Checksum::Fnv1a)]),
+        version: Some(2),
+        checksum: Checksum::Fnv1a,
         ..FRAME
     };
     refused_frame_opens_no_lane(2, |request_id, index, payload| {

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use proteus::{
     PartitionSpec, Proteus, ProteusConfig, SentinelInventory, SentinelKey, TrainedArtifact,
 };
-use proteus_graph::wire::{decode_frame, encode_frame, encode_graph};
+use proteus_graph::wire::{encode_graph, open_record, seal_record};
 use proteus_graph::TensorMap;
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
@@ -133,7 +133,7 @@ proptest! {
         let mut buf = Bytes::copy_from_slice(&bytes[10..]);
         let total = buf.len();
         for _ in 0..5 {
-            decode_frame(&mut buf).expect("section frame");
+            open_record(&mut buf).expect("section record");
         }
         let tail_start = 10 + (total - buf.len());
         prop_assert!(tail_start < bytes.len());
@@ -216,11 +216,10 @@ fn persisted_inventory_round_trips_through_serving() {
 fn without_negatives(artifact: &[u8]) -> Vec<u8> {
     let mut rest = Bytes::copy_from_slice(&artifact[10..]);
     for _ in 0..5 {
-        decode_frame(&mut rest).expect("section frame");
+        open_record(&mut rest).expect("section record");
     }
     let mut out = artifact[..artifact.len() - rest.len()].to_vec();
-    let sentinels = decode_frame(&mut rest).expect("sentinels section");
-    let payload = sentinels.payload;
+    let (tag, payload) = open_record(&mut rest).expect("sentinels section");
     let count = u32::from_le_bytes(payload[..4].try_into().unwrap());
     let (mut at, mut kept, mut entries) = (4usize, 0u32, Vec::new());
     for _ in 0..count {
@@ -234,7 +233,7 @@ fn without_negatives(artifact: &[u8]) -> Vec<u8> {
     assert_eq!(at, payload.len(), "walked the whole section");
     let mut rewritten = kept.to_le_bytes().to_vec();
     rewritten.extend_from_slice(&entries);
-    out.extend_from_slice(&encode_frame(sentinels.bucket_index, &rewritten));
+    out.extend_from_slice(&seal_record(tag, &[&rewritten]));
     out
 }
 

@@ -10,7 +10,7 @@
 use proteus::{
     PartitionSpec, Proteus, ProteusConfig, ProteusError, SealedBucket, ServeConfig, ServeRuntime,
 };
-use proteus_graph::wire::{decode_frame, encode_frame, WireError};
+use proteus_graph::wire::{decode_frame, seal_record, WireError};
 use proteus_graph::{
     Activation, BatchNormAttrs, ConvAttrs, GemmAttrs, Graph, Op, PoolAttrs, TensorMap,
 };
@@ -210,7 +210,7 @@ fn duplicate_frame_is_rejected_and_never_overwrites() {
 fn mux_acceptance_checks_request_identity() {
     // accept_mux_bytes binds a reassembly session to its request id: the
     // matching id is accepted; a frame from another request's stream, or
-    // a v1 frame that names no request at all, is rejected intact.
+    // a v1 record that names no request at all, is rejected intact.
     let (g, params) = executable_cnn();
     let proteus = Proteus::train(quick_config(2, 2), &[build(ModelKind::ResNet)]);
     let mut session = proteus
@@ -226,12 +226,12 @@ fn mux_acceptance_checks_request_identity() {
         .unwrap_err();
     assert!(matches!(err, ProteusError::Protocol { .. }), "{err:?}");
     assert_eq!(reassembly.received(), 0, "injected frame must not land");
-    // the same payload behind a v1 header (no request id): refused
+    // the same payload behind a record header (no request id): refused
     let payload = decode_frame(&mut frames[0].to_mux_bytes(0xA11CE))
         .expect("frame")
         .payload;
     let err = reassembly
-        .accept_mux_bytes(encode_frame(0, &payload))
+        .accept_mux_bytes(seal_record(0, &[&payload]))
         .unwrap_err();
     assert!(
         matches!(
@@ -240,7 +240,7 @@ fn mux_acceptance_checks_request_identity() {
         ),
         "{err:?}"
     );
-    assert_eq!(reassembly.received(), 0, "v1 frame must not land");
+    assert_eq!(reassembly.received(), 0, "a record must not land");
     for f in &frames {
         reassembly
             .accept_mux_bytes(f.to_mux_bytes(0xA11CE))

@@ -24,7 +24,7 @@ use proteus::store::{Store, StoreError};
 use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, ProteusError, SealedBucket,
 };
-use proteus_graph::wire::{encode_graph, encode_params, envelope_len, FRAME};
+use proteus_graph::wire::{encode_graph, encode_params, envelope_len, RECORD};
 use proteus_graph::TensorMap;
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
@@ -90,14 +90,14 @@ fn journaled_store(tag: &str, lanes: &[u64], frames_per_lane: usize) -> (Vec<u8>
     (wal, marker)
 }
 
-/// Byte offsets where each committed WAL record starts (wire v1 frames,
+/// Byte offsets where each committed WAL record starts (`PRTB` records,
 /// measured by the envelope table).
 fn record_offsets(wal: &[u8]) -> Vec<usize> {
     let mut offsets = Vec::new();
     let mut at = 0usize;
     while at < wal.len() {
         offsets.push(at);
-        at += envelope_len(&[&FRAME], &wal[at..], usize::MAX)
+        at += envelope_len(&[&RECORD], &wal[at..], usize::MAX)
             .expect("record header")
             .expect("whole record header");
     }

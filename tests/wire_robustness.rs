@@ -521,15 +521,13 @@ mod mux {
 
 /// Fuzzes the *incremental* codec (`proteus_net::FrameReader`) that the
 /// TCP boundary uses: a socket hands back arbitrary chunk boundaries, so
-/// every partition of a mixed v1 / v3 / error-frame stream — including
+/// every partition of a mixed data / error-frame stream — including
 /// pathological 1-byte reads — must reassemble the exact same frame
 /// sequence, and corruption must surface as a typed fatal error, never a
 /// panic or a silent resync.
 mod split {
     use proptest::prelude::*;
-    use proteus_graph::wire::{
-        encode_error_frame, encode_frame, encode_frame_v3, ErrorCode, ErrorFrame,
-    };
+    use proteus_graph::wire::{encode_error_frame, encode_frame_v3, ErrorCode, ErrorFrame};
     use proteus_net::{FrameReader, NetError, NetFrame};
 
     /// One frame of any kind the stream can carry, plus its exact wire
@@ -542,17 +540,13 @@ mod split {
 
     fn arb_frame() -> impl Strategy<Value = (Vec<u8>, Expected)> {
         (
-            0u8..3, // kind: v1 data, v3 data, error frame
+            0u8..2, // kind: v3 data, error frame
             proptest::num::u64::ANY,
             0u32..8,
             proptest::collection::vec(proptest::num::u8::ANY, 0..48),
         )
             .prop_map(|(kind, rid, bucket, payload)| match kind {
                 0 => {
-                    let wire = encode_frame(bucket, &payload).to_vec();
-                    (wire.clone(), Expected::Data(wire))
-                }
-                1 => {
                     let wire = encode_frame_v3(rid, bucket, &payload).to_vec();
                     (wire.clone(), Expected::Data(wire))
                 }
@@ -651,21 +645,10 @@ mod split {
                 frames[..victim].iter().map(|(wire, _)| wire.len()).sum();
             let mut stream: Vec<u8> =
                 frames.iter().flat_map(|(wire, _)| wire.clone()).collect();
-            let mut pos = offset + byte_pick; // inside magic (0..4) or version (4..6)
-            let flipped = stream[pos] ^ (1u8 << bit);
-            // version corruption must actually leave the supported set:
-            // v1<->v3 flips produce a *valid* header of the other kind
-            // (with a different length field), which is legitimate parsing
-            // territory, not a detectable corruption — corrupt the magic
-            // instead in that case
-            if byte_pick >= 4 {
-                let mut v = [stream[offset + 4], stream[offset + 5]];
-                v[byte_pick - 4] = flipped;
-                if matches!(u16::from_le_bytes(v), 1 | 3) {
-                    pos = offset + byte_pick - 4;
-                }
-            }
-            stream[pos] ^= 1u8 << bit;
+            // inside magic (0..4) or version (4..6): every row the reader
+            // knows accepts one version, so any flipped version bit
+            // leaves it
+            stream[offset + byte_pick] ^= 1u8 << bit;
             let mut reader = FrameReader::new();
             reader.push(&stream);
             for clean in &frames[..victim] {
@@ -722,7 +705,7 @@ mod split {
 }
 
 /// The stream readers measure every envelope-table row exactly as its
-/// decoder does (`PRTB` v1/v3 and `PRTE` through `FrameReader`; `PRTH`,
+/// decoder does (`PRTB` v3 and `PRTE` through `FrameReader`; `PRTH`,
 /// `PRTS` and a `PRTE` rejection through the handshake's hello reader).
 /// A two-envelope stream is cut at every byte: the reader yields nothing
 /// until the first envelope is whole, then exactly the bytes its decoder
@@ -730,8 +713,8 @@ mod split {
 mod envelope_lengths {
     use bytes::Bytes;
     use proteus_graph::wire::{
-        decode_error_frame, decode_frame, encode_error_frame, encode_frame, encode_frame_v3,
-        ErrorCode, ErrorFrame,
+        decode_error_frame, decode_frame, encode_error_frame, encode_frame_v3, ErrorCode,
+        ErrorFrame,
     };
     use proteus_net::handshake::{read_hello_bytes, ClientHello, ServerHello};
     use proteus_net::{FrameReader, NetError, NetFrame};
@@ -763,8 +746,7 @@ mod envelope_lengths {
         let error = encode_error_frame(&ErrorFrame::new(9, ErrorCode::Deadline, "late"));
         let frame: Decoder = |b| decode_frame(b).is_ok();
         let prte: Decoder = |b| decode_error_frame(b).is_ok();
-        let rows: [(&str, Bytes, Decoder, bool); 6] = [
-            ("PRTB v1", encode_frame(3, b"v1 body"), frame, false),
+        let rows: [(&str, Bytes, Decoder, bool); 5] = [
             ("PRTB v3", encode_frame_v3(9, 1, b"v3 body"), frame, false),
             ("PRTE", error.clone(), prte, false),
             ("PRTE reply", error, prte, true),
