@@ -73,7 +73,7 @@ fn main() {
         topology_pool: scale.pool,
         ..Default::default()
     };
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus).expect("train");
     let mut rng = StdRng::seed_from_u64(77);
     let mut buckets = Vec::new();
     let mut train_examples = Vec::new();

@@ -79,7 +79,7 @@ fn main() {
         topology_pool: scale.pool,
         ..Default::default()
     };
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus).expect("train");
     let mut rng = StdRng::seed_from_u64(21);
     let buckets: Vec<LabelledBucket> = plan
         .pieces

@@ -52,7 +52,7 @@ fn main() {
         ..Default::default()
     };
     let corpus: Vec<Graph> = cnn_models.iter().map(|&k| build(k)).collect();
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus).expect("train");
     let mut rng = StdRng::seed_from_u64(33);
 
     let mut sentinels: Vec<Graph> = Vec::new();

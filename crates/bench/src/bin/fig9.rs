@@ -67,7 +67,7 @@ fn main() {
         topology_pool: if quick { 30 } else { 100 },
         ..Default::default()
     };
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus).expect("train");
     let optimizer = Optimizer::new(Profile::OrtLike);
     let widths3 = [12usize, 14, 14, 10];
     print_header(&["model", "direct (ms)", "bucket (ms)", "ratio"], &widths3);

@@ -1,7 +1,6 @@
 //! Rewrite-engine performance tracking: times `Optimizer::optimize` under
 //! both profiles and both engines over the full model zoo, plus one
-//! in-process request end to end (`ServeRuntime::serve_request`, and the
-//! same request streamed through a session by hand), and writes
+//! in-process request end to end (`ServeRuntime::serve_request`), and writes
 //! `BENCH_opt.json` (mean/p50/p95 wall-times per measurement). Served-
 //! request latency and its per-layer split are measured by the real-path
 //! `e2e` benchmark (`crates/bench/src/bin/e2e/`).
@@ -187,7 +186,7 @@ fn main() {
         topology_pool: 40,
         ..Default::default()
     };
-    let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
+    let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]).expect("train");
     let e2e_iters = if smoke { 1 } else { 5 };
     const REQUEST_ID: u64 = 0;
     let runtime = ServeRuntime::new(
@@ -203,7 +202,8 @@ fn main() {
             .serve_request(&proteus, &g, &params, REQUEST_ID)
             .expect("serve request")
     };
-    let served_back = serve();
+    // one warmup request outside the series
+    std::hint::black_box(serve());
     let samples: Vec<f64> = (0..e2e_iters)
         .map(|_| {
             let t = Instant::now();
@@ -222,62 +222,7 @@ fn main() {
         (8 + 1) * 3,
         e2e.mean()
     );
-    let served_mean = e2e.mean();
     series.push(e2e);
-
-    // Streamed end-to-end by hand: the optimizer works on frame i while
-    // the owner generates frame i + 1, each frame optimized by
-    // `SealedBucket::optimize`. Under the same request id the result must
-    // be bit-identical to the runtime above (asserted: this is the
-    // runtime/reference parity gate in its end-to-end form).
-    let optimizer = Optimizer::new(Profile::OrtLike);
-    let samples: Vec<f64> = (0..e2e_iters)
-        .map(|_| {
-            let t = Instant::now();
-            let session = proteus
-                .obfuscate_session(&g, &params, REQUEST_ID)
-                .expect("session");
-            let (tx, rx) = std::sync::mpsc::channel();
-            let back = std::thread::scope(|scope| {
-                let producer = scope.spawn(move || {
-                    let mut session = session;
-                    while let Some(frame) = session.next_frame() {
-                        if tx.send(frame).is_err() {
-                            break;
-                        }
-                    }
-                    session.finish().expect("secrets")
-                });
-                let mut optimized = Vec::new();
-                for frame in rx {
-                    optimized.push(frame.optimize(&optimizer, None));
-                }
-                let secrets = producer.join().expect("producer thread");
-                let mut reassembly = proteus.deobfuscate_session(&secrets);
-                for frame in optimized {
-                    reassembly.accept(frame).expect("accept");
-                }
-                reassembly.finish().expect("reassemble")
-            });
-            let us = t.elapsed().as_secs_f64() * 1e6;
-            assert_eq!(
-                back.0, served_back.0,
-                "streamed pipeline diverged from ServeRuntime::serve_request"
-            );
-            std::hint::black_box(back);
-            us
-        })
-        .collect();
-    let streamed = Series {
-        label: "pipeline/streamed-session-overlap".to_string(),
-        samples,
-    };
-    println!(
-        "Streamed session by hand (same work, obfuscation/optimization overlapped): mean {:.0} us ({:.2}x vs serve-request)",
-        streamed.mean(),
-        served_mean / streamed.mean(),
-    );
-    series.push(streamed);
 
     // Cold start vs warm start: the trained-state artifact replaces the
     // per-process training cost with a load + checksum validation. The
@@ -290,7 +235,8 @@ fn main() {
     let cold_samples: Vec<f64> = (0..e2e_iters)
         .map(|_| {
             let t = Instant::now();
-            let trained = Proteus::train(cold_cfg.clone(), &[build(ModelKind::ResNet)]);
+            let trained =
+                Proteus::train(cold_cfg.clone(), &[build(ModelKind::ResNet)]).expect("train");
             let us = t.elapsed().as_secs_f64() * 1e6;
             std::hint::black_box(trained);
             us

@@ -160,11 +160,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         config.k, config.topology_pool
     );
     let t = Instant::now();
-    let proteus = Proteus::builder()
-        .config(config)
-        .corpus(kinds.iter().map(|&k| build(k)))
-        .train()
-        .map_err(|e| e.to_string())?;
+    let corpus: Vec<_> = kinds.iter().map(|&k| build(k)).collect();
+    let proteus = Proteus::train(config, &corpus).map_err(|e| e.to_string())?;
     let train_ms = t.elapsed().as_secs_f64() * 1e3;
     // warm the full sentinel inventory so the artifact ships pre-built
     // sentinels and the keys proven infeasible: serving processes skip
@@ -255,11 +252,9 @@ fn cmd_verify(path: &str, args: &[String]) -> Result<(), String> {
             summary.provenance
         );
         let t = Instant::now();
-        let fresh = Proteus::builder()
-            .config(artifact.config().clone())
-            .corpus(kinds.iter().map(|&k| build(k)))
-            .train()
-            .map_err(|e| e.to_string())?;
+        let corpus: Vec<_> = kinds.iter().map(|&k| build(k)).collect();
+        let fresh =
+            Proteus::train(artifact.config().clone(), &corpus).map_err(|e| e.to_string())?;
         let train_ms = t.elapsed().as_secs_f64() * 1e3;
         println!("retrained in {train_ms:.0} ms (warm start was {load_ms:.1} ms)");
         // artifacts written by `train` carry a fully warmed inventory;

@@ -62,7 +62,7 @@ fn main() {
         topology_pool: scale.pool,
         ..Default::default()
     };
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus).expect("train");
     let expert = ExpertReviewer::default();
 
     let mut rng = StdRng::seed_from_u64(99);

@@ -155,7 +155,7 @@ pub fn build_material(kind: ModelKind, n: usize, scale: AttackScale, seed: u64) 
         seed,
         ..Default::default()
     };
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus).expect("train");
     let graph = build(kind);
     let assignment = partition_balanced(&graph, n, 16, seed);
     let plan = PartitionPlan::extract(&graph, &TensorMap::new(), &assignment)

@@ -1,6 +1,6 @@
 //! Persistent trained-state artifacts — train once, serve anywhere.
 //!
-//! [`ProteusBuilder::train`](crate::ProteusBuilder::train) is the expensive
+//! [`Proteus::train`] is the expensive
 //! step of the protocol: GraphRNN training, pool sampling, and bigram
 //! fitting together dominate process start-up, and none of it depends on
 //! the protected model. This module persists everything `train` produces
@@ -652,7 +652,7 @@ fn decode_sentinels(
 // the artifact
 
 /// A decoded trained-state artifact: everything
-/// [`ProteusBuilder::train`](crate::ProteusBuilder::train) produces, in a
+/// [`Proteus::train`] produces, in a
 /// form that can be inspected without committing to a [`Proteus`]
 /// instance (see [`TrainedArtifact::into_proteus`]).
 #[derive(Debug, Clone)]
@@ -1103,7 +1103,7 @@ mod tests {
                 topology_pool: 12,
                 ..Default::default()
             };
-            Proteus::train(cfg, &[build(ModelKind::ResNet)])
+            Proteus::train(cfg, &[build(ModelKind::ResNet)]).expect("train")
         })
     }
 
@@ -1462,6 +1462,24 @@ mod tests {
         let ok = Proteus::load_artifact_expecting(&path, fresh.config()).unwrap();
         assert_eq!(ok.config_fingerprint(), fresh.config_fingerprint());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn invalid_stored_config_is_refused_on_load() {
+        // well-formed bytes whose config fails `validate`: loading is the
+        // only guard that keeps such a config out of a `Proteus`
+        let mut artifact = TrainedArtifact::from_proteus(quick_proteus(), "");
+        artifact.config.k = 0;
+        let bytes = artifact.to_bytes();
+        assert_eq!(TrainedArtifact::from_bytes(&bytes).unwrap().config().k, 0);
+        let err = Proteus::from_artifact_bytes(&bytes).unwrap_err();
+        let ProteusError::Artifact(ArtifactError::Malformed { detail }) = &err else {
+            panic!("wrong variant: {err:?}");
+        };
+        assert!(
+            detail.contains("invalid configuration") && detail.contains("k must be at least 1"),
+            "{detail}"
+        );
     }
 
     #[test]

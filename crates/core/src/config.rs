@@ -92,8 +92,9 @@ impl ProteusConfig {
 
     /// Rejects degenerate configurations with [`ProteusError::Config`]
     /// instead of letting them surface as empty buckets or panics deep in
-    /// the pipeline. Run by [`crate::ProteusBuilder::train`] and by every
-    /// [`crate::Proteus::obfuscate_session`] call.
+    /// the pipeline. Run by [`crate::Proteus::train`] and by
+    /// [`crate::TrainedArtifact::into_proteus`], so every [`crate::Proteus`]
+    /// holds a valid configuration.
     ///
     /// # Errors
     /// [`ProteusError::Config`] naming the offending field.
@@ -194,6 +195,53 @@ impl ServeConfig {
     }
 }
 
+/// One configuration per check in [`ProteusConfig::validate`], each
+/// otherwise the default, so every refusal path is exercised by whoever
+/// validates (the config itself, or training).
+#[cfg(test)]
+pub(crate) fn degenerate_configs() -> Vec<(&'static str, ProteusConfig)> {
+    let ok = ProteusConfig::default();
+    vec![
+        ("k=0", ProteusConfig { k: 0, ..ok.clone() }),
+        (
+            "pool<k",
+            ProteusConfig {
+                k: 30,
+                topology_pool: 10,
+                ..ok.clone()
+            },
+        ),
+        (
+            "count=0",
+            ProteusConfig {
+                partitions: PartitionSpec::Count(0),
+                ..ok.clone()
+            },
+        ),
+        (
+            "size=0",
+            ProteusConfig {
+                partitions: PartitionSpec::TargetSize(0),
+                ..ok.clone()
+            },
+        ),
+        (
+            "restarts=0",
+            ProteusConfig {
+                partition_restarts: 0,
+                ..ok.clone()
+            },
+        ),
+        (
+            "variants=0",
+            ProteusConfig {
+                sentinel_variants: 0,
+                ..ok.clone()
+            },
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,46 +278,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate_configs() {
-        let ok = ProteusConfig::default();
-        for (label, cfg) in [
-            ("k=0", ProteusConfig { k: 0, ..ok.clone() }),
-            (
-                "pool<k",
-                ProteusConfig {
-                    k: 30,
-                    topology_pool: 10,
-                    ..ok.clone()
-                },
-            ),
-            (
-                "count=0",
-                ProteusConfig {
-                    partitions: PartitionSpec::Count(0),
-                    ..ok.clone()
-                },
-            ),
-            (
-                "size=0",
-                ProteusConfig {
-                    partitions: PartitionSpec::TargetSize(0),
-                    ..ok.clone()
-                },
-            ),
-            (
-                "restarts=0",
-                ProteusConfig {
-                    partition_restarts: 0,
-                    ..ok.clone()
-                },
-            ),
-            (
-                "variants=0",
-                ProteusConfig {
-                    sentinel_variants: 0,
-                    ..ok.clone()
-                },
-            ),
-        ] {
+        for (label, cfg) in degenerate_configs() {
             let err = cfg.validate().expect_err(label);
             assert!(
                 matches!(err, ProteusError::Config { .. }),

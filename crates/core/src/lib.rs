@@ -27,7 +27,7 @@
 //! # Quickstart: the session API
 //!
 //! A trained [`Proteus`] is immutable and shareable across requests
-//! (train once via [`ProteusBuilder`], wrap in an `Arc`). Each request
+//! (train once via [`Proteus::train`], wrap in an `Arc`). Each request
 //! opens an [`ObfuscationSession`] keyed by a `request_id`: buckets
 //! stream across the trust boundary one [`SealedBucket`] frame at a time,
 //! and the [`DeobfuscationSession`] accepts optimized frames back in any
@@ -48,17 +48,15 @@
 //! g.set_outputs([r]);
 //!
 //! // train the sentinel generator on public models only (validated,
-//! // train-once; `train_shared()` returns an Arc for request handlers)
-//! let proteus = Proteus::builder()
-//!     .config(ProteusConfig {
-//!         k: 2,
-//!         partitions: PartitionSpec::Count(1),
-//!         graphrnn: GraphRnnConfig { epochs: 1, ..Default::default() },
-//!         topology_pool: 10,
-//!         ..Default::default()
-//!     })
-//!     .corpus_model(proteus_models::build(proteus_models::ModelKind::ResNet))
-//!     .train()?;
+//! // train-once; wrap it in an Arc to share it across request handlers)
+//! let config = ProteusConfig {
+//!     k: 2,
+//!     partitions: PartitionSpec::Count(1),
+//!     graphrnn: GraphRnnConfig { epochs: 1, ..Default::default() },
+//!     topology_pool: 10,
+//!     ..Default::default()
+//! };
+//! let proteus = Proteus::train(config, &[proteus_models::build(proteus_models::ModelKind::ResNet)])?;
 //!
 //! // owner -> optimizer -> owner, one frame at a time
 //! let optimizer = Optimizer::new(Profile::OrtLike);
@@ -119,7 +117,7 @@ pub use config::{PartitionSpec, ProteusConfig, SentinelMode, ServeConfig};
 pub use error::ProteusError;
 pub use inventory::{InventoryStats, RegimeTag, SentinelInventory, SentinelKey};
 pub use operators::{detect_regime, populate, PopulationConfig, Regime};
-pub use pipeline::{Proteus, ProteusBuilder};
+pub use pipeline::Proteus;
 pub use semantic::{top_percentile, BigramModel};
 pub use sentinel::SentinelFactory;
 pub use serve::{OptimizedCache, RequestHandle, ServeRuntime, ServeStats};

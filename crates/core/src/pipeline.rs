@@ -17,7 +17,6 @@ use crate::sentinel::SentinelFactory;
 use crate::session::{DeobfuscationSession, ObfuscationSession};
 use proteus_graph::{Graph, TensorMap};
 use proteus_opt::Optimizer;
-use std::sync::Arc;
 
 /// The model-owner side of the protocol.
 #[derive(Debug)]
@@ -27,130 +26,50 @@ pub struct Proteus {
     inventory: SentinelInventory,
 }
 
-/// Builds a trained [`Proteus`] instance with validation up front.
-///
-/// Training happens exactly once, in [`ProteusBuilder::train`]; the
-/// resulting [`Proteus`] is immutable (train-once semantics), so one
-/// instance can serve many concurrent obfuscation requests — share it via
-/// [`Arc`] ([`ProteusBuilder::train_shared`]) and give each request its
-/// own `request_id` (see [`Proteus::obfuscate_session`]).
-///
-/// ```
-/// use proteus::{PartitionSpec, ProteusBuilder, ProteusConfig};
-/// use proteus_graphgen::GraphRnnConfig;
-///
-/// let proteus = ProteusBuilder::new()
-///     .config(ProteusConfig {
-///         k: 2,
-///         partitions: PartitionSpec::Count(1),
-///         graphrnn: GraphRnnConfig { epochs: 1, ..Default::default() },
-///         topology_pool: 10,
-///         ..Default::default()
-///     })
-///     .corpus_model(proteus_models::build(proteus_models::ModelKind::ResNet))
-///     .train_shared()?;
-/// let worker = std::sync::Arc::clone(&proteus); // shareable across requests
-/// # drop(worker);
-/// # Ok::<(), proteus::ProteusError>(())
-/// ```
-#[derive(Debug, Default)]
-pub struct ProteusBuilder {
-    config: ProteusConfig,
-    corpus: Vec<Graph>,
-}
-
-impl ProteusBuilder {
-    /// Starts from the default (paper §4.4) configuration and an empty
-    /// corpus.
-    pub fn new() -> ProteusBuilder {
-        ProteusBuilder::default()
-    }
-
-    /// Replaces the whole configuration.
-    pub fn config(mut self, config: ProteusConfig) -> ProteusBuilder {
-        self.config = config;
-        self
-    }
-
-    /// Sets `k`, the number of sentinels per protected subgraph.
-    pub fn k(mut self, k: usize) -> ProteusBuilder {
-        self.config.k = k;
-        self
-    }
-
-    /// Sets the partitioning granularity.
-    pub fn partitions(mut self, partitions: crate::config::PartitionSpec) -> ProteusBuilder {
-        self.config.partitions = partitions;
-        self
-    }
-
-    /// Sets the master seed all per-request seeds derive from.
-    pub fn seed(mut self, seed: u64) -> ProteusBuilder {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Adds one public model to the training corpus.
-    pub fn corpus_model(mut self, model: Graph) -> ProteusBuilder {
-        self.corpus.push(model);
-        self
-    }
-
-    /// Adds public models to the training corpus.
-    pub fn corpus(mut self, models: impl IntoIterator<Item = Graph>) -> ProteusBuilder {
-        self.corpus.extend(models);
-        self
-    }
-
-    /// Validates the configuration and corpus, then trains the sentinel
-    /// factory (the one-time cost; everything after is per-request).
+impl Proteus {
+    /// Trains a Proteus instance: the sentinel factory learns topology and
+    /// operator statistics from `corpus` (public models — *not* the
+    /// protected one). This is the one-time cost; everything after is
+    /// per-request.
+    ///
+    /// The result is immutable (train-once semantics), so one instance
+    /// can serve many concurrent obfuscation requests: share it via
+    /// [`Arc`](std::sync::Arc) and give each request its own `request_id`
+    /// (see [`Proteus::obfuscate_session`]).
+    ///
+    /// ```
+    /// use proteus::{PartitionSpec, Proteus, ProteusConfig};
+    /// use proteus_graphgen::GraphRnnConfig;
+    ///
+    /// let config = ProteusConfig {
+    ///     k: 2,
+    ///     partitions: PartitionSpec::Count(1),
+    ///     graphrnn: GraphRnnConfig { epochs: 1, ..Default::default() },
+    ///     topology_pool: 10,
+    ///     ..Default::default()
+    /// };
+    /// let corpus = [proteus_models::build(proteus_models::ModelKind::ResNet)];
+    /// let proteus = std::sync::Arc::new(Proteus::train(config, &corpus)?);
+    /// let worker = std::sync::Arc::clone(&proteus); // shareable across requests
+    /// # drop(worker);
+    /// # Ok::<(), proteus::ProteusError>(())
+    /// ```
     ///
     /// # Errors
     /// [`ProteusError::Config`] for degenerate configurations
     /// ([`ProteusConfig::validate`]) or an empty corpus — an untrained
     /// generator would emit sentinels with no resemblance to real models.
-    pub fn train(self) -> Result<Proteus, ProteusError> {
-        self.config.validate()?;
-        if self.corpus.is_empty() {
+    /// Both are refused before paying the training cost.
+    pub fn train(config: ProteusConfig, corpus: &[Graph]) -> Result<Proteus, ProteusError> {
+        config.validate()?;
+        if corpus.is_empty() {
             return Err(ProteusError::config(
                 "training corpus is empty — the sentinel generator needs public models to learn \
                  topology and operator statistics from",
             ));
         }
-        Ok(Proteus::train(self.config, &self.corpus))
-    }
-
-    /// [`ProteusBuilder::train`], wrapped in an [`Arc`] for sharing across
-    /// request handlers/threads.
-    ///
-    /// # Errors
-    /// As [`ProteusBuilder::train`].
-    pub fn train_shared(self) -> Result<Arc<Proteus>, ProteusError> {
-        self.train().map(Arc::new)
-    }
-}
-
-impl Proteus {
-    /// Starts a [`ProteusBuilder`] — the validating construction path.
-    pub fn builder() -> ProteusBuilder {
-        ProteusBuilder::new()
-    }
-
-    /// Trains a Proteus instance: the sentinel factory learns topology and
-    /// operator statistics from `corpus` (public models — *not* the
-    /// protected one).
-    ///
-    /// This legacy entry point performs no validation; prefer
-    /// [`Proteus::builder`], which rejects degenerate configurations with
-    /// typed errors before paying the training cost.
-    pub fn train(config: ProteusConfig, corpus: &[Graph]) -> Proteus {
         let factory = SentinelFactory::train(&config, corpus);
-        let inventory = SentinelInventory::new(factory.key_space().len());
-        Proteus {
-            config,
-            factory,
-            inventory,
-        }
+        Ok(Proteus::from_trained_parts(config, factory))
     }
 
     /// Reassembles a trained instance from its parts — the loading half
@@ -209,7 +128,6 @@ impl Proteus {
     /// reproduces byte-identical frames, distinct requests share nothing.
     ///
     /// # Errors
-    /// [`ProteusError::Config`] for degenerate configurations,
     /// [`ProteusError::Graph`] when the protected model fails validation,
     /// [`ProteusError::Partition`] when plan extraction fails.
     pub fn obfuscate_session<'p>(
@@ -232,55 +150,27 @@ impl Proteus {
 }
 
 impl SealedBucket {
-    /// Optimizes every member of this frame (the optimizer party's work
-    /// on one streamed bucket), preserving the frame header. Reuse one
-    /// [`Optimizer`] handle across frames — its rule catalog is built
-    /// once at construction.
+    /// Optimizes every member of this frame in slot order (the optimizer
+    /// party's work on one streamed bucket), preserving the frame header.
+    /// Reuse one [`Optimizer`] handle across frames — its rule catalog is
+    /// built once at construction.
     ///
-    /// Members run on `threads` scoped workers (`None` = all available
-    /// parallelism), each claiming the next unclaimed member from one
-    /// shared cursor: bucket members vary wildly in size, so static
-    /// chunks would leave threads idle behind one loaded with the big
-    /// graphs. The output does not depend on `threads`. This is the
-    /// per-frame reference that [`crate::ServeRuntime`]'s served frames
-    /// are compared against.
-    pub fn optimize(&self, optimizer: &Optimizer, threads: Option<usize>) -> SealedBucket {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let members = &self.bucket.members;
-        let num_threads = threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .clamp(1, members.len().max(1));
-        let next = AtomicUsize::new(0);
-        let work = || {
-            let mut optimized = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(m) = members.get(i) else {
-                    return optimized;
-                };
+    /// This is the serial per-frame reference that
+    /// [`crate::ServeRuntime`]'s served frames are compared against; the
+    /// runtime's worker pool is the one path that optimizes members in
+    /// parallel. `_threads` has no effect and starts no thread: it stays
+    /// in the signature only because the end-to-end benchmark package
+    /// still passes it.
+    pub fn optimize(&self, optimizer: &Optimizer, _threads: Option<usize>) -> SealedBucket {
+        let members = self
+            .bucket
+            .members
+            .iter()
+            .map(|m| {
                 let (graph, params, _) = optimizer.optimize(&m.graph, &m.params);
-                optimized.push((i, BucketMember { graph, params }));
-            }
-        };
-        // the calling thread works too, so one thread spawns nothing
-        let mut optimized = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..num_threads).map(|_| scope.spawn(work)).collect();
-            let mut optimized = work();
-            for helper in helpers {
-                match helper.join() {
-                    Ok(part) => optimized.extend(part),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            optimized
-        });
-        optimized.sort_unstable_by_key(|&(i, _)| i);
-        let members = optimized.into_iter().map(|(_, m)| m).collect();
+                BucketMember { graph, params }
+            })
+            .collect();
         SealedBucket {
             bucket_index: self.bucket_index,
             num_buckets: self.num_buckets,
@@ -299,6 +189,7 @@ mod tests {
     use proteus_opt::Profile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn quick_config(k: usize) -> ProteusConfig {
         ProteusConfig {
@@ -354,7 +245,7 @@ mod tests {
         let (g, params) = small_model();
         let mut cfg = quick_config(2);
         cfg.partitions = PartitionSpec::Count(2);
-        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
+        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]).unwrap();
         drain(&proteus, &g, &params).0
     }
 
@@ -365,7 +256,7 @@ mod tests {
         let (g, params) = small_model();
         let mut cfg = quick_config(3);
         cfg.partitions = PartitionSpec::Count(3);
-        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
+        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]).unwrap();
         let (frames, secrets) = drain(&proteus, &g, &params);
         assert_eq!(frames.len(), 3);
         let members: usize = frames.iter().map(|f| f.bucket.members.len()).sum();
@@ -389,7 +280,7 @@ mod tests {
         let (g, params) = small_model();
         let mut cfg = quick_config(2);
         cfg.partitions = PartitionSpec::Count(2);
-        let proteus = Proteus::train(cfg, &[build(ModelKind::MobileNet)]);
+        let proteus = Proteus::train(cfg, &[build(ModelKind::MobileNet)]).unwrap();
         let (frames, secrets) = drain(&proteus, &g, &params);
         for profile in Profile::ALL {
             let opt = Optimizer::new(profile);
@@ -471,21 +362,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_optimization_agree() {
-        // the fan-out returns, slot for slot, what the optimizer gives
-        // each member on its own
+    fn optimize_keeps_header_and_slot_order() {
+        // the reference returns, slot for slot, what the optimizer gives
+        // each member on its own, under the frame's own header
         let opt = Optimizer::new(Profile::OrtLike);
         for frame in two_bucket_frames() {
-            let par = frame.optimize(&opt, None);
+            let out = frame.optimize(&opt, None);
             assert_eq!(
-                (par.bucket_index, par.num_buckets),
+                (out.bucket_index, out.num_buckets),
                 (frame.bucket_index, frame.num_buckets)
             );
-            assert_eq!(par.bucket.members.len(), frame.bucket.members.len());
-            for (m, got) in frame.bucket.members.iter().zip(&par.bucket.members) {
+            assert_eq!(out.bucket.members.len(), frame.bucket.members.len());
+            for (m, got) in frame.bucket.members.iter().zip(&out.bucket.members) {
                 let (graph, params, _) = opt.optimize(&m.graph, &m.params);
                 assert_eq!(got.graph, graph);
-                assert_eq!(got.params.len(), params.len());
+                assert_eq!(got.params, params);
             }
         }
     }
@@ -522,25 +413,10 @@ mod tests {
             assert_eq!(*rid, 5);
             assert_eq!(
                 got.to_mux_bytes(5),
-                frame.optimize(&opt, Some(2)).to_mux_bytes(5),
+                frame.optimize(&opt, None).to_mux_bytes(5),
                 "bucket {}",
                 frame.bucket_index
             );
-        }
-    }
-
-    #[test]
-    fn thread_counts_do_not_change_results() {
-        let opt = Optimizer::new(Profile::OrtLike);
-        for frame in two_bucket_frames() {
-            let reference = frame.optimize(&opt, Some(1)).to_mux_bytes(0);
-            for threads in [Some(3), Some(64), None] {
-                assert_eq!(
-                    frame.optimize(&opt, threads).to_mux_bytes(0),
-                    reference,
-                    "threads={threads:?}"
-                );
-            }
         }
     }
 
@@ -549,7 +425,7 @@ mod tests {
         let (g, params) = small_model();
         let mut cfg = quick_config(2);
         cfg.partitions = PartitionSpec::Count(2);
-        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
+        let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]).unwrap();
         let (mut frames, secrets) = drain(&proteus, &g, &params);
         // a missing frame
         frames.pop();
@@ -568,18 +444,16 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_before_training() {
-        let err = Proteus::builder()
-            .config(quick_config(0))
-            .corpus_model(build(ModelKind::ResNet))
-            .train()
-            .unwrap_err();
-        assert!(matches!(err, ProteusError::Config { .. }), "{err:?}");
-
-        let err = Proteus::builder()
-            .config(quick_config(2))
-            .train()
-            .unwrap_err();
+    fn train_validates_before_training() {
+        let corpus = [build(ModelKind::ResNet)];
+        for (label, cfg) in crate::config::degenerate_configs() {
+            let err = Proteus::train(cfg, &corpus).expect_err(label);
+            assert!(
+                matches!(err, ProteusError::Config { .. }),
+                "{label}: wrong variant {err:?}"
+            );
+        }
+        let err = Proteus::train(quick_config(2), &[]).unwrap_err();
         assert!(
             matches!(err, ProteusError::Config { .. }),
             "empty corpus must be rejected: {err:?}"
@@ -597,11 +471,7 @@ mod tests {
         let (g, params) = small_model();
         let mut cfg = quick_config(2);
         cfg.partitions = PartitionSpec::Count(2);
-        let proteus = Proteus::builder()
-            .config(cfg)
-            .corpus_model(build(ModelKind::ResNet))
-            .train_shared()
-            .unwrap();
+        let proteus = Arc::new(Proteus::train(cfg, &[build(ModelKind::ResNet)]).unwrap());
         let handles: Vec<_> = (0..2u64)
             .map(|rid| {
                 let proteus = Arc::clone(&proteus);

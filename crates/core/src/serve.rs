@@ -65,16 +65,14 @@
 //! use proteus_graphgen::GraphRnnConfig;
 //! use proteus_opt::{Optimizer, Profile};
 //!
-//! let proteus = Proteus::builder()
-//!     .config(ProteusConfig {
-//!         k: 2,
-//!         partitions: PartitionSpec::Count(2),
-//!         graphrnn: GraphRnnConfig { epochs: 1, ..Default::default() },
-//!         topology_pool: 10,
-//!         ..Default::default()
-//!     })
-//!     .corpus_model(proteus_models::build(proteus_models::ModelKind::ResNet))
-//!     .train_shared()?;
+//! let config = ProteusConfig {
+//!     k: 2,
+//!     partitions: PartitionSpec::Count(2),
+//!     graphrnn: GraphRnnConfig { epochs: 1, ..Default::default() },
+//!     topology_pool: 10,
+//!     ..Default::default()
+//! };
+//! let proteus = Proteus::train(config, &[proteus_models::build(proteus_models::ModelKind::ResNet)])?;
 //!
 //! // the optimizer party: one pool shared by every request
 //! let runtime = ServeRuntime::new(
@@ -1307,6 +1305,7 @@ mod tests {
             },
             &[build(ModelKind::ResNet)],
         )
+        .expect("train")
     }
 
     fn runtime(workers: usize, window: usize) -> ServeRuntime {
@@ -1663,7 +1662,8 @@ mod tests {
                 ..Default::default()
             },
             &[build(ModelKind::ResNet)],
-        );
+        )
+        .expect("train");
         assert!(proteus.inventory().is_empty());
         let built = proteus.warm_inventory();
         assert!(built > 0);

@@ -101,7 +101,6 @@ impl<'p> ObfuscationSession<'p> {
         request_id: u64,
     ) -> Result<ObfuscationSession<'p>, ProteusError> {
         let config = proteus.config();
-        config.validate()?;
         graph.validate()?;
         let request_seed = derive_request_seed(config.seed, request_id);
         let n = config.num_partitions(graph.len());

@@ -126,8 +126,10 @@ impl NetClient {
     ///
     /// # Errors
     /// [`NetError::Io`] / [`NetError::Wire`] for transport and framing
-    /// failures. Per-request server failures do NOT fail the batch —
-    /// they come back typed in the matching [`NetResponse::result`].
+    /// failures; [`NetError::Protocol`] when the server closed before
+    /// answering every frame of a request that got no error frame.
+    /// Per-request server failures do NOT fail the batch — they come
+    /// back typed in the matching [`NetResponse::result`].
     pub fn run_requests(self, requests: Vec<NetRequest>) -> Result<Vec<NetResponse>, NetError> {
         let NetClient {
             stream,
@@ -172,13 +174,27 @@ impl NetClient {
         if let Some(e) = write_err {
             return Err(e);
         }
-        Ok(requests
+        requests
             .iter()
-            .map(|req| NetResponse {
-                request_id: req.request_id,
-                result: by_request.remove(&req.request_id).unwrap_or(Ok(Vec::new())),
+            .map(|req| {
+                let result = by_request.remove(&req.request_id).unwrap_or(Ok(Vec::new()));
+                match &result {
+                    // the server answers every frame, or fails the lane
+                    Ok(frames) if frames.len() < req.frames.len() => {
+                        Err(NetError::protocol(format!(
+                            "server closed without answering request {:#x}: {} of {} frames came back",
+                            req.request_id,
+                            frames.len(),
+                            req.frames.len()
+                        )))
+                    }
+                    _ => Ok(NetResponse {
+                        request_id: req.request_id,
+                        result,
+                    }),
+                }
             })
-            .collect())
+            .collect()
     }
 
     /// [`NetClient::run_requests`] for a single request, surfacing a
@@ -241,6 +257,68 @@ fn collect_responses(
             }
             Ok(n) => reader.push(&chunk[..n]),
             Err(e) => return (out, Some(NetError::io("reading responses", e))),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    // tests assert on Results aggressively; the unwrap/expect discipline
+    // is for production paths
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use super::*;
+    use proteus_graph::wire::encode_frame_v3;
+    use std::net::TcpListener;
+
+    /// A stub daemon that completes the handshake, reads the client's
+    /// frames to end-of-stream, echoes back the first `answered` of them,
+    /// then closes cleanly without an error frame.
+    fn stub_server(answered: usize) -> (std::net::SocketAddr, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = FrameReader::new();
+            read_hello_bytes(&mut stream, &mut reader).unwrap();
+            let hello = ServerHello::new(7, "stub").encode().unwrap();
+            FrameWriter::new(&mut stream).write_frame(&hello).unwrap();
+            let mut frames = Vec::new();
+            let mut chunk = [0u8; 4096];
+            loop {
+                while let Some(NetFrame::Data(raw)) = reader.try_next().unwrap() {
+                    frames.push(raw);
+                }
+                match stream.read(&mut chunk).unwrap() {
+                    0 => break,
+                    n => reader.push(&chunk[..n]),
+                }
+            }
+            let mut writer = FrameWriter::new(&mut stream);
+            for frame in frames.iter().take(answered) {
+                writer.write_frame(frame).unwrap();
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn unanswered_request_fails_typed() {
+        let frames = vec![
+            encode_frame_v3(0x51, 0, b"a"),
+            encode_frame_v3(0x51, 1, b"b"),
+        ];
+        for answered in [0, 1] {
+            let (addr, server) = stub_server(answered);
+            let client = NetClient::connect(addr, "token", 7).unwrap();
+            let err = client.run_request(0x51, frames.clone()).unwrap_err();
+            server.join().unwrap();
+            let NetError::Protocol { detail } = &err else {
+                panic!("answered {answered}: wrong variant {err:?}");
+            };
+            assert!(
+                detail.contains("request 0x51") && detail.contains(&format!("{answered} of 2")),
+                "{detail}"
+            );
         }
     }
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let corpus: Vec<_> = train_models.iter().map(|&m| build(m)).collect();
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus)?;
     let mut rng = StdRng::seed_from_u64(5);
 
     // Build the protected model's buckets (what the adversary intercepts).

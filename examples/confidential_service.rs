@@ -51,10 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .iter()
     .map(|&k| build(k))
     .collect();
-    let trained = Proteus::builder()
-        .config(config.clone())
-        .corpus(corpus)
-        .train()?;
+    let trained = Proteus::train(config.clone(), &corpus)?;
 
     // Warm start: the training above would normally happen offline. The
     // trained state is persisted as a checksummed PRTA artifact, and the

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let corpus = vec![build(ModelKind::ResNet), build(ModelKind::MobileNet)];
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus)?;
 
     // 3. Obfuscate: the optimizer party sees n buckets of k+1 candidates,
     //    one sealed frame per bucket.

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .iter()
     .map(|&k| build(k))
     .collect();
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus)?;
     let mut rng = StdRng::seed_from_u64(2024);
 
     // pick survey-sized pieces from two very different models

@@ -40,19 +40,17 @@
 //! secret.set_outputs([out]);
 //! let weights = TensorMap::init_random(&secret, 42);
 //!
-//! // Train the sentinel generator on PUBLIC models only. The builder
+//! // Train the sentinel generator on PUBLIC models only. Training
 //! // validates the config; the trained instance is immutable and can be
 //! // shared (Arc) across concurrent requests.
-//! let proteus = Proteus::builder()
-//!     .config(ProteusConfig {
-//!         k: 2,
-//!         partitions: PartitionSpec::Count(1),
-//!         graphrnn: GraphRnnConfig { epochs: 1, ..Default::default() },
-//!         topology_pool: 12,
-//!         ..Default::default()
-//!     })
-//!     .corpus_model(build(ModelKind::MobileNet))
-//!     .train()?;
+//! let config = ProteusConfig {
+//!     k: 2,
+//!     partitions: PartitionSpec::Count(1),
+//!     graphrnn: GraphRnnConfig { epochs: 1, ..Default::default() },
+//!     topology_pool: 12,
+//!     ..Default::default()
+//! };
+//! let proteus = Proteus::train(config, &[build(ModelKind::MobileNet)])?;
 //!
 //! // Each request streams sealed, versioned, checksummed frames across
 //! // the trust boundary; the same request_id replays byte-identical
@@ -110,10 +108,7 @@
 //!     ..Default::default()
 //! };
 //! // offline: train once and ship the artifact
-//! let trained = Proteus::builder()
-//!     .config(config.clone())
-//!     .corpus_model(build(ModelKind::MobileNet))
-//!     .train()?;
+//! let trained = Proteus::train(config.clone(), &[build(ModelKind::MobileNet)])?;
 //! let path = std::env::temp_dir().join(format!(
 //!     "proteus-quickstart-{}.prta",
 //!     std::process::id()

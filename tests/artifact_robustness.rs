@@ -46,7 +46,8 @@ fn trained() -> &'static (Proteus, Vec<u8>) {
         let proteus = Proteus::train(
             quick_config(),
             &[build(ModelKind::ResNet), build(ModelKind::MobileNet)],
-        );
+        )
+        .expect("train");
         let bytes = proteus.to_artifact_bytes().to_vec();
         (proteus, bytes)
     })

@@ -37,7 +37,7 @@ fn bucket_never_contains_the_whole_model() {
     // entirety is never exposed. Every bucket member must be strictly
     // smaller than the protected model.
     let g = build(ModelKind::ResNet);
-    let proteus = Proteus::train(quick_config(2), &[build(ModelKind::MobileNet)]);
+    let proteus = Proteus::train(quick_config(2), &[build(ModelKind::MobileNet)]).expect("train");
     let (buckets, _) = obfuscate(&proteus, &g);
     for b in &buckets {
         for m in &b.members {
@@ -73,7 +73,7 @@ fn no_bucket_member_exposes_the_whole_model_across_the_registry() {
         topology_pool: 24,
         ..Default::default()
     };
-    let proteus = Proteus::train(cfg, &[build(ModelKind::MobileNet)]);
+    let proteus = Proteus::train(cfg, &[build(ModelKind::MobileNet)]).expect("train");
     for entry in zoo::all() {
         let g = (entry.build)();
         let (buckets, _) = obfuscate(&proteus, &g);
@@ -100,7 +100,7 @@ fn no_bucket_member_exposes_the_whole_model_across_the_registry() {
 fn real_positions_are_not_constant() {
     // shuffling must actually move the real member around
     let g = build(ModelKind::GoogleNet);
-    let proteus = Proteus::train(quick_config(3), &[build(ModelKind::ResNet)]);
+    let proteus = Proteus::train(quick_config(3), &[build(ModelKind::ResNet)]).expect("train");
     let (_, secrets) = obfuscate(&proteus, &g);
     let distinct: std::collections::HashSet<_> = secrets.real_positions.iter().collect();
     assert!(
@@ -119,7 +119,8 @@ fn sentinel_statistics_band_protected_graph() {
     let proteus = Proteus::train(
         quick_config(6),
         &[build(ModelKind::MobileNet), build(ModelKind::ResNet)],
-    );
+    )
+    .expect("train");
     let (buckets, secrets) = obfuscate(&proteus, &g);
     let mut inside = 0usize;
     for (b, &pos) in buckets.iter().zip(&secrets.real_positions) {
@@ -150,7 +151,7 @@ fn untrained_adversary_faces_full_search_space() {
     // with an uninformative classifier the search space must stay near
     // (k+1)^n
     let g = build(ModelKind::ResNet);
-    let proteus = Proteus::train(quick_config(4), &[build(ModelKind::MobileNet)]);
+    let proteus = Proteus::train(quick_config(4), &[build(ModelKind::MobileNet)]).expect("train");
     let (buckets, secrets) = obfuscate(&proteus, &g);
     let labelled: Vec<LabelledBucket> = buckets
         .iter()

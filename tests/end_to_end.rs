@@ -83,7 +83,7 @@ fn executable_cnn() -> (Graph, TensorMap) {
 #[test]
 fn protocol_preserves_semantics_for_both_optimizers() {
     let (g, params) = executable_cnn();
-    let proteus = Proteus::train(quick_config(3, 4), &[build(ModelKind::ResNet)]);
+    let proteus = Proteus::train(quick_config(3, 4), &[build(ModelKind::ResNet)]).expect("train");
     let (frames, secrets) = drain(&proteus, &g, &params);
     assert_eq!(frames.len(), 4);
     let members: usize = frames.iter().map(|f| f.bucket.members.len()).sum();
@@ -114,7 +114,8 @@ fn protocol_preserves_semantics_for_both_optimizers() {
 #[test]
 fn wire_roundtrip_through_the_whole_protocol() {
     let (g, params) = executable_cnn();
-    let proteus = Proteus::train(quick_config(2, 3), &[build(ModelKind::MobileNet)]);
+    let proteus =
+        Proteus::train(quick_config(2, 3), &[build(ModelKind::MobileNet)]).expect("train");
     let (frames, secrets) = drain(&proteus, &g, &params);
 
     // owner -> bytes -> service -> bytes -> owner, one frame at a time
@@ -142,7 +143,7 @@ fn perturb_mode_protocol_roundtrip() {
     let (g, params) = executable_cnn();
     let mut config = quick_config(3, 3);
     config.mode = SentinelMode::Perturb;
-    let proteus = Proteus::train(config, &[build(ModelKind::ResNet)]);
+    let proteus = Proteus::train(config, &[build(ModelKind::ResNet)]).expect("train");
     let runtime = ServeRuntime::new(Optimizer::new(Profile::OrtLike), ServeConfig::default())
         .expect("runtime");
     let (model, mparams) = runtime
@@ -161,7 +162,7 @@ fn perturb_mode_protocol_roundtrip() {
 fn zoo_models_structural_protocol() {
     // structure-only (no weights): every zoo model obfuscates and
     // reassembles into a graph with identical opcode multiset and shapes
-    let proteus = Proteus::train(quick_config(1, 6), &[build(ModelKind::ResNet)]);
+    let proteus = Proteus::train(quick_config(1, 6), &[build(ModelKind::ResNet)]).expect("train");
     for kind in [
         ModelKind::GoogleNet,
         ModelKind::DistilBert,
@@ -178,7 +179,8 @@ fn zoo_models_structural_protocol() {
 #[test]
 fn sentinels_in_buckets_are_valid_graphs() {
     let (g, params) = executable_cnn();
-    let proteus = Proteus::train(quick_config(4, 3), &[build(ModelKind::GoogleNet)]);
+    let proteus =
+        Proteus::train(quick_config(4, 3), &[build(ModelKind::GoogleNet)]).expect("train");
     let (frames, secrets) = drain(&proteus, &g, &params);
     for (bi, frame) in frames.iter().enumerate() {
         let b = &frame.bucket;

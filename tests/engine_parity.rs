@@ -87,7 +87,7 @@ fn bucket_member_parity_over_graphrnn_sentinels() {
         topology_pool: 30,
         ..Default::default()
     };
-    let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]);
+    let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]).expect("train");
     let frames: Vec<_> = proteus.obfuscate_session(&g, &params, 0).unwrap().collect();
     let members: usize = frames.iter().map(|f| f.bucket.members.len()).sum();
     assert!(

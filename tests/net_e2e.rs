@@ -73,10 +73,9 @@ fn quick_config() -> ProteusConfig {
 /// pair that agree on state.
 fn shared_proteus() -> Arc<Proteus> {
     static SHARED: OnceLock<Arc<Proteus>> = OnceLock::new();
-    Arc::clone(
-        SHARED
-            .get_or_init(|| Arc::new(Proteus::train(quick_config(), &[build(ModelKind::ResNet)]))),
-    )
+    Arc::clone(SHARED.get_or_init(|| {
+        Arc::new(Proteus::train(quick_config(), &[build(ModelKind::ResNet)]).expect("train"))
+    }))
 }
 
 fn two_tenant_auth() -> Vec<TenantAuth> {

@@ -182,7 +182,7 @@ fn figure5_sentinel_statistics_band_extends_to_modern_families() {
         topology_pool: 30,
         ..Default::default()
     };
-    let proteus = Proteus::train(config, &corpus);
+    let proteus = Proteus::train(config, &corpus).expect("train");
     let mut rng = StdRng::seed_from_u64(33);
     let mut real_degrees = Vec::new();
     let mut fake_degrees = Vec::new();

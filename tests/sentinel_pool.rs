@@ -34,7 +34,7 @@ fn tiny_config(seed: u64) -> ProteusConfig {
 }
 
 fn train(seed: u64) -> Proteus {
-    Proteus::train(tiny_config(seed), &[build(ModelKind::ResNet)])
+    Proteus::train(tiny_config(seed), &[build(ModelKind::ResNet)]).expect("train")
 }
 
 /// All sealed frame bytes of one request.

@@ -208,11 +208,7 @@ fn quick_config(k: usize, n: usize) -> ProteusConfig {
 fn shared_proteus() -> &'static Arc<Proteus> {
     static SHARED: OnceLock<Arc<Proteus>> = OnceLock::new();
     SHARED.get_or_init(|| {
-        Proteus::builder()
-            .config(quick_config(2, 2))
-            .corpus_model(build(ModelKind::ResNet))
-            .train_shared()
-            .expect("train")
+        Arc::new(Proteus::train(quick_config(2, 2), &[build(ModelKind::ResNet)]).expect("train"))
     })
 }
 

@@ -39,7 +39,9 @@ fn quick_config() -> ProteusConfig {
 /// One shared trained instance; training dominates suite time.
 fn trained() -> &'static Arc<Proteus> {
     static TRAINED: OnceLock<Arc<Proteus>> = OnceLock::new();
-    TRAINED.get_or_init(|| Arc::new(Proteus::train(quick_config(), &[build(ModelKind::ResNet)])))
+    TRAINED.get_or_init(|| {
+        Arc::new(Proteus::train(quick_config(), &[build(ModelKind::ResNet)]).expect("train"))
+    })
 }
 
 fn runtime(cache_capacity: usize) -> ServeRuntime {

@@ -94,11 +94,8 @@ fn concurrent_clients_are_bit_identical_to_serial_path() {
     const CLIENTS: usize = 3; // N client threads
     const IN_FLIGHT: usize = 3; // M concurrently driven requests per thread
 
-    let proteus = Proteus::builder()
-        .config(quick_config(2, 3))
-        .corpus_model(build(ModelKind::ResNet))
-        .train_shared()
-        .expect("train");
+    let proteus =
+        Arc::new(Proteus::train(quick_config(2, 3), &[build(ModelKind::ResNet)]).expect("train"));
     let runtime = ServeRuntime::new(
         Optimizer::new(Profile::OrtLike),
         ServeConfig {
@@ -185,11 +182,7 @@ fn warm_cached_concurrent_requests_match_serial_frame_bytes() {
     // requests at once. Every optimized frame must be byte-identical to
     // its input re-optimized serially (no pool, cache or inventory), on
     // the cold wave that fills the cache and on the replay that hits it.
-    let proteus = Proteus::builder()
-        .config(quick_config(2, 3))
-        .corpus_model(build(ModelKind::ResNet))
-        .train_shared()
-        .expect("train");
+    let proteus = Proteus::train(quick_config(2, 3), &[build(ModelKind::ResNet)]).expect("train");
     assert!(proteus.warm_inventory() > 0);
     let runtime = ServeRuntime::new(
         Optimizer::new(Profile::OrtLike),
@@ -271,11 +264,7 @@ fn multiplexed_byte_stream_serves_interleaved_requests() {
     // to its serial path.
     const REQUESTS: u64 = 4;
 
-    let proteus = Proteus::builder()
-        .config(quick_config(2, 2))
-        .corpus_model(build(ModelKind::ResNet))
-        .train_shared()
-        .expect("train");
+    let proteus = Proteus::train(quick_config(2, 2), &[build(ModelKind::ResNet)]).expect("train");
     let runtime = ServeRuntime::new(
         Optimizer::new(Profile::OrtLike),
         ServeConfig {
@@ -360,11 +349,8 @@ fn window_one_under_contention_still_converges() {
     // The tightest backpressure setting with more clients than workers:
     // every submit waits for the previous frame, nothing deadlocks, and
     // results stay correct.
-    let proteus = Proteus::builder()
-        .config(quick_config(1, 2))
-        .corpus_model(build(ModelKind::ResNet))
-        .train_shared()
-        .expect("train");
+    let proteus =
+        Arc::new(Proteus::train(quick_config(1, 2), &[build(ModelKind::ResNet)]).expect("train"));
     let runtime = ServeRuntime::new(
         Optimizer::new(Profile::OrtLike),
         ServeConfig {

@@ -47,7 +47,7 @@ fn quick_proteus() -> &'static Proteus {
             topology_pool: 30,
             ..Default::default()
         };
-        Proteus::train(cfg, &[build(ModelKind::ResNet)])
+        Proteus::train(cfg, &[build(ModelKind::ResNet)]).expect("train")
     })
 }
 

@@ -281,12 +281,13 @@ mod mux {
                     ..Default::default()
                 },
                 &[build(ModelKind::ResNet)],
-            );
+            )
+            .expect("train");
             let g = build(ModelKind::AlexNet);
             let drive = |rid: u64, n: usize| {
                 let mut config = proteus.config().clone();
                 config.partitions = PartitionSpec::Count(n);
-                let proteus_n = Proteus::train(config, &[build(ModelKind::ResNet)]);
+                let proteus_n = Proteus::train(config, &[build(ModelKind::ResNet)]).expect("train");
                 let mut session = proteus_n
                     .obfuscate_session(&g, &TensorMap::new(), rid)
                     .expect("session");

@@ -57,7 +57,7 @@ fn trained() -> &'static Proteus {
             topology_pool: 20,
             ..Default::default()
         };
-        Proteus::train(config, &[build(ModelKind::MobileNet)])
+        Proteus::train(config, &[build(ModelKind::MobileNet)]).expect("train")
     })
 }
 
