@@ -182,7 +182,8 @@ impl SealedBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PartitionSpec;
+    use crate::config::{PartitionSpec, ServeConfig};
+    use crate::serve::ServeRuntime;
     use proteus_graph::{Executor, Tensor};
     use proteus_graphgen::GraphRnnConfig;
     use proteus_models::{build, ModelKind};
@@ -361,12 +362,48 @@ mod tests {
         }
     }
 
+    /// Optimizes `frames` as one request through a serving runtime with
+    /// `workers` pool threads, returned in bucket order.
+    fn serve_through_pool(
+        frames: &[SealedBucket],
+        workers: usize,
+        cache_capacity: usize,
+        request_id: u64,
+    ) -> Vec<SealedBucket> {
+        let runtime = ServeRuntime::new(
+            Optimizer::new(Profile::OrtLike),
+            ServeConfig {
+                workers,
+                window: 2,
+                cache_capacity,
+            },
+        )
+        .unwrap();
+        let wires: Vec<_> = frames.iter().map(|f| f.to_mux_bytes(request_id)).collect();
+        let mut served: Vec<SealedBucket> = runtime
+            .resume_lane(request_id, &wires)
+            .unwrap()
+            .into_iter()
+            .map(|wire| {
+                let (rid, frame) = SealedBucket::from_mux_bytes(wire).unwrap();
+                assert_eq!(rid, request_id);
+                frame
+            })
+            .collect();
+        served.sort_by_key(|f| f.bucket_index);
+        assert_eq!(served.len(), frames.len());
+        served
+    }
+
     #[test]
-    fn optimize_keeps_header_and_slot_order() {
-        // the reference returns, slot for slot, what the optimizer gives
-        // each member on its own, under the frame's own header
+    fn parallel_and_serial_optimization_agree() {
+        // the serial reference returns, slot for slot, what the optimizer
+        // gives each member on its own, under the frame's own header; the
+        // parallel pool returns the same frame
         let opt = Optimizer::new(Profile::OrtLike);
-        for frame in two_bucket_frames() {
+        let frames = two_bucket_frames();
+        let pooled = serve_through_pool(&frames, 2, 0, 0);
+        for (frame, par) in frames.iter().zip(&pooled) {
             let out = frame.optimize(&opt, None);
             assert_eq!(
                 (out.bucket_index, out.num_buckets),
@@ -378,6 +415,7 @@ mod tests {
                 assert_eq!(got.graph, graph);
                 assert_eq!(got.params, params);
             }
+            assert_eq!(par.to_mux_bytes(0), out.to_mux_bytes(0));
         }
     }
 
@@ -385,38 +423,34 @@ mod tests {
     fn per_bucket_and_whole_model_optimization_agree() {
         // the serving runtime, fed a whole request, answers every frame
         // with the bytes of the per-frame reference
-        use crate::config::ServeConfig;
-        use crate::serve::ServeRuntime;
         let opt = Optimizer::new(Profile::OrtLike);
         let frames = two_bucket_frames();
-        let runtime = ServeRuntime::new(
-            Optimizer::new(Profile::OrtLike),
-            ServeConfig {
-                workers: 2,
-                window: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let served = runtime.resume_lane(
-            5,
-            &frames.iter().map(|f| f.to_mux_bytes(5)).collect::<Vec<_>>(),
-        );
-        let mut served: Vec<(u64, SealedBucket)> = served
-            .unwrap()
-            .into_iter()
-            .map(|wire| SealedBucket::from_mux_bytes(wire).unwrap())
-            .collect();
-        served.sort_by_key(|(_, f)| f.bucket_index);
-        assert_eq!(served.len(), frames.len());
-        for (frame, (rid, got)) in frames.iter().zip(&served) {
-            assert_eq!(*rid, 5);
+        let served = serve_through_pool(&frames, 2, ServeConfig::default().cache_capacity, 5);
+        for (frame, got) in frames.iter().zip(&served) {
             assert_eq!(
                 got.to_mux_bytes(5),
                 frame.optimize(&opt, None).to_mux_bytes(5),
                 "bucket {}",
                 frame.bucket_index
             );
+        }
+    }
+
+    #[test]
+    fn thread_counts_do_not_change_results() {
+        // the pool's worker count is invisible in the answer: every count
+        // returns the serial reference's bytes
+        let opt = Optimizer::new(Profile::OrtLike);
+        let frames = two_bucket_frames();
+        let reference: Vec<_> = frames
+            .iter()
+            .map(|f| f.optimize(&opt, None).to_mux_bytes(0))
+            .collect();
+        for workers in [1, 3, 8] {
+            let served = serve_through_pool(&frames, workers, 0, 0);
+            for (got, want) in served.iter().zip(&reference) {
+                assert_eq!(&got.to_mux_bytes(0), want, "workers={workers}");
+            }
         }
     }
 
