@@ -68,8 +68,13 @@ pub fn average_clustering(adj: &HashMap<NodeId, Vec<NodeId>>) -> f64 {
     if adj.is_empty() {
         return 0.0;
     }
+    // sum in node-id order: a float sum in `HashMap` order differs in its
+    // last bits from process to process
+    let mut ids: Vec<NodeId> = adj.keys().copied().collect();
+    ids.sort();
     let mut total = 0.0;
-    for (_, neigh) in adj.iter() {
+    for id in &ids {
+        let neigh = &adj[id];
         let k = neigh.len();
         if k < 2 {
             continue;

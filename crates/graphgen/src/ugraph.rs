@@ -286,6 +286,59 @@ mod tests {
         assert_eq!(c.edge_count(), 2);
     }
 
+    /// Per-node clustering coefficients of `g`, in index order.
+    fn local_clustering(g: &UGraph) -> Vec<f64> {
+        let adj = g.adjacency();
+        adj.iter()
+            .map(|neigh| {
+                let k = neigh.len();
+                if k < 2 {
+                    return 0.0;
+                }
+                let mut links = 0usize;
+                for i in 0..k {
+                    for j in (i + 1)..k {
+                        if adj[neigh[i]].contains(&neigh[j]) {
+                            links += 1;
+                        }
+                    }
+                }
+                2.0 * links as f64 / (k * (k - 1)) as f64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clustering_sums_in_index_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 30;
+        let mut g = UGraph::new(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen::<f64>() < 0.3 {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        let local = local_clustering(&g);
+        let want = local.iter().sum::<f64>() / n as f64;
+        // the topology is order-sensitive: another summation order moves
+        // the last bits
+        let reversed = local.iter().rev().sum::<f64>() / n as f64;
+        assert_ne!(want.to_bits(), reversed.to_bits());
+        for round in 0..32 {
+            let fresh = UGraph::from_adjacency(g.adjacency().to_vec()).expect("valid");
+            let got = fresh.stats().clustering;
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "round {round}: clustering {got:e} is not the index-order sum {want:e}"
+            );
+        }
+    }
+
     #[test]
     fn dag_acyclicity() {
         let d = Dag::new(3, vec![(0, 1), (1, 2), (0, 2)]);
