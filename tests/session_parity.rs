@@ -10,12 +10,12 @@
 use proteus::{
     PartitionSpec, Proteus, ProteusConfig, ProteusError, SealedBucket, ServeConfig, ServeRuntime,
 };
-use proteus_graph::wire::{decode_frame, seal_record, WireError};
+use proteus_graph::wire::{decode_frame, seal_record, word_hash64, WireError};
 use proteus_graph::{
     Activation, BatchNormAttrs, ConvAttrs, GemmAttrs, Graph, Op, PoolAttrs, TensorMap,
 };
 use proteus_graphgen::GraphRnnConfig;
-use proteus_models::{build, ModelKind};
+use proteus_models::{build, zoo, ModelKind};
 use proteus_opt::{Optimizer, Profile};
 
 fn quick_config(k: usize, n: usize) -> ProteusConfig {
@@ -258,4 +258,45 @@ fn config_validation_front_loads_degenerate_requests() {
     cfg.k = 0;
     let err = Proteus::train(cfg, &[build(ModelKind::ResNet)]).unwrap_err();
     assert!(matches!(err, ProteusError::Config { .. }), "{err:?}");
+}
+
+/// `proteus-train train --quick`'s configuration and corpus.
+fn train_quick() -> Proteus {
+    let config = ProteusConfig {
+        k: 2,
+        partitions: PartitionSpec::TargetSize(8),
+        graphrnn: GraphRnnConfig {
+            epochs: 1,
+            max_nodes: 16,
+            ..Default::default()
+        },
+        topology_pool: 12,
+        seed: 0xB0B,
+        ..Default::default()
+    };
+    Proteus::train(config, &[build(ModelKind::ResNet)]).expect("train")
+}
+
+#[test]
+fn owner_bytes_match_the_pinned_zoo_digest() {
+    // Pins every byte the owner sends, and where it hid each real piece,
+    // for the whole zoo at fixed request ids. A change that keeps the
+    // protocol must keep this digest; one that changes the draws or the
+    // encoding must say why before re-pinning it.
+    let proteus = train_quick();
+    let mut digest = 0u64;
+    for (i, entry) in zoo::all().iter().enumerate() {
+        let request_id = 0x0B5E_0000 + i as u64;
+        let mut session = proteus
+            .obfuscate_session(&(entry.build)(), &TensorMap::new(), request_id)
+            .expect("session opens");
+        for frame in session.by_ref() {
+            digest = word_hash64(digest, &frame.to_mux_bytes(request_id));
+        }
+        let secrets = session.finish().expect("secrets");
+        for &pos in &secrets.real_positions {
+            digest = word_hash64(digest, &(pos as u64).to_le_bytes());
+        }
+    }
+    assert_eq!(format!("{digest:#018x}"), "0x7bb25381bde2ab41");
 }
