@@ -122,8 +122,6 @@ impl GraphFeatures {
     /// Extracts features from a computational graph.
     pub fn of(graph: &Graph) -> GraphFeatures {
         let ids = graph.node_ids();
-        let index: HashMap<NodeId, usize> =
-            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         let n = ids.len().max(1);
         let mut nodes = Matrix::zeros(n, NODE_FEATURES);
         let succ = graph.successors();
@@ -139,16 +137,15 @@ impl GraphFeatures {
             );
         }
         let mut agg = Matrix::zeros(n, n);
-        let adj = graph.undirected_adjacency();
-        for (row, &id) in ids.iter().enumerate() {
-            let neighbors = &adj[&id];
+        // adjacency rows are in `ids` order
+        for (row, neighbors) in graph.undirected_adjacency().iter().enumerate() {
             if neighbors.is_empty() {
                 agg.set(row, row, 1.0); // self-loop for isolated nodes
                 continue;
             }
             let w = 1.0 / neighbors.len() as f32;
-            for nb in neighbors {
-                agg.set(row, index[nb], w);
+            for &nb in neighbors {
+                agg.set(row, nb, w);
             }
         }
         GraphFeatures { nodes, agg }

@@ -41,7 +41,7 @@ pub struct LeakageReport {
 
 fn degree_samples(g: &Graph) -> Vec<f64> {
     g.undirected_adjacency()
-        .values()
+        .iter()
         .map(|nbrs| nbrs.len() as f64)
         .collect()
 }

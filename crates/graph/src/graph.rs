@@ -445,23 +445,28 @@ impl Graph {
         self.topo_order().map(|_| ())
     }
 
-    /// Undirected adjacency over live nodes (deduplicated, no self-loops),
-    /// as used by the graph statistics and the GraphRNN sequencer.
-    pub fn undirected_adjacency(&self) -> HashMap<NodeId, Vec<NodeId>> {
-        let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for (id, _) in self.iter() {
-            adj.entry(id).or_default();
+    /// Undirected adjacency over live nodes, indexed in node-id order:
+    /// row `i` lists the neighbours of the `i`-th id of
+    /// [`Graph::node_ids`], sorted and deduplicated, with no self-loops.
+    /// The input of the graph statistics ([`crate::stats`]).
+    pub fn undirected_adjacency(&self) -> Vec<Vec<usize>> {
+        let mut index = vec![usize::MAX; self.nodes.len()];
+        for (i, (id, _)) in self.iter().enumerate() {
+            index[id.index()] = i;
         }
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.len()];
         for (id, node) in self.iter() {
+            let u = index[id.index()];
             for &inp in &node.inputs {
                 if inp != id && self.contains(inp) {
-                    adj.entry(id).or_default().push(inp);
-                    adj.entry(inp).or_default().push(id);
+                    let v = index[inp.index()];
+                    adj[u].push(v);
+                    adj[v].push(u);
                 }
             }
         }
-        for list in adj.values_mut() {
-            list.sort();
+        for list in &mut adj {
+            list.sort_unstable();
             list.dedup();
         }
         adj
@@ -666,10 +671,10 @@ mod tests {
     fn undirected_adjacency_symmetric() {
         let (g, _) = diamond();
         let adj = g.undirected_adjacency();
-        for (&u, neighbors) in &adj {
-            for v in neighbors {
+        for (u, neighbors) in adj.iter().enumerate() {
+            for &v in neighbors {
                 assert!(adj[v].contains(&u));
-                assert_ne!(*v, u);
+                assert_ne!(v, u);
             }
         }
     }

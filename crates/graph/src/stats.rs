@@ -6,9 +6,9 @@
 //! and its reported metrics: average degree, clustering coefficient,
 //! diameter, and node count.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The four topology statistics Proteus matches between real and sentinel
 /// subgraphs.
@@ -25,19 +25,22 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes the statistics of a graph's undirected view.
+    /// Computes the statistics of a graph's undirected view, its nodes
+    /// indexed in node-id order ([`Graph::undirected_adjacency`]).
     pub fn of(graph: &Graph) -> GraphStats {
-        let adj = graph.undirected_adjacency();
-        Self::of_adjacency(&adj)
+        Self::of_adjacency(&graph.undirected_adjacency())
     }
 
-    /// Computes the statistics from a prebuilt undirected adjacency map.
-    pub fn of_adjacency(adj: &HashMap<NodeId, Vec<NodeId>>) -> GraphStats {
+    /// Computes the statistics from indexed adjacency: `adj[u]` lists the
+    /// neighbours of node `u`, with no duplicates and no self-loops. The
+    /// order within a list does not matter; every sum and tie runs in
+    /// index order, so the result is the same bits in every process.
+    pub fn of_adjacency(adj: &[Vec<usize>]) -> GraphStats {
         let n = adj.len();
         if n == 0 {
             return GraphStats::default();
         }
-        let edges2: usize = adj.values().map(|v| v.len()).sum();
+        let edges2: usize = adj.iter().map(Vec::len).sum();
         let avg_degree = edges2 as f64 / n as f64;
         GraphStats {
             avg_degree,
@@ -63,49 +66,44 @@ impl GraphStats {
         ["avg_degree", "clustering", "diameter", "num_nodes"];
 }
 
-/// Mean local clustering coefficient of an undirected graph.
-pub fn average_clustering(adj: &HashMap<NodeId, Vec<NodeId>>) -> f64 {
+/// Mean local clustering coefficient of an undirected graph, summed in
+/// index order.
+pub fn average_clustering(adj: &[Vec<usize>]) -> f64 {
     if adj.is_empty() {
         return 0.0;
     }
-    // sum in node-id order: a float sum in `HashMap` order differs in its
-    // last bits from process to process
-    let mut ids: Vec<NodeId> = adj.keys().copied().collect();
-    ids.sort();
+    // `owner[v] == u` marks `v` as a neighbour of the node `u` being scored
+    let mut owner = vec![usize::MAX; adj.len()];
     let mut total = 0.0;
-    for id in &ids {
-        let neigh = &adj[id];
+    for (u, neigh) in adj.iter().enumerate() {
         let k = neigh.len();
         if k < 2 {
             continue;
         }
-        let mut links = 0usize;
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if adj[&neigh[i]].binary_search(&neigh[j]).is_ok() {
-                    links += 1;
-                }
-            }
+        for &v in neigh {
+            owner[v] = u;
         }
-        total += 2.0 * links as f64 / (k * (k - 1)) as f64;
+        // every link between two neighbours is seen from both ends
+        let ends: usize = neigh
+            .iter()
+            .map(|&v| adj[v].iter().filter(|&&w| owner[w] == u).count())
+            .sum();
+        total += ends as f64 / (k * (k - 1)) as f64;
     }
     total / adj.len() as f64
 }
 
-/// BFS distances from `src`; unreachable nodes are absent.
-pub fn bfs_distances(adj: &HashMap<NodeId, Vec<NodeId>>, src: NodeId) -> HashMap<NodeId, usize> {
-    let mut dist = HashMap::new();
-    dist.insert(src, 0usize);
-    let mut q = VecDeque::new();
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        let du = dist[&u];
-        if let Some(neigh) = adj.get(&u) {
-            for &v in neigh {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                    e.insert(du + 1);
-                    q.push_back(v);
-                }
+/// BFS hop counts from `src`; `None` for unreachable nodes.
+pub fn bfs_distances(adj: &[Vec<usize>], src: usize) -> Vec<Option<usize>> {
+    let mut dist = vec![None; adj.len()];
+    dist[src] = Some(0);
+    let mut queue = VecDeque::from([src]);
+    while let Some(u) = queue.pop_front() {
+        let next = dist[u].map(|d| d + 1);
+        for &v in &adj[u] {
+            if dist[v].is_none() {
+                dist[v] = next;
+                queue.push_back(v);
             }
         }
     }
@@ -113,61 +111,50 @@ pub fn bfs_distances(adj: &HashMap<NodeId, Vec<NodeId>>, src: NodeId) -> HashMap
 }
 
 /// Diameter (max eccentricity) of the largest connected component.
-pub fn diameter(adj: &HashMap<NodeId, Vec<NodeId>>) -> usize {
+pub fn diameter(adj: &[Vec<usize>]) -> usize {
+    farthest_pair(adj).map_or(0, |(d, _, _)| d)
+}
+
+/// Returns the endpoints `(u, v)` of a diameter path of the largest
+/// component, used by Algorithm 3 (orientation induction). Deterministic:
+/// among the farthest pairs, the smallest `(u, v)`.
+pub fn diameter_endpoints(adj: &[Vec<usize>]) -> Option<(usize, usize)> {
+    farthest_pair(adj).map(|(_, u, v)| (u, v))
+}
+
+/// `(distance, u, v)` of the smallest farthest pair of the largest
+/// component.
+fn farthest_pair(adj: &[Vec<usize>]) -> Option<(usize, usize, usize)> {
     let component = largest_component(adj);
-    let mut best = 0usize;
+    let mut best: Option<(usize, usize, usize)> = None;
+    // pairs come in increasing `(u, v)` order, so only a strictly longer
+    // distance replaces the best pair
     for &u in &component {
         let dist = bfs_distances(adj, u);
-        for (&v, &d) in &dist {
-            if component.contains(&v) {
-                best = best.max(d);
+        for &v in &component {
+            if let Some(d) = dist[v] {
+                if best.is_none_or(|(bd, _, _)| d > bd) {
+                    best = Some((d, u, v));
+                }
             }
         }
     }
     best
 }
 
-/// Returns the endpoints `(u, v)` of a diameter path of the largest
-/// component, used by Algorithm 3 (orientation induction). Deterministic:
-/// ties broken by node id.
-pub fn diameter_endpoints(adj: &HashMap<NodeId, Vec<NodeId>>) -> Option<(NodeId, NodeId)> {
-    let component = largest_component(adj);
-    let mut best: Option<(usize, NodeId, NodeId)> = None;
-    let mut nodes: Vec<NodeId> = component.to_vec();
-    nodes.sort();
-    for &u in &nodes {
-        let dist = bfs_distances(adj, u);
-        for &v in &nodes {
-            if let Some(&d) = dist.get(&v) {
-                let cand = (d, u, v);
-                let better = match best {
-                    None => true,
-                    Some((bd, bu, bv)) => d > bd || (d == bd && (u, v) < (bu, bv)),
-                };
-                if better {
-                    best = Some(cand);
-                }
-            }
-        }
-    }
-    best.map(|(_, u, v)| (u, v))
-}
-
-/// Nodes of the largest connected component (by size, ties by smallest id).
-pub fn largest_component(adj: &HashMap<NodeId, Vec<NodeId>>) -> Vec<NodeId> {
-    let mut seen: HashMap<NodeId, bool> = adj.keys().map(|&k| (k, false)).collect();
-    let mut best: Vec<NodeId> = Vec::new();
-    let mut keys: Vec<NodeId> = adj.keys().copied().collect();
-    keys.sort();
-    for &start in &keys {
-        if seen[&start] {
+/// Nodes of the largest connected component in increasing index order
+/// (by size, ties by smallest index).
+pub fn largest_component(adj: &[Vec<usize>]) -> Vec<usize> {
+    let mut seen = vec![false; adj.len()];
+    let mut best: Vec<usize> = Vec::new();
+    for start in 0..adj.len() {
+        if seen[start] {
             continue;
         }
         let dist = bfs_distances(adj, start);
-        let mut comp: Vec<NodeId> = dist.keys().copied().collect();
-        comp.sort();
-        for &n in &comp {
-            seen.insert(n, true);
+        let comp: Vec<usize> = (0..adj.len()).filter(|&v| dist[v].is_some()).collect();
+        for &v in &comp {
+            seen[v] = true;
         }
         if comp.len() > best.len() {
             best = comp;
@@ -258,7 +245,7 @@ mod tests {
         let adj = g.undirected_adjacency();
         let (u, v) = diameter_endpoints(&adj).unwrap();
         let dist = bfs_distances(&adj, u);
-        assert_eq!(dist[&v], 5);
+        assert_eq!(dist[v], Some(5));
     }
 
     #[test]

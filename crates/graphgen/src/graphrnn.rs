@@ -323,8 +323,7 @@ mod tests {
             assert!(g.len() <= 24);
             if g.len() >= 2 {
                 // connected by construction (largest component)
-                let adj = g.stats_adjacency();
-                let comp = proteus_graph::stats::largest_component(&adj);
+                let comp = proteus_graph::stats::largest_component(g.adjacency());
                 assert_eq!(comp.len(), g.len());
             }
         }

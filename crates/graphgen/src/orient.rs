@@ -18,10 +18,7 @@ pub fn induce_orientation(g: &UGraph) -> Dag {
     if g.is_empty() {
         return Dag::new(0, Vec::new());
     }
-    let adj = g.stats_adjacency();
-    let start = diameter_endpoints(&adj)
-        .map(|(u, _)| u.index())
-        .unwrap_or(0);
+    let start = diameter_endpoints(g.adjacency()).map_or(0, |(u, _)| u);
     // BFS visit order from the diameter endpoint
     let mut ord = vec![usize::MAX; g.len()];
     let mut next = 0usize;

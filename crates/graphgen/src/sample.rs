@@ -14,27 +14,44 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// A pool of candidate topologies with precomputed statistics and a fitted
-/// density estimate.
+/// One pool topology with what Algorithm 1 reads of it: its statistics
+/// and the fitted pool density at them.
+#[derive(Debug, Clone)]
+struct PoolMember {
+    topology: UGraph,
+    features: [f64; 4],
+    density: f64,
+}
+
+/// A pool of candidate topologies with precomputed statistics and
+/// densities. The density `p(x)` is fitted once (Algorithm 1, line 3) and
+/// each member's importance weight `1/p(x)` is fixed from then on, so a
+/// draw only reads the table.
 #[derive(Debug, Clone)]
 pub struct TopologySampler {
-    pool: Vec<(UGraph, [f64; 4])>,
-    density: StatsDensity,
+    pool: Vec<PoolMember>,
+    /// Per-dimension pool standard deviations, the band's unit.
+    dim_stds: [f64; 4],
 }
 
 impl TopologySampler {
     /// Builds a sampler over a pool of generated topologies.
     pub fn new(pool: Vec<UGraph>) -> TopologySampler {
-        let pool: Vec<(UGraph, [f64; 4])> = pool
+        let features: Vec<[f64; 4]> = pool.iter().map(|g| g.stats().to_vec()).collect();
+        let density = StatsDensity::fit(&features);
+        let pool = pool
             .into_iter()
-            .map(|g| {
-                let f = g.stats().to_vec();
-                (g, f)
+            .zip(features)
+            .map(|(topology, features)| PoolMember {
+                density: density.density(&features),
+                topology,
+                features,
             })
             .collect();
-        let features: Vec<[f64; 4]> = pool.iter().map(|(_, f)| *f).collect();
-        let density = StatsDensity::fit(&features);
-        TopologySampler { pool, density }
+        TopologySampler {
+            pool,
+            dim_stds: density.dim_stds(),
+        }
     }
 
     /// Pool size.
@@ -47,17 +64,12 @@ impl TopologySampler {
         self.pool.is_empty()
     }
 
-    /// The fitted pool density.
-    pub fn density(&self) -> &StatsDensity {
-        &self.density
-    }
-
     /// The pool topologies in sampling order. Rebuilding a sampler from
     /// this exact sequence ([`TopologySampler::new`] recomputes statistics
-    /// and density deterministically) reproduces its draws bit for bit —
+    /// and densities deterministically) reproduces its draws bit for bit —
     /// the property the trained-state artifact relies on.
     pub fn topologies(&self) -> impl ExactSizeIterator<Item = &UGraph> {
-        self.pool.iter().map(|(g, _)| g)
+        self.pool.iter().map(|m| &m.topology)
     }
 
     /// The topology at pool position `index` (sampling order), if any.
@@ -67,7 +79,7 @@ impl TopologySampler {
     /// lifetime of the trained state (and across artifact round trips —
     /// the pool is persisted order-exact).
     pub fn topology(&self, index: usize) -> Option<&UGraph> {
-        self.pool.get(index).map(|(g, _)| g)
+        self.pool.get(index).map(|m| &m.topology)
     }
 
     /// Algorithm 1: samples `count` topologies statistically similar to
@@ -88,7 +100,7 @@ impl TopologySampler {
     ) -> Vec<UGraph> {
         self.sample_inner(protected, beta, count, rng, true)
             .into_iter()
-            .map(|i| self.pool[i].0.clone())
+            .map(|i| self.pool[i].topology.clone())
             .collect()
     }
 
@@ -117,7 +129,7 @@ impl TopologySampler {
     ) -> Vec<UGraph> {
         self.sample_inner(protected, beta, count, rng, false)
             .into_iter()
-            .map(|i| self.pool[i].0.clone())
+            .map(|i| self.pool[i].topology.clone())
             .collect()
     }
 
@@ -133,9 +145,8 @@ impl TopologySampler {
             return Vec::new();
         }
         let x_g = protected.stats().to_vec();
-        let stds = self.density.dim_stds();
         // band widths; degenerate dimensions get a small floor
-        let width: Vec<f64> = stds.iter().map(|s| (beta * s).max(1e-3)).collect();
+        let width = self.dim_stds.map(|s| (beta * s).max(1e-3));
         // random position of G inside the band (paper lines 4-8)
         let mut lo = [0.0f64; 4];
         let mut hi = [0.0f64; 4];
@@ -150,8 +161,8 @@ impl TopologySampler {
         let p_min = self
             .pool
             .iter()
-            .filter(|(_, f)| in_band(f))
-            .map(|(_, f)| self.density.density(f))
+            .filter(|m| in_band(&m.features))
+            .map(|m| m.density)
             .fold(f64::INFINITY, f64::min);
 
         let mut order: Vec<usize> = (0..self.pool.len()).collect();
@@ -164,12 +175,12 @@ impl TopologySampler {
                 if accepted.len() >= count {
                     break;
                 }
-                let (_, f) = &self.pool[i];
-                if !in_band(f) {
+                let member = &self.pool[i];
+                if !in_band(&member.features) {
                     continue;
                 }
                 let accept_prob = if importance {
-                    let p = self.density.density(f);
+                    let p = member.density;
                     if p_min.is_finite() && p > 0.0 {
                         (p_min / p).clamp(0.0, 1.0)
                     } else {
@@ -189,7 +200,7 @@ impl TopologySampler {
                 .pool
                 .iter()
                 .enumerate()
-                .map(|(i, (_, f))| {
+                .map(|(i, PoolMember { features: f, .. })| {
                     let d: f64 = (0..4)
                         .map(|k| {
                             let s = width[k].max(1e-9);

@@ -51,10 +51,10 @@ impl UGraph {
 
     /// The raw adjacency lists, in their exact in-memory order.
     ///
-    /// Neighbor order is an observable property of a topology: orientation
-    /// induction and statistics walk the lists as stored, so persisting a
-    /// trained pool (see `proteus-core::artifact`) must round-trip the
-    /// lists verbatim — not as a canonicalized edge set.
+    /// Neighbor order is kept exactly as built: persisting a trained pool
+    /// (see `proteus-core::artifact`) must round-trip the lists verbatim —
+    /// not as a canonicalized edge set — so a reloaded pool re-encodes to
+    /// the same bytes.
     pub fn adjacency(&self) -> &[Vec<usize>] {
         &self.adj
     }
@@ -105,39 +105,22 @@ impl UGraph {
         u
     }
 
-    /// Adjacency in the [`proteus_graph::stats`] format so the shared
-    /// statistics code applies.
-    pub fn stats_adjacency(&self) -> HashMap<NodeId, Vec<NodeId>> {
-        let mut out = HashMap::with_capacity(self.len());
-        for (u, neigh) in self.adj.iter().enumerate() {
-            let mut v: Vec<NodeId> = neigh.iter().map(|&n| NodeId::from_index(n)).collect();
-            v.sort();
-            out.insert(NodeId::from_index(u), v);
-        }
-        out
-    }
-
-    /// Graph statistics of this topology.
+    /// Graph statistics of this topology, summed in node-index order.
     pub fn stats(&self) -> proteus_graph::GraphStats {
-        proteus_graph::GraphStats::of_adjacency(&self.stats_adjacency())
+        proteus_graph::GraphStats::of_adjacency(&self.adj)
     }
 
     /// Restricts to the largest connected component, renumbering nodes.
     pub fn largest_component(&self) -> UGraph {
-        let adj = self.stats_adjacency();
-        let comp = proteus_graph::stats::largest_component(&adj);
-        let index: HashMap<usize, usize> = comp
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.index(), i))
-            .collect();
+        let comp = proteus_graph::stats::largest_component(&self.adj);
+        let mut index = vec![usize::MAX; self.len()];
+        for (i, &u) in comp.iter().enumerate() {
+            index[u] = i;
+        }
         let mut out = UGraph::new(comp.len());
-        for id in &comp {
-            let u = id.index();
+        for &u in &comp {
             for &v in &self.adj[u] {
-                if let (Some(&iu), Some(&iv)) = (index.get(&u), index.get(&v)) {
-                    out.add_edge(iu, iv);
-                }
+                out.add_edge(index[u], index[v]);
             }
         }
         out

@@ -94,18 +94,6 @@ impl Assignment {
             / sizes.len() as f64;
         var.sqrt()
     }
-
-    /// Node ids of each partition, sorted within each partition.
-    pub fn groups(&self) -> Vec<Vec<NodeId>> {
-        let mut groups = vec![Vec::new(); self.num_partitions];
-        for (&id, &p) in &self.partition_of {
-            groups[p].push(id);
-        }
-        for g in &mut groups {
-            g.sort();
-        }
-        groups
-    }
 }
 
 /// One run of randomized edge contraction down to (at most) `n` components.
@@ -219,7 +207,11 @@ mod tests {
             let _ = (p, q); // contiguity check below
         }
         // each partition's ids form one contiguous run
-        for group in a.groups() {
+        let mut groups = vec![Vec::new(); a.num_partitions];
+        for &id in &ids {
+            groups[a.partition_of[&id]].push(id);
+        }
+        for group in groups {
             for w in group.windows(2) {
                 assert_eq!(
                     w[1].index() - w[0].index(),

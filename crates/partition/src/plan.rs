@@ -65,7 +65,13 @@ impl PartitionPlan {
     ) -> Result<PartitionPlan, GraphError> {
         let shapes = infer_shapes(graph)?;
         let n_parts = assignment.num_partitions;
-        let groups = assignment.groups();
+        // Each piece creates its nodes in the original topological order,
+        // restricted to its partition, so that piece-local inputs already
+        // exist: one order, split by partition.
+        let mut piece_order: Vec<Vec<NodeId>> = vec![Vec::new(); n_parts];
+        for id in graph.topo_order()? {
+            piece_order[assignment.partition_of[&id]].push(id);
+        }
 
         // Which original nodes must be interface outputs of their piece:
         // nodes consumed by another partition or listed as graph outputs.
@@ -93,7 +99,7 @@ impl PartitionPlan {
         }
 
         let mut pieces = Vec::with_capacity(n_parts);
-        for (p, group) in groups.iter().enumerate() {
+        for (p, order) in piece_order.iter().enumerate() {
             let mut sub = Graph::new(format!("{}::part{}", graph.name(), p));
             let mut sub_params = TensorMap::new();
             let mut local: HashMap<NodeId, NodeId> = HashMap::new();
@@ -101,10 +107,7 @@ impl PartitionPlan {
             // placeholder per external producer (dedup within the piece)
             let mut placeholder_of: HashMap<NodeId, NodeId> = HashMap::new();
 
-            // Create nodes in original topological order restricted to the
-            // group so that piece-local inputs already exist.
-            let topo = graph.topo_order()?;
-            for &id in topo.iter().filter(|id| group.contains(id)) {
+            for &id in order {
                 let node = graph.node(id).expect("live");
                 let mut inputs = Vec::with_capacity(node.inputs.len());
                 for &inp in &node.inputs {
