@@ -14,7 +14,7 @@ use crate::handshake::{read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_
 use bytes::Bytes;
 use proteus_graph::wire::{decode_error_frame, WIRE_VERSION};
 use proteus_graph::wire::{peek_frame_request_id, ErrorFrame, ERROR_FRAME_MAGIC};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::thread;
@@ -127,9 +127,12 @@ impl NetClient {
     /// # Errors
     /// [`NetError::Io`] / [`NetError::Wire`] for transport and framing
     /// failures; [`NetError::Protocol`] when the server closed before
-    /// answering every frame of a request that got no error frame.
-    /// Per-request server failures do NOT fail the batch — they come
-    /// back typed in the matching [`NetResponse::result`].
+    /// answering every frame of a request that got no error frame, sent
+    /// more frames for a request than it was sent, or answered a request
+    /// id the batch never sent; [`NetError::Remote`] for an error frame
+    /// naming the whole connection (request id 0, when the batch sent no
+    /// request 0). Per-request server failures do NOT fail the batch —
+    /// they come back typed in the matching [`NetResponse::result`].
     pub fn run_requests(self, requests: Vec<NetRequest>) -> Result<Vec<NetResponse>, NetError> {
         let NetClient {
             stream,
@@ -174,22 +177,42 @@ impl NetClient {
         if let Some(e) = write_err {
             return Err(e);
         }
+        // an answer to a request id this batch never sent fails the batch;
+        // request id 0 is how the server names the whole connection
+        let sent: HashSet<u64> = requests.iter().map(|r| r.request_id).collect();
+        let foreign = by_request
+            .iter()
+            .filter(|(rid, _)| !sent.contains(rid))
+            .min_by_key(|(rid, _)| **rid);
+        if let Some((&rid, answer)) = foreign {
+            return Err(match answer {
+                Err(frame) if rid == 0 => NetError::Remote(frame.clone()),
+                Err(_) => NetError::protocol(format!(
+                    "server sent an error frame for request {rid:#x}, which this batch never sent"
+                )),
+                Ok(frames) => NetError::protocol(format!(
+                    "server sent {} frames for request {rid:#x}, which this batch never sent",
+                    frames.len()
+                )),
+            });
+        }
         requests
             .iter()
             .map(|req| {
                 let result = by_request.remove(&req.request_id).unwrap_or(Ok(Vec::new()));
+                let (rid, sent) = (req.request_id, req.frames.len());
                 match &result {
-                    // the server answers every frame, or fails the lane
-                    Ok(frames) if frames.len() < req.frames.len() => {
-                        Err(NetError::protocol(format!(
-                            "server closed without answering request {:#x}: {} of {} frames came back",
-                            req.request_id,
-                            frames.len(),
-                            req.frames.len()
-                        )))
-                    }
+                    // the server answers every frame once, or fails the lane
+                    Ok(frames) if frames.len() < sent => Err(NetError::protocol(format!(
+                        "server closed without answering request {rid:#x}: {} of {sent} frames came back",
+                        frames.len()
+                    ))),
+                    Ok(frames) if frames.len() > sent => Err(NetError::protocol(format!(
+                        "server answered request {rid:#x} with {} frames, but {sent} were sent",
+                        frames.len()
+                    ))),
                     _ => Ok(NetResponse {
-                        request_id: req.request_id,
+                        request_id: rid,
                         result,
                     }),
                 }
@@ -267,13 +290,21 @@ mod tests {
     // is for production paths
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use proteus_graph::wire::encode_frame_v3;
+    use proteus_graph::wire::{encode_error_frame, encode_frame_v3, ErrorCode};
     use std::net::TcpListener;
 
     /// A stub daemon that completes the handshake, reads the client's
     /// frames to end-of-stream, echoes back the first `answered` of them,
     /// then closes cleanly without an error frame.
     fn stub_server(answered: usize) -> (std::net::SocketAddr, thread::JoinHandle<()>) {
+        stub_server_replying(move |frames| frames.into_iter().take(answered).collect())
+    }
+
+    /// [`stub_server`], answering with whatever `reply` makes of the
+    /// frames it read.
+    fn stub_server_replying(
+        reply: impl FnOnce(Vec<Bytes>) -> Vec<Bytes> + Send + 'static,
+    ) -> (std::net::SocketAddr, thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
@@ -294,8 +325,8 @@ mod tests {
                 }
             }
             let mut writer = FrameWriter::new(&mut stream);
-            for frame in frames.iter().take(answered) {
-                writer.write_frame(frame).unwrap();
+            for frame in reply(frames) {
+                writer.write_frame(&frame).unwrap();
             }
         });
         (addr, server)
@@ -320,5 +351,73 @@ mod tests {
                 "{detail}"
             );
         }
+    }
+
+    #[test]
+    fn answers_the_batch_never_asked_for_fail_typed() {
+        let frames = vec![
+            encode_frame_v3(0x51, 0, b"a"),
+            encode_frame_v3(0x51, 1, b"b"),
+        ];
+        let foreign = |frames: Vec<Bytes>| {
+            let mut out = frames;
+            out.push(encode_frame_v3(0x52, 0, b"c"));
+            out
+        };
+        let foreign_error = |frames: Vec<Bytes>| {
+            let mut out = frames;
+            let frame = ErrorFrame::new(0x52, ErrorCode::Internal, "not yours");
+            out.push(encode_error_frame(&frame));
+            out
+        };
+        let extra = |frames: Vec<Bytes>| {
+            let mut out = frames.clone();
+            out.push(frames[0].clone());
+            out
+        };
+        type Reply = Box<dyn FnOnce(Vec<Bytes>) -> Vec<Bytes> + Send>;
+        let cases: [(Reply, &[&str]); 3] = [
+            (
+                Box::new(foreign),
+                &["request 0x52", "never sent", "1 frames"],
+            ),
+            (
+                Box::new(foreign_error),
+                &["request 0x52", "never sent", "error frame"],
+            ),
+            (
+                Box::new(extra),
+                &["request 0x51", "3 frames", "2 were sent"],
+            ),
+        ];
+        for (reply, needles) in cases {
+            let (addr, server) = stub_server_replying(reply);
+            let client = NetClient::connect(addr, "token", 7).unwrap();
+            let err = client.run_request(0x51, frames.clone()).unwrap_err();
+            server.join().unwrap();
+            let NetError::Protocol { detail } = &err else {
+                panic!("{needles:?}: wrong variant {err:?}");
+            };
+            for needle in needles {
+                assert!(detail.contains(needle), "{needle}: {detail}");
+            }
+        }
+    }
+
+    #[test]
+    fn connection_error_frame_surfaces_as_remote() {
+        let (addr, server) = stub_server_replying(|_| {
+            let frame = ErrorFrame::new(0, ErrorCode::Wire, "unsynchronisable stream");
+            vec![encode_error_frame(&frame)]
+        });
+        let client = NetClient::connect(addr, "token", 7).unwrap();
+        let err = client
+            .run_request(0x51, vec![encode_frame_v3(0x51, 0, b"a")])
+            .unwrap_err();
+        server.join().unwrap();
+        assert!(
+            matches!(&err, NetError::Remote(f) if f.code == ErrorCode::Wire),
+            "{err:?}"
+        );
     }
 }
