@@ -795,7 +795,7 @@ impl Store {
             chain,
             records: inner.records + decoded.len() as u64,
         };
-        let marker_bytes = wal::encode_marker(&marker).map_err(|e| rollback(inner, e))?;
+        let marker_bytes = wal::encode_marker(&marker);
         let tmp = self.dir.join(wal::MARKER_TMP_FILE);
         let dst = self.dir.join(wal::MARKER_FILE);
         let stage = |tmp: &Path| -> std::io::Result<()> {

@@ -160,17 +160,12 @@ pub struct Marker {
 }
 
 /// Serializes a marker (fixed [`MARKER_LEN`] bytes, self-checksummed).
-///
-/// # Errors
-/// [`StoreError::Marker`] if [`MARKER`] does not accept [`MARKER_VERSION`].
-pub fn encode_marker(m: &Marker) -> Result<Bytes, StoreError> {
-    let fields = |f: &mut BytesMut| {
+pub fn encode_marker(m: &Marker) -> Bytes {
+    MARKER.seal_fields(|f: &mut BytesMut| {
         f.put_u64_le(m.committed_len);
         f.put_u64_le(m.chain);
         f.put_u64_le(m.records);
-    };
-    let sealed = MARKER.seal(MARKER_VERSION, fields, &[]);
-    sealed.map_err(|e| StoreError::marker(e.to_string()))
+    })
 }
 
 /// Decodes and validates a marker. Every malformation — wrong size, bad
@@ -342,7 +337,7 @@ mod tests {
             chain: 0xDEAD_BEEF,
             records: 7,
         };
-        let bytes = encode_marker(&m).unwrap();
+        let bytes = encode_marker(&m);
         assert_eq!(bytes.len(), MARKER_LEN);
         assert_eq!(decode_marker(&bytes).unwrap(), m);
         for i in 0..bytes.len() {
@@ -364,7 +359,6 @@ mod tests {
             records: 7,
         };
         let hex: String = encode_marker(&m)
-            .unwrap()
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();

@@ -404,6 +404,21 @@ impl Envelope {
         Ok(self.seal_in(version, fields, body.len(), |b| b.put_slice(body)))
     }
 
+    /// Seals the row's fixed fields with no body, at the one version the
+    /// row names. Unlike [`Envelope::seal`] this cannot be refused: the
+    /// version is the row's own and an empty body is within every cap
+    /// (the store's commit marker).
+    ///
+    /// # Panics
+    /// If the row names no version (`version: None`): such a row is
+    /// sealed at a version its caller chooses, through [`Envelope::seal`].
+    pub fn seal_fields(&self, fields: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let Some(version) = self.version else {
+            panic!("the {} row names no version to seal at", self.name);
+        };
+        self.seal_in(version, fields, 0, |_| {})
+    }
+
     /// Seals `version` with the body written in place by `body` into the
     /// envelope's own buffer, pre-sized for a `body_len`-byte body. The
     /// length and checksum fields are patched from the bytes actually
@@ -1910,6 +1925,10 @@ mod tests {
         assert_eq!(
             FRAME.seal(WIRE_VERSION_V3, fields, b"abc"),
             Ok(encode_frame_v3(7, 0, b"abc"))
+        );
+        assert_eq!(
+            Ok(FRAME.seal_fields(fields)),
+            FRAME.seal(WIRE_VERSION_V3, fields, &[])
         );
         let detail = |f: &mut BytesMut| {
             f.put_u64_le(7);
