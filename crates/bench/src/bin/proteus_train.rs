@@ -14,6 +14,9 @@
 //!   the embedded config, and hard-assert (a) the fresh instance
 //!   re-serializes to the same state sections and (b) both instances
 //!   produce bit-identical obfuscation wire bytes on the probe models.
+//!   Prints one `probe NAME digest 0x…` line per probe (a word hash of
+//!   its frames and real-piece positions), so two processes' runs can be
+//!   diffed for cross-process determinism.
 //! - `store verify DIR` — fsck a durable store directory
 //!   (`proteus-serve --store-dir`): replay the committed WAL horizon,
 //!   verifying every frame checksum and the Merkle-style digest chain,
@@ -30,9 +33,10 @@
 
 use proteus::store::Store;
 use proteus::{DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, TrainedArtifact};
+use proteus_graph::wire::word_hash64;
 use proteus_graph::{Graph, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
-use proteus_models::{build, ModelKind};
+use proteus_models::{build, zoo, ModelKind};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -47,9 +51,9 @@ fn usage() -> String {
          \x20 store verify DIR\n\
          \n\
          model names: {}",
-        ModelKind::ALL
+        zoo::all()
             .iter()
-            .map(|k| k.name())
+            .map(|e| e.name)
             .collect::<Vec<_>>()
             .join(", ")
     )
@@ -88,10 +92,10 @@ fn check_args(args: &[String], value_flags: &[&str], switches: &[&str]) -> Resul
 }
 
 fn parse_kind(name: &str) -> Result<ModelKind, String> {
-    ModelKind::ALL
+    zoo::all()
         .iter()
-        .copied()
-        .find(|k| k.name() == name)
+        .find(|e| e.name == name)
+        .map(|e| e.kind)
         .ok_or_else(|| format!("unknown model `{name}`"))
 }
 
@@ -288,7 +292,8 @@ fn cmd_verify(path: &str, args: &[String]) -> Result<(), String> {
         }
     }
 
-    // loaded instance must also round-trip an obfuscation on its own
+    // loaded instance must also round-trip an obfuscation on its own;
+    // its digest is what another process must reproduce
     for &probe in &probes {
         let g = build(probe);
         let mut session = loaded
@@ -296,6 +301,14 @@ fn cmd_verify(path: &str, args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let frames: Vec<_> = session.by_ref().collect();
         let secrets = session.finish().map_err(|e| e.to_string())?;
+        let mut digest = 0u64;
+        for frame in &frames {
+            digest = word_hash64(digest, &frame.to_mux_bytes(VERIFY_REQUEST_ID));
+        }
+        for &pos in &secrets.real_positions {
+            digest = word_hash64(digest, &(pos as u64).to_le_bytes());
+        }
+        println!("probe {} digest {digest:#018x}", probe.name());
         let mut reassembly = DeobfuscationSession::new(&secrets);
         for frame in frames {
             reassembly.accept(frame).map_err(|e| e.to_string())?;
