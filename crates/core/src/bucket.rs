@@ -19,7 +19,7 @@
 // `unwrap`/`expect` outside tests (CI runs clippy with `-D warnings`).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{
     bounded_capacity, decode_frame, decode_graph, decode_params, encode_graph, fnv1a64, seal_frame,
     MemberEncoder, WireError,
@@ -64,15 +64,18 @@ pub struct SealedBucket {
 /// One member still in wire form: its graph and params encodings, split
 /// out of the payload by their length prefixes but not decoded.
 #[derive(Debug)]
-struct RawMember {
-    graph: Bytes,
-    params: Bytes,
+pub(crate) struct RawMember {
+    pub(crate) graph: Bytes,
+    pub(crate) params: Bytes,
 }
 
+/// The encoding of an empty parameter store: a zero entry count.
+const EMPTY_PARAMS: [u8; 4] = [0; 4];
+
 impl RawMember {
-    /// Splits the next member off `data`, reading only its two length
-    /// prefixes.
-    fn split(data: &mut Bytes) -> Result<RawMember, WireError> {
+    /// Splits the next member off `data` (a frame payload or an
+    /// [`encode_chunk`] chunk), reading only its two length prefixes.
+    pub(crate) fn split(data: &mut Bytes) -> Result<RawMember, WireError> {
         let mut part = |len: &str, body: &str| {
             if data.remaining() < 4 {
                 return Err(WireError::truncated(len));
@@ -88,12 +91,109 @@ impl RawMember {
         Ok(RawMember { graph, params })
     }
 
-    fn decode(mut self) -> Result<BucketMember, WireError> {
-        Ok(BucketMember {
-            graph: decode_graph(&mut self.graph)?,
-            params: decode_params(&mut self.params)?,
-        })
+    /// Whether the member carries no weights: its params slice is the
+    /// empty store's encoding.
+    pub(crate) fn is_graph_only(&self) -> bool {
+        self.params[..] == EMPTY_PARAMS
     }
+
+    /// Decodes the member. Each slice must be read to its end: bytes a
+    /// decoder leaves over are a typed error, so a slice that decodes is
+    /// exactly one graph or one parameter store.
+    pub(crate) fn decode(mut self) -> Result<BucketMember, WireError> {
+        let graph = decode_graph(&mut self.graph)?;
+        let params = decode_params(&mut self.params)?;
+        for (part, rest) in [("graph", &self.graph), ("params", &self.params)] {
+            if !rest.is_empty() {
+                return Err(WireError::malformed(format!(
+                    "{} trailing bytes in member {part}",
+                    rest.len()
+                )));
+            }
+        }
+        Ok(BucketMember { graph, params })
+    }
+}
+
+/// One optimized member on its way into a response frame.
+#[derive(Debug)]
+pub(crate) enum OptimizedMember {
+    /// Already encoded as a wire chunk ([`encode_chunk`]).
+    Chunk(Bytes),
+    /// Still decoded; encoded straight into its frame when sealed.
+    Decoded(BucketMember),
+}
+
+/// A member as a frame writes it: `graph_len u32 | graph | params_len
+/// u32 | params`, from an encoded chunk or encoded in place.
+enum Part<'a> {
+    Chunk(&'a [u8]),
+    Encoder(MemberEncoder<'a>),
+}
+
+impl<'a> Part<'a> {
+    fn encode(member: &'a BucketMember) -> Part<'a> {
+        Part::Encoder(MemberEncoder::new(&member.graph, &member.params))
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Part::Chunk(chunk) => chunk.len(),
+            Part::Encoder(m) => 8 + m.graph_len() + m.params_len(),
+        }
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Part::Chunk(chunk) => buf.put_slice(chunk),
+            Part::Encoder(m) => {
+                buf.put_u32_le(m.graph_len() as u32);
+                m.put_graph(buf);
+                buf.put_u32_le(m.params_len() as u32);
+                m.put_params(buf);
+            }
+        }
+    }
+}
+
+/// Seals one v3 frame from its members' parts, in the layout
+/// [`SealedBucket::to_mux_bytes`] documents.
+fn seal_parts(request_id: u64, bucket_index: u32, num_buckets: u32, parts: &[Part<'_>]) -> Bytes {
+    let payload_len = 8 + parts.iter().map(Part::len).sum::<usize>();
+    seal_frame(request_id, bucket_index, payload_len, |buf| {
+        buf.put_u32_le(num_buckets);
+        buf.put_u32_le(parts.len() as u32);
+        for part in parts {
+            part.put(buf);
+        }
+    })
+}
+
+/// Seals optimized members into the frame [`SealedBucket::to_mux_bytes`]
+/// would write for them decoded: chunks are copied, decoded members
+/// encoded in place.
+pub(crate) fn seal_optimized(
+    request_id: u64,
+    bucket_index: u32,
+    num_buckets: u32,
+    members: &[OptimizedMember],
+) -> Bytes {
+    let parts: Vec<Part<'_>> = members
+        .iter()
+        .map(|m| match m {
+            OptimizedMember::Chunk(chunk) => Part::Chunk(chunk),
+            OptimizedMember::Decoded(member) => Part::encode(member),
+        })
+        .collect();
+    seal_parts(request_id, bucket_index, num_buckets, &parts)
+}
+
+/// Encodes one member as the wire chunk a frame carries for it.
+pub(crate) fn encode_chunk(member: &BucketMember) -> Bytes {
+    let part = Part::encode(member);
+    let mut buf = BytesMut::with_capacity(part.len());
+    part.put(&mut buf);
+    buf.freeze()
 }
 
 /// A checksum-verified sealed-bucket frame whose members are split out
@@ -105,7 +205,7 @@ pub(crate) struct RawSealed {
     pub(crate) request_id: u64,
     pub(crate) bucket_index: u32,
     pub(crate) num_buckets: u32,
-    members: Vec<RawMember>,
+    pub(crate) members: Vec<RawMember>,
 }
 
 impl RawSealed {
@@ -202,27 +302,8 @@ impl SealedBucket {
     /// { graph_len u32 | graph | params_len u32 | params } per member
     /// ```
     pub fn to_mux_bytes(&self, request_id: u64) -> Bytes {
-        let members: Vec<MemberEncoder<'_>> = self
-            .bucket
-            .members
-            .iter()
-            .map(|m| MemberEncoder::new(&m.graph, &m.params))
-            .collect();
-        let payload_len = 8 + members
-            .iter()
-            .map(|m| 8 + m.graph_len() + m.params_len())
-            .sum::<usize>();
-        let (index, total) = (self.bucket_index, self.num_buckets);
-        seal_frame(request_id, index, payload_len, |buf| {
-            buf.put_u32_le(total);
-            buf.put_u32_le(members.len() as u32);
-            for m in &members {
-                buf.put_u32_le(m.graph_len() as u32);
-                m.put_graph(buf);
-                buf.put_u32_le(m.params_len() as u32);
-                m.put_params(buf);
-            }
-        })
+        let parts: Vec<Part<'_>> = self.bucket.members.iter().map(Part::encode).collect();
+        seal_parts(request_id, self.bucket_index, self.num_buckets, &parts)
     }
 
     /// Decodes one frame from the front of `data` and returns it together
@@ -293,7 +374,6 @@ pub fn anonymize_content(graph: &Graph) -> Graph {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use bytes::BytesMut;
     use proteus_graph::{Activation, ConvAttrs, Op};
 
     fn member(seed: u64) -> BucketMember {
@@ -561,6 +641,76 @@ mod tests {
             SealedBucket::from_mux_bytes(wire),
             Err(WireError::Malformed { .. })
         ));
+    }
+
+    /// A member slice longer than what it encodes is refused, naming the
+    /// part and the count of leftover bytes: the graph slice with three
+    /// extra bytes, then the params slice with five.
+    #[test]
+    fn member_slices_with_trailing_bytes_are_malformed() {
+        let m = member(3);
+        let graph = encode_graph(&m.graph);
+        let params = proteus_graph::wire::encode_params(&m.graph, &m.params);
+        for (part, extra) in [("graph", 3), ("params", 5)] {
+            let (mut g, mut p) = (graph.to_vec(), params.to_vec());
+            let slice = if part == "graph" { &mut g } else { &mut p };
+            slice.resize(slice.len() + extra, 0xA5);
+            let mut payload = BytesMut::new();
+            payload.put_u32_le(1); // num_buckets
+            payload.put_u32_le(1); // members
+            payload.put_u32_le(g.len() as u32);
+            payload.put_slice(&g);
+            payload.put_u32_le(p.len() as u32);
+            payload.put_slice(&p);
+            let wire = proteus_graph::wire::encode_frame_v3(4, 0, &payload);
+            match SealedBucket::from_mux_bytes(wire) {
+                Err(WireError::Malformed { detail }) => {
+                    assert_eq!(detail, format!("{extra} trailing bytes in member {part}"))
+                }
+                other => panic!("{part} slice with {extra} extra bytes: {other:?}"),
+            }
+        }
+    }
+
+    /// A frame sealed from optimized members — graph-only ones as wire
+    /// chunks, weighted ones still decoded — is byte for byte the frame
+    /// `to_mux_bytes` writes for the same members decoded.
+    #[test]
+    fn sealing_chunks_and_decoded_members_matches_to_mux_bytes() {
+        let bare = |seed| BucketMember {
+            params: TensorMap::new(),
+            ..member(seed)
+        };
+        let sealed = SealedBucket {
+            bucket_index: 2,
+            num_buckets: 3,
+            bucket: Bucket {
+                members: vec![bare(1), member(2), bare(3), special_member(), bare(5)],
+            },
+        };
+        let optimized: Vec<OptimizedMember> = sealed
+            .bucket
+            .members
+            .iter()
+            .map(|m| {
+                if m.params.is_empty() {
+                    OptimizedMember::Chunk(encode_chunk(m))
+                } else {
+                    OptimizedMember::Decoded(m.clone())
+                }
+            })
+            .collect();
+        assert!(matches!(optimized[0], OptimizedMember::Chunk(_)));
+        assert!(matches!(optimized[1], OptimizedMember::Decoded(_)));
+        assert_eq!(
+            seal_optimized(0xC0DE, 2, 3, &optimized),
+            sealed.to_mux_bytes(0xC0DE)
+        );
+        // a chunk splits back into the member it encodes
+        let mut chunk = encode_chunk(&sealed.bucket.members[0]);
+        let raw = RawMember::split(&mut chunk).unwrap();
+        assert!(chunk.is_empty() && raw.is_graph_only());
+        assert_eq!(raw.decode().unwrap().graph, sealed.bucket.members[0].graph);
     }
 
     #[test]

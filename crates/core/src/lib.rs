@@ -120,7 +120,7 @@ pub use operators::{detect_regime, populate, PopulationConfig, Regime};
 pub use pipeline::Proteus;
 pub use semantic::{top_percentile, BigramModel};
 pub use sentinel::SentinelFactory;
-pub use serve::{OptimizedCache, RequestHandle, ServeRuntime, ServeStats};
+pub use serve::{CompletedFrame, OptimizedCache, RequestHandle, ServeRuntime, ServeStats};
 pub use session::{
     derive_member_seed, derive_request_seed, splitmix64, DeobfuscationSession, ObfuscationSession,
 };

@@ -20,6 +20,13 @@
 //! order, so nothing downstream cares that bucket 3 finished before
 //! bucket 0.
 //!
+//! A lane is bytes in, bytes out. Every frame enters as v3 wire bytes
+//! ([`RequestHandle::submit`] encodes a [`SealedBucket`] first) and
+//! completes as a sealed v3 frame, which [`RequestHandle::recv_bytes`]
+//! and [`RequestHandle::try_recv_bytes`] hand out as they are;
+//! [`RequestHandle::recv`] decodes it. Between the two, a member is
+//! decoded only to be optimized and encoded once, after optimization.
+//!
 //! On the wire, concurrent requests share one byte stream via the v3
 //! multiplexed frame ([`proteus_graph::wire::encode_frame_v3`]): the
 //! header carries a `request_id`, and [`RequestHandle::submit_bytes`]
@@ -33,7 +40,10 @@
 //! exact wire bytes were optimized before — sentinels are anonymized
 //! content-addressed ([`crate::bucket::anonymize_content`]), so the same
 //! sentinel repeating across buckets, requests, or tenants costs the pool
-//! exactly one optimization. [`Proteus::warm_inventory`] fills a trained
+//! exactly one optimization. A lane keys a graph-only member on the bytes
+//! it received and the cache holds optimized members as wire bytes, so a
+//! hit is neither decoded nor re-encoded, and a frame whose members all
+//! hit is sealed at submit. [`Proteus::warm_inventory`] fills a trained
 //! instance's [`crate::SentinelInventory`] ahead of traffic so sessions
 //! draw pre-built sentinels instead of generating them inline on the
 //! request path. Both are pure memoization: served bytes stay
@@ -94,7 +104,9 @@
 // so a new unjustified panic path fails the build.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::bucket::{Bucket, BucketMember, SealedBucket};
+use crate::bucket::{
+    encode_chunk, seal_optimized, BucketMember, OptimizedMember, RawMember, RawSealed, SealedBucket,
+};
 use crate::config::ServeConfig;
 use crate::error::ProteusError;
 use crate::pipeline::Proteus;
@@ -103,6 +115,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use proteus_graph::wire::{word_hash64, MemberEncoder};
 use proteus_graph::{Graph, TensorMap};
 use proteus_opt::{Optimizer, Profile};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -161,13 +174,12 @@ impl MemberOptimizer for Optimizer {
     }
 }
 
-/// One cached optimizer output, retained with its full key so a
-/// fingerprint collision can never substitute the wrong graph.
+/// One cached optimizer output as its wire chunk, retained with its full
+/// key so a fingerprint collision can never substitute the wrong member.
 #[derive(Debug)]
 struct CacheEntry {
     key: Bytes,
-    graph: Graph,
-    params: TensorMap,
+    chunk: Bytes,
 }
 
 #[derive(Debug, Default)]
@@ -194,10 +206,21 @@ struct CacheInner {
 /// protected pieces distinguishable by *skipping* them, and it does not,
 /// because hits and misses produce byte-identical frames.
 ///
+/// Both sides of an entry are wire bytes. The key is a profile tag
+/// followed by the member's graph and params encodings, exactly as the
+/// frame carried them, so the runtime keys a received member without
+/// decoding it. The value is the optimized member's wire chunk
+/// (`graph_len u32 | graph | params_len u32 | params`, the bytes
+/// [`SealedBucket::to_mux_bytes`] writes for it), so a hit is copied into
+/// its response frame as it is: nothing is decoded or re-encoded.
+/// [`OptimizedCache::key_for`], [`OptimizedCache::lookup`] and
+/// [`OptimizedCache::insert`] convert decoded members to and from these
+/// bytes.
+///
 /// Weighted members bypass the cache: the runtime keys only members
 /// with empty params. Sentinel weights are drawn per (request, bucket,
 /// member), so a weighted key effectively never repeats, and keying one
-/// would hash, store and clone megabytes for no hit.
+/// would hash, store and copy megabytes for no hit.
 ///
 /// The u64 fingerprint ([`word_hash64`] of the key, in memory only)
 /// only buckets; every hit compares the full key bytes, so a collision
@@ -218,6 +241,15 @@ pub struct OptimizedCache {
     misses: AtomicUsize,
     /// Times a poisoned lock was healed by dropping all entries.
     heals: AtomicUsize,
+}
+
+/// The key's first byte: optimized outputs differ per profile.
+fn profile_tag(profile: Profile) -> u8 {
+    match profile {
+        Profile::OrtLike => 0,
+        Profile::HidetLike => 1,
+        Profile::TvmLike => 2,
+    }
 }
 
 impl OptimizedCache {
@@ -292,24 +324,40 @@ impl OptimizedCache {
     /// (outputs differ per optimizer profile) followed by the member's
     /// canonical wire encoding. The encoding compacts before writing
     /// ([`MemberEncoder`]), so structurally identical graphs key
-    /// identically regardless of their in-memory node numbering.
+    /// identically regardless of their in-memory node numbering. For a
+    /// member as the owner sends it, this is the key the runtime builds
+    /// from the frame's slices.
     pub fn key_for(profile: Profile, graph: &Graph, params: &TensorMap) -> Bytes {
-        let tag: u8 = match profile {
-            Profile::OrtLike => 0,
-            Profile::HidetLike => 1,
-            Profile::TvmLike => 2,
-        };
         let member = MemberEncoder::new(graph, params);
         let mut buf = BytesMut::with_capacity(1 + member.graph_len() + member.params_len());
-        buf.put_u8(tag);
+        buf.put_u8(profile_tag(profile));
         member.put_graph(&mut buf);
         member.put_params(&mut buf);
         buf.freeze()
     }
 
-    /// Returns the optimized member cached under `key`, counting a hit or
-    /// miss. Always a miss when disabled.
+    /// The cache key of a member still in wire form, from the graph and
+    /// params slices its frame carried.
+    fn key_of(profile: Profile, member: &RawMember) -> Bytes {
+        let mut buf = BytesMut::with_capacity(1 + member.graph.len() + member.params.len());
+        buf.put_u8(profile_tag(profile));
+        buf.put_slice(&member.graph);
+        buf.put_slice(&member.params);
+        buf.freeze()
+    }
+
+    /// Returns the optimized member cached under `key`, decoded, counting
+    /// a hit or miss. Always a miss when disabled.
     pub fn lookup(&self, key: &Bytes) -> Option<BucketMember> {
+        let mut chunk = self.lookup_chunk(key)?;
+        RawMember::split(&mut chunk)
+            .and_then(RawMember::decode)
+            .ok()
+    }
+
+    /// Returns the wire chunk cached under `key`, counting a hit or miss.
+    /// Always a miss when disabled.
+    fn lookup_chunk(&self, key: &[u8]) -> Option<Bytes> {
         if !self.is_enabled() {
             return None;
         }
@@ -319,25 +367,30 @@ impl OptimizedCache {
             inner
                 .buckets
                 .get(&fp)
-                .and_then(|bucket| bucket.iter().find(|e| e.key == *key))
-                .map(|e| BucketMember {
-                    graph: e.graph.clone(),
-                    params: e.params.clone(),
-                })
+                .and_then(|bucket| bucket.iter().find(|e| e.key[..] == *key))
+                .map(|e| e.chunk.clone())
         };
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let counter = if found.is_some() {
+            &self.hits
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Publishes one optimized member under its key, evicting the oldest
-    /// entry when full. Returns whether the entry was stored (`false`
-    /// when disabled or when a racing worker already published this key —
-    /// the first result stays, and determinism makes both identical).
+    /// Publishes one optimized member under its key, encoded, evicting
+    /// the oldest entry when full. Returns whether the entry was stored
+    /// (`false` when disabled or when a racing worker already published
+    /// this key — the first result stays, and determinism makes both
+    /// identical).
     pub fn insert(&self, key: Bytes, graph: Graph, params: TensorMap) -> bool {
+        self.is_enabled() && self.insert_chunk(key, encode_chunk(&BucketMember { graph, params }))
+    }
+
+    /// [`OptimizedCache::insert`] of a member already encoded as its wire
+    /// chunk.
+    fn insert_chunk(&self, key: Bytes, chunk: Bytes) -> bool {
         if !self.is_enabled() {
             return false;
         }
@@ -368,7 +421,7 @@ impl OptimizedCache {
             .buckets
             .entry(fp)
             .or_default()
-            .push_back(CacheEntry { key, graph, params });
+            .push_back(CacheEntry { key, chunk });
         inner.order.push_back(fp);
         true
     }
@@ -380,10 +433,11 @@ struct Task {
     req: Arc<RequestState>,
     bucket_index: u32,
     member: usize,
-    graph: Graph,
-    params: TensorMap,
-    /// When the optimized cache is enabled, the member's key — the worker
-    /// publishes its result there for later requests.
+    /// The member as received, decoded.
+    input: BucketMember,
+    /// When the optimized cache is enabled and the member is graph-only,
+    /// its key — the worker publishes its result there for later
+    /// requests.
     cache_key: Option<Bytes>,
 }
 
@@ -391,7 +445,35 @@ struct Task {
 struct PartialBucket {
     num_buckets: u32,
     remaining: usize,
-    slots: Vec<Option<BucketMember>>,
+    slots: Vec<Option<OptimizedMember>>,
+}
+
+impl PartialBucket {
+    /// Seals the frame from its filled slots; `Err` names the first
+    /// empty one.
+    fn seal(self, request_id: u64, bucket_index: u32) -> Result<CompletedFrame, usize> {
+        let members = self
+            .slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| slot.ok_or(i))
+            .collect::<Result<Vec<_>, usize>>()?;
+        Ok(CompletedFrame {
+            num_buckets: self.num_buckets,
+            wire: seal_optimized(request_id, bucket_index, self.num_buckets, &members),
+        })
+    }
+}
+
+/// One optimized frame as its lane completes it: sealed v3 wire bytes,
+/// tagged with the lane's request id and sent as they are, next to the
+/// bucket count their header carries.
+#[derive(Debug, Clone)]
+pub struct CompletedFrame {
+    /// How many buckets the answered model has.
+    pub num_buckets: u32,
+    /// The sealed frame.
+    pub wire: Bytes,
 }
 
 /// Request-side state: window accounting, partial reassembly, completed
@@ -404,7 +486,7 @@ struct RequestInner {
     /// Frames with members still being optimized.
     partial: HashMap<u32, PartialBucket>,
     /// Fully optimized frames, in completion order.
-    done: VecDeque<SealedBucket>,
+    done: VecDeque<CompletedFrame>,
     /// Set when the runtime shuts down — receivers stop blocking.
     closed: bool,
     /// Set (once, first failure wins) when the lane fails: a worker
@@ -445,6 +527,18 @@ impl RequestState {
     fn wake(&self) {
         self.cv.notify_all();
         (self.waker)();
+    }
+
+    /// The typed failure for a frame that reached completion with member
+    /// `member` never filled: the frame is withheld, never sent
+    /// half-built.
+    fn missing_member(&self, bucket_index: u32, member: usize) -> ProteusError {
+        ProteusError::WorkerCrashed {
+            request_id: self.request_id,
+            detail: format!(
+                "bucket {bucket_index} member {member} missing at completion; frame withheld"
+            ),
+        }
     }
 
     /// Locks the lane, healing a poisoned lock into a typed failure.
@@ -600,68 +694,68 @@ impl PoolShared {
         }
     }
 
-    /// The fallible body of one task: optimize the member and land it in
-    /// the request's reassembly state. Runs inside `run_task`'s
-    /// catch_unwind.
+    /// The fallible body of one task: optimize the member, publish a
+    /// cacheable result, and land it in the request's reassembly state.
+    /// Runs inside `run_task`'s catch_unwind.
     fn execute_task(&self, task: Task) {
-        let (graph, params) = self.optimizer.optimize(&task.graph, &task.params);
-        if let Some(key) = task.cache_key {
-            self.cache.insert(key, graph.clone(), params.clone());
-        }
-        self.tasks_executed.fetch_add(1, Ordering::Relaxed);
-        let mut lane = task.req.lane();
-        if lane.failed.is_some() || task.req.cancelled.load(Ordering::SeqCst) {
-            // the lane failed or was cancelled while we optimized: the
-            // reassembly state is gone, drop the result on the floor
-            return;
-        }
-        let Some(partial) = lane.partial.get_mut(&task.bucket_index) else {
-            // same race, observed through the cleared map instead of the
-            // flags — a detached task, not an invariant violation
-            self.tasks_detached.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        partial.slots[task.member] = Some(BucketMember { graph, params });
-        partial.remaining -= 1;
-        if partial.remaining == 0 {
-            let Some(finished) = lane.partial.remove(&task.bucket_index) else {
-                // just held under the same lock guard
-                unreachable!("partial bucket vanished between get_mut and remove");
-            };
-            let mut members: Vec<BucketMember> = Vec::with_capacity(finished.slots.len());
-            for (i, slot) in finished.slots.into_iter().enumerate() {
-                match slot {
-                    Some(m) => members.push(m),
-                    // remaining hit zero, so every slot was filled by a
-                    // cache prefill or a landed task; an empty slot here
-                    // is accounting corruption and the frame must not be
-                    // emitted half-built — fail the lane instead
-                    None => {
-                        drop(lane);
-                        self.fail_request(
-                            &task.req,
-                            ProteusError::WorkerCrashed {
-                                request_id: task.req.request_id,
-                                detail: format!(
-                                    "bucket {} member {i} missing at completion; \
-                                     frame withheld",
-                                    task.bucket_index
-                                ),
-                            },
-                        );
-                        return;
-                    }
-                }
+        let (graph, params) = self
+            .optimizer
+            .optimize(&task.input.graph, &task.input.params);
+        let member = BucketMember { graph, params };
+        // a cacheable member is encoded once: that chunk is both the
+        // cache entry and the frame's bytes for it. A weighted one stays
+        // decoded until its frame is sealed, saving a copy of its weights
+        let out = match task.cache_key {
+            Some(key) => {
+                let chunk = encode_chunk(&member);
+                self.cache.insert_chunk(key, chunk.clone());
+                OptimizedMember::Chunk(chunk)
             }
-            lane.done.push_back(SealedBucket {
-                bucket_index: task.bucket_index,
-                num_buckets: finished.num_buckets,
-                bucket: Bucket { members },
-            });
-            lane.inflight = lane.inflight.saturating_sub(1);
-            // wake after unlocking: a woken consumer takes this lock first
-            drop(lane);
-            task.req.wake();
+            None => OptimizedMember::Decoded(member),
+        };
+        self.tasks_executed.fetch_add(1, Ordering::Relaxed);
+        let (req, bucket_index) = (&task.req, task.bucket_index);
+        let finished = {
+            let mut lane = req.lane();
+            if lane.failed.is_some() || req.cancelled.load(Ordering::SeqCst) {
+                // the lane failed or was cancelled while we optimized: the
+                // reassembly state is gone, drop the result on the floor
+                return;
+            }
+            let Entry::Occupied(mut entry) = lane.partial.entry(bucket_index) else {
+                // same race, observed through the cleared map instead of the
+                // flags — a detached task, not an invariant violation
+                self.tasks_detached.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            let partial = entry.get_mut();
+            if let Some(slot) = partial.slots.get_mut(task.member) {
+                *slot = Some(out);
+            }
+            partial.remaining = partial.remaining.saturating_sub(1);
+            if partial.remaining > 0 {
+                return;
+            }
+            entry.remove()
+        };
+        // seal outside the lane lock: a frame of weighted members encodes
+        // megabytes. The frame still counts as in flight, so a receiver
+        // waits for it rather than finding nothing pending
+        match finished.seal(req.request_id, bucket_index) {
+            Ok(frame) => {
+                let mut lane = req.lane();
+                if !req.cancelled.load(Ordering::SeqCst) {
+                    lane.done.push_back(frame);
+                }
+                lane.inflight = lane.inflight.saturating_sub(1);
+                // wake after unlocking: a woken consumer takes this lock first
+                drop(lane);
+                req.wake();
+            }
+            // remaining hit zero, so every slot was filled by a cache hit
+            // or a landed task; an empty slot is accounting corruption
+            // and fails the lane instead of emitting the frame half-built
+            Err(member) => self.fail_request(req, req.missing_member(bucket_index, member)),
         }
     }
 
@@ -907,21 +1001,22 @@ impl ServeRuntime {
     ) -> Result<(Graph, TensorMap), ProteusError> {
         let mut session = proteus.obfuscate_session(graph, params, request_id)?;
         let handle = self.handle(request_id);
-        let mut completed: Vec<SealedBucket> = Vec::with_capacity(session.num_buckets());
+        let mut completed: Vec<Bytes> = Vec::with_capacity(session.num_buckets());
         while let Some(frame) = session.next_frame() {
             handle.submit(frame)?;
             // opportunistically drain finished frames while generating
-            while let Some(done) = handle.try_recv() {
-                completed.push(done);
+            while let Some(done) = handle.try_recv_bytes() {
+                completed.push(done.wire);
             }
         }
         let secrets = session.finish()?;
+        // reassembly decodes only each frame's real member
         let mut reassembly = DeobfuscationSession::new(&secrets);
-        for frame in completed {
-            reassembly.accept(frame)?;
+        for wire in completed {
+            reassembly.accept_mux_bytes(wire)?;
         }
         while !reassembly.is_complete() {
-            reassembly.accept(handle.recv()?)?;
+            reassembly.accept_mux_bytes(handle.recv_bytes()?)?;
         }
         reassembly.finish()
     }
@@ -982,15 +1077,17 @@ impl RequestHandle {
     /// Submits one sealed frame to the shared pool, splitting it into
     /// per-member tasks. Blocks while the request already has
     /// [`ServeConfig::window`] frames in flight — the backpressure that
-    /// keeps one tenant from flooding the pool.
+    /// keeps one tenant from flooding the pool. The frame is encoded and
+    /// takes the [`RequestHandle::submit_bytes`] path.
     ///
     /// # Errors
     /// [`ProteusError::DuplicateFrame`] when this bucket index was already
     /// submitted on this handle; [`ProteusError::Protocol`] when the
     /// runtime has shut down; [`ProteusError::WorkerCrashed`] when the
-    /// lane already failed.
+    /// lane already failed; [`ProteusError::Wire`] when the frame's
+    /// bucket index is out of range.
     pub fn submit(&self, frame: SealedBucket) -> Result<(), ProteusError> {
-        self.submit_inner(frame, None)
+        self.submit_inner(frame.to_mux_bytes(self.state.request_id), None)
     }
 
     /// [`RequestHandle::submit`] with a wall-clock deadline on the
@@ -1006,19 +1103,39 @@ impl RequestHandle {
         frame: SealedBucket,
         deadline: Instant,
     ) -> Result<(), ProteusError> {
-        self.submit_inner(frame, Some(deadline))
+        self.submit_inner(frame.to_mux_bytes(self.state.request_id), Some(deadline))
     }
 
-    fn submit_inner(
-        &self,
-        frame: SealedBucket,
-        deadline: Option<Instant>,
-    ) -> Result<(), ProteusError> {
-        let SealedBucket {
+    /// Submits one multiplexed wire frame, rejecting frames whose request
+    /// id does not match this handle — a frame injected from another
+    /// request's stream never reaches this request's pipeline.
+    ///
+    /// The frame's checksum and every member length are checked, but a
+    /// member is decoded only when it misses the [`OptimizedCache`]: a
+    /// graph-only member is keyed on the bytes it arrived as, and a hit
+    /// is answered with the cached bytes.
+    ///
+    /// # Errors
+    /// [`ProteusError::Wire`] on decode failure, [`ProteusError::Protocol`]
+    /// on a request-id mismatch, plus everything
+    /// [`RequestHandle::submit`] rejects.
+    pub fn submit_bytes(&self, wire: Bytes) -> Result<(), ProteusError> {
+        self.submit_inner(wire, None)
+    }
+
+    fn submit_inner(&self, wire: Bytes, deadline: Option<Instant>) -> Result<(), ProteusError> {
+        let RawSealed {
+            request_id,
             bucket_index,
             num_buckets,
-            bucket,
-        } = frame;
+            members,
+        } = RawSealed::open(wire)?;
+        if request_id != self.state.request_id {
+            return Err(ProteusError::protocol(format!(
+                "frame for request {request_id:#x} injected into the stream of request {:#x}",
+                self.state.request_id
+            )));
+        }
         {
             let lane = self.state.lane();
             if let Some(err) = &lane.failed {
@@ -1027,30 +1144,38 @@ impl RequestHandle {
             if lane.seen.contains(&bucket_index) {
                 return Err(ProteusError::DuplicateFrame {
                     bucket_index,
-                    request_id: self.state.request_id,
+                    request_id,
                 });
             }
         }
         // classify members against the shared optimized-member cache
-        // *outside* the request lock: hits are prefilled into their
-        // reassembly slots, misses become pool tasks carrying their key so
-        // the worker can publish its result for later requests. Weighted
-        // members get no key: sentinel weights are drawn per (request,
-        // bucket, member), so their key never repeats, and keying,
-        // looking up and caching megabytes of weights would only cost
+        // *outside* the request lock: a graph-only member is keyed on its
+        // received bytes, and a hit fills its slot with the cached chunk.
+        // Only misses are decoded; they become pool tasks carrying their
+        // key so the worker can publish its result for later requests.
+        // Weighted members get no key: sentinel weights are drawn per
+        // (request, bucket, member), so their key never repeats, and
+        // keying, looking up and caching megabytes of weights would only
+        // cost
         let profile = self.pool.optimizer.profile();
-        let mut slots: Vec<Option<BucketMember>> = Vec::with_capacity(bucket.members.len());
-        let mut misses: Vec<(usize, Graph, TensorMap, Option<Bytes>)> = Vec::new();
-        for (member, m) in bucket.members.into_iter().enumerate() {
-            let key = (self.pool.cache.is_enabled() && m.params.is_empty())
-                .then(|| OptimizedCache::key_for(profile, &m.graph, &m.params));
-            if let Some(hit) = key.as_ref().and_then(|k| self.pool.cache.lookup(k)) {
-                slots.push(Some(hit));
+        let cache = &self.pool.cache;
+        let mut slots: Vec<Option<OptimizedMember>> = Vec::with_capacity(members.len());
+        let mut misses: Vec<(usize, BucketMember, Option<Bytes>)> = Vec::new();
+        for (member, raw) in members.into_iter().enumerate() {
+            let key = (cache.is_enabled() && raw.is_graph_only())
+                .then(|| OptimizedCache::key_of(profile, &raw));
+            if let Some(chunk) = key.as_deref().and_then(|k| cache.lookup_chunk(k)) {
+                slots.push(Some(OptimizedMember::Chunk(chunk)));
             } else {
                 slots.push(None);
-                misses.push((member, m.graph, m.params, key));
+                misses.push((member, raw.decode()?, key));
             }
         }
+        let partial = PartialBucket {
+            num_buckets,
+            remaining: misses.len(),
+            slots,
+        };
         {
             let mut inner = self.state.lane();
             let submit_started = Instant::now();
@@ -1067,7 +1192,7 @@ impl RequestHandle {
                         let now = Instant::now();
                         if now >= deadline {
                             return Err(ProteusError::Deadline {
-                                request_id: self.state.request_id,
+                                request_id,
                                 elapsed_ms: submit_started.elapsed().as_millis() as u64,
                             });
                         }
@@ -1091,56 +1216,37 @@ impl RequestHandle {
             if !inner.seen.insert(bucket_index) {
                 return Err(ProteusError::DuplicateFrame {
                     bucket_index,
-                    request_id: self.state.request_id,
+                    request_id,
                 });
             }
             if misses.is_empty() {
                 // every member cached (or the frame was empty): nothing to
-                // optimize, complete immediately so recv() and reassembly
-                // see the frame without a trip through the pool. Every
-                // slot was prefilled by construction (no misses); an empty
-                // one is a violated invariant, which fails this lane
-                // closed instead of panicking the producer.
-                let Some(members) = slots.into_iter().collect::<Option<Vec<_>>>() else {
-                    let err = ProteusError::protocol(format!(
-                        "request {:#x}: bucket {bucket_index} has a member neither cached nor \
-                         queued",
-                        self.state.request_id
-                    ));
-                    inner.fail(err.clone());
-                    drop(inner);
-                    self.state.wake();
-                    return Err(err);
-                };
-                inner.done.push_back(SealedBucket {
-                    bucket_index,
-                    num_buckets,
-                    bucket: Bucket { members },
-                });
+                // optimize, so the frame is sealed from its chunks now and
+                // recv() sees it without a trip through the pool
+                match partial.seal(request_id, bucket_index) {
+                    Ok(frame) => inner.done.push_back(frame),
+                    Err(member) => {
+                        let err = self.state.missing_member(bucket_index, member);
+                        inner.fail(err.clone());
+                        drop(inner);
+                        self.state.wake();
+                        return Err(err);
+                    }
+                }
                 drop(inner);
                 self.state.wake();
                 return Ok(());
             }
             inner.inflight += 1;
-            inner.partial.insert(
-                bucket_index,
-                PartialBucket {
-                    num_buckets,
-                    remaining: misses.len(),
-                    slots,
-                },
-            );
+            inner.partial.insert(bucket_index, partial);
         }
-        let tasks = misses
-            .into_iter()
-            .map(|(member, graph, params, cache_key)| Task {
-                req: Arc::clone(&self.state),
-                bucket_index,
-                member,
-                graph,
-                params,
-                cache_key,
-            });
+        let tasks = misses.into_iter().map(|(member, input, cache_key)| Task {
+            req: Arc::clone(&self.state),
+            bucket_index,
+            member,
+            input,
+            cache_key,
+        });
         if !self.pool.push_tasks(tasks) {
             // the runtime shut down after this lane's `closed` check (or
             // before the handle was registered): nothing will run the
@@ -1159,28 +1265,9 @@ impl RequestHandle {
         ))
     }
 
-    /// Decodes one multiplexed wire frame and submits it, rejecting
-    /// frames whose request id does not match this handle — a frame
-    /// injected from another request's stream never reaches this
-    /// request's pipeline.
-    ///
-    /// # Errors
-    /// [`ProteusError::Wire`] on decode failure, [`ProteusError::Protocol`]
-    /// on a request-id mismatch, plus everything
-    /// [`RequestHandle::submit`] rejects.
-    pub fn submit_bytes(&self, wire: Bytes) -> Result<(), ProteusError> {
-        let (request_id, sealed) = SealedBucket::from_mux_bytes(wire)?;
-        if request_id != self.state.request_id {
-            return Err(ProteusError::protocol(format!(
-                "frame for request {request_id:#x} injected into the stream of request {:#x}",
-                self.state.request_id
-            )));
-        }
-        self.submit(sealed)
-    }
-
-    /// Returns the next fully optimized frame, blocking until one
-    /// completes. Frames surface in completion order, not bucket order.
+    /// Returns the next fully optimized frame, decoded, blocking until
+    /// one completes. Frames surface in completion order, not bucket
+    /// order.
     ///
     /// Already-completed frames drain before a failure surfaces: a lane
     /// that crashed after finishing three of five buckets still delivers
@@ -1190,9 +1277,11 @@ impl RequestHandle {
     /// [`ProteusError::WorkerCrashed`] when the lane failed;
     /// [`ProteusError::Protocol`] when nothing is in flight (the frame
     /// being waited for was never submitted — blocking would deadlock) or
-    /// when the runtime shut down with this request's queue empty.
+    /// when the runtime shut down with this request's queue empty;
+    /// [`ProteusError::Wire`] when the frame fails to decode
+    /// ([`RequestHandle::try_recv`]).
     pub fn recv(&self) -> Result<SealedBucket, ProteusError> {
-        self.recv_inner(None)
+        self.decode(self.recv_inner(None)?)
     }
 
     /// [`RequestHandle::recv`] with a wall-clock deadline: returns
@@ -1203,10 +1292,10 @@ impl RequestHandle {
     /// [`ProteusError::Deadline`] on timeout, plus everything
     /// [`RequestHandle::recv`] rejects.
     pub fn recv_deadline(&self, deadline: Instant) -> Result<SealedBucket, ProteusError> {
-        self.recv_inner(Some(deadline))
+        self.decode(self.recv_inner(Some(deadline))?)
     }
 
-    fn recv_inner(&self, deadline: Option<Instant>) -> Result<SealedBucket, ProteusError> {
+    fn recv_inner(&self, deadline: Option<Instant>) -> Result<CompletedFrame, ProteusError> {
         let started = Instant::now();
         let mut inner = self.state.lane();
         loop {
@@ -1255,8 +1344,29 @@ impl RequestHandle {
         }
     }
 
-    /// Returns the next fully optimized frame if one is ready.
+    /// Decodes a completed frame. A frame that fails to decode fails the
+    /// lane with the typed error, so it is never dropped without one.
+    fn decode(&self, frame: CompletedFrame) -> Result<SealedBucket, ProteusError> {
+        SealedBucket::from_mux_bytes(frame.wire)
+            .map(|(_, sealed)| sealed)
+            .map_err(|e| {
+                let err = ProteusError::from(e);
+                self.pool.fail_request(&self.state, err.clone());
+                err
+            })
+    }
+
+    /// Returns the next fully optimized frame, decoded, if one is ready.
+    /// A ready frame that fails to decode fails the lane:
+    /// [`RequestHandle::failure`] and the next [`RequestHandle::recv`]
+    /// report the typed error.
     pub fn try_recv(&self) -> Option<SealedBucket> {
+        self.decode(self.try_recv_bytes()?).ok()
+    }
+
+    /// Returns the next fully optimized frame as its sealed wire bytes if
+    /// one is ready — the frame to send as it is.
+    pub fn try_recv_bytes(&self) -> Option<CompletedFrame> {
         self.state.lane().done.pop_front()
     }
 
@@ -1266,14 +1376,14 @@ impl RequestHandle {
         self.state.lane().failed.clone()
     }
 
-    /// [`RequestHandle::recv`], encoded as one v3 multiplexed wire frame
+    /// [`RequestHandle::recv`] as the sealed v3 multiplexed wire frame,
     /// tagged with this request's id — ready to share a response byte
     /// stream with other requests.
     ///
     /// # Errors
-    /// As [`RequestHandle::recv`].
+    /// As [`RequestHandle::recv`], except that nothing is decoded.
     pub fn recv_bytes(&self) -> Result<Bytes, ProteusError> {
-        Ok(self.recv()?.to_mux_bytes(self.state.request_id))
+        Ok(self.recv_inner(None)?.wire)
     }
 }
 
@@ -1284,6 +1394,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::bucket::Bucket;
     use crate::config::{PartitionSpec, ProteusConfig};
     use proteus_graph::wire::encode_graph;
     use proteus_graphgen::GraphRnnConfig;
@@ -1600,6 +1711,38 @@ mod tests {
         assert!(!disabled.insert(k1.clone(), g1, TensorMap::new()));
         assert!(disabled.lookup(&k1).is_none());
         assert_eq!(disabled.len(), 0);
+    }
+
+    /// For every member the owner emits across the zoo, the key built from
+    /// the member's wire slices is `key_for` of the decoded member, so a
+    /// lane keying received bytes and a caller keying decoded members
+    /// share cache entries.
+    #[test]
+    fn wire_slice_keys_match_key_for_across_the_zoo() {
+        let proteus = quick_proteus();
+        let mut members = 0;
+        for (i, entry) in proteus_models::zoo::all().iter().enumerate() {
+            let rid = 0x6B65_0000 + i as u64;
+            let session = proteus
+                .obfuscate_session(&(entry.build)(), &TensorMap::new(), rid)
+                .expect("session");
+            for frame in session {
+                let raw = RawSealed::open(frame.to_mux_bytes(rid)).expect("opens");
+                for member in raw.members {
+                    assert!(member.is_graph_only(), "{}", entry.name);
+                    let from_slices = OptimizedCache::key_of(Profile::OrtLike, &member);
+                    let decoded = member.decode().expect("decodes");
+                    let from_member =
+                        OptimizedCache::key_for(Profile::OrtLike, &decoded.graph, &decoded.params);
+                    assert_eq!(from_slices, from_member, "{}", entry.name);
+                    members += 1;
+                }
+            }
+        }
+        assert!(
+            members >= 3 * proteus_models::zoo::COUNT,
+            "{members} members"
+        );
     }
 
     #[test]

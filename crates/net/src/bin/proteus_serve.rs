@@ -235,10 +235,16 @@ fn run(args: &[String]) -> Result<(), String> {
         // serve until at least one connection has been accepted AND all
         // connections have gone away again, then drain
         server.wait_served_and_idle();
+        let pool = server.serve_stats();
         let stats = server.shutdown(grace);
         eprintln!(
-            "oneshot complete: {} request(s) completed, {} failed, {} handshake(s) rejected",
-            stats.requests_completed, stats.requests_failed, stats.handshakes_rejected
+            "oneshot complete: {} request(s) completed, {} failed, {} handshake(s) rejected, \
+             {} cache hit(s), {} task(s) executed",
+            stats.requests_completed,
+            stats.requests_failed,
+            stats.handshakes_rejected,
+            pool.cache_hits,
+            pool.tasks_executed
         );
         return Ok(());
     }

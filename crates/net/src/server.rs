@@ -7,7 +7,8 @@
 //!
 //! One accept thread blocks on the listener; each connection gets a
 //! *reader* thread (socket → [`FrameReader`] → lane `submit_bytes`) and
-//! a *writer* thread (lanes → socket). The reader works one socket read
+//! a *writer* thread (lanes → socket, writing each completed frame's
+//! sealed bytes as the lane produced them). The reader works one socket read
 //! at a time: it drains every complete frame the read finished, admits
 //! each in order, journals the admitted ones as one durable batch (with
 //! a store), and only then submits them.
@@ -56,7 +57,7 @@ use crate::codec::{FrameReader, FrameWriter, NetFrame};
 use crate::error::{error_frame_for, NetError};
 use crate::handshake::{read_hello_bytes, ClientHello, ServerHello, NET_PROTOCOL_VERSION};
 use bytes::Bytes;
-use proteus::serve::{RequestHandle, ServeRuntime};
+use proteus::serve::{RequestHandle, ServeRuntime, ServeStats};
 use proteus::store::Store;
 use proteus_graph::wire::{
     encode_error_frame, peek_frame_request_id, ErrorCode, ErrorFrame, WIRE_VERSION,
@@ -321,6 +322,12 @@ impl NetServer {
             active_connections: *relock(&self.shared.live),
             journal_errors: c.journal_errors.load(Ordering::SeqCst),
         }
+    }
+
+    /// Point-in-time counters of the serving runtime behind the daemon:
+    /// its worker pool and optimized-member cache.
+    pub fn serve_stats(&self) -> ServeStats {
+        self.shared.runtime.stats()
     }
 
     /// Blocks until at least one connection has been accepted and none is
@@ -926,14 +933,13 @@ impl Writer {
         // the frame that completes the answer goes out in `end`, once the
         // reader has been told
         let mut last = Vec::new();
-        while let Some(bucket) = lane.handle.try_recv() {
-            lane.expected = Some(bucket.num_buckets as usize);
+        while let Some(frame) = lane.handle.try_recv_bytes() {
+            lane.expected = Some(frame.num_buckets as usize);
             lane.delivered += 1;
-            let frame = bucket.to_mux_bytes(request_id);
             if lane.expected == Some(lane.delivered) {
-                last.push(frame);
+                last.push(frame.wire);
             } else {
-                self.out.write(&frame);
+                self.out.write(&frame.wire);
             }
         }
         let end = if let Some(err) = lane.handle.failure() {

@@ -245,10 +245,11 @@ mod mux {
     use proptest::prelude::*;
     use proteus::{
         DeobfuscationSession, ObfuscationSecrets, PartitionSpec, Proteus, ProteusConfig,
-        ProteusError,
+        ProteusError, ServeConfig, ServeRuntime,
     };
     use proteus_graphgen::GraphRnnConfig;
     use proteus_models::{build, ModelKind};
+    use proteus_opt::{Optimizer, Profile};
     use std::sync::OnceLock;
 
     const RID_A: u64 = 0xAAAA;
@@ -370,6 +371,61 @@ mod mux {
             set(p, spans[sentinel].0 + 4, u32::MAX)
         }))
         .expect("a sentinel's content is not the owner's to parse");
+    }
+
+    /// A member whose graph or params slice is longer than what it
+    /// encodes (length prefix and body grown together, checksum valid) is
+    /// `Malformed` wherever it is decoded: by the frame decoder, by the
+    /// owner for the real member, and by a serving lane — even one whose
+    /// cache already holds the honest member, since the lane keys on the
+    /// exact bytes it received.
+    #[test]
+    fn lengthened_member_slices_are_malformed() {
+        let fx = fixture();
+        let frame = &fx.frames_a[0];
+        let real = fx.secrets_a.real_positions[frame.bucket_index as usize];
+        let len_at = |p: &[u8], at: usize| {
+            u32::from_le_bytes([p[at], p[at + 1], p[at + 2], p[at + 3]]) as usize
+        };
+        // grows the slice whose length prefix sits at `at` by `extra` bytes
+        let lengthen = |p: &mut Vec<u8>, at: usize, extra: usize| {
+            let len = len_at(p, at);
+            p[at..at + 4].copy_from_slice(&((len + extra) as u32).to_le_bytes());
+            let end = at + 4 + len;
+            p.splice(end..end, std::iter::repeat_n(0, extra));
+        };
+        let runtime = ServeRuntime::new(
+            Optimizer::new(Profile::OrtLike),
+            ServeConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .expect("runtime");
+        let warm = runtime.handle(RID_A);
+        warm.submit_bytes(frame.to_mux_bytes(RID_A))
+            .expect("honest frame");
+        warm.recv_bytes().expect("honest frame optimized");
+        for (graph, extra) in [(true, 3), (false, 5)] {
+            let wire = reseal(frame, |p, spans| {
+                let (graph_at, params_at) = spans[real];
+                lengthen(p, if graph { graph_at } else { params_at }, extra);
+            });
+            let malformed =
+                |err: &ProteusError| matches!(err, ProteusError::Wire(WireError::Malformed { .. }));
+            assert!(matches!(
+                SealedBucket::from_mux_bytes(wire.clone()),
+                Err(WireError::Malformed { .. })
+            ));
+            let err = DeobfuscationSession::new(&fx.secrets_a)
+                .accept_mux_bytes(wire.clone())
+                .unwrap_err();
+            assert!(malformed(&err), "{err:?}");
+            let lane = runtime.handle(RID_A);
+            let err = lane.submit_bytes(wire).unwrap_err();
+            assert!(malformed(&err), "{err:?}");
+            assert_eq!(lane.in_flight(), 0, "a refused frame must not enqueue");
+        }
     }
 
     proptest! {
