@@ -349,34 +349,37 @@ impl OptimizedCache {
     /// Returns the optimized member cached under `key`, decoded, counting
     /// a hit or miss. Always a miss when disabled.
     pub fn lookup(&self, key: &Bytes) -> Option<BucketMember> {
-        let mut chunk = self.lookup_chunk(key)?;
-        RawMember::split(&mut chunk)
-            .and_then(RawMember::decode)
-            .ok()
-    }
-
-    /// Returns the wire chunk cached under `key`, counting a hit or miss.
-    /// Always a miss when disabled.
-    fn lookup_chunk(&self, key: &[u8]) -> Option<Bytes> {
         if !self.is_enabled() {
             return None;
         }
+        // chunks are written only by `encode_chunk`, so one always
+        // decodes; were it ever not to, it is counted and answered as a
+        // miss, never as a hit
+        let member = self.find(key).and_then(|mut chunk| {
+            RawMember::split(&mut chunk)
+                .and_then(RawMember::decode)
+                .ok()
+        });
+        self.count(usize::from(member.is_some()), usize::from(member.is_none()));
+        member
+    }
+
+    /// Returns the wire chunk cached under `key` without counting it. A
+    /// disabled cache never stores, so it finds nothing.
+    fn find(&self, key: &[u8]) -> Option<Bytes> {
         let fp = word_hash64(0, key);
-        let found = {
-            let inner = self.guard();
-            inner
-                .buckets
-                .get(&fp)
-                .and_then(|bucket| bucket.iter().find(|e| e.key[..] == *key))
-                .map(|e| e.chunk.clone())
-        };
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+        let inner = self.guard();
+        inner
+            .buckets
+            .get(&fp)
+            .and_then(|bucket| bucket.iter().find(|e| e.key[..] == *key))
+            .map(|e| e.chunk.clone())
+    }
+
+    /// Adds lookups that hit and missed to the counters.
+    fn count(&self, hits: usize, misses: usize) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Publishes one optimized member under its key, encoded, evicting
@@ -385,15 +388,16 @@ impl OptimizedCache {
     /// this key — the first result stays, and determinism makes both
     /// identical).
     pub fn insert(&self, key: Bytes, graph: Graph, params: TensorMap) -> bool {
-        self.is_enabled() && self.insert_chunk(key, encode_chunk(&BucketMember { graph, params }))
+        self.insert_chunk(key, || encode_chunk(&BucketMember { graph, params }))
     }
 
-    /// [`OptimizedCache::insert`] of a member already encoded as its wire
-    /// chunk.
-    fn insert_chunk(&self, key: Bytes, chunk: Bytes) -> bool {
+    /// [`OptimizedCache::insert`] of a member as its wire chunk, which
+    /// `chunk` makes only when the cache is enabled.
+    fn insert_chunk(&self, key: Bytes, chunk: impl FnOnce() -> Bytes) -> bool {
         if !self.is_enabled() {
             return false;
         }
+        let chunk = chunk();
         let fp = word_hash64(0, &key);
         let mut inner = self.guard();
         if inner
@@ -597,6 +601,8 @@ pub struct ServeStats {
     /// High-water mark of tasks queued and not yet claimed by a worker.
     pub max_queue_depth: usize,
     /// Bucket members served straight from the [`OptimizedCache`].
+    /// Counted when their frame is admitted: a refused frame (malformed,
+    /// duplicate, timed out) counts neither hits nor misses.
     pub cache_hits: usize,
     /// Members that missed the cache and went to the worker pool.
     pub cache_misses: usize,
@@ -708,7 +714,7 @@ impl PoolShared {
         let out = match task.cache_key {
             Some(key) => {
                 let chunk = encode_chunk(&member);
-                self.cache.insert_chunk(key, chunk.clone());
+                self.cache.insert_chunk(key, || chunk.clone());
                 OptimizedMember::Chunk(chunk)
             }
             None => OptimizedMember::Decoded(member),
@@ -744,7 +750,10 @@ impl PoolShared {
         match finished.seal(req.request_id, bucket_index) {
             Ok(frame) => {
                 let mut lane = req.lane();
-                if !req.cancelled.load(Ordering::SeqCst) {
+                // the lane may have failed or been cancelled while this
+                // frame was sealed; a receiver may already have seen that
+                // error, so the frame is dropped, never delivered after it
+                if lane.failed.is_none() && !req.cancelled.load(Ordering::SeqCst) {
                     lane.done.push_back(frame);
                 }
                 lane.inflight = lane.inflight.saturating_sub(1);
@@ -1078,7 +1087,9 @@ impl RequestHandle {
     /// per-member tasks. Blocks while the request already has
     /// [`ServeConfig::window`] frames in flight — the backpressure that
     /// keeps one tenant from flooding the pool. The frame is encoded and
-    /// takes the [`RequestHandle::submit_bytes`] path.
+    /// takes the [`RequestHandle::submit_bytes`] path, so a weighted
+    /// member is encoded here, decoded for its task and encoded again
+    /// into the sealed frame.
     ///
     /// # Errors
     /// [`ProteusError::DuplicateFrame`] when this bucket index was already
@@ -1156,7 +1167,8 @@ impl RequestHandle {
         // Weighted members get no key: sentinel weights are drawn per
         // (request, bucket, member), so their key never repeats, and
         // keying, looking up and caching megabytes of weights would only
-        // cost
+        // cost. Lookups are counted once the frame is admitted, so a
+        // refused frame leaves the cache counters as they were
         let profile = self.pool.optimizer.profile();
         let cache = &self.pool.cache;
         let mut slots: Vec<Option<OptimizedMember>> = Vec::with_capacity(members.len());
@@ -1164,13 +1176,17 @@ impl RequestHandle {
         for (member, raw) in members.into_iter().enumerate() {
             let key = (cache.is_enabled() && raw.is_graph_only())
                 .then(|| OptimizedCache::key_of(profile, &raw));
-            if let Some(chunk) = key.as_deref().and_then(|k| cache.lookup_chunk(k)) {
+            if let Some(chunk) = key.as_deref().and_then(|k| cache.find(k)) {
                 slots.push(Some(OptimizedMember::Chunk(chunk)));
             } else {
                 slots.push(None);
                 misses.push((member, raw.decode()?, key));
             }
         }
+        let looked_up = (
+            slots.len() - misses.len(),
+            misses.iter().filter(|(_, _, key)| key.is_some()).count(),
+        );
         let partial = PartialBucket {
             num_buckets,
             remaining: misses.len(),
@@ -1219,6 +1235,7 @@ impl RequestHandle {
                     request_id,
                 });
             }
+            cache.count(looked_up.0, looked_up.1);
             if misses.is_empty() {
                 // every member cached (or the frame was empty): nothing to
                 // optimize, so the frame is sealed from its chunks now and
@@ -1901,5 +1918,129 @@ mod tests {
         for _ in 0..submitted {
             handle.recv().expect("frame");
         }
+    }
+
+    /// A frame refused after its members were looked up leaves the cache
+    /// counters as they were: bucket 1's first member hits, its second
+    /// carries a graph slice with trailing bytes, so the frame is
+    /// `Malformed`. A duplicate of an admitted frame counts nothing
+    /// either.
+    #[test]
+    fn refused_frames_count_no_cache_lookups() {
+        let rt = runtime(1, 2);
+        let graph = build(ModelKind::AlexNet);
+        let warm = SealedBucket {
+            bucket_index: 0,
+            num_buckets: 2,
+            bucket: Bucket {
+                members: vec![BucketMember {
+                    graph: graph.clone(),
+                    params: TensorMap::new(),
+                }],
+            },
+        };
+        let handle = rt.handle(3);
+        handle.submit(warm.clone()).unwrap();
+        handle.recv().unwrap();
+        let counted = |rt: &ServeRuntime| (rt.stats().cache_hits, rt.stats().cache_misses);
+        assert_eq!(counted(&rt), (0, 1));
+
+        let exact = encode_graph(&graph);
+        let mut long = exact.to_vec();
+        long.extend_from_slice(&[0xA5; 3]);
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(2); // num_buckets
+        payload.put_u32_le(2); // members
+        for slice in [&exact[..], &long[..]] {
+            payload.put_u32_le(slice.len() as u32);
+            payload.put_slice(slice);
+            payload.put_u32_le(4);
+            payload.put_u32_le(0); // no params
+        }
+        let wire = proteus_graph::wire::encode_frame_v3(3, 1, &payload);
+        let err = handle.submit_bytes(wire).unwrap_err();
+        assert!(
+            matches!(&err, ProteusError::Wire(proteus_graph::WireError::Malformed { detail })
+                if detail == "3 trailing bytes in member graph"),
+            "{err:?}"
+        );
+        let err = handle.submit(warm).unwrap_err();
+        assert!(
+            matches!(err, ProteusError::DuplicateFrame { .. }),
+            "{err:?}"
+        );
+        assert_eq!(counted(&rt), (0, 1));
+    }
+
+    /// A pass-through optimizer that panics on every graph-only member,
+    /// but only once a weighted member's call has returned, so the crash
+    /// lands while that member's frame is being sealed.
+    struct CrashWhileSealing(Arc<AtomicBool>);
+
+    impl MemberOptimizer for CrashWhileSealing {
+        fn profile(&self) -> Profile {
+            Profile::OrtLike
+        }
+
+        fn optimize(&self, graph: &Graph, params: &TensorMap) -> (Graph, TensorMap) {
+            if params.is_empty() {
+                while !self.0.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                panic!("injected crash in bucket 1");
+            }
+            let out = (graph.clone(), params.clone());
+            self.0.store(true, Ordering::SeqCst);
+            out
+        }
+    }
+
+    /// Once `recv` has reported a lane's failure, no later `recv` hands
+    /// out a frame: bucket 0 (megabytes of weights) is sealed while a
+    /// task of bucket 1 crashes, and that frame is dropped with the lane.
+    #[test]
+    fn no_frame_surfaces_after_the_lane_failure_was_reported() {
+        use proteus_graph::{ConvAttrs, Op};
+        let mut wide = Graph::new("wide");
+        let x = wide.input([1, 256, 4, 4]);
+        let conv = wide.add(Op::Conv(ConvAttrs::new(256, 512, 3).padding(1)), [x]);
+        wide.set_outputs([conv]);
+        let weighted = BucketMember {
+            params: TensorMap::init_random(&wide, 3),
+            graph: wide,
+        };
+        let graph_only = BucketMember {
+            graph: build(ModelKind::AlexNet),
+            params: TensorMap::new(),
+        };
+        let frame = |bucket_index, member| SealedBucket {
+            bucket_index,
+            num_buckets: 2,
+            bucket: Bucket {
+                members: vec![member],
+            },
+        };
+        let config = ServeConfig {
+            workers: 2,
+            window: 2,
+            cache_capacity: 0,
+        };
+        let rt = ServeRuntime::new(CrashWhileSealing(Arc::default()), config).unwrap();
+        let handle = rt.handle(9);
+        handle.submit(frame(0, weighted)).unwrap();
+        handle.submit(frame(1, graph_only)).unwrap();
+        let reported = loop {
+            if let Err(err) = handle.recv() {
+                break err;
+            }
+        };
+        assert!(
+            matches!(&reported, ProteusError::WorkerCrashed { detail, .. }
+                if detail.contains("injected crash")),
+            "{reported:?}"
+        );
+        // joins the workers, so bucket 0's task has finished
+        rt.shutdown();
+        assert_eq!(handle.recv().map(|f| f.bucket_index), Err(reported));
     }
 }
