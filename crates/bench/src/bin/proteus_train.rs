@@ -91,19 +91,11 @@ fn check_args(args: &[String], value_flags: &[&str], switches: &[&str]) -> Resul
     Ok(())
 }
 
-fn parse_kind(name: &str) -> Result<ModelKind, String> {
-    zoo::all()
-        .iter()
-        .find(|e| e.name == name)
-        .map(|e| e.kind)
-        .ok_or_else(|| format!("unknown model `{name}`"))
-}
-
 fn parse_kinds(list: &str) -> Result<Vec<ModelKind>, String> {
     list.split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(parse_kind)
+        .map(|name| ModelKind::from_name(name).ok_or_else(|| format!("unknown model `{name}`")))
         .collect()
 }
 

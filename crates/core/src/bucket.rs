@@ -334,8 +334,9 @@ impl SealedBucket {
 pub struct ObfuscationSecrets {
     /// The request these secrets belong to. Reassembly sessions use it to
     /// reject frames injected from a different request's stream and to
-    /// name the request in protocol errors. Defaults to `0` when
-    /// deserializing secrets persisted before this field existed.
+    /// name the request in protocol errors. The store's secrets codec
+    /// (`store::codec::encode_secrets`) always writes it; the serde derives
+    /// are inert shims, so nothing ever deserializes a default.
     #[serde(default)]
     pub request_id: u64,
     /// The partition plan (boundary wiring, original interfaces).

@@ -6,7 +6,7 @@
 //! owners at once, and a thread fan-out per call would let any one
 //! request grab every core while others queue behind it. The
 //! [`ServeRuntime`] inverts that: a fixed pool of workers is created once,
-//! every request's [`SealedBucket`] frames are split into per-member tasks
+//! every request's [`SealedBucket`](crate::SealedBucket) frames are split into per-member tasks
 //! on one run queue that every worker pops oldest-first, so workers
 //! interleave members of *different* requests — a request with one small
 //! bucket is not stuck behind a tenant streaming a hundred large ones.
@@ -20,16 +20,17 @@
 //! order, so nothing downstream cares that bucket 3 finished before
 //! bucket 0.
 //!
-//! A lane is bytes in, bytes out. Every frame enters as v3 wire bytes
-//! ([`RequestHandle::submit`] encodes a [`SealedBucket`] first) and
-//! completes as a sealed v3 frame, which [`RequestHandle::recv_bytes`]
-//! and [`RequestHandle::try_recv_bytes`] hand out as they are;
-//! [`RequestHandle::recv`] decodes it. Between the two, a member is
-//! decoded only to be optimized and encoded once, after optimization.
+//! A lane is bytes in, bytes out. Every frame enters
+//! [`RequestHandle::submit`] as v3 wire bytes
+//! ([`SealedBucket::to_mux_bytes`](crate::SealedBucket::to_mux_bytes))
+//! and completes as a sealed v3 [`CompletedFrame`], which
+//! [`RequestHandle::recv`] and [`RequestHandle::try_recv`] hand out as it
+//! is. Between the two, a member is decoded only to be optimized and
+//! encoded once, after optimization.
 //!
 //! On the wire, concurrent requests share one byte stream via the v3
 //! multiplexed frame ([`proteus_graph::wire::encode_frame_v3`]): the
-//! header carries a `request_id`, and [`RequestHandle::submit_bytes`]
+//! header carries a `request_id`, and [`RequestHandle::submit`]
 //! rejects frames whose id does not match the handle (cross-request
 //! injection). A record (v1) carries no request id and a v2 frame the
 //! retired FNV-1a checksum; both are refused as
@@ -105,7 +106,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::bucket::{
-    encode_chunk, seal_optimized, BucketMember, OptimizedMember, RawMember, RawSealed, SealedBucket,
+    encode_chunk, seal_optimized, BucketMember, OptimizedMember, RawMember, RawSealed,
 };
 use crate::config::ServeConfig;
 use crate::error::ProteusError;
@@ -211,8 +212,9 @@ struct CacheInner {
 /// frame carried them, so the runtime keys a received member without
 /// decoding it. The value is the optimized member's wire chunk
 /// (`graph_len u32 | graph | params_len u32 | params`, the bytes
-/// [`SealedBucket::to_mux_bytes`] writes for it), so a hit is copied into
-/// its response frame as it is: nothing is decoded or re-encoded.
+/// [`SealedBucket::to_mux_bytes`](crate::SealedBucket::to_mux_bytes)
+/// writes for it), so a hit is copied into its response frame as it is:
+/// nothing is decoded or re-encoded.
 /// [`OptimizedCache::key_for`], [`OptimizedCache::lookup`] and
 /// [`OptimizedCache::insert`] convert decoded members to and from these
 /// bytes.
@@ -531,6 +533,37 @@ impl RequestState {
     fn wake(&self) {
         self.cv.notify_all();
         (self.waker)();
+    }
+
+    /// Blocks on the lane's condvar until the lane changes, or, with a
+    /// `deadline`, until it passes: the one wait behind both a full
+    /// submit window and an empty receive queue. The caller re-checks its
+    /// condition on return.
+    ///
+    /// # Errors
+    /// [`ProteusError::Deadline`] once `deadline` has passed, with the
+    /// time elapsed since `started`.
+    fn wait<'a>(
+        &self,
+        lane: MutexGuard<'a, RequestInner>,
+        deadline: Option<Instant>,
+        started: Instant,
+    ) -> Result<MutexGuard<'a, RequestInner>, ProteusError> {
+        let Some(deadline) = deadline else {
+            return Ok(self.cv.wait(lane).unwrap_or_else(PoisonError::into_inner));
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(ProteusError::Deadline {
+                request_id: self.request_id,
+                elapsed_ms: started.elapsed().as_millis() as u64,
+            });
+        }
+        Ok(self
+            .cv
+            .wait_timeout(lane, deadline - now)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0)
     }
 
     /// The typed failure for a frame that reached completion with member
@@ -966,7 +999,7 @@ impl ServeRuntime {
     /// the killed daemon would have produced.
     ///
     /// # Errors
-    /// Everything [`RequestHandle::submit_bytes`] / [`RequestHandle::recv_bytes`]
+    /// Everything [`RequestHandle::submit`] / [`RequestHandle::recv`]
     /// reject: decode failures, request-id mismatches, duplicates, and
     /// lane failures.
     pub fn resume_lane(
@@ -979,11 +1012,11 @@ impl ServeRuntime {
         // frames awaiting optimization, not awaiting recv, so completed
         // frames accumulate in the done queue while we keep submitting
         for frame in frames {
-            handle.submit_bytes(frame.clone())?;
+            handle.submit(frame.clone())?;
         }
         let mut out = Vec::with_capacity(frames.len());
         for _ in frames {
-            out.push(handle.recv_bytes()?);
+            out.push(handle.recv()?.wire);
         }
         Ok(out)
     }
@@ -994,7 +1027,7 @@ impl ServeRuntime {
     /// reassembles the optimized protected model.
     ///
     /// The result is bit-identical to driving the session by hand with
-    /// [`SealedBucket::optimize`] per frame under the same `request_id` —
+    /// [`SealedBucket::optimize`](crate::SealedBucket::optimize) per frame under the same `request_id` —
     /// the concurrency stress suite asserts exactly that. This is the
     /// in-process round trip for callers that play both parties.
     ///
@@ -1012,9 +1045,9 @@ impl ServeRuntime {
         let handle = self.handle(request_id);
         let mut completed: Vec<Bytes> = Vec::with_capacity(session.num_buckets());
         while let Some(frame) = session.next_frame() {
-            handle.submit(frame)?;
+            handle.submit(frame.to_mux_bytes(request_id))?;
             // opportunistically drain finished frames while generating
-            while let Some(done) = handle.try_recv_bytes() {
+            while let Some(done) = handle.try_recv() {
                 completed.push(done.wire);
             }
         }
@@ -1025,7 +1058,7 @@ impl ServeRuntime {
             reassembly.accept_mux_bytes(wire)?;
         }
         while !reassembly.is_complete() {
-            reassembly.accept_mux_bytes(handle.recv_bytes()?)?;
+            reassembly.accept_mux_bytes(handle.recv()?.wire)?;
         }
         reassembly.finish()
     }
@@ -1083,22 +1116,28 @@ impl RequestHandle {
         self.state.lane().inflight
     }
 
-    /// Submits one sealed frame to the shared pool, splitting it into
-    /// per-member tasks. Blocks while the request already has
-    /// [`ServeConfig::window`] frames in flight — the backpressure that
-    /// keeps one tenant from flooding the pool. The frame is encoded and
-    /// takes the [`RequestHandle::submit_bytes`] path, so a weighted
-    /// member is encoded here, decoded for its task and encoded again
-    /// into the sealed frame.
+    /// Submits one multiplexed v3 wire frame to the shared pool,
+    /// splitting it into per-member tasks. Blocks while the request
+    /// already has [`ServeConfig::window`] frames in flight — the
+    /// backpressure that keeps one tenant from flooding the pool. A frame
+    /// whose request id does not match this handle is rejected, so a
+    /// frame injected from another request's stream never reaches this
+    /// request's pipeline.
+    ///
+    /// The frame's checksum and every member length are checked, but a
+    /// member is decoded only when it misses the [`OptimizedCache`]: a
+    /// graph-only member is keyed on the bytes it arrived as, and a hit
+    /// is answered with the cached bytes.
     ///
     /// # Errors
+    /// [`ProteusError::Wire`] when the frame fails to decode or its bucket
+    /// index is out of range; [`ProteusError::Protocol`] on a request-id
+    /// mismatch or when the runtime has shut down;
     /// [`ProteusError::DuplicateFrame`] when this bucket index was already
-    /// submitted on this handle; [`ProteusError::Protocol`] when the
-    /// runtime has shut down; [`ProteusError::WorkerCrashed`] when the
-    /// lane already failed; [`ProteusError::Wire`] when the frame's
-    /// bucket index is out of range.
-    pub fn submit(&self, frame: SealedBucket) -> Result<(), ProteusError> {
-        self.submit_inner(frame.to_mux_bytes(self.state.request_id), None)
+    /// submitted on this handle; [`ProteusError::WorkerCrashed`] when the
+    /// lane already failed.
+    pub fn submit(&self, wire: Bytes) -> Result<(), ProteusError> {
+        self.submit_inner(wire, None)
     }
 
     /// [`RequestHandle::submit`] with a wall-clock deadline on the
@@ -1109,29 +1148,8 @@ impl RequestHandle {
     /// # Errors
     /// [`ProteusError::Deadline`] on timeout, plus everything
     /// [`RequestHandle::submit`] rejects.
-    pub fn submit_deadline(
-        &self,
-        frame: SealedBucket,
-        deadline: Instant,
-    ) -> Result<(), ProteusError> {
-        self.submit_inner(frame.to_mux_bytes(self.state.request_id), Some(deadline))
-    }
-
-    /// Submits one multiplexed wire frame, rejecting frames whose request
-    /// id does not match this handle — a frame injected from another
-    /// request's stream never reaches this request's pipeline.
-    ///
-    /// The frame's checksum and every member length are checked, but a
-    /// member is decoded only when it misses the [`OptimizedCache`]: a
-    /// graph-only member is keyed on the bytes it arrived as, and a hit
-    /// is answered with the cached bytes.
-    ///
-    /// # Errors
-    /// [`ProteusError::Wire`] on decode failure, [`ProteusError::Protocol`]
-    /// on a request-id mismatch, plus everything
-    /// [`RequestHandle::submit`] rejects.
-    pub fn submit_bytes(&self, wire: Bytes) -> Result<(), ProteusError> {
-        self.submit_inner(wire, None)
+    pub fn submit_deadline(&self, wire: Bytes, deadline: Instant) -> Result<(), ProteusError> {
+        self.submit_inner(wire, Some(deadline))
     }
 
     fn submit_inner(&self, wire: Bytes, deadline: Option<Instant>) -> Result<(), ProteusError> {
@@ -1194,32 +1212,9 @@ impl RequestHandle {
         };
         {
             let mut inner = self.state.lane();
-            let submit_started = Instant::now();
+            let started = Instant::now();
             while inner.inflight >= self.state.window && !inner.closed && inner.failed.is_none() {
-                match deadline {
-                    None => {
-                        inner = self
-                            .state
-                            .cv
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(ProteusError::Deadline {
-                                request_id,
-                                elapsed_ms: submit_started.elapsed().as_millis() as u64,
-                            });
-                        }
-                        inner = self
-                            .state
-                            .cv
-                            .wait_timeout(inner, deadline - now)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0;
-                    }
-                }
+                inner = self.state.wait(inner, deadline, started)?;
             }
             if let Some(err) = &inner.failed {
                 return Err(err.clone());
@@ -1282,9 +1277,10 @@ impl RequestHandle {
         ))
     }
 
-    /// Returns the next fully optimized frame, decoded, blocking until
-    /// one completes. Frames surface in completion order, not bucket
-    /// order.
+    /// Returns the next fully optimized frame, blocking until one
+    /// completes: the sealed v3 wire frame, tagged with this request's id
+    /// and ready to share a response byte stream with other requests.
+    /// Frames surface in completion order, not bucket order.
     ///
     /// Already-completed frames drain before a failure surfaces: a lane
     /// that crashed after finishing three of five buckets still delivers
@@ -1294,11 +1290,9 @@ impl RequestHandle {
     /// [`ProteusError::WorkerCrashed`] when the lane failed;
     /// [`ProteusError::Protocol`] when nothing is in flight (the frame
     /// being waited for was never submitted — blocking would deadlock) or
-    /// when the runtime shut down with this request's queue empty;
-    /// [`ProteusError::Wire`] when the frame fails to decode
-    /// ([`RequestHandle::try_recv`]).
-    pub fn recv(&self) -> Result<SealedBucket, ProteusError> {
-        self.decode(self.recv_inner(None)?)
+    /// when the runtime shut down with this request's queue empty.
+    pub fn recv(&self) -> Result<CompletedFrame, ProteusError> {
+        self.recv_inner(None)
     }
 
     /// [`RequestHandle::recv`] with a wall-clock deadline: returns
@@ -1308,8 +1302,8 @@ impl RequestHandle {
     /// # Errors
     /// [`ProteusError::Deadline`] on timeout, plus everything
     /// [`RequestHandle::recv`] rejects.
-    pub fn recv_deadline(&self, deadline: Instant) -> Result<SealedBucket, ProteusError> {
-        self.decode(self.recv_inner(Some(deadline))?)
+    pub fn recv_deadline(&self, deadline: Instant) -> Result<CompletedFrame, ProteusError> {
+        self.recv_inner(Some(deadline))
     }
 
     fn recv_inner(&self, deadline: Option<Instant>) -> Result<CompletedFrame, ProteusError> {
@@ -1334,56 +1328,13 @@ impl RequestHandle {
                     self.state.request_id
                 )));
             }
-            match deadline {
-                None => {
-                    inner = self
-                        .state
-                        .cv
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(ProteusError::Deadline {
-                            request_id: self.state.request_id,
-                            elapsed_ms: started.elapsed().as_millis() as u64,
-                        });
-                    }
-                    inner = self
-                        .state
-                        .cv
-                        .wait_timeout(inner, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
+            inner = self.state.wait(inner, deadline, started)?;
         }
     }
 
-    /// Decodes a completed frame. A frame that fails to decode fails the
-    /// lane with the typed error, so it is never dropped without one.
-    fn decode(&self, frame: CompletedFrame) -> Result<SealedBucket, ProteusError> {
-        SealedBucket::from_mux_bytes(frame.wire)
-            .map(|(_, sealed)| sealed)
-            .map_err(|e| {
-                let err = ProteusError::from(e);
-                self.pool.fail_request(&self.state, err.clone());
-                err
-            })
-    }
-
-    /// Returns the next fully optimized frame, decoded, if one is ready.
-    /// A ready frame that fails to decode fails the lane:
-    /// [`RequestHandle::failure`] and the next [`RequestHandle::recv`]
-    /// report the typed error.
-    pub fn try_recv(&self) -> Option<SealedBucket> {
-        self.decode(self.try_recv_bytes()?).ok()
-    }
-
-    /// Returns the next fully optimized frame as its sealed wire bytes if
-    /// one is ready — the frame to send as it is.
-    pub fn try_recv_bytes(&self) -> Option<CompletedFrame> {
+    /// Returns the next fully optimized frame if one is ready, as
+    /// [`RequestHandle::recv`] would.
+    pub fn try_recv(&self) -> Option<CompletedFrame> {
         self.state.lane().done.pop_front()
     }
 
@@ -1391,16 +1342,6 @@ impl RequestHandle {
     /// frames the way [`RequestHandle::recv`] would.
     pub fn failure(&self) -> Option<ProteusError> {
         self.state.lane().failed.clone()
-    }
-
-    /// [`RequestHandle::recv`] as the sealed v3 multiplexed wire frame,
-    /// tagged with this request's id — ready to share a response byte
-    /// stream with other requests.
-    ///
-    /// # Errors
-    /// As [`RequestHandle::recv`], except that nothing is decoded.
-    pub fn recv_bytes(&self) -> Result<Bytes, ProteusError> {
-        Ok(self.recv_inner(None)?.wire)
     }
 }
 
@@ -1411,7 +1352,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::bucket::Bucket;
+    use crate::bucket::{Bucket, SealedBucket};
     use crate::config::{PartitionSpec, ProteusConfig};
     use proteus_graph::wire::encode_graph;
     use proteus_graphgen::GraphRnnConfig;
@@ -1446,6 +1387,12 @@ mod tests {
             },
         )
         .expect("runtime starts")
+    }
+
+    /// The bucket index a completed frame answers.
+    fn bucket_of(frame: CompletedFrame) -> u32 {
+        let (_, sealed) = SealedBucket::from_mux_bytes(frame.wire).expect("sealed frames decode");
+        sealed.bucket_index
     }
 
     fn runtime_uncached(workers: usize, window: usize) -> ServeRuntime {
@@ -1531,12 +1478,15 @@ mod tests {
             graph: build(ModelKind::AlexNet),
             params: TensorMap::new(),
         };
-        let frame = |bucket_index: u32, members: usize| SealedBucket {
-            bucket_index,
-            num_buckets: 4,
-            bucket: Bucket {
-                members: vec![member.clone(); members],
-            },
+        let frame = |bucket_index: u32, members: usize| {
+            SealedBucket {
+                bucket_index,
+                num_buckets: 4,
+                bucket: Bucket {
+                    members: vec![member.clone(); members],
+                },
+            }
+            .to_mux_bytes(7)
         };
         let handle = rt.handle(7);
         handle.submit(frame(0, 3)).unwrap();
@@ -1561,9 +1511,7 @@ mod tests {
             stopping.join().unwrap();
         });
         assert_eq!(rt.stats().tasks_executed, members);
-        let mut delivered: Vec<u32> = (0..3)
-            .map(|_| handle.recv().unwrap().bucket_index)
-            .collect();
+        let mut delivered: Vec<u32> = (0..3).map(|_| bucket_of(handle.recv().unwrap())).collect();
         delivered.sort_unstable();
         assert_eq!(delivered, [0, 1, 2]);
 
@@ -1617,7 +1565,7 @@ mod tests {
         let mut session = proteus
             .obfuscate_session(&g, &TensorMap::new(), 9)
             .expect("session");
-        let frame = session.next_frame().expect("frame");
+        let frame = session.next_frame().expect("frame").to_mux_bytes(9);
         let handle = rt.handle(9);
         handle.submit(frame.clone()).expect("first submit");
         let err = handle.submit(frame).unwrap_err();
@@ -1633,7 +1581,7 @@ mod tests {
         );
         // the original frame still completes
         let done = handle.recv().expect("completes");
-        assert_eq!(done.bucket_index, 0);
+        assert_eq!(bucket_of(done), 0);
     }
 
     #[test]
@@ -1654,13 +1602,13 @@ mod tests {
             .expect("session");
         let frame = session.next_frame().expect("frame");
         let handle = rt.handle(22); // a different request's lane
-        let err = handle.submit_bytes(frame.to_mux_bytes(21)).unwrap_err();
+        let err = handle.submit(frame.to_mux_bytes(21)).unwrap_err();
         assert!(matches!(err, ProteusError::Protocol { .. }), "{err:?}");
         assert_eq!(handle.in_flight(), 0, "injected frame must not enqueue");
         // the matching lane accepts the same bytes
         let own = rt.handle(21);
-        own.submit_bytes(frame.to_mux_bytes(21)).expect("submit");
-        let done = own.recv_bytes().expect("optimized frame returns");
+        own.submit(frame.to_mux_bytes(21)).expect("submit");
+        let done = own.recv().expect("optimized frame returns").wire;
         let (rid, _) = SealedBucket::from_mux_bytes(done).expect("decodes");
         assert_eq!(rid, 21);
     }
@@ -1673,13 +1621,16 @@ mod tests {
         let err = handle.recv().unwrap_err();
         assert!(matches!(err, ProteusError::Protocol { .. }), "{err:?}");
         let err = handle
-            .submit(SealedBucket {
-                bucket_index: 0,
-                num_buckets: 1,
-                bucket: Bucket {
-                    members: Vec::new(),
-                },
-            })
+            .submit(
+                SealedBucket {
+                    bucket_index: 0,
+                    num_buckets: 1,
+                    bucket: Bucket {
+                        members: Vec::new(),
+                    },
+                }
+                .to_mux_bytes(2),
+            )
             .unwrap_err();
         assert!(matches!(err, ProteusError::Protocol { .. }), "{err:?}");
     }
@@ -1911,7 +1862,7 @@ mod tests {
         while let Some(frame) = session.next_frame() {
             // window = 1: submit blocks until the previous frame finished,
             // so in_flight can never exceed 1
-            handle.submit(frame).expect("submit");
+            handle.submit(frame.to_mux_bytes(3)).expect("submit");
             submitted += 1;
             assert!(handle.in_flight() <= 1, "window violated");
         }
@@ -1938,7 +1889,8 @@ mod tests {
                     params: TensorMap::new(),
                 }],
             },
-        };
+        }
+        .to_mux_bytes(3);
         let handle = rt.handle(3);
         handle.submit(warm.clone()).unwrap();
         handle.recv().unwrap();
@@ -1958,7 +1910,7 @@ mod tests {
             payload.put_u32_le(0); // no params
         }
         let wire = proteus_graph::wire::encode_frame_v3(3, 1, &payload);
-        let err = handle.submit_bytes(wire).unwrap_err();
+        let err = handle.submit(wire).unwrap_err();
         assert!(
             matches!(&err, ProteusError::Wire(proteus_graph::WireError::Malformed { detail })
                 if detail == "3 trailing bytes in member graph"),
@@ -2013,12 +1965,15 @@ mod tests {
             graph: build(ModelKind::AlexNet),
             params: TensorMap::new(),
         };
-        let frame = |bucket_index, member| SealedBucket {
-            bucket_index,
-            num_buckets: 2,
-            bucket: Bucket {
-                members: vec![member],
-            },
+        let frame = |bucket_index, member| {
+            SealedBucket {
+                bucket_index,
+                num_buckets: 2,
+                bucket: Bucket {
+                    members: vec![member],
+                },
+            }
+            .to_mux_bytes(9)
         };
         let config = ServeConfig {
             workers: 2,
@@ -2041,6 +1996,6 @@ mod tests {
         );
         // joins the workers, so bucket 0's task has finished
         rt.shutdown();
-        assert_eq!(handle.recv().map(|f| f.bucket_index), Err(reported));
+        assert_eq!(handle.recv().map(bucket_of), Err(reported));
     }
 }

@@ -79,6 +79,15 @@ impl ModelKind {
     pub const MODERN: [ModelKind; 3] =
         [ModelKind::GptDecoder, ModelKind::GraphSage, ModelKind::UNet];
 
+    /// The model whose [`ModelKind::name`] is `name`, over the whole
+    /// zoo ([`ModelKind::ALL`] and [`ModelKind::MODERN`]).
+    pub fn from_name(name: &str) -> Option<ModelKind> {
+        ModelKind::ALL
+            .into_iter()
+            .chain(ModelKind::MODERN)
+            .find(|k| k.name() == name)
+    }
+
     /// The lowercase name used in the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -207,6 +216,10 @@ mod tests {
         assert_eq!(ModelKind::Xlm.name(), "xlm");
         assert_eq!(ModelKind::ALL.len(), 13);
         assert_eq!(ModelKind::MODERN.len(), 3);
+        for e in zoo::all() {
+            assert_eq!(ModelKind::from_name(e.name), Some(e.kind));
+        }
+        assert_eq!(ModelKind::from_name("lenet"), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use proteus::{DeobfuscationSession, Proteus};
 use proteus_graph::TensorMap;
-use proteus_models::{build, ModelKind};
+use proteus_models::{build, zoo, ModelKind};
 use proteus_net::{NetClient, NetRequest};
 use proteus_opt::{Optimizer, Profile};
 use std::process::ExitCode;
@@ -36,9 +36,9 @@ fn usage() -> ExitCode {
          --no-verify   skip the in-process byte-parity check\n\
          \n\
          model names: {}",
-        ModelKind::ALL
+        zoo::all()
             .iter()
-            .map(|k| k.name())
+            .map(|e| e.name)
             .collect::<Vec<_>>()
             .join(", ")
     );
@@ -88,13 +88,7 @@ fn parse_kinds(list: &str) -> Result<Vec<ModelKind>, String> {
     list.split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(|name| {
-            ModelKind::ALL
-                .iter()
-                .copied()
-                .find(|k| k.name() == name)
-                .ok_or_else(|| format!("unknown model `{name}`"))
-        })
+        .map(|name| ModelKind::from_name(name).ok_or_else(|| format!("unknown model `{name}`")))
         .collect()
 }
 
@@ -266,5 +260,21 @@ mod tests {
         }
         let err = run(&args(&["--artifact", "a.prta", "--verify"])).expect_err("unknown");
         assert!(err.contains("--verify"), "{err}");
+    }
+
+    /// The client resolves every zoo model the daemon serves, the modern
+    /// extensions included.
+    #[test]
+    fn models_resolve_across_the_whole_zoo() {
+        assert_eq!(
+            parse_kinds("gpt-decoder,graphsage,unet"),
+            Ok(vec![
+                ModelKind::GptDecoder,
+                ModelKind::GraphSage,
+                ModelKind::UNet
+            ])
+        );
+        let err = parse_kinds("resnet,lenet").expect_err("unknown name");
+        assert!(err.contains("lenet"), "{err}");
     }
 }

@@ -14,7 +14,7 @@
 //! interleave results and failures. A `PRTB` record (v1), the envelope
 //! of stored bytes, names no request and is refused while framing. Data
 //! frames are yielded as their *raw bytes* ([`NetFrame::Data`]): the
-//! server forwards them untouched into `RequestHandle::submit_bytes`
+//! server forwards them untouched into `RequestHandle::submit`
 //! (which does the full checksum validation), and the client hands them
 //! to `DeobfuscationSession::accept_mux_bytes` — the reader never weakens
 //! the end-to-end integrity check by re-encoding. Error frames are fully
@@ -42,7 +42,7 @@ const STREAM: [&Envelope; 2] = [&FRAME, &ERROR_FRAME];
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetFrame {
     /// A complete data frame, as its raw wire bytes (header included) —
-    /// ready for `submit_bytes` / `accept_mux_bytes`, which perform the
+    /// ready for `submit` / `accept_mux_bytes`, which perform the
     /// full checksum validation.
     Data(Bytes),
     /// A complete, checksum-verified error frame.

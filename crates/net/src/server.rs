@@ -6,7 +6,7 @@
 //! ## Threading and failure domains
 //!
 //! One accept thread blocks on the listener; each connection gets a
-//! *reader* thread (socket → [`FrameReader`] → lane `submit_bytes`) and
+//! *reader* thread (socket → [`FrameReader`] → lane `submit`) and
 //! a *writer* thread (lanes → socket, writing each completed frame's
 //! sealed bytes as the lane produced them). The reader works one socket read
 //! at a time: it drains every complete frame the read finished, admits
@@ -26,7 +26,7 @@
 //! for an answered request id is refused instead of reopening it.
 //!
 //! The split matters for backpressure: a reader blocked in
-//! `submit_bytes` (lane window full) stops reading, TCP flow control
+//! `submit` (lane window full) stops reading, TCP flow control
 //! propagates the stall to the client, and the writer keeps draining
 //! completed frames the whole time, since it never waits on the reader.
 //! So the window opens again and the system never deadlocks on a full
@@ -836,7 +836,7 @@ impl Reader<'_> {
         {
             // the lane survives a per-frame rejection (duplicate,
             // corrupt); the client learns which frame and why
-            let _ = self.events.send(match handle.submit_bytes(raw) {
+            let _ = self.events.send(match handle.submit(raw) {
                 Ok(()) => Event::Submitted(request_id),
                 Err(e) => Event::Refused(error_frame_for(request_id, &e)),
             });
@@ -933,7 +933,7 @@ impl Writer {
         // the frame that completes the answer goes out in `end`, once the
         // reader has been told
         let mut last = Vec::new();
-        while let Some(frame) = lane.handle.try_recv_bytes() {
+        while let Some(frame) = lane.handle.try_recv() {
             lane.expected = Some(frame.num_buckets as usize);
             lane.delivered += 1;
             if lane.expected == Some(lane.delivered) {

@@ -87,11 +87,6 @@ impl Solver {
         VarId(self.domains.len() - 1)
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.domains.len()
-    }
-
     /// The current domain of a variable.
     pub fn domain(&self, v: VarId) -> &[i64] {
         &self.domains[v.0]
@@ -164,11 +159,6 @@ impl Solver {
             .enumerate()
             .map(|(i, &v)| (VarId(i), v))
             .collect();
-        self.push_constraint(Constraint::Nogood { pairs });
-    }
-
-    /// Forbids a partial combination.
-    pub fn nogood(&mut self, pairs: Vec<(VarId, i64)>) {
         self.push_constraint(Constraint::Nogood { pairs });
     }
 

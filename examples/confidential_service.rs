@@ -13,8 +13,8 @@
 //!
 //! Run with: `cargo run --release --example confidential_service`
 
-use proteus::serve::{RequestHandle, ServeRuntime};
-use proteus::{DeobfuscationSession, Proteus, ProteusConfig, SealedBucket, ServeConfig};
+use proteus::serve::{CompletedFrame, RequestHandle, ServeRuntime};
+use proteus::{DeobfuscationSession, Proteus, ProteusConfig, ServeConfig};
 use proteus_graph::{peek_frame_request_id, TensorMap};
 use proteus_graphgen::GraphRnnConfig;
 use proteus_models::{build, ModelKind};
@@ -95,15 +95,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 )
                 .expect("runtime starts");
                 let mut lanes: HashMap<u64, RequestHandle> = HashMap::new();
-                let deliver = |rid: u64, frame: SealedBucket| {
+                let mut delivered: HashMap<u64, u32> = HashMap::new();
+                let mut deliver = |rid: u64, frame: CompletedFrame| {
+                    let count = delivered.entry(rid).or_default();
+                    *count += 1;
                     println!(
-                        "  [service] t={:>7.1}ms request {rid:#x} bucket {}/{} optimized",
+                        "  [service] t={:>7.1}ms request {rid:#x} frame {count}/{} optimized",
                         start.elapsed().as_secs_f64() * 1e3,
-                        frame.bucket_index + 1,
                         frame.num_buckets,
                     );
-                    // the owner demultiplexer outlives this thread
-                    let _ = to_owner.send(frame.to_mux_bytes(rid));
+                    // the sealed frame goes out as it is; the owner
+                    // demultiplexer outlives this thread
+                    let _ = to_owner.send(frame.wire);
                 };
                 for wire in service_inbox {
                     // demultiplex: a header-only peek names the lane; the
@@ -116,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         }
                     };
                     let lane = lanes.entry(rid).or_insert_with(|| runtime.handle(rid));
-                    if let Err(e) = lane.submit_bytes(wire) {
+                    if let Err(e) = lane.submit(wire) {
                         eprintln!("  [service] rejecting frame for {rid:#x}: {e}");
                     }
                     for (&rid, lane) in &lanes {

@@ -14,6 +14,7 @@
 //! (the `serve-chaos` job); `PROTEUS_CHAOS_SEEDS` overrides the storm's
 //! seed list.
 
+use bytes::Bytes;
 use proteus::serve::{MemberOptimizer, ServeRuntime};
 use proteus::{
     splitmix64, DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, ProteusError,
@@ -273,6 +274,12 @@ fn serial_reference(
 /// No fault may leak a partial frame: every frame a faulted runtime
 /// delivers carries all `k + 1` members, and fully-delivered requests
 /// reassemble bit-identically to the serial path.
+/// Decodes one sealed response frame.
+fn decode(wire: &Bytes) -> SealedBucket {
+    let (_, frame) = SealedBucket::from_mux_bytes(wire.clone()).expect("sealed frames decode");
+    frame
+}
+
 #[test]
 fn no_fault_leaks_a_partial_frame() {
     quiet_fault_panics();
@@ -300,7 +307,7 @@ fn no_fault_leaks_a_partial_frame() {
         let mut frames = Vec::new();
         let mut failure = None;
         while let Some(frame) = session.next_frame() {
-            if let Err(e) = handle.submit(frame) {
+            if let Err(e) = handle.submit(frame.to_mux_bytes(rid)) {
                 failure = Some(e);
                 break;
             }
@@ -308,14 +315,14 @@ fn no_fault_leaks_a_partial_frame() {
         let secrets = session.finish().expect("secrets");
         while failure.is_none() && frames.len() < n {
             match handle.recv() {
-                Ok(frame) => frames.push(frame),
+                Ok(frame) => frames.push(frame.wire),
                 Err(e) => failure = Some(e),
             }
         }
         // the invariant under test: every delivered frame is whole
-        for frame in &frames {
+        for wire in &frames {
             assert_eq!(
-                frame.bucket.members.len(),
+                decode(wire).bucket.members.len(),
                 k + 1,
                 "rid {rid}: a fault leaked a partial frame"
             );
@@ -328,8 +335,8 @@ fn no_fault_leaks_a_partial_frame() {
             Some(other) => panic!("rid {rid}: untyped chaos escape {other:?}"),
             None => {
                 let mut reassembly = DeobfuscationSession::new(&secrets);
-                for frame in frames {
-                    reassembly.accept(frame).expect("accept");
+                for wire in frames {
+                    reassembly.accept_mux_bytes(wire).expect("accept");
                 }
                 let (got_g, got_p) = reassembly.finish().expect("finish");
                 let (want_g, want_p) = serial_reference(proteus, &optimizer, rid, &graph, &params);
@@ -373,12 +380,12 @@ fn serve_before(
     let mut session = proteus.obfuscate_session(graph, params, rid)?;
     let handle = runtime.handle(rid);
     while let Some(frame) = session.next_frame() {
-        handle.submit_deadline(frame, deadline)?;
+        handle.submit_deadline(frame.to_mux_bytes(rid), deadline)?;
     }
     let secrets = session.finish()?;
     let mut reassembly = DeobfuscationSession::new(&secrets);
     while !reassembly.is_complete() {
-        reassembly.accept(handle.recv_deadline(deadline)?)?;
+        reassembly.accept_mux_bytes(handle.recv_deadline(deadline)?.wire)?;
     }
     reassembly.finish()
 }
@@ -505,7 +512,7 @@ fn dropping_a_handle_detaches_pending_tasks() {
         .expect("session");
     let handle = rt.handle(71);
     while let Some(frame) = session.next_frame() {
-        handle.submit(frame).expect("submit");
+        handle.submit(frame.to_mux_bytes(71)).expect("submit");
     }
     drop(handle); // cancel with tasks in flight
                   // a fresh request on the same pool is unaffected by the abandoned
@@ -542,7 +549,7 @@ fn recv_deadline_times_out_typed() {
         .expect("session");
     let handle = rt.handle(81);
     let frame = session.next_frame().expect("frame");
-    handle.submit(frame).expect("submit");
+    handle.submit(frame.to_mux_bytes(81)).expect("submit");
     let err = handle
         .recv_deadline(Instant::now() + Duration::from_millis(40))
         .expect_err("deadline fires");
@@ -550,4 +557,41 @@ fn recv_deadline_times_out_typed() {
         matches!(err, ProteusError::Deadline { request_id: 81, .. }),
         "{err:?}"
     );
+}
+
+/// The submit side of the same deadline: with a window of one and a
+/// worker stalling on the first frame, a second frame's backpressure wait
+/// times out typed, and the refused frame is not counted as submitted.
+#[test]
+fn submit_deadline_times_out_typed_when_the_window_stays_full() {
+    let proteus = shared_proteus();
+    let g = build(ModelKind::AlexNet);
+    // every call stalls 300ms; a 40ms deadline must fire first
+    let rt = faulty_runtime_uncached(
+        1,
+        1,
+        FaultPlan {
+            stall_one_in: 1,
+            stall_ms: 300,
+            ..FaultPlan::default()
+        },
+    );
+    let mut session = proteus
+        .obfuscate_session(&g, &TensorMap::new(), 91)
+        .expect("session");
+    let handle = rt.handle(91);
+    let first = session.next_frame().expect("frame").to_mux_bytes(91);
+    let second = session.next_frame().expect("second frame").to_mux_bytes(91);
+    handle.submit(first).expect("submit");
+    let err = handle
+        .submit_deadline(second.clone(), Instant::now() + Duration::from_millis(40))
+        .expect_err("deadline fires");
+    assert!(
+        matches!(err, ProteusError::Deadline { request_id: 91, .. }),
+        "{err:?}"
+    );
+    assert_eq!(handle.in_flight(), 1, "the refused frame must not enqueue");
+    // the window frees once the first frame completes, and the same
+    // bucket is then admitted, not refused as a duplicate
+    handle.submit(second).expect("resubmit after the deadline");
 }

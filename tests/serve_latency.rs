@@ -11,6 +11,7 @@
 //!
 //! CI runs this suite in release mode (the `serve-stress` job).
 
+use bytes::Bytes;
 use proteus::serve::ServeRuntime;
 use proteus::{
     DeobfuscationSession, PartitionSpec, Proteus, ProteusConfig, SealedBucket, ServeConfig,
@@ -65,14 +66,20 @@ fn session_frame_bytes(proteus: &Proteus, kind: ModelKind, rid: u64) -> Vec<Vec<
         .collect()
 }
 
-/// Drives one request through a runtime and returns its optimized frames
-/// (bucket order) plus the reassembled model.
+/// Decodes one sealed response frame.
+fn decode(wire: &Bytes) -> SealedBucket {
+    let (_, frame) = SealedBucket::from_mux_bytes(wire.clone()).expect("sealed frames decode");
+    frame
+}
+
+/// Drives one request through a runtime and returns its optimized wire
+/// frames (bucket order) plus the reassembled model.
 fn serve_one(
     rt: &ServeRuntime,
     proteus: &Proteus,
     kind: ModelKind,
     rid: u64,
-) -> (Vec<SealedBucket>, (proteus_graph::Graph, TensorMap)) {
+) -> (Vec<Bytes>, (proteus_graph::Graph, TensorMap)) {
     let mut session = proteus
         .obfuscate_session(&build(kind), &TensorMap::new(), rid)
         .expect("session");
@@ -80,19 +87,19 @@ fn serve_one(
     let n = session.num_buckets();
     let mut optimized = Vec::with_capacity(n);
     while let Some(frame) = session.next_frame() {
-        handle.submit(frame).expect("submit");
+        handle.submit(frame.to_mux_bytes(rid)).expect("submit");
         while let Some(done) = handle.try_recv() {
-            optimized.push(done);
+            optimized.push(done.wire);
         }
     }
     while optimized.len() < n {
-        optimized.push(handle.recv().expect("recv"));
+        optimized.push(handle.recv().expect("recv").wire);
     }
-    optimized.sort_by_key(|f| f.bucket_index);
+    optimized.sort_by_cached_key(|wire| decode(wire).bucket_index);
     let secrets = session.finish().expect("secrets");
     let mut reassembly = DeobfuscationSession::new(&secrets);
-    for f in &optimized {
-        reassembly.accept(f.clone()).expect("accept");
+    for wire in &optimized {
+        reassembly.accept_mux_bytes(wire.clone()).expect("accept");
     }
     (optimized, reassembly.finish().expect("finish"))
 }
@@ -144,20 +151,12 @@ fn cache_hits_and_misses_produce_identical_bytes() {
         let (hit_frames, hit_model) = serve_one(&cached, proteus, kind, rid);
         let (cold_frames, cold_model) = serve_one(&uncached, proteus, kind, rid);
 
-        let bytes = |frames: &[SealedBucket]| -> Vec<Vec<u8>> {
-            frames
-                .iter()
-                .map(|f| f.to_mux_bytes(rid).to_vec())
-                .collect()
-        };
         assert_eq!(
-            bytes(&miss_frames),
-            bytes(&hit_frames),
+            miss_frames, hit_frames,
             "{kind}: cache-hit frames diverge from the miss pass"
         );
         assert_eq!(
-            bytes(&miss_frames),
-            bytes(&cold_frames),
+            miss_frames, cold_frames,
             "{kind}: cached frames diverge from the cacheless runtime"
         );
         assert_eq!(miss_model, hit_model, "{kind}: reassembly diverged");
@@ -177,7 +176,7 @@ fn warm_path_task_count_drops_below_the_inline_baseline() {
     // member. A cold request on an empty cache can only do better when a
     // sentinel repeats across its own buckets, never worse.
     let (frames, _) = serve_one(&rt, proteus, kind, 3000);
-    let members: usize = frames.iter().map(|f| f.bucket.members.len()).sum();
+    let members: usize = frames.iter().map(|w| decode(w).bucket.members.len()).sum();
     let cold_tasks = rt.stats().tasks_executed;
     assert!(
         cold_tasks > 0 && cold_tasks <= members,
@@ -198,7 +197,10 @@ fn warm_path_task_count_drops_below_the_inline_baseline() {
     let mut total_members = members;
     for rid in 3001..3009 {
         let (frames, _) = serve_one(&rt, proteus, kind, rid);
-        total_members += frames.iter().map(|f| f.bucket.members.len()).sum::<usize>();
+        total_members += frames
+            .iter()
+            .map(|w| decode(w).bucket.members.len())
+            .sum::<usize>();
     }
     let stats = rt.stats();
     assert!(

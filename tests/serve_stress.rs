@@ -133,7 +133,9 @@ fn concurrent_clients_are_bit_identical_to_serial_path() {
                     open = 0;
                     for (session, handle) in sessions.iter_mut().zip(&handles) {
                         if let Some(frame) = session.next_frame() {
-                            handle.submit(frame).expect("submit");
+                            handle
+                                .submit(frame.to_mux_bytes(handle.request_id()))
+                                .expect("submit");
                             open += 1;
                         }
                     }
@@ -144,7 +146,7 @@ fn concurrent_clients_are_bit_identical_to_serial_path() {
                     let mut reassembly = DeobfuscationSession::new(&secrets);
                     while !reassembly.is_complete() {
                         reassembly
-                            .accept(handle.recv().expect("recv"))
+                            .accept_mux_bytes(handle.recv().expect("recv").wire)
                             .expect("accept");
                     }
                     let (g, p) = reassembly.finish().expect("finish");
@@ -208,15 +210,13 @@ fn warm_cached_concurrent_requests_match_serial_frame_bytes() {
                             .collect();
                         let handle = runtime.handle(rid);
                         for frame in &inputs {
-                            handle
-                                .submit_bytes(frame.to_mux_bytes(rid))
-                                .expect("submit");
+                            handle.submit(frame.to_mux_bytes(rid)).expect("submit");
                         }
                         let mut got: Vec<SealedBucket> = inputs
                             .iter()
                             .map(|_| {
-                                let bytes = handle.recv_bytes().expect("recv");
-                                SealedBucket::from_mux_bytes(bytes).expect("decode").1
+                                let wire = handle.recv().expect("recv").wire;
+                                SealedBucket::from_mux_bytes(wire).expect("decode").1
                             })
                             .collect();
                         got.sort_by_key(|f| f.bucket_index);
@@ -303,7 +303,7 @@ fn multiplexed_byte_stream_serves_interleaved_requests() {
         handles
             .entry(rid)
             .or_insert_with(|| runtime.handle(rid))
-            .submit_bytes(wire)
+            .submit(wire)
             .expect("routed submit");
     }
 
@@ -316,7 +316,7 @@ fn multiplexed_byte_stream_serves_interleaved_requests() {
     while outstanding.values().any(|&n| n > 0) {
         for rid in 0..REQUESTS {
             if outstanding[&rid] > 0 {
-                wire_out.push(handles[&rid].recv_bytes().expect("recv"));
+                wire_out.push(handles[&rid].recv().expect("recv").wire);
                 *outstanding.get_mut(&rid).unwrap() -= 1;
             }
         }

@@ -403,9 +403,9 @@ mod mux {
         )
         .expect("runtime");
         let warm = runtime.handle(RID_A);
-        warm.submit_bytes(frame.to_mux_bytes(RID_A))
+        warm.submit(frame.to_mux_bytes(RID_A))
             .expect("honest frame");
-        warm.recv_bytes().expect("honest frame optimized");
+        warm.recv().expect("honest frame optimized");
         for (graph, extra) in [(true, 3), (false, 5)] {
             let wire = reseal(frame, |p, spans| {
                 let (graph_at, params_at) = spans[real];
@@ -422,7 +422,7 @@ mod mux {
                 .unwrap_err();
             assert!(malformed(&err), "{err:?}");
             let lane = runtime.handle(RID_A);
-            let err = lane.submit_bytes(wire).unwrap_err();
+            let err = lane.submit(wire).unwrap_err();
             assert!(malformed(&err), "{err:?}");
             assert_eq!(lane.in_flight(), 0, "a refused frame must not enqueue");
         }
