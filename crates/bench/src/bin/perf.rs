@@ -188,6 +188,10 @@ fn main() {
     };
     let proteus = Proteus::train(cfg, &[build(ModelKind::ResNet)]).expect("train");
     let e2e_iters = if smoke { 1 } else { 5 };
+    // one request's time spreads widely (5 samples gave p50s ~15% apart
+    // between runs of one binary), so this series takes enough samples
+    // for its p50 to resolve a change of that size
+    let serve_iters = if smoke { 1 } else { 25 };
     const REQUEST_ID: u64 = 0;
     let runtime = ServeRuntime::new(
         Optimizer::new(Profile::OrtLike),
@@ -204,7 +208,7 @@ fn main() {
     };
     // one warmup request outside the series
     std::hint::black_box(serve());
-    let samples: Vec<f64> = (0..e2e_iters)
+    let samples: Vec<f64> = (0..serve_iters)
         .map(|_| {
             let t = Instant::now();
             let back = serve();

@@ -20,6 +20,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use proteus_graph::exec::param_signature;
 use proteus_graph::wire::{
     bounded_capacity, decode_frame, decode_graph, decode_params, encode_graph, fnv1a64, seal_frame,
     MemberEncoder, WireError,
@@ -99,7 +100,10 @@ impl RawMember {
 
     /// Decodes the member. Each slice must be read to its end: bytes a
     /// decoder leaves over are a typed error, so a slice that decodes is
-    /// exactly one graph or one parameter store.
+    /// exactly one graph or one parameter store. Every parameter entry
+    /// must belong to a node of the graph and carry exactly the tensors
+    /// its operator takes ([`param_signature`]), so no rule that reads
+    /// weights meets a missing or misshapen tensor.
     pub(crate) fn decode(mut self) -> Result<BucketMember, WireError> {
         let graph = decode_graph(&mut self.graph)?;
         let params = decode_params(&mut self.params)?;
@@ -111,8 +115,43 @@ impl RawMember {
                 )));
             }
         }
+        check_params(&graph, &params)?;
         Ok(BucketMember { graph, params })
     }
+}
+
+/// Refuses a parameter store that does not fit `graph`: an entry for a
+/// node the graph lacks, or tensors that differ in count or shape from
+/// the node operator's [`param_signature`].
+fn check_params(graph: &Graph, params: &TensorMap) -> Result<(), WireError> {
+    let mut matched = 0;
+    for (id, node) in graph.iter() {
+        let Some(tensors) = params.get(id) else {
+            continue;
+        };
+        matched += 1;
+        let expected = param_signature(&node.op);
+        let fits = tensors.len() == expected.len()
+            && tensors.iter().zip(&expected).all(|(t, s)| t.shape() == s);
+        if !fits {
+            let shapes: Vec<String> = tensors.iter().map(|t| t.shape().to_string()).collect();
+            let expected: Vec<String> = expected.iter().map(ToString::to_string).collect();
+            return Err(WireError::malformed(format!(
+                "params of node {} ({}) are [{}], its operator takes [{}]",
+                id.index(),
+                node.op.opcode(),
+                shapes.join(", "),
+                expected.join(", ")
+            )));
+        }
+    }
+    if matched != params.len() {
+        return Err(WireError::malformed(format!(
+            "{} param entries name no node of the member graph",
+            params.len() - matched
+        )));
+    }
+    Ok(())
 }
 
 /// One optimized member on its way into a response frame.
@@ -671,6 +710,65 @@ mod tests {
                 other => panic!("{part} slice with {extra} extra bytes: {other:?}"),
             }
         }
+    }
+
+    /// A parameter entry for a node the member graph lacks is refused,
+    /// although `decode_params` alone accepts it.
+    #[test]
+    fn param_entries_for_missing_nodes_are_malformed() {
+        let graph = encode_graph(&special_member().graph);
+        let mut params = BytesMut::new();
+        params.put_u32_le(1); // one entry
+        params.put_u32_le(7); // node 7 of a 3-node graph
+        params.put_u32_le(1); // one tensor
+        params.put_u32_le(1); // rank 1
+        params.put_u64_le(1);
+        params.put_f32_le(2.5);
+        assert!(decode_params(&mut params.clone().freeze()).is_ok());
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(1); // num_buckets
+        payload.put_u32_le(1); // members
+        payload.put_u32_le(graph.len() as u32);
+        payload.put_slice(&graph);
+        payload.put_u32_le(params.len() as u32);
+        payload.put_slice(&params);
+        let wire = proteus_graph::wire::encode_frame_v3(9, 0, &payload);
+        match SealedBucket::from_mux_bytes(wire) {
+            Err(WireError::Malformed { detail }) => {
+                assert_eq!(detail, "1 param entries name no node of the member graph")
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A weighted member crosses a serving lane as received words: the
+    /// params it comes back with encode to the bytes it was sent with,
+    /// -0.0, the NaN payload and the subnormal included.
+    #[test]
+    fn special_floats_cross_a_serving_lane_bit_for_bit() {
+        use crate::serve::ServeRuntime;
+        use crate::ServeConfig;
+        use proteus_graph::wire::encode_params;
+        use proteus_opt::{Optimizer, Profile};
+        let rt =
+            ServeRuntime::new(Optimizer::new(Profile::OrtLike), ServeConfig::default()).unwrap();
+        let sent = special_member();
+        let wire = SealedBucket {
+            bucket_index: 0,
+            num_buckets: 1,
+            bucket: Bucket {
+                members: vec![sent.clone()],
+            },
+        }
+        .to_mux_bytes(0x5EC);
+        let handle = rt.handle(0x5EC);
+        handle.submit(wire).unwrap();
+        let (_, back) = SealedBucket::from_mux_bytes(handle.recv().unwrap().wire).unwrap();
+        let back = &back.bucket.members[0];
+        assert_eq!(
+            encode_params(&back.graph, &back.params),
+            encode_params(&sent.graph, &sent.params)
+        );
     }
 
     /// A frame sealed from optimized members — graph-only ones as wire

@@ -1998,4 +1998,108 @@ mod tests {
         rt.shutdown();
         assert_eq!(handle.recv().map(bucket_of), Err(reported));
     }
+
+    /// A Conv→BatchNorm member whose BatchNorm entry carries 2 of its 4
+    /// tensors passes the checksum, but `fold_bn_into_conv` reads all
+    /// four: submit refuses the frame as `Malformed`, so no task runs and
+    /// none crashes.
+    #[test]
+    fn short_batch_norm_params_are_refused_at_submit() {
+        use proteus_graph::{BatchNormAttrs, ConvAttrs, Op};
+        let rt = runtime(1, 2);
+        let mut g = Graph::new("conv_bn");
+        let x = g.input([1, 4, 8, 8]);
+        let c = g.add(
+            Op::Conv(ConvAttrs::new(4, 4, 3).padding(1).bias(false)),
+            [x],
+        );
+        let bn = g.add(Op::BatchNorm(BatchNormAttrs { channels: 4 }), [c]);
+        g.set_outputs([bn]);
+        let mut params = TensorMap::init_random(&g, 5);
+        let short = params.get(bn).unwrap()[..2].to_vec();
+        params.insert(bn, short);
+        let wire = SealedBucket {
+            bucket_index: 0,
+            num_buckets: 1,
+            bucket: Bucket {
+                members: vec![BucketMember { graph: g, params }],
+            },
+        }
+        .to_mux_bytes(6);
+        let handle = rt.handle(6);
+        let err = handle.submit(wire).unwrap_err();
+        assert!(
+            matches!(&err, ProteusError::Wire(proteus_graph::WireError::Malformed { detail })
+                if detail == "params of node 2 (BatchNorm) are [[4], [4]], \
+                              its operator takes [[4], [4], [4], [4]]"),
+            "{err:?}"
+        );
+        assert!(handle.failure().is_none(), "{:?}", handle.failure());
+        rt.shutdown();
+        let stats = rt.stats();
+        assert_eq!((stats.tasks_executed, stats.tasks_crashed), (0, 0));
+    }
+
+    /// What the owner keeps owns its floats: a weighted member decoded
+    /// from a response frame reads its words in place, but the model the
+    /// owner reassembles from those frames holds no tensor inside them.
+    #[test]
+    fn reassembled_weights_do_not_pin_response_frames() {
+        use proteus_graph::{Activation, BatchNormAttrs, ConvAttrs, Op, Tensor};
+        let mut g = Graph::new("weighted");
+        let x = g.input([1, 3, 8, 8]);
+        let c1 = g.add(Op::Conv(ConvAttrs::new(3, 8, 3).padding(1)), [x]);
+        let b1 = g.add(Op::BatchNorm(BatchNormAttrs { channels: 8 }), [c1]);
+        let r1 = g.add(Op::Activation(Activation::Relu), [b1]);
+        let c2 = g.add(Op::Conv(ConvAttrs::new(8, 8, 3).padding(1)), [r1]);
+        let a = g.add(Op::Add, [c2, r1]);
+        let r2 = g.add(Op::Activation(Activation::Relu), [a]);
+        let gap = g.add(Op::GlobalAveragePool, [r2]);
+        g.set_outputs([gap]);
+        let params = TensorMap::init_random(&g, 9);
+        let tensors = |g: &Graph, p: &TensorMap| -> Vec<Tensor> {
+            g.iter()
+                .filter_map(|(id, _)| p.get(id))
+                .flatten()
+                .cloned()
+                .collect()
+        };
+
+        let proteus = quick_proteus();
+        let rt = runtime(2, 4);
+        let mut session = proteus.obfuscate_session(&g, &params, 0x0A11).unwrap();
+        let handle = rt.handle(0x0A11);
+        let mut sent = 0;
+        while let Some(frame) = session.next_frame() {
+            handle.submit(frame.to_mux_bytes(0x0A11)).unwrap();
+            sent += 1;
+        }
+        let frames: Vec<Bytes> = (0..sent).map(|_| handle.recv().unwrap().wire).collect();
+        let secrets = session.finish().unwrap();
+        let inside = |at: *const u8| frames.iter().any(|f| f.as_ptr_range().contains(&at));
+
+        let mut word_backed = 0;
+        for wire in &frames {
+            let (_, sealed) = SealedBucket::from_mux_bytes(wire.clone()).unwrap();
+            let real = &sealed.bucket.members[secrets.real_positions[sealed.bucket_index as usize]];
+            for t in tensors(&real.graph, &real.params) {
+                let words = t.words().expect("decoded tensors read the frame's words");
+                assert!(inside(words.as_ptr()));
+                word_backed += 1;
+            }
+        }
+        assert!(word_backed > 0, "the real pieces carry weights");
+
+        let mut reassembly = DeobfuscationSession::new(&secrets);
+        for wire in &frames {
+            reassembly.accept_mux_bytes(wire.clone()).unwrap();
+        }
+        let (model, model_params) = reassembly.finish().unwrap();
+        let kept = tensors(&model, &model_params);
+        assert!(!kept.is_empty());
+        for t in &kept {
+            assert!(t.words().is_none(), "a kept tensor reads a frame's words");
+            assert!(!inside(t.data().as_ptr().cast()));
+        }
+    }
 }

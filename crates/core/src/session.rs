@@ -339,11 +339,14 @@ impl<'s> DeobfuscationSession<'s> {
     ) -> Result<(), ProteusError> {
         let i = bucket_index as usize;
         let pos = self.check_frame(i, num_buckets)?;
-        let member = take(pos).ok_or_else(|| {
+        let mut member = take(pos).ok_or_else(|| {
             ProteusError::protocol(format!(
                 "real position {pos} out of range in {count}-member bucket {i}"
             ))
         })??;
+        // the real member owns its floats, so the kept model never pins
+        // the frame it arrived in (the sentinels' words go with it)
+        member.params.detach();
         self.slots[i] = Some(member);
         self.received += 1;
         Ok(())

@@ -92,7 +92,9 @@ pub fn decode_secrets(buf: &mut Bytes) -> CResult<ObfuscationSecrets> {
         let mut gbytes = get_blob(buf, "piece graph")?;
         let graph = decode_graph(&mut gbytes)?;
         let mut pbytes = get_blob(buf, "piece params")?;
-        let params = decode_params(&mut pbytes)?;
+        let mut params = decode_params(&mut pbytes)?;
+        // recovered secrets outlive the journal buffer they were read from
+        params.detach();
         need(buf, 4, "boundary count")?;
         let n_boundary = buf.get_u32_le() as usize;
         let mut boundary = Vec::with_capacity(bounded_capacity(n_boundary, buf, 12));

@@ -11,16 +11,61 @@ use crate::graph::{Graph, NodeId};
 use crate::op::Op;
 use crate::shape::Shape;
 use crate::{GraphError, Result};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A dense row-major `f32` tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A tensor built in memory owns its floats. A tensor decoded from the
+/// wire ([`crate::wire::decode_params`]) keeps the little-endian words of
+/// the buffer it arrived in, and turns them into floats only when
+/// something reads its values ([`Tensor::data`]). A member that crosses
+/// the optimizer without a rule reading its weights is therefore never
+/// converted, and [`crate::wire::MemberEncoder`] writes its words back
+/// with one copy. Every method behaves the same on both forms, and
+/// cloning either one bumps a reference count.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    storage: Storage,
+}
+
+/// Where a tensor's elements live.
+#[derive(Clone)]
+enum Storage {
+    /// Floats in memory, shared by clones until one of them writes.
+    Owned(Arc<Vec<f32>>),
+    /// Little-endian words of a received buffer.
+    Words(Arc<Words>),
+}
+
+/// Received little-endian words and their floats, decoded on first read.
+struct Words {
+    bytes: Bytes,
+    floats: OnceLock<Vec<f32>>,
+}
+
+impl Words {
+    /// The words as floats, without filling the shared cache.
+    fn to_floats(&self) -> Vec<f32> {
+        match self.floats.get() {
+            Some(floats) => floats.clone(),
+            None => decode_words(&self.bytes),
+        }
+    }
+}
+
+/// Little-endian words as floats.
+fn decode_words(bytes: &[u8]) -> Vec<f32> {
+    bytes
+        .chunks_exact(4)
+        .map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+        .collect()
 }
 
 impl Tensor {
@@ -35,27 +80,39 @@ impl Tensor {
             data.len(),
             "tensor data does not match shape {shape}"
         );
-        Tensor { shape, data }
+        Tensor::owned(shape, data)
+    }
+
+    fn owned(shape: Shape, data: Vec<f32>) -> Tensor {
+        Tensor {
+            shape,
+            storage: Storage::Owned(Arc::new(data)),
+        }
+    }
+
+    /// A tensor over `words`, `4 * shape.numel()` little-endian bytes
+    /// (the wire decoder checks the length before it calls this).
+    pub(crate) fn from_words(shape: Shape, words: Bytes) -> Tensor {
+        debug_assert_eq!(Some(words.len()), shape.numel().checked_mul(4));
+        Tensor {
+            shape,
+            storage: Storage::Words(Arc::new(Words {
+                bytes: words,
+                floats: OnceLock::new(),
+            })),
+        }
     }
 
     /// All-zeros tensor.
     pub fn zeros(shape: impl Into<Shape>) -> Tensor {
-        let shape = shape.into();
-        let n = shape.numel();
-        Tensor {
-            shape,
-            data: vec![0.0; n],
-        }
+        Tensor::full(shape, 0.0)
     }
 
     /// Tensor filled with `value`.
     pub fn full(shape: impl Into<Shape>, value: f32) -> Tensor {
         let shape = shape.into();
         let n = shape.numel();
-        Tensor {
-            shape,
-            data: vec![value; n],
-        }
+        Tensor::owned(shape, vec![value; n])
     }
 
     /// Tensor with i.i.d. uniform values in `[-scale, scale]`.
@@ -63,7 +120,7 @@ impl Tensor {
         let shape = shape.into();
         let n = shape.numel();
         let data = (0..n).map(|_| rng.gen_range(-scale..=scale)).collect();
-        Tensor { shape, data }
+        Tensor::owned(shape, data)
     }
 
     /// The shape.
@@ -71,14 +128,42 @@ impl Tensor {
         &self.shape
     }
 
-    /// Immutable view of the elements (row-major).
+    /// Immutable view of the elements (row-major). A tensor decoded from
+    /// the wire converts its words on the first call.
     pub fn data(&self) -> &[f32] {
-        &self.data
+        match &self.storage {
+            Storage::Owned(floats) => floats,
+            Storage::Words(words) => words.floats.get_or_init(|| decode_words(&words.bytes)),
+        }
     }
 
-    /// Mutable view of the elements (row-major).
+    /// Mutable view of the elements (row-major). The tensor holds its own
+    /// floats from then on ([`Tensor::detach`]).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.detach();
+        match &mut self.storage {
+            Storage::Owned(floats) => Arc::make_mut(floats).as_mut_slice(),
+            Storage::Words(_) => unreachable!("detach leaves owned floats"),
+        }
+    }
+
+    /// The little-endian words this tensor reads its elements from, while
+    /// it is backed by a received buffer (decoded from the wire and not
+    /// written or detached since).
+    pub fn words(&self) -> Option<&Bytes> {
+        match &self.storage {
+            Storage::Owned(_) => None,
+            Storage::Words(words) => Some(&words.bytes),
+        }
+    }
+
+    /// Makes the tensor hold its own floats, so that it no longer keeps
+    /// the buffer it was decoded from alive. Copies only a word-backed
+    /// tensor's words.
+    pub fn detach(&mut self) {
+        if let Storage::Words(words) = &self.storage {
+            self.storage = Storage::Owned(Arc::new(words.to_floats()));
+        }
     }
 
     /// Reinterprets the tensor with a new shape of identical element count.
@@ -87,7 +172,7 @@ impl Tensor {
     /// Panics if element counts differ.
     pub fn reshaped(mut self, shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
-        assert_eq!(shape.numel(), self.data.len());
+        assert_eq!(shape.numel(), self.shape.numel());
         self.shape = shape;
         self
     }
@@ -97,9 +182,9 @@ impl Tensor {
         if self.shape != other.shape {
             return f32::INFINITY;
         }
-        self.data
+        self.data()
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
@@ -107,6 +192,22 @@ impl Tensor {
     /// True when every element differs from `other` by at most `tol`.
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
         self.max_abs_diff(other) <= tol
+    }
+}
+
+impl fmt::Debug for Tensor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tensor")
+            .field("shape", &self.shape)
+            .field("data", &self.data())
+            .finish()
+    }
+}
+
+/// `f32` equality of shapes and elements, whichever form holds them.
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Tensor) -> bool {
+        self.shape == other.shape && self.data() == other.data()
     }
 }
 
@@ -136,6 +237,13 @@ impl TensorMap {
     /// Removes and returns the parameters of `id`.
     pub fn remove(&mut self, id: NodeId) -> Option<Vec<Tensor>> {
         self.params.remove(&id)
+    }
+
+    /// Makes every tensor hold its own floats ([`Tensor::detach`]).
+    pub fn detach(&mut self) {
+        for tensor in self.params.values_mut().flatten() {
+            tensor.detach();
+        }
     }
 
     /// Number of nodes with parameters.

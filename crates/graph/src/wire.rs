@@ -1353,7 +1353,7 @@ impl<'p> MemberEncoder<'p> {
 
     /// Length of the parameter-store encoding.
     pub fn params_len(&self) -> usize {
-        let tensor = |t: &Tensor| 4 + 8 * t.shape().rank() + 4 * t.data().len();
+        let tensor = |t: &Tensor| 4 + 8 * t.shape().rank() + 4 * t.shape().numel();
         let entry = |ts: &[Tensor]| 8 + ts.iter().map(tensor).sum::<usize>();
         4 + self.params.iter().map(|(_, ts)| entry(ts)).sum::<usize>()
     }
@@ -1364,8 +1364,9 @@ impl<'p> MemberEncoder<'p> {
     }
 
     /// Appends the parameter-store encoding ([`encode_params`]'s bytes):
-    /// each tensor's data is one `resize` of the buffer, filled four
-    /// bytes per float.
+    /// a tensor still backed by received words ([`Tensor::words`]) is one
+    /// copy of them; any other tensor's data is one `resize` of the
+    /// buffer, filled four bytes per float.
     pub fn put_params(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.params.len() as u32);
         for &(idx, tensors) in &self.params {
@@ -1373,10 +1374,15 @@ impl<'p> MemberEncoder<'p> {
             buf.put_u32_le(tensors.len() as u32);
             for t in tensors {
                 put_shape(buf, t.shape());
-                let at = buf.len();
-                buf.resize(at + 4 * t.data().len(), 0);
-                for (dst, v) in buf[at..].chunks_exact_mut(4).zip(t.data()) {
-                    dst.copy_from_slice(&v.to_le_bytes());
+                match t.words() {
+                    Some(words) => buf.put_slice(words),
+                    None => {
+                        let at = buf.len();
+                        buf.resize(at + 4 * t.data().len(), 0);
+                        for (dst, v) in buf[at..].chunks_exact_mut(4).zip(t.data()) {
+                            dst.copy_from_slice(&v.to_le_bytes());
+                        }
+                    }
                 }
             }
         }
@@ -1467,7 +1473,9 @@ pub fn encode_params(graph: &Graph, params: &TensorMap) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a parameter store from [`encode_params`] bytes.
+/// Decodes a parameter store from [`encode_params`] bytes. Each tensor
+/// keeps its data as a slice of `buf`'s words ([`Tensor::words`]); no
+/// float is converted until a reader asks for it.
 ///
 /// # Errors
 /// [`WireError::Truncated`] when the bytes end early,
@@ -1496,12 +1504,7 @@ pub fn decode_params(buf: &mut Bytes) -> WResult<TensorMap> {
                     WireError::malformed(format!("tensor shape {shape} overflows its byte count"))
                 })?;
             need(buf, len, "tensor data")?;
-            let data = buf
-                .split_to(len)
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                .collect();
-            tensors.push(Tensor::new(shape, data));
+            tensors.push(Tensor::from_words(shape, buf.split_to(len)));
         }
         map.insert(NodeId::from_index(idx), tensors);
     }

@@ -327,8 +327,8 @@ impl Optimizer {
         // remap parameters to compacted ids
         let mut new_params = TensorMap::new();
         for (old, new) in &mapping {
-            if let Some(t) = p.get(*old) {
-                new_params.insert(*new, t.to_vec());
+            if let Some(t) = p.remove(*old) {
+                new_params.insert(*new, t);
             }
         }
         stats.nodes_after = compacted.len();
@@ -463,6 +463,7 @@ impl SpeedupReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_graph::wire::encode_graph;
     use proteus_graph::{Activation, BatchNormAttrs, ConvAttrs, Executor, Op, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -602,6 +603,49 @@ mod tests {
             report.speedup() < 1.0,
             "NATS model should slow down, got speedup {:.3}",
             report.speedup()
+        );
+    }
+
+    /// Both engines make the same merge decisions on constants that came
+    /// off the wire as they do on owned ones: the duplicates (one exact,
+    /// one differing only in its NaN payload) merge, the `-0.0` twin does
+    /// not, and every result encodes to the same bytes.
+    #[test]
+    fn engines_agree_on_constants_decoded_from_the_wire() {
+        use proteus_graph::wire::{decode_params, encode_params};
+        let mut g = Graph::new("consts");
+        let x = g.input([1, 2]);
+        let values = [
+            [f32::from_bits(0x7fc0_0001), 1.0],
+            [f32::from_bits(0x7fc0_0001), 1.0],
+            [f32::from_bits(0x7fc0_0777), 1.0],
+            [-0.0, 3.0],
+            [0.0, 3.0],
+        ];
+        let mut params = TensorMap::new();
+        let mut sums = Vec::new();
+        for v in values {
+            let c = g.constant([1, 2]);
+            params.insert(c, vec![Tensor::new([1, 2], v.to_vec())]);
+            sums.push(g.add(Op::Add, [x, c]));
+        }
+        g.set_outputs(sums);
+        let received = decode_params(&mut encode_params(&g, &params)).unwrap();
+        let mut outputs = Vec::new();
+        for (engine, p) in [
+            (Engine::Worklist, &received),
+            (Engine::NaiveFixpoint, &received),
+            (Engine::Worklist, &params),
+        ] {
+            let (og, op, stats) = Optimizer::with_engine(Profile::OrtLike, engine).optimize(&g, p);
+            // 5 constants and 5 adds become 3 of each, beside the input
+            assert_eq!(og.len(), 7, "{engine:?}: {stats:?}");
+            outputs.push((encode_graph(&og), encode_params(&og, &op)));
+        }
+        assert_eq!(outputs[0], outputs[1], "engines diverge on received words");
+        assert_eq!(
+            outputs[0], outputs[2],
+            "received words and owned floats diverge"
         );
     }
 }

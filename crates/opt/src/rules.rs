@@ -539,22 +539,34 @@ pub fn cse(ctx: &mut RewriteCtx) -> usize {
 /// patterns, except that any NaN equals any NaN. That matches the retained
 /// naive baseline's debug-string keys (`-0.0` prints differently from
 /// `0.0`, but every NaN prints as `NaN`), keeping the engines' merge
-/// decisions — and therefore their outputs — bit-identical.
+/// decisions — and therefore their outputs — bit-identical. Tensors
+/// decoded from the wire are compared on their received words in place.
 fn params_bit_equal(a: Option<&[Tensor]>, b: Option<&[Tensor]>) -> bool {
     match (a, b) {
-        (Some(a), Some(b)) => {
-            a.len() == b.len()
-                && a.iter().zip(b).all(|(x, y)| {
-                    x.shape() == y.shape()
-                        && x.data()
-                            .iter()
-                            .zip(y.data())
-                            .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
-                })
-        }
+        (Some(a), Some(b)) => a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bit_equal(x, y)),
         (None, None) => true,
         _ => false,
     }
+}
+
+/// One tensor pair under [`params_bit_equal`]'s rule. Two word-backed
+/// tensors are compared on their words; otherwise on their floats.
+fn bit_equal(x: &Tensor, y: &Tensor) -> bool {
+    let same =
+        |p: u32, q: u32| p == q || (f32::from_bits(p).is_nan() && f32::from_bits(q).is_nan());
+    let word = |w: &[u8]| u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    x.shape() == y.shape()
+        && match (x.words(), y.words()) {
+            (Some(p), Some(q)) => p
+                .chunks_exact(4)
+                .zip(q.chunks_exact(4))
+                .all(|(a, b)| same(word(a), word(b))),
+            _ => x
+                .data()
+                .iter()
+                .zip(y.data())
+                .all(|(p, q)| same(p.to_bits(), q.to_bits())),
+        }
 }
 
 /// Constant folding: evaluates nodes whose inputs are all value-carrying
@@ -925,5 +937,47 @@ mod tests {
         let folded = g.node(mul).unwrap().inputs[0];
         let val = &pm.get(folded).unwrap()[0];
         assert_eq!(val.data(), &[11.0, 22.0, 33.0, 44.0]);
+    }
+
+    /// CSE's tensor equality is the same on received words as on owned
+    /// floats, whichever form each side holds: NaNs with different
+    /// payloads are equal, `-0.0` and `0.0` are not.
+    #[test]
+    fn params_bit_equal_agrees_across_storage() {
+        use proteus_graph::wire::{decode_params, encode_params};
+        let owned = |v: &[f32]| Tensor::new([v.len()], v.to_vec());
+        let words = |v: &[f32]| {
+            let mut g = Graph::new("w");
+            let c = g.constant([v.len()]);
+            g.set_outputs([c]);
+            let mut pm = TensorMap::new();
+            pm.insert(c, vec![owned(v)]);
+            let back = decode_params(&mut encode_params(&g, &pm)).unwrap();
+            let t = back.get(c).unwrap()[0].clone();
+            assert!(t.words().is_some());
+            t
+        };
+        let nan = f32::from_bits;
+        let cases: [(&[f32], &[f32], bool); 5] = [
+            (&[nan(0x7fc0_0001), 1.0], &[nan(0xffc0_1234), 1.0], true),
+            (&[-0.0, 1.0], &[0.0, 1.0], false),
+            (&[f32::from_bits(1), 2.0], &[f32::from_bits(1), 2.0], true),
+            (&[1.0, 2.0], &[1.0, 2.5], false),
+            (&[1.0], &[1.0, 1.0], false),
+        ];
+        for (a, b, equal) in cases {
+            for x in [owned(a), words(a)] {
+                for y in [owned(b), words(b)] {
+                    let (xs, ys) = (vec![x.clone()], vec![y.clone()]);
+                    assert_eq!(
+                        params_bit_equal(Some(&xs), Some(&ys)),
+                        equal,
+                        "{a:?} vs {b:?}, words {} / {}",
+                        x.words().is_some(),
+                        y.words().is_some()
+                    );
+                }
+            }
+        }
     }
 }
